@@ -21,7 +21,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .certs import Certificate, make_certificate
-from .spaces import (DEFAULT_TOL, FiniteMetricSpace, as_indices,
+from .spaces import (DEFAULT_TOL, FiniteMetricSpace, as_indices, floyd_warshall,
                      require_metric, sup_distance, validate_metric)
 
 
@@ -35,7 +35,8 @@ class AdmissionError(ValueError):
 
 
 class MetricExtensionError(RuntimeError):
-    """The extension LP exceeded its certified distortion bound."""
+    """A metric extension exceeded its certified distortion bound or is not a
+    metric."""
 
     def __init__(self, certificate):
         super().__init__(str(certificate))
@@ -149,6 +150,9 @@ def _dual_norm(weights: np.ndarray, d_sub: np.ndarray, tol: float = lpmod.SOLVER
     sol = lpmod.solve(prog, tol=tol)
     if sol.status != "optimal":
         raise lpmod.LpError(f"norm LP ended with status {sol.status}")
+    allowed = tol * max(1.0, float(np.abs(prog.rhs).max()))
+    if sol.max_violation > allowed:
+        raise lpmod.LpError(f"norm LP residual {sol.max_violation:.3g} exceeds {allowed:.3g}")
     return max(sol.value, 0.0)
 
 
@@ -362,15 +366,18 @@ class MetricExtension:
 
 
 def metric_extension_lp(d: np.ndarray, members, rho: np.ndarray,
-                        tol: float = lpmod.SOLVER_TOL,
-                        backend: str = "auto") -> MetricExtension:
+                        tol: float = lpmod.SOLVER_TOL) -> MetricExtension:
     """Extend the metric rho from a subset S to all points of (T, d).
 
-    Solves: minimize t subject to every triangle inequality on T, the values
-    on S x S fixed to rho, |d2 - d| <= t on the remaining pairs, and a small
-    positive floor on distinct pairs.  The optimum is certified against the
-    interpolation bound sup |rho - d restricted to S x S|; exceeding it raises
-    MetricExtensionError.
+    With delta = sup |rho - d| on S x S, the extension d2 is the shortest-path
+    closure of the weights rho on S x S and d + delta on every other pair:
+      (1) d2 <= d + delta off S x S, because every pair is its own path;
+      (2) a path leaving S between s and s' costs at least d(s, s') + 2 delta
+          >= rho(s, s') + delta per excursion, so d2 = rho on S x S;
+      (3) each run of a path inside S costs at least d - delta and is entered
+          or left by an edge of cost d + delta, so d2 >= d off S x S.
+    The distortion sup |d2 - d| off S x S is certified against delta, and d2
+    against the metric axioms; a failure of either raises MetricExtensionError.
     """
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
@@ -380,136 +387,25 @@ def metric_extension_lp(d: np.ndarray, members, rho: np.ndarray,
         raise ValueError("rho must be a matrix over the subset")
     require_metric(rho, what="subset metric rho")
 
-    in_s = np.zeros(n, dtype=bool)
-    in_s[s_idx] = True
-    pos_in_s = {p: i for i, p in enumerate(s_idx)}
-    positive = d[d > 0]
-    floor = 1e-9 * float(positive.min()) if positive.size else 1e-12
-
-    pair_id = -np.ones((n, n), dtype=int)
-    ground = []
-    nv = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if in_s[i] and in_s[j]:
-                continue
-            pair_id[i, j] = pair_id[j, i] = nv
-            ground.append(d[i, j])
-            nv += 1
-    known = np.zeros((n, n))
-    for i in s_idx:
-        for j in s_idx:
-            known[i, j] = rho[pos_in_s[i], pos_in_s[j]]
-
-    # Any optimum beyond the interpolation bound is treated as failure, so the
-    # search may be restricted to t <= cap up front.  Within that region every
-    # free pair lies in [d - cap, d + cap], which prunes triangle rows that
-    # can never go tight; the reduced LP is exactly equivalent there.
-    cap = sup_distance(rho, d[np.ix_(s_idx, s_idx)]) if s_idx else 0.0
-    lo_val = np.where(pair_id >= 0, np.maximum(floor, d - cap), known)
-    hi_val = np.where(pair_id >= 0, d + cap, known)
-
-    t_col = nv
-    rows_parts, cols_parts, data_parts, rhs_parts = [], [], [], []
-    row_count = 0
-
-    # one row per triple and target pair: x(t) - x(leg1) - x(leg2) <= 0,
-    # with entries fixed on S x S moved to the right-hand side
-    tri = np.array(list(itertools.combinations(range(n), 3)), dtype=int)
-    patterns = (((0, 1), (0, 2), (2, 1)), ((0, 2), (0, 1), (1, 2)), ((1, 2), (1, 0), (0, 2)))
-    if tri.size:
-        for target, leg1, leg2 in patterns:
-            slots = []
-            for (a, b), sign in ((target, 1.0), (leg1, -1.0), (leg2, -1.0)):
-                pid = pair_id[tri[:, a], tri[:, b]]
-                kv = known[tri[:, a], tri[:, b]]
-                slots.append((pid, kv, sign))
-            keep = (slots[0][0] >= 0) | (slots[1][0] >= 0) | (slots[2][0] >= 0)
-            worst = (hi_val[tri[:, target[0]], tri[:, target[1]]]
-                     - lo_val[tri[:, leg1[0]], tri[:, leg1[1]]]
-                     - lo_val[tri[:, leg2[0]], tri[:, leg2[1]]])
-            keep &= worst > 0.0
-            nkeep = int(keep.sum())
-            if nkeep == 0:
-                continue
-            ridx = np.arange(row_count, row_count + nkeep)
-            rhs_block = np.zeros(nkeep)
-            for pid, kv, sign in slots:
-                pid_k, kv_k = pid[keep], kv[keep]
-                var = pid_k >= 0
-                rows_parts.append(ridx[var])
-                cols_parts.append(pid_k[var])
-                data_parts.append(np.full(int(var.sum()), sign))
-                rhs_block[~var] -= sign * kv_k[~var]
-            rhs_parts.append(rhs_block)
-            row_count += nkeep
-
-    # |x_p - d_p| <= t for every free pair
-    if nv:
-        g = np.asarray(ground)
-        pids = np.arange(nv)
-        ridx = np.arange(row_count, row_count + nv)
-        rows_parts += [ridx, ridx]
-        cols_parts += [pids, np.full(nv, t_col)]
-        data_parts += [np.ones(nv), -np.ones(nv)]
-        rhs_parts.append(g)
-        row_count += nv
-        ridx = np.arange(row_count, row_count + nv)
-        rows_parts += [ridx, ridx]
-        cols_parts += [pids, np.full(nv, t_col)]
-        data_parts += [-np.ones(nv), -np.ones(nv)]
-        rhs_parts.append(-g)
-        row_count += nv
-
-    rows_i = np.concatenate(rows_parts) if rows_parts else np.zeros(0, dtype=int)
-    cols_i = np.concatenate(cols_parts) if cols_parts else np.zeros(0, dtype=int)
-    data = np.concatenate(data_parts) if data_parts else np.zeros(0)
-    rhs = np.concatenate(rhs_parts) if rhs_parts else np.zeros(0)
-
-    c = np.zeros(nv + 1)
-    c[t_col] = 1.0
-    bounds = [(max(floor, g - cap), g + cap) for g in ground] + [(0.0, cap)]
-    use_sparse = backend == "scipy" or (backend == "auto" and row_count * (nv + 1) > 2_000_000)
-    if use_sparse:
-        from scipy.sparse import coo_matrix
-
-        a_ub = coo_matrix((data, (rows_i, cols_i)), shape=(row_count, nv + 1)).tocsr()
-        sol = lpmod.solve_min_sparse(c, a_ub, rhs, bounds)
-    else:
-        rows = np.zeros((row_count, nv + 1))
-        rows[rows_i, cols_i] = data
-        prog = lpmod.LinearProgram(
-            objective=c, sense="min", rows=rows,
-            relations=tuple("<=" for _ in range(row_count)),
-            rhs=rhs, bounds=tuple(bounds),
-        )
-        sol = lpmod.solve(prog, tol=tol)
-    if sol.status == "infeasible":
-        # the capped region is empty only when every extension must exceed the
-        # interpolation bound, which the construction rules out
-        raise MetricExtensionError(make_certificate(
-            "metric-extension-distortion", cap, float("inf"), "le", max(tol, 1e-9),
-            details={"status": "infeasible within the certified cap"}))
-    if sol.status != "optimal":
-        raise lpmod.LpError(f"metric extension LP ended with status {sol.status}")
-
-    d2 = known.copy()
-    for i in range(n):
-        for j in range(i + 1, n):
-            pid = pair_id[i, j]
-            if pid >= 0:
-                d2[i, j] = d2[j, i] = sol.assignment[pid]
+    on_s = np.ix_(s_idx, s_idx)
+    claimed = sup_distance(rho, d[on_s])
+    w = d + claimed
+    w[on_s] = rho
+    d2 = floyd_warshall(w)
+    # rho is a metric only up to DEFAULT_TOL, so the closure may undercut it
+    d2[on_s] = rho
     np.fill_diagonal(d2, 0.0)
 
-    claimed = sup_distance(rho, d[np.ix_(s_idx, s_idx)]) if s_idx else 0.0
-    off = ~in_s[:, None] | ~in_s[None, :]
-    measured = float(np.abs((d2 - d)[off]).max()) if off.any() else 0.0
+    off = np.ones((n, n), dtype=bool)
+    off[on_s] = False
+    distortion = float(np.abs((d2 - d)[off]).max()) if off.any() else 0.0
+    check = validate_metric(d2, tol=DEFAULT_TOL)
     cert = make_certificate(
-        "metric-extension-distortion", claimed, measured, "le", max(tol, 1e-9),
+        "metric-extension-distortion", claimed,
+        distortion if check.ok else float("inf"), "le", max(tol, 1e-9),
         witnesses=[], inputs={"n": n, "subset": s_idx},
-        details={"floor": floor, "lp_optimum": float(sol.value),
-                 "metric_check": validate_metric(d2, tol=DEFAULT_TOL).summary()},
+        details={"metric_check": check.summary()},
     )
     if not cert.passed:
         raise MetricExtensionError(cert)
-    return MetricExtension(d2, measured, cert)
+    return MetricExtension(d2, distortion, cert)

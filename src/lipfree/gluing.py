@@ -9,7 +9,8 @@ subset ... of T minus K by distance thresholds, the pipeline:
   2. dilates the cover into T by the largest radius that preserves the order
      bound and keeps foreign net points out, giving a collar V around K,
   3. runs the extension-bundle construction on (V, d) to get an inner metric,
-  4. extends the inner metric to all of T by LP with certified sup distortion,
+  4. extends the inner metric to all of T as a shortest-path closure whose
+     sup distortion is certified,
   5. adds a scaled truncated copy of d, producing the glue metric, which
      detects proximity to K at a known scale.
 
@@ -238,7 +239,7 @@ def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float,
         raise GluingError(f"collar cover failed verification: {nc_cert}")
     v_bundle = build_extension_bundle(v_space, eps, nc_v, tol=tol)
 
-    ext = metric_extension_lp(d, v_indices, v_bundle.adapted, backend="auto")
+    ext = metric_extension_lp(d, v_indices, v_bundle.adapted)
     extended = ext.matrix
     truncated = truncate(d, eta)
     scale = eps / (14.0 * eta * (cfg.dim_k + 1))

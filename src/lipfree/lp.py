@@ -2,10 +2,10 @@
 
 The core is a two-phase tableau simplex with Bland's anti-cycling rule, which
 makes every solve deterministic: identical inputs produce bitwise-identical
-outputs.  Problem sizes here are at most a few thousand rows, so a dense
-float64 tableau is adequate.  An adapter to scipy's HiGHS backend is provided
-for the handful of larger instances (the all-triangles metric extension LP);
-it is an optional seam, not part of the core path.
+outputs.  Its programs are the free-space norm LPs on a support plus base
+point, at most a few thousand rows, so a dense float64 tableau is adequate.
+``solve_with_scipy`` solves the same programs with HiGHS under the same result
+contract; it is the reference the tests compare the simplex against.
 """
 
 from __future__ import annotations
@@ -294,12 +294,8 @@ def _violation(lp: LinearProgram, x: np.ndarray) -> float:
     return float(worst)
 
 
-def solve(lp: LinearProgram, tol: float = SOLVER_TOL, backend: str = "simplex") -> LpSolution:
-    """Solve the program; deterministic for the default backend."""
-    if backend == "scipy":
-        return solve_with_scipy(lp)
-    if backend != "simplex":
-        raise ValueError(f"unknown backend {backend!r}")
+def solve(lp: LinearProgram, tol: float = SOLVER_TOL) -> LpSolution:
+    """Solve the program deterministically."""
     c, rows, rels, rhs, var_map = _standardize(lp)
     status, z, iters = _simplex_min(c, rows, rels, rhs, tol)
     if status != "optimal":
@@ -347,25 +343,6 @@ def solve_with_scipy(lp: LinearProgram) -> LpSolution:
     x = np.asarray(res.x, dtype=float)
     value = float(lp.objective @ x)
     return LpSolution("optimal", value, x, _violation(lp, x), int(res.nit))
-
-
-def solve_min_sparse(c: np.ndarray, a_ub, b_ub: np.ndarray, bounds) -> LpSolution:
-    """Minimize c.x with sparse A_ub x <= b_ub; used by the large extension LPs.
-
-    Interior point with crossover handles the all-triangles constraint blocks
-    far faster than dual simplex at these shapes.
-    """
-    from scipy.optimize import linprog
-
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs-ipm")
-    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status)
-    if status is None:
-        raise LpError(f"scipy backend failed: {res.message}")
-    if status != "optimal":
-        return LpSolution(status, float("nan"), np.full(len(c), np.nan), float("inf"), int(res.nit))
-    x = np.asarray(res.x, dtype=float)
-    viol = float(np.max(a_ub @ x - b_ub, initial=0.0))
-    return LpSolution("optimal", float(c @ x), x, viol, int(res.nit))
 
 
 def lp_to_json(lp: LinearProgram) -> dict:

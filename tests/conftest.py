@@ -78,6 +78,51 @@ def operator_norm_by_vertices(op, d_a: np.ndarray, d_t: np.ndarray) -> float:
     return best
 
 
+def metric_extension_by_lp(d: np.ndarray, members, rho: np.ndarray) -> float:
+    """Least sup distortion over all metric extensions of rho to (T, d).
+
+    The plain dense LP over every triangle, without pruning: minimize t
+    subject to every triangle inequality of d2, d2 = rho on S x S and
+    |d2 - d| <= t on every other pair.  Independent of the closed form.
+    """
+    d = np.asarray(d, dtype=float)
+    n = d.shape[0]
+    s = list(members)
+    known = {(i, j): rho[a, b] for a, i in enumerate(s) for b, j in enumerate(s)}
+    free = [p for p in itertools.combinations(range(n), 2) if p not in known]
+    col = {}
+    for k, (i, j) in enumerate(free):
+        col[i, j] = col[j, i] = k
+    t = len(free)
+    rows, rhs = [], []
+    for (x, y), z in itertools.product(itertools.combinations(range(n), 2), range(n)):
+        if z in (x, y):
+            continue
+        row, b = np.zeros(t + 1), 0.0
+        for pair, sign in (((x, y), 1.0), ((x, z), -1.0), ((z, y), -1.0)):
+            if pair in col:
+                row[col[pair]] += sign
+            else:
+                b -= sign * known[pair]
+        if row.any():
+            rows.append(row)
+            rhs.append(b)
+    for k, (i, j) in enumerate(free):
+        for sign in (1.0, -1.0):
+            row = np.zeros(t + 1)
+            row[k], row[t] = sign, -1.0
+            rows.append(row)
+            rhs.append(sign * d[i, j])
+    objective = np.zeros(t + 1)
+    objective[t] = 1.0
+    sol = lf.solve(lf.LinearProgram(
+        objective=objective, sense="min", rows=np.array(rows),
+        relations=("<=",) * len(rows), rhs=np.array(rhs),
+        bounds=((0.0, None),) * (t + 1)))
+    assert sol.status == "optimal"
+    return sol.value
+
+
 @pytest.fixture
 def three_line():
     # points at 0, 1, 3 on the line

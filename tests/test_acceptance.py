@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import lipfree as lf
-from conftest import operator_norm_by_vertices
+from conftest import metric_extension_by_lp, operator_norm_by_vertices
 
 
 @contextmanager
@@ -212,7 +212,14 @@ def test_metric_extension_50_instances():
                                     0.2 * lf.diameter(space.dist), rng)
             ext = lf.metric_extension_lp(space.dist, s, rho)
             bound = lf.sup_distance(rho, space.dist[np.ix_(s, s)])
+            optimum = metric_extension_by_lp(space.dist, s, rho)
+            assert optimum <= ext.distortion + 1e-9, seed
             assert ext.distortion <= bound + 1e-9, seed
+            off = np.ones((n, n), dtype=bool)
+            off[np.ix_(s, s)] = False
+            d2, d = ext.matrix[off], space.dist[off]
+            assert np.all(d - 1e-9 <= d2) and np.all(d2 <= d + bound + 1e-9), seed
+            assert ext.distortion == np.abs(d2 - d).max(), seed
             assert np.array_equal(ext.matrix[np.ix_(s, s)], rho), seed
             assert lf.validate_metric(ext.matrix).ok, seed
 

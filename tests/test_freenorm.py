@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lipfree as lf
+from lipfree import lp as lpmod
 from conftest import free_norm_by_vertices, line_space
 
 
@@ -99,6 +102,17 @@ class TestFreeSpaceNorm:
         w2[space.base_index] = -123.0
         assert lf.free_space_norm(lf.FreeElement(space, w2)) == pytest.approx(
             lf.free_space_norm(mu), abs=1e-12)
+
+    def test_norm_lp_residual_rejected(self, monkeypatch):
+        real = lpmod.solve
+
+        def sloppy(prog, tol=lpmod.SOLVER_TOL):
+            return dataclasses.replace(real(prog, tol=tol), max_violation=1e-6)
+
+        monkeypatch.setattr(lpmod, "solve", sloppy)
+        mu = lf.FreeElement.from_deltas(line_space([0.0, 1.0, 3.0]), {1: 1.0, 2: 1.0})
+        with pytest.raises(lf.LpError, match="residual"):
+            lf.free_space_norm(mu)
 
 
 class TestMcShane:
@@ -276,11 +290,23 @@ class TestMetricExtension:
         with pytest.raises(lf.MetricError):
             lf.metric_extension_lp(space.dist, [0, 1, 2], bad)
 
-    def test_sparse_backend_agrees(self):
+    def test_non_metric_extension_rejected(self, monkeypatch):
         space = lf.random_metric_space(6, seed=22)
         s = [0, 1, 4]
-        rng = np.random.default_rng(5)
-        rho = lf.perturb_metric(space.dist[np.ix_(s, s)], 0.1, rng)
-        dense = lf.metric_extension_lp(space.dist, s, rho, backend="auto")
-        sparse = lf.metric_extension_lp(space.dist, s, rho, backend="scipy")
-        assert dense.distortion == pytest.approx(sparse.distortion, abs=1e-7)
+        rho = lf.perturb_metric(space.dist[np.ix_(s, s)], 0.1, np.random.default_rng(5))
+        assert lf.metric_extension_lp(space.dist, s, rho).certificate.passed
+        real = lf.floyd_warshall
+
+        def asymmetric(w):
+            # within the distortion bound, but no longer symmetric
+            out = real(w)
+            out[2, 3] = space.dist[2, 3]
+            out[3, 2] = space.dist[3, 2] + 1e-3
+            return out
+
+        monkeypatch.setattr("lipfree.freenorm.floyd_warshall", asymmetric)
+        with pytest.raises(lf.MetricExtensionError) as err:
+            lf.metric_extension_lp(space.dist, s, rho)
+        cert = err.value.certificate
+        assert cert.claimed > 1e-3 and not cert.passed
+        assert cert.details["metric_check"].startswith("symmetry")
