@@ -5,7 +5,7 @@ clauses for (d, eps) with order at most r, the bundle assembles:
 
   * the partition of unity  lam_i(x) = d(x, U_i^c) / sum_j d(x, U_j^c),
   * the induced pseudometric  (x, y) -> || sum_i (lam_i(x)-lam_i(y)) delta_{a_i} ||,
-    computed exactly as a free-norm LP per pair,
+    computed exactly per pair, by a norm identity or the free-norm LP,
   * the quotient pseudometric collapsing A,
   * their sum, the adapted metric, which agrees with d on A x A exactly,
     stays uniformly within 4 eps of d, and makes f -> sum f(a_i) lam_i an
@@ -88,7 +88,7 @@ def induced_pseudometric(pou: WeightOperator, d_a: np.ndarray) -> np.ndarray:
     """Pseudometric (x, y) -> free-space norm of the weight-row difference.
 
     This is the exact sup over the unit ball of Lip0(A, d_a) of
-    |sum_i f(a_i)(lam_i(x) - lam_i(y))|, realized pairwise by LP.
+    |sum_i f(a_i)(lam_i(x) - lam_i(y))|, from `molecule_norm_matrix`.
     """
     return molecule_norm_matrix(pou, d_a)
 

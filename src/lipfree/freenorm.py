@@ -14,7 +14,6 @@ the test suite.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,23 +160,94 @@ def _norm_of_weights(c: np.ndarray, d: np.ndarray, base: int,
     """Norm of the weight vector c over the points of d with the given base.
 
     The base-point weight never matters and is ignored.  With shortcuts
-    enabled, single-point elements and exact two-point molecules are answered
-    from the norm identities ||w delta_x|| = |w| d(x, base) and
-    ||delta_x - delta_y|| = d(x, y); everything else goes through the LP.
+    enabled, the norm identities of `_triage` answer zero, single-point and
+    exact two-point elements; everything else goes through the LP.
     """
-    nz = [int(i) for i in np.flatnonzero(c) if i != base]
-    if not nz:
-        return 0.0
-    if shortcuts:
-        if len(nz) == 1:
-            return abs(float(c[nz[0]])) * float(d[nz[0], base])
-        if len(nz) == 2:
-            a, b = nz
-            if (c[a] == 1.0 and c[b] == -1.0) or (c[a] == -1.0 and c[b] == 1.0):
-                return float(d[a, b])
-    sub = nz + [base]
-    d_sub = d[np.ix_(sub, sub)]
-    return _dual_norm(np.asarray(c, dtype=float)[nz], d_sub)
+    block = np.array(c, dtype=float)[None, :]
+    value, needs_lp = _triage(block, d, base)
+    if shortcuts and not needs_lp[0]:
+        return float(value[0])
+    return _lp_norm(block[0], d, base, {})
+
+
+def _triage(c: np.ndarray, d: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shortcut norms of the rows of c, and a mask of the rows that need the LP.
+
+    Zeroes the base column of c in place.  Rows answered here, by the same
+    IEEE expressions as the scalar identities:
+      zero rows: 0;
+      single-point rows: |c_i| d(i, base), since ||w delta_i|| = |w| d(i, base);
+      exact molecules +-(delta_i - delta_j), i < j: d(i, j).
+    """
+    c[:, base] = 0.0
+    nz = c != 0.0
+    count = nz.sum(axis=1)
+    value = np.zeros(len(c))
+    needs_lp = count > 1
+    one = np.flatnonzero(count == 1)
+    i = nz[one].argmax(axis=1)
+    value[one] = np.abs(c[one, i]) * d[i, base]
+    two = np.flatnonzero(count == 2)
+    i = nz[two].argmax(axis=1)
+    j = c.shape[1] - 1 - nz[two, ::-1].argmax(axis=1)
+    ci, cj = c[two, i], c[two, j]
+    unit = ((ci == 1.0) & (cj == -1.0)) | ((ci == -1.0) & (cj == 1.0))
+    value[two[unit]] = d[i[unit], j[unit]]
+    needs_lp[two[unit]] = False
+    return value, needs_lp
+
+
+def _lp_norm(c: np.ndarray, d: np.ndarray, base: int, memo: dict) -> float:
+    """LP norm of a weight row whose base entry is zero, memoised in memo.
+
+    The key is the exact bytes of the support and of its weights; with d fixed
+    per memo, equal keys pose the same LP, which the deterministic simplex
+    answers identically.
+    """
+    support = np.flatnonzero(c)
+    weights = c[support]
+    key = (support.tobytes(), weights.tobytes())
+    value = memo.get(key)
+    if value is None:
+        sub = np.append(support, base)
+        value = memo[key] = _dual_norm(weights, d[np.ix_(sub, sub)])
+    return value
+
+
+def _pair_blocks(n: int, pairs=None):
+    """The pairs as (x, y) index arrays, at most n pairs a block, so the row
+    differences of a block never outgrow the weight matrix.  By default all
+    pairs x < y, one x per block, in row-major order."""
+    if pairs is None:
+        for x in range(n - 1):
+            yield np.full(n - 1 - x, x), np.arange(x + 1, n)
+        return
+    xs, ys = np.asarray(list(pairs), dtype=int).reshape(-1, 2).T
+    for start in range(0, len(xs), n):
+        yield xs[start:start + n], ys[start:start + n]
+
+
+# Relative slack an upper bound on a molecule ratio must clear before its pair
+# is pruned.  It dwarfs the rounding in the bound and in the LP optimum, so a
+# pruned pair lies strictly below the maximum.
+PRUNE_MARGIN = 1e-6
+
+
+def _ratio_upper_bounds(c: np.ndarray, d: np.ndarray, base: int,
+                        d_t: np.ndarray) -> np.ndarray:
+    """Upper bounds on LP-norm / d_t for rows c with zero base entries.
+
+    For f with f(base) = 0 and Lipschitz constant 1 and any point p,
+      sum_i c_i f(i) = sum_i c_i (f(i) - f(p)) + (sum_i c_i) f(p)
+                     <= sum_i |c_i| d(i, p) + |sum_i c_i| d(p, base),
+    so the minimum over p bounds the norm.  The LP may accept potentials that
+    break each constraint by its residual limit; that adds at most twice the
+    limit times ||c||_1.  PRUNE_MARGIN covers the rounding of all of it.
+    """
+    abs_c = np.abs(c)
+    star = abs_c @ d + np.abs(c.sum(axis=1))[:, None] * d[base][None, :]
+    residual = 2.0 * lpmod.SOLVER_TOL * max(1.0, float(d.max())) * abs_c.sum(axis=1)
+    return (star.min(axis=1) + residual) * (1.0 + PRUNE_MARGIN) / d_t
 
 
 def free_space_norm(mu: FreeElement, dist: np.ndarray | None = None,
@@ -274,45 +344,106 @@ def apply_weight_operator(op: WeightOperator, f_values) -> LipFunction:
     return LipFunction(op.space, op.apply(f_values))
 
 
-def molecule_norm_matrix(op: WeightOperator, d_a: np.ndarray,
-                         pairs=None, shortcuts: bool = True) -> np.ndarray:
-    """Matrix of free-space norms of the row differences of op over (A, d_a).
-
-    Entry (x, y) is the norm of sum_i (w_i(x) - w_i(y)) delta_{a_i}, the exact
-    sup over the unit ball of functions on A of |op(f)(x) - op(f)(y)|.
-    """
+def _domain_metric(op: WeightOperator, d_a) -> tuple[np.ndarray, int]:
+    """d_a as a float matrix over the operator domain, and the base position."""
     d_a = np.asarray(d_a, dtype=float)
     k = len(op.domain)
     if d_a.shape != (k, k):
         raise ValueError("metric on A must match the operator domain")
-    base = op.base_position
+    return d_a, op.base_position
+
+
+def molecule_norm_matrix(op: WeightOperator, d_a: np.ndarray, pairs=None) -> np.ndarray:
+    """Matrix of free-space norms of the row differences of op over (A, d_a).
+
+    Entry (x, y) is the norm of sum_i (w_i(x) - w_i(y)) delta_{a_i}, the exact
+    sup over the unit ball of functions on A of |op(f)(x) - op(f)(y)|.  Every
+    pair of `pairs` (default: all x < y) is computed; the rest stay 0.
+
+    The row differences are formed a block of pairs at a time.  `_triage`
+    answers zero, single-point and exact two-point molecules with numpy; each
+    remaining pair solves the norm LP once per distinct (support, weights) in
+    this call.  Entries are bitwise equal to a per-pair `_norm_of_weights`.
+    """
+    d_a, base = _domain_metric(op, d_a)
     n = op.space.n
     w = op.matrix
     out = np.zeros((n, n))
-    it = pairs if pairs is not None else itertools.combinations(range(n), 2)
-    for x, y in it:
+    memo: dict = {}
+    for x, y in _pair_blocks(n, pairs):
         c = w[x] - w[y]
-        val = _norm_of_weights(c, d_a, base, shortcuts=shortcuts)
-        out[x, y] = out[y, x] = val
+        value, needs_lp = _triage(c, d_a, base)
+        for r in np.flatnonzero(needs_lp):
+            value[r] = _lp_norm(c[r], d_a, base, memo)
+        out[x, y] = value
+        out[y, x] = value
     return out
+
+
+def _pruned_ratios(w: np.ndarray, d_a: np.ndarray, base: int,
+                   d_t: np.ndarray) -> np.ndarray:
+    """Ratios norm(x, y) / d_t(x, y) over the pairs x < y of the weight rows w
+    in row-major order: exact wherever they can reach the maximum, -inf where
+    a bound proves they cannot."""
+    n = len(w)
+    ratios = np.empty(n * (n - 1) // 2)
+    lp_parts = []
+    start = 0
+    for x, y in _pair_blocks(n):
+        c = w[x] - w[y]
+        value, needs_lp = _triage(c, d_a, base)
+        ratios[start:start + len(x)] = value / d_t[x, y]
+        rows = np.flatnonzero(needs_lp)
+        lp_parts.append((rows + start, x[rows], y[rows],
+                         _ratio_upper_bounds(c[rows], d_a, base, d_t[x[rows], y[rows]])))
+        start += len(x)
+    index, lp_x, lp_y, bounds = map(np.concatenate, zip(*lp_parts))
+    exact = np.ones(len(ratios), dtype=bool)
+    exact[index] = False
+    best = float(ratios[exact].max()) if exact.any() else -np.inf
+    memo: dict = {}
+    for i in np.argsort(-bounds, kind="stable"):
+        if bounds[i] < best:
+            ratios[index[i]] = -np.inf
+            continue
+        x, y = lp_x[i], lp_y[i]
+        c = w[x] - w[y]
+        c[base] = 0.0
+        ratios[index[i]] = _lp_norm(c, d_a, base, memo) / d_t[x, y]
+        best = max(best, ratios[index[i]])
+    return ratios
 
 
 def operator_norm(op: WeightOperator, d_a: np.ndarray, d_t: np.ndarray,
                   molecule_norms: np.ndarray | None = None,
                   with_witness: bool = False):
     """Norm of op from Lip0(A, d_a) to Lip0(T, d_t) via the molecule reduction:
-    max over pairs x != y of ||row(x) - row(y)||_{F(A)} / d_t(x, y)."""
+    max over pairs x != y of ||row(x) - row(y)||_{F(A)} / d_t(x, y), with the
+    first maximising pair (x < y, row-major) as the witness.
+
+    Given `molecule_norms`, the ratios come from that matrix.  Otherwise only
+    the maximum is needed: shortcut pairs (see `molecule_norm_matrix`) give
+    exact ratios, and the LP pairs are solved in descending order of a proven
+    upper bound on their ratio (`_ratio_upper_bounds`), skipping every pair
+    whose bound falls below the best exact ratio so far.  A skipped pair lies
+    strictly below the maximum, so the value and the witness equal those of
+    the exhaustive sweep.
+    """
     d_t = np.asarray(d_t, dtype=float)
-    norms = molecule_norms if molecule_norms is not None else molecule_norm_matrix(op, d_a)
+    if molecule_norms is None:
+        d_a, base = _domain_metric(op, d_a)
     n = op.space.n
     if n < 2:
         return (0.0, (0, 0)) if with_witness else 0.0
-    iu = np.triu_indices(n, k=1)
-    ratios = norms[iu] / d_t[iu]
+    xs, ys = np.triu_indices(n, k=1)
+    if molecule_norms is not None:
+        ratios = molecule_norms[xs, ys] / d_t[xs, ys]
+    else:
+        ratios = _pruned_ratios(op.matrix, d_a, base, d_t)
     best = int(np.argmax(ratios))
     value = float(ratios[best])
     if with_witness:
-        return value, (int(iu[0][best]), int(iu[1][best]))
+        return value, (int(xs[best]), int(ys[best]))
     return value
 
 

@@ -344,14 +344,3 @@ def solve_with_scipy(lp: LinearProgram) -> LpSolution:
     value = float(lp.objective @ x)
     return LpSolution("optimal", value, x, _violation(lp, x), int(res.nit))
 
-
-def lp_to_json(lp: LinearProgram) -> dict:
-    """Debug serialization for failure triage."""
-    return {
-        "objective": lp.objective.tolist(),
-        "sense": lp.sense,
-        "rows": lp.rows.tolist(),
-        "relations": list(lp.relations),
-        "rhs": lp.rhs.tolist(),
-        "bounds": None if lp.bounds is None else [list(b) for b in lp.bounds],
-    }

@@ -102,9 +102,10 @@ def validate_metric(mat: np.ndarray, tol: float = DEFAULT_TOL,
         if off[i, j] <= tol:
             violations.append(Violation("zero_offdiag", (int(i), int(j)), float(-off[i, j])))
 
-    excess, witness = _min_plus_excess(mat)
-    if excess > tol:
-        violations.append(Violation("triangle", witness, excess))
+    if n:
+        excess, witness = _min_plus_excess(mat)
+        if excess > tol:
+            violations.append(Violation("triangle", witness, excess))
 
     return ValidationReport(tuple(mat.shape), tuple(violations))
 
@@ -210,7 +211,7 @@ def sup_distance(d: np.ndarray, e: np.ndarray) -> float:
     e = np.asarray(e, dtype=float)
     if d.shape != e.shape:
         raise ValueError(f"shape mismatch {d.shape} vs {e.shape}")
-    return float(np.abs(d - e).max())
+    return float(np.abs(d - e).max(initial=0.0))
 
 
 def dist_to_set(d: np.ndarray, x: int, members: Sequence[int]) -> float:

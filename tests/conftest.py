@@ -78,6 +78,29 @@ def operator_norm_by_vertices(op, d_a: np.ndarray, d_t: np.ndarray) -> float:
     return best
 
 
+def molecule_norms_by_pairs(op, d_a: np.ndarray) -> np.ndarray:
+    """The per-pair molecule sweep: each row difference through the scalar
+    norm identities, or else its own norm LP, with no triage and no memo."""
+    d_a = np.asarray(d_a, dtype=float)
+    base = op.base_position
+    n = op.space.n
+    out = np.zeros((n, n))
+    for x, y in itertools.combinations(range(n), 2):
+        c = op.matrix[x] - op.matrix[y]
+        nz = [int(i) for i in np.flatnonzero(c) if i != base]
+        if not nz:
+            val = 0.0
+        elif len(nz) == 1:
+            val = abs(float(c[nz[0]])) * float(d_a[nz[0], base])
+        elif len(nz) == 2 and (c[nz[0]], c[nz[1]]) in ((1.0, -1.0), (-1.0, 1.0)):
+            val = float(d_a[nz[0], nz[1]])
+        else:
+            sub = nz + [base]
+            val = lf.freenorm._dual_norm(c[nz], d_a[np.ix_(sub, sub)])
+        out[x, y] = out[y, x] = val
+    return out
+
+
 def metric_extension_by_lp(d: np.ndarray, members, rho: np.ndarray) -> float:
     """Least sup distortion over all metric extensions of rho to (T, d).
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lipfree as lf
-from lipfree import lp as lpmod
-from conftest import free_norm_by_vertices, line_space
+from lipfree import freenorm as fn, lp as lpmod
+from conftest import free_norm_by_vertices, line_space, molecule_norms_by_pairs
 
 
 class TestLipschitzConstant:
@@ -230,6 +230,171 @@ class TestOperatorNorm:
         assert np.array_equal(combined, serial)
 
 
+def random_operator(seed: int, partition: bool):
+    """Weight operator on a random metric space whose rows mix random weights
+    with the special shapes the triage answers: duplicated rows, rows that
+    differ only at the base, exact +-1 molecules and single-point rows."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    space = lf.random_metric_space(n, seed=seed)
+    b = space.base_index
+    others = rng.permutation([i for i in range(n) if i != b])[: int(rng.integers(0, 5))]
+    domain = tuple(sorted([b, *others.tolist()]))
+    k, base = len(domain), domain.index(b)
+    rows = []
+    for _ in range(n):
+        kind = int(rng.integers(6)) if rows else 0
+        prev = rows[int(rng.integers(len(rows)))].copy() if rows else None
+        i, j = rng.integers(k, size=2)
+        if kind == 0:
+            # quarter steps, so equal supports with equal weights recur
+            row = rng.integers(0 if partition else -4, 5, size=k) / 4.0
+            if partition:
+                row[base] += 1.0 if not row.any() else 0.0
+                row /= row.sum()
+        elif kind == 1:
+            row = np.eye(k)[i]
+        elif kind == 2:
+            row = prev
+        elif kind == 3 and partition:
+            t = prev[i] / 2
+            row = prev
+            row[i] -= t
+            row[base] += t
+        elif kind == 3:
+            row = prev
+            row[base] += 0.5
+        elif partition:
+            row = np.eye(k)[i] if kind == 4 else prev
+        else:
+            row = prev
+            row[i] += 1.0
+            if kind == 4:
+                row[j] -= 1.0
+        rows.append(row)
+    op = lf.WeightOperator(space, domain, np.array(rows), partition=partition)
+    d_t = lf.perturb_metric(space.dist, 0.05, rng)
+    return op, space.dist[np.ix_(domain, domain)], d_t
+
+
+@pytest.fixture(scope="module")
+def grid_operators():
+    """A 9 x 9 grid bundle and two operators rebuilt on perturbed metrics, as
+    the extend pipeline makes them; the bundle's molecules need 1,314 LPs."""
+    space = lf.make_grid_space([9, 9], 0.02)
+    bundle = lf.build_extension_bundle(space, 0.25, lf.build_net_cover(space, 0.25))
+    rng = np.random.default_rng(3)
+    radius = lf.admission_radius(0.25, bundle.order_bound)
+    a = list(bundle.net)
+    ops = [(bundle.pou, bundle.dist[np.ix_(a, a)], bundle.adapted)]
+    for _ in range(2):
+        e = lf.perturb_metric(bundle.adapted, 0.9 * radius, rng)
+        mu = lf.build_perturbed_operator(bundle, e).pou
+        ops.append((mu, e[np.ix_(a, a)], e))
+    return ops
+
+
+def lp_pair_rows(op, d_a):
+    """Base-zeroed row differences of every pair the triage leaves to the LP."""
+    xs, ys = np.triu_indices(op.space.n, k=1)
+    c = op.matrix[xs] - op.matrix[ys]
+    _, needs_lp = fn._triage(c, d_a, op.base_position)
+    return c[needs_lp]
+
+
+def count_solves(monkeypatch):
+    calls = []
+    real = lpmod.solve
+
+    def counted(prog, tol=lpmod.SOLVER_TOL):
+        calls.append(1)
+        return real(prog, tol=tol)
+
+    monkeypatch.setattr(lpmod, "solve", counted)
+    return calls
+
+
+class TestMoleculeNormLayer:
+    @given(st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_equals_per_pair_sweep(self, seed, partition):
+        op, d_a, _ = random_operator(seed, partition)
+        assert np.array_equal(lf.molecule_norm_matrix(op, d_a),
+                              molecule_norms_by_pairs(op, d_a))
+
+    @given(st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_pruned_norm_equals_exhaustive(self, seed, partition):
+        op, d_a, d_t = random_operator(seed, partition)
+        full = lf.molecule_norm_matrix(op, d_a)
+        for metric in (d_t, op.space.dist):
+            exhaustive = lf.operator_norm(op, d_a, metric, molecule_norms=full,
+                                          with_witness=True)
+            assert lf.operator_norm(op, d_a, metric, with_witness=True) == exhaustive
+
+    def test_pruned_norm_equals_exhaustive_on_grid(self, grid_operators):
+        for op, d_a, d_t in grid_operators:
+            full = molecule_norms_by_pairs(op, d_a)
+            exhaustive = lf.operator_norm(op, d_a, d_t, molecule_norms=full,
+                                          with_witness=True)
+            assert lf.operator_norm(op, d_a, d_t, with_witness=True) == exhaustive
+
+    def test_bound_dominates_lp_norm(self, grid_operators, monkeypatch):
+        # without the margin, so the bound itself is shown to hold
+        monkeypatch.setattr(fn, "PRUNE_MARGIN", 0.0)
+        cases = list(grid_operators)
+        cases += [random_operator(seed, seed % 2 == 0) for seed in range(40)]
+        checked = 0
+        for op, d_a, _ in cases:
+            c = lp_pair_rows(op, d_a)
+            base = op.base_position
+            bounds = fn._ratio_upper_bounds(c, d_a, base, np.ones(len(c)))
+            norms = np.array([fn._lp_norm(row, d_a, base, {}) for row in c])
+            assert np.all(bounds >= norms)
+            checked += len(c)
+        assert checked > 1000
+
+    def test_dedup_and_pruning_solve_fewer_lps(self, grid_operators, monkeypatch):
+        calls = count_solves(monkeypatch)
+        for op, d_a, d_t in grid_operators:
+            c = lp_pair_rows(op, d_a)
+            distinct = {(np.flatnonzero(r).tobytes(), r[r != 0].tobytes()) for r in c}
+            calls.clear()
+            full = lf.molecule_norm_matrix(op, d_a)
+            assert len(calls) == len(distinct) < len(c)
+            calls.clear()
+            lf.operator_norm(op, d_a, d_t)
+            assert len(calls) < len(distinct)
+            calls.clear()
+            assert np.array_equal(molecule_norms_by_pairs(op, d_a), full)
+            assert len(calls) == len(c)
+
+    def test_single_point_net(self):
+        space = lf.random_metric_space(5, seed=30)
+        b = space.base_index
+        op = lf.WeightOperator(space, (b,), np.ones((5, 1)), partition=True)
+        d_a = space.dist[np.ix_([b], [b])]
+        assert np.array_equal(lf.molecule_norm_matrix(op, d_a), np.zeros((5, 5)))
+        assert lf.operator_norm(op, d_a, space.dist, with_witness=True) == (0.0, (0, 1))
+
+    def test_two_points(self):
+        space = line_space([0.0, 2.5])
+        op = lf.identity_operator(space)
+        norms = lf.molecule_norm_matrix(op, space.dist)
+        assert np.array_equal(norms, space.dist)
+        assert lf.operator_norm(op, space.dist, space.dist, with_witness=True) == (1.0, (0, 1))
+        assert lf.operator_norm(op, space.dist, space.dist / 2, with_witness=True) == (2.0, (0, 1))
+
+    def test_explicit_pairs_fill_only_their_entries(self):
+        op, d_a, _ = random_operator(7, False)
+        full = lf.molecule_norm_matrix(op, d_a)
+        part = lf.molecule_norm_matrix(op, d_a, pairs=[(1, 0)])
+        assert part[0, 1] == part[1, 0] == full[0, 1]
+        part[0, 1] = part[1, 0] = 0.0
+        assert not part.any()
+        assert not lf.molecule_norm_matrix(op, d_a, pairs=[]).any()
+
+
 class TestJsonForms:
     def test_free_element_round_trip(self):
         space = lf.random_metric_space(5, seed=40)
@@ -282,6 +447,12 @@ class TestMetricExtension:
             assert ext.distortion <= bound + 1e-9
             assert lf.validate_metric(ext.matrix).ok
             assert ext.certificate.passed
+
+    def test_empty_subset_keeps_metric(self):
+        space = lf.random_metric_space(4, seed=23)
+        ext = lf.metric_extension_lp(space.dist, [], np.zeros((0, 0)))
+        assert np.array_equal(ext.matrix, space.dist)
+        assert ext.distortion == 0.0 and ext.certificate.passed
 
     def test_invalid_rho_reported(self):
         space = lf.random_metric_space(5, seed=21)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lipfree as lf
-from lipfree.lp import LinearProgram, lp_to_json, solve, solve_with_scipy
+from lipfree.lp import LinearProgram, solve, solve_with_scipy
 
 
 def simple_lp(**kw):
@@ -59,11 +59,6 @@ class TestBasics:
     def test_bad_relation(self):
         with pytest.raises(ValueError):
             LinearProgram(objective=[1.0], rows=[[1.0]], relations=("<",), rhs=[1.0])
-
-    def test_json_form(self):
-        obj = lp_to_json(simple_lp())
-        assert obj["sense"] == "max"
-        assert obj["rows"] == [[1.0]]
 
 
 class TestDeterminism:

@@ -37,6 +37,10 @@ class TestValidateMetric:
         assert not lf.validate_metric(d).ok
         assert lf.validate_pseudometric(d).ok
 
+    def test_empty_matrix_is_a_metric(self):
+        rep = lf.validate_metric(np.zeros((0, 0)))
+        assert rep.ok and rep.shape == (0, 0)
+
 
 class TestSupDistance:
     def test_self_is_zero(self):
