@@ -7,9 +7,9 @@ finite metric space is computed in the dual formulation:
     s.t. f(base) = 0 and |f(x) - f(y)| <= d(x, y) for all pairs,
 
 a finite LP whose value equals the norm by LP duality.  The norm only depends
-on the metric restricted to the support plus the base point, so by default the
-LP is solved on that subspace; the equivalence with the full LP is covered by
-the test suite.
+on the metric restricted to the support plus the base point, so the LP is
+solved on that subspace; the equivalence with the full LP is covered by the
+test suite.
 """
 
 from __future__ import annotations
@@ -114,42 +114,27 @@ def lipschitz_constant(values, d: np.ndarray) -> float:
 # free-space norm
 
 
-def _dual_norm(weights: np.ndarray, d_sub: np.ndarray, tol: float = lpmod.SOLVER_TOL) -> float:
+def _dual_norm(weights: np.ndarray, d_sub: np.ndarray) -> float:
     """LP value for weights over points 0..q-1 with the base at index q.
 
-    d_sub is the (q+1) x (q+1) metric on support + base, base last.
+    d_sub is the (q+1) x (q+1) metric on support + base, base last.  The rows
+    are f_i - f_j <= d(i, j) for i != j in row-major order, then
+    f_i <= d(i, base) and -f_i <= d(base, i) for each i.
     """
     q = len(weights)
     if q == 0:
         return 0.0
-    rows, rhs = [], []
-    for i in range(q):
-        for j in range(q):
-            if i == j:
-                continue
-            row = np.zeros(q)
-            row[i] = 1.0
-            row[j] = -1.0
-            rows.append(row)
-            rhs.append(d_sub[i, j])
-    for i in range(q):
-        row = np.zeros(q)
-        row[i] = 1.0
-        rows.append(row.copy())
-        rhs.append(d_sub[i, q])
-        rows.append(-row)
-        rhs.append(d_sub[q, i])
+    eye = np.eye(q)
+    i, j = np.nonzero(~np.eye(q, dtype=bool))
     prog = lpmod.LinearProgram(
         objective=np.asarray(weights, dtype=float),
-        sense="max",
-        rows=np.array(rows),
-        relations=tuple("<=" for _ in rows),
-        rhs=np.array(rhs),
+        rows=np.vstack([eye[i] - eye[j], np.stack([eye, -eye], axis=1).reshape(2 * q, q)]),
+        rhs=np.concatenate([d_sub[i, j], np.stack([d_sub[:q, q], d_sub[q, :q]], axis=1).ravel()]),
     )
-    sol = lpmod.solve(prog, tol=tol)
+    sol = lpmod.solve(prog)
     if sol.status != "optimal":
         raise lpmod.LpError(f"norm LP ended with status {sol.status}")
-    allowed = tol * max(1.0, float(np.abs(prog.rhs).max()))
+    allowed = lpmod.SOLVER_TOL * max(1.0, float(np.abs(prog.rhs).max()))
     if sol.max_violation > allowed:
         raise lpmod.LpError(f"norm LP residual {sol.max_violation:.3g} exceeds {allowed:.3g}")
     return max(sol.value, 0.0)
@@ -250,17 +235,10 @@ def _ratio_upper_bounds(c: np.ndarray, d: np.ndarray, base: int,
     return (star.min(axis=1) + residual) * (1.0 + PRUNE_MARGIN) / d_t
 
 
-def free_space_norm(mu: FreeElement, dist: np.ndarray | None = None,
-                    restrict_support: bool = True) -> float:
+def free_space_norm(mu: FreeElement, dist: np.ndarray | None = None) -> float:
     """Norm of mu in the free space over (points of mu, dist)."""
     d = np.asarray(dist if dist is not None else mu.space.dist, dtype=float)
-    base = mu.space.base_index
-    if restrict_support:
-        return _norm_of_weights(mu.weights, d, base, shortcuts=False)
-    others = [i for i in range(mu.space.n) if i != base]
-    sub = others + [base]
-    d_sub = d[np.ix_(sub, sub)]
-    return _dual_norm(mu.weights[others], d_sub)
+    return _norm_of_weights(mu.weights, d, mu.space.base_index, shortcuts=False)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +474,7 @@ class MetricExtension:
     certificate: Certificate
 
 
-def metric_extension_lp(d: np.ndarray, members, rho: np.ndarray,
-                        tol: float = lpmod.SOLVER_TOL) -> MetricExtension:
+def metric_extension_lp(d: np.ndarray, members, rho: np.ndarray) -> MetricExtension:
     """Extend the metric rho from a subset S to all points of (T, d).
 
     With delta = sup |rho - d| on S x S, the extension d2 is the shortest-path
@@ -533,7 +510,7 @@ def metric_extension_lp(d: np.ndarray, members, rho: np.ndarray,
     check = validate_metric(d2, tol=DEFAULT_TOL)
     cert = make_certificate(
         "metric-extension-distortion", claimed,
-        distortion if check.ok else float("inf"), "le", max(tol, 1e-9),
+        distortion if check.ok else float("inf"), "le", 1e-9,
         witnesses=[], inputs={"n": n, "subset": s_idx},
         details={"metric_check": check.summary()},
     )
