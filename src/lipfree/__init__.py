@@ -1,7 +1,7 @@
 """Certified extension operators and free-space norms on finite metric spaces."""
 
 from .spaces import (DEFAULT_TOL, DensityReport, FiniteMetricSpace, MetricError,
-                     SubsetRef, ValidationReport, add_pseudometrics, ball,
+                     ValidationReport, add_pseudometrics, ball,
                      diameter, dist_to_set, dist_to_set_all, floyd_warshall,
                      is_eps_dense, make_grid_space, perturb_metric,
                      quotient_pseudometric, random_metric_space, restrict_space,
@@ -11,12 +11,9 @@ from .spaces import (DEFAULT_TOL, DensityReport, FiniteMetricSpace, MetricError,
 from .lp import LinearProgram, LpError, LpSolution, solve
 from .freenorm import (AdmissionError, FreeElement, LipFunction,
                        MetricExtension, MetricExtensionError, WeightOperator,
-                       apply_weight_operator, free_element_from_json,
-                       free_element_to_json, free_space_norm,
-                       identity_operator, lip_function_from_json,
-                       lip_function_to_json, lipschitz_constant,
-                       mcshane_extend, metric_extension_lp,
-                       molecule_norm_matrix, operator_norm,
+                       apply_weight_operator, free_space_norm,
+                       identity_operator, lipschitz_constant, mcshane_extend,
+                       metric_extension_lp, molecule_norm_matrix, operator_norm,
                        weight_operator_from_json, weight_operator_to_json)
 from .covers import (CoverError, CoverFamily, NetAndCover, brick_cover,
                      build_net_cover, net_cover_from_json, net_cover_to_json,
@@ -26,8 +23,8 @@ from .certs import (Certificate, all_passed, certificate_from_json,
 from .extension import (BundleError, ExtensionBundle, PerturbedBundle,
                         admission_radius, build_extension_bundle,
                         build_perturbed_operator, bundle_to_json,
-                        induced_pseudometric, partition_of_unity,
-                        perturbed_norm_bound, verify_complement_margin)
+                        partition_of_unity, perturbed_norm_bound,
+                        verify_complement_margin)
 from .gluing import (GluingBundle, GluingCertificate, GluingConfig,
                      GluingError, build_exhaustion, build_gluing_bundle,
                      build_h, build_h_operator, certify_gluing, cutoff,

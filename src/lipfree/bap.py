@@ -30,7 +30,6 @@ class DefectReport:
     defect: float
     witness: int                 # net point attaining the defect
     per_point: tuple[float, ...]
-    norm: float | None = None    # operator norm, filled by the stage harness
 
     def __post_init__(self):
         if self.defect < -1e-12:
@@ -85,7 +84,7 @@ class BapReport:
 
 
 def bap_certificate(stages, d: np.ndarray, norm_bound: float,
-                    envelope: float = 4.0, tol: float = DEFAULT_TOL) -> BapReport:
+                    envelope: float = 4.0) -> BapReport:
     """Per-stage norms and defects with pass criteria.
 
     Passes when every net is eps_n-dense (under both the stage metric and the
@@ -112,17 +111,15 @@ def bap_certificate(stages, d: np.ndarray, norm_bound: float,
                              "reference on the net")
         norm = operator_norm(stage.op, net_metric, stage.metric)
         report = almost_extension_defect(stage.op, d)
-        report = DefectReport(report.net, report.defect, report.witness,
-                              report.per_point, norm=norm)
         rows.append({
             "n": stage.label, "net_size": len(net), "eps": stage.eps,
             "density": density.max_dist, "norm": norm,
             "defect": report.defect, "witness": report.witness,
         })
         certs.append(make_certificate(
-            f"bap-norm-{stage.label}", norm_bound, norm, "le", tol,
+            f"bap-norm-{stage.label}", norm_bound, norm, "le", DEFAULT_TOL,
             inputs={"stage": stage.label}))
         certs.append(make_certificate(
             f"bap-defect-{stage.label}", envelope * stage.eps, report.defect,
-            "le", tol, witnesses=[report.witness], inputs={"stage": stage.label}))
+            "le", DEFAULT_TOL, witnesses=[report.witness], inputs={"stage": stage.label}))
     return BapReport(tuple(rows), tuple(certs))

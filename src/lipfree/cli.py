@@ -3,7 +3,9 @@ tables, metric perturbation, and certificate re-verification.
 
 Every run is driven by a JSON config, every randomized step takes its seed
 from the config, and reports are written with sorted keys so that re-running
-with the same config produces byte-identical files.
+with the same config produces byte-identical files.  Certificate tolerances
+are not configurable: each certificate records the fixed tolerance it was
+checked with, and `verify` re-applies that recorded value.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ class ConfigError(ValueError):
 def _load_config(args) -> dict:
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if "tol" in cfg:
+        raise ConfigError("config key 'tol' is not supported: certificate "
+                          "tolerances are fixed")
     if getattr(args, "seed_override", None) is not None:
         cfg["seed"] = args.seed_override
     return cfg
@@ -103,18 +108,17 @@ def cmd_extend(args) -> int:
     perturb_cfg = cfg.get("perturbations", {})
     count = int(perturb_cfg.get("count", 0))
     seed = _require_seed(cfg) if count else int(cfg.get("seed", 0))
-    tol = float(cfg.get("tol", args.tol))
     ok = True
     for label, eps in schedule:
         nc = coversmod.build_net_cover(space, eps)
-        bundle = extmod.build_extension_bundle(space, eps, nc, tol=tol)
+        bundle = extmod.build_extension_bundle(space, eps, nc)
         certs = list(bundle.certificates)
         perturbed = []
         rng = np.random.default_rng(seed)
         radius = extmod.admission_radius(eps, bundle.order_bound)
         for i in range(count):
             e = perturb_metric(bundle.adapted, 0.9 * radius, rng)
-            pb = extmod.build_perturbed_operator(bundle, e, tol=tol)
+            pb = extmod.build_perturbed_operator(bundle, e)
             perturbed.append({
                 "index": i,
                 "norm": pb.gnorm,
@@ -126,7 +130,7 @@ def cmd_extend(args) -> int:
             "pipeline": "extend",
             "eps": eps,
             "seed": seed,
-            "tol": tol,
+            "tol": DEFAULT_TOL,
             "net": list(bundle.net),
             "bundle": extmod.bundle_to_json(bundle),
             "perturbed": perturbed,
@@ -154,8 +158,7 @@ def cmd_glue(args) -> int:
         exh = gluemod.build_exhaustion(gcfg)
         from .spaces import set_distance
         eps = min(nu / 5.0, set_distance(space.dist, gcfg.k, exh[n - 1]))
-    tol = float(cfg.get("tol", args.tol))
-    bundle = gluemod.build_gluing_bundle(gcfg, n, eps, tol=tol)
+    bundle = gluemod.build_gluing_bundle(gcfg, n, eps)
     probes = cfg.get("probes", {})
     count = int(probes.get("count", 1))
     seed = _require_seed(cfg) if count else int(cfg.get("seed", 0))
@@ -166,7 +169,7 @@ def cmd_glue(args) -> int:
     for i in range(count):
         amp = float(probes.get("amplitude", 0.9)) * radius
         e = bundle.metric if i == 0 else perturb_metric(bundle.metric, amp, rng)
-        cert = gluemod.certify_gluing(bundle, e, rng=rng, tol=tol)
+        cert = gluemod.certify_gluing(bundle, e, rng=rng)
         ok = ok and cert.passed
         record = gluemod.gluing_certificate_to_json(cert)
         record["index"] = i
@@ -199,19 +202,18 @@ def cmd_bap(args) -> int:
     nu = float(cfg.get("nu", 1.0))
     envelope = float(cfg.get("envelope", 4.0))
     seed = int(cfg.get("seed", 0))
-    tol = float(cfg.get("tol", args.tol))
     stages = []
     bound = None
     for n in cfg["n_schedule"]:
         n = int(n)
         eps = min(nu / 4.0, 1.0 / (10.0 * n))
         nc = coversmod.build_net_cover(space, eps)
-        bundle = extmod.build_extension_bundle(space, eps, nc, tol=tol)
+        bundle = extmod.build_extension_bundle(space, eps, nc)
         bound = extmod.perturbed_norm_bound(bundle.order_bound)
         stages.append(bapmod.BapStage(
-            label=n, net=bundle.net, op=bundle.extend_op,
+            label=n, net=bundle.net, op=bundle.pou,
             metric=bundle.adapted, eps=1.0 / n))
-    report = bapmod.bap_certificate(stages, space.dist, bound, envelope=envelope, tol=tol)
+    report = bapmod.bap_certificate(stages, space.dist, bound, envelope=envelope)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
@@ -289,8 +291,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="lipfree",
         description="Certified extension-operator pipelines on finite metric spaces")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="global comparison slack")
     parser.add_argument("--seed", dest="seed_override", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--out-dir", default="out", help="report directory")

@@ -191,10 +191,10 @@ def _prune_irredundant(sets: list[set], n: int) -> list[set]:
     return sets
 
 
-def build_net_cover(space: FiniteMetricSpace, eps: float, refiner=brick_cover,
-                    dist: np.ndarray | None = None) -> NetAndCover:
+def build_net_cover(space: FiniteMetricSpace, eps: float,
+                    refiner=brick_cover) -> NetAndCover:
     """Separated net and merged cover from a fine cover of the space."""
-    d = np.asarray(dist if dist is not None else space.dist, dtype=float)
+    d = space.dist
     family = refiner(space, eps)
     if not family.covers():
         raise CoverError("refiner output does not cover the space")
@@ -251,9 +251,9 @@ def build_net_cover(space: FiniteMetricSpace, eps: float, refiner=brick_cover,
     return NetAndCover(space, tuple(net), tuple(merged), float(eps), int(r))
 
 
-def verify_net_cover(nc: NetAndCover, dist: np.ndarray | None = None) -> Certificate:
+def verify_net_cover(nc: NetAndCover) -> Certificate:
     """Check membership, ball, separation, order and coverage clauses exactly."""
-    d = np.asarray(dist if dist is not None else nc.space.dist, dtype=float)
+    d = nc.space.dist
     n = nc.space.n
     failures = []
     details = {}

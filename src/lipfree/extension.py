@@ -48,12 +48,12 @@ def perturbed_norm_bound(r: int) -> float:
     return 88.0 * (r + 1) * (2 * r + 3)
 
 
-def complement_distances(d: np.ndarray, sets, fallback: float | None = None) -> np.ndarray:
-    """Column i holds d(x, U_i^c); an empty complement contributes a constant."""
+def complement_distances(d: np.ndarray, sets) -> np.ndarray:
+    """Column i holds d(x, U_i^c); an empty complement contributes the
+    constant max(diam, 1)."""
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
-    if fallback is None:
-        fallback = max(diameter(d), 1.0)
+    fallback = max(diameter(d), 1.0)
     cols = []
     for s in sets:
         comp = sorted(set(range(n)) - set(s))
@@ -62,7 +62,7 @@ def complement_distances(d: np.ndarray, sets, fallback: float | None = None) -> 
 
 
 def partition_of_unity(d: np.ndarray, sets, domain,
-                       space: FiniteMetricSpace | None = None) -> WeightOperator:
+                       space: FiniteMetricSpace) -> WeightOperator:
     """Weights lam_i(x) = d(x, U_i^c) / sum_j d(x, U_j^c) aligned with `domain`.
 
     Rejects input whose denominator vanishes somewhere (a point covered by no
@@ -79,27 +79,15 @@ def partition_of_unity(d: np.ndarray, sets, domain,
     if dead.size:
         raise ValueError(f"point {int(dead[0])} is covered by no set")
     weights = numer / denom[:, None]
-    if space is None:
-        raise ValueError("space required to type the operator")
     return WeightOperator(space, domain, weights, partition=True)
 
 
-def induced_pseudometric(pou: WeightOperator, d_a: np.ndarray) -> np.ndarray:
-    """Pseudometric (x, y) -> free-space norm of the weight-row difference.
-
-    This is the exact sup over the unit ball of Lip0(A, d_a) of
-    |sum_i f(a_i)(lam_i(x) - lam_i(y))|, from `molecule_norm_matrix`.
-    """
-    return molecule_norm_matrix(pou, d_a)
-
-
-def verify_complement_margin(metric: np.ndarray, sets, eps: float,
-                             tol: float = DEFAULT_TOL) -> Certificate:
+def verify_complement_margin(metric: np.ndarray, sets, eps: float) -> Certificate:
     """Certify min_x sum_i metric(x, U_i^c) >= eps/3."""
     sums = complement_distances(metric, sets).sum(axis=1)
     w = int(np.argmin(sums))
     return make_certificate(
-        "complement-margin", eps / 3.0, float(sums[w]), "ge", tol,
+        "complement-margin", eps / 3.0, float(sums[w]), "ge", DEFAULT_TOL,
         witnesses=[w], details={"points": int(sums.shape[0])},
     )
 
@@ -109,15 +97,13 @@ class ExtensionBundle:
     """Net, cover, partition weights, the adapted metric, and its certificates."""
 
     space: FiniteMetricSpace
-    dist: np.ndarray
     eps: float
     order_bound: int
     nc: NetAndCover
-    pou: WeightOperator
+    pou: WeightOperator          # the weights, read as the operator under `adapted`
     induced: np.ndarray          # pseudometric pulled back through the weights
     quotient: np.ndarray         # pseudometric collapsing the net
     adapted: np.ndarray          # induced + quotient; the certified metric
-    extend_op: WeightOperator    # the weights read as an operator under `adapted`
     enorm: float
     certificates: tuple[Certificate, ...]
 
@@ -130,14 +116,13 @@ class ExtensionBundle:
         return all_passed(self.certificates)
 
 
-def build_extension_bundle(space: FiniteMetricSpace, eps: float, nc: NetAndCover,
-                           dist: np.ndarray | None = None,
-                           tol: float = DEFAULT_TOL) -> ExtensionBundle:
+def build_extension_bundle(space: FiniteMetricSpace, eps: float,
+                           nc: NetAndCover) -> ExtensionBundle:
     """Assemble and certify the extension bundle; aborts on any failed clause."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    d = np.asarray(dist if dist is not None else space.dist, dtype=float)
-    nc_cert = verify_net_cover(nc, d)
+    d = space.dist
+    nc_cert = verify_net_cover(nc)
     if not nc_cert.passed:
         raise BundleError(nc_cert)
     a = list(nc.net)
@@ -145,15 +130,15 @@ def build_extension_bundle(space: FiniteMetricSpace, eps: float, nc: NetAndCover
 
     pou = partition_of_unity(d, nc.sets, nc.net, space=space)
     d_a = d[np.ix_(a, a)]
-    induced = induced_pseudometric(pou, d_a)
-    ps_report = validate_pseudometric(induced, tol=tol)
+    induced = molecule_norm_matrix(pou, d_a)     # norms of the weight-row differences
+    ps_report = validate_pseudometric(induced)
     if not ps_report.ok:
         raise BundleError(make_certificate(
             "induced-pseudometric", 0.0, 1.0, "le", 0.0,
             details={"violations": ps_report.summary()}))
     quotient = quotient_pseudometric(d, a)
     adapted = induced + quotient
-    m_report = validate_metric(adapted, tol=tol)
+    m_report = validate_metric(adapted)
     if not m_report.ok:
         raise BundleError(make_certificate(
             "adapted-metric", 0.0, 1.0, "le", 0.0,
@@ -162,7 +147,7 @@ def build_extension_bundle(space: FiniteMetricSpace, eps: float, nc: NetAndCover
     inputs = {"space": space.key, "eps": eps, "r": r, "net": a}
     certs = [nc_cert]
     certs.append(make_certificate(
-        "adapted-sup-distance", 4.0 * eps, sup_distance(d, adapted), "lt", tol,
+        "adapted-sup-distance", 4.0 * eps, sup_distance(d, adapted), "lt", DEFAULT_TOL,
         inputs=inputs))
     agree = float(np.abs(adapted[np.ix_(a, a)] - d_a).max())
     certs.append(make_certificate(
@@ -182,14 +167,14 @@ def build_extension_bundle(space: FiniteMetricSpace, eps: float, nc: NetAndCover
 
     lips = [lipschitz_constant(pou.matrix[:, i], adapted) for i in range(len(a))]
     certs.append(make_certificate(
-        "partition-lipschitz", 3.0 / eps, float(max(lips)), "le", tol,
+        "partition-lipschitz", 3.0 / eps, float(max(lips)), "le", DEFAULT_TOL,
         witnesses=[int(np.argmax(lips))], inputs=inputs))
-    certs.append(verify_complement_margin(adapted, nc.sets, eps, tol=tol))
+    certs.append(verify_complement_margin(adapted, nc.sets, eps))
 
     bundle = ExtensionBundle(
-        space=space, dist=d, eps=float(eps), order_bound=int(r), nc=nc,
-        pou=pou, induced=induced, quotient=quotient, adapted=adapted,
-        extend_op=pou, enorm=float(enorm), certificates=tuple(certs),
+        space=space, eps=float(eps), order_bound=int(r), nc=nc, pou=pou,
+        induced=induced, quotient=quotient, adapted=adapted,
+        enorm=float(enorm), certificates=tuple(certs),
     )
     failed = [c for c in certs if not c.passed]
     if failed:
@@ -202,8 +187,7 @@ class PerturbedBundle:
     """Extension operator rebuilt for a metric near the adapted one."""
 
     metric: np.ndarray
-    pou: WeightOperator
-    extend_op: WeightOperator
+    pou: WeightOperator          # weights rebuilt for `metric`, read as the operator
     gnorm: float
     bound: float
     certificates: tuple[Certificate, ...]
@@ -235,8 +219,7 @@ def bundle_to_json(bundle: ExtensionBundle) -> dict:
     }
 
 
-def build_perturbed_operator(bundle: ExtensionBundle, e: np.ndarray,
-                             tol: float = DEFAULT_TOL) -> PerturbedBundle:
+def build_perturbed_operator(bundle: ExtensionBundle, e: np.ndarray) -> PerturbedBundle:
     """Extension operator for a metric e within the admissible radius.
 
     Rejects e outside the radius with the measured distance; otherwise
@@ -249,7 +232,7 @@ def build_perturbed_operator(bundle: ExtensionBundle, e: np.ndarray,
     measured = sup_distance(e, bundle.adapted)
     if measured > radius:
         raise AdmissionError(measured, radius)
-    report = validate_metric(e, tol=tol)
+    report = validate_metric(e)
     if not report.ok:
         raise BundleError(make_certificate(
             "perturbed-metric", 0.0, 1.0, "le", 0.0,
@@ -263,12 +246,12 @@ def build_perturbed_operator(bundle: ExtensionBundle, e: np.ndarray,
     lips = [lipschitz_constant(mu.matrix[:, i], e) for i in range(len(a))]
     certs.append(make_certificate(
         "perturbed-partition-lipschitz", 4.0 * (2 * r + 3) / eps, float(max(lips)),
-        "le", tol, witnesses=[int(np.argmax(lips))], inputs=inputs))
+        "le", DEFAULT_TOL, witnesses=[int(np.argmax(lips))], inputs=inputs))
     bound = perturbed_norm_bound(r)
     if len(a) >= 2:
         gnorm, wit = operator_norm(mu, e[np.ix_(a, a)], e, with_witness=True)
         certs.append(make_certificate(
-            "perturbed-operator-norm", bound, gnorm, "le", tol,
+            "perturbed-operator-norm", bound, gnorm, "le", DEFAULT_TOL,
             witnesses=[wit], details={"headroom": bound - gnorm}, inputs=inputs))
     else:
         gnorm = 0.0
@@ -276,6 +259,6 @@ def build_perturbed_operator(bundle: ExtensionBundle, e: np.ndarray,
             "perturbed-operator-norm", bound, 0.0, "le", 0.0,
             details={"note": "single-point net"}, inputs=inputs))
     return PerturbedBundle(
-        metric=e, pou=mu, extend_op=mu, gnorm=float(gnorm), bound=float(bound),
+        metric=e, pou=mu, gnorm=float(gnorm), bound=float(bound),
         certificates=tuple(certs),
     )

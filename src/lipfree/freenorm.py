@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .certs import Certificate, make_certificate
-from .spaces import (DEFAULT_TOL, FiniteMetricSpace, as_indices, floyd_warshall,
+from .spaces import (FiniteMetricSpace, as_indices, floyd_warshall,
                      require_metric, sup_distance, validate_metric)
 
 
@@ -90,10 +90,6 @@ class LipFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
-    def vanishes_at_base(self) -> bool:
-        return self.values[self.space.base_index] == 0.0
-
 
 def lipschitz_constant(values, d: np.ndarray) -> float:
     """Best Lipschitz constant of values w.r.t. d; inf when a zero-distance
@@ -140,17 +136,16 @@ def _dual_norm(weights: np.ndarray, d_sub: np.ndarray) -> float:
     return max(sol.value, 0.0)
 
 
-def _norm_of_weights(c: np.ndarray, d: np.ndarray, base: int,
-                     shortcuts: bool = True) -> float:
+def _norm_of_weights(c: np.ndarray, d: np.ndarray, base: int) -> float:
     """Norm of the weight vector c over the points of d with the given base.
 
-    The base-point weight never matters and is ignored.  With shortcuts
-    enabled, the norm identities of `_triage` answer zero, single-point and
-    exact two-point elements; everything else goes through the LP.
+    The base-point weight never matters and is ignored.  The norm identities
+    of `_triage` answer zero, single-point and exact two-point elements;
+    everything else goes through the LP.
     """
     block = np.array(c, dtype=float)[None, :]
     value, needs_lp = _triage(block, d, base)
-    if shortcuts and not needs_lp[0]:
+    if not needs_lp[0]:
         return float(value[0])
     return _lp_norm(block[0], d, base, {})
 
@@ -235,21 +230,30 @@ def _ratio_upper_bounds(c: np.ndarray, d: np.ndarray, base: int,
     return (star.min(axis=1) + residual) * (1.0 + PRUNE_MARGIN) / d_t
 
 
-def free_space_norm(mu: FreeElement, dist: np.ndarray | None = None) -> float:
-    """Norm of mu in the free space over (points of mu, dist)."""
-    d = np.asarray(dist if dist is not None else mu.space.dist, dtype=float)
-    return _norm_of_weights(mu.weights, d, mu.space.base_index, shortcuts=False)
+def free_space_norm(mu: FreeElement) -> float:
+    """Norm of mu in the free space over its space, always by the LP: the
+    reference the norm identities of `_triage` are tested against."""
+    c = np.array(mu.weights)
+    c[mu.space.base_index] = 0.0
+    return _lp_norm(c, mu.space.dist, mu.space.base_index, {})
 
 
 # ---------------------------------------------------------------------------
 # McShane extension
 
 
-def mcshane_extend(space: FiniteMetricSpace, members, f_values, lip_bound: float,
-                   dist: np.ndarray | None = None) -> LipFunction:
+def _mcshane_values(d: np.ndarray, idx, f: np.ndarray, lip: float) -> np.ndarray:
+    """g(x) = min_a f(a) + lip d(x, a) over the points idx; g = f on idx."""
+    g = (f[None, :] + lip * d[:, idx]).min(axis=1)
+    g[idx] = f
+    return g
+
+
+def mcshane_extend(space: FiniteMetricSpace, members, f_values,
+                   lip_bound: float) -> LipFunction:
     """Extend f from a subset with constant at most lip_bound:
     g(x) = min_a f(a) + L d(x, a).  Restricts back to f exactly."""
-    d = np.asarray(dist if dist is not None else space.dist, dtype=float)
+    d = space.dist
     idx = list(as_indices(members, space))
     f = np.asarray(f_values, dtype=float)
     if f.shape != (len(idx),):
@@ -258,9 +262,7 @@ def mcshane_extend(space: FiniteMetricSpace, members, f_values, lip_bound: float
     actual = lipschitz_constant(f, d_a)
     if actual > lip_bound * (1 + 1e-12) + 1e-12:
         raise ValueError(f"function has Lipschitz constant {actual:.6g} > bound {lip_bound:.6g}")
-    g = (f[None, :] + lip_bound * d[:, idx]).min(axis=1)
-    g[idx] = f
-    return LipFunction(space, g)
+    return LipFunction(space, _mcshane_values(d, idx, f, lip_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -429,26 +431,6 @@ def operator_norm(op: WeightOperator, d_a: np.ndarray, d_t: np.ndarray,
 # JSON forms
 
 
-def free_element_to_json(mu: FreeElement) -> dict:
-    return {"weights": {mu.space.points[i]: float(mu.weights[i])
-                        for i in np.flatnonzero(mu.weights)}}
-
-
-def free_element_from_json(space: FiniteMetricSpace, obj: dict) -> FreeElement:
-    return FreeElement.from_deltas(space, dict(obj["weights"]))
-
-
-def lip_function_to_json(f: LipFunction) -> dict:
-    return {"values": {f.space.points[i]: float(v) for i, v in enumerate(f.values)}}
-
-
-def lip_function_from_json(space: FiniteMetricSpace, obj: dict) -> LipFunction:
-    values = np.zeros(space.n)
-    for name, v in obj["values"].items():
-        values[space.index(name)] = v
-    return LipFunction(space, values)
-
-
 def weight_operator_to_json(op: WeightOperator) -> dict:
     return {
         "domain": list(op.domain),
@@ -507,7 +489,7 @@ def metric_extension_lp(d: np.ndarray, members, rho: np.ndarray) -> MetricExtens
     off = np.ones((n, n), dtype=bool)
     off[on_s] = False
     distortion = float(np.abs((d2 - d)[off]).max()) if off.any() else 0.0
-    check = validate_metric(d2, tol=DEFAULT_TOL)
+    check = validate_metric(d2)
     cert = make_certificate(
         "metric-extension-distortion", claimed,
         distortion if check.ok else float("inf"), "le", 1e-9,

@@ -30,13 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certs import Certificate, make_certificate, all_passed
-from .covers import (NetAndCover, brick_cover, build_net_cover,
-                     order as family_order, verify_net_cover)
+from .covers import (NetAndCover, build_net_cover, order as family_order,
+                     verify_net_cover)
 from .extension import (BundleError, ExtensionBundle, PerturbedBundle,
                         build_extension_bundle, build_perturbed_operator,
                         perturbed_norm_bound)
 from .freenorm import (AdmissionError, LipFunction, WeightOperator,
-                       lipschitz_constant, metric_extension_lp, operator_norm)
+                       _mcshane_values, lipschitz_constant, metric_extension_lp,
+                       operator_norm)
 from .spaces import (DEFAULT_TOL, FiniteMetricSpace, as_indices,
                      dist_to_set_all, restrict_space, set_distance,
                      sup_distance, truncate, validate_metric)
@@ -44,6 +45,11 @@ from .spaces import (DEFAULT_TOL, FiniteMetricSpace, as_indices,
 
 class GluingError(RuntimeError):
     """The gluing pipeline could not be assembled from the given data."""
+
+
+# Number of random McShane functions certify_gluing drives through the glued
+# operator.
+FAMILY_SIZE = 6
 
 
 def inner_norm_bound(dim_k: int) -> float:
@@ -148,9 +154,8 @@ class GluingBundle:
     v_sets: tuple[tuple[int, ...], ...]   # dilated cover of V, T indices
     v_space: FiniteMetricSpace
     v_bundle: ExtensionBundle
-    extended: np.ndarray                  # inner metric extended to T by LP
-    truncated: np.ndarray                 # min(d, eta)
-    metric: np.ndarray                    # extended + eps * truncated / (14 eta (dimK+1))
+    extended: np.ndarray                  # inner metric extended to T
+    metric: np.ndarray                    # extended + eps min(d, eta) / (14 eta (dimK+1))
     core_lo: tuple[int, ...]              # reference sandwich sets for `metric`
     core_hi: tuple[int, ...]
     certificates: tuple[Certificate, ...]
@@ -170,8 +175,7 @@ def _dilate(d: np.ndarray, u_sets, net, eps: float, t: float):
     return out
 
 
-def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float,
-                        refiner=brick_cover, tol: float = DEFAULT_TOL) -> GluingBundle:
+def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float) -> GluingBundle:
     """Assemble the glue metric and its certificates for exhaustion level n."""
     space = cfg.space
     d = space.dist
@@ -189,7 +193,7 @@ def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float,
         raise GluingError(
             f"declared dim_k={cfg.dim_k} but the core varies along "
             f"{k_space.nominal_dim} axes")
-    knc = build_net_cover(k_space, eps, refiner=refiner)
+    knc = build_net_cover(k_space, eps)
     k_list = list(cfg.k)
     net = tuple(k_list[i] for i in knc.net)
     u_sets = tuple(tuple(k_list[i] for i in s) for s in knc.sets)
@@ -237,27 +241,26 @@ def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float,
     nc_cert = verify_net_cover(nc_v)
     if not nc_cert.passed:
         raise GluingError(f"collar cover failed verification: {nc_cert}")
-    v_bundle = build_extension_bundle(v_space, eps, nc_v, tol=tol)
+    v_bundle = build_extension_bundle(v_space, eps, nc_v)
 
     ext = metric_extension_lp(d, v_indices, v_bundle.adapted)
     extended = ext.matrix
-    truncated = truncate(d, eta)
     scale = eps / (14.0 * eta * (cfg.dim_k + 1))
-    glue = extended + scale * truncated
-    report = validate_metric(glue, tol=tol)
+    glue = extended + scale * truncate(d, eta)
+    report = validate_metric(glue)
     if not report.ok:
         raise GluingError(f"glue metric invalid: {report.summary()}")
 
     inputs = {"space": space.key, "n": n, "eps": eps, "dim_k": cfg.dim_k}
     certs = [nc_cert, ext.certificate]
     certs.append(make_certificate(
-        "glue-extension-sup", 4.0 * eps, sup_distance(extended, d), "lt", tol,
+        "glue-extension-sup", 4.0 * eps, sup_distance(extended, d), "lt", DEFAULT_TOL,
         inputs=inputs))
     certs.append(make_certificate(
         "glue-truncation-scale", eps / (14.0 * (cfg.dim_k + 1)),
-        sup_distance(glue, extended), "le", tol, inputs=inputs))
+        sup_distance(glue, extended), "le", DEFAULT_TOL, inputs=inputs))
     certs.append(make_certificate(
-        "glue-sup-distance", 5.0 * eps, sup_distance(glue, d), "lt", tol,
+        "glue-sup-distance", 5.0 * eps, sup_distance(glue, d), "lt", DEFAULT_TOL,
         inputs=inputs))
 
     core_lo, core_hi = sandwich_sets(glue, cfg.k, eps, cfg.dim_k, "reference")
@@ -275,9 +278,8 @@ def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float,
         dilation=float(chosen_t), gamma=inner_norm_bound(cfg.dim_k),
         net=net, exhaustion=exhaustion, v_indices=v_indices,
         v_sets=tuple(tuple(s) for s in v_sets), v_space=v_space,
-        v_bundle=v_bundle, extended=extended, truncated=truncated,
-        metric=glue, core_lo=core_lo, core_hi=core_hi,
-        certificates=tuple(certs),
+        v_bundle=v_bundle, extended=extended, metric=glue, core_lo=core_lo,
+        core_hi=core_hi, certificates=tuple(certs),
     )
     failed = [c for c in certs if not c.passed]
     if failed:
@@ -291,7 +293,7 @@ def glue_domain(bundle: GluingBundle) -> tuple[int, ...]:
     return tuple(sorted(cm | set(bundle.net)))
 
 
-def build_h_operator(bundle: GluingBundle, e: np.ndarray, inner: PerturbedBundle,
+def build_h_operator(bundle: GluingBundle, inner: PerturbedBundle,
                      rho: np.ndarray) -> WeightOperator:
     """Glued operator rows: (1 - rho(x)) inner-weights + rho(x) identity.
 
@@ -331,14 +333,8 @@ def build_h(bundle: GluingBundle, e: np.ndarray, inner: PerturbedBundle,
         raise AdmissionError(measured, radius)
     w1, _ = sandwich_sets(e, bundle.cfg.k, bundle.eps, bundle.cfg.dim_k, "probe")
     rho = cutoff(e, w1, bundle.eps, bundle.cfg.dim_k)
-    op = build_h_operator(bundle, e, inner, rho)
+    op = build_h_operator(bundle, inner, rho)
     return LipFunction(bundle.cfg.space, op.apply(np.asarray(f_dom_values, dtype=float)))
-
-
-def _mcshane_values(e_dom: np.ndarray, seed_pos, seed_vals: np.ndarray, lip: float) -> np.ndarray:
-    g = (seed_vals[None, :] + lip * e_dom[:, seed_pos]).min(axis=1)
-    g[list(seed_pos)] = seed_vals
-    return g
 
 
 @dataclass(frozen=True)
@@ -380,8 +376,7 @@ def gluing_certificate_to_json(cert: GluingCertificate) -> dict:
     }
 
 
-def certify_gluing(bundle: GluingBundle, e: np.ndarray, rng=None,
-                   family_size: int = 6, tol: float = DEFAULT_TOL) -> GluingCertificate:
+def certify_gluing(bundle: GluingBundle, e: np.ndarray, rng=None) -> GluingCertificate:
     """Certify the glued operator for one probe metric.
 
     Never raises on a failed bound; the returned certificate carries every
@@ -430,7 +425,7 @@ def certify_gluing(bundle: GluingBundle, e: np.ndarray, rng=None,
     v_list = list(bundle.v_indices)
     try:
         inner = build_perturbed_operator(
-            bundle.v_bundle, e[np.ix_(v_list, v_list)], tol=tol)
+            bundle.v_bundle, e[np.ix_(v_list, v_list)])
     except (AdmissionError, BundleError) as err:
         certs.append(make_certificate(
             "inner-operator", 0.0, 1.0, "le", 0.0,
@@ -457,11 +452,11 @@ def certify_gluing(bundle: GluingBundle, e: np.ndarray, rng=None,
         float(np.min(rho[cn], initial=1.0)), "ge", 0.0, inputs=inputs))
     certs.append(make_certificate(
         "cutoff-lipschitz", 30.0 * (dim_k + 1) / eps,
-        lipschitz_constant(rho, e), "le", tol, inputs=inputs))
+        lipschitz_constant(rho, e), "le", DEFAULT_TOL, inputs=inputs))
     if not all(c.passed for c in certs):
         return finish()
 
-    h_op = build_h_operator(bundle, e, inner, rho)
+    h_op = build_h_operator(bundle, inner, rho)
     dom = list(h_op.domain)
     pos_in_dom = {p: i for i, p in enumerate(dom)}
     fixed = sorted(set(cn) | set(bundle.net))
@@ -475,7 +470,7 @@ def certify_gluing(bundle: GluingBundle, e: np.ndarray, rng=None,
     e_dom = e[np.ix_(dom, dom)]
     norm, wit = operator_norm(h_op, e_dom, e, with_witness=True)
     certs.append(make_certificate(
-        "glued-operator-norm", bound, norm, "le", tol,
+        "glued-operator-norm", bound, norm, "le", DEFAULT_TOL,
         witnesses=[wit], details={"headroom": bound - norm}, inputs=inputs))
 
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng or 0)
@@ -483,7 +478,7 @@ def certify_gluing(bundle: GluingBundle, e: np.ndarray, rng=None,
     family_gap = 0.0
     family_lip = 0.0
     base_gap = 0.0
-    for _ in range(family_size):
+    for _ in range(FAMILY_SIZE):
         size = max(2, int(gen.integers(2, max(3, len(dom) // 2 + 1))))
         seed_pos = sorted(gen.choice(len(dom), size=min(size, len(dom)), replace=False))
         seed_vals = gen.choice([-1.0, 1.0], size=len(seed_pos))
@@ -499,7 +494,7 @@ def certify_gluing(bundle: GluingBundle, e: np.ndarray, rng=None,
     certs.append(make_certificate(
         "family-restriction-identity", 0.0, family_gap, "le", 0.0, inputs=inputs))
     certs.append(make_certificate(
-        "family-lipschitz", norm, family_lip, "le", max(tol, 1e-9) * (1 + norm),
+        "family-lipschitz", norm, family_lip, "le", DEFAULT_TOL * (1 + norm),
         details={"bound": bound}, inputs=inputs))
     certs.append(make_certificate(
         "glued-vanishes-at-base", 0.0, base_gap, "le", 0.0,

@@ -12,12 +12,13 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-# Global slack used when comparing floating-point quantities against exact
-# bounds.  Individual functions accept an override.
+# Slack used when comparing floating-point quantities against exact bounds:
+# the metric axioms of validate_metric, and every certificate that does not
+# record a fixed tolerance of its own.  It is not configurable.
 DEFAULT_TOL = 1e-7
 
 
@@ -54,23 +55,22 @@ class ValidationReport:
 
 
 def _min_plus_excess(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
-    """Largest triangle excess d(i,k) - min_j (d(i,j) + d(j,k)) and a witness."""
-    n = d.shape[0]
-    best = np.full((n, n), np.inf)
-    via = np.zeros((n, n), dtype=int)
-    for j in range(n):
-        cand = d[:, j, None] + d[None, j, :]
-        better = cand < best
-        via[better] = j
-        np.minimum(best, cand, out=best)
+    """Largest triangle excess d(i,k) - min_j (d(i,j) + d(j,k)) and a witness.
+
+    The witness j is the first minimiser for the worst pair (i, k).
+    """
+    best = np.full(d.shape, np.inf)
+    for j in range(d.shape[0]):
+        np.minimum(best, d[:, j, None] + d[None, j, :], out=best)
     excess = d - best
     i, k = np.unravel_index(np.argmax(excess), excess.shape)
-    return float(excess[i, k]), (int(i), int(via[i, k]), int(k))
+    j = np.argmin(d[i] + d[:, k])
+    return float(excess[i, k]), (int(i), int(j), int(k))
 
 
-def validate_metric(mat: np.ndarray, tol: float = DEFAULT_TOL,
-                    allow_zero: bool = False) -> ValidationReport:
-    """Check the metric axioms, reporting one witness per violated axiom.
+def validate_metric(mat: np.ndarray, allow_zero: bool = False) -> ValidationReport:
+    """Check the metric axioms up to DEFAULT_TOL, reporting one witness per
+    violated axiom.
 
     With allow_zero=True the matrix is checked as a pseudometric (zero
     off-diagonal entries permitted).  Non-square input is rejected outright.
@@ -82,40 +82,40 @@ def validate_metric(mat: np.ndarray, tol: float = DEFAULT_TOL,
     violations = []
 
     diag = np.abs(np.diagonal(mat))
-    if diag.size and diag.max() > tol:
+    if diag.size and diag.max() > DEFAULT_TOL:
         i = int(np.argmax(diag))
         violations.append(Violation("diagonal", (i,), float(diag[i])))
 
     asym = np.abs(mat - mat.T)
-    if asym.size and asym.max() > tol:
+    if asym.size and asym.max() > DEFAULT_TOL:
         i, j = np.unravel_index(np.argmax(asym), asym.shape)
         violations.append(Violation("symmetry", (int(i), int(j)), float(asym[i, j])))
 
     neg = -mat
-    if neg.size and neg.max() > tol:
+    if neg.size and neg.max() > DEFAULT_TOL:
         i, j = np.unravel_index(np.argmax(neg), neg.shape)
         violations.append(Violation("negative", (int(i), int(j)), float(neg[i, j])))
 
     if not allow_zero and n > 1:
         off = mat + np.diag(np.full(n, np.inf))
         i, j = np.unravel_index(np.argmin(off), off.shape)
-        if off[i, j] <= tol:
+        if off[i, j] <= DEFAULT_TOL:
             violations.append(Violation("zero_offdiag", (int(i), int(j)), float(-off[i, j])))
 
     if n:
         excess, witness = _min_plus_excess(mat)
-        if excess > tol:
+        if excess > DEFAULT_TOL:
             violations.append(Violation("triangle", witness, excess))
 
     return ValidationReport(tuple(mat.shape), tuple(violations))
 
 
-def validate_pseudometric(mat: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
-    return validate_metric(mat, tol=tol, allow_zero=True)
+def validate_pseudometric(mat: np.ndarray) -> ValidationReport:
+    return validate_metric(mat, allow_zero=True)
 
 
-def require_metric(mat: np.ndarray, tol: float = DEFAULT_TOL, what: str = "matrix") -> None:
-    report = validate_metric(mat, tol=tol)
+def require_metric(mat: np.ndarray, what: str = "matrix") -> None:
+    report = validate_metric(mat)
     if not report.ok:
         raise MetricError(f"{what} is not a metric: {report.summary()}", report)
 
@@ -167,34 +167,9 @@ class FiniteMetricSpace:
     def index(self, point: str) -> int:
         return self.points.index(point)
 
-    def pairs(self) -> Iterable[tuple[int, int]]:
-        return itertools.combinations(range(self.n), 2)
-
-
-@dataclass(frozen=True)
-class SubsetRef:
-    """Reference to a nonempty subset of a space, as sorted point indices."""
-
-    space: FiniteMetricSpace
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(sorted(set(int(i) for i in self.indices)))
-        if not idx:
-            raise ValueError("subset must be nonempty")
-        if idx[0] < 0 or idx[-1] >= self.space.n:
-            raise ValueError("subset indices out of range")
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(self.space.points[i] for i in self.indices)
-
 
 def as_indices(subset, space: FiniteMetricSpace | None = None) -> tuple[int, ...]:
-    """Normalize a SubsetRef or an index sequence to a sorted index tuple."""
-    if isinstance(subset, SubsetRef):
-        return subset.indices
+    """Normalize an index sequence to a sorted tuple without duplicates."""
     idx = tuple(sorted(set(int(i) for i in subset)))
     if space is not None and idx and (idx[0] < 0 or idx[-1] >= space.n):
         raise ValueError("subset indices out of range")

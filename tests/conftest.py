@@ -102,6 +102,22 @@ def molecule_norms_by_pairs(op, d_a: np.ndarray) -> np.ndarray:
     return out
 
 
+def min_plus_excess_by_via(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
+    """The min-plus triangle sweep that records, for every pair (i, k), the
+    first j attaining min_j d(i, j) + d(j, k) as it goes."""
+    n = d.shape[0]
+    best = np.full((n, n), np.inf)
+    via = np.zeros((n, n), dtype=int)
+    for j in range(n):
+        cand = d[:, j, None] + d[None, j, :]
+        better = cand < best
+        via[better] = j
+        np.minimum(best, cand, out=best)
+    excess = d - best
+    i, k = np.unravel_index(np.argmax(excess), excess.shape)
+    return float(excess[i, k]), (int(i), int(via[i, k]), int(k))
+
+
 def metric_extension_by_lp(d: np.ndarray, members, rho: np.ndarray) -> float:
     """Least sup distortion over all metric extensions of rho to (T, d).
 

@@ -90,11 +90,11 @@ def test_adapted_metric_bounds(bundles_1d, bundles_2d):
         for bundles, elapsed in (bundles_1d, bundles_2d):
             assert elapsed < 120.0, f"grid pipeline took {elapsed:.1f}s"
             for eps, bundle in bundles.items():
-                sup = lf.sup_distance(bundle.dist, bundle.adapted)
+                sup = lf.sup_distance(bundle.space.dist, bundle.adapted)
                 assert sup < 4 * eps, (eps, sup)
                 a = list(bundle.net)
                 gap = np.abs(bundle.adapted[np.ix_(a, a)]
-                             - bundle.dist[np.ix_(a, a)]).max()
+                             - bundle.space.dist[np.ix_(a, a)]).max()
                 assert gap == 0.0, (eps, gap)
 
 
@@ -189,7 +189,7 @@ def test_bap_harness(grid_1d):
             nc = lf.build_net_cover(grid_1d, eps)
             bundle = lf.build_extension_bundle(grid_1d, eps, nc)
             bound = lf.perturbed_norm_bound(bundle.order_bound)
-            stages.append(lf.BapStage(label=n, net=bundle.net, op=bundle.extend_op,
+            stages.append(lf.BapStage(label=n, net=bundle.net, op=bundle.pou,
                                       metric=bundle.adapted, eps=1.0 / n))
         assert bound == 880.0
         report = lf.bap_certificate(stages, grid_1d.dist, bound)

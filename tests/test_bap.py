@@ -13,14 +13,14 @@ def stage_for(space, n, nu=1.0):
     eps = min(nu / 4.0, 1.0 / (10.0 * n))
     nc = lf.build_net_cover(space, eps)
     bundle = lf.build_extension_bundle(space, eps, nc)
-    return lf.BapStage(label=n, net=bundle.net, op=bundle.extend_op,
+    return lf.BapStage(label=n, net=bundle.net, op=bundle.pou,
                        metric=bundle.adapted, eps=1.0 / n), bundle
 
 
 class TestDefect:
     def test_extension_operator_has_zero_defect(self, line17):
         _, bundle = stage_for(line17, 2)
-        report = lf.almost_extension_defect(bundle.extend_op, line17.dist)
+        report = lf.almost_extension_defect(bundle.pou, line17.dist)
         assert report.defect == 0.0
 
     def test_zero_operator_defect(self):
@@ -41,10 +41,11 @@ class TestDefect:
         for c in (0.0, 0.5, 1.0):
             op = lf.WeightOperator(space, dom, c * eye_rows)
             report = lf.almost_extension_defect(op, space.dist)
+            # the LP norm of (c - 1) delta_x, maximized over the net
             expected = max(
-                lf.free_space_norm(lf.FreeElement.from_deltas(space, {x: c - 1.0}),
-                                   space.dist[np.ix_(dom, dom)] if False else None)
+                lf.free_space_norm(lf.FreeElement.from_deltas(space, {x: c - 1.0}))
                 for x in dom)
+            assert report.defect == pytest.approx(expected)
             # |c - 1| times the delta norm, maximized over the net
             want = abs(c - 1.0) * max(space.dist[x, space.base_index] for x in dom)
             assert report.defect == pytest.approx(want, abs=1e-9)

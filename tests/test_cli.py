@@ -67,6 +67,22 @@ class TestExtendPipeline:
         b = next((tmp_path / "b").glob("*.json")).read_bytes()
         assert a == b
 
+    def test_tol_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            "space": grid_space_json([9], 1 / 8),
+            "eps_schedule": [0.25], "seed": 0, "tol": 0.5,
+        })
+        assert main(["--out-dir", str(tmp_path / "out"), "extend", cfg]) == 2
+        assert "'tol'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_tol_flag_removed(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {
+            "space": grid_space_json([9], 1 / 8), "eps_schedule": [0.25], "seed": 0,
+        })
+        with pytest.raises(SystemExit):
+            main(["--tol", "0.5", "--out-dir", str(tmp_path / "out"), "extend", cfg])
+
     def test_missing_seed_for_random_step(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "space": grid_space_json([9], 1 / 8),

@@ -47,7 +47,7 @@ class TestInducedPseudometric:
     def test_net_pairs_recover_distance(self, line_bundle):
         a = list(line_bundle.net)
         got = line_bundle.induced[np.ix_(a, a)]
-        want = line_bundle.dist[np.ix_(a, a)]
+        want = line_bundle.space.dist[np.ix_(a, a)]
         assert np.array_equal(got, want)
 
     def test_diagonal_zero(self, line_bundle):
@@ -55,7 +55,7 @@ class TestInducedPseudometric:
 
     def test_within_three_eps(self, line_bundle, grid_bundle):
         for bundle in (line_bundle, grid_bundle):
-            assert lf.sup_distance(bundle.induced, bundle.dist) < 3 * bundle.eps
+            assert lf.sup_distance(bundle.induced, bundle.space.dist) < 3 * bundle.eps
 
     def test_is_pseudometric(self, grid_bundle):
         assert lf.validate_pseudometric(grid_bundle.induced).ok
@@ -71,17 +71,17 @@ class TestExtensionBundle:
         bundle = lf.build_extension_bundle(space, 0.3, nc)
         assert np.array_equal(bundle.adapted, space.dist)
         assert bundle.enorm == pytest.approx(1.0, abs=1e-9)
-        assert bundle.extend_op.restricts_to_identity()
+        assert bundle.pou.restricts_to_identity()
 
     def test_adapted_metric_bound(self, line_bundle, grid_bundle):
         for bundle in (line_bundle, grid_bundle):
-            assert lf.sup_distance(bundle.dist, bundle.adapted) < 4 * bundle.eps
+            assert lf.sup_distance(bundle.space.dist, bundle.adapted) < 4 * bundle.eps
 
     def test_adapted_extends_exactly_on_net(self, line_bundle, grid_bundle):
         for bundle in (line_bundle, grid_bundle):
             a = list(bundle.net)
             assert np.array_equal(bundle.adapted[np.ix_(a, a)],
-                                  bundle.dist[np.ix_(a, a)])
+                                  bundle.space.dist[np.ix_(a, a)])
 
     def test_norm_is_one(self, line_bundle, grid_bundle):
         for bundle in (line_bundle, grid_bundle):
@@ -91,7 +91,7 @@ class TestExtensionBundle:
         rng = np.random.default_rng(0)
         f = rng.normal(size=len(line_bundle.net))
         f[0] = 0.0
-        out = lf.apply_weight_operator(line_bundle.extend_op, f)
+        out = lf.apply_weight_operator(line_bundle.pou, f)
         assert np.array_equal(out.values[list(line_bundle.net)], f)
 
     def test_all_certificates_pass(self, line_bundle, grid_bundle):
@@ -134,7 +134,7 @@ class TestPerturbedOperator:
     def test_adapted_metric_itself_admissible(self, line_bundle):
         pb = lf.build_perturbed_operator(line_bundle, line_bundle.adapted)
         assert pb.passed
-        assert pb.extend_op.restricts_to_identity()
+        assert pb.pou.restricts_to_identity()
         assert pb.gnorm <= pb.bound
 
     def test_rebuilt_at_adapted_metric(self, line_bundle, grid_bundle):
@@ -162,7 +162,7 @@ class TestPerturbedOperator:
             e = lf.perturb_metric(line_bundle.adapted, 0.9 * radius, rng)
             pb = lf.build_perturbed_operator(line_bundle, e)
             assert pb.passed
-            assert pb.extend_op.restricts_to_identity()
+            assert pb.pou.restricts_to_identity()
             assert pb.gnorm <= pb.bound + 1e-7
             lip_bound = 4 * (2 * line_bundle.order_bound + 3) / line_bundle.eps
             for i in range(len(line_bundle.net)):

@@ -288,7 +288,7 @@ def grid_operators():
     rng = np.random.default_rng(3)
     radius = lf.admission_radius(0.25, bundle.order_bound)
     a = list(bundle.net)
-    ops = [(bundle.pou, bundle.dist[np.ix_(a, a)], bundle.adapted)]
+    ops = [(bundle.pou, bundle.space.dist[np.ix_(a, a)], bundle.adapted)]
     for _ in range(2):
         e = lf.perturb_metric(bundle.adapted, 0.9 * radius, rng)
         mu = lf.build_perturbed_operator(bundle, e).pou
@@ -398,18 +398,6 @@ class TestMoleculeNormLayer:
 
 
 class TestJsonForms:
-    def test_free_element_round_trip(self):
-        space = lf.random_metric_space(5, seed=40)
-        mu = lf.FreeElement.from_deltas(space, {1: 0.5, 3: -1.25})
-        back = lf.free_element_from_json(space, lf.free_element_to_json(mu))
-        assert np.array_equal(back.weights, mu.weights)
-
-    def test_lip_function_round_trip(self):
-        space = lf.random_metric_space(4, seed=41)
-        f = lf.LipFunction(space, np.array([0.0, 1.5, -2.0, 0.25]))
-        back = lf.lip_function_from_json(space, lf.lip_function_to_json(f))
-        assert np.array_equal(back.values, f.values)
-
     def test_weight_operator_round_trip(self):
         space = lf.random_metric_space(4, seed=42)
         rng = np.random.default_rng(0)

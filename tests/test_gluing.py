@@ -244,7 +244,7 @@ class TestCertifyGluing:
         w1, _ = lf.sandwich_sets(e, small_glue.cfg.k, small_glue.eps,
                                  small_glue.cfg.dim_k, "probe")
         rho = lf.cutoff(e, w1, small_glue.eps, small_glue.cfg.dim_k)
-        op = build_h_operator(small_glue, e, inner, rho)
+        op = build_h_operator(small_glue, inner, rho)
         direct = op.apply(f)
 
         # McShane route: extend f from the domain and g from the collar

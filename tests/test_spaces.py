@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
-from conftest import line_space
+from conftest import line_space, min_plus_excess_by_via
+from lipfree.spaces import _min_plus_excess
 
 
 def random_metric_matrix(seed, n):
@@ -40,6 +42,55 @@ class TestValidateMetric:
     def test_empty_matrix_is_a_metric(self):
         rep = lf.validate_metric(np.zeros((0, 0)))
         assert rep.ok and rep.shape == (0, 0)
+
+
+def _report_with_defect(kind, amount):
+    """Validation of a matrix whose only defect is `kind`, of exactly `amount`.
+
+    Exact measurement needs the defect next to zeros, so the symmetry and
+    triangle cases are pseudometrics.
+    """
+    if kind == "diagonal":
+        return lf.validate_metric(np.array([[amount, 1.0], [1.0, 0.0]]))
+    if kind == "symmetry":
+        return lf.validate_pseudometric(np.array([[0.0, 0.0], [amount, 0.0]]))
+    d = np.zeros((3, 3))
+    d[0, 2] = d[2, 0] = amount        # d(0, 2) - (d(0, 1) + d(1, 2)) = amount
+    return lf.validate_pseudometric(d)
+
+
+class TestExactlyAtTolerance:
+    @pytest.mark.parametrize("kind", ["diagonal", "symmetry", "triangle"])
+    def test_tolerance_is_inclusive(self, kind):
+        at = lf.DEFAULT_TOL                      # the largest float <= DEFAULT_TOL
+        above = np.nextafter(at, np.inf)         # the next float up
+        assert _report_with_defect(kind, at).ok
+        rep = _report_with_defect(kind, above)
+        assert [(v.kind, v.amount) for v in rep.violations] == [(kind, above)]
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["integers", "floats", "near-metric"]))
+    if kind == "near-metric":
+        # a metric with every entry scaled by up to 20%: small excesses
+        seed = draw(st.integers(0, 2**16))
+        rng = np.random.default_rng(seed)
+        return lf.random_metric_space(n, seed=seed).dist * rng.uniform(0.8, 1.2, (n, n))
+    if kind == "integers":
+        # many ties among the candidate midpoints j
+        elements = st.integers(0, 3).map(float)
+    else:
+        elements = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
+    return draw(arrays(np.float64, (n, n), elements=elements))
+
+
+class TestMinPlusExcess:
+    @given(square_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_via_sweep(self, d):
+        assert _min_plus_excess(d) == min_plus_excess_by_via(d)
 
 
 class TestSupDistance:
@@ -286,12 +337,3 @@ class TestRestrictAndJson:
         space = lf.space_from_json({"generator": "grid", "dims": [3, 3],
                                     "spacing": 0.5, "ground": "linf"})
         assert space.n == 9
-
-    def test_subset_ref_validation(self):
-        space = lf.random_metric_space(4, seed=6)
-        ref = lf.SubsetRef(space, (2, 0))
-        assert ref.indices == (0, 2)
-        with pytest.raises(ValueError):
-            lf.SubsetRef(space, ())
-        with pytest.raises(ValueError):
-            lf.SubsetRef(space, (9,))
