@@ -1,19 +1,16 @@
 """Certified extension operators and free-space norms on finite metric spaces."""
 
 from .spaces import (DEFAULT_TOL, DensityReport, FiniteMetricSpace, MetricError,
-                     ValidationReport, add_pseudometrics, ball,
-                     diameter, dist_to_set, dist_to_set_all, floyd_warshall,
-                     is_eps_dense, make_grid_space, perturb_metric,
-                     quotient_pseudometric, random_metric_space, restrict_space,
-                     set_distance, snowflake, space_from_json, space_to_json,
-                     sup_distance, truncate, validate_metric,
+                     ValidationReport, diameter, dist_to_set_all,
+                     floyd_warshall, is_eps_dense, make_grid_space,
+                     perturb_metric, quotient_pseudometric, random_metric_space,
+                     restrict_space, set_distance, space_from_json,
+                     space_to_json, sup_distance, truncate, validate_metric,
                      validate_pseudometric)
 from .lp import LinearProgram, LpError, LpSolution, solve
-from .freenorm import (AdmissionError, FreeElement, LipFunction,
-                       MetricExtension, MetricExtensionError, WeightOperator,
-                       apply_weight_operator, free_space_norm,
-                       identity_operator, lipschitz_constant, mcshane_extend,
-                       metric_extension_lp, molecule_norm_matrix, operator_norm,
+from .freenorm import (AdmissionError, MetricExtension, MetricExtensionError,
+                       WeightOperator, lipschitz_constant, metric_extension_lp,
+                       molecule_norm_matrix, operator_norm,
                        weight_operator_from_json, weight_operator_to_json)
 from .covers import (CoverError, CoverFamily, NetAndCover, brick_cover,
                      build_net_cover, net_cover_from_json, net_cover_to_json,
@@ -27,7 +24,7 @@ from .extension import (BundleError, ExtensionBundle, PerturbedBundle,
                         verify_complement_margin)
 from .gluing import (GluingBundle, GluingCertificate, GluingConfig,
                      GluingError, build_exhaustion, build_gluing_bundle,
-                     build_h, build_h_operator, certify_gluing, cutoff,
+                     build_h_operator, certify_gluing, cutoff,
                      glue_domain, glued_norm_bound,
                      gluing_certificate_to_json, inner_norm_bound,
                      probe_radius, sandwich_sets)

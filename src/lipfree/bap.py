@@ -29,7 +29,6 @@ class DefectReport:
     net: tuple[int, ...]
     defect: float
     witness: int                 # net point attaining the defect
-    per_point: tuple[float, ...]
 
     def __post_init__(self):
         if self.defect < -1e-12:
@@ -52,7 +51,7 @@ def almost_extension_defect(op: WeightOperator, dist: np.ndarray) -> DefectRepor
         c[pos] -= 1.0
         values.append(_norm_of_weights(c, d_a, base_pos))
     w = int(np.argmax(values))
-    return DefectReport(tuple(dom), float(values[w]), w, tuple(float(v) for v in values))
+    return DefectReport(tuple(dom), float(values[w]), w)
 
 
 @dataclass(frozen=True)

@@ -42,59 +42,10 @@ class MetricExtensionError(RuntimeError):
         self.certificate = certificate
 
 
-@dataclass(frozen=True)
-class FreeElement:
-    """Finitely supported signed weight vector; the base weight is normalized
-    to make the total mass zero, which leaves all evaluations unchanged."""
-
-    space: FiniteMetricSpace
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        if w.shape != (self.space.n,):
-            raise ValueError("weights must give one entry per point")
-        b = self.space.base_index
-        w[b] = 0.0
-        w[b] = -w.sum()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def from_deltas(cls, space: FiniteMetricSpace, deltas: dict) -> "FreeElement":
-        w = np.zeros(space.n)
-        for point, weight in deltas.items():
-            idx = point if isinstance(point, int) else space.index(point)
-            w[idx] += weight
-        return cls(space, w)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        b = self.space.base_index
-        return tuple(int(i) for i in np.flatnonzero(self.weights) if i != b)
-
-    def evaluate(self, values: np.ndarray) -> float:
-        """Pairing with a function that vanishes at the base point."""
-        return float(self.weights @ np.asarray(values, dtype=float))
-
-
-@dataclass(frozen=True)
-class LipFunction:
-    space: FiniteMetricSpace
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.shape != (self.space.n,):
-            raise ValueError("values must give one entry per point")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-
 def lipschitz_constant(values, d: np.ndarray) -> float:
     """Best Lipschitz constant of values w.r.t. d; inf when a zero-distance
     pair carries different values (pseudometrics only)."""
-    f = values.values if isinstance(values, LipFunction) else np.asarray(values, dtype=float)
+    f = np.asarray(values, dtype=float)
     d = np.asarray(d, dtype=float)
     df = np.abs(f[:, None] - f[None, :])
     pos = d > 0.0
@@ -230,14 +181,6 @@ def _ratio_upper_bounds(c: np.ndarray, d: np.ndarray, base: int,
     return (star.min(axis=1) + residual) * (1.0 + PRUNE_MARGIN) / d_t
 
 
-def free_space_norm(mu: FreeElement) -> float:
-    """Norm of mu in the free space over its space, always by the LP: the
-    reference the norm identities of `_triage` are tested against."""
-    c = np.array(mu.weights)
-    c[mu.space.base_index] = 0.0
-    return _lp_norm(c, mu.space.dist, mu.space.base_index, {})
-
-
 # ---------------------------------------------------------------------------
 # McShane extension
 
@@ -247,22 +190,6 @@ def _mcshane_values(d: np.ndarray, idx, f: np.ndarray, lip: float) -> np.ndarray
     g = (f[None, :] + lip * d[:, idx]).min(axis=1)
     g[idx] = f
     return g
-
-
-def mcshane_extend(space: FiniteMetricSpace, members, f_values,
-                   lip_bound: float) -> LipFunction:
-    """Extend f from a subset with constant at most lip_bound:
-    g(x) = min_a f(a) + L d(x, a).  Restricts back to f exactly."""
-    d = space.dist
-    idx = list(as_indices(members, space))
-    f = np.asarray(f_values, dtype=float)
-    if f.shape != (len(idx),):
-        raise ValueError("need one value per subset point")
-    d_a = d[np.ix_(idx, idx)]
-    actual = lipschitz_constant(f, d_a)
-    if actual > lip_bound * (1 + 1e-12) + 1e-12:
-        raise ValueError(f"function has Lipschitz constant {actual:.6g} > bound {lip_bound:.6g}")
-    return LipFunction(space, _mcshane_values(d, idx, f, lip_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -309,19 +236,6 @@ class WeightOperator:
         if f.shape != (len(self.domain),):
             raise ValueError("need one value per domain point")
         return self.matrix @ f
-
-    def restricts_to_identity(self) -> bool:
-        """True iff rows at domain points are exact indicator vectors."""
-        eye = np.eye(len(self.domain))
-        return bool(np.array_equal(self.matrix[list(self.domain)], eye))
-
-
-def identity_operator(space: FiniteMetricSpace) -> WeightOperator:
-    return WeightOperator(space, tuple(range(space.n)), np.eye(space.n), partition=True)
-
-
-def apply_weight_operator(op: WeightOperator, f_values) -> LipFunction:
-    return LipFunction(op.space, op.apply(f_values))
 
 
 def _domain_metric(op: WeightOperator, d_a) -> tuple[np.ndarray, int]:

@@ -35,9 +35,8 @@ from .covers import (NetAndCover, build_net_cover, order as family_order,
 from .extension import (BundleError, ExtensionBundle, PerturbedBundle,
                         build_extension_bundle, build_perturbed_operator,
                         perturbed_norm_bound)
-from .freenorm import (AdmissionError, LipFunction, WeightOperator,
-                       _mcshane_values, lipschitz_constant, metric_extension_lp,
-                       operator_norm)
+from .freenorm import (AdmissionError, WeightOperator, _mcshane_values,
+                       lipschitz_constant, metric_extension_lp, operator_norm)
 from .spaces import (DEFAULT_TOL, FiniteMetricSpace, as_indices,
                      dist_to_set_all, restrict_space, set_distance,
                      sup_distance, truncate, validate_metric)
@@ -145,14 +144,9 @@ class GluingBundle:
     n: int
     m: int
     eps: float
-    eta: float
-    dilation: float
-    gamma: float
     net: tuple[int, ...]                  # net inside the core, T indices
     exhaustion: tuple[tuple[int, ...], ...]
     v_indices: tuple[int, ...]            # the collar V around the core
-    v_sets: tuple[tuple[int, ...], ...]   # dilated cover of V, T indices
-    v_space: FiniteMetricSpace
     v_bundle: ExtensionBundle
     extended: np.ndarray                  # inner metric extended to T
     metric: np.ndarray                    # extended + eps min(d, eta) / (14 eta (dimK+1))
@@ -201,7 +195,7 @@ def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float) -> GluingBundle:
     # largest dilation radius keeping the order bound and net exclusivity
     du_all = np.concatenate([d[:, list(s)].min(axis=1) for s in u_sets])
     candidates = sorted(set(float(v) for v in du_all), reverse=True)
-    chosen_t, v_sets = None, None
+    v_sets = None
     for t in candidates:
         cand = _dilate(d, u_sets, net, eps, t)
         if family_order(cand) > cfg.dim_k:
@@ -209,9 +203,9 @@ def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float) -> GluingBundle:
         if any(net[j] in set(s) for i, s in enumerate(cand)
                for j in range(len(net)) if j != i):
             continue
-        chosen_t, v_sets = t, cand
+        v_sets = cand
         break
-    if chosen_t is None:
+    if v_sets is None:
         raise GluingError("no dilation radius preserves the order bound")
 
     covered = sorted(set(itertools.chain.from_iterable(v_sets)))
@@ -274,12 +268,10 @@ def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float) -> GluingBundle:
         raise GluingError("no exhaustion level joins the inner sandwich set to cover T")
 
     bundle = GluingBundle(
-        cfg=cfg, n=int(n), m=int(m_found), eps=float(eps), eta=float(eta),
-        dilation=float(chosen_t), gamma=inner_norm_bound(cfg.dim_k),
-        net=net, exhaustion=exhaustion, v_indices=v_indices,
-        v_sets=tuple(tuple(s) for s in v_sets), v_space=v_space,
-        v_bundle=v_bundle, extended=extended, metric=glue, core_lo=core_lo,
-        core_hi=core_hi, certificates=tuple(certs),
+        cfg=cfg, n=int(n), m=int(m_found), eps=float(eps), net=net,
+        exhaustion=exhaustion, v_indices=v_indices, v_bundle=v_bundle,
+        extended=extended, metric=glue, core_lo=core_lo, core_hi=core_hi,
+        certificates=tuple(certs),
     )
     failed = [c for c in certs if not c.passed]
     if failed:
@@ -319,22 +311,6 @@ def build_h_operator(bundle: GluingBundle, inner: PerturbedBundle,
                 raise GluingError(f"cutoff positive at point {x} outside C_m")
             rows[x, pos_in_dom[x]] += rho[x]
     return WeightOperator(space, dom, rows, partition=True)
-
-
-def build_h(bundle: GluingBundle, e: np.ndarray, inner: PerturbedBundle,
-            f_dom_values):
-    """Apply the glued operator to values given on C_m union the net.
-
-    Rejects probe metrics outside the admission radius.
-    """
-    radius = probe_radius(bundle.eps, bundle.cfg.dim_k)
-    measured = sup_distance(e, bundle.metric)
-    if not measured < radius:
-        raise AdmissionError(measured, radius)
-    w1, _ = sandwich_sets(e, bundle.cfg.k, bundle.eps, bundle.cfg.dim_k, "probe")
-    rho = cutoff(e, w1, bundle.eps, bundle.cfg.dim_k)
-    op = build_h_operator(bundle, inner, rho)
-    return LipFunction(bundle.cfg.space, op.apply(np.asarray(f_dom_values, dtype=float)))
 
 
 @dataclass(frozen=True)

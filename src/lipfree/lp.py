@@ -11,9 +11,7 @@ one simplex phase suffices.  Each free x_j is split into x_j+ - x_j- in
 adjacent columns.  Bland's anti-cycling rule makes every solve
 deterministic: identical inputs produce bitwise-identical outputs.  The
 programs have at most a few thousand rows, so a dense float64 tableau is
-adequate.  ``solve_with_scipy`` solves the same programs with HiGHS under the
-same result contract; it is the reference the tests compare the simplex
-against.
+adequate.  The tests compare the simplex against HiGHS on the same programs.
 """
 
 from __future__ import annotations
@@ -27,7 +25,8 @@ SOLVER_TOL = 1e-9
 
 
 class LpError(RuntimeError):
-    """Solver failure (iteration blow-up or a failed reference solve)."""
+    """Solver failure: iteration blow-up, or a norm LP that is not optimal or
+    breaks its residual limit."""
 
 
 @dataclass(frozen=True)
@@ -123,13 +122,3 @@ def solve(lp: LinearProgram) -> LpSolution:
     z[basis] = tab[:m, -1]
     return _solution(lp, status, z[0:2 * n:2] - z[1:2 * n:2], iterations)
 
-
-def solve_with_scipy(lp: LinearProgram) -> LpSolution:
-    """HiGHS adapter with the same result contract as the core solver."""
-    from scipy.optimize import linprog
-
-    res = linprog(-lp.objective, A_ub=lp.rows, b_ub=lp.rhs, bounds=(None, None), method="highs")
-    status = {0: "optimal", 3: "unbounded"}.get(res.status)
-    if status is None:
-        raise LpError(f"scipy backend failed: {res.message}")
-    return _solution(lp, status, np.asarray(res.x, dtype=float), int(res.nit))

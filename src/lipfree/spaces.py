@@ -32,7 +32,7 @@ class MetricError(ValueError):
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str          # shape | diagonal | symmetry | negative | zero_offdiag | triangle
+    kind: str          # nonfinite | diagonal | symmetry | negative | zero_offdiag | triangle
     witness: tuple
     amount: float
 
@@ -74,10 +74,17 @@ def validate_metric(mat: np.ndarray, allow_zero: bool = False) -> ValidationRepo
 
     With allow_zero=True the matrix is checked as a pseudometric (zero
     off-diagonal entries permitted).  Non-square input is rejected outright.
+    A NaN or infinite entry is the one violation reported: every other check
+    is a comparison, which NaN would pass.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {mat.shape}")
+    finite = np.isfinite(mat)
+    if not finite.all():
+        i, j = np.unravel_index(np.argmin(finite), finite.shape)
+        return ValidationReport(tuple(mat.shape),
+                                (Violation("nonfinite", (int(i), int(j)), float(mat[i, j])),))
     n = mat.shape[0]
     violations = []
 
@@ -160,13 +167,6 @@ class FiniteMetricSpace:
     def n(self) -> int:
         return len(self.points)
 
-    @property
-    def base_point(self) -> str:
-        return self.points[self.base_index]
-
-    def index(self, point: str) -> int:
-        return self.points.index(point)
-
 
 def as_indices(subset, space: FiniteMetricSpace | None = None) -> tuple[int, ...]:
     """Normalize an index sequence to a sorted tuple without duplicates."""
@@ -187,13 +187,6 @@ def sup_distance(d: np.ndarray, e: np.ndarray) -> float:
     if d.shape != e.shape:
         raise ValueError(f"shape mismatch {d.shape} vs {e.shape}")
     return float(np.abs(d - e).max(initial=0.0))
-
-
-def dist_to_set(d: np.ndarray, x: int, members: Sequence[int]) -> float:
-    members = list(members)
-    if not members:
-        raise ValueError("set must be nonempty")
-    return float(np.asarray(d)[x, members].min())
 
 
 def dist_to_set_all(d: np.ndarray, members: Sequence[int]) -> np.ndarray:
@@ -222,11 +215,6 @@ def diameter(d: np.ndarray, members: Sequence[int] | None = None) -> float:
     return float(d.max()) if d.size else 0.0
 
 
-def ball(d: np.ndarray, center: int, r: float) -> tuple[int, ...]:
-    """Open ball: indices strictly within r of the center."""
-    return tuple(int(i) for i in np.flatnonzero(np.asarray(d)[center] < r))
-
-
 class DensityReport(NamedTuple):
     dense: bool
     witness: int       # point attaining the largest distance to the set
@@ -242,13 +230,6 @@ def is_eps_dense(d: np.ndarray, members: Sequence[int], eps: float) -> DensityRe
 
 # ---------------------------------------------------------------------------
 # metric transforms
-
-
-def snowflake(d: np.ndarray, alpha: float) -> np.ndarray:
-    """Entrywise power d**alpha, a metric again for alpha in (0, 1]."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"snowflake exponent must lie in (0, 1], got {alpha}")
-    return np.asarray(d, dtype=float) ** alpha
 
 
 def truncate(d: np.ndarray, eta: float) -> np.ndarray:
@@ -268,14 +249,6 @@ def quotient_pseudometric(d: np.ndarray, members: Sequence[int]) -> np.ndarray:
     out = np.minimum(np.asarray(d, dtype=float), da[:, None] + da[None, :])
     np.fill_diagonal(out, 0.0)
     return out
-
-
-def add_pseudometrics(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch {p.shape} vs {q.shape}")
-    return p + q
 
 
 def floyd_warshall(w: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 import lipfree as lf
+from lipfree import freenorm as fn, lp as lpmod
 
 
 def line_space(positions, base=0):
@@ -56,6 +57,26 @@ def lip_ball_vertices(d_a: np.ndarray, base_pos: int) -> np.ndarray:
         for pos, val in zip(free, v):
             out[r, pos] = val
     return out
+
+
+def free_space_norm(space, weights) -> float:
+    """Norm of the weight vector in the free space over space, always by the
+    LP: the reference the norm identities of `freenorm._triage` are tested
+    against.  The base weight is ignored."""
+    c = np.array(weights, dtype=float)
+    c[space.base_index] = 0.0
+    return fn._lp_norm(c, space.dist, space.base_index, {})
+
+
+def solve_with_scipy(prog):
+    """HiGHS solve of a lipfree LinearProgram, with the result contract of
+    `lipfree.lp.solve`: the reference the simplex is tested against."""
+    res = linprog(-prog.objective, A_ub=prog.rows, b_ub=prog.rhs,
+                  bounds=(None, None), method="highs")
+    status = {0: "optimal", 3: "unbounded"}.get(res.status)
+    if status is None:
+        raise lpmod.LpError(f"scipy backend failed: {res.message}")
+    return lpmod._solution(prog, status, np.asarray(res.x, dtype=float), int(res.nit))
 
 
 def free_norm_by_vertices(weights: np.ndarray, d_a: np.ndarray, base_pos: int) -> float:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lipfree as lf
+from conftest import free_space_norm
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +43,7 @@ class TestDefect:
             op = lf.WeightOperator(space, dom, c * eye_rows)
             report = lf.almost_extension_defect(op, space.dist)
             # the LP norm of (c - 1) delta_x, maximized over the net
-            expected = max(
-                lf.free_space_norm(lf.FreeElement.from_deltas(space, {x: c - 1.0}))
-                for x in dom)
+            expected = max(free_space_norm(space, (c - 1.0) * np.eye(5)[x]) for x in dom)
             assert report.defect == pytest.approx(expected)
             # |c - 1| times the delta norm, maximized over the net
             want = abs(c - 1.0) * max(space.dist[x, space.base_index] for x in dom)

@@ -83,6 +83,17 @@ class TestExtendPipeline:
         with pytest.raises(SystemExit):
             main(["--tol", "0.5", "--out-dir", str(tmp_path / "out"), "extend", cfg])
 
+    def test_nonfinite_inline_metric_rejected(self, tmp_path, capsys):
+        nan = float("nan")
+        cfg = write_config(tmp_path, "c.json", {
+            "space": {"points": ["a", "b", "c"],
+                      "metric": [[0, nan, 1], [nan, 0, 1], [1, 1, 0]]},
+            "eps_schedule": [0.25], "seed": 0,
+        })
+        assert "NaN" in open(cfg).read()
+        assert main(["--out-dir", str(tmp_path / "out"), "extend", cfg]) == 2
+        assert "nonfinite" in capsys.readouterr().err
+
     def test_missing_seed_for_random_step(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "space": grid_space_json([9], 1 / 8),

@@ -6,7 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 import lipfree as lf
 from lipfree import freenorm as fn, lp as lpmod
-from conftest import free_norm_by_vertices, line_space, molecule_norms_by_pairs
+from conftest import (free_norm_by_vertices, free_space_norm, line_space,
+                      molecule_norms_by_pairs)
+
+
+def identity_operator(space):
+    return lf.WeightOperator(space, tuple(range(space.n)), np.eye(space.n), partition=True)
 
 
 class TestLipschitzConstant:
@@ -30,26 +35,23 @@ class TestLipschitzConstant:
 class TestFreeSpaceNorm:
     def test_single_delta_is_distance_to_base(self):
         space = line_space([0.0, 2.0])
-        mu = lf.FreeElement.from_deltas(space, {1: 1.0})
-        assert lf.free_space_norm(mu) == pytest.approx(2.0, abs=1e-9)
+        assert free_space_norm(space, [0.0, 1.0]) == pytest.approx(2.0, abs=1e-9)
 
     def test_zero_element(self):
         space = lf.random_metric_space(4, seed=1)
-        mu = lf.FreeElement(space, np.zeros(4))
-        assert lf.free_space_norm(mu) == 0.0
+        assert free_space_norm(space, np.zeros(4)) == 0.0
 
     def test_line_combination(self):
         # weights +1 at position 2, -2 at position 1 on the line 0,1,2
         space = line_space([0.0, 1.0, 2.0])
-        mu = lf.FreeElement.from_deltas(space, {2: 1.0, 1: -2.0})
-        assert lf.free_space_norm(mu) == pytest.approx(2.0, abs=1e-9)
+        assert free_space_norm(space, [0.0, -2.0, 1.0]) == pytest.approx(2.0, abs=1e-9)
 
     def test_molecule_identity_small(self, small_random_spaces):
         for space in small_random_spaces:
+            eye = np.eye(space.n)
             for x in range(space.n):
                 for y in range(x + 1, space.n):
-                    mu = lf.FreeElement.from_deltas(space, {x: 1.0, y: -1.0})
-                    assert lf.free_space_norm(mu) == pytest.approx(
+                    assert free_space_norm(space, eye[x] - eye[y]) == pytest.approx(
                         space.dist[x, y], abs=1e-9)
 
     def test_support_restriction_matches_full_lp(self):
@@ -57,11 +59,10 @@ class TestFreeSpaceNorm:
         for seed in range(6):
             space = lf.random_metric_space(6, seed=seed)
             w = np.round(rng.normal(size=6), 3)
-            mu = lf.FreeElement(space, w)
-            fast = lf.free_space_norm(mu)
+            fast = free_space_norm(space, w)
             others = [i for i in range(space.n) if i != space.base_index]
             sub = others + [space.base_index]
-            slow = fn._dual_norm(mu.weights[others], space.dist[np.ix_(sub, sub)])
+            slow = fn._dual_norm(w[others], space.dist[np.ix_(sub, sub)])
             assert fast == pytest.approx(slow, abs=1e-8)
 
     def test_agrees_with_vertex_enumeration(self):
@@ -69,9 +70,8 @@ class TestFreeSpaceNorm:
             space = lf.random_metric_space(4, seed=seed)
             rng = np.random.default_rng(seed)
             w = rng.normal(size=4)
-            mu = lf.FreeElement(space, w)
-            oracle = free_norm_by_vertices(mu.weights, space.dist, space.base_index)
-            assert lf.free_space_norm(mu) == pytest.approx(oracle, abs=1e-8)
+            oracle = free_norm_by_vertices(w, space.dist, space.base_index)
+            assert free_space_norm(space, w) == pytest.approx(oracle, abs=1e-8)
 
     @given(st.integers(0, 40), st.floats(-3, 3))
     @settings(max_examples=25, deadline=None)
@@ -79,8 +79,8 @@ class TestFreeSpaceNorm:
         space = lf.random_metric_space(5, seed=seed)
         rng = np.random.default_rng(seed)
         w = rng.normal(size=5)
-        base = lf.free_space_norm(lf.FreeElement(space, w))
-        scaled = lf.free_space_norm(lf.FreeElement(space, scale * w))
+        base = free_space_norm(space, w)
+        scaled = free_space_norm(space, scale * w)
         assert scaled == pytest.approx(abs(scale) * base, abs=1e-7)
 
     @given(st.integers(0, 40))
@@ -89,21 +89,17 @@ class TestFreeSpaceNorm:
         space = lf.random_metric_space(5, seed=seed)
         rng = np.random.default_rng(seed + 99)
         a, b = rng.normal(size=(2, 5))
-        na = lf.free_space_norm(lf.FreeElement(space, a))
-        nb = lf.free_space_norm(lf.FreeElement(space, b))
-        nab = lf.free_space_norm(lf.FreeElement(space, a + b))
-        assert nab <= na + nb + 1e-7
+        nab = free_space_norm(space, a + b)
+        assert nab <= free_space_norm(space, a) + free_space_norm(space, b) + 1e-7
 
     def test_base_weight_is_irrelevant(self):
         space = lf.random_metric_space(5, seed=7)
         w = np.array([5.0, 1.0, -2.0, 0.5, 0.0])
-        mu = lf.FreeElement(space, w)
-        # canonical form absorbs minus the total of the other weights
-        assert mu.weights[space.base_index] == pytest.approx(-(1.0 - 2.0 + 0.5))
         w2 = w.copy()
         w2[space.base_index] = -123.0
-        assert lf.free_space_norm(lf.FreeElement(space, w2)) == pytest.approx(
-            lf.free_space_norm(mu), abs=1e-12)
+        norm = fn._norm_of_weights(w, space.dist, space.base_index)
+        assert fn._norm_of_weights(w2, space.dist, space.base_index) == norm
+        assert norm == pytest.approx(free_space_norm(space, w2), abs=1e-12)
 
     def test_norm_lp_residual_rejected(self, monkeypatch):
         real = lpmod.solve
@@ -112,23 +108,22 @@ class TestFreeSpaceNorm:
             return dataclasses.replace(real(prog), max_violation=1e-6)
 
         monkeypatch.setattr(lpmod, "solve", sloppy)
-        mu = lf.FreeElement.from_deltas(line_space([0.0, 1.0, 3.0]), {1: 1.0, 2: 1.0})
         with pytest.raises(lf.LpError, match="residual"):
-            lf.free_space_norm(mu)
+            free_space_norm(line_space([0.0, 1.0, 3.0]), [0.0, 1.0, 1.0])
 
 
 class TestMcShane:
     def test_full_subset_is_identity(self):
         space = lf.random_metric_space(5, seed=3)
         f = space.dist[:, 0]
-        out = lf.mcshane_extend(space, range(5), f, 1.0)
-        assert np.array_equal(out.values, f)
+        out = fn._mcshane_values(space.dist, list(range(5)), f, 1.0)
+        assert np.array_equal(out, f)
 
     def test_zero_seed_gives_scaled_distance(self):
         space = line_space([0.0, 1.0, 2.0, 3.0])
-        out = lf.mcshane_extend(space, [0, 1], [0.0, 0.0], 2.0)
+        out = fn._mcshane_values(space.dist, [0, 1], np.zeros(2), 2.0)
         expected = 2.0 * space.dist[:, [0, 1]].min(axis=1)
-        assert np.allclose(out.values, expected)
+        assert np.allclose(out, expected)
 
     def test_restriction_exact_and_constant_bounded(self):
         rng = np.random.default_rng(8)
@@ -138,14 +133,9 @@ class TestMcShane:
             f = rng.normal(size=3)
             sub = space.dist[np.ix_(members, members)]
             lip = lf.lipschitz_constant(f, sub)
-            out = lf.mcshane_extend(space, members, f, lip)
-            assert np.array_equal(out.values[members], f)
-            assert lf.lipschitz_constant(out.values, space.dist) <= lip * (1 + 1e-12)
-
-    def test_precondition_violation_rejected(self):
-        space = line_space([0.0, 1.0, 2.0])
-        with pytest.raises(ValueError):
-            lf.mcshane_extend(space, [0, 1], [0.0, 5.0], 1.0)
+            out = fn._mcshane_values(space.dist, members, f, lip)
+            assert np.array_equal(out[members], f)
+            assert lf.lipschitz_constant(out, space.dist) <= lip * (1 + 1e-12)
 
     def test_vanishes_at_base_when_seed_does(self):
         space = lf.random_metric_space(6, seed=11)
@@ -153,17 +143,17 @@ class TestMcShane:
         f = np.array([0.0, 0.7, -0.3])
         sub = space.dist[np.ix_(members, members)]
         lip = lf.lipschitz_constant(f, sub)
-        out = lf.mcshane_extend(space, members, f, lip)
-        assert out.values[space.base_index] == 0.0
+        out = fn._mcshane_values(space.dist, members, f, lip)
+        assert out[space.base_index] == 0.0
 
 
 class TestWeightOperator:
     def test_indicator_weights_are_identity(self):
         space = lf.random_metric_space(4, seed=2)
-        op = lf.identity_operator(space)
+        op = identity_operator(space)
         f = np.array([0.0, 1.0, 2.0, 3.0])
-        assert np.array_equal(lf.apply_weight_operator(op, f).values, f)
-        assert op.restricts_to_identity()
+        assert np.array_equal(op.apply(f), f)
+        assert np.array_equal(op.matrix[list(op.domain)], np.eye(len(op.domain)))
 
     def test_partition_type_preserves_constants(self):
         space = lf.random_metric_space(5, seed=9)
@@ -194,7 +184,7 @@ class TestOperatorNorm:
 
     def test_identity_has_norm_one(self):
         space = lf.random_metric_space(5, seed=14)
-        op = lf.identity_operator(space)
+        op = identity_operator(space)
         assert lf.operator_norm(op, space.dist, space.dist) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_operator_defect_matches_delta_norm(self):
@@ -381,7 +371,7 @@ class TestMoleculeNormLayer:
 
     def test_two_points(self):
         space = line_space([0.0, 2.5])
-        op = lf.identity_operator(space)
+        op = identity_operator(space)
         norms = lf.molecule_norm_matrix(op, space.dist)
         assert np.array_equal(norms, space.dist)
         assert lf.operator_norm(op, space.dist, space.dist, with_witness=True) == (1.0, (0, 1))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lipfree.lp import LinearProgram, solve, solve_with_scipy
+from conftest import solve_with_scipy
+from lipfree.lp import LinearProgram, solve
 
 
 class TestBasics:

@@ -43,6 +43,18 @@ class TestValidateMetric:
         rep = lf.validate_metric(np.zeros((0, 0)))
         assert rep.ok and rep.shape == (0, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_is_the_one_violation(self, bad):
+        # NaN passes every comparison-based check, so the finiteness check
+        # must come first and end the validation
+        for d in (np.array([[0, bad, 1], [bad, 0, 1], [1, 1, 0]]),
+                  np.array([[0, bad], [bad, 0]])):
+            for allow_zero in (False, True):
+                rep = lf.validate_metric(d, allow_zero=allow_zero)
+                assert [v.kind for v in rep.violations] == ["nonfinite"]
+                assert rep.violations[0].witness == (0, 1)
+                assert np.array_equal(rep.violations[0].amount, bad, equal_nan=True)
+
 
 def _report_with_defect(kind, amount):
     """Validation of a matrix whose only defect is `kind`, of exactly `amount`.
@@ -116,41 +128,6 @@ class TestSupDistance:
         assert lf.sup_distance(a, c) <= lf.sup_distance(a, b) + lf.sup_distance(b, c) + 1e-12
 
 
-class TestSnowflake:
-    def test_identity_exponent(self):
-        d = random_metric_matrix(1, 6)
-        assert np.array_equal(lf.snowflake(d, 1.0), d)
-
-    def test_square_root_of_four(self):
-        d = np.array([[0.0, 4.0], [4.0, 0.0]])
-        assert lf.snowflake(d, 0.5)[0, 1] == 2.0
-
-    def test_three_point_line(self):
-        space = line_space([0.0, 1.0, 2.0])
-        out = lf.snowflake(space.dist, 0.5)
-        assert out[0, 2] == pytest.approx(np.sqrt(2))
-        assert lf.validate_metric(out).ok
-
-    @given(st.integers(0, 50), st.floats(0.05, 1.0))
-    @settings(max_examples=30, deadline=None)
-    def test_always_a_metric(self, seed, alpha):
-        d = random_metric_matrix(seed, 6)
-        assert lf.validate_metric(lf.snowflake(d, alpha)).ok
-
-    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
-    def test_bad_exponent(self, alpha):
-        with pytest.raises(ValueError):
-            lf.snowflake(np.zeros((2, 2)), alpha)
-
-    def test_close_to_original_for_exponent_near_one(self):
-        # uniform closeness of the snowflake for mild exponents
-        d = random_metric_matrix(5, 8)
-        eps = 0.05
-        delta = 1e-3
-        out = lf.snowflake(d, 1 - delta)
-        assert lf.sup_distance(out, d) < eps
-
-
 class TestTruncate:
     def test_level_above_diameter_is_identity(self):
         d = random_metric_matrix(2, 5)
@@ -215,7 +192,7 @@ class TestQuotientPseudometric:
 class TestSetGeometry:
     def test_dist_to_own_member(self):
         d = random_metric_matrix(7, 5)
-        assert lf.dist_to_set(d, 3, [3]) == 0.0
+        assert lf.dist_to_set_all(d, [3])[3] == 0.0
 
     def test_singleton_diameter(self):
         d = random_metric_matrix(8, 5)
@@ -223,16 +200,11 @@ class TestSetGeometry:
 
     def test_three_point_line_distance(self):
         space = line_space([0.0, 1.0, 2.0])
-        assert lf.dist_to_set(space.dist, 2, [0, 1]) == 1.0
-
-    def test_ball_is_strict(self):
-        space = line_space([0.0, 1.0, 2.0])
-        assert lf.ball(space.dist, 0, 1.0) == (0,)
-        assert lf.ball(space.dist, 0, 1.0 + 1e-12) == (0, 1)
+        assert lf.dist_to_set_all(space.dist, [0, 1])[2] == 1.0
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            lf.dist_to_set(np.zeros((2, 2)), 0, [])
+            lf.dist_to_set_all(np.zeros((2, 2)), [])
 
     def test_set_distance_empty_is_inf(self):
         assert lf.set_distance(np.zeros((2, 2)), [0], []) == float("inf")
@@ -281,22 +253,12 @@ class TestGridSpace:
 
 
 class TestPseudometricSum:
-    def test_add_zero(self):
-        d = random_metric_matrix(11, 5)
-        z = np.zeros_like(d)
-        assert np.array_equal(lf.add_pseudometrics(d, z), d)
-        assert np.array_equal(lf.add_pseudometrics(z, z), z)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            lf.add_pseudometrics(np.zeros((2, 2)), np.zeros((3, 3)))
-
     @given(st.integers(0, 30))
     @settings(max_examples=15, deadline=None)
     def test_sum_of_pseudometrics_is_pseudometric(self, seed):
         p = lf.truncate(random_metric_matrix(seed, 5), 0.8)
         q = lf.quotient_pseudometric(random_metric_matrix(seed + 1, 5), [0, 2])
-        assert lf.validate_pseudometric(lf.add_pseudometrics(p, q)).ok
+        assert lf.validate_pseudometric(p + q).ok
 
 
 class TestRandomAndPerturb:
