@@ -5,29 +5,25 @@ from .spaces import (DEFAULT_TOL, DensityReport, FiniteMetricSpace, MetricError,
                      floyd_warshall, is_eps_dense, make_grid_space,
                      perturb_metric, quotient_pseudometric, random_metric_space,
                      restrict_space, set_distance, space_from_json,
-                     space_to_json, sup_distance, truncate, validate_metric,
+                     sup_distance, truncate, validate_metric,
                      validate_pseudometric)
 from .lp import LinearProgram, LpError, LpSolution, solve
 from .freenorm import (AdmissionError, MetricExtension, MetricExtensionError,
                        WeightOperator, lipschitz_constant, metric_extension_lp,
-                       molecule_norm_matrix, operator_norm,
-                       weight_operator_from_json, weight_operator_to_json)
+                       molecule_norm_matrix, operator_norm)
 from .covers import (CoverError, CoverFamily, NetAndCover, brick_cover,
-                     build_net_cover, net_cover_from_json, net_cover_to_json,
-                     order, verify_net_cover)
+                     build_net_cover, order, verify_net_cover)
 from .certs import (Certificate, all_passed, certificate_from_json,
                     certificate_to_json, make_certificate, verify_certificate)
 from .extension import (BundleError, ExtensionBundle, PerturbedBundle,
                         admission_radius, build_extension_bundle,
-                        build_perturbed_operator, bundle_to_json,
-                        partition_of_unity, perturbed_norm_bound,
-                        verify_complement_margin)
+                        build_perturbed_operator, partition_of_unity,
+                        perturbed_norm_bound, verify_complement_margin)
 from .gluing import (GluingBundle, GluingCertificate, GluingConfig,
                      GluingError, build_exhaustion, build_gluing_bundle,
-                     build_h_operator, certify_gluing, cutoff,
-                     glue_domain, glued_norm_bound,
-                     gluing_certificate_to_json, inner_norm_bound,
-                     probe_radius, sandwich_sets)
+                     build_h_operator, cutoff, certify_gluing, glue_domain,
+                     glued_norm_bound, inner_norm_bound, probe_radius,
+                     sandwich_sets)
 from .bap import (BapReport, BapStage, DefectReport, almost_extension_defect,
                   bap_certificate)
 

@@ -75,12 +75,6 @@ class BapReport:
     def passed(self) -> bool:
         return all_passed(self.certificates)
 
-    def table(self) -> list[list]:
-        header = ["n", "net_size", "eps", "density", "norm", "defect", "witness"]
-        body = [[r["n"], r["net_size"], r["eps"], r["density"], r["norm"],
-                 r["defect"], r["witness"]] for r in self.rows]
-        return [header] + body
-
 
 def bap_certificate(stages, d: np.ndarray, norm_bound: float,
                     envelope: float = 4.0) -> BapReport:
@@ -108,7 +102,7 @@ def bap_certificate(stages, d: np.ndarray, norm_bound: float,
         if not np.array_equal(net_metric, ref_metric):
             raise ValueError(f"stage {stage.label}: stage metric differs from the "
                              "reference on the net")
-        norm = operator_norm(stage.op, net_metric, stage.metric)
+        norm, _ = operator_norm(stage.op, net_metric, stage.metric)
         report = almost_extension_defect(stage.op, d)
         rows.append({
             "n": stage.label, "net_size": len(net), "eps": stage.eps,

@@ -2,16 +2,35 @@
 tables, metric perturbation, and certificate re-verification.
 
 Every run is driven by a JSON config, every randomized step takes its seed
-from the config, and reports are written with sorted keys so that re-running
-with the same config produces byte-identical files.  Certificate tolerances
-are not configurable: each certificate records the fixed tolerance it was
-checked with, and `verify` re-applies that recorded value.
+from the config, and reports are written as compact JSON with sorted keys, so
+that re-running with the same config produces byte-identical files.
+Certificate tolerances are not configurable: each certificate records the
+fixed tolerance it was checked with, and `verify` re-applies that recorded
+value.
+
+This module alone knows the report layout.  A report writes each value once
+and leaves out what is a function of what it keeps:
+
+  build-cover  space (the config's spec), eps, cover {net, sets, order_bound},
+               certificates
+  extend       pipeline, space, eps, seed, bundle {cover, weights, induced,
+               operator_norm, certificates}, perturbed [{index, norm, bound,
+               certificates}], and the bundle certificates again at the top
+  glue         pipeline, seed, n, m, eps, dim_k, admission_radius, bound, net,
+               domain, collar, glue_metric, certificates, probes [{index,
+               norm, probe_metric, operator, certificates}]
+  bap          pipeline, seed, rows, certificates
+  perturb      an inline space spec {points, metric, base_point} and its
+               sup_distance from the source metric
+
+`weights` has one column per point of `cover.net`.  The extend report stores
+no adapted metric: it is `induced + quotient_pseudometric(space.dist,
+cover.net)`, bit for bit, recomputed from the embedded space spec.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -23,8 +42,7 @@ from . import certs as certsmod
 from . import covers as coversmod
 from . import extension as extmod
 from . import gluing as gluemod
-from .spaces import (DEFAULT_TOL, perturb_metric, space_from_json,
-                     space_to_json, sup_distance)
+from .spaces import perturb_metric, set_distance, space_from_json, sup_distance
 
 
 class ConfigError(ValueError):
@@ -57,7 +75,7 @@ def _require_seed(cfg: dict) -> int:
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
 
@@ -67,6 +85,11 @@ def _cert_list(certs) -> list[dict]:
 
 def _matrix(m) -> list:
     return [list(map(float, row)) for row in np.asarray(m)]
+
+
+def _cover(nc) -> dict:
+    return {"net": list(nc.net), "sets": [list(s) for s in nc.sets],
+            "order_bound": nc.order_bound}
 
 
 def _eps_schedule(cfg: dict) -> list[tuple[str, float]]:
@@ -92,8 +115,9 @@ def cmd_build_cover(args) -> int:
     cert = coversmod.verify_net_cover(nc)
     out = Path(args.out_dir) / f"cover-{cfg.get('seed', 0)}-{eps}.json"
     _write_json(out, {
-        "space": space_to_json(space),
-        "cover": coversmod.net_cover_to_json(nc),
+        "space": cfg["space"],
+        "eps": eps,
+        "cover": _cover(nc),
         "certificates": _cert_list([cert]),
     })
     print(f"wrote {out}")
@@ -126,15 +150,21 @@ def cmd_extend(args) -> int:
                 "certificates": _cert_list(pb.certificates),
             })
             certs.extend(pb.certificates)
+        bundle_certs = _cert_list(bundle.certificates)
         payload = {
             "pipeline": "extend",
+            "space": cfg["space"],
             "eps": eps,
             "seed": seed,
-            "tol": DEFAULT_TOL,
-            "net": list(bundle.net),
-            "bundle": extmod.bundle_to_json(bundle),
+            "bundle": {
+                "cover": _cover(bundle.nc),
+                "weights": _matrix(bundle.pou.matrix),
+                "induced": _matrix(bundle.induced),
+                "operator_norm": bundle.enorm,
+                "certificates": bundle_certs,
+            },
             "perturbed": perturbed,
-            "certificates": _cert_list(bundle.certificates),
+            "certificates": bundle_certs,
         }
         out = Path(args.out_dir) / f"extend-{seed}-{label}.json"
         _write_json(out, payload)
@@ -156,7 +186,6 @@ def cmd_glue(args) -> int:
     else:
         nu = float(cfg["nu"])
         exh = gluemod.build_exhaustion(gcfg)
-        from .spaces import set_distance
         eps = min(nu / 5.0, set_distance(space.dist, gcfg.k, exh[n - 1]))
     bundle = gluemod.build_gluing_bundle(gcfg, n, eps)
     probes = cfg.get("probes", {})
@@ -171,10 +200,13 @@ def cmd_glue(args) -> int:
         e = bundle.metric if i == 0 else perturb_metric(bundle.metric, amp, rng)
         cert = gluemod.certify_gluing(bundle, e, rng=rng)
         ok = ok and cert.passed
-        record = gluemod.gluing_certificate_to_json(cert)
-        record["index"] = i
-        record["norm"] = cert.measured_norm
-        results.append(record)
+        results.append({
+            "index": i,
+            "norm": cert.measured_norm,
+            "probe_metric": _matrix(cert.probe),
+            "operator": None if cert.h_matrix is None else _matrix(cert.h_matrix),
+            "certificates": _cert_list(cert.certificates),
+        })
         print(f"probe {i}: norm {cert.measured_norm:.4g} vs bound {cert.bound:.6g} "
               f"-> {'pass' if cert.passed else 'FAIL'}")
     payload = {
@@ -183,8 +215,11 @@ def cmd_glue(args) -> int:
         "n": bundle.n,
         "m": bundle.m,
         "eps": eps,
+        "dim_k": gcfg.dim_k,
         "admission_radius": radius,
+        "bound": gluemod.glued_norm_bound(gcfg.dim_k),
         "net": list(bundle.net),
+        "domain": list(gluemod.glue_domain(bundle)),
         "collar": list(bundle.v_indices),
         "glue_metric": _matrix(bundle.metric),
         "certificates": _cert_list(bundle.certificates),
@@ -214,20 +249,13 @@ def cmd_bap(args) -> int:
             label=n, net=bundle.net, op=bundle.pou,
             metric=bundle.adapted, eps=1.0 / n))
     report = bapmod.bap_certificate(stages, space.dist, bound, envelope=envelope)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.format == "csv":
-        path = out / f"bap-{seed}.csv"
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(report.table())
-    else:
-        path = out / f"bap-{seed}.json"
-        _write_json(path, {
-            "pipeline": "bap",
-            "seed": seed,
-            "rows": list(report.rows),
-            "certificates": _cert_list(report.certificates),
-        })
+    path = Path(args.out_dir) / f"bap-{seed}.json"
+    _write_json(path, {
+        "pipeline": "bap",
+        "seed": seed,
+        "rows": list(report.rows),
+        "certificates": _cert_list(report.certificates),
+    })
     for row in report.rows:
         print(f"n={row['n']}: |net|={row['net_size']} norm={row['norm']:.4g} "
               f"defect={row['defect']:.4g}")
@@ -294,7 +322,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", dest="seed_override", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--out-dir", default="out", help="report directory")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, needs_config in (
         ("build-cover", cmd_build_cover, True),

@@ -312,21 +312,3 @@ def verify_net_cover(nc: NetAndCover) -> Certificate:
         details=details,
     )
 
-
-def net_cover_to_json(nc: NetAndCover) -> dict:
-    return {
-        "sets": [list(s) for s in nc.sets],
-        "net": list(nc.net),
-        "eps": nc.eps,
-        "order_bound": nc.order_bound,
-    }
-
-
-def net_cover_from_json(space: FiniteMetricSpace, obj: dict) -> NetAndCover:
-    return NetAndCover(
-        space,
-        tuple(int(i) for i in obj["net"]),
-        tuple(tuple(int(i) for i in s) for s in obj["sets"]),
-        float(obj["eps"]),
-        int(obj["order_bound"]),
-    )

@@ -6,10 +6,9 @@ clauses for (d, eps) with order at most r, the bundle assembles:
   * the partition of unity  lam_i(x) = d(x, U_i^c) / sum_j d(x, U_j^c),
   * the induced pseudometric  (x, y) -> || sum_i (lam_i(x)-lam_i(y)) delta_{a_i} ||,
     computed exactly per pair, by a norm identity or the free-norm LP,
-  * the quotient pseudometric collapsing A,
-  * their sum, the adapted metric, which agrees with d on A x A exactly,
-    stays uniformly within 4 eps of d, and makes f -> sum f(a_i) lam_i an
-    extension operator of norm exactly one.
+  * its sum with the quotient pseudometric collapsing A, the adapted metric,
+    which agrees with d on A x A exactly, stays uniformly within 4 eps of d,
+    and makes f -> sum f(a_i) lam_i an extension operator of norm exactly one.
 
 For any metric e within eps/(12(r+1)) of the adapted metric, the same recipe
 run on e yields an extension operator whose norm is certified against the
@@ -102,8 +101,7 @@ class ExtensionBundle:
     nc: NetAndCover
     pou: WeightOperator          # the weights, read as the operator under `adapted`
     induced: np.ndarray          # pseudometric pulled back through the weights
-    quotient: np.ndarray         # pseudometric collapsing the net
-    adapted: np.ndarray          # induced + quotient; the certified metric
+    adapted: np.ndarray          # induced + quotient pseudometric of the net
     enorm: float
     certificates: tuple[Certificate, ...]
 
@@ -136,8 +134,7 @@ def build_extension_bundle(space: FiniteMetricSpace, eps: float,
         raise BundleError(make_certificate(
             "induced-pseudometric", 0.0, 1.0, "le", 0.0,
             details={"violations": ps_report.summary()}))
-    quotient = quotient_pseudometric(d, a)
-    adapted = induced + quotient
+    adapted = induced + quotient_pseudometric(d, a)
     m_report = validate_metric(adapted)
     if not m_report.ok:
         raise BundleError(make_certificate(
@@ -154,8 +151,7 @@ def build_extension_bundle(space: FiniteMetricSpace, eps: float,
         "adapted-extends-net-metric", 0.0, agree, "le", 0.0, inputs=inputs))
 
     if len(a) >= 2:
-        enorm, wit = operator_norm(pou, d_a, adapted, molecule_norms=induced,
-                                   with_witness=True)
+        enorm, wit = operator_norm(pou, d_a, adapted, molecule_norms=induced)
         certs.append(make_certificate(
             "extension-operator-norm", 1.0, enorm, "abs_le", 1e-9,
             witnesses=[wit], inputs=inputs))
@@ -173,7 +169,7 @@ def build_extension_bundle(space: FiniteMetricSpace, eps: float,
 
     bundle = ExtensionBundle(
         space=space, eps=float(eps), order_bound=int(r), nc=nc, pou=pou,
-        induced=induced, quotient=quotient, adapted=adapted,
+        induced=induced, adapted=adapted,
         enorm=float(enorm), certificates=tuple(certs),
     )
     failed = [c for c in certs if not c.passed]
@@ -195,28 +191,6 @@ class PerturbedBundle:
     @property
     def passed(self) -> bool:
         return all_passed(self.certificates)
-
-
-def bundle_to_json(bundle: ExtensionBundle) -> dict:
-    """Self-contained record with every matrix and certificate."""
-    from .certs import certificate_to_json
-    from .covers import net_cover_to_json
-    from .freenorm import weight_operator_to_json
-
-    def mat(m):
-        return [list(map(float, row)) for row in m]
-
-    return {
-        "eps": bundle.eps,
-        "order_bound": bundle.order_bound,
-        "cover": net_cover_to_json(bundle.nc),
-        "weights": weight_operator_to_json(bundle.pou),
-        "induced": mat(bundle.induced),
-        "quotient": mat(bundle.quotient),
-        "adapted": mat(bundle.adapted),
-        "operator_norm": bundle.enorm,
-        "certificates": [certificate_to_json(c) for c in bundle.certificates],
-    }
 
 
 def build_perturbed_operator(bundle: ExtensionBundle, e: np.ndarray) -> PerturbedBundle:
@@ -249,7 +223,7 @@ def build_perturbed_operator(bundle: ExtensionBundle, e: np.ndarray) -> Perturbe
         "le", DEFAULT_TOL, witnesses=[int(np.argmax(lips))], inputs=inputs))
     bound = perturbed_norm_bound(r)
     if len(a) >= 2:
-        gnorm, wit = operator_norm(mu, e[np.ix_(a, a)], e, with_witness=True)
+        gnorm, wit = operator_norm(mu, e[np.ix_(a, a)], e)
         certs.append(make_certificate(
             "perturbed-operator-norm", bound, gnorm, "le", DEFAULT_TOL,
             witnesses=[wit], details={"headroom": bound - gnorm}, inputs=inputs))

@@ -309,11 +309,11 @@ def _pruned_ratios(w: np.ndarray, d_a: np.ndarray, base: int,
 
 
 def operator_norm(op: WeightOperator, d_a: np.ndarray, d_t: np.ndarray,
-                  molecule_norms: np.ndarray | None = None,
-                  with_witness: bool = False):
-    """Norm of op from Lip0(A, d_a) to Lip0(T, d_t) via the molecule reduction:
-    max over pairs x != y of ||row(x) - row(y)||_{F(A)} / d_t(x, y), with the
-    first maximising pair (x < y, row-major) as the witness.
+                  molecule_norms: np.ndarray | None = None
+                  ) -> tuple[float, tuple[int, int]]:
+    """Norm of op from Lip0(A, d_a) to Lip0(T, d_t) via the molecule reduction,
+    and its witness: max over pairs x != y of ||row(x) - row(y)||_{F(A)} /
+    d_t(x, y), with the first maximising pair (x < y, row-major).
 
     Given `molecule_norms`, the ratios come from that matrix.  Otherwise only
     the maximum is needed: shortcut pairs (see `molecule_norm_matrix`) give
@@ -328,35 +328,14 @@ def operator_norm(op: WeightOperator, d_a: np.ndarray, d_t: np.ndarray,
         d_a, base = _domain_metric(op, d_a)
     n = op.space.n
     if n < 2:
-        return (0.0, (0, 0)) if with_witness else 0.0
+        return 0.0, (0, 0)
     xs, ys = np.triu_indices(n, k=1)
     if molecule_norms is not None:
         ratios = molecule_norms[xs, ys] / d_t[xs, ys]
     else:
         ratios = _pruned_ratios(op.matrix, d_a, base, d_t)
     best = int(np.argmax(ratios))
-    value = float(ratios[best])
-    if with_witness:
-        return value, (int(xs[best]), int(ys[best]))
-    return value
-
-
-# ---------------------------------------------------------------------------
-# JSON forms
-
-
-def weight_operator_to_json(op: WeightOperator) -> dict:
-    return {
-        "domain": list(op.domain),
-        "matrix": [list(map(float, row)) for row in op.matrix],
-        "partition": op.partition,
-    }
-
-
-def weight_operator_from_json(space: FiniteMetricSpace, obj: dict) -> WeightOperator:
-    return WeightOperator(space, tuple(obj["domain"]),
-                          np.array(obj["matrix"], dtype=float),
-                          partition=bool(obj.get("partition", False)))
+    return float(ratios[best]), (int(xs[best]), int(ys[best]))
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +359,12 @@ def metric_extension_lp(d: np.ndarray, members, rho: np.ndarray) -> MetricExtens
           >= rho(s, s') + delta per excursion, so d2 = rho on S x S;
       (3) each run of a path inside S costs at least d - delta and is entered
           or left by an edge of cost d + delta, so d2 >= d off S x S.
-    The distortion sup |d2 - d| off S x S is certified against delta, and d2
-    against the metric axioms; a failure of either raises MetricExtensionError.
+    The certificate checks (1) in the claim's own arithmetic, d2 <= w entrywise
+    for the matrix w = fl(d + delta) the closure starts from, which needs no
+    tolerance since the closure only lowers entries.  It measures the lower
+    side, max (d - d2) off S x S, against delta with slack 1e-9; a d2 above w
+    or not a metric measures inf.  A failure raises MetricExtensionError.
+    `distortion` is sup |d2 - d| off S x S, also recorded in the details.
     """
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
@@ -402,13 +385,16 @@ def metric_extension_lp(d: np.ndarray, members, rho: np.ndarray) -> MetricExtens
 
     off = np.ones((n, n), dtype=bool)
     off[on_s] = False
-    distortion = float(np.abs((d2 - d)[off]).max()) if off.any() else 0.0
+    distortion = float(np.abs(d2 - d)[off].max()) if off.any() else 0.0
+    below = float((d - d2)[off].max()) if off.any() else 0.0
+    above_w = int(np.count_nonzero(d2[off] > w[off]))
     check = validate_metric(d2)
     cert = make_certificate(
         "metric-extension-distortion", claimed,
-        distortion if check.ok else float("inf"), "le", 1e-9,
-        witnesses=[], inputs={"n": n, "subset": s_idx},
-        details={"metric_check": check.summary()},
+        below if check.ok and above_w == 0 else float("inf"), "le", 1e-9,
+        inputs={"n": n, "subset": s_idx},
+        details={"metric_check": check.summary(), "entries_above_w": above_w,
+                 "sup_distortion": distortion},
     )
     if not cert.passed:
         raise MetricExtensionError(cert)

@@ -11,8 +11,8 @@ subset ... of T minus K by distance thresholds, the pipeline:
   3. runs the extension-bundle construction on (V, d) to get an inner metric,
   4. extends the inner metric to all of T as a shortest-path closure whose
      sup distortion is certified,
-  5. adds a scaled truncated copy of d, producing the glue metric, which
-     detects proximity to K at a known scale.
+  5. adds c min(d, eta)/eta with c = eps/(14 (dim K + 1)), producing the glue
+     metric, which detects proximity to K at a known scale.
 
 For any probe metric e uniformly within eps/(480 (dim K + 1)) of the glue
 metric, a cutoff rho built from e interpolates between the inner extension
@@ -149,7 +149,7 @@ class GluingBundle:
     v_indices: tuple[int, ...]            # the collar V around the core
     v_bundle: ExtensionBundle
     extended: np.ndarray                  # inner metric extended to T
-    metric: np.ndarray                    # extended + eps min(d, eta) / (14 eta (dimK+1))
+    metric: np.ndarray                    # extended + c min(d, eta) / eta, c = eps/(14 (dimK+1))
     core_lo: tuple[int, ...]              # reference sandwich sets for `metric`
     core_hi: tuple[int, ...]
     certificates: tuple[Certificate, ...]
@@ -239,8 +239,9 @@ def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float) -> GluingBundle:
 
     ext = metric_extension_lp(d, v_indices, v_bundle.adapted)
     extended = ext.matrix
-    scale = eps / (14.0 * eta * (cfg.dim_k + 1))
-    glue = extended + scale * truncate(d, eta)
+    # fl(min(d, eta) / eta) <= 1, so every added entry is at most c exactly
+    c = eps / (14.0 * (cfg.dim_k + 1))
+    glue = extended + c * (truncate(d, eta) / eta)
     report = validate_metric(glue)
     if not report.ok:
         raise GluingError(f"glue metric invalid: {report.summary()}")
@@ -250,9 +251,11 @@ def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float) -> GluingBundle:
     certs.append(make_certificate(
         "glue-extension-sup", 4.0 * eps, sup_distance(extended, d), "lt", DEFAULT_TOL,
         inputs=inputs))
+    # the claim sup |glue - extended| <= c, in its own arithmetic
+    outside = np.count_nonzero((glue < extended) | (glue > extended + c))
     certs.append(make_certificate(
-        "glue-truncation-scale", eps / (14.0 * (cfg.dim_k + 1)),
-        sup_distance(glue, extended), "le", DEFAULT_TOL, inputs=inputs))
+        "glue-truncation-scale", 0.0, float(outside), "le", 0.0, inputs=inputs,
+        details={"scale": c, "sup_distance": sup_distance(glue, extended)}))
     certs.append(make_certificate(
         "glue-sup-distance", 5.0 * eps, sup_distance(glue, d), "lt", DEFAULT_TOL,
         inputs=inputs))
@@ -315,12 +318,6 @@ def build_h_operator(bundle: GluingBundle, inner: PerturbedBundle,
 
 @dataclass(frozen=True)
 class GluingCertificate:
-    n: int
-    m: int
-    eps: float
-    dim_k: int
-    net: tuple[int, ...]
-    domain: tuple[int, ...]
     probe: np.ndarray
     h_matrix: np.ndarray | None
     measured_norm: float
@@ -330,26 +327,6 @@ class GluingCertificate:
     @property
     def passed(self) -> bool:
         return all_passed(self.certificates)
-
-
-def gluing_certificate_to_json(cert: GluingCertificate) -> dict:
-    from .certs import certificate_to_json
-
-    return {
-        "n": cert.n,
-        "m": cert.m,
-        "eps": cert.eps,
-        "dim_k": cert.dim_k,
-        "net": list(cert.net),
-        "domain": list(cert.domain),
-        "probe_metric": [list(map(float, row)) for row in cert.probe],
-        "operator": None if cert.h_matrix is None else
-                    [list(map(float, row)) for row in cert.h_matrix],
-        "measured_norm": cert.measured_norm,
-        "bound": cert.bound,
-        "passed": cert.passed,
-        "certificates": [certificate_to_json(c) for c in cert.certificates],
-    }
 
 
 def certify_gluing(bundle: GluingBundle, e: np.ndarray, rng=None) -> GluingCertificate:
@@ -370,9 +347,8 @@ def certify_gluing(bundle: GluingBundle, e: np.ndarray, rng=None) -> GluingCerti
 
     def finish(h_matrix=None, measured=float("inf")):
         return GluingCertificate(
-            n=bundle.n, m=bundle.m, eps=eps, dim_k=dim_k, net=bundle.net,
-            domain=glue_domain(bundle), probe=e, h_matrix=h_matrix,
-            measured_norm=measured, bound=bound, certificates=tuple(certs),
+            probe=e, h_matrix=h_matrix, measured_norm=measured, bound=bound,
+            certificates=tuple(certs),
         )
 
     radius = probe_radius(eps, dim_k)
@@ -444,7 +420,7 @@ def certify_gluing(bundle: GluingBundle, e: np.ndarray, rng=None) -> GluingCerti
         "restriction-identity", 0.0, identity_gap, "le", 0.0, inputs=inputs))
 
     e_dom = e[np.ix_(dom, dom)]
-    norm, wit = operator_norm(h_op, e_dom, e, with_witness=True)
+    norm, wit = operator_norm(h_op, e_dom, e)
     certs.append(make_certificate(
         "glued-operator-norm", bound, norm, "le", DEFAULT_TOL,
         witnesses=[wit], details={"headroom": bound - norm}, inputs=inputs))

@@ -357,25 +357,11 @@ def restrict_space(space: FiniteMetricSpace, members: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip
-
-
-def space_to_json(space: FiniteMetricSpace) -> dict:
-    out = {
-        "points": list(space.points),
-        "metric": [list(map(float, row)) for row in space.dist],
-        "base_point": space.base_index,
-    }
-    if space.coords is not None:
-        out["coords"] = [list(map(int, row)) for row in space.coords]
-    if space.nominal_dim is not None:
-        out["nominal_dim"] = space.nominal_dim
-    if space.ground is not None:
-        out["ground"] = space.ground
-    return out
+# JSON space specs
 
 
 def space_from_json(obj: dict) -> FiniteMetricSpace:
+    """Space from a config spec: a generator entry or an inline metric."""
     if "generator" in obj:
         kind = obj["generator"]
         if kind == "grid":

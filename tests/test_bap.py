@@ -117,10 +117,3 @@ class TestBapCertificate:
             metric=line17.dist, eps=0.01)
         with pytest.raises(ValueError):
             lf.bap_certificate([sparse], line17.dist, 10.0)
-
-    def test_table_shape(self, line17):
-        stages = [stage_for(line17, 2)[0]]
-        report = lf.bap_certificate(stages, line17.dist, 1000.0)
-        table = report.table()
-        assert table[0] == ["n", "net_size", "eps", "density", "norm", "defect", "witness"]
-        assert len(table) == 2

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+import lipfree as lf
 from lipfree.cli import main
 
 
@@ -26,6 +28,7 @@ class TestBuildCover:
         assert len(files) == 1
         payload = json.loads(files[0].read_text())
         assert payload["cover"]["net"][0] == 0
+        assert payload["space"] == grid_space_json([17], 1 / 16)
         assert all(c["passed"] for c in payload["certificates"])
 
 
@@ -117,7 +120,13 @@ class TestGluePipeline:
         assert rc == 0
         payload = json.loads(next((tmp_path / "out").glob("glue-*.json")).read_text())
         assert payload["m"] >= payload["n"]
-        assert all(p["passed"] for p in payload["probes"])
+        assert all(c["passed"] for p in payload["probes"] for c in p["certificates"])
+        for probe in payload["probes"]:
+            assert set(probe) == {"index", "norm", "probe_metric", "operator",
+                                  "certificates"}
+        assert payload["bound"] == lf.glued_norm_bound(1)
+        assert payload["net"][0] in payload["domain"]
+        assert not any(c["warning"] for c in payload["certificates"])
 
     def test_full_core_fallback(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -141,8 +150,9 @@ class TestGluePipeline:
         rc = main(["--out-dir", str(tmp_path / "out"), "glue", cfg])
         assert rc == 1
         payload = json.loads(next((tmp_path / "out").glob("glue-*.json")).read_text())
-        assert payload["probes"][0]["passed"]        # the unperturbed probe
-        assert not payload["probes"][1]["passed"]
+        first, second = (p["certificates"] for p in payload["probes"])
+        assert all(c["passed"] for c in first)       # the unperturbed probe
+        assert not all(c["passed"] for c in second)
 
 
 class TestBapPipeline:
@@ -156,16 +166,6 @@ class TestBapPipeline:
         payload = json.loads((tmp_path / "out" / "bap-0.json").read_text())
         assert [r["n"] for r in payload["rows"]] == [2, 4]
         assert all(r["defect"] == 0.0 for r in payload["rows"])
-
-    def test_csv_format(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json", {
-            "space": grid_space_json([9], 1 / 8),
-            "n_schedule": [2], "nu": 1.0, "seed": 0,
-        })
-        rc = main(["--out-dir", str(tmp_path / "out"), "--format", "csv", "bap", cfg])
-        assert rc == 0
-        text = (tmp_path / "out" / "bap-0.csv").read_text()
-        assert text.splitlines()[0] == "n,net_size,eps,density,norm,defect,witness"
 
 
 class TestPerturbAndVerify:
@@ -200,3 +200,51 @@ class TestPerturbAndVerify:
         payload["certificates"][0]["measured"] = 99.0    # forged value
         report.write_text(json.dumps(payload))
         assert main(["verify", str(report)]) == 1
+
+
+class TestReportLayout:
+    def test_extend_report_recovers_adapted_metric(self, tmp_path):
+        space_spec = grid_space_json([5, 5], 1 / 8)
+        cfg = write_config(tmp_path, "c.json", {
+            "space": space_spec, "eps_schedule": [0.5], "seed": 1,
+            "perturbations": {"count": 1},
+        })
+        assert main(["--out-dir", str(tmp_path / "out"), "extend", cfg]) == 0
+        report = json.loads(next((tmp_path / "out").glob("extend-*.json")).read_text())
+        assert report["space"] == space_spec
+        assert set(report) == {"pipeline", "space", "eps", "seed", "bundle",
+                               "perturbed", "certificates"}
+        assert set(report["bundle"]) == {"cover", "weights", "induced",
+                                         "operator_norm", "certificates"}
+
+        space = lf.space_from_json(report["space"])
+        net = report["bundle"]["cover"]["net"]
+        induced = np.array(report["bundle"]["induced"])
+        adapted = induced + lf.quotient_pseudometric(space.dist, net)
+        bundle = lf.build_extension_bundle(space, 0.5, lf.build_net_cover(space, 0.5))
+        assert np.array_equal(adapted, bundle.adapted)
+        sup = next(c for c in report["certificates"] if c["kind"] == "adapted-sup-distance")
+        assert lf.sup_distance(space.dist, adapted) == sup["measured"]
+        xs, ys = np.triu_indices(space.n, k=1)
+        assert (induced[xs, ys] / adapted[xs, ys]).max() == report["bundle"]["operator_norm"]
+
+    @pytest.mark.parametrize("pipeline, config", [
+        ("build-cover", {"space": grid_space_json([9], 1 / 8), "eps": 0.25, "seed": 0}),
+        ("extend", {"space": grid_space_json([9], 1 / 8), "eps_schedule": [0.25],
+                    "seed": 2, "perturbations": {"count": 1}}),
+        ("glue", {"space": grid_space_json([6, 6], 1 / 6), "k": [0, 6, 12, 18, 24, 30],
+                  "dim_k": 1, "thresholds": [4 / 6, 3 / 6, 2 / 6, 1 / 6],
+                  "n": 1, "eps": 0.6, "seed": 5, "probes": {"count": 2}}),
+        ("bap", {"space": grid_space_json([9], 1 / 8), "n_schedule": [2], "nu": 1.0}),
+        ("perturb", {"space": grid_space_json([5], 0.25), "amplitude": 0.05, "seed": 9}),
+    ])
+    def test_reports_are_canonical_compact_json(self, tmp_path, pipeline, config):
+        cfg = write_config(tmp_path, "c.json", config)
+        assert main(["--out-dir", str(tmp_path / "out"), pipeline, cfg]) == 0
+        files = list((tmp_path / "out").glob("*.json"))
+        assert files
+        for f in files:
+            text = f.read_text()
+            canonical = json.dumps(json.loads(text), sort_keys=True,
+                                   separators=(",", ":")) + "\n"
+            assert text == canonical

@@ -136,11 +136,6 @@ class TestVerifyNetCover:
         assert not cert.passed
         assert any(w[0] == "coverage" for w in cert.witnesses)
 
-    def test_json_round_trip(self):
-        space, nc = self._good()
-        back = lf.net_cover_from_json(space, lf.net_cover_to_json(nc))
-        assert back == nc
-
 
 class TestRoundTripProperty:
     @pytest.mark.parametrize("seed", range(12))

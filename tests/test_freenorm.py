@@ -180,12 +180,12 @@ class TestOperatorNorm:
     def test_zero_operator(self):
         space = lf.random_metric_space(4, seed=13)
         op = lf.WeightOperator(space, (0, 1), np.zeros((4, 2)))
-        assert lf.operator_norm(op, space.dist[:2, :2], space.dist) == 0.0
+        assert lf.operator_norm(op, space.dist[:2, :2], space.dist)[0] == 0.0
 
     def test_identity_has_norm_one(self):
         space = lf.random_metric_space(5, seed=14)
         op = identity_operator(space)
-        assert lf.operator_norm(op, space.dist, space.dist) == pytest.approx(1.0, abs=1e-9)
+        assert lf.operator_norm(op, space.dist, space.dist)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_operator_defect_matches_delta_norm(self):
         space = lf.random_metric_space(4, seed=15)
@@ -320,16 +320,14 @@ class TestMoleculeNormLayer:
         op, d_a, d_t = random_operator(seed, partition)
         full = lf.molecule_norm_matrix(op, d_a)
         for metric in (d_t, op.space.dist):
-            exhaustive = lf.operator_norm(op, d_a, metric, molecule_norms=full,
-                                          with_witness=True)
-            assert lf.operator_norm(op, d_a, metric, with_witness=True) == exhaustive
+            exhaustive = lf.operator_norm(op, d_a, metric, molecule_norms=full)
+            assert lf.operator_norm(op, d_a, metric) == exhaustive
 
     def test_pruned_norm_equals_exhaustive_on_grid(self, grid_operators):
         for op, d_a, d_t in grid_operators:
             full = molecule_norms_by_pairs(op, d_a)
-            exhaustive = lf.operator_norm(op, d_a, d_t, molecule_norms=full,
-                                          with_witness=True)
-            assert lf.operator_norm(op, d_a, d_t, with_witness=True) == exhaustive
+            exhaustive = lf.operator_norm(op, d_a, d_t, molecule_norms=full)
+            assert lf.operator_norm(op, d_a, d_t) == exhaustive
 
     def test_bound_dominates_lp_norm(self, grid_operators, monkeypatch):
         # without the margin, so the bound itself is shown to hold
@@ -367,15 +365,15 @@ class TestMoleculeNormLayer:
         op = lf.WeightOperator(space, (b,), np.ones((5, 1)), partition=True)
         d_a = space.dist[np.ix_([b], [b])]
         assert np.array_equal(lf.molecule_norm_matrix(op, d_a), np.zeros((5, 5)))
-        assert lf.operator_norm(op, d_a, space.dist, with_witness=True) == (0.0, (0, 1))
+        assert lf.operator_norm(op, d_a, space.dist) == (0.0, (0, 1))
 
     def test_two_points(self):
         space = line_space([0.0, 2.5])
         op = identity_operator(space)
         norms = lf.molecule_norm_matrix(op, space.dist)
         assert np.array_equal(norms, space.dist)
-        assert lf.operator_norm(op, space.dist, space.dist, with_witness=True) == (1.0, (0, 1))
-        assert lf.operator_norm(op, space.dist, space.dist / 2, with_witness=True) == (2.0, (0, 1))
+        assert lf.operator_norm(op, space.dist, space.dist) == (1.0, (0, 1))
+        assert lf.operator_norm(op, space.dist, space.dist / 2) == (2.0, (0, 1))
 
     def test_explicit_pairs_fill_only_their_entries(self):
         op, d_a, _ = random_operator(7, False)
@@ -385,19 +383,6 @@ class TestMoleculeNormLayer:
         part[0, 1] = part[1, 0] = 0.0
         assert not part.any()
         assert not lf.molecule_norm_matrix(op, d_a, pairs=[]).any()
-
-
-class TestJsonForms:
-    def test_weight_operator_round_trip(self):
-        space = lf.random_metric_space(4, seed=42)
-        rng = np.random.default_rng(0)
-        w = rng.uniform(0, 1, size=(4, 2))
-        w /= w.sum(axis=1, keepdims=True)
-        op = lf.WeightOperator(space, (0, 2), w, partition=True)
-        back = lf.weight_operator_from_json(space, lf.weight_operator_to_json(op))
-        assert np.array_equal(back.matrix, op.matrix)
-        assert back.domain == op.domain
-        assert back.partition
 
 
 class TestMetricExtension:
@@ -440,6 +425,30 @@ class TestMetricExtension:
         bad[0, 1] = bad[1, 0] = 100.0   # triangle violation
         with pytest.raises(lf.MetricError):
             lf.metric_extension_lp(space.dist, [0, 1, 2], bad)
+
+    def test_upper_side_checked_without_tolerance(self, monkeypatch):
+        space = lf.random_metric_space(6, seed=22)
+        s = [0, 1, 4]
+        rho = lf.perturb_metric(space.dist[np.ix_(s, s)], 0.1, np.random.default_rng(5))
+        cert = lf.metric_extension_lp(space.dist, s, rho).certificate
+        assert cert.passed and not cert.warning
+        assert cert.details["entries_above_w"] == 0
+        real = lf.floyd_warshall
+
+        def one_ulp_above(w):
+            # a metric within 1e-9 of the claim, but one ulp above fl(d + delta)
+            out = real(w)
+            assert out[2, 3] == w[2, 3]
+            out[2, 3] = out[3, 2] = np.nextafter(w[2, 3], np.inf)
+            return out
+
+        monkeypatch.setattr("lipfree.freenorm.floyd_warshall", one_ulp_above)
+        with pytest.raises(lf.MetricExtensionError) as err:
+            lf.metric_extension_lp(space.dist, s, rho)
+        cert = err.value.certificate
+        assert cert.details["metric_check"] == "valid"
+        assert cert.details["entries_above_w"] == 2
+        assert cert.details["sup_distortion"] <= cert.claimed + 1e-9
 
     def test_non_metric_extension_rejected(self, monkeypatch):
         space = lf.random_metric_space(6, seed=22)

@@ -131,6 +131,23 @@ class TestGluingBundle:
         assert lf.sup_distance(small_glue.metric, small_glue.extended) \
             <= small_glue.eps / (14 * (small_glue.cfg.dim_k + 1)) + 1e-12
 
+    def test_no_certificate_passes_by_rounding(self, small_glue):
+        assert not any(c.warning for c in small_glue.certificates)
+        c = small_glue.eps / (14 * (small_glue.cfg.dim_k + 1))
+        glue, extended = small_glue.metric, small_glue.extended
+        assert np.all(extended <= glue) and np.all(glue <= extended + c)
+        scale = next(x for x in small_glue.certificates
+                     if x.kind == "glue-truncation-scale")
+        assert scale.measured == 0.0 and scale.details["scale"] == c
+
+    def test_truncation_scale_checked_without_tolerance(self, small_glue, monkeypatch):
+        # a term 1e-12 (relative) above c: inside DEFAULT_TOL, outside the claim
+        real = lf.truncate
+        monkeypatch.setattr("lipfree.gluing.truncate",
+                            lambda d, eta: real(d, eta) * (1 + 1e-12))
+        with pytest.raises(GluingError, match="glue-truncation-scale"):
+            lf.build_gluing_bundle(small_glue.cfg, 1, small_glue.eps)
+
     def test_collar_strictly_thicker_than_core(self, small_glue):
         assert set(small_glue.cfg.k) < set(small_glue.v_indices)
 
