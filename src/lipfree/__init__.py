@@ -22,8 +22,7 @@ from .extension import (BundleError, ExtensionBundle, PerturbedBundle,
 from .gluing import (GluingBundle, GluingCertificate, GluingConfig,
                      GluingError, build_exhaustion, build_gluing_bundle,
                      build_h_operator, cutoff, certify_gluing, glue_domain,
-                     glued_norm_bound, inner_norm_bound, probe_radius,
-                     sandwich_sets)
+                     glued_norm_bound, probe_radius, sandwich_sets)
 from .bap import (BapReport, BapStage, DefectReport, almost_extension_defect,
                   bap_certificate)
 

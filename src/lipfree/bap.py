@@ -6,11 +6,11 @@ whole space, the defect
     sup over the unit ball of Lip0(M_n) of  max_{x in M_n} |T(f)(x) - f(x)|
 
 collapses to max_{x in M_n} of the free-space norm of row(x) - delta_x over
-(M_n, d restricted), so the exact value is one small LP per net point.  A
-sequence of uniformly bounded operators on finer and finer nets whose defects
-decay certifies a BAP-style approximation scheme at finite scale; a finite
-run cannot certify the limit, so the decay is reported against a linear
-envelope C * eps_n rather than asserted as a limit.
+(M_n, d restricted), so the exact value takes at most one small LP per net
+point.  A sequence of uniformly bounded operators on finer and finer nets
+whose defects decay certifies a BAP-style approximation scheme at finite
+scale; a finite run cannot certify the limit, so the decay is reported
+against a linear envelope C * eps_n rather than asserted as a limit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certs import Certificate, make_certificate, all_passed
-from .freenorm import WeightOperator, _norm_of_weights, operator_norm
+from .freenorm import WeightOperator, _metrics, _row_norms, operator_norm
 from .spaces import DEFAULT_TOL, is_eps_dense
 
 
@@ -41,26 +41,20 @@ def almost_extension_defect(op: WeightOperator, dist: np.ndarray) -> DefectRepor
     Zero exactly when the rows at the net points are indicators, i.e. when op
     is an extension operator.
     """
-    d = np.asarray(dist, dtype=float)
+    _, d_a, base_pos = _metrics(op, dist)   # raises on a wrong shape or a missing base
     dom = list(op.domain)
-    base_pos = op.base_position      # raises when the base point is missing
-    d_a = d[np.ix_(dom, dom)]
-    values = []
-    for pos, point in enumerate(dom):
-        c = op.matrix[point].copy()
-        c[pos] -= 1.0
-        values.append(_norm_of_weights(c, d_a, base_pos))
+    values = _row_norms(op.matrix[dom] - np.eye(len(dom)), d_a, base_pos, {})
     w = int(np.argmax(values))
     return DefectReport(tuple(dom), float(values[w]), w)
 
 
 @dataclass(frozen=True)
 class BapStage:
-    """One rung of the approximation scheme: a net, an operator sourced from
-    it, the metric the operator is bounded against, and the net scale."""
+    """One rung of the approximation scheme: an operator sourced from a net
+    (its domain), the metric the operator is bounded against, and the net
+    scale."""
 
     label: int
-    net: tuple[int, ...]
     op: WeightOperator
     metric: np.ndarray
     eps: float
@@ -90,7 +84,7 @@ def bap_certificate(stages, d: np.ndarray, norm_bound: float,
     rows = []
     certs = []
     for stage in stages:
-        net = list(stage.net)
+        net = list(stage.op.domain)
         density = is_eps_dense(d, net, stage.eps)
         density_stage = is_eps_dense(stage.metric, net, stage.eps)
         if not (density.dense and density_stage.dense):
@@ -98,11 +92,10 @@ def bap_certificate(stages, d: np.ndarray, norm_bound: float,
                 f"stage {stage.label}: net is not {stage.eps}-dense "
                 f"(worst distance {max(density.max_dist, density_stage.max_dist):.6g})")
         net_metric = np.asarray(stage.metric)[np.ix_(net, net)]
-        ref_metric = d[np.ix_(net, net)]
-        if not np.array_equal(net_metric, ref_metric):
+        if not np.array_equal(net_metric, d[np.ix_(net, net)]):
             raise ValueError(f"stage {stage.label}: stage metric differs from the "
                              "reference on the net")
-        norm, _ = operator_norm(stage.op, net_metric, stage.metric)
+        norm, _ = operator_norm(stage.op, stage.metric)
         report = almost_extension_defect(stage.op, d)
         rows.append({
             "n": stage.label, "net_size": len(net), "eps": stage.eps,

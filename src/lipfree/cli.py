@@ -135,18 +135,18 @@ def cmd_extend(args) -> int:
     ok = True
     for label, eps in schedule:
         nc = coversmod.build_net_cover(space, eps)
-        bundle = extmod.build_extension_bundle(space, eps, nc)
+        bundle = extmod.build_extension_bundle(nc)
         certs = list(bundle.certificates)
         perturbed = []
         rng = np.random.default_rng(seed)
-        radius = extmod.admission_radius(eps, bundle.order_bound)
+        radius = extmod.admission_radius(eps, nc.order_bound)
         for i in range(count):
             e = perturb_metric(bundle.adapted, 0.9 * radius, rng)
             pb = extmod.build_perturbed_operator(bundle, e)
             perturbed.append({
                 "index": i,
                 "norm": pb.gnorm,
-                "bound": pb.bound,
+                "bound": extmod.perturbed_norm_bound(nc.order_bound),
                 "certificates": _cert_list(pb.certificates),
             })
             certs.extend(pb.certificates)
@@ -193,6 +193,7 @@ def cmd_glue(args) -> int:
     seed = _require_seed(cfg) if count else int(cfg.get("seed", 0))
     rng = np.random.default_rng(seed)
     radius = gluemod.probe_radius(eps, gcfg.dim_k)
+    bound = gluemod.glued_norm_bound(gcfg.dim_k)
     ok = bundle.passed
     results = []
     for i in range(count):
@@ -203,11 +204,11 @@ def cmd_glue(args) -> int:
         results.append({
             "index": i,
             "norm": cert.measured_norm,
-            "probe_metric": _matrix(cert.probe),
+            "probe_metric": _matrix(e),
             "operator": None if cert.h_matrix is None else _matrix(cert.h_matrix),
             "certificates": _cert_list(cert.certificates),
         })
-        print(f"probe {i}: norm {cert.measured_norm:.4g} vs bound {cert.bound:.6g} "
+        print(f"probe {i}: norm {cert.measured_norm:.4g} vs bound {bound:.6g} "
               f"-> {'pass' if cert.passed else 'FAIL'}")
     payload = {
         "pipeline": "glue",
@@ -217,7 +218,7 @@ def cmd_glue(args) -> int:
         "eps": eps,
         "dim_k": gcfg.dim_k,
         "admission_radius": radius,
-        "bound": gluemod.glued_norm_bound(gcfg.dim_k),
+        "bound": bound,
         "net": list(bundle.net),
         "domain": list(gluemod.glue_domain(bundle)),
         "collar": list(bundle.v_indices),
@@ -243,11 +244,10 @@ def cmd_bap(args) -> int:
         n = int(n)
         eps = min(nu / 4.0, 1.0 / (10.0 * n))
         nc = coversmod.build_net_cover(space, eps)
-        bundle = extmod.build_extension_bundle(space, eps, nc)
-        bound = extmod.perturbed_norm_bound(bundle.order_bound)
+        bundle = extmod.build_extension_bundle(nc)
+        bound = extmod.perturbed_norm_bound(nc.order_bound)
         stages.append(bapmod.BapStage(
-            label=n, net=bundle.net, op=bundle.pou,
-            metric=bundle.adapted, eps=1.0 / n))
+            label=n, op=bundle.pou, metric=bundle.adapted, eps=1.0 / n))
     report = bapmod.bap_certificate(stages, space.dist, bound, envelope=envelope)
     path = Path(args.out_dir) / f"bap-{seed}.json"
     _write_json(path, {

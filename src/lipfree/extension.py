@@ -95,9 +95,6 @@ def verify_complement_margin(metric: np.ndarray, sets, eps: float) -> Certificat
 class ExtensionBundle:
     """Net, cover, partition weights, the adapted metric, and its certificates."""
 
-    space: FiniteMetricSpace
-    eps: float
-    order_bound: int
     nc: NetAndCover
     pou: WeightOperator          # the weights, read as the operator under `adapted`
     induced: np.ndarray          # pseudometric pulled back through the weights
@@ -114,9 +111,10 @@ class ExtensionBundle:
         return all_passed(self.certificates)
 
 
-def build_extension_bundle(space: FiniteMetricSpace, eps: float,
-                           nc: NetAndCover) -> ExtensionBundle:
-    """Assemble and certify the extension bundle; aborts on any failed clause."""
+def build_extension_bundle(nc: NetAndCover) -> ExtensionBundle:
+    """Assemble and certify the extension bundle of the net and cover nc at
+    its scale nc.eps; aborts on any failed clause."""
+    space, eps = nc.space, nc.eps
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     d = space.dist
@@ -127,8 +125,7 @@ def build_extension_bundle(space: FiniteMetricSpace, eps: float,
     r = nc.order_bound
 
     pou = partition_of_unity(d, nc.sets, nc.net, space=space)
-    d_a = d[np.ix_(a, a)]
-    induced = molecule_norm_matrix(pou, d_a)     # norms of the weight-row differences
+    induced = molecule_norm_matrix(pou, d)       # norms of the weight-row differences
     ps_report = validate_pseudometric(induced)
     if not ps_report.ok:
         raise BundleError(make_certificate(
@@ -146,12 +143,16 @@ def build_extension_bundle(space: FiniteMetricSpace, eps: float,
     certs.append(make_certificate(
         "adapted-sup-distance", 4.0 * eps, sup_distance(d, adapted), "lt", DEFAULT_TOL,
         inputs=inputs))
-    agree = float(np.abs(adapted[np.ix_(a, a)] - d_a).max())
+    agree = float(np.abs(adapted[np.ix_(a, a)] - d[np.ix_(a, a)]).max())
     certs.append(make_certificate(
         "adapted-extends-net-metric", 0.0, agree, "le", 0.0, inputs=inputs))
 
     if len(a) >= 2:
-        enorm, wit = operator_norm(pou, d_a, adapted, molecule_norms=induced)
+        # the first row-major maximiser of the molecule ratios over x < y
+        xs, ys = np.triu_indices(space.n, k=1)
+        ratios = induced[xs, ys] / adapted[xs, ys]
+        best = int(np.argmax(ratios))
+        enorm, wit = float(ratios[best]), (int(xs[best]), int(ys[best]))
         certs.append(make_certificate(
             "extension-operator-norm", 1.0, enorm, "abs_le", 1e-9,
             witnesses=[wit], inputs=inputs))
@@ -168,8 +169,7 @@ def build_extension_bundle(space: FiniteMetricSpace, eps: float,
     certs.append(verify_complement_margin(adapted, nc.sets, eps))
 
     bundle = ExtensionBundle(
-        space=space, eps=float(eps), order_bound=int(r), nc=nc, pou=pou,
-        induced=induced, adapted=adapted,
+        nc=nc, pou=pou, induced=induced, adapted=adapted,
         enorm=float(enorm), certificates=tuple(certs),
     )
     failed = [c for c in certs if not c.passed]
@@ -182,10 +182,8 @@ def build_extension_bundle(space: FiniteMetricSpace, eps: float,
 class PerturbedBundle:
     """Extension operator rebuilt for a metric near the adapted one."""
 
-    metric: np.ndarray
-    pou: WeightOperator          # weights rebuilt for `metric`, read as the operator
+    pou: WeightOperator          # weights rebuilt for the metric, read as the operator
     gnorm: float
-    bound: float
     certificates: tuple[Certificate, ...]
 
     @property
@@ -201,7 +199,8 @@ def build_perturbed_operator(bundle: ExtensionBundle, e: np.ndarray) -> Perturbe
     against 88 (r+1) (2r+3).
     """
     e = np.asarray(e, dtype=float)
-    eps, r = bundle.eps, bundle.order_bound
+    nc = bundle.nc
+    eps, r = nc.eps, nc.order_bound
     radius = admission_radius(eps, r)
     measured = sup_distance(e, bundle.adapted)
     if measured > radius:
@@ -213,8 +212,8 @@ def build_perturbed_operator(bundle: ExtensionBundle, e: np.ndarray) -> Perturbe
             details={"violations": report.summary()}))
 
     a = list(bundle.net)
-    mu = partition_of_unity(e, bundle.nc.sets, bundle.nc.net, space=bundle.space)
-    inputs = {"space": bundle.space.key, "eps": eps, "r": r}
+    mu = partition_of_unity(e, nc.sets, nc.net, space=nc.space)
+    inputs = {"space": nc.space.key, "eps": eps, "r": r}
     certs = [make_certificate("perturbation-admission", radius, measured, "le", 0.0,
                               inputs=inputs)]
     lips = [lipschitz_constant(mu.matrix[:, i], e) for i in range(len(a))]
@@ -223,7 +222,7 @@ def build_perturbed_operator(bundle: ExtensionBundle, e: np.ndarray) -> Perturbe
         "le", DEFAULT_TOL, witnesses=[int(np.argmax(lips))], inputs=inputs))
     bound = perturbed_norm_bound(r)
     if len(a) >= 2:
-        gnorm, wit = operator_norm(mu, e[np.ix_(a, a)], e)
+        gnorm, wit = operator_norm(mu, e)
         certs.append(make_certificate(
             "perturbed-operator-norm", bound, gnorm, "le", DEFAULT_TOL,
             witnesses=[wit], details={"headroom": bound - gnorm}, inputs=inputs))
@@ -232,7 +231,4 @@ def build_perturbed_operator(bundle: ExtensionBundle, e: np.ndarray) -> Perturbe
         certs.append(make_certificate(
             "perturbed-operator-norm", bound, 0.0, "le", 0.0,
             details={"note": "single-point net"}, inputs=inputs))
-    return PerturbedBundle(
-        metric=e, pou=mu, gnorm=float(gnorm), bound=float(bound),
-        certificates=tuple(certs),
-    )
+    return PerturbedBundle(pou=mu, gnorm=float(gnorm), certificates=tuple(certs))

@@ -87,20 +87,6 @@ def _dual_norm(weights: np.ndarray, d_sub: np.ndarray) -> float:
     return max(sol.value, 0.0)
 
 
-def _norm_of_weights(c: np.ndarray, d: np.ndarray, base: int) -> float:
-    """Norm of the weight vector c over the points of d with the given base.
-
-    The base-point weight never matters and is ignored.  The norm identities
-    of `_triage` answer zero, single-point and exact two-point elements;
-    everything else goes through the LP.
-    """
-    block = np.array(c, dtype=float)[None, :]
-    value, needs_lp = _triage(block, d, base)
-    if not needs_lp[0]:
-        return float(value[0])
-    return _lp_norm(block[0], d, base, {})
-
-
 def _triage(c: np.ndarray, d: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
     """Shortcut norms of the rows of c, and a mask of the rows that need the LP.
 
@@ -145,17 +131,25 @@ def _lp_norm(c: np.ndarray, d: np.ndarray, base: int, memo: dict) -> float:
     return value
 
 
-def _pair_blocks(n: int, pairs=None):
-    """The pairs as (x, y) index arrays, at most n pairs a block, so the row
-    differences of a block never outgrow the weight matrix.  By default all
-    pairs x < y, one x per block, in row-major order."""
-    if pairs is None:
-        for x in range(n - 1):
-            yield np.full(n - 1 - x, x), np.arange(x + 1, n)
-        return
-    xs, ys = np.asarray(list(pairs), dtype=int).reshape(-1, 2).T
-    for start in range(0, len(xs), n):
-        yield xs[start:start + n], ys[start:start + n]
+def _row_norms(c: np.ndarray, d: np.ndarray, base: int, memo: dict) -> np.ndarray:
+    """Norms of the weight rows c over the points of d with the given base.
+
+    The base column never matters and is zeroed in place.  `_triage` answers
+    zero, single-point and exact two-point rows; every other row solves the
+    norm LP once per distinct (support, weights) in memo.
+    """
+    value, needs_lp = _triage(c, d, base)
+    for r in np.flatnonzero(needs_lp):
+        value[r] = _lp_norm(c[r], d, base, memo)
+    return value
+
+
+def _pair_blocks(n: int):
+    """All pairs x < y as (x, y) index arrays in row-major order, one x per
+    block, so the row differences of a block never outgrow the weight
+    matrix."""
+    for x in range(n - 1):
+        yield np.full(n - 1 - x, x), np.arange(x + 1, n)
 
 
 # Relative slack an upper bound on a molecule ratio must clear before its pair
@@ -238,37 +232,35 @@ class WeightOperator:
         return self.matrix @ f
 
 
-def _domain_metric(op: WeightOperator, d_a) -> tuple[np.ndarray, int]:
-    """d_a as a float matrix over the operator domain, and the base position."""
-    d_a = np.asarray(d_a, dtype=float)
-    k = len(op.domain)
-    if d_a.shape != (k, k):
-        raise ValueError("metric on A must match the operator domain")
-    return d_a, op.base_position
+def _metrics(op: WeightOperator, d) -> tuple[np.ndarray, np.ndarray, int]:
+    """d as a float matrix over all points, its restriction to the operator
+    domain, and the base position in the domain."""
+    d = np.asarray(d, dtype=float)
+    n = op.space.n
+    if d.shape != (n, n):
+        raise ValueError(f"metric must be {n} x {n}, got {d.shape}")
+    return d, d[np.ix_(op.domain, op.domain)], op.base_position
 
 
-def molecule_norm_matrix(op: WeightOperator, d_a: np.ndarray, pairs=None) -> np.ndarray:
-    """Matrix of free-space norms of the row differences of op over (A, d_a).
+def molecule_norm_matrix(op: WeightOperator, d: np.ndarray) -> np.ndarray:
+    """Matrix of free-space norms of the row differences of op over (A, d|A).
 
     Entry (x, y) is the norm of sum_i (w_i(x) - w_i(y)) delta_{a_i}, the exact
-    sup over the unit ball of functions on A of |op(f)(x) - op(f)(y)|.  Every
-    pair of `pairs` (default: all x < y) is computed; the rest stay 0.
+    sup over the unit ball of Lip0(A, d|A) of |op(f)(x) - op(f)(y)|, for the
+    n x n metric d on all points.
 
-    The row differences are formed a block of pairs at a time.  `_triage`
-    answers zero, single-point and exact two-point molecules with numpy; each
-    remaining pair solves the norm LP once per distinct (support, weights) in
-    this call.  Entries are bitwise equal to a per-pair `_norm_of_weights`.
+    The row differences are formed a block of pairs at a time and passed to
+    `_row_norms`, which answers zero, single-point and exact two-point
+    molecules with numpy and solves the norm LP once per distinct (support,
+    weights) in this call.
     """
-    d_a, base = _domain_metric(op, d_a)
+    _, d_a, base = _metrics(op, d)
     n = op.space.n
     w = op.matrix
     out = np.zeros((n, n))
     memo: dict = {}
-    for x, y in _pair_blocks(n, pairs):
-        c = w[x] - w[y]
-        value, needs_lp = _triage(c, d_a, base)
-        for r in np.flatnonzero(needs_lp):
-            value[r] = _lp_norm(c[r], d_a, base, memo)
+    for x, y in _pair_blocks(n):
+        value = _row_norms(w[x] - w[y], d_a, base, memo)
         out[x, y] = value
         out[y, x] = value
     return out
@@ -308,32 +300,24 @@ def _pruned_ratios(w: np.ndarray, d_a: np.ndarray, base: int,
     return ratios
 
 
-def operator_norm(op: WeightOperator, d_a: np.ndarray, d_t: np.ndarray,
-                  molecule_norms: np.ndarray | None = None
-                  ) -> tuple[float, tuple[int, int]]:
-    """Norm of op from Lip0(A, d_a) to Lip0(T, d_t) via the molecule reduction,
+def operator_norm(op: WeightOperator, d: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """Norm of op from Lip0(A, d|A) to Lip0(T, d) via the molecule reduction,
     and its witness: max over pairs x != y of ||row(x) - row(y)||_{F(A)} /
-    d_t(x, y), with the first maximising pair (x < y, row-major).
+    d(x, y), with the first maximising pair (x < y, row-major).
 
-    Given `molecule_norms`, the ratios come from that matrix.  Otherwise only
-    the maximum is needed: shortcut pairs (see `molecule_norm_matrix`) give
-    exact ratios, and the LP pairs are solved in descending order of a proven
-    upper bound on their ratio (`_ratio_upper_bounds`), skipping every pair
-    whose bound falls below the best exact ratio so far.  A skipped pair lies
-    strictly below the maximum, so the value and the witness equal those of
-    the exhaustive sweep.
+    Only the maximum is needed: shortcut pairs (see `molecule_norm_matrix`)
+    give exact ratios, and the LP pairs are solved in descending order of a
+    proven upper bound on their ratio (`_ratio_upper_bounds`), skipping every
+    pair whose bound falls below the best exact ratio so far.  A skipped pair
+    lies strictly below the maximum, so the value and the witness equal those
+    of the exhaustive sweep.
     """
-    d_t = np.asarray(d_t, dtype=float)
-    if molecule_norms is None:
-        d_a, base = _domain_metric(op, d_a)
+    d, d_a, base = _metrics(op, d)
     n = op.space.n
     if n < 2:
         return 0.0, (0, 0)
     xs, ys = np.triu_indices(n, k=1)
-    if molecule_norms is not None:
-        ratios = molecule_norms[xs, ys] / d_t[xs, ys]
-    else:
-        ratios = _pruned_ratios(op.matrix, d_a, base, d_t)
+    ratios = _pruned_ratios(op.matrix, d_a, base, d)
     best = int(np.argmax(ratios))
     return float(ratios[best]), (int(xs[best]), int(ys[best]))
 

@@ -88,15 +88,17 @@ def free_norm_by_vertices(weights: np.ndarray, d_a: np.ndarray, base_pos: int) -
     return float(np.abs(verts @ w).max())
 
 
-def operator_norm_by_vertices(op, d_a: np.ndarray, d_t: np.ndarray) -> float:
-    """Brute-force operator norm over all extreme profiles and point pairs."""
-    verts = lip_ball_vertices(d_a, op.base_position)
+def operator_norm_by_vertices(op, d: np.ndarray) -> float:
+    """Brute-force operator norm from Lip0(A, d|A) to Lip0(T, d) over all
+    extreme profiles and point pairs."""
+    dom = list(op.domain)
+    verts = lip_ball_vertices(d[np.ix_(dom, dom)], op.base_position)
     images = op.matrix @ verts.T                     # (n, n_vertices)
     n = op.space.n
     best = 0.0
     for x, y in itertools.combinations(range(n), 2):
         gaps = np.abs(images[x] - images[y])
-        best = max(best, float(gaps.max()) / d_t[x, y])
+        best = max(best, float(gaps.max()) / d[x, y])
     return best
 
 
@@ -121,6 +123,18 @@ def molecule_norms_by_pairs(op, d_a: np.ndarray) -> np.ndarray:
             val = lf.freenorm._dual_norm(c[nz], d_a[np.ix_(sub, sub)])
         out[x, y] = out[y, x] = val
     return out
+
+
+def operator_norm_by_molecules(op, d: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """The exhaustive molecule reduction: every pair's molecule norm from
+    `molecule_norms_by_pairs` over d|A, divided by d, and the first maximiser
+    over x < y in row-major order with its value."""
+    dom = list(op.domain)
+    norms = molecule_norms_by_pairs(op, d[np.ix_(dom, dom)])
+    xs, ys = np.triu_indices(op.space.n, k=1)
+    ratios = norms[xs, ys] / d[xs, ys]
+    best = int(np.argmax(ratios))
+    return float(ratios[best]), (int(xs[best]), int(ys[best]))
 
 
 def min_plus_excess_by_via(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:

@@ -45,7 +45,7 @@ def bundles_1d(grid_1d):
     out = {}
     for eps in EPS_SCHEDULE:
         nc = lf.build_net_cover(grid_1d, eps)
-        out[eps] = lf.build_extension_bundle(grid_1d, eps, nc)
+        out[eps] = lf.build_extension_bundle(nc)
     return out, time.perf_counter() - start
 
 
@@ -55,7 +55,7 @@ def bundles_2d(grid_2d):
     out = {}
     for eps in EPS_SCHEDULE:
         nc = lf.build_net_cover(grid_2d, eps)
-        out[eps] = lf.build_extension_bundle(grid_2d, eps, nc)
+        out[eps] = lf.build_extension_bundle(nc)
     return out, time.perf_counter() - start
 
 
@@ -63,11 +63,11 @@ def bundles_2d(grid_2d):
 def perturbed_20(bundles_1d):
     bundle = bundles_1d[0][1 / 4]
     rng = np.random.default_rng(2024)
-    radius = lf.admission_radius(bundle.eps, bundle.order_bound)
+    radius = lf.admission_radius(bundle.nc.eps, bundle.nc.order_bound)
     out = []
     for _ in range(20):
         e = lf.perturb_metric(bundle.adapted, 0.95 * radius, rng)
-        out.append(lf.build_perturbed_operator(bundle, e))
+        out.append((e, lf.build_perturbed_operator(bundle, e)))
     return bundle, out
 
 
@@ -90,11 +90,11 @@ def test_adapted_metric_bounds(bundles_1d, bundles_2d):
         for bundles, elapsed in (bundles_1d, bundles_2d):
             assert elapsed < 120.0, f"grid pipeline took {elapsed:.1f}s"
             for eps, bundle in bundles.items():
-                sup = lf.sup_distance(bundle.space.dist, bundle.adapted)
+                sup = lf.sup_distance(bundle.nc.space.dist, bundle.adapted)
                 assert sup < 4 * eps, (eps, sup)
                 a = list(bundle.net)
                 gap = np.abs(bundle.adapted[np.ix_(a, a)]
-                             - bundle.space.dist[np.ix_(a, a)]).max()
+                             - bundle.nc.space.dist[np.ix_(a, a)]).max()
                 assert gap == 0.0, (eps, gap)
 
 
@@ -104,9 +104,9 @@ def test_operator_norms(bundles_1d, bundles_2d, perturbed_20):
             for eps, bundle in bundles.items():
                 assert abs(bundle.enorm - 1.0) <= 1e-6, (eps, bundle.enorm)
         bundle, perturbed = perturbed_20
-        bound = lf.perturbed_norm_bound(bundle.order_bound)
+        bound = lf.perturbed_norm_bound(bundle.nc.order_bound)
         assert bound == 880.0
-        worst = max(pb.gnorm for pb in perturbed)
+        worst = max(pb.gnorm for _, pb in perturbed)
         assert worst <= bound
         print(f"    perturbed-norm headroom: worst {worst:.4f} vs bound {bound:.0f}")
 
@@ -124,12 +124,12 @@ def test_partition_estimates(bundles_1d, bundles_2d, perturbed_20):
                 margin = lf.verify_complement_margin(bundle.adapted, bundle.nc.sets, eps)
                 assert margin.passed
         bundle, perturbed = perturbed_20
-        mu_bound = 4 * (2 * bundle.order_bound + 3) / bundle.eps
-        for pb in perturbed:
+        mu_bound = 4 * (2 * bundle.nc.order_bound + 3) / bundle.nc.eps
+        for e, pb in perturbed:
             for cert in pb.certificates:
                 assert cert.passed, str(cert)
             for i in range(len(bundle.net)):
-                lip = lf.lipschitz_constant(pb.pou.matrix[:, i], pb.metric)
+                lip = lf.lipschitz_constant(pb.pou.matrix[:, i], e)
                 assert lip <= mu_bound + 1e-7
 
 
@@ -158,7 +158,7 @@ def test_gluing_certificates():
         cfg = lf.GluingConfig(space, tuple(k), 1, (0.7, 0.5, 0.3, 0.2, 0.1))
         eps = 0.7
         bundle = lf.build_gluing_bundle(cfg, 1, eps)
-        assert lf.inner_norm_bound(1) == 880.0
+        assert lf.perturbed_norm_bound(1) == 880.0
         assert lf.glued_norm_bound(1) == 302.0 * 881.0 == 266062.0
         rng = np.random.default_rng(99)
         radius = lf.probe_radius(eps, 1)
@@ -187,10 +187,10 @@ def test_bap_harness(grid_1d):
         for n in (2, 4, 8):
             eps = min(1.0 / 4.0, 1.0 / (10.0 * n))
             nc = lf.build_net_cover(grid_1d, eps)
-            bundle = lf.build_extension_bundle(grid_1d, eps, nc)
-            bound = lf.perturbed_norm_bound(bundle.order_bound)
-            stages.append(lf.BapStage(label=n, net=bundle.net, op=bundle.pou,
-                                      metric=bundle.adapted, eps=1.0 / n))
+            bundle = lf.build_extension_bundle(nc)
+            bound = lf.perturbed_norm_bound(bundle.nc.order_bound)
+            stages.append(lf.BapStage(label=n, op=bundle.pou, metric=bundle.adapted,
+                                      eps=1.0 / n))
         assert bound == 880.0
         report = lf.bap_certificate(stages, grid_1d.dist, bound)
         assert report.passed
@@ -240,7 +240,6 @@ def test_operator_norm_oracle_equivalence():
                 op = lf.WeightOperator(space, dom, w, partition=True)
             else:
                 op = lf.WeightOperator(space, dom, rng.normal(size=(n, k)))
-            d_a = space.dist[np.ix_(dom, dom)]
-            fast, _ = lf.operator_norm(op, d_a, space.dist)
-            slow = operator_norm_by_vertices(op, d_a, space.dist)
+            fast, _ = lf.operator_norm(op, space.dist)
+            slow = operator_norm_by_vertices(op, space.dist)
             assert abs(fast - slow) <= 1e-6, (seed, fast, slow)

@@ -13,9 +13,9 @@ def line17():
 def stage_for(space, n, nu=1.0):
     eps = min(nu / 4.0, 1.0 / (10.0 * n))
     nc = lf.build_net_cover(space, eps)
-    bundle = lf.build_extension_bundle(space, eps, nc)
-    return lf.BapStage(label=n, net=bundle.net, op=bundle.pou,
-                       metric=bundle.adapted, eps=1.0 / n), bundle
+    bundle = lf.build_extension_bundle(nc)
+    return lf.BapStage(label=n, op=bundle.pou, metric=bundle.adapted,
+                       eps=1.0 / n), bundle
 
 
 class TestDefect:
@@ -103,8 +103,7 @@ class TestBapCertificate:
         k = len(bundle.net)
         const = np.tile(np.eye(k)[0], (n_pts, 1))
         bad_op = lf.WeightOperator(line17, bundle.net, const, partition=True)
-        bad = lf.BapStage(label=2, net=stage.net, op=bad_op,
-                          metric=stage.metric, eps=stage.eps)
+        bad = lf.BapStage(label=2, op=bad_op, metric=stage.metric, eps=stage.eps)
         report = lf.bap_certificate([bad], line17.dist, 1000.0, envelope=1.0)
         assert not report.passed
         defect_cert = [c for c in report.certificates if "defect" in c.kind][0]
@@ -112,7 +111,7 @@ class TestBapCertificate:
 
     def test_density_precondition_enforced(self, line17):
         stage, bundle = stage_for(line17, 2)
-        sparse = lf.BapStage(label=2, net=(0, 16), op=lf.WeightOperator(
+        sparse = lf.BapStage(label=2, op=lf.WeightOperator(
             line17, (0, 16), np.tile([1.0, 0.0], (17, 1)), partition=True),
             metric=line17.dist, eps=0.01)
         with pytest.raises(ValueError):

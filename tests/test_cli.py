@@ -127,6 +127,7 @@ class TestGluePipeline:
         assert payload["bound"] == lf.glued_norm_bound(1)
         assert payload["net"][0] in payload["domain"]
         assert not any(c["warning"] for c in payload["certificates"])
+        assert not any(c["warning"] for p in payload["probes"] for c in p["certificates"])
 
     def test_full_core_fallback(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -221,7 +222,7 @@ class TestReportLayout:
         net = report["bundle"]["cover"]["net"]
         induced = np.array(report["bundle"]["induced"])
         adapted = induced + lf.quotient_pseudometric(space.dist, net)
-        bundle = lf.build_extension_bundle(space, 0.5, lf.build_net_cover(space, 0.5))
+        bundle = lf.build_extension_bundle(lf.build_net_cover(space, 0.5))
         assert np.array_equal(adapted, bundle.adapted)
         sup = next(c for c in report["certificates"] if c["kind"] == "adapted-sup-distance")
         assert lf.sup_distance(space.dist, adapted) == sup["measured"]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,14 @@ from conftest import lip_ball_vertices, line_space, operator_norm_by_vertices
 def line_bundle():
     space = lf.make_grid_space([17], 1 / 16)
     nc = lf.build_net_cover(space, 0.25)
-    return lf.build_extension_bundle(space, 0.25, nc)
+    return lf.build_extension_bundle(nc)
 
 
 @pytest.fixture(scope="module")
 def grid_bundle():
     space = lf.make_grid_space([7, 7], 1 / 24)
     nc = lf.build_net_cover(space, 0.3)
-    return lf.build_extension_bundle(space, 0.3, nc)
+    return lf.build_extension_bundle(nc)
 
 
 class TestPartitionOfUnity:
@@ -37,7 +39,7 @@ class TestPartitionOfUnity:
 
     def test_lipschitz_bound_under_adapted_metric(self, line_bundle, grid_bundle):
         for bundle in (line_bundle, grid_bundle):
-            bound = 3.0 / bundle.eps
+            bound = 3.0 / bundle.nc.eps
             for i in range(len(bundle.net)):
                 lip = lf.lipschitz_constant(bundle.pou.matrix[:, i], bundle.adapted)
                 assert lip <= bound + 1e-7
@@ -47,7 +49,7 @@ class TestInducedPseudometric:
     def test_net_pairs_recover_distance(self, line_bundle):
         a = list(line_bundle.net)
         got = line_bundle.induced[np.ix_(a, a)]
-        want = line_bundle.space.dist[np.ix_(a, a)]
+        want = line_bundle.nc.space.dist[np.ix_(a, a)]
         assert np.array_equal(got, want)
 
     def test_diagonal_zero(self, line_bundle):
@@ -55,7 +57,7 @@ class TestInducedPseudometric:
 
     def test_within_three_eps(self, line_bundle, grid_bundle):
         for bundle in (line_bundle, grid_bundle):
-            assert lf.sup_distance(bundle.induced, bundle.space.dist) < 3 * bundle.eps
+            assert lf.sup_distance(bundle.induced, bundle.nc.space.dist) < 3 * bundle.nc.eps
 
     def test_is_pseudometric(self, grid_bundle):
         assert lf.validate_pseudometric(grid_bundle.induced).ok
@@ -68,20 +70,20 @@ class TestExtensionBundle:
         nc = lf.build_net_cover(space, 0.3,
                                 refiner=lambda s, e: lf.CoverFamily(s, ((0,), (1,)), 0))
         assert nc.net == (0, 1)
-        bundle = lf.build_extension_bundle(space, 0.3, nc)
+        bundle = lf.build_extension_bundle(nc)
         assert np.array_equal(bundle.adapted, space.dist)
         assert bundle.enorm == pytest.approx(1.0, abs=1e-9)
         assert np.array_equal(bundle.pou.matrix[list(bundle.net)], np.eye(2))
 
     def test_adapted_metric_bound(self, line_bundle, grid_bundle):
         for bundle in (line_bundle, grid_bundle):
-            assert lf.sup_distance(bundle.space.dist, bundle.adapted) < 4 * bundle.eps
+            assert lf.sup_distance(bundle.nc.space.dist, bundle.adapted) < 4 * bundle.nc.eps
 
     def test_adapted_extends_exactly_on_net(self, line_bundle, grid_bundle):
         for bundle in (line_bundle, grid_bundle):
             a = list(bundle.net)
             assert np.array_equal(bundle.adapted[np.ix_(a, a)],
-                                  bundle.space.dist[np.ix_(a, a)])
+                                  bundle.nc.space.dist[np.ix_(a, a)])
 
     def test_norm_is_one(self, line_bundle, grid_bundle):
         for bundle in (line_bundle, grid_bundle):
@@ -102,9 +104,9 @@ class TestExtensionBundle:
 
     def test_margin_certificate(self, line_bundle):
         cert = lf.verify_complement_margin(line_bundle.adapted, line_bundle.nc.sets,
-                                           line_bundle.eps)
+                                           line_bundle.nc.eps)
         assert cert.passed
-        assert cert.measured >= line_bundle.eps / 3
+        assert cert.measured >= line_bundle.nc.eps / 3
 
     def test_single_set_margin_is_single_term(self):
         space = lf.random_metric_space(3, seed=2)
@@ -116,7 +118,7 @@ class TestExtensionBundle:
         space = lf.make_grid_space([5], 0.1)
         nc = lf.build_net_cover(space, 0.25)
         with pytest.raises(ValueError):
-            lf.build_extension_bundle(space, 1.5, nc)
+            lf.build_extension_bundle(dataclasses.replace(nc, eps=1.5))
 
     def test_monotone_refinement(self):
         # finer scales bring the adapted metric uniformly closer
@@ -124,7 +126,7 @@ class TestExtensionBundle:
         sups = []
         for eps in (1 / 2, 1 / 4, 1 / 8):
             nc = lf.build_net_cover(space, eps)
-            bundle = lf.build_extension_bundle(space, eps, nc)
+            bundle = lf.build_extension_bundle(nc)
             sups.append(lf.sup_distance(space.dist, bundle.adapted))
         assert all(s < 4 * e for s, e in zip(sups, (1 / 2, 1 / 4, 1 / 8)))
         assert sups[0] >= sups[1] >= sups[2]
@@ -135,7 +137,7 @@ class TestPerturbedOperator:
         pb = lf.build_perturbed_operator(line_bundle, line_bundle.adapted)
         assert pb.passed
         assert np.array_equal(pb.pou.matrix[list(pb.pou.domain)], np.eye(len(pb.pou.domain)))
-        assert pb.gnorm <= pb.bound
+        assert pb.gnorm <= lf.perturbed_norm_bound(line_bundle.nc.order_bound)
 
     def test_rebuilt_at_adapted_metric(self, line_bundle, grid_bundle):
         # partition covers reproduce the original weights, so the rebuilt
@@ -146,7 +148,7 @@ class TestPerturbedOperator:
             if lf.order(bundle.nc.sets) == 0:
                 assert np.array_equal(pb.pou.matrix, bundle.pou.matrix)
             assert pb.gnorm >= 1.0 - 1e-9
-            assert pb.gnorm <= pb.bound
+            assert pb.gnorm <= lf.perturbed_norm_bound(bundle.nc.order_bound)
 
     def test_admission_rejection_with_measured_distance(self, line_bundle):
         far = line_bundle.adapted * 3.0
@@ -157,15 +159,15 @@ class TestPerturbedOperator:
 
     def test_seeded_perturbations_certify(self, line_bundle):
         rng = np.random.default_rng(5)
-        radius = lf.admission_radius(line_bundle.eps, line_bundle.order_bound)
+        radius = lf.admission_radius(line_bundle.nc.eps, line_bundle.nc.order_bound)
         for _ in range(5):
             e = lf.perturb_metric(line_bundle.adapted, 0.9 * radius, rng)
             pb = lf.build_perturbed_operator(line_bundle, e)
             assert pb.passed
             assert np.array_equal(pb.pou.matrix[list(pb.pou.domain)],
                                   np.eye(len(pb.pou.domain)))
-            assert pb.gnorm <= pb.bound + 1e-7
-            lip_bound = 4 * (2 * line_bundle.order_bound + 3) / line_bundle.eps
+            assert pb.gnorm <= lf.perturbed_norm_bound(line_bundle.nc.order_bound) + 1e-7
+            lip_bound = 4 * (2 * line_bundle.nc.order_bound + 3) / line_bundle.nc.eps
             for i in range(len(line_bundle.net)):
                 assert lf.lipschitz_constant(pb.pou.matrix[:, i], e) <= lip_bound + 1e-7
 
@@ -175,11 +177,11 @@ class TestPerturbedOperator:
         # enumeration needs a small net to stay tractable
         space = lf.make_grid_space([7], 1 / 6)
         nc = lf.build_net_cover(space, 0.9)
-        bundle = lf.build_extension_bundle(space, 0.9, nc)
+        bundle = lf.build_extension_bundle(nc)
         assert 2 <= len(bundle.net) <= 4
         rng = np.random.default_rng(6)
-        r = bundle.order_bound
-        radius = lf.admission_radius(bundle.eps, r)
+        r = bundle.nc.order_bound
+        radius = lf.admission_radius(bundle.nc.eps, r)
         e = lf.perturb_metric(bundle.adapted, 0.9 * radius, rng)
         a = list(bundle.net)
         e_a = e[np.ix_(a, a)]
@@ -199,7 +201,6 @@ class TestOperatorNormOracle:
             w = rng.uniform(0, 1, size=(5, 3))
             w /= w.sum(axis=1, keepdims=True)
             op = lf.WeightOperator(space, dom, w, partition=True)
-            d_a = space.dist[np.ix_(dom, dom)]
-            fast, _ = lf.operator_norm(op, d_a, space.dist)
-            slow = operator_norm_by_vertices(op, d_a, space.dist)
+            fast, _ = lf.operator_norm(op, space.dist)
+            slow = operator_norm_by_vertices(op, space.dist)
             assert fast == pytest.approx(slow, abs=1e-8)

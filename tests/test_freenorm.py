@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import lipfree as lf
 from lipfree import freenorm as fn, lp as lpmod
 from conftest import (free_norm_by_vertices, free_space_norm, line_space,
-                      molecule_norms_by_pairs)
+                      molecule_norms_by_pairs, operator_norm_by_molecules)
 
 
 def identity_operator(space):
@@ -97,8 +97,8 @@ class TestFreeSpaceNorm:
         w = np.array([5.0, 1.0, -2.0, 0.5, 0.0])
         w2 = w.copy()
         w2[space.base_index] = -123.0
-        norm = fn._norm_of_weights(w, space.dist, space.base_index)
-        assert fn._norm_of_weights(w2, space.dist, space.base_index) == norm
+        norm = fn._row_norms(w[None, :].copy(), space.dist, space.base_index, {})[0]
+        assert fn._row_norms(w2[None, :].copy(), space.dist, space.base_index, {})[0] == norm
         assert norm == pytest.approx(free_space_norm(space, w2), abs=1e-12)
 
     def test_norm_lp_residual_rejected(self, monkeypatch):
@@ -180,12 +180,12 @@ class TestOperatorNorm:
     def test_zero_operator(self):
         space = lf.random_metric_space(4, seed=13)
         op = lf.WeightOperator(space, (0, 1), np.zeros((4, 2)))
-        assert lf.operator_norm(op, space.dist[:2, :2], space.dist)[0] == 0.0
+        assert lf.operator_norm(op, space.dist)[0] == 0.0
 
     def test_identity_has_norm_one(self):
         space = lf.random_metric_space(5, seed=14)
         op = identity_operator(space)
-        assert lf.operator_norm(op, space.dist, space.dist)[0] == pytest.approx(1.0, abs=1e-9)
+        assert lf.operator_norm(op, space.dist)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_operator_defect_matches_delta_norm(self):
         space = lf.random_metric_space(4, seed=15)
@@ -199,27 +199,31 @@ class TestOperatorNorm:
         space = lf.random_metric_space(4, seed=16)
         op = lf.WeightOperator(space, (1, 2), np.zeros((4, 2)))
         with pytest.raises(ValueError):
-            lf.operator_norm(op, space.dist[np.ix_([1, 2], [1, 2])], space.dist)
+            lf.operator_norm(op, space.dist)
+
+    def test_metric_shape_checked(self):
+        space = lf.random_metric_space(5, seed=16)
+        op = lf.WeightOperator(space, (space.base_index, 3), np.zeros((5, 2)))
+        wrong = lf.random_metric_space(7, seed=16).dist
+        with pytest.raises(ValueError, match="5 x 5"):
+            lf.operator_norm(op, wrong)
+        with pytest.raises(ValueError, match="5 x 5"):
+            lf.molecule_norm_matrix(op, wrong)
 
     def test_thread_safety_of_pair_sweep(self):
         # pure function: concurrent evaluation must agree with serial
         from concurrent.futures import ThreadPoolExecutor
-        import itertools
 
         space = lf.random_metric_space(6, seed=17)
         rng = np.random.default_rng(0)
         w = rng.uniform(0, 1, size=(6, 3))
         w /= w.sum(axis=1, keepdims=True)
         op = lf.WeightOperator(space, (0, 2, 4), w, partition=True)
-        d_a = space.dist[np.ix_([0, 2, 4], [0, 2, 4])]
-        serial = lf.molecule_norm_matrix(op, d_a)
-        pairs = list(itertools.combinations(range(6), 2))
-        with ThreadPoolExecutor(4) as pool:
-            chunks = pool.map(
-                lambda chunk: lf.molecule_norm_matrix(op, d_a, pairs=chunk),
-                [pairs[:7], pairs[7:]])
-        combined = sum(chunks)
-        assert np.array_equal(combined, serial)
+        serial = lf.molecule_norm_matrix(op, space.dist)
+        with ThreadPoolExecutor(2) as pool:
+            results = list(pool.map(
+                lambda _: lf.molecule_norm_matrix(op, space.dist), range(4)))
+        assert all(np.array_equal(r, serial) for r in results)
 
 
 def random_operator(seed: int, partition: bool):
@@ -265,8 +269,7 @@ def random_operator(seed: int, partition: bool):
                 row[j] -= 1.0
         rows.append(row)
     op = lf.WeightOperator(space, domain, np.array(rows), partition=partition)
-    d_t = lf.perturb_metric(space.dist, 0.05, rng)
-    return op, space.dist[np.ix_(domain, domain)], d_t
+    return op, lf.perturb_metric(space.dist, 0.05, rng)
 
 
 @pytest.fixture(scope="module")
@@ -274,16 +277,19 @@ def grid_operators():
     """A 9 x 9 grid bundle and two operators rebuilt on perturbed metrics, as
     the extend pipeline makes them; the bundle's molecules need 1,314 LPs."""
     space = lf.make_grid_space([9, 9], 0.02)
-    bundle = lf.build_extension_bundle(space, 0.25, lf.build_net_cover(space, 0.25))
+    bundle = lf.build_extension_bundle(lf.build_net_cover(space, 0.25))
     rng = np.random.default_rng(3)
-    radius = lf.admission_radius(0.25, bundle.order_bound)
-    a = list(bundle.net)
-    ops = [(bundle.pou, bundle.space.dist[np.ix_(a, a)], bundle.adapted)]
+    radius = lf.admission_radius(0.25, bundle.nc.order_bound)
+    ops = [(bundle.pou, bundle.adapted)]
     for _ in range(2):
         e = lf.perturb_metric(bundle.adapted, 0.9 * radius, rng)
-        mu = lf.build_perturbed_operator(bundle, e).pou
-        ops.append((mu, e[np.ix_(a, a)], e))
+        ops.append((lf.build_perturbed_operator(bundle, e).pou, e))
     return ops
+
+
+def on_domain(op, d):
+    """The metric d restricted to the operator domain."""
+    return d[np.ix_(op.domain, op.domain)]
 
 
 def lp_pair_rows(op, d_a):
@@ -310,24 +316,21 @@ class TestMoleculeNormLayer:
     @given(st.integers(0, 10_000), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_matrix_equals_per_pair_sweep(self, seed, partition):
-        op, d_a, _ = random_operator(seed, partition)
-        assert np.array_equal(lf.molecule_norm_matrix(op, d_a),
-                              molecule_norms_by_pairs(op, d_a))
+        op, d_t = random_operator(seed, partition)
+        for metric in (d_t, op.space.dist):
+            assert np.array_equal(lf.molecule_norm_matrix(op, metric),
+                                  molecule_norms_by_pairs(op, on_domain(op, metric)))
 
     @given(st.integers(0, 10_000), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_pruned_norm_equals_exhaustive(self, seed, partition):
-        op, d_a, d_t = random_operator(seed, partition)
-        full = lf.molecule_norm_matrix(op, d_a)
+        op, d_t = random_operator(seed, partition)
         for metric in (d_t, op.space.dist):
-            exhaustive = lf.operator_norm(op, d_a, metric, molecule_norms=full)
-            assert lf.operator_norm(op, d_a, metric) == exhaustive
+            assert lf.operator_norm(op, metric) == operator_norm_by_molecules(op, metric)
 
     def test_pruned_norm_equals_exhaustive_on_grid(self, grid_operators):
-        for op, d_a, d_t in grid_operators:
-            full = molecule_norms_by_pairs(op, d_a)
-            exhaustive = lf.operator_norm(op, d_a, d_t, molecule_norms=full)
-            assert lf.operator_norm(op, d_a, d_t) == exhaustive
+        for op, d in grid_operators:
+            assert lf.operator_norm(op, d) == operator_norm_by_molecules(op, d)
 
     def test_bound_dominates_lp_norm(self, grid_operators, monkeypatch):
         # without the margin, so the bound itself is shown to hold
@@ -335,7 +338,8 @@ class TestMoleculeNormLayer:
         cases = list(grid_operators)
         cases += [random_operator(seed, seed % 2 == 0) for seed in range(40)]
         checked = 0
-        for op, d_a, _ in cases:
+        for op, d in cases:
+            d_a = on_domain(op, d)
             c = lp_pair_rows(op, d_a)
             base = op.base_position
             bounds = fn._ratio_upper_bounds(c, d_a, base, np.ones(len(c)))
@@ -346,14 +350,15 @@ class TestMoleculeNormLayer:
 
     def test_dedup_and_pruning_solve_fewer_lps(self, grid_operators, monkeypatch):
         calls = count_solves(monkeypatch)
-        for op, d_a, d_t in grid_operators:
+        for op, d in grid_operators:
+            d_a = on_domain(op, d)
             c = lp_pair_rows(op, d_a)
             distinct = {(np.flatnonzero(r).tobytes(), r[r != 0].tobytes()) for r in c}
             calls.clear()
-            full = lf.molecule_norm_matrix(op, d_a)
+            full = lf.molecule_norm_matrix(op, d)
             assert len(calls) == len(distinct) < len(c)
             calls.clear()
-            lf.operator_norm(op, d_a, d_t)
+            lf.operator_norm(op, d)
             assert len(calls) < len(distinct)
             calls.clear()
             assert np.array_equal(molecule_norms_by_pairs(op, d_a), full)
@@ -363,26 +368,15 @@ class TestMoleculeNormLayer:
         space = lf.random_metric_space(5, seed=30)
         b = space.base_index
         op = lf.WeightOperator(space, (b,), np.ones((5, 1)), partition=True)
-        d_a = space.dist[np.ix_([b], [b])]
-        assert np.array_equal(lf.molecule_norm_matrix(op, d_a), np.zeros((5, 5)))
-        assert lf.operator_norm(op, d_a, space.dist) == (0.0, (0, 1))
+        assert np.array_equal(lf.molecule_norm_matrix(op, space.dist), np.zeros((5, 5)))
+        assert lf.operator_norm(op, space.dist) == (0.0, (0, 1))
 
     def test_two_points(self):
         space = line_space([0.0, 2.5])
         op = identity_operator(space)
         norms = lf.molecule_norm_matrix(op, space.dist)
         assert np.array_equal(norms, space.dist)
-        assert lf.operator_norm(op, space.dist, space.dist) == (1.0, (0, 1))
-        assert lf.operator_norm(op, space.dist, space.dist / 2) == (2.0, (0, 1))
-
-    def test_explicit_pairs_fill_only_their_entries(self):
-        op, d_a, _ = random_operator(7, False)
-        full = lf.molecule_norm_matrix(op, d_a)
-        part = lf.molecule_norm_matrix(op, d_a, pairs=[(1, 0)])
-        assert part[0, 1] == part[1, 0] == full[0, 1]
-        part[0, 1] = part[1, 0] = 0.0
-        assert not part.any()
-        assert not lf.molecule_norm_matrix(op, d_a, pairs=[]).any()
+        assert lf.operator_norm(op, space.dist) == (1.0, (0, 1))
 
 
 class TestMetricExtension:

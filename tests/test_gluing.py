@@ -188,20 +188,22 @@ class TestGluingBundle:
         assert np.array_equal(out, inner.pou.matrix @ f)
 
     def test_point_core_constants(self, point_core_glue):
-        assert lf.inner_norm_bound(0) == 264.0
+        assert lf.perturbed_norm_bound(0) == 264.0
         assert lf.glued_norm_bound(0) == 152.0 * 265.0 == 40280.0
         cert = lf.certify_gluing(point_core_glue, point_core_glue.metric, rng=1)
         assert cert.passed
-        assert cert.bound == 40280.0
+        norm_cert = next(c for c in cert.certificates if c.kind == "glued-operator-norm")
+        assert norm_cert.claimed == 40280.0
 
 
 class TestCertifyGluing:
     def test_glue_metric_itself_passes(self, small_glue):
         cert = lf.certify_gluing(small_glue, small_glue.metric, rng=3)
         assert cert.passed
-        assert cert.measured_norm <= cert.bound
+        bound = lf.glued_norm_bound(small_glue.cfg.dim_k)
+        assert cert.measured_norm <= bound
         # headroom should be enormous
-        assert cert.measured_norm < cert.bound / 100
+        assert cert.measured_norm < bound / 100
 
     def test_restriction_identity_exact(self, small_glue):
         cert = lf.certify_gluing(small_glue, small_glue.metric, rng=4)
