@@ -84,7 +84,7 @@ def _cert_list(certs) -> list[dict]:
 
 
 def _matrix(m) -> list:
-    return [list(map(float, row)) for row in np.asarray(m)]
+    return np.asarray(m, dtype=float).tolist()
 
 
 def _cover(nc) -> dict:

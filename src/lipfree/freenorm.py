@@ -44,17 +44,25 @@ class MetricExtensionError(RuntimeError):
 
 def lipschitz_constant(values, d: np.ndarray) -> float:
     """Best Lipschitz constant of values w.r.t. d; inf when a zero-distance
-    pair carries different values (pseudometrics only)."""
+    pair carries different values (pseudometrics only).
+
+    Only pairs with an end in the support S of values are swept, as the rows
+    S x all and the columns (all - S) x S: a pair with both ends off S has
+    df = 0, so it can neither raise the maximum, which is >= 0, nor be
+    degenerate.  The result is the all-pairs one for any d.
+    """
     f = np.asarray(values, dtype=float)
     d = np.asarray(d, dtype=float)
-    df = np.abs(f[:, None] - f[None, :])
-    pos = d > 0.0
-    best = float((df[pos] / d[pos]).max()) if pos.any() else 0.0
-    degenerate = (~pos) & (df > 0.0)
-    np.fill_diagonal(degenerate, False)
-    if degenerate.any():
-        return float("inf")
-    return best
+    s = np.flatnonzero(f)
+    off = np.flatnonzero(f == 0.0)
+    best, degenerate = 0.0, False
+    for df, ds in ((np.abs(f[s, None] - f[None, :]), d[s]),
+                   (np.abs(f[off, None] - f[None, s]), d[np.ix_(off, s)])):
+        pos = ds > 0.0
+        best = np.maximum(best, (df[pos] / ds[pos]).max(initial=0.0))
+        # df is 0 or NaN on the diagonal, so a diagonal pair is never degenerate
+        degenerate |= bool(((~pos) & (df > 0.0)).any())
+    return float("inf") if degenerate else float(best)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -54,18 +56,70 @@ class ValidationReport:
         )
 
 
+# _min_plus_excess sweeps the min-plus product in row blocks of about
+# _BLOCK_CELLS entries, so a block's candidate sums stay in cache while each
+# numpy call still does enough work to hide its overhead, and deals the blocks
+# round-robin to the caller and at most one helper thread: numpy's add and
+# minimum release the GIL, and a minimum is exact in any grouping of rows.
+_BLOCK_CELLS = 2 ** 16
+_WORKERS = min(2, os.cpu_count() or 1)
+
+
+def _block_excess(d: np.ndarray, lo: int, hi: int, best: np.ndarray, cand: np.ndarray
+                  ) -> tuple[float, int, int]:
+    """Worst triangle excess d(i,k) - min_j (d(i,j) + d(j,k)) over the rows
+    lo <= i < hi, as (excess, i, k) with (i, k) first in row-major order.
+    best and cand are scratch buffers of at least hi - lo rows; j runs in
+    ascending order exactly as a whole-matrix sweep would."""
+    best, cand = best[:hi - lo], cand[:hi - lo]
+    best.fill(np.inf)
+    for j in range(d.shape[0]):
+        np.add(d[lo:hi, j, None], d[j], out=cand)
+        np.minimum(best, cand, out=best)
+    np.subtract(d[lo:hi], best, out=best)
+    r, k = np.unravel_index(np.argmax(best), best.shape)
+    return float(best[r, k]), lo + int(r), int(k)
+
+
 def _min_plus_excess(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     """Largest triangle excess d(i,k) - min_j (d(i,j) + d(j,k)) and a witness.
 
-    The witness j is the first minimiser for the worst pair (i, k).
+    (i, k) is the first worst pair in row-major order and j its first
+    minimiser.  Worker w takes row blocks w, w + workers, ...; worker 0 is the
+    caller, and an exception in a helper is raised here before any block
+    result is read.
     """
-    best = np.full(d.shape, np.inf)
-    for j in range(d.shape[0]):
-        np.minimum(best, d[:, j, None] + d[None, j, :], out=best)
-    excess = d - best
-    i, k = np.unravel_index(np.argmax(excess), excess.shape)
+    n = d.shape[0]
+    rows = min(n, max(1, _BLOCK_CELLS // n))
+    starts = range(0, n, rows)
+    workers = min(_WORKERS, len(starts))
+    scratch = np.empty((workers, 2, rows, n))
+    worst = [None] * len(starts)
+    errors = []
+
+    def share(w):
+        for b in range(w, len(starts), workers):
+            worst[b] = _block_excess(d, starts[b], min(starts[b] + rows, n), *scratch[w])
+
+    def helper_share(w):
+        try:
+            share(w)
+        except BaseException as exc:    # handed to the caller, which raises it
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=helper_share, args=(w,)) for w in range(1, workers)]
+    for t in helpers:
+        t.start()
+    try:
+        share(0)
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[0]
+    excess, i, k = max(worst, key=lambda t: t[0])     # the first block on ties
     j = np.argmin(d[i] + d[:, k])
-    return float(excess[i, k]), (int(i), int(j), int(k))
+    return excess, (i, int(j), k)
 
 
 def validate_metric(mat: np.ndarray, allow_zero: bool = False) -> ValidationReport:
@@ -80,9 +134,8 @@ def validate_metric(mat: np.ndarray, allow_zero: bool = False) -> ValidationRepo
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {mat.shape}")
-    finite = np.isfinite(mat)
-    if not finite.all():
-        i, j = np.unravel_index(np.argmin(finite), finite.shape)
+    if not np.isfinite(mat).all():
+        i, j = np.unravel_index(np.argmin(np.isfinite(mat)), mat.shape)
         return ValidationReport(tuple(mat.shape),
                                 (Violation("nonfinite", (int(i), int(j)), float(mat[i, j])),))
     n = mat.shape[0]
@@ -93,21 +146,25 @@ def validate_metric(mat: np.ndarray, allow_zero: bool = False) -> ValidationRepo
         i = int(np.argmax(diag))
         violations.append(Violation("diagonal", (i,), float(diag[i])))
 
-    asym = np.abs(mat - mat.T)
+    # Each n x n temporary is dropped before the next check: the triangle
+    # check runs with no other full-size array alive.
+    asym = mat - mat.T
+    np.abs(asym, out=asym)
     if asym.size and asym.max() > DEFAULT_TOL:
         i, j = np.unravel_index(np.argmax(asym), asym.shape)
         violations.append(Violation("symmetry", (int(i), int(j)), float(asym[i, j])))
+    del asym
 
-    neg = -mat
-    if neg.size and neg.max() > DEFAULT_TOL:
-        i, j = np.unravel_index(np.argmax(neg), neg.shape)
-        violations.append(Violation("negative", (int(i), int(j)), float(neg[i, j])))
+    if n and -mat.min() > DEFAULT_TOL:
+        i, j = np.unravel_index(np.argmin(mat), mat.shape)
+        violations.append(Violation("negative", (int(i), int(j)), float(-mat[i, j])))
 
     if not allow_zero and n > 1:
         off = mat + np.diag(np.full(n, np.inf))
         i, j = np.unravel_index(np.argmin(off), off.shape)
         if off[i, j] <= DEFAULT_TOL:
             violations.append(Violation("zero_offdiag", (int(i), int(j)), float(-off[i, j])))
+        del off
 
     if n:
         excess, witness = _min_plus_excess(mat)

@@ -137,6 +137,21 @@ def operator_norm_by_molecules(op, d: np.ndarray) -> tuple[float, tuple[int, int
     return float(ratios[best]), (int(xs[best]), int(ys[best]))
 
 
+def lipschitz_constant_dense(values, d: np.ndarray) -> float:
+    """Best Lipschitz constant of values w.r.t. d over all n^2 pairs; inf when
+    a zero-distance pair carries different values."""
+    f = np.asarray(values, dtype=float)
+    d = np.asarray(d, dtype=float)
+    df = np.abs(f[:, None] - f[None, :])
+    pos = d > 0.0
+    best = float((df[pos] / d[pos]).max()) if pos.any() else 0.0
+    degenerate = (~pos) & (df > 0.0)
+    np.fill_diagonal(degenerate, False)
+    if degenerate.any():
+        return float("inf")
+    return best
+
+
 def min_plus_excess_by_via(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     """The min-plus triangle sweep that records, for every pair (i, k), the
     first j attaining min_j d(i, j) + d(j, k) as it goes."""

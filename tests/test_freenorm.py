@@ -3,11 +3,38 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
 from lipfree import freenorm as fn, lp as lpmod
-from conftest import (free_norm_by_vertices, free_space_norm, line_space,
-                      molecule_norms_by_pairs, operator_norm_by_molecules)
+from conftest import (free_norm_by_vertices, free_space_norm, lipschitz_constant_dense,
+                      line_space, molecule_norms_by_pairs, operator_norm_by_molecules)
+
+
+@st.composite
+def lipschitz_inputs(draw):
+    """Values with planted zeros, all zero or supported at one point, against
+    a metric, a pseudometric with zero off-diagonal pairs, or a matrix with a
+    one-sided zero d[x, y] = 0 < d[y, x]."""
+    n = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    d = lf.random_metric_space(n, seed=seed).dist.copy()
+    kind = draw(st.sampled_from(["metric", "pseudometric", "one-sided"]))
+    if kind == "pseudometric":
+        d = lf.quotient_pseudometric(d, rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                                   replace=False))
+    elif kind == "one-sided" and n > 1:
+        x, y = rng.choice(n, size=2, replace=False)
+        d[x, y] = 0.0
+    shape = draw(st.sampled_from(["planted-zeros", "zero", "one-point"]))
+    f = np.zeros(n)
+    if shape == "planted-zeros":
+        # few distinct values, so equal values meet zero distances often
+        f = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 0.0, 1.0, -1.5, 2.0])))
+    elif shape == "one-point":
+        f[draw(st.integers(0, n - 1))] = draw(st.sampled_from([1.0, -0.25, 3.0]))
+    return f, d
 
 
 def identity_operator(space):
@@ -30,6 +57,17 @@ class TestLipschitzConstant:
     def test_degenerate_pair_reports_infinity(self):
         d = np.array([[0.0, 0.0], [0.0, 0.0]])
         assert lf.lipschitz_constant([0.0, 1.0], d) == float("inf")
+
+    def test_one_sided_zero_off_the_support_is_degenerate(self):
+        # the pair (0, 1) lies only in the columns (all - S) x S of the support S = {1}
+        d = np.array([[0.0, 0.0], [1.0, 0.0]])
+        assert lf.lipschitz_constant([0.0, 1.0], d) == float("inf")
+
+    @given(lipschitz_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_dense_sweep(self, inputs):
+        f, d = inputs
+        assert lf.lipschitz_constant(f, d) == lipschitz_constant_dense(f, d)
 
 
 class TestFreeSpaceNorm:

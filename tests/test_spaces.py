@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
 from conftest import line_space, min_plus_excess_by_via
+from lipfree import spaces
 from lipfree.spaces import _min_plus_excess
 
 
@@ -24,6 +28,11 @@ class TestValidateMetric:
         assert "triangle" in kinds
         i, j, k = kinds["triangle"].witness
         assert d[i, k] > d[i, j] + d[j, k]
+
+    def test_negative_entry_witnessed(self):
+        d = np.array([[0, 1, -2], [1, 0, 1], [-2, 1, 0]], dtype=float)
+        kinds = {v.kind: v for v in lf.validate_pseudometric(d).violations}
+        assert (kinds["negative"].witness, kinds["negative"].amount) == ((0, 2), 2.0)
 
     def test_asymmetric_entry(self):
         d = np.array([[0, 1], [2, 0]], dtype=float)
@@ -103,6 +112,71 @@ class TestMinPlusExcess:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_via_sweep(self, d):
         assert _min_plus_excess(d) == min_plus_excess_by_via(d)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 200])
+    def test_block_and_thread_boundaries(self, n, workers, monkeypatch):
+        # 64-row blocks; with two workers, even on one core, block 1 goes to
+        # the helper thread
+        monkeypatch.setattr(spaces, "_BLOCK_CELLS", 64 * n)
+        monkeypatch.setattr(spaces, "_WORKERS", workers)
+        rng = np.random.default_rng(n)
+        d = rng.integers(1, 3, (n, n)).astype(float)   # entries 1 and 2: many ties
+        d = np.minimum(d, d.T)
+        np.fill_diagonal(d, 0.0)
+        assert _min_plus_excess(d) == min_plus_excess_by_via(d)
+        i = min(n - 1, 64 + 5)                          # in block 1 once n > 64
+        k = (i + 1) % n
+        if i != k:
+            d[i, k] = 5.0                               # one-sided: excess 3 in row i only
+        got = _min_plus_excess(d)
+        assert got == min_plus_excess_by_via(d)
+        if i != k:
+            assert got[0] == 3.0 and (got[1][0], got[1][2]) == (i, k)
+
+    def test_helper_failure_is_raised_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(spaces, "_BLOCK_CELLS", 64 * 130)
+        monkeypatch.setattr(spaces, "_WORKERS", 2)
+        block_excess = spaces._block_excess
+        threads = []
+
+        def failing(d, lo, hi, best, cand):
+            if lo == 64:
+                threads.append(threading.current_thread())
+                raise RuntimeError("block 1 failed")
+            return block_excess(d, lo, hi, best, cand)
+
+        monkeypatch.setattr(spaces, "_block_excess", failing)
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            lf.validate_metric(random_metric_matrix(0, 130))
+        assert threads and threads[0] is not threading.current_thread()
+
+    def test_concurrent_callers_get_their_serial_reports(self, monkeypatch):
+        mats = [random_metric_matrix(seed, 130).copy() for seed in (1, 2)]
+        mats[1][100, 3] += 1.0                          # triangle and symmetry violations
+        monkeypatch.setattr(spaces, "_WORKERS", 1)
+        serial = [lf.validate_metric(m) for m in mats]
+        assert serial[0].ok and not serial[1].ok
+        monkeypatch.setattr(spaces, "_BLOCK_CELLS", 64 * 130)
+        monkeypatch.setattr(spaces, "_WORKERS", 2)
+        results = [[], []]
+
+        def run(k):
+            for _ in range(3):
+                results[k].append(lf.validate_metric(mats[k]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert results == [[serial[0]] * 3, [serial[1]] * 3]
 
 
 class TestSupDistance:
