@@ -92,14 +92,19 @@ def _cover(nc) -> dict:
             "order_bound": nc.order_bound}
 
 
+def _stage_eps(nu: float, n: int) -> float:
+    """Scale of stage n of a (nu, n_schedule) config."""
+    return min(nu / 4.0, 1.0 / (10.0 * n))
+
+
 def _eps_schedule(cfg: dict) -> list[tuple[str, float]]:
     """Either an explicit eps list, or (nu, n_schedule) mapped through
-    eps = min(nu/4, 1/(10 n))."""
+    `_stage_eps`."""
     if "eps_schedule" in cfg:
         return [(str(e), float(e)) for e in cfg["eps_schedule"]]
     if "nu" in cfg and "n_schedule" in cfg:
         nu = float(cfg["nu"])
-        return [(str(n), min(nu / 4.0, 1.0 / (10.0 * int(n)))) for n in cfg["n_schedule"]]
+        return [(str(n), _stage_eps(nu, int(n))) for n in cfg["n_schedule"]]
     raise ConfigError("config needs eps_schedule or (nu, n_schedule)")
 
 
@@ -170,8 +175,10 @@ def cmd_extend(args) -> int:
         _write_json(out, payload)
         stage_ok = certsmod.all_passed(certs)
         ok = ok and stage_ok
+        sup = next(c.measured for c in bundle.certificates
+                   if c.kind == "adapted-sup-distance")
         print(f"wrote {out} ({'pass' if stage_ok else 'FAIL'}, "
-              f"|A|={len(bundle.net)}, sup distance {sup_distance(space.dist, bundle.adapted):.4g})")
+              f"|A|={len(bundle.net)}, sup distance {sup:.4g})")
     return 0 if ok else 1
 
 
@@ -242,7 +249,7 @@ def cmd_bap(args) -> int:
     bound = None
     for n in cfg["n_schedule"]:
         n = int(n)
-        eps = min(nu / 4.0, 1.0 / (10.0 * n))
+        eps = _stage_eps(nu, n)
         nc = coversmod.build_net_cover(space, eps)
         bundle = extmod.build_extension_bundle(nc)
         bound = extmod.perturbed_norm_bound(nc.order_bound)

@@ -42,23 +42,21 @@ class CoverFamily:
                 raise ValueError("set members out of range")
 
     def covers(self) -> bool:
-        seen = set()
-        for s in self.sets:
-            seen.update(s)
-        return len(seen) == self.space.n
+        return bool(_counts(self.sets, self.space.n).all())
+
+
+def _counts(sets, n: int = 0) -> np.ndarray:
+    """Entry p counts the sets containing point p, for p below max(n, largest
+    member + 1); order, redundancy, private points and coverage read it."""
+    members = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp)
+    return np.bincount(members, minlength=n)
 
 
 def order(sets) -> int:
     """Largest n such that n+1 members share a point; -1 for all-empty input."""
     if isinstance(sets, CoverFamily):
         sets = sets.sets
-    counts: dict[int, int] = {}
-    for s in sets:
-        for p in s:
-            counts[p] = counts.get(p, 0) + 1
-    if not counts:
-        return -1
-    return max(counts.values()) - 1
+    return int(_counts(sets).max(initial=0)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +176,30 @@ class NetAndCover:
 
 
 def _prune_irredundant(sets: list[set], n: int) -> list[set]:
-    """Drop members until no set is contained in the union of the others."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(sets)):
-            rest = set().union(*(s for j, s in enumerate(sets) if j != i)) if len(sets) > 1 else set()
-            if len(rest) == n:
-                del sets[i]
-                changed = True
-                break
-    return sets
+    """Drop sets, first index first, until no set of the cover of range(n)
+    lies in the union of the others, i.e. until each has a member of count 1.
+
+    One ordered pass suffices: dropping a set only lowers counts, so a set
+    kept earlier keeps its count-1 member and never becomes redundant later.
+    """
+    counts = _counts(sets, n)
+    kept = []
+    for s in sets:
+        idx = list(s)
+        if (counts[idx] >= 2).all():
+            counts[idx] -= 1
+        else:
+            kept.append(s)
+    return kept
 
 
 def build_net_cover(space: FiniteMetricSpace, eps: float,
                     refiner=brick_cover) -> NetAndCover:
-    """Separated net and merged cover from a fine cover of the space."""
+    """Separated net and merged cover from a fine cover of the space.
+
+    Each set of the pruned cover is represented by its smallest private point,
+    a member of count 1, or by the base point for the first set.
+    """
     d = space.dist
     family = refiner(space, eps)
     if not family.covers():
@@ -213,18 +219,14 @@ def build_net_cover(space: FiniteMetricSpace, eps: float,
     sets.insert(0, sets.pop(first))
     for s in sets[1:]:
         s.discard(base)
-    sets = [s for s in sets if s]
 
-    union_others = []
-    for i in range(len(sets)):
-        other = set().union(*(s for j, s in enumerate(sets) if j != i)) if len(sets) > 1 else set()
-        union_others.append(other)
+    counts = _counts(sets, n)
     reps = []
     for i, s in enumerate(sets):
-        private = sorted(s - union_others[i])
+        private = [p for p in s if counts[p] == 1]
         if not private:
             raise CoverError("pruning failed to leave a private point")
-        reps.append(base if i == 0 else private[0])
+        reps.append(base if i == 0 else min(private))
 
     # greedy separated subfamily, base first, then first-index domination
     kept: list[int] = []
@@ -287,13 +289,10 @@ def verify_net_cover(nc: NetAndCover) -> Certificate:
     if got > nc.order_bound:
         failures.append(("order", got, nc.order_bound))
 
-    covered = set()
-    for s in nc.sets:
-        covered.update(s)
-    details["coverage"] = len(covered) == n
-    if len(covered) != n:
-        missing = sorted(set(range(n)) - covered)
-        failures.append(("coverage", missing[0]))
+    missing = np.flatnonzero(_counts(nc.sets, n) == 0)
+    details["coverage"] = not missing.size
+    if missing.size:
+        failures.append(("coverage", int(missing[0])))
 
     if nc.space.base_index not in nc.net or (nc.net and nc.net[0] != nc.space.base_index):
         failures.append(("base", nc.space.base_index))

@@ -53,11 +53,13 @@ def complement_distances(d: np.ndarray, sets) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
     fallback = max(diameter(d), 1.0)
-    cols = []
-    for s in sets:
-        comp = sorted(set(range(n)) - set(s))
-        cols.append(d[:, comp].min(axis=1) if comp else np.full(n, fallback))
-    return np.stack(cols, axis=1)
+    out = np.empty((n, len(sets)))
+    for i, s in enumerate(sets):
+        outside = np.ones(n, dtype=bool)
+        outside[list(s)] = False
+        # a min is exact in any order: bitwise the min over the complement's columns
+        out[:, i] = np.min(d, axis=1, where=outside, initial=np.inf) if outside.any() else fallback
+    return out
 
 
 def partition_of_unity(d: np.ndarray, sets, domain,

@@ -24,14 +24,12 @@ Gamma = 88 (dim K + 1)(2 dim K + 3).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certs import Certificate, make_certificate, all_passed
-from .covers import (NetAndCover, build_net_cover, order as family_order,
-                     verify_net_cover)
+from .covers import NetAndCover, build_net_cover, verify_net_cover
 from .extension import (BundleError, ExtensionBundle, PerturbedBundle,
                         build_extension_bundle, build_perturbed_operator,
                         perturbed_norm_bound)
@@ -155,16 +153,6 @@ class GluingBundle:
         return all_passed(self.certificates)
 
 
-def _dilate(d: np.ndarray, u_sets, net, eps: float, t: float):
-    """Distance dilation of the core cover, clipped to the eps/2 net balls."""
-    out = []
-    for a, s in zip(net, u_sets):
-        du = d[:, list(s)].min(axis=1)
-        members = np.flatnonzero((du <= t) & (d[:, a] < eps / 2.0))
-        out.append(tuple(int(i) for i in members))
-    return out
-
-
 def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float) -> GluingBundle:
     """Assemble the glue metric and its certificates for exhaustion level n."""
     space = cfg.space
@@ -188,43 +176,39 @@ def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float) -> GluingBundle:
     net = tuple(k_list[i] for i in knc.net)
     u_sets = tuple(tuple(k_list[i] for i in s) for s in knc.sets)
 
-    # largest dilation radius keeping the order bound and net exclusivity
-    du_all = np.concatenate([d[:, list(s)].min(axis=1) for s in u_sets])
-    candidates = sorted(set(float(v) for v in du_all), reverse=True)
-    v_sets = None
-    for t in candidates:
-        cand = _dilate(d, u_sets, net, eps, t)
-        if family_order(cand) > cfg.dim_k:
-            continue
-        if any(net[j] in set(s) for i, s in enumerate(cand)
-               for j in range(len(net)) if j != i):
-            continue
-        v_sets = cand
-        break
-    if v_sets is None:
+    # Dilate each U_i by the largest radius t that keeps the order bound and
+    # net exclusivity, clipped to the eps/2 ball around its net point: column
+    # i of `member` is the dilated set, so a row sum is how many sets cover a
+    # point, and member[net] off the diagonal puts a foreign net point in a set.
+    du = np.stack([d[:, list(s)].min(axis=1) for s in u_sets], axis=1)
+    ball = d[:, list(net)] < eps / 2.0
+    for t in np.unique(du)[::-1]:
+        member = (du <= t) & ball
+        foreign = member[list(net)]
+        np.fill_diagonal(foreign, False)
+        if member.sum(axis=1).max() <= cfg.dim_k + 1 and not foreign.any():
+            break
+    else:
         raise GluingError("no dilation radius preserves the order bound")
 
-    covered = sorted(set(itertools.chain.from_iterable(v_sets)))
     dk = dist_to_set_all(d, cfg.k)
-    outside = [i for i in range(space.n) if i not in set(covered)]
-    cut = min((float(dk[i]) for i in outside), default=float("inf"))
-    cut = min(cut, eps / 2.0)
-    attained = sorted(set(float(v) for v in dk if 0.0 < v < cut), reverse=True)
-    if attained:
-        eta = attained[0]
+    cut = min(float(np.min(dk[~member.any(axis=1)], initial=np.inf)), eps / 2.0)
+    attained = dk[(0.0 < dk) & (dk < cut)]
+    if attained.size:
+        eta = float(attained.max())
     elif np.isfinite(cut) and cut > 0:
         eta = cut / 2.0
     else:
         eta = eps / 4.0
-    v_indices = tuple(int(i) for i in np.flatnonzero(dk <= eta))
+    in_v = dk <= eta
+    v_indices = tuple(int(i) for i in np.flatnonzero(in_v))
 
-    v_list = list(v_indices)
-    pos_in_v = {p: i for i, p in enumerate(v_list)}
+    pos_in_v = {p: i for i, p in enumerate(v_indices)}
     v_space = restrict_space(space, v_indices, base_point=space.base_index)
     nc_v = NetAndCover(
         v_space,
         tuple(pos_in_v[a] for a in net),
-        tuple(tuple(sorted(pos_in_v[x] for x in s if x in pos_in_v)) for s in v_sets),
+        tuple(tuple(int(i) for i in np.flatnonzero(col)) for col in member[in_v].T),
         float(eps),
         int(cfg.dim_k),
     )

@@ -160,7 +160,8 @@ def validate_metric(mat: np.ndarray, allow_zero: bool = False) -> ValidationRepo
         violations.append(Violation("negative", (int(i), int(j)), float(-mat[i, j])))
 
     if not allow_zero and n > 1:
-        off = mat + np.diag(np.full(n, np.inf))
+        off = mat.copy()
+        np.fill_diagonal(off, np.inf)
         i, j = np.unravel_index(np.argmin(off), off.shape)
         if off[i, j] <= DEFAULT_TOL:
             violations.append(Violation("zero_offdiag", (int(i), int(j)), float(-off[i, j])))

@@ -137,6 +137,36 @@ def operator_norm_by_molecules(op, d: np.ndarray) -> tuple[float, tuple[int, int
     return float(ratios[best]), (int(xs[best]), int(ys[best]))
 
 
+def prune_irredundant_by_unions(sets: list[set], n: int) -> list[set]:
+    """Delete the first set contained in the union of the others, then rescan
+    from the start, until no such set is left: the set-union reference for
+    `covers._prune_irredundant`."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(sets)):
+            rest = set().union(*(s for j, s in enumerate(sets) if j != i)) if len(sets) > 1 else set()
+            if len(rest) == n:
+                del sets[i]
+                changed = True
+                break
+    return sets
+
+
+def complement_distances_by_sets(d: np.ndarray, sets) -> np.ndarray:
+    """Column i holds the min of d over the columns outside U_i, taken from an
+    explicit list of the complement's indices; an empty complement gives
+    max(diam, 1).  The reference for `extension.complement_distances`."""
+    d = np.asarray(d, dtype=float)
+    n = d.shape[0]
+    fallback = max(lf.diameter(d), 1.0)
+    cols = []
+    for s in sets:
+        comp = sorted(set(range(n)) - set(s))
+        cols.append(d[:, comp].min(axis=1) if comp else np.full(n, fallback))
+    return np.stack(cols, axis=1)
+
+
 def lipschitz_constant_dense(values, d: np.ndarray) -> float:
     """Best Lipschitz constant of values w.r.t. d over all n^2 pairs; inf when
     a zero-distance pair carries different values."""

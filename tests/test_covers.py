@@ -1,8 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import lipfree as lf
-from lipfree.covers import CoverError
+from conftest import prune_irredundant_by_unions
+from lipfree.covers import CoverError, _prune_irredundant
+
+
+@st.composite
+def covering_families(draw):
+    """Families of subsets of range(n) whose union is range(n): each point
+    joins a nonempty choice of sets, so some sets may stay empty, and a few
+    sets are repeated before the family is shuffled."""
+    n = draw(st.integers(0, 8))
+    k = draw(st.integers(1, 6))
+    sets = [set() for _ in range(k)]
+    for p in range(n):
+        for i in draw(st.sets(st.integers(0, k - 1), min_size=1)):
+            sets[i].add(p)
+    sets += [set(sets[i]) for i in draw(st.lists(st.integers(0, k - 1), max_size=3))]
+    return draw(st.permutations(sets)), n
 
 
 class TestOrder:
@@ -109,6 +126,23 @@ class TestBuildNetCover:
         a = lf.build_net_cover(space, 0.3)
         b = lf.build_net_cover(space, 0.3)
         assert a == b
+
+
+class TestPruneIrredundant:
+    @given(covering_families())
+    @example(([set()], 0))
+    @example(([{0, 1, 2}], 3))
+    @example(([set(), {0, 1}, set()], 2))
+    @example(([{0, 1}, {0, 1}, {1, 2}, {1, 2}], 3))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_union_loop(self, family):
+        sets, n = family
+        got = _prune_irredundant([set(s) for s in sets], n)
+        assert got == prune_irredundant_by_unions([set(s) for s in sets], n)
+        # what is left still covers and has no redundant set
+        assert set().union(*got) == set(range(n))
+        assert not any(set().union(*(t for j, t in enumerate(got) if j != i)) >= s
+                       for i, s in enumerate(got))
 
 
 class TestVerifyNetCover:

@@ -2,9 +2,31 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
-from conftest import lip_ball_vertices, line_space, operator_norm_by_vertices
+from conftest import (complement_distances_by_sets, lip_ball_vertices, line_space,
+                      operator_norm_by_vertices)
+
+# Entries within DEFAULT_TOL of zero, either side, next to ordinary distances.
+NEAR_ZERO = [0.0, 5e-324, 1e-12, -1e-12, 0.5 * lf.DEFAULT_TOL, -0.5 * lf.DEFAULT_TOL]
+
+
+@st.composite
+def complement_inputs(draw):
+    """A square matrix whose diagonal and entries may sit within DEFAULT_TOL
+    of zero, and a family with empty, full and repeated sets."""
+    n = draw(st.integers(1, 7))
+    d = draw(arrays(np.float64, (n, n), elements=st.one_of(
+        st.sampled_from(NEAR_ZERO), st.floats(0.0, 3.0))))
+    if draw(st.booleans()):
+        np.fill_diagonal(d, draw(st.sampled_from(NEAR_ZERO)))
+    point_sets = st.sets(st.integers(0, n - 1))
+    sets = draw(st.lists(st.one_of(point_sets, st.just(set(range(n)))),
+                         min_size=1, max_size=5))
+    sets += draw(st.lists(st.sampled_from(sets), max_size=2))
+    return d, [tuple(sorted(s)) for s in sets]
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +135,14 @@ class TestExtensionBundle:
         sums = lf.extension.complement_distances(space.dist, [(0, 1, 2)]).sum(axis=1)
         cert = lf.verify_complement_margin(space.dist, [(0, 1, 2)], 0.1)
         assert cert.measured == pytest.approx(float(sums.min()))
+
+    @given(complement_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_complement_distances_match_the_index_lists(self, inputs):
+        d, sets = inputs
+        got = lf.extension.complement_distances(d, sets)
+        want = complement_distances_by_sets(d, sets)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_eps_outside_unit_interval_rejected(self):
         space = lf.make_grid_space([5], 0.1)
