@@ -56,13 +56,70 @@ class ValidationReport:
         )
 
 
-# _min_plus_excess sweeps the min-plus product in row blocks of about
+# The row-block engine behind the two O(n^3) min-plus sweeps, the triangle
+# check and Floyd-Warshall.  _sweep_rows cuts the rows into blocks of about
 # _BLOCK_CELLS entries, so a block's candidate sums stay in cache while each
 # numpy call still does enough work to hide its overhead, and deals the blocks
 # round-robin to the caller and at most one helper thread: numpy's add and
-# minimum release the GIL, and a minimum is exact in any grouping of rows.
+# minimum release the GIL.  The triangle check starts the helper only once
+# the matrix holds _HELPER_MIN_BLOCKS blocks' worth of entries, so that the
+# helper gets at least a third of the rows: from 314 points at the default
+# block size.  On two cores a helper with less gained nothing over one worker.
 _BLOCK_CELLS = 2 ** 16
 _WORKERS = min(2, os.cpu_count() or 1)
+_HELPER_MIN_BLOCKS = 1.5
+
+
+def _sweep_rows(n: int, sweep, buffers: int, workers: int = 1) -> None:
+    """Run sweep(blocks, scratch) once on each of up to `workers` threads;
+    n >= 1 is the row count and the row length.
+
+    Worker w gets the row blocks w, w + workers, ... as (index, lo, hi)
+    triples and its own scratch of `buffers` arrays of one block's shape.
+    Worker 0 is the caller; an exception in a helper is raised here after
+    every worker has stopped.
+
+    Each worker sweeps with numpy's ufunc buffer sized to one row, rounded
+    up to a multiple of 16.  The inner step of both sweeps is a broadcast add
+    of a column slice to a row, and a buffer that spans several rows makes
+    numpy copy both broadcast operands on every call: at 900 points that step
+    takes about 4x longer with the default 8192 elements.  The setting is
+    per thread (context-local in numpy 2), so every worker sets it and puts
+    the old value back.  No sum or mean may run inside that scope: numpy's
+    pairwise summation splits at the inner-loop length, so its rounding could
+    depend on the buffer.  Elementwise adds, minima and argmax are exact
+    whatever the buffer.
+    """
+    rows = min(n, max(1, _BLOCK_CELLS // n))
+    blocks = [(b, lo, min(lo + rows, n)) for b, lo in enumerate(range(0, n, rows))]
+    workers = min(workers, len(blocks))
+    scratch = np.empty((workers, buffers, rows, n))
+    bufsize = -(-n // 16) * 16
+    errors = []
+
+    def share(w):
+        old = np.setbufsize(bufsize)
+        try:
+            sweep(blocks[w::workers], scratch[w])
+        finally:
+            np.setbufsize(old)
+
+    def helper_share(w):
+        try:
+            share(w)
+        except BaseException as exc:    # handed to the caller, which raises it
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=helper_share, args=(w,)) for w in range(1, workers)]
+    for t in helpers:
+        t.start()
+    try:
+        share(0)
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[0]
 
 
 def _block_excess(d: np.ndarray, lo: int, hi: int, best: np.ndarray, cand: np.ndarray
@@ -85,39 +142,19 @@ def _min_plus_excess(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     """Largest triangle excess d(i,k) - min_j (d(i,j) + d(j,k)) and a witness.
 
     (i, k) is the first worst pair in row-major order and j its first
-    minimiser.  Worker w takes row blocks w, w + workers, ...; worker 0 is the
-    caller, and an exception in a helper is raised here before any block
-    result is read.
+    minimiser.  The row blocks run on the engine's workers; a minimum is
+    exact in any grouping of rows, so the result is the one-thread sweep's.
     """
     n = d.shape[0]
-    rows = min(n, max(1, _BLOCK_CELLS // n))
-    starts = range(0, n, rows)
-    workers = min(_WORKERS, len(starts))
-    scratch = np.empty((workers, 2, rows, n))
-    worst = [None] * len(starts)
-    errors = []
+    worst = {}
 
-    def share(w):
-        for b in range(w, len(starts), workers):
-            worst[b] = _block_excess(d, starts[b], min(starts[b] + rows, n), *scratch[w])
+    def sweep(blocks, scratch):
+        for b, lo, hi in blocks:
+            worst[b] = _block_excess(d, lo, hi, *scratch)
 
-    def helper_share(w):
-        try:
-            share(w)
-        except BaseException as exc:    # handed to the caller, which raises it
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=helper_share, args=(w,)) for w in range(1, workers)]
-    for t in helpers:
-        t.start()
-    try:
-        share(0)
-    finally:
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[0]
-    excess, i, k = max(worst, key=lambda t: t[0])     # the first block on ties
+    _sweep_rows(n, sweep, 2, _WORKERS if n * n >= _HELPER_MIN_BLOCKS * _BLOCK_CELLS else 1)
+    # in block order, so that ties go to the first block
+    excess, i, k = max((worst[b] for b in sorted(worst)), key=lambda t: t[0])
     j = np.argmin(d[i] + d[:, k])
     return excess, (i, int(j), k)
 
@@ -310,11 +347,31 @@ def quotient_pseudometric(d: np.ndarray, members: Sequence[int]) -> np.ndarray:
 
 
 def floyd_warshall(w: np.ndarray) -> np.ndarray:
-    """All-pairs shortest-path completion of a symmetric weight matrix."""
+    """All-pairs shortest-path completion of a nonnegative weight matrix.
+
+    Entries may be +inf (no edge); a NaN or negative entry raises ValueError.
+    The diagonal is set to 0.  The k-loop runs row block by row block on the
+    engine of _sweep_rows, on the caller's thread: for each k, every block
+    takes min(d(i, j), d(i, k) + d(k, j)) in place.  The result is bitwise the
+    whole-matrix k-loop's.  That needs the precondition: with a zero diagonal
+    and nonnegative weights, step k rewrites row k with d(k, k) + d(k, j) =
+    d(k, j) and column k with d(i, k) + d(k, k) = d(i, k), its own values,
+    so no block sees row k or column k change during step k.
+    """
     d = np.array(w, dtype=float)
+    if not (d >= 0).all():                  # also false on NaN
+        raise ValueError("weights must be nonnegative and not NaN")
     np.fill_diagonal(d, 0.0)
-    for k in range(d.shape[0]):
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+
+    def sweep(blocks, scratch):
+        cand = scratch[0]
+        for k in range(d.shape[0]):
+            for _, lo, hi in blocks:
+                np.add(d[lo:hi, k, None], d[k], out=cand[:hi - lo])
+                np.minimum(d[lo:hi], cand[:hi - lo], out=d[lo:hi])
+
+    if d.size:
+        _sweep_rows(d.shape[0], sweep, 1)
     return d
 
 

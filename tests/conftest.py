@@ -198,6 +198,16 @@ def min_plus_excess_by_via(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     return float(excess[i, k]), (int(i), int(via[i, k]), int(k))
 
 
+def floyd_warshall_serial(w: np.ndarray) -> np.ndarray:
+    """The whole-matrix k-loop, one n x n candidate per k: the reference the
+    row-blocked `spaces.floyd_warshall` is compared against bit for bit."""
+    d = np.array(w, dtype=float)
+    np.fill_diagonal(d, 0.0)
+    for k in range(d.shape[0]):
+        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    return d
+
+
 def metric_extension_by_lp(d: np.ndarray, members, rho: np.ndarray) -> float:
     """Least sup distortion over all metric extensions of rho to (T, d).
 

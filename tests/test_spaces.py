@@ -1,5 +1,6 @@
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
-from conftest import line_space, min_plus_excess_by_via
+from conftest import floyd_warshall_serial, line_space, min_plus_excess_by_via
 from lipfree import spaces
 from lipfree.spaces import _min_plus_excess
 
@@ -177,6 +178,108 @@ class TestMinPlusExcess:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert results == [[serial[0]] * 3, [serial[1]] * 3]
+
+
+class TestRowBlockEngine:
+    @pytest.mark.parametrize("n, helper", [(313, False), (314, True)])
+    def test_helper_starts_from_a_third_of_the_rows(self, n, helper, monkeypatch):
+        monkeypatch.setattr(spaces, "_WORKERS", 2)
+        block_excess = spaces._block_excess
+        threads = set()
+
+        def recording(d, lo, hi, best, cand):
+            threads.add(threading.current_thread())
+            return block_excess(d, lo, hi, best, cand)
+
+        monkeypatch.setattr(spaces, "_block_excess", recording)
+        d = np.ones((n, n)) - np.eye(n)
+        assert _min_plus_excess(d) == (0.0, (0, 0, 0))
+        assert len(threads) == (2 if helper else 1)
+
+    def _bufsize_after(self, call):
+        old = np.setbufsize(4096)                       # not numpy's default
+        try:
+            call()
+            return np.getbufsize()
+        finally:
+            np.setbufsize(old)
+
+    def test_caller_buffer_size_is_restored(self, monkeypatch):
+        monkeypatch.setattr(spaces, "_BLOCK_CELLS", 64 * 130)
+        monkeypatch.setattr(spaces, "_WORKERS", 2)
+        d = random_metric_matrix(0, 130)
+        assert self._bufsize_after(lambda: lf.validate_metric(d)) == 4096
+        assert self._bufsize_after(lambda: lf.floyd_warshall(d)) == 4096
+
+    @pytest.mark.parametrize("failing_lo", [64, 128])  # the helper's block, the caller's
+    def test_caller_buffer_size_is_restored_when_a_block_raises(self, failing_lo, monkeypatch):
+        d = random_metric_matrix(0, 130)
+        monkeypatch.setattr(spaces, "_BLOCK_CELLS", 64 * 130)
+        monkeypatch.setattr(spaces, "_WORKERS", 2)
+        block_excess = spaces._block_excess
+
+        def failing(d, lo, hi, best, cand):
+            if lo == failing_lo:
+                raise RuntimeError("block failed")
+            return block_excess(d, lo, hi, best, cand)
+
+        monkeypatch.setattr(spaces, "_block_excess", failing)
+
+        def call():
+            with pytest.raises(RuntimeError, match="block failed"):
+                lf.validate_metric(d)
+
+        assert self._bufsize_after(call) == 4096
+
+
+@st.composite
+def weight_matrices(draw):
+    """Nonnegative, possibly asymmetric weights with many ties, zeros and
+    missing edges (+inf), and a block of a few rows."""
+    n = draw(st.integers(1, 150))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    w = rng.integers(0, draw(st.integers(1, 6)), (n, n)).astype(float)
+    w[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = np.inf
+    if draw(st.booleans()):
+        w = np.minimum(w, w.T)
+    return w, draw(st.integers(1, 5))
+
+
+class TestFloydWarshall:
+    @given(weight_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_serial_k_loop(self, case):
+        w, rows = case
+        with mock.patch.object(spaces, "_BLOCK_CELLS", rows * w.shape[0]):
+            got = lf.floyd_warshall(w)
+        assert np.array_equal(got, floyd_warshall_serial(w))
+
+    def test_default_blocks_match_the_serial_k_loop(self):
+        w = lf.random_metric_space(300, seed=3).dist * \
+            np.random.default_rng(3).uniform(0.5, 1.5, (300, 300))
+        assert np.array_equal(lf.floyd_warshall(w), floyd_warshall_serial(w))
+
+    def test_input_is_not_modified(self):
+        w = np.full((3, 3), 5.0)
+        w[0, 1] = w[1, 2] = 1.0
+        assert lf.floyd_warshall(w)[0, 2] == 2.0
+        assert w[0, 2] == 5.0 and w[0, 0] == 5.0
+
+    def test_infinite_weights_are_missing_edges(self):
+        w = np.full((3, 3), np.inf)
+        w[0, 1] = w[1, 0] = 1.0
+        d = lf.floyd_warshall(w)
+        assert d[0, 1] == 1.0 and np.isinf(d[0, 2]) and np.isinf(d[2, 1])
+        assert np.array_equal(np.diagonal(d), np.zeros(3))
+
+    @pytest.mark.parametrize("at, bad", [((2, 3), np.nan), ((2, 3), -1.0), ((2, 3), -np.inf),
+                                         ((2, 3), -1e-300), ((0, 0), -1.0)])
+    def test_nan_or_negative_weights_are_rejected(self, at, bad):
+        w = np.ones((4, 4))
+        w[at] = bad
+        with pytest.raises(ValueError, match="nonnegative"):
+            lf.floyd_warshall(w)
 
 
 class TestSupDistance:
