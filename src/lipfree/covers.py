@@ -9,8 +9,9 @@ into a separated net A and a merged cover (U_i) with:
 
 and the merged family never has larger order than the input family.  All the
 choices the construction leaves open (representatives, the separated
-subfamily, the assignment of leftover sets) are made greedily by first index,
-so the output is a deterministic function of the input.
+subfamily, the assignment of leftover sets) are made by first index, the last
+as the nearest kept representative, first on ties, so the output is a
+deterministic function of the input.
 """
 
 from __future__ import annotations
@@ -157,8 +158,6 @@ def brick_cover(space: FiniteMetricSpace, eps: float) -> CoverFamily:
     got = order(family)
     if got > bound:
         raise CoverError(f"brick pattern has order {got} > {bound}")
-    if max(diameter(space.dist, b) for b in bricks) >= limit:
-        raise CoverError("brick diameters reach eps/6")
     return family
 
 
@@ -198,7 +197,10 @@ def build_net_cover(space: FiniteMetricSpace, eps: float,
     """Separated net and merged cover from a fine cover of the space.
 
     Each set of the pruned cover is represented by its smallest private point,
-    a member of count 1, or by the base point for the first set.
+    a member of count 1, or by the base point for the first set.  A set is
+    kept when its representative lies more than eps/3 from those of all kept
+    sets before it; every other set joins the nearest kept representative,
+    the first on ties, which lies within eps/3 of it.
     """
     d = space.dist
     family = refiner(space, eps)
@@ -220,69 +222,58 @@ def build_net_cover(space: FiniteMetricSpace, eps: float,
     for s in sets[1:]:
         s.discard(base)
 
-    counts = _counts(sets, n)
-    reps = []
+    # member[i] is set i as a mask; reps[i] its smallest count-1 member
+    member = np.zeros((len(sets), n), dtype=bool)
     for i, s in enumerate(sets):
-        private = [p for p in s if counts[p] == 1]
-        if not private:
-            raise CoverError("pruning failed to leave a private point")
-        reps.append(base if i == 0 else min(private))
+        member[i, list(s)] = True
+    private = member & (_counts(sets, n) == 1)
+    if not private.any(axis=1).all():
+        raise CoverError("pruning failed to leave a private point")
+    reps = private.argmax(axis=1)
+    reps[0] = base
 
-    # greedy separated subfamily, base first, then first-index domination
-    kept: list[int] = []
-    for i, rep in enumerate(reps):
-        if all(d[rep, reps[k]] > eps / 3.0 for k in kept):
-            kept.append(i)
-    assign = {}
-    for i, rep in enumerate(reps):
-        if i in kept:
-            assign[i] = i
-            continue
-        cands = [k for k in kept if d[rep, reps[k]] <= eps / 3.0]
-        assign[i] = min(cands, key=lambda k: (d[rep, reps[k]], k))
-
-    merged = []
-    net = []
-    for k in kept:
-        block = set()
-        for i, s in enumerate(sets):
-            if assign[i] == k:
-                block |= s
-        merged.append(tuple(sorted(block)))
-        net.append(reps[k])
-    return NetAndCover(space, tuple(net), tuple(merged), float(eps), int(r))
+    close = d[np.ix_(reps, reps)] <= eps / 3.0
+    kept = np.zeros(len(sets), dtype=bool)
+    for i in range(len(sets)):
+        kept[i] = not (close[i] & kept).any()
+    assign = np.argmin(d[np.ix_(reps, reps[kept])], axis=1)
+    merged = np.zeros((int(kept.sum()), n), dtype=bool)
+    np.logical_or.at(merged, assign, member)
+    return NetAndCover(space, tuple(reps[kept].tolist()),
+                       tuple(tuple(np.flatnonzero(row).tolist()) for row in merged),
+                       float(eps), int(r))
 
 
 def verify_net_cover(nc: NetAndCover) -> Certificate:
-    """Check membership, ball, separation, order and coverage clauses exactly."""
+    """Check membership, ball, separation, order and coverage clauses exactly.
+
+    Each clause is one array comparison; its failures are listed in the
+    order of the clause's index loops: (net index, set index) row by row for
+    membership, set by set and then in each set's own member order for the
+    balls, and pairs i < j row by row for separation.
+    """
     d = nc.space.dist
     n = nc.space.n
-    failures = []
+    net = np.asarray(nc.net, dtype=np.intp)
     details = {}
 
-    membership_ok = True
-    for i, a in enumerate(nc.net):
-        for j, s in enumerate(nc.sets):
-            inside = a in s
-            if inside != (i == j):
-                membership_ok = False
-                failures.append(("membership", i, j))
-    details["membership"] = membership_ok
+    member = np.zeros((len(nc.sets), n), dtype=bool)
+    for j, s in enumerate(nc.sets):
+        member[j, list(s)] = True
+    wrong = member[:, net].T != np.eye(len(net), len(nc.sets), dtype=bool)
+    failures = [("membership", int(i), int(j)) for i, j in np.argwhere(wrong)]
+    details["membership"] = not wrong.any()
 
-    ball_ok = True
-    for i, (a, s) in enumerate(zip(nc.net, nc.sets)):
-        for x in s:
-            if not d[x, a] < nc.eps / 2.0:
-                ball_ok = False
-                failures.append(("ball", i, x))
-    details["balls"] = ball_ok
+    paired = nc.sets[:len(net)]
+    owner = np.repeat(np.arange(len(paired)), [len(s) for s in paired])
+    x = np.fromiter(itertools.chain.from_iterable(paired), dtype=np.intp)
+    outside = ~(d[x, net[owner]] < nc.eps / 2.0)
+    failures += [("ball", int(i), int(p)) for i, p in zip(owner[outside], x[outside])]
+    details["balls"] = not outside.any()
 
-    sep_ok = True
-    for i, j in itertools.combinations(range(len(nc.net)), 2):
-        if not d[nc.net[i], nc.net[j]] > nc.eps / 3.0:
-            sep_ok = False
-            failures.append(("separation", nc.net[i], nc.net[j]))
-    details["separation"] = sep_ok
+    near = np.triu(~(d[np.ix_(net, net)] > nc.eps / 3.0), 1)
+    failures += [("separation", int(net[i]), int(net[j])) for i, j in np.argwhere(near)]
+    details["separation"] = not near.any()
 
     got = order(nc.sets)
     details["order"] = got
@@ -299,7 +290,7 @@ def verify_net_cover(nc: NetAndCover) -> Certificate:
 
     # density follows from coverage plus the ball clause; record it
     if details["coverage"] and nc.net:
-        md = float(d[:, list(nc.net)].min(axis=1).max())
+        md = float(d[:, net].min(axis=1).max())
         details["net_density"] = md
         if not md <= nc.eps / 2.0:
             failures.append(("density", md))

@@ -203,11 +203,10 @@ def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float) -> GluingBundle:
     in_v = dk <= eta
     v_indices = tuple(int(i) for i in np.flatnonzero(in_v))
 
-    pos_in_v = {p: i for i, p in enumerate(v_indices)}
     v_space = restrict_space(space, v_indices, base_point=space.base_index)
     nc_v = NetAndCover(
         v_space,
-        tuple(pos_in_v[a] for a in net),
+        tuple(np.searchsorted(v_indices, net).tolist()),
         tuple(tuple(int(i) for i in np.flatnonzero(col)) for col in member[in_v].T),
         float(eps),
         int(cfg.dim_k),
@@ -241,12 +240,9 @@ def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float) -> GluingBundle:
         inputs=inputs))
 
     core_lo, core_hi = sandwich_sets(glue, cfg.k, eps, cfg.dim_k, "reference")
-    lo_set = set(core_lo)
-    m_found = None
-    for m in range(n, len(exhaustion) + 1):
-        if set(exhaustion[m - 1]) | lo_set == set(range(space.n)):
-            m_found = m
-            break
+    rest = np.setdiff1d(np.arange(space.n), core_lo)
+    m_found = next((m for m in range(n, len(exhaustion) + 1)
+                    if np.isin(rest, exhaustion[m - 1]).all()), None)
     if m_found is None:
         raise GluingError("no exhaustion level joins the inner sandwich set to cover T")
 
@@ -262,10 +258,14 @@ def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float) -> GluingBundle:
     return bundle
 
 
+def _union(a, b) -> np.ndarray:
+    """Sorted union of two index sequences, as indices even when both are empty."""
+    return np.union1d(a, b).astype(np.intp)
+
+
 def glue_domain(bundle: GluingBundle) -> tuple[int, ...]:
     """Domain of the glued operator: C_m together with the net."""
-    cm = set(bundle.exhaustion[bundle.m - 1])
-    return tuple(sorted(cm | set(bundle.net)))
+    return tuple(_union(bundle.exhaustion[bundle.m - 1], bundle.net).tolist())
 
 
 def build_h_operator(bundle: GluingBundle, inner: PerturbedBundle,
@@ -277,22 +277,24 @@ def build_h_operator(bundle: GluingBundle, inner: PerturbedBundle,
     """
     space = bundle.cfg.space
     dom = glue_domain(bundle)
-    pos_in_dom = {p: i for i, p in enumerate(dom)}
-    cm = set(bundle.exhaustion[bundle.m - 1])
-    v_set = set(bundle.v_indices)
-    pos_in_v = {p: i for i, p in enumerate(bundle.v_indices)}
-    a_pos = [pos_in_dom[a] for a in bundle.net]
+    points = np.arange(space.n)
+    v = np.asarray(bundle.v_indices)
+    w = 1.0 - rho
+    unsaturated = (w > 0.0) & ~np.isin(points, v)
+    stray = (rho > 0.0) & ~np.isin(points, bundle.exhaustion[bundle.m - 1])
+    # the lowest faulty point is named, its collar fault before its C_m one
+    bad = np.flatnonzero(unsaturated | stray)
+    if bad.size:
+        x = bad[0]
+        if unsaturated[x]:
+            raise GluingError(f"cutoff not saturated at point {x} outside the collar")
+        raise GluingError(f"cutoff positive at point {x} outside C_m")
     rows = np.zeros((space.n, len(dom)))
-    for x in range(space.n):
-        w = 1.0 - rho[x]
-        if w > 0.0:
-            if x not in v_set:
-                raise GluingError(f"cutoff not saturated at point {x} outside the collar")
-            rows[x, a_pos] += w * inner.pou.matrix[pos_in_v[x]]
-        if rho[x] > 0.0:
-            if x not in cm:
-                raise GluingError(f"cutoff positive at point {x} outside C_m")
-            rows[x, pos_in_dom[x]] += rho[x]
+    inner_rows = w[v] > 0.0
+    xs = v[inner_rows]
+    rows[np.ix_(xs, np.searchsorted(dom, bundle.net))] += w[xs, None] * inner.pou.matrix[inner_rows]
+    xs = np.flatnonzero(rho > 0.0)
+    rows[xs, np.searchsorted(dom, xs)] += rho[xs]
     return WeightOperator(space, dom, rows, partition=True)
 
 
@@ -335,15 +337,14 @@ def certify_gluing(bundle: GluingBundle, e: np.ndarray, rng=None) -> GluingCerti
         return finish()
 
     w1, w2 = sandwich_sets(e, bundle.cfg.k, eps, dim_k, "probe")
-    v1, v2 = set(bundle.core_lo), set(bundle.core_hi)
     chain = [
-        ("inclusion-lo-probe", v1, set(w1)),
-        ("inclusion-probe-pair", set(w1), set(w2)),
-        ("inclusion-probe-hi", set(w2), v2),
-        ("inclusion-hi-collar", v2, set(bundle.v_indices)),
+        ("inclusion-lo-probe", bundle.core_lo, w1),
+        ("inclusion-probe-pair", w1, w2),
+        ("inclusion-probe-hi", w2, bundle.core_hi),
+        ("inclusion-hi-collar", bundle.core_hi, bundle.v_indices),
     ]
     for kind, small, big in chain:
-        missing = sorted(small - big)
+        missing = np.setdiff1d(small, big)
         certs.append(make_certificate(
             kind, 0.0, float(len(missing)), "le", 0.0,
             witnesses=missing[:4], inputs=inputs))
@@ -362,10 +363,10 @@ def certify_gluing(bundle: GluingBundle, e: np.ndarray, rng=None) -> GluingCerti
     certs.extend(inner.certificates)
 
     rho = cutoff(e, w1, eps, dim_k)
-    cm = list(bundle.exhaustion[bundle.m - 1])
     cn = list(bundle.exhaustion[bundle.n - 1])
-    not_cm = sorted(set(range(space.n)) - set(cm))
-    not_v = sorted(set(range(space.n)) - set(bundle.v_indices))
+    points = np.arange(space.n)
+    not_cm = ~np.isin(points, bundle.exhaustion[bundle.m - 1])
+    not_v = ~np.isin(points, bundle.v_indices)
     certs.append(make_certificate(
         "cutoff-vanishes-inside", 0.0,
         float(np.max(rho[list(w1)], initial=0.0)), "le", 0.0, inputs=inputs))
@@ -386,12 +387,11 @@ def certify_gluing(bundle: GluingBundle, e: np.ndarray, rng=None) -> GluingCerti
 
     h_op = build_h_operator(bundle, inner, rho)
     dom = list(h_op.domain)
-    pos_in_dom = {p: i for i, p in enumerate(dom)}
-    fixed = sorted(set(cn) | set(bundle.net))
+    fixed = _union(cn, bundle.net)
+    fixed_pos = np.searchsorted(dom, fixed)
     eye_rows = np.zeros((len(fixed), len(dom)))
-    for r, x in enumerate(fixed):
-        eye_rows[r, pos_in_dom[x]] = 1.0
-    identity_gap = float(np.abs(h_op.matrix[fixed] - eye_rows).max()) if fixed else 0.0
+    eye_rows[np.arange(len(fixed)), fixed_pos] = 1.0
+    identity_gap = float(np.abs(h_op.matrix[fixed] - eye_rows).max(initial=0.0))
     certs.append(make_certificate(
         "restriction-identity", 0.0, identity_gap, "le", 0.0, inputs=inputs))
 
@@ -401,7 +401,7 @@ def certify_gluing(bundle: GluingBundle, e: np.ndarray, rng=None) -> GluingCerti
         witnesses=[wit], details={"headroom": bound - norm}, inputs=inputs))
 
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng or 0)
-    base_pos = pos_in_dom[space.base_index]
+    base_pos = np.searchsorted(dom, space.base_index)
     e_dom = e[np.ix_(dom, dom)]
     family_gap = 0.0
     family_lip = 0.0
@@ -418,7 +418,7 @@ def certify_gluing(bundle: GluingBundle, e: np.ndarray, rng=None) -> GluingCerti
         hf = h_op.apply(f)
         # Lip(f) is one only up to rounding, so the ratio is what ||H|| bounds
         family_lip = max(family_lip, lipschitz_constant(hf, e) / lipschitz_constant(f, e_dom))
-        family_gap = max(family_gap, float(np.abs(hf[fixed] - f[[pos_in_dom[x] for x in fixed]]).max()))
+        family_gap = max(family_gap, float(np.abs(hf[fixed] - f[fixed_pos]).max()))
         base_gap = max(base_gap, abs(float(hf[space.base_index])))
     certs.append(make_certificate(
         "family-restriction-identity", 0.0, family_gap, "le", 0.0, inputs=inputs))

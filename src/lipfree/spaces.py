@@ -231,7 +231,6 @@ class FiniteMetricSpace:
     base_index: int = 0
     coords: np.ndarray | None = None     # integer lattice coordinates, if any
     nominal_dim: int | None = None       # declared dimension of the model
-    ground: str | None = None            # grid ground metric, if generated
 
     def __post_init__(self):
         pts = tuple(str(p) for p in self.points)
@@ -427,7 +426,7 @@ def make_grid_space(dims: Sequence[int], spacing: float, ground: str = "linf") -
     d *= spacing
     names = tuple("-".join(map(str, c)) for c in coords)
     return FiniteMetricSpace(names, d, base_index=0, coords=coords,
-                             nominal_dim=len(dims), ground=ground)
+                             nominal_dim=len(dims))
 
 
 def random_metric_space(n: int, seed: int | np.random.Generator, scale: float = 1.0) -> FiniteMetricSpace:
@@ -451,6 +450,8 @@ def restrict_space(space: FiniteMetricSpace, members: Sequence[int],
     dimension becomes the number of axes along which the subset actually varies.
     """
     idx = as_indices(members, space)
+    if not idx:
+        raise ValueError("subset must be nonempty")
     if base_point is None:
         base_point = space.base_index if space.base_index in idx else idx[0]
     if base_point not in idx:
@@ -467,7 +468,6 @@ def restrict_space(space: FiniteMetricSpace, members: Sequence[int],
         base_index=sub.index(base_point),
         coords=coords,
         nominal_dim=nominal,
-        ground=space.ground,
     )
 
 
@@ -491,5 +491,4 @@ def space_from_json(obj: dict) -> FiniteMetricSpace:
         base_index=int(obj.get("base_point", 0)),
         coords=coords,
         nominal_dim=obj.get("nominal_dim"),
-        ground=obj.get("ground"),
     )

@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 
 import lipfree as lf
 from lipfree import freenorm as fn, lp as lpmod
+from lipfree.covers import _prune_irredundant
 
 
 def line_space(positions, base=0):
@@ -151,6 +152,126 @@ def prune_irredundant_by_unions(sets: list[set], n: int) -> list[set]:
                 changed = True
                 break
     return sets
+
+
+def net_cover_by_loops(space, eps: float, family) -> tuple[tuple, tuple]:
+    """Net and merged sets of `covers.build_net_cover` for a refiner output
+    that passed its checks, by per-pair loops: private points by membership
+    counts, the greedy separated subfamily, each leftover set assigned to the
+    kept representative of least (distance, index), and the merge by set
+    unions.  Pruning is `covers._prune_irredundant`, tested on its own."""
+    d = space.dist
+    base = space.base_index
+    sets = _prune_irredundant([set(s) for s in family.sets], space.n)
+    first = next(i for i, s in enumerate(sets) if base in s)
+    sets.insert(0, sets.pop(first))
+    for s in sets[1:]:
+        s.discard(base)
+    reps = []
+    for i, s in enumerate(sets):
+        private = [p for p in s if sum(p in t for t in sets) == 1]
+        assert private
+        reps.append(base if i == 0 else min(private))
+    kept = []
+    for i, rep in enumerate(reps):
+        if all(d[rep, reps[k]] > eps / 3.0 for k in kept):
+            kept.append(i)
+    assign = {}
+    for i, rep in enumerate(reps):
+        if i in kept:
+            assign[i] = i
+            continue
+        cands = [k for k in kept if d[rep, reps[k]] <= eps / 3.0]
+        assign[i] = min(cands, key=lambda k: (d[rep, reps[k]], k))
+    merged = []
+    net = []
+    for k in kept:
+        block = set()
+        for i, s in enumerate(sets):
+            if assign[i] == k:
+                block |= s
+        merged.append(tuple(sorted(block)))
+        net.append(reps[k])
+    return tuple(net), tuple(merged)
+
+
+def verify_net_cover_by_loops(nc) -> lf.Certificate:
+    """`covers.verify_net_cover` with its membership, ball and separation
+    clauses as nested loops over net indices, sets and members, failures
+    appended as the loops meet them."""
+    d = nc.space.dist
+    n = nc.space.n
+    failures = []
+    details = {}
+
+    membership_ok = True
+    for i, a in enumerate(nc.net):
+        for j, s in enumerate(nc.sets):
+            inside = a in s
+            if inside != (i == j):
+                membership_ok = False
+                failures.append(("membership", i, j))
+    details["membership"] = membership_ok
+
+    ball_ok = True
+    for i, (a, s) in enumerate(zip(nc.net, nc.sets)):
+        for x in s:
+            if not d[x, a] < nc.eps / 2.0:
+                ball_ok = False
+                failures.append(("ball", i, x))
+    details["balls"] = ball_ok
+
+    sep_ok = True
+    for i, j in itertools.combinations(range(len(nc.net)), 2):
+        if not d[nc.net[i], nc.net[j]] > nc.eps / 3.0:
+            sep_ok = False
+            failures.append(("separation", nc.net[i], nc.net[j]))
+    details["separation"] = sep_ok
+
+    got = lf.order(nc.sets)
+    details["order"] = got
+    if got > nc.order_bound:
+        failures.append(("order", got, nc.order_bound))
+
+    counts = [sum(p in s for s in nc.sets) for p in range(n)]
+    missing = [p for p in range(n) if counts[p] == 0]
+    details["coverage"] = not missing
+    if missing:
+        failures.append(("coverage", missing[0]))
+
+    if nc.space.base_index not in nc.net or (nc.net and nc.net[0] != nc.space.base_index):
+        failures.append(("base", nc.space.base_index))
+
+    if details["coverage"] and nc.net:
+        md = float(d[:, list(nc.net)].min(axis=1).max())
+        details["net_density"] = md
+        if not md <= nc.eps / 2.0:
+            failures.append(("density", md))
+
+    return lf.make_certificate(
+        "net-cover", 0.0, float(len(failures)), "le", 0.0,
+        witnesses=failures[:8],
+        inputs={"space": nc.space.key, "eps": nc.eps, "order_bound": nc.order_bound},
+        details=details,
+    )
+
+
+def h_rows_by_points(bundle, inner, rho) -> np.ndarray:
+    """Rows of `gluing.build_h_operator` for a valid cutoff, point by point
+    with position maps: (1 - rho(x)) times the inner row on the net columns,
+    then rho(x) added on the column of x."""
+    dom = lf.glue_domain(bundle)
+    pos_in_dom = {p: i for i, p in enumerate(dom)}
+    pos_in_v = {p: i for i, p in enumerate(bundle.v_indices)}
+    a_pos = [pos_in_dom[a] for a in bundle.net]
+    rows = np.zeros((bundle.cfg.space.n, len(dom)))
+    for x in range(bundle.cfg.space.n):
+        w = 1.0 - rho[x]
+        if w > 0.0:
+            rows[x, a_pos] += w * inner.pou.matrix[pos_in_v[x]]
+        if rho[x] > 0.0:
+            rows[x, pos_in_dom[x]] += rho[x]
+    return rows
 
 
 def complement_distances_by_sets(d: np.ndarray, sets) -> np.ndarray:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lipfree as lf
-from conftest import prune_irredundant_by_unions
-from lipfree.covers import CoverError, _prune_irredundant
+from conftest import (net_cover_by_loops, prune_irredundant_by_unions,
+                      verify_net_cover_by_loops)
+from lipfree.covers import CoverError, CoverFamily, _prune_irredundant
 
 
 @st.composite
@@ -20,6 +21,37 @@ def covering_families(draw):
             sets[i].add(p)
     sets += [set(sets[i]) for i in draw(st.lists(st.integers(0, k - 1), max_size=3))]
     return draw(st.permutations(sets)), n
+
+
+@st.composite
+def fine_families(draw):
+    """An integer-valued metric space, an eps and a covering family whose sets
+    have diameter below eps/6.  Every distance is an integer and eps/3 is one
+    too, so ties in the nearest representative and distances of exactly eps/3
+    are common."""
+    n = draw(st.integers(1, 10))
+    w = np.array(draw(st.lists(st.integers(1, 4), min_size=n * n, max_size=n * n)),
+                 dtype=float).reshape(n, n)
+    w = np.triu(w, 1)
+    d = lf.floyd_warshall(w + w.T)
+    space = lf.FiniteMetricSpace(tuple(f"q{i}" for i in range(n)), d,
+                                 base_index=draw(st.integers(0, n - 1)))
+    t = draw(st.integers(0, 3))                  # largest set diameter
+    sets = []
+    for cand in draw(st.lists(st.lists(st.integers(0, n - 1)), max_size=2 * n)):
+        s = []
+        for p in cand:
+            if p not in s and all(d[p, q] <= t for q in s):
+                s.append(p)
+        sets.append(s)
+    covered = {p for s in sets for p in s}
+    sets += [[p] for p in range(n) if p not in covered]
+    family = CoverFamily(space, tuple(draw(st.permutations(sets))), lf.order(sets))
+    return space, 6.0 * t + 3.0, family
+
+
+def build_from(space, eps, family):
+    return lf.build_net_cover(space, eps, refiner=lambda sp, e: family)
 
 
 class TestOrder:
@@ -126,6 +158,76 @@ class TestBuildNetCover:
         a = lf.build_net_cover(space, 0.3)
         b = lf.build_net_cover(space, 0.3)
         assert a == b
+
+
+class TestNetCoverMatchesLoops:
+    @given(fine_families())
+    @settings(max_examples=300, deadline=None)
+    def test_net_and_sets_match_the_loops(self, case):
+        space, eps, family = case
+        nc = build_from(space, eps, family)
+        assert (nc.net, nc.sets) == net_cover_by_loops(space, eps, family)
+        assert all(type(p) is int for p in nc.net)
+        assert all(type(p) is int for s in nc.sets for p in s)
+
+    def test_tie_goes_to_the_first_kept_representative(self):
+        # point 1 is 1 away from both 0 and 2, which are 2 apart: with
+        # eps/3 = 1.5, 0 and 2 are kept and 1 joins 0, the first on the tie
+        space = lf.make_grid_space([3], 1.0)
+        family = CoverFamily(space, ((0,), (2,), (1,)), 0)
+        nc = build_from(space, 4.5, family)
+        assert nc.net == (0, 2)
+        assert nc.sets == ((0, 1), (2,))
+        assert (nc.net, nc.sets) == net_cover_by_loops(space, 4.5, family)
+
+
+@st.composite
+def corrupted_net_covers(draw):
+    """A built net and cover with one to three faults: a moved net point, an
+    added (possibly repeated, unsorted) or dropped member, a shrunk eps, or a
+    net and a family of different lengths."""
+    space, eps, family = draw(fine_families())
+    nc = build_from(space, eps, family)
+    net, sets = list(nc.net), [list(s) for s in nc.sets]
+    point = st.integers(0, space.n - 1)
+    for fault in draw(st.lists(st.sampled_from(
+            ["move", "add", "drop", "shrink", "length"]), min_size=1, max_size=3)):
+        if fault == "move" and net:
+            net[draw(st.integers(0, len(net) - 1))] = draw(point)
+        elif fault == "add" and sets:
+            sets[draw(st.integers(0, len(sets) - 1))].append(draw(point))
+        elif fault == "drop" and any(sets):
+            s = draw(st.sampled_from([s for s in sets if s]))
+            s.pop(draw(st.integers(0, len(s) - 1)))
+        elif fault == "shrink":
+            eps *= draw(st.sampled_from([0.25, 0.5, 2.0 / 3.0, 0.9]))
+        elif fault == "length":
+            change = draw(st.sampled_from(["net-", "sets-", "net+", "sets+"]))
+            if change == "net-":
+                net = net[:-1]
+            elif change == "sets-":
+                sets = sets[:-1]
+            elif change == "net+":
+                net.append(draw(point))
+            else:
+                sets.append(draw(st.lists(point, max_size=3)))
+    return lf.NetAndCover(space, tuple(net), tuple(tuple(s) for s in sets),
+                          eps, nc.order_bound)
+
+
+class TestVerifyMatchesLoops:
+    @given(corrupted_net_covers())
+    @settings(max_examples=300, deadline=None)
+    def test_certificate_matches_the_loops(self, nc):
+        assert lf.verify_net_cover(nc) == verify_net_cover_by_loops(nc)
+
+    @given(fine_families())
+    @settings(max_examples=100, deadline=None)
+    def test_built_cover_verifies(self, case):
+        nc = build_from(*case)
+        cert = lf.verify_net_cover(nc)
+        assert cert.passed
+        assert cert == verify_net_cover_by_loops(nc)
 
 
 class TestPruneIrredundant:

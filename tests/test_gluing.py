@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import lipfree as lf
+from conftest import h_rows_by_points
 from lipfree.gluing import GluingError, build_h_operator, glue_domain
 
 
@@ -304,3 +307,77 @@ class TestCertifyGluing:
             u = f_ext - g_ext
             lip_u = lf.lipschitz_constant(u, e)
             assert lf.lipschitz_constant(u * rho, e) <= factor * lip_u + 1e-9
+
+
+class TestBuildHOperator:
+    def _parts(self, bundle):
+        e = bundle.metric
+        v = list(bundle.v_indices)
+        inner = lf.build_perturbed_operator(bundle.v_bundle, e[np.ix_(v, v)])
+        w1, _ = lf.sandwich_sets(e, bundle.cfg.k, bundle.eps, bundle.cfg.dim_k, "probe")
+        return inner, lf.cutoff(e, w1, bundle.eps, bundle.cfg.dim_k)
+
+    def _outside(self, bundle, members):
+        return [x for x in range(bundle.cfg.space.n) if x not in members]
+
+    def test_rows_match_the_point_loop(self, small_glue, point_core_glue):
+        for bundle in (small_glue, point_core_glue):
+            inner, rho = self._parts(bundle)
+            op = build_h_operator(bundle, inner, rho)
+            assert np.array_equal(op.matrix, h_rows_by_points(bundle, inner, rho))
+            assert op.domain == glue_domain(bundle)
+
+    def test_positive_outside_cm_rejected(self, small_glue):
+        inner, rho = self._parts(small_glue)
+        x = self._outside(small_glue, small_glue.exhaustion[small_glue.m - 1])[-1]
+        rho = rho.copy()
+        rho[x] = 1.0                  # saturated, so only the C_m fault
+        with pytest.raises(GluingError, match=f"positive at point {x} outside C_m"):
+            build_h_operator(small_glue, inner, rho)
+
+    def test_unsaturated_outside_collar_rejected(self, small_glue):
+        inner, rho = self._parts(small_glue)
+        x = self._outside(small_glue, small_glue.v_indices)[0]
+        rho = rho.copy()
+        rho[x] = 0.0                  # vanishing, so only the collar fault
+        with pytest.raises(GluingError, match=f"not saturated at point {x} outside the collar"):
+            build_h_operator(small_glue, inner, rho)
+
+    def test_lower_indexed_fault_is_named(self, small_glue):
+        inner, rho = self._parts(small_glue)
+        off_cm = self._outside(small_glue, small_glue.exhaustion[small_glue.m - 1])
+        off_v = self._outside(small_glue, small_glue.v_indices)
+        assert off_cm[0] < off_v[0] < off_cm[-1]
+        for x_cm, x_v, named in ((off_cm[0], off_v[0], "C_m"), (off_cm[-1], off_v[0], "collar")):
+            bad = rho.copy()
+            bad[x_cm], bad[x_v] = 1.0, 0.0
+            lowest = min(x_cm, x_v)
+            with pytest.raises(GluingError, match=f"point {lowest} outside (the )?{named}"):
+                build_h_operator(small_glue, inner, bad)
+
+    def test_point_with_both_faults_names_the_collar(self, small_glue):
+        # with C_m shrunk to C_n, a point outside the collar and outside C_n
+        # can carry both faults at once
+        inner, _ = self._parts(small_glue)
+        bundle = dataclasses.replace(small_glue, m=small_glue.n)
+        cn = bundle.exhaustion[bundle.n - 1]
+        x = next(x for x in self._outside(bundle, bundle.v_indices) if x not in cn)
+        rho = (~np.isin(np.arange(bundle.cfg.space.n), bundle.v_indices)).astype(float)
+        with pytest.raises(GluingError, match=f"positive at point {x} outside C_m"):
+            build_h_operator(bundle, inner, rho)
+        rho[x] = 0.5
+        with pytest.raises(GluingError, match=f"not saturated at point {x} outside the collar"):
+            build_h_operator(bundle, inner, rho)
+
+    def test_full_core_has_empty_cm(self):
+        space = lf.make_grid_space([5], 1 / 5)
+        cfg = lf.GluingConfig(space, tuple(range(5)), 1, (0.5,))
+        bundle = lf.build_gluing_bundle(cfg, 1, 0.5)
+        assert bundle.exhaustion[bundle.m - 1] == ()
+        inner, rho = self._parts(bundle)
+        op = build_h_operator(bundle, inner, rho)
+        assert np.array_equal(op.matrix, h_rows_by_points(bundle, inner, rho))
+        rho = rho.copy()
+        rho[2] = 0.5
+        with pytest.raises(GluingError, match="positive at point 2 outside C_m"):
+            build_h_operator(bundle, inner, rho)

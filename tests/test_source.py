@@ -27,6 +27,54 @@ def unused_imports(source: str) -> list[str]:
                   if name not in read)
 
 
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions and constants (one leading underscore)
+    that no module of `sources` reads, by name or as a module attribute."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{module} line {node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in read)
+
+
+def test_no_unread_private_names():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_private_names(sources) == []
+
+
+def test_unread_private_name_is_reported():
+    sources = {
+        "a.py": ("_USED = 1\n"
+                 "_ORPHAN: int = 2\n"
+                 "_READ_ELSEWHERE = 3\n"
+                 "def _helper():\n"
+                 "    return _USED\n"
+                 "def _orphan_helper():\n"
+                 "    return 0\n"
+                 "def public():\n"
+                 "    return _helper()\n"),
+        "b.py": ("from . import a\n"
+                 "print(a._READ_ELSEWHERE)\n"),
+    }
+    assert unread_private_names(sources) == ["_ORPHAN (a.py line 2)",
+                                             "_orphan_helper (a.py line 6)"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -480,3 +480,10 @@ class TestRestrictAndJson:
         space = lf.space_from_json({"generator": "grid", "dims": [3, 3],
                                     "spacing": 0.5, "ground": "linf"})
         assert space.n == 9
+
+    def test_restrict_to_empty_subset_rejected(self):
+        space = lf.make_grid_space([4], 0.5)
+        with pytest.raises(ValueError, match="subset must be nonempty"):
+            lf.restrict_space(space, [])
+        with pytest.raises(ValueError, match="subset must be nonempty"):
+            lf.restrict_space(space, [], base_point=0)
