@@ -101,6 +101,17 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(obj: dict) -> Certificate:
+    """Certificate from its JSON record.  passed and warning must be JSON
+    booleans and claimed, measured and tol JSON numbers, else ValueError: a
+    string such as "false" must not be coerced into a verdict."""
+    for key in ("passed", "warning"):
+        if not isinstance(obj.get(key), bool):
+            raise ValueError(f"certificate {obj.get('kind')!r}: {key} must be a JSON "
+                             f"boolean, got {obj.get(key)!r}")
+    for key in ("claimed", "measured", "tol"):
+        if isinstance(obj.get(key), bool) or not isinstance(obj.get(key), (int, float)):
+            raise ValueError(f"certificate {obj.get('kind')!r}: {key} must be a JSON "
+                             f"number, got {obj.get(key)!r}")
     return Certificate(
         kind=obj["kind"],
         claimed=float(obj["claimed"]),

@@ -251,22 +251,36 @@ def verify_net_cover(nc: NetAndCover) -> Certificate:
     order of the clause's index loops: (net index, set index) row by row for
     membership, set by set and then in each set's own member order for the
     balls, and pairs i < j row by row for separation.
+
+    A net point or member outside [0, n) fails the certificate with a
+    ("range", "net" | "set", position, point) witness and no other clause:
+    numpy would raise on it or wrap it round to a real point.
     """
     d = nc.space.dist
     n = nc.space.n
     net = np.asarray(nc.net, dtype=np.intp)
+    inputs = {"space": nc.space.key, "eps": nc.eps, "order_bound": nc.order_bound}
     details = {}
 
+    # member x[m] of set owner[m], set by set in each set's own order
+    owner = np.repeat(np.arange(len(nc.sets)), [len(s) for s in nc.sets])
+    x = np.fromiter(itertools.chain.from_iterable(nc.sets), dtype=np.intp)
+    failures = [("range", "net", int(i), int(net[i]))
+                for i in np.flatnonzero((net < 0) | (net >= n))]
+    failures += [("range", "set", int(owner[m]), int(x[m]))
+                 for m in np.flatnonzero((x < 0) | (x >= n))]
+    if failures:
+        return make_certificate("net-cover", 0.0, float(len(failures)), "le", 0.0,
+                                witnesses=failures[:8], inputs=inputs, details={"range": False})
+
     member = np.zeros((len(nc.sets), n), dtype=bool)
-    for j, s in enumerate(nc.sets):
-        member[j, list(s)] = True
+    member[owner, x] = True
     wrong = member[:, net].T != np.eye(len(net), len(nc.sets), dtype=bool)
     failures = [("membership", int(i), int(j)) for i, j in np.argwhere(wrong)]
     details["membership"] = not wrong.any()
 
-    paired = nc.sets[:len(net)]
-    owner = np.repeat(np.arange(len(paired)), [len(s) for s in paired])
-    x = np.fromiter(itertools.chain.from_iterable(paired), dtype=np.intp)
+    paired = owner < len(net)
+    owner, x = owner[paired], x[paired]
     outside = ~(d[x, net[owner]] < nc.eps / 2.0)
     failures += [("ball", int(i), int(p)) for i, p in zip(owner[outside], x[outside])]
     details["balls"] = not outside.any()
@@ -295,10 +309,6 @@ def verify_net_cover(nc: NetAndCover) -> Certificate:
         if not md <= nc.eps / 2.0:
             failures.append(("density", md))
 
-    return make_certificate(
-        "net-cover", 0.0, float(len(failures)), "le", 0.0,
-        witnesses=failures[:8],
-        inputs={"space": nc.space.key, "eps": nc.eps, "order_bound": nc.order_bound},
-        details=details,
-    )
+    return make_certificate("net-cover", 0.0, float(len(failures)), "le", 0.0,
+                            witnesses=failures[:8], inputs=inputs, details=details)
 

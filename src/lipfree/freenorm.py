@@ -212,6 +212,10 @@ class WeightOperator:
     def __post_init__(self):
         dom = tuple(int(i) for i in self.domain)
         object.__setattr__(self, "domain", dom)
+        if any(not 0 <= i < self.space.n for i in dom):
+            raise ValueError("operator domain must lie in the space")
+        if len(set(dom)) != len(dom):
+            raise ValueError("operator domain must not repeat a point")
         w = np.array(self.matrix, dtype=float)
         if w.shape != (self.space.n, len(dom)):
             raise ValueError(f"weight matrix must be {self.space.n} x {len(dom)}")

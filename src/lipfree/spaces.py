@@ -8,11 +8,10 @@ operation here is a pure function of its inputs.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
-import os
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -57,104 +56,76 @@ class ValidationReport:
 
 
 # The row-block engine behind the two O(n^3) min-plus sweeps, the triangle
-# check and Floyd-Warshall.  _sweep_rows cuts the rows into blocks of about
-# _BLOCK_CELLS entries, so a block's candidate sums stay in cache while each
-# numpy call still does enough work to hide its overhead, and deals the blocks
-# round-robin to the caller and at most one helper thread: numpy's add and
-# minimum release the GIL.  The triangle check starts the helper only once
-# the matrix holds _HELPER_MIN_BLOCKS blocks' worth of entries, so that the
-# helper gets at least a third of the rows: from 314 points at the default
-# block size.  On two cores a helper with less gained nothing over one worker.
+# check and Floyd-Warshall, both on the caller's thread.  _row_blocks cuts the
+# rows into blocks of about _BLOCK_CELLS entries, so a block's candidate sums
+# stay in cache while each numpy call still does enough work to hide its
+# overhead.
 _BLOCK_CELLS = 2 ** 16
-_WORKERS = min(2, os.cpu_count() or 1)
-_HELPER_MIN_BLOCKS = 1.5
 
 
-def _sweep_rows(n: int, sweep, buffers: int, workers: int = 1) -> None:
-    """Run sweep(blocks, scratch) once on each of up to `workers` threads;
-    n >= 1 is the row count and the row length.
+@contextlib.contextmanager
+def _row_blocks(n: int, buffers: int):
+    """Yield (blocks, scratch) for n >= 1 rows of length n: the row blocks as
+    (lo, hi) pairs, and `buffers` arrays of one block's shape, allocated once
+    for the call; a block takes views of them.
 
-    Worker w gets the row blocks w, w + workers, ... as (index, lo, hi)
-    triples and its own scratch of `buffers` arrays of one block's shape.
-    Worker 0 is the caller; an exception in a helper is raised here after
-    every worker has stopped.
-
-    Each worker sweeps with numpy's ufunc buffer sized to one row, rounded
-    up to a multiple of 16.  The inner step of both sweeps is a broadcast add
-    of a column slice to a row, and a buffer that spans several rows makes
-    numpy copy both broadcast operands on every call: at 900 points that step
-    takes about 4x longer with the default 8192 elements.  The setting is
-    per thread (context-local in numpy 2), so every worker sets it and puts
-    the old value back.  No sum or mean may run inside that scope: numpy's
-    pairwise summation splits at the inner-loop length, so its rounding could
-    depend on the buffer.  Elementwise adds, minima and argmax are exact
-    whatever the buffer.
+    Inside the scope numpy's ufunc buffer is sized to one row, rounded up to
+    a multiple of 16.  The inner step of both sweeps is a broadcast add of a
+    column slice to a row, and a buffer that spans several rows makes numpy
+    copy both broadcast operands on every call: at 900 points that step takes
+    about 4x longer with the default 8192 elements.  The setting is
+    context-local in numpy 2, so concurrent callers do not see each other's,
+    and the old value is put back on exit.  No sum or mean may run inside the
+    scope: numpy's pairwise summation splits at the inner-loop length, so its
+    rounding could depend on the buffer.  Elementwise adds, minima and argmax
+    are exact whatever the buffer.
     """
     rows = min(n, max(1, _BLOCK_CELLS // n))
-    blocks = [(b, lo, min(lo + rows, n)) for b, lo in enumerate(range(0, n, rows))]
-    workers = min(workers, len(blocks))
-    scratch = np.empty((workers, buffers, rows, n))
-    bufsize = -(-n // 16) * 16
-    errors = []
-
-    def share(w):
-        old = np.setbufsize(bufsize)
-        try:
-            sweep(blocks[w::workers], scratch[w])
-        finally:
-            np.setbufsize(old)
-
-    def helper_share(w):
-        try:
-            share(w)
-        except BaseException as exc:    # handed to the caller, which raises it
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=helper_share, args=(w,)) for w in range(1, workers)]
-    for t in helpers:
-        t.start()
+    blocks = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    scratch = np.empty((buffers, rows, n))
+    old = np.setbufsize(-(-n // 16) * 16)
     try:
-        share(0)
+        yield blocks, scratch
     finally:
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[0]
+        np.setbufsize(old)
 
 
-def _block_excess(d: np.ndarray, lo: int, hi: int, best: np.ndarray, cand: np.ndarray
-                  ) -> tuple[float, int, int]:
+def _block_excess(d: np.ndarray, lo: int, hi: int, k0: int, best: np.ndarray,
+                  cand: np.ndarray) -> tuple[float, int, int]:
     """Worst triangle excess d(i,k) - min_j (d(i,j) + d(j,k)) over the rows
-    lo <= i < hi, as (excess, i, k) with (i, k) first in row-major order.
-    best and cand are scratch buffers of at least hi - lo rows; j runs in
-    ascending order exactly as a whole-matrix sweep would."""
-    best, cand = best[:hi - lo], cand[:hi - lo]
+    lo <= i < hi and the columns k >= k0, as (excess, i, k) with (i, k) first
+    in row-major order.  best and cand are contiguous scratch buffers of at
+    least (hi - lo) * (n - k0) entries; j runs in ascending order exactly as a
+    whole-matrix sweep would, so every cell is the whole sweep's value."""
+    shape = (hi - lo, d.shape[0] - k0)
+    best = best.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
+    cand = cand.reshape(-1)[:best.size].reshape(shape)
     best.fill(np.inf)
     for j in range(d.shape[0]):
-        np.add(d[lo:hi, j, None], d[j], out=cand)
+        np.add(d[lo:hi, j, None], d[j, k0:], out=cand)
         np.minimum(best, cand, out=best)
-    np.subtract(d[lo:hi], best, out=best)
-    r, k = np.unravel_index(np.argmax(best), best.shape)
-    return float(best[r, k]), lo + int(r), int(k)
+    np.subtract(d[lo:hi, k0:], best, out=best)
+    r, k = np.unravel_index(np.argmax(best), shape)
+    return float(best[r, k]), lo + int(r), k0 + int(k)
 
 
 def _min_plus_excess(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     """Largest triangle excess d(i,k) - min_j (d(i,j) + d(j,k)) and a witness.
 
     (i, k) is the first worst pair in row-major order and j its first
-    minimiser.  The row blocks run on the engine's workers; a minimum is
-    exact in any grouping of rows, so the result is the one-thread sweep's.
+    minimiser.  On an exactly symmetric matrix each row block sweeps only the
+    columns k from its first row on, about half the work.  The result is the
+    full sweep's: excess(i, k) and excess(k, i) are then minima of the same
+    IEEE sums d(i,j) + d(j,k) = d(k,j) + d(j,i), so the first worst pair lies
+    on or above the diagonal, and each swept cell is computed as in the full
+    sweep.  Any other matrix is swept in full.
     """
-    n = d.shape[0]
-    worst = {}
-
-    def sweep(blocks, scratch):
-        for b, lo, hi in blocks:
-            worst[b] = _block_excess(d, lo, hi, *scratch)
-
-    _sweep_rows(n, sweep, 2, _WORKERS if n * n >= _HELPER_MIN_BLOCKS * _BLOCK_CELLS else 1)
-    # in block order, so that ties go to the first block
-    excess, i, k = max((worst[b] for b in sorted(worst)), key=lambda t: t[0])
+    symmetric = np.array_equal(d, d.T)
+    with _row_blocks(d.shape[0], 2) as (blocks, scratch):
+        worst = [_block_excess(d, lo, hi, lo if symmetric else 0, *scratch)
+                 for lo, hi in blocks]
+    # max keeps the first of equal excesses, so ties go to the first block
+    excess, i, k = max(worst, key=lambda t: t[0])
     j = np.argmin(d[i] + d[:, k])
     return excess, (i, int(j), k)
 
@@ -166,7 +137,9 @@ def validate_metric(mat: np.ndarray, allow_zero: bool = False) -> ValidationRepo
     With allow_zero=True the matrix is checked as a pseudometric (zero
     off-diagonal entries permitted).  Non-square input is rejected outright.
     A NaN or infinite entry is the one violation reported: every other check
-    is a comparison, which NaN would pass.
+    is a comparison, which NaN would pass.  The triangle check is the O(n^3)
+    min-plus sweep of _min_plus_excess on the caller's thread, over the upper
+    triangle only when the matrix is exactly symmetric.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -350,8 +323,8 @@ def floyd_warshall(w: np.ndarray) -> np.ndarray:
 
     Entries may be +inf (no edge); a NaN or negative entry raises ValueError.
     The diagonal is set to 0.  The k-loop runs row block by row block on the
-    engine of _sweep_rows, on the caller's thread: for each k, every block
-    takes min(d(i, j), d(i, k) + d(k, j)) in place.  The result is bitwise the
+    engine of _row_blocks: for each k, every block takes
+    min(d(i, j), d(i, k) + d(k, j)) in place.  The result is bitwise the
     whole-matrix k-loop's.  That needs the precondition: with a zero diagonal
     and nonnegative weights, step k rewrites row k with d(k, k) + d(k, j) =
     d(k, j) and column k with d(i, k) + d(k, k) = d(i, k), its own values,
@@ -361,16 +334,13 @@ def floyd_warshall(w: np.ndarray) -> np.ndarray:
     if not (d >= 0).all():                  # also false on NaN
         raise ValueError("weights must be nonnegative and not NaN")
     np.fill_diagonal(d, 0.0)
-
-    def sweep(blocks, scratch):
-        cand = scratch[0]
-        for k in range(d.shape[0]):
-            for _, lo, hi in blocks:
-                np.add(d[lo:hi, k, None], d[k], out=cand[:hi - lo])
-                np.minimum(d[lo:hi], cand[:hi - lo], out=d[lo:hi])
-
-    if d.size:
-        _sweep_rows(d.shape[0], sweep, 1)
+    n = d.shape[0]
+    if n:
+        with _row_blocks(n, 1) as (blocks, (cand,)):
+            for k in range(n):
+                for lo, hi in blocks:
+                    np.add(d[lo:hi, k, None], d[k], out=cand[:hi - lo])
+                    np.minimum(d[lo:hi], cand[:hi - lo], out=d[lo:hi])
     return d
 
 

@@ -41,6 +41,22 @@ class TestRoundTrip:
         forged = certificate_from_json({**certificate_to_json(cert), "passed": True})
         assert not lf.verify_certificate(forged)
 
+    @pytest.mark.parametrize("key, value", [
+        ("passed", "false"), ("passed", 1), ("warning", None), ("claimed", "1.0"),
+        ("measured", True), ("tol", None), ("tol", [0.0]),
+    ])
+    def test_fields_must_have_their_json_types(self, key, value):
+        record = {**certificate_to_json(make_certificate("demo", 1.0, 0.5, "le", 0.0)),
+                  key: value}
+        with pytest.raises(ValueError, match=key):
+            certificate_from_json(record)
+
+    def test_missing_verdict_rejected(self):
+        record = certificate_to_json(make_certificate("demo", 1.0, 0.5, "le", 0.0))
+        del record["warning"]
+        with pytest.raises(ValueError, match="warning"):
+            certificate_from_json(record)
+
     def test_hash_deterministic_and_canonical(self):
         a = hash_inputs({"x": 1, "y": [1.5, 2.5]})
         b = hash_inputs({"y": [1.5, 2.5], "x": 1})

@@ -202,6 +202,20 @@ class TestPerturbAndVerify:
         report.write_text(json.dumps(payload))
         assert main(["verify", str(report)]) == 1
 
+    def test_verify_rejects_a_string_verdict(self, tmp_path, capsys):
+        # bool("false") is True: read leniently, this record verified as a pass
+        cfg = write_config(tmp_path, "c.json", {
+            "space": grid_space_json([9], 1 / 8), "eps": 0.25, "seed": 0,
+        })
+        main(["--out-dir", str(tmp_path / "out"), "build-cover", cfg])
+        report = next((tmp_path / "out").glob("cover-*.json"))
+        payload = json.loads(report.read_text())
+        payload["certificates"][0].update(passed="false", warning=False)
+        report.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["verify", str(report)]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestReportLayout:
     def test_extend_report_recovers_adapted_metric(self, tmp_path):

@@ -265,6 +265,19 @@ class TestVerifyNetCover:
         assert not cert.passed
         assert any(w[0] == "separation" for w in cert.witnesses)
 
+    @pytest.mark.parametrize("net, sets, eps, witness", [
+        ((0,), ((0, 1, -1),), 1.0, ["range", "set", 0, -1]),
+        ((0,), ((0, 1, 7),), 1.0, ["range", "set", 0, 7]),
+        ((0, 9), ((0, 1, 2), (3, 4)), 0.5, ["range", "net", 1, 9]),
+        # -1 would wrap round to point 4, and this cover would pass
+        ((0, -1), ((0, 1, 2), (3, 4)), 0.5, ["range", "net", 1, -1]),
+    ])
+    def test_out_of_range_point_fails(self, net, sets, eps, witness):
+        nc = lf.NetAndCover(lf.make_grid_space([5], 0.1), net, sets, eps, 1)
+        cert = lf.verify_net_cover(nc)
+        assert not cert.passed
+        assert cert.witnesses == (witness,)
+
     def test_dropped_set_fails_coverage(self):
         space, nc = self._good()
         bad = lf.NetAndCover(space, nc.net[:-1], nc.sets[:-1], nc.eps, nc.order_bound)

@@ -207,6 +207,13 @@ class TestWeightOperator:
         with pytest.raises(ValueError):
             lf.WeightOperator(space, (0, 1), np.array([[0.5, 0.6]] * 3), partition=True)
 
+    @pytest.mark.parametrize("dom", [(0, -1), (0, 3), (0, 0)])
+    def test_domain_out_of_range_or_repeated_rejected(self, dom):
+        # -1 would measure with the last point's distances
+        space = lf.random_metric_space(3, seed=11)
+        with pytest.raises(ValueError, match="domain"):
+            lf.WeightOperator(space, dom, np.zeros((3, 2)))
+
     def test_domain_mismatch(self):
         space = lf.random_metric_space(3, seed=12)
         op = lf.WeightOperator(space, (0, 1), np.zeros((3, 2)))

@@ -108,23 +108,47 @@ def square_matrices(draw):
     return draw(arrays(np.float64, (n, n), elements=elements))
 
 
+@st.composite
+def symmetric_matrices(draw):
+    """Exactly symmetric matrices with a zero diagonal, integer (many ties) or
+    float entries, and a block of a few rows, so that blocks straddle the
+    diagonal."""
+    n = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a = rng.integers(0, 4, (n, n)).astype(float)
+    else:
+        a = rng.uniform(0.0, 10.0, (n, n))
+    a = np.triu(a, 1)
+    return a + a.T, draw(st.integers(1, 5))
+
+
+def symmetric_ties(n, seed):
+    """Symmetric matrix with a zero diagonal and entries 1 and 2: many ties."""
+    d = np.random.default_rng(seed).integers(1, 3, (n, n)).astype(float)
+    d = np.minimum(d, d.T)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
 class TestMinPlusExcess:
     @given(square_matrices())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_via_sweep(self, d):
         assert _min_plus_excess(d) == min_plus_excess_by_via(d)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @given(symmetric_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_symmetric_matrices_match_the_via_sweep(self, case):
+        d, rows = case
+        assert np.array_equal(d, d.T)
+        with mock.patch.object(spaces, "_BLOCK_CELLS", rows * d.shape[0]):
+            assert _min_plus_excess(d) == min_plus_excess_by_via(d)
+
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 200])
-    def test_block_and_thread_boundaries(self, n, workers, monkeypatch):
-        # 64-row blocks; with two workers, even on one core, block 1 goes to
-        # the helper thread
-        monkeypatch.setattr(spaces, "_BLOCK_CELLS", 64 * n)
-        monkeypatch.setattr(spaces, "_WORKERS", workers)
-        rng = np.random.default_rng(n)
-        d = rng.integers(1, 3, (n, n)).astype(float)   # entries 1 and 2: many ties
-        d = np.minimum(d, d.T)
-        np.fill_diagonal(d, 0.0)
+    def test_block_boundaries(self, n, monkeypatch):
+        monkeypatch.setattr(spaces, "_BLOCK_CELLS", 64 * n)     # 64-row blocks
+        d = symmetric_ties(n, n)
         assert _min_plus_excess(d) == min_plus_excess_by_via(d)
         i = min(n - 1, 64 + 5)                          # in block 1 once n > 64
         k = (i + 1) % n
@@ -135,31 +159,60 @@ class TestMinPlusExcess:
         if i != k:
             assert got[0] == 3.0 and (got[1][0], got[1][2]) == (i, k)
 
-    def test_helper_failure_is_raised_in_the_caller(self, monkeypatch):
+    def test_symmetric_matrix_sweeps_the_upper_triangle(self, monkeypatch):
         monkeypatch.setattr(spaces, "_BLOCK_CELLS", 64 * 130)
-        monkeypatch.setattr(spaces, "_WORKERS", 2)
         block_excess = spaces._block_excess
-        threads = []
+        starts = []
 
-        def failing(d, lo, hi, best, cand):
-            if lo == 64:
-                threads.append(threading.current_thread())
-                raise RuntimeError("block 1 failed")
-            return block_excess(d, lo, hi, best, cand)
+        def recording(d, lo, hi, k0, best, cand):
+            starts.append((lo, k0))
+            return block_excess(d, lo, hi, k0, best, cand)
 
-        monkeypatch.setattr(spaces, "_block_excess", failing)
-        with pytest.raises(RuntimeError, match="block 1 failed"):
-            lf.validate_metric(random_metric_matrix(0, 130))
-        assert threads and threads[0] is not threading.current_thread()
+        monkeypatch.setattr(spaces, "_block_excess", recording)
+        d = symmetric_ties(130, 0)
+        _min_plus_excess(d)
+        assert starts == [(0, 0), (64, 64), (128, 128)]
+        starts.clear()
+        d[100, 3] += 1.0
+        _min_plus_excess(d)
+        assert starts == [(0, 0), (64, 0), (128, 0)]
+
+    def test_worst_pair_across_a_block_boundary(self, monkeypatch):
+        # the worst pair (60, 70) has its row in block 0 and its mirror image
+        # (70, 60) left of block 1's first column
+        monkeypatch.setattr(spaces, "_BLOCK_CELLS", 64 * 130)
+        d = symmetric_ties(130, 1)
+        d[60, 70] = d[70, 60] = 4.0                     # excess 2, the largest
+        got = _min_plus_excess(d)
+        assert got == min_plus_excess_by_via(d)
+        assert got[0] == 2.0 and (got[1][0], got[1][2]) == (60, 70)
+
+    def test_one_sided_violation_below_the_diagonal(self, monkeypatch):
+        monkeypatch.setattr(spaces, "_BLOCK_CELLS", 64 * 130)
+        d = symmetric_ties(130, 2)
+        d[100, 3] = 5.0                                 # excess 3 in row 100 only
+        got = _min_plus_excess(d)
+        assert got == min_plus_excess_by_via(d)
+        assert got[0] == 3.0 and (got[1][0], got[1][2]) == (100, 3)
+        kinds = {v.kind: v for v in lf.validate_metric(d).violations}
+        assert kinds["triangle"].witness == got[1] and kinds["triangle"].amount == 3.0
+
+    def test_last_bit_asymmetry_takes_the_full_sweep(self, monkeypatch):
+        monkeypatch.setattr(spaces, "_BLOCK_CELLS", 64 * 130)
+        d = symmetric_ties(130, 3)
+        d[100, 3] = d[3, 100] = 4.0                     # excess 2 at both pairs
+        d[100, 3] = np.nextafter(4.0, np.inf)           # one ulp more below the diagonal
+        assert not np.array_equal(d, d.T)
+        got = _min_plus_excess(d)
+        assert got == min_plus_excess_by_via(d)
+        assert got[0] > 2.0 and (got[1][0], got[1][2]) == (100, 3)
 
     def test_concurrent_callers_get_their_serial_reports(self, monkeypatch):
         mats = [random_metric_matrix(seed, 130).copy() for seed in (1, 2)]
         mats[1][100, 3] += 1.0                          # triangle and symmetry violations
-        monkeypatch.setattr(spaces, "_WORKERS", 1)
         serial = [lf.validate_metric(m) for m in mats]
         assert serial[0].ok and not serial[1].ok
         monkeypatch.setattr(spaces, "_BLOCK_CELLS", 64 * 130)
-        monkeypatch.setattr(spaces, "_WORKERS", 2)
         results = [[], []]
 
         def run(k):
@@ -181,21 +234,6 @@ class TestMinPlusExcess:
 
 
 class TestRowBlockEngine:
-    @pytest.mark.parametrize("n, helper", [(313, False), (314, True)])
-    def test_helper_starts_from_a_third_of_the_rows(self, n, helper, monkeypatch):
-        monkeypatch.setattr(spaces, "_WORKERS", 2)
-        block_excess = spaces._block_excess
-        threads = set()
-
-        def recording(d, lo, hi, best, cand):
-            threads.add(threading.current_thread())
-            return block_excess(d, lo, hi, best, cand)
-
-        monkeypatch.setattr(spaces, "_block_excess", recording)
-        d = np.ones((n, n)) - np.eye(n)
-        assert _min_plus_excess(d) == (0.0, (0, 0, 0))
-        assert len(threads) == (2 if helper else 1)
-
     def _bufsize_after(self, call):
         old = np.setbufsize(4096)                       # not numpy's default
         try:
@@ -206,22 +244,20 @@ class TestRowBlockEngine:
 
     def test_caller_buffer_size_is_restored(self, monkeypatch):
         monkeypatch.setattr(spaces, "_BLOCK_CELLS", 64 * 130)
-        monkeypatch.setattr(spaces, "_WORKERS", 2)
         d = random_metric_matrix(0, 130)
         assert self._bufsize_after(lambda: lf.validate_metric(d)) == 4096
         assert self._bufsize_after(lambda: lf.floyd_warshall(d)) == 4096
 
-    @pytest.mark.parametrize("failing_lo", [64, 128])  # the helper's block, the caller's
+    @pytest.mark.parametrize("failing_lo", [64, 128])  # a middle block, the last
     def test_caller_buffer_size_is_restored_when_a_block_raises(self, failing_lo, monkeypatch):
         d = random_metric_matrix(0, 130)
         monkeypatch.setattr(spaces, "_BLOCK_CELLS", 64 * 130)
-        monkeypatch.setattr(spaces, "_WORKERS", 2)
         block_excess = spaces._block_excess
 
-        def failing(d, lo, hi, best, cand):
+        def failing(d, lo, hi, k0, best, cand):
             if lo == failing_lo:
                 raise RuntimeError("block failed")
-            return block_excess(d, lo, hi, best, cand)
+            return block_excess(d, lo, hi, k0, best, cand)
 
         monkeypatch.setattr(spaces, "_block_excess", failing)
 
