@@ -3,7 +3,9 @@ tables, metric perturbation, and certificate re-verification.
 
 Every run is driven by a JSON config, every randomized step takes its seed
 from the config, and reports are written as compact JSON with sorted keys, so
-that re-running with the same config produces byte-identical files.
+that re-running with the same config produces byte-identical files.  They are
+written leaf by leaf through CPython's C encoder, matrices row by row, so no
+report holds a matrix as Python floats (see `_write_value`).
 Certificate tolerances are not configurable: each certificate records the
 fixed tolerance it was checked with, and `verify` re-applies that recorded
 value.
@@ -72,10 +74,47 @@ def _require_seed(cfg: dict) -> int:
     return int(cfg["seed"])
 
 
+# One-shot encode() of an encoder without indent runs CPython's C encoder.
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+_NESTED = (dict, list, tuple, np.ndarray)
+
+
+def _write_value(write, value) -> None:
+    """Write `value` as compact JSON with sorted keys, arrays as their
+    `.tolist()`, one leaf at a time.
+
+    Dicts are walked key by key in sorted order, and so are lists and tuples
+    that hold a nested value, and arrays of two or more dimensions row by row.
+    Every other value (a scalar, a flat list, a 1-D array or one row) is a
+    leaf: one call of `_ENCODE`, so no matrix is ever held as Python floats.
+    A dict key that is not a str raises TypeError, as does any leaf the
+    encoder refuses.
+    """
+    if isinstance(value, dict):
+        bad = [key for key in value if not isinstance(key, str)]
+        if bad:
+            raise TypeError(f"report keys must be str, got {bad[0]!r}")
+        write("{")
+        for i, key in enumerate(sorted(value)):
+            write(("," if i else "") + _ENCODE(key) + ":")
+            _write_value(write, value[key])
+        write("}")
+    elif (isinstance(value, np.ndarray) and value.ndim >= 2
+          or isinstance(value, (list, tuple)) and any(isinstance(v, _NESTED) for v in value)):
+        write("[")
+        for i, item in enumerate(value):
+            if i:
+                write(",")
+            _write_value(write, item)
+        write("]")
+    else:
+        write(_ENCODE(value.tolist() if isinstance(value, np.ndarray) else value))
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        _write_value(fh.write, payload)
         fh.write("\n")
 
 
@@ -83,8 +122,8 @@ def _cert_list(certs) -> list[dict]:
     return [certsmod.certificate_to_json(c) for c in certs]
 
 
-def _matrix(m) -> list:
-    return np.asarray(m, dtype=float).tolist()
+def _matrix(m) -> np.ndarray:
+    return np.asarray(m, dtype=float)
 
 
 def _cover(nc) -> dict:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certs import Certificate, make_certificate
-from .spaces import FiniteMetricSpace, diameter
+from .spaces import FiniteMetricSpace, as_indices, bad_indices, diameter
 
 
 class CoverError(ValueError):
@@ -36,11 +36,7 @@ class CoverFamily:
     nominal_order_bound: int
 
     def __post_init__(self):
-        sets = tuple(tuple(sorted(set(int(i) for i in s))) for s in self.sets)
-        object.__setattr__(self, "sets", sets)
-        for s in sets:
-            if s and (s[0] < 0 or s[-1] >= self.space.n):
-                raise ValueError("set members out of range")
+        object.__setattr__(self, "sets", tuple(as_indices(s, self.space) for s in self.sets))
 
     def covers(self) -> bool:
         return bool(_counts(self.sets, self.space.n).all())
@@ -252,27 +248,27 @@ def verify_net_cover(nc: NetAndCover) -> Certificate:
     membership, set by set and then in each set's own member order for the
     balls, and pairs i < j row by row for separation.
 
-    A net point or member outside [0, n) fails the certificate with a
-    ("range", "net" | "set", position, point) witness and no other clause:
-    numpy would raise on it or wrap it round to a real point.
+    A net point or member that is not an integer in [0, n) fails the
+    certificate with a ("range", "net" | "set", position, entry) witness and
+    no other clause: numpy would raise on it, wrap it round to a real point or
+    truncate a float to one.
     """
     d = nc.space.dist
     n = nc.space.n
-    net = np.asarray(nc.net, dtype=np.intp)
     inputs = {"space": nc.space.key, "eps": nc.eps, "order_bound": nc.order_bound}
     details = {}
 
-    # member x[m] of set owner[m], set by set in each set's own order
-    owner = np.repeat(np.arange(len(nc.sets)), [len(s) for s in nc.sets])
-    x = np.fromiter(itertools.chain.from_iterable(nc.sets), dtype=np.intp)
-    failures = [("range", "net", int(i), int(net[i]))
-                for i in np.flatnonzero((net < 0) | (net >= n))]
-    failures += [("range", "set", int(owner[m]), int(x[m]))
-                 for m in np.flatnonzero((x < 0) | (x >= n))]
+    failures = [("range", "net", i, nc.net[i]) for i in bad_indices(nc.net, n)]
+    failures += [("range", "set", j, s[m]) for j, s in enumerate(nc.sets)
+                 for m in bad_indices(s, n)]
     if failures:
         return make_certificate("net-cover", 0.0, float(len(failures)), "le", 0.0,
                                 witnesses=failures[:8], inputs=inputs, details={"range": False})
 
+    net = np.asarray(nc.net, dtype=np.intp)
+    # member x[m] of set owner[m], set by set in each set's own order
+    owner = np.repeat(np.arange(len(nc.sets)), [len(s) for s in nc.sets])
+    x = np.fromiter(itertools.chain.from_iterable(nc.sets), dtype=np.intp)
     member = np.zeros((len(nc.sets), n), dtype=bool)
     member[owner, x] = True
     wrong = member[:, net].T != np.eye(len(net), len(nc.sets), dtype=bool)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .certs import Certificate, make_certificate
-from .spaces import (FiniteMetricSpace, as_indices, floyd_warshall,
+from .spaces import (FiniteMetricSpace, as_indices, bad_indices, floyd_warshall,
                      require_metric, sup_distance, validate_metric)
 
 
@@ -210,10 +210,12 @@ class WeightOperator:
     partition: bool = False
 
     def __post_init__(self):
+        bad = bad_indices(self.domain, self.space.n)
+        if bad:
+            raise ValueError(f"operator domain entry {bad[0]} ({self.domain[bad[0]]!r}) "
+                             "is not a point index")
         dom = tuple(int(i) for i in self.domain)
         object.__setattr__(self, "domain", dom)
-        if any(not 0 <= i < self.space.n for i in dom):
-            raise ValueError("operator domain must lie in the space")
         if len(set(dom)) != len(dom):
             raise ValueError("operator domain must not repeat a point")
         w = np.array(self.matrix, dtype=float)

@@ -235,12 +235,26 @@ class FiniteMetricSpace:
         return len(self.points)
 
 
+def bad_indices(values, n: int | None = None) -> list[int]:
+    """Positions of the entries of `values` that are not point indices.
+
+    A point index is a Python or numpy integer, not a bool, and lies in
+    [0, n) when n is given.  A float fails even when it is whole (3.0), since
+    int() would read 3.9 as point 3 without a word.
+    """
+    return [p for p, v in enumerate(values)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer))
+            or n is not None and not 0 <= v < n]
+
+
 def as_indices(subset, space: FiniteMetricSpace | None = None) -> tuple[int, ...]:
-    """Normalize an index sequence to a sorted tuple without duplicates."""
-    idx = tuple(sorted(set(int(i) for i in subset)))
-    if space is not None and idx and (idx[0] < 0 or idx[-1] >= space.n):
-        raise ValueError("subset indices out of range")
-    return idx
+    """Normalize an index sequence to a sorted tuple without duplicates;
+    ValueError names the first entry that is not a point index of `space`."""
+    subset = list(subset)
+    bad = bad_indices(subset, None if space is None else space.n)
+    if bad:
+        raise ValueError(f"subset entry {bad[0]} ({subset[bad[0]]!r}) is not a point index")
+    return tuple(sorted(set(int(i) for i in subset)))
 
 
 # ---------------------------------------------------------------------------

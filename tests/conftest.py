@@ -1,6 +1,8 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import io
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -371,6 +373,25 @@ def metric_extension_by_lp(d: np.ndarray, members, rho: np.ndarray) -> float:
                   bounds=(0.0, None), method="highs")
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def json_dump_of_lists(payload) -> str:
+    """The report writer of earlier versions: json.dump (the streaming
+    pure-Python encoder) with sorted keys and compact separators, on the
+    payload with every array passed through .tolist(), then a newline."""
+    def lists(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if isinstance(value, dict):
+            return {k: lists(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [lists(v) for v in value]
+        return value
+
+    buf = io.StringIO()
+    json.dump(lists(payload), buf, sort_keys=True, separators=(",", ":"))
+    buf.write("\n")
+    return buf.getvalue()
 
 
 @pytest.fixture

@@ -1,10 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lipfree as lf
-from lipfree.cli import main
+from conftest import json_dump_of_lists
+from lipfree.cli import _write_json, main
 
 
 def write_config(tmp_path, name, payload):
@@ -263,3 +267,61 @@ class TestReportLayout:
             canonical = json.dumps(json.loads(text), sort_keys=True,
                                    separators=(",", ":")) + "\n"
             assert text == canonical
+
+
+# Strings that need escapes or are not ASCII; U+2028 is valid JSON but ends a
+# line in JavaScript.
+ODD_TEXT = st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "\u2028", "é", "\U0001f600"])
+TEXT = st.one_of(ODD_TEXT, st.text(max_size=6), st.lists(ODD_TEXT).map("".join))
+# -0.0, subnormals, values near the range ends, infinities and NaN
+ODD_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300,
+                              -1e-300, float("inf"), float("-inf"), float("nan")])
+FLOATS = st.one_of(ODD_FLOATS, st.floats())
+FLOAT_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                                       max_side=4), elements=FLOATS)
+# np.float64 is a float subclass, which both encoders write as a float
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS,
+                    FLOATS.map(np.float64), TEXT)
+VALUES = st.recursive(
+    st.one_of(SCALARS, FLOAT_ARRAYS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=16)
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.dictionaries(TEXT, VALUES, max_size=5))
+    @example(payload={"b": np.zeros((0, 3)), "a": np.zeros((3, 0)), "c": [1, {"y": [], "x": ()}]})
+    def test_bytes_equal_json_dump_of_lists(self, tmp_path_factory, payload):
+        path = tmp_path_factory.mktemp("writer") / "r.json"
+        _write_json(path, payload)
+        assert path.read_text() == json_dump_of_lists(payload)
+
+    @pytest.mark.parametrize("leaf", [{1, 2}, np.int64(1), object()],
+                             ids=["set", "int64", "object"])
+    @pytest.mark.parametrize("where", ["value", "in list", "in nested list"])
+    def test_unencodable_leaf_raises(self, tmp_path, leaf, where):
+        value = {"value": leaf, "in list": [0.5, leaf], "in nested list": [[0.5], leaf]}[where]
+        with pytest.raises(TypeError):
+            json_dump_of_lists({"a": value})
+        with pytest.raises(TypeError):
+            _write_json(tmp_path / "r.json", {"a": value})
+
+    @pytest.mark.parametrize("key", [1, 2.5, None, True, ("a",)])
+    def test_non_str_key_raises(self, tmp_path, key):
+        # json.dump would write 1, 2.5, None and True as "1", "2.5", "null" and
+        # "true"; no report has such a key, so the writer refuses it
+        with pytest.raises(TypeError, match="keys must be str"):
+            _write_json(tmp_path / "r.json", {"a": [{"b": 1, key: 2}]})
+
+    def test_matrix_is_written_row_by_row(self, tmp_path):
+        m = np.random.default_rng(0).random((1000, 1000))
+        tracemalloc.start()
+        try:
+            _write_json(tmp_path / "r.json", {"m": m, "n": 1})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # m.tolist() alone takes about 32 MB
+        assert peak < 2 * 2**20

@@ -87,3 +87,40 @@ def test_unused_import_is_reported():
               "from .covers import build_net_cover, order as family_order\n"
               "build_net_cover(np.zeros(1), os.sep)\n")
     assert unused_imports(source) == ["family_order (line 4)"]
+
+
+def json_dump_calls(source: str) -> list[int]:
+    """Lines that call json.dump, the streaming pure-Python encoder, through
+    the json module (under any alias) or a name imported from it."""
+    tree = ast.parse(source)
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "json"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            functions |= {alias.asname or alias.name for alias in node.names
+                          if alias.name == "dump"}
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and node.func.attr == "dump"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id in modules
+        or isinstance(node.func, ast.Name) and node.func.id in functions))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_json_dump(path):
+    # reports go through one-shot encodes, which run CPython's C encoder
+    assert json_dump_calls(path.read_text()) == []
+
+
+def test_json_dump_call_is_reported():
+    source = ("import json\n"
+              "import json as js\n"
+              "from json import dump, dump as put, dumps\n"
+              "json.dumps({})\n"
+              "json.dump({}, fh)\n"
+              "js.dump({}, fh)\n"
+              "dump({}, fh)\n"
+              "put({}, fh)\n"
+              "dumps({})\n"
+              "pickle.dump({}, fh)\n")
+    assert json_dump_calls(source) == [5, 6, 7, 8]

@@ -523,3 +523,36 @@ class TestRestrictAndJson:
             lf.restrict_space(space, [])
         with pytest.raises(ValueError, match="subset must be nonempty"):
             lf.restrict_space(space, [], base_point=0)
+
+
+class TestPointIndices:
+    SITES = {
+        "as_indices": lambda s, v: spaces.as_indices([0, v, 2], s),
+        "CoverFamily": lambda s, v: lf.CoverFamily(s, ((0, v),), 1),
+        "WeightOperator": lambda s, v: lf.WeightOperator(s, (0, v), np.zeros((5, 2))),
+        "GluingConfig": lambda s, v: lf.GluingConfig(s, (0, v), 1, (0.2,)),
+    }
+
+    # read with int() each of these named a real point, and the call went on
+    @pytest.mark.parametrize("value", [3.9, 1.5, 3.0, np.float64(2.0), True],
+                             ids=["3.9", "1.5", "3.0", "float64", "True"])
+    @pytest.mark.parametrize("site", [*SITES, "verify_net_cover"])
+    def test_non_integer_index_rejected(self, site, value):
+        space = lf.make_grid_space([5], 0.1)
+        if site == "verify_net_cover":
+            nc = lf.NetAndCover(space, (0, value), ((0, 1, 2), (3, 4)), 0.5, 1)
+            cert = lf.verify_net_cover(nc)
+            assert not cert.passed
+            assert cert.witnesses == (["range", "net", 1, value],)
+            assert cert.details == {"range": False}
+        else:
+            with pytest.raises(ValueError, match=r"entry 1 \("):
+                self.SITES[site](space, value)
+
+    def test_python_and_numpy_integers_accepted(self):
+        space = lf.make_grid_space([5], 0.1)
+        assert spaces.as_indices(np.array([3, 0, 3]), space) == (0, 3)
+        assert spaces.as_indices([np.int32(4), 1], space) == (1, 4)
+        assert lf.CoverFamily(space, ((np.int64(2), 0),), 1).sets == ((0, 2),)
+        op = lf.WeightOperator(space, (np.uint8(0), 3), np.zeros((5, 2)))
+        assert op.domain == (0, 3) and all(type(i) is int for i in op.domain)
