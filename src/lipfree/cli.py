@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -112,10 +113,23 @@ def _write_value(write, value) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Write the report to path whole or not at all.
+
+    The bytes go to the sibling path + ".tmp", a name that no "*.json" glob
+    matches, which is then renamed over path in one step.  On any exception,
+    a refused leaf or an interrupt, the temporary file is removed and a report
+    already at path is left as it was.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        _write_value(fh.write, payload)
-        fh.write("\n")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            _write_value(fh.write, payload)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _cert_list(certs) -> list[dict]:

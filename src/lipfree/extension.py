@@ -49,16 +49,30 @@ def perturbed_norm_bound(r: int) -> float:
 
 def complement_distances(d: np.ndarray, sets) -> np.ndarray:
     """Column i holds d(x, U_i^c); an empty complement contributes the
-    constant max(diam, 1)."""
+    constant max(diam, 1).
+
+    Row x's minimum low[x] is taken once, with the first column first[x]
+    attaining it.  When first[x] lies outside U_i the complement holds it, so
+    d(x, U_i^c) = low[x] exactly: a min is exact in any order and no entry of
+    the row is lower.  Only the rows whose first[x] lies in U_i take the
+    masked minimum over the complement's columns.  For a metric first[x] is
+    x itself, so those are the members of U_i.
+    """
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
     fallback = max(diameter(d), 1.0)
+    first = np.argmin(d, axis=1)
+    low = d[np.arange(n), first]
     out = np.empty((n, len(sets)))
     for i, s in enumerate(sets):
         outside = np.ones(n, dtype=bool)
         outside[list(s)] = False
-        # a min is exact in any order: bitwise the min over the complement's columns
-        out[:, i] = np.min(d, axis=1, where=outside, initial=np.inf) if outside.any() else fallback
+        if not outside.any():
+            out[:, i] = fallback
+            continue
+        out[:, i] = low
+        rows = np.flatnonzero(~outside[first])
+        out[rows, i] = np.min(d[rows], axis=1, where=outside, initial=np.inf)
     return out
 
 

@@ -95,42 +95,99 @@ def _dual_norm(weights: np.ndarray, d_sub: np.ndarray) -> float:
     return max(sol.value, 0.0)
 
 
-def _triage(c: np.ndarray, d: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shortcut norms of the rows of c, and a mask of the rows that need the LP.
+def _sparse_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of w as (columns, values): each row's nonzero columns in
+    ascending order and their entries, padded to the widest row (at least
+    one slot) with the sentinel column m = w.shape[1] and the value 0."""
+    nz = w != 0.0
+    count = nz.sum(axis=1)
+    width = max(1, int(count.max(initial=0)))
+    cols = np.full((len(w), width), w.shape[1], dtype=np.intp)
+    vals = np.zeros((len(w), width))
+    filled = np.arange(width) < count[:, None]
+    # both sides list the entries row by row, each row in column order
+    cols[filled] = np.nonzero(nz)[1]
+    vals[filled] = w[nz]
+    return cols, vals
 
-    Zeroes the base column of c in place.  Rows answered here, by the same
+
+def _difference(cols_a: np.ndarray, vals_a: np.ndarray, cols_b: np.ndarray,
+                vals_b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse rows a - b from the sparse rows a and b over m columns, with
+    the padding of `_sparse_rows`.
+
+    Within a row of either side the real columns are distinct, so a column
+    occurs at most twice in the concatenated row.  A stable sort puts the
+    a entry first, and the merged value a + (-b) is bitwise the dense a - b;
+    a column on one side only keeps a or -b, also bitwise.  The merged-away
+    slot gets the value 0 and the sentinel column, so each real column keeps
+    one slot and scattering the rows into a dense matrix writes it once.
+    """
+    cols = np.concatenate([cols_a, cols_b], axis=1)
+    vals = np.concatenate([vals_a, -vals_b], axis=1)
+    order = np.argsort(cols, axis=1, kind="stable")
+    cols = np.take_along_axis(cols, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    dup = np.flatnonzero((cols[:, 1:] == cols[:, :-1]) & (cols[:, 1:] != m))
+    r, s = np.divmod(dup, cols.shape[1] - 1)
+    vals[r, s] += vals[r, s + 1]
+    vals[r, s + 1] = 0.0
+    cols[r, s + 1] = m
+    return cols, vals
+
+
+def _dense(cols: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
+    """The sparse rows (cols, vals) as an m-wide dense matrix."""
+    out = np.zeros((len(cols), m + 1))
+    np.put_along_axis(out, cols, vals, axis=1)
+    return out[:, :m]
+
+
+def _triage(cols: np.ndarray, vals: np.ndarray, d: np.ndarray,
+            base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shortcut norms of the sparse rows (cols, vals), and a mask of the rows
+    that need the LP.
+
+    Zeroes the base entries of vals in place.  Rows answered here, by the same
     IEEE expressions as the scalar identities:
       zero rows: 0;
       single-point rows: |c_i| d(i, base), since ||w delta_i|| = |w| d(i, base);
       exact molecules +-(delta_i - delta_j), i < j: d(i, j).
+    A row's real columns are distinct and ascending along its slots, so the
+    first and the last nonzero slot hold its least and its greatest support
+    point, as in the dense row.
     """
-    c[:, base] = 0.0
-    nz = c != 0.0
+    vals[cols == base] = 0.0
+    nz = vals != 0.0
     count = nz.sum(axis=1)
-    value = np.zeros(len(c))
+    value = np.zeros(len(vals))
     needs_lp = count > 1
     one = np.flatnonzero(count == 1)
-    i = nz[one].argmax(axis=1)
-    value[one] = np.abs(c[one, i]) * d[i, base]
+    s = nz[one].argmax(axis=1)
+    value[one] = np.abs(vals[one, s]) * d[cols[one, s], base]
     two = np.flatnonzero(count == 2)
-    i = nz[two].argmax(axis=1)
-    j = c.shape[1] - 1 - nz[two, ::-1].argmax(axis=1)
-    ci, cj = c[two, i], c[two, j]
+    s = nz[two].argmax(axis=1)
+    t = vals.shape[1] - 1 - nz[two, ::-1].argmax(axis=1)
+    ci, cj = vals[two, s], vals[two, t]
     unit = ((ci == 1.0) & (cj == -1.0)) | ((ci == -1.0) & (cj == 1.0))
-    value[two[unit]] = d[i[unit], j[unit]]
+    value[two[unit]] = d[cols[two, s][unit], cols[two, t][unit]]
     needs_lp[two[unit]] = False
     return value, needs_lp
 
 
-def _lp_norm(c: np.ndarray, d: np.ndarray, base: int, memo: dict) -> float:
-    """LP norm of a weight row whose base entry is zero, memoised in memo.
+def _lp_norm(cols: np.ndarray, vals: np.ndarray, d: np.ndarray, base: int,
+             memo: dict) -> float:
+    """LP norm of one sparse row (cols, vals) whose base entry is zero,
+    memoised in memo.
 
-    The key is the exact bytes of the support and of its weights; with d fixed
-    per memo, equal keys pose the same LP, which the deterministic simplex
-    answers identically.
+    The key is the exact bytes of the support and of its weights, in column
+    order, as a dense row's `flatnonzero` would give them; with d fixed per
+    memo, equal keys pose the same LP, which the deterministic simplex answers
+    identically.
     """
-    support = np.flatnonzero(c)
-    weights = c[support]
+    keep = vals != 0.0
+    support = cols[keep]
+    weights = vals[keep]
     key = (support.tobytes(), weights.tobytes())
     value = memo.get(key)
     if value is None:
@@ -139,25 +196,54 @@ def _lp_norm(c: np.ndarray, d: np.ndarray, base: int, memo: dict) -> float:
     return value
 
 
-def _row_norms(c: np.ndarray, d: np.ndarray, base: int, memo: dict) -> np.ndarray:
-    """Norms of the weight rows c over the points of d with the given base.
+def _row_norms(cols: np.ndarray, vals: np.ndarray, d: np.ndarray, base: int,
+               memo: dict) -> np.ndarray:
+    """Norms of the sparse rows (cols, vals) over the points of d with the
+    given base.
 
-    The base column never matters and is zeroed in place.  `_triage` answers
+    The base entries never matter and are zeroed in place.  `_triage` answers
     zero, single-point and exact two-point rows; every other row solves the
     norm LP once per distinct (support, weights) in memo.
     """
-    value, needs_lp = _triage(c, d, base)
+    value, needs_lp = _triage(cols, vals, d, base)
     for r in np.flatnonzero(needs_lp):
-        value[r] = _lp_norm(c[r], d, base, memo)
+        value[r] = _lp_norm(cols[r], vals[r], d, base, memo)
     return value
 
 
+# Pairs per block of the molecule sweeps, in rows of the n x n pair matrix.
+# A block's sparse differences are only twice the widest weight row wide, but
+# `operator_norm` makes its LP rows dense for `_ratio_upper_bounds`, and those
+# m-wide transients grow with the block.  At 4 rows the glue workload's peak
+# RSS matches one x per block, and the 900-point sweeps take about 100 numpy
+# passes each.
+_BLOCK_ROWS = 4
+
+
 def _pair_blocks(n: int):
-    """All pairs x < y as (x, y) index arrays in row-major order, one x per
-    block, so the row differences of a block never outgrow the weight
-    matrix."""
-    for x in range(n - 1):
-        yield np.full(n - 1 - x, x), np.arange(x + 1, n)
+    """All pairs x < y as (x, y) index arrays in row-major order, in blocks of
+    consecutive x's holding about _BLOCK_ROWS * n pairs each.
+
+    The blocking changes no molecule norm and no ratio: the merge, the
+    triage and the LP read each pair's two weight rows alone.  Only the
+    rounding of the matrix product in `_ratio_upper_bounds` may depend on the
+    rows it is called with, and a bound only decides which pairs
+    `operator_norm` skips, never a value.
+    """
+    lo = 0
+    while lo < n - 1:
+        hi, pairs = lo, 0
+        while hi < n - 1 and pairs < _BLOCK_ROWS * n:
+            pairs += n - 1 - hi
+            hi += 1
+        xs = np.arange(lo, hi)
+        counts = n - 1 - xs
+        x = np.repeat(xs, counts)
+        # y runs from x + 1 within each x
+        starts = np.cumsum(counts) - counts
+        y = np.arange(pairs) + np.repeat(xs + 1 - starts, counts)
+        yield x, y
+        lo = hi
 
 
 # Relative slack an upper bound on a molecule ratio must clear before its pair
@@ -263,18 +349,23 @@ def molecule_norm_matrix(op: WeightOperator, d: np.ndarray) -> np.ndarray:
     sup over the unit ball of Lip0(A, d|A) of |op(f)(x) - op(f)(y)|, for the
     n x n metric d on all points.
 
-    The row differences are formed a block of pairs at a time and passed to
-    `_row_norms`, which answers zero, single-point and exact two-point
-    molecules with numpy and solves the norm LP once per distinct (support,
-    weights) in this call.
+    The weight rows are read once as sparse rows: a partition of unity
+    subordinate to a cover of order r has at most r + 1 nonzeros per row.
+    The differences of a block of pairs (`_pair_blocks`) are merged from them
+    by `_difference`, bitwise the dense differences on every column, and
+    passed to `_row_norms`, which answers zero, single-point and exact
+    two-point molecules by their norm identities and solves the norm LP once
+    per distinct (support, weights) in this call.  So every entry is the one
+    the dense per-pair sweep gives.
     """
     _, d_a, base = _metrics(op, d)
-    n = op.space.n
-    w = op.matrix
+    n, m = op.matrix.shape
+    cols, vals = _sparse_rows(op.matrix)
     out = np.zeros((n, n))
     memo: dict = {}
     for x, y in _pair_blocks(n):
-        value = _row_norms(w[x] - w[y], d_a, base, memo)
+        value = _row_norms(*_difference(cols[x], vals[x], cols[y], vals[y], m),
+                           d_a, base, memo)
         out[x, y] = value
         out[y, x] = value
     return out
@@ -285,17 +376,19 @@ def _pruned_ratios(w: np.ndarray, d_a: np.ndarray, base: int,
     """Ratios norm(x, y) / d_t(x, y) over the pairs x < y of the weight rows w
     in row-major order: exact wherever they can reach the maximum, -inf where
     a bound proves they cannot."""
-    n = len(w)
+    n, m = w.shape
+    cols, vals = _sparse_rows(w)
     ratios = np.empty(n * (n - 1) // 2)
     lp_parts = []
     start = 0
     for x, y in _pair_blocks(n):
-        c = w[x] - w[y]
-        value, needs_lp = _triage(c, d_a, base)
+        c, v = _difference(cols[x], vals[x], cols[y], vals[y], m)
+        value, needs_lp = _triage(c, v, d_a, base)
         ratios[start:start + len(x)] = value / d_t[x, y]
         rows = np.flatnonzero(needs_lp)
         lp_parts.append((rows + start, x[rows], y[rows],
-                         _ratio_upper_bounds(c[rows], d_a, base, d_t[x[rows], y[rows]])))
+                         _ratio_upper_bounds(_dense(c[rows], v[rows], m), d_a, base,
+                                             d_t[x[rows], y[rows]])))
         start += len(x)
     index, lp_x, lp_y, bounds = map(np.concatenate, zip(*lp_parts))
     exact = np.ones(len(ratios), dtype=bool)
@@ -306,10 +399,9 @@ def _pruned_ratios(w: np.ndarray, d_a: np.ndarray, base: int,
         if bounds[i] < best:
             ratios[index[i]] = -np.inf
             continue
-        x, y = lp_x[i], lp_y[i]
-        c = w[x] - w[y]
-        c[base] = 0.0
-        ratios[index[i]] = _lp_norm(c, d_a, base, memo) / d_t[x, y]
+        x, y = lp_x[i:i + 1], lp_y[i:i + 1]
+        c, v = _difference(cols[x], vals[x], cols[y], vals[y], m)
+        ratios[index[i]] = _row_norms(c, v, d_a, base, memo)[0] / d_t[x[0], y[0]]
         best = max(best, ratios[index[i]])
     return ratios
 
@@ -319,12 +411,13 @@ def operator_norm(op: WeightOperator, d: np.ndarray) -> tuple[float, tuple[int, 
     and its witness: max over pairs x != y of ||row(x) - row(y)||_{F(A)} /
     d(x, y), with the first maximising pair (x < y, row-major).
 
-    Only the maximum is needed: shortcut pairs (see `molecule_norm_matrix`)
-    give exact ratios, and the LP pairs are solved in descending order of a
-    proven upper bound on their ratio (`_ratio_upper_bounds`), skipping every
-    pair whose bound falls below the best exact ratio so far.  A skipped pair
-    lies strictly below the maximum, so the value and the witness equal those
-    of the exhaustive sweep.
+    Only the maximum is needed.  The pairs are triaged from the sparse weight
+    rows as in `molecule_norm_matrix`, so shortcut pairs give exact ratios.
+    Only the rows left to the LP are made dense, for `_ratio_upper_bounds`,
+    and they are solved in descending order of that proven upper bound on
+    their ratio, skipping every pair whose bound falls below the best exact
+    ratio so far.  A skipped pair lies strictly below the maximum, so the
+    value and the witness equal those of the exhaustive sweep.
     """
     d, d_a, base = _metrics(op, d)
     n = op.space.n

@@ -6,11 +6,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.optimize import linprog
 
 import lipfree as lf
 from lipfree import freenorm as fn, lp as lpmod
 from lipfree.covers import _prune_irredundant
+
+# CI runs with --hypothesis-profile=ci: derandomized, so a failing example
+# replays locally under the same profile.  Local runs keep the random default.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def line_space(positions, base=0):
@@ -62,13 +67,19 @@ def lip_ball_vertices(d_a: np.ndarray, base_pos: int) -> np.ndarray:
     return out
 
 
+def lp_norm_dense(c: np.ndarray, d: np.ndarray, base: int, memo: dict) -> float:
+    """`freenorm._lp_norm` of a dense weight row whose base entry is zero."""
+    support = np.flatnonzero(c)
+    return fn._lp_norm(support, c[support], d, base, memo)
+
+
 def free_space_norm(space, weights) -> float:
     """Norm of the weight vector in the free space over space, always by the
     LP: the reference the norm identities of `freenorm._triage` are tested
     against.  The base weight is ignored."""
     c = np.array(weights, dtype=float)
     c[space.base_index] = 0.0
-    return fn._lp_norm(c, space.dist, space.base_index, {})
+    return lp_norm_dense(c, space.dist, space.base_index, {})
 
 
 def solve_with_scipy(prog):
@@ -138,6 +149,96 @@ def operator_norm_by_molecules(op, d: np.ndarray) -> tuple[float, tuple[int, int
     ratios = norms[xs, ys] / d[xs, ys]
     best = int(np.argmax(ratios))
     return float(ratios[best]), (int(xs[best]), int(ys[best]))
+
+
+def triage_dense(c: np.ndarray, d: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The triage of earlier versions, on dense weight rows: shortcut norms of
+    the rows of c and a mask of the rows that need the LP.  Zeroes the base
+    column of c in place."""
+    c[:, base] = 0.0
+    nz = c != 0.0
+    count = nz.sum(axis=1)
+    value = np.zeros(len(c))
+    needs_lp = count > 1
+    one = np.flatnonzero(count == 1)
+    i = nz[one].argmax(axis=1)
+    value[one] = np.abs(c[one, i]) * d[i, base]
+    two = np.flatnonzero(count == 2)
+    i = nz[two].argmax(axis=1)
+    j = c.shape[1] - 1 - nz[two, ::-1].argmax(axis=1)
+    ci, cj = c[two, i], c[two, j]
+    unit = ((ci == 1.0) & (cj == -1.0)) | ((ci == -1.0) & (cj == 1.0))
+    value[two[unit]] = d[i[unit], j[unit]]
+    needs_lp[two[unit]] = False
+    return value, needs_lp
+
+
+def pair_blocks_by_x(n: int):
+    """All pairs x < y in row-major order, one x per block."""
+    for x in range(n - 1):
+        yield np.full(n - 1 - x, x), np.arange(x + 1, n)
+
+
+def molecule_norm_matrix_dense(op, d: np.ndarray) -> np.ndarray:
+    """`freenorm.molecule_norm_matrix` as earlier versions swept it: one x
+    per block, the dense row differences w[x] - w[y] through `triage_dense`,
+    and the norm LP once per distinct (support, weights)."""
+    d_a = np.asarray(d, dtype=float)[np.ix_(op.domain, op.domain)]
+    base = op.base_position
+    n = op.space.n
+    w = op.matrix
+    out = np.zeros((n, n))
+    memo: dict = {}
+    for x, y in pair_blocks_by_x(n):
+        c = w[x] - w[y]
+        value, needs_lp = triage_dense(c, d_a, base)
+        for r in np.flatnonzero(needs_lp):
+            value[r] = lp_norm_dense(c[r], d_a, base, memo)
+        out[x, y] = value
+        out[y, x] = value
+    return out
+
+
+def operator_norm_dense(op, d: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """`freenorm.operator_norm` as earlier versions swept it: the dense rows
+    of `molecule_norm_matrix_dense`, LP pairs solved in descending order of
+    `freenorm._ratio_upper_bounds` and skipped once their bound falls below
+    the best ratio so far."""
+    d = np.asarray(d, dtype=float)
+    d_a = d[np.ix_(op.domain, op.domain)]
+    base = op.base_position
+    n = op.space.n
+    if n < 2:
+        return 0.0, (0, 0)
+    w = op.matrix
+    ratios = np.empty(n * (n - 1) // 2)
+    lp_parts = []
+    start = 0
+    for x, y in pair_blocks_by_x(n):
+        c = w[x] - w[y]
+        value, needs_lp = triage_dense(c, d_a, base)
+        ratios[start:start + len(x)] = value / d[x, y]
+        rows = np.flatnonzero(needs_lp)
+        lp_parts.append((rows + start, x[rows], y[rows],
+                         fn._ratio_upper_bounds(c[rows], d_a, base, d[x[rows], y[rows]])))
+        start += len(x)
+    index, lp_x, lp_y, bounds = map(np.concatenate, zip(*lp_parts))
+    exact = np.ones(len(ratios), dtype=bool)
+    exact[index] = False
+    best = float(ratios[exact].max()) if exact.any() else -np.inf
+    memo: dict = {}
+    for i in np.argsort(-bounds, kind="stable"):
+        if bounds[i] < best:
+            ratios[index[i]] = -np.inf
+            continue
+        x, y = lp_x[i], lp_y[i]
+        c = w[x] - w[y]
+        c[base] = 0.0
+        ratios[index[i]] = lp_norm_dense(c, d_a, base, memo) / d[x, y]
+        best = max(best, ratios[index[i]])
+    xs, ys = np.triu_indices(n, k=1)
+    top = int(np.argmax(ratios))
+    return float(ratios[top]), (int(xs[top]), int(ys[top]))
 
 
 def prune_irredundant_by_unions(sets: list[set], n: int) -> list[set]:

@@ -308,6 +308,20 @@ class TestReportWriter:
         with pytest.raises(TypeError):
             _write_json(tmp_path / "r.json", {"a": value})
 
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            _write_json(tmp_path / "r.json", {"a": np.zeros((3, 3)), "b": {1, 2}})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_old_report(self, tmp_path):
+        path = tmp_path / "r.json"
+        _write_json(path, {"a": np.ones((2, 2))})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            _write_json(path, {"a": np.zeros((3, 3)), "b": {1, 2}})
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("key", [1, 2.5, None, True, ("a",)])
     def test_non_str_key_raises(self, tmp_path, key):
         # json.dump would write 1, 2.5, None and True as "1", "2.5", "null" and

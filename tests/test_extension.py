@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -144,6 +145,21 @@ class TestExtensionBundle:
         want = complement_distances_by_sets(d, sets)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    def test_complement_distances_where_the_diagonal_is_not_the_row_minimum(self):
+        # points 0 and 3 coincide, and so do 2 and 4; one entry below zero and
+        # one diagonal entry above it, each by DEFAULT_TOL, still validate
+        pos = np.array([0.0, 1.0, 2.5, 0.0, 2.5, 3.5])
+        d = np.abs(pos[:, None] - pos[None, :])
+        d[0, 3] = -lf.DEFAULT_TOL
+        d[2, 2] = lf.DEFAULT_TOL
+        # every subset of the points, the empty and the full one included
+        sets = [s for k in range(7) for s in itertools.combinations(range(6), k)]
+        for mat in (d, d.T):
+            assert lf.validate_metric(mat, allow_zero=True).ok
+            assert not np.array_equal(mat.argmin(axis=1), np.arange(6))
+            got = lf.extension.complement_distances(mat, sets)
+            assert np.array_equal(got, complement_distances_by_sets(mat, sets))
+
     def test_eps_outside_unit_interval_rejected(self):
         space = lf.make_grid_space([5], 0.1)
         nc = lf.build_net_cover(space, 0.25)
@@ -234,3 +250,49 @@ class TestOperatorNormOracle:
             fast, _ = lf.operator_norm(op, space.dist)
             slow = operator_norm_by_vertices(op, space.dist)
             assert fast == pytest.approx(slow, abs=1e-8)
+
+
+def widest_row(w) -> int:
+    """The largest number of nonzeros in a row of w."""
+    return int(np.count_nonzero(w, axis=1).max())
+
+
+class TestWeightSparsity:
+    """lam_i(x) = d(x, U_i^c) / sum_j d(x, U_j^c) vanishes off U_i, so a
+    partition of unity subordinate to a cover of order r has at most r + 1
+    nonzeros per row.  The molecule sweeps of `freenorm` are only as fast as
+    that is small; these are the pipelines' own configs."""
+
+    @pytest.mark.parametrize("dims, spacing, eps", [
+        ([13, 13], 0.02, 0.25),     # extend, 13 x 13
+        ([30, 30], 0.02, 0.125),    # extend, 30 x 30
+        ([65], 1 / 64, 0.1),        # bap, the 65-point line at nu 1, n 1, 2, 4, 8
+        ([65], 1 / 64, 0.05),
+        ([65], 1 / 64, 0.025),
+        ([65], 1 / 64, 0.0125),
+    ])
+    def test_bundle_and_perturbed_weights(self, dims, spacing, eps):
+        bundle = lf.build_extension_bundle(
+            lf.build_net_cover(lf.make_grid_space(dims, spacing), eps))
+        r = bundle.nc.order_bound
+        assert widest_row(bundle.pou.matrix) <= r + 1
+        e = lf.perturb_metric(bundle.adapted, 0.9 * lf.admission_radius(eps, r),
+                              np.random.default_rng(7))
+        assert widest_row(lf.build_perturbed_operator(bundle, e).pou.matrix) <= r + 1
+
+    def test_glue_collar_and_glued_operator(self):
+        space = lf.make_grid_space([10, 10], 0.1)
+        cfg = lf.GluingConfig(space, tuple(range(0, 100, 10)), 1, (0.7, 0.5, 0.3, 0.2, 0.1))
+        bundle = lf.build_gluing_bundle(cfg, 1, 0.7)
+        r = bundle.v_bundle.nc.order_bound
+        assert r == cfg.dim_k
+        assert widest_row(bundle.v_bundle.pou.matrix) <= r + 1
+        rng = np.random.default_rng(5)
+        probe = lf.perturb_metric(bundle.metric, 0.9 * lf.probe_radius(0.7, r), rng)
+        for e in (bundle.metric, probe):
+            cert = lf.certify_gluing(bundle, e, rng=rng)
+            assert cert.passed
+            # (1 - rho) times an inner row, plus rho on the point's own column:
+            # a partition subordinate to the collar sets and the singletons,
+            # a family of order r + 1
+            assert widest_row(cert.h_matrix) <= r + 2

@@ -8,7 +8,9 @@ from hypothesis.extra.numpy import arrays
 import lipfree as lf
 from lipfree import freenorm as fn, lp as lpmod
 from conftest import (free_norm_by_vertices, free_space_norm, lipschitz_constant_dense,
-                      line_space, molecule_norms_by_pairs, operator_norm_by_molecules)
+                      line_space, molecule_norm_matrix_dense,
+                      molecule_norms_by_pairs, operator_norm_by_molecules, operator_norm_dense,
+                      triage_dense)
 
 
 @st.composite
@@ -135,8 +137,9 @@ class TestFreeSpaceNorm:
         w = np.array([5.0, 1.0, -2.0, 0.5, 0.0])
         w2 = w.copy()
         w2[space.base_index] = -123.0
-        norm = fn._row_norms(w[None, :].copy(), space.dist, space.base_index, {})[0]
-        assert fn._row_norms(w2[None, :].copy(), space.dist, space.base_index, {})[0] == norm
+        norm = fn._row_norms(*fn._sparse_rows(w[None, :]), space.dist, space.base_index, {})[0]
+        assert fn._row_norms(*fn._sparse_rows(w2[None, :]), space.dist, space.base_index,
+                             {})[0] == norm
         assert norm == pytest.approx(free_space_norm(space, w2), abs=1e-12)
 
     def test_norm_lp_residual_rejected(self, monkeypatch):
@@ -317,6 +320,49 @@ def random_operator(seed: int, partition: bool):
     return op, lf.perturb_metric(space.dist, 0.05, rng)
 
 
+# Few distinct weights, so that entries of two rows cancel and +-1 pairs recur.
+WEIGHTS = (1.0, -1.0, 0.5, -0.5, 0.25, 2.0, 1.0 / 3.0, -0.1)
+
+
+@st.composite
+def merge_operators(draw):
+    """Weight operators on 1 to 7 points, domain in any order (so the base
+    sits at any position), down to a single-point domain.  Rows are equal
+    copies whose differences cancel, copies with weight added at the base or
+    one entry changed, +-1 indicators, rows of three or more nonzeros and
+    random sparse rows; or the whole operator is fully dense."""
+    n = draw(st.integers(1, 7))
+    space = lf.random_metric_space(n, seed=draw(st.integers(0, 2**16)))
+    others = draw(st.permutations([i for i in range(n) if i != space.base_index]))
+    domain = draw(st.permutations([space.base_index, *others[:draw(st.integers(0, n - 1))]]))
+    m, base = len(domain), domain.index(space.base_index)
+    weight = st.sampled_from(WEIGHTS)
+    if draw(st.booleans()) and draw(st.booleans()):
+        rows = draw(st.lists(st.lists(weight, min_size=m, max_size=m),
+                             min_size=n, max_size=n))
+        return lf.WeightOperator(space, tuple(domain), np.array(rows))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["copy", "base", "change", "indicator", "wide", "sparse"]))
+        j = draw(st.integers(0, m - 1))
+        if kind in ("copy", "base", "change") and rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))].copy()
+            if kind == "base":
+                row[base] += draw(weight)
+            elif kind == "change":
+                row[j] = draw(weight)
+        elif kind == "indicator":
+            row = np.zeros(m)
+            row[j] = draw(st.sampled_from([1.0, -1.0]))
+        elif kind == "wide" and m >= 3:
+            row = np.array(draw(st.lists(weight, min_size=m, max_size=m)))
+        else:
+            row = np.array(draw(st.lists(st.sampled_from((0.0, 0.0) + WEIGHTS),
+                                         min_size=m, max_size=m)))
+        rows.append(row)
+    return lf.WeightOperator(space, tuple(domain), np.array(rows))
+
+
 @pytest.fixture(scope="module")
 def grid_operators():
     """A 9 x 9 grid bundle and two operators rebuilt on perturbed metrics, as
@@ -338,11 +384,13 @@ def on_domain(op, d):
 
 
 def lp_pair_rows(op, d_a):
-    """Base-zeroed row differences of every pair the triage leaves to the LP."""
+    """Base-zeroed row differences of every pair the triage leaves to the LP,
+    as sparse rows (cols, vals)."""
     xs, ys = np.triu_indices(op.space.n, k=1)
-    c = op.matrix[xs] - op.matrix[ys]
-    _, needs_lp = fn._triage(c, d_a, op.base_position)
-    return c[needs_lp]
+    cols, vals = fn._sparse_rows(op.matrix)
+    c, v = fn._difference(cols[xs], vals[xs], cols[ys], vals[ys], len(op.domain))
+    _, needs_lp = fn._triage(c, v, d_a, op.base_position)
+    return c[needs_lp], v[needs_lp]
 
 
 def count_solves(monkeypatch):
@@ -373,6 +421,22 @@ class TestMoleculeNormLayer:
         for metric in (d_t, op.space.dist):
             assert lf.operator_norm(op, metric) == operator_norm_by_molecules(op, metric)
 
+    @given(merge_operators())
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_sweep_equals_dense_sweep(self, op):
+        d = op.space.dist
+        d_a, base, m = on_domain(op, d), op.base_position, len(op.domain)
+        xs, ys = np.triu_indices(op.space.n, k=1)
+        dense = op.matrix[xs] - op.matrix[ys]
+        want, want_lp = triage_dense(dense, d_a, base)
+        cols, vals = fn._sparse_rows(op.matrix)
+        c, v = fn._difference(cols[xs], vals[xs], cols[ys], vals[ys], m)
+        got, got_lp = fn._triage(c, v, d_a, base)
+        assert np.array_equal(fn._dense(c, v, m), dense)
+        assert np.array_equal(got, want) and np.array_equal(got_lp, want_lp)
+        assert np.array_equal(lf.molecule_norm_matrix(op, d), molecule_norm_matrix_dense(op, d))
+        assert lf.operator_norm(op, d) == operator_norm_dense(op, d)
+
     def test_pruned_norm_equals_exhaustive_on_grid(self, grid_operators):
         for op, d in grid_operators:
             assert lf.operator_norm(op, d) == operator_norm_by_molecules(op, d)
@@ -385,10 +449,11 @@ class TestMoleculeNormLayer:
         checked = 0
         for op, d in cases:
             d_a = on_domain(op, d)
-            c = lp_pair_rows(op, d_a)
+            c, v = lp_pair_rows(op, d_a)
             base = op.base_position
-            bounds = fn._ratio_upper_bounds(c, d_a, base, np.ones(len(c)))
-            norms = np.array([fn._lp_norm(row, d_a, base, {}) for row in c])
+            bounds = fn._ratio_upper_bounds(fn._dense(c, v, len(d_a)), d_a, base,
+                                            np.ones(len(c)))
+            norms = np.array([fn._lp_norm(cr, vr, d_a, base, {}) for cr, vr in zip(c, v)])
             assert np.all(bounds >= norms)
             checked += len(c)
         assert checked > 1000
@@ -397,7 +462,7 @@ class TestMoleculeNormLayer:
         calls = count_solves(monkeypatch)
         for op, d in grid_operators:
             d_a = on_domain(op, d)
-            c = lp_pair_rows(op, d_a)
+            c = fn._dense(*lp_pair_rows(op, d_a), len(d_a))
             distinct = {(np.flatnonzero(r).tobytes(), r[r != 0].tobytes()) for r in c}
             calls.clear()
             full = lf.molecule_norm_matrix(op, d)
