@@ -4,8 +4,9 @@ tables, metric perturbation, and certificate re-verification.
 Every run is driven by a JSON config, every randomized step takes its seed
 from the config, and reports are written as compact JSON with sorted keys, so
 that re-running with the same config produces byte-identical files.  They are
-written leaf by leaf through CPython's C encoder, matrices row by row, so no
-report holds a matrix as Python floats (see `_write_value`).
+written leaf by leaf through CPython's C encoder, matrices row by row and
+each distinct row once, so no report holds a matrix as Python floats (see
+`_write_value`).
 Certificate tolerances are not configurable: each certificate records the
 fixed tolerance it was checked with, and `verify` re-applies that recorded
 value.
@@ -45,7 +46,8 @@ from . import certs as certsmod
 from . import covers as coversmod
 from . import extension as extmod
 from . import gluing as gluemod
-from .spaces import perturb_metric, set_distance, space_from_json, sup_distance
+from .spaces import (first_equal_rows, perturb_metric, set_distance, space_from_json,
+                     sup_distance)
 
 
 class ConfigError(ValueError):
@@ -89,7 +91,7 @@ def _write_value(write, value) -> None:
     Every other value (a scalar, a flat list, a 1-D array or one row) is a
     leaf: one call of `_ENCODE`, so no matrix is ever held as Python floats.
     A dict key that is not a str raises TypeError, as does any leaf the
-    encoder refuses.
+    encoder refuses.  The rows of a 2-D array go through `_write_rows`.
     """
     if isinstance(value, dict):
         bad = [key for key in value if not isinstance(key, str)]
@@ -100,7 +102,9 @@ def _write_value(write, value) -> None:
             write(("," if i else "") + _ENCODE(key) + ":")
             _write_value(write, value[key])
         write("}")
-    elif (isinstance(value, np.ndarray) and value.ndim >= 2
+    elif isinstance(value, np.ndarray) and value.ndim == 2:
+        _write_rows(write, value)
+    elif (isinstance(value, np.ndarray) and value.ndim > 2
           or isinstance(value, (list, tuple)) and any(isinstance(v, _NESTED) for v in value)):
         write("[")
         for i, item in enumerate(value):
@@ -110,6 +114,27 @@ def _write_value(write, value) -> None:
         write("]")
     else:
         write(_ENCODE(value.tolist() if isinstance(value, np.ndarray) else value))
+
+
+def _write_rows(write, mat: np.ndarray) -> None:
+    """Write the 2-D array mat as a JSON list of its rows, encoding each
+    bitwise-distinct row once (`first_equal_rows`).
+
+    Bitwise-equal rows have equal `.tolist()`, so they encode to the same
+    text.  A row's text is kept only while rows equal to it remain to be
+    written: no more texts are held at once than there are distinct rows
+    with a later copy still ahead.
+    """
+    first = first_equal_rows(mat).tolist()
+    last = dict(zip(first, range(len(first))))     # a class's last row wins
+    kept: dict[int, str] = {}
+    write("[")
+    for i, r in enumerate(first):
+        text = kept.pop(r) if r in kept else _ENCODE(mat[i].tolist())
+        if i < last[r]:
+            kept[r] = text
+        write(("," if i else "") + text)
+    write("]")
 
 
 def _write_json(path: Path, payload: dict) -> None:

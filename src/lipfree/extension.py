@@ -164,11 +164,14 @@ def build_extension_bundle(nc: NetAndCover) -> ExtensionBundle:
         "adapted-extends-net-metric", 0.0, agree, "le", 0.0, inputs=inputs))
 
     if len(a) >= 2:
-        # the first row-major maximiser of the molecule ratios over x < y
-        xs, ys = np.triu_indices(space.n, k=1)
-        ratios = induced[xs, ys] / adapted[xs, ys]
-        best = int(np.argmax(ratios))
-        enorm, wit = float(ratios[best]), (int(xs[best]), int(ys[best]))
+        # the first row-major maximiser of the molecule ratios over x < y: a
+        # row's first maximum counts only when it beats every earlier row's
+        enorm, wit = -np.inf, None
+        for x in range(space.n - 1):
+            ratios = induced[x, x + 1:] / adapted[x, x + 1:]
+            y = int(np.argmax(ratios))
+            if ratios[y] > enorm:
+                enorm, wit = float(ratios[y]), (x, x + 1 + y)
         certs.append(make_certificate(
             "extension-operator-norm", 1.0, enorm, "abs_le", 1e-9,
             witnesses=[wit], inputs=inputs))

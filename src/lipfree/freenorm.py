@@ -20,8 +20,8 @@ import numpy as np
 
 from . import lp as lpmod
 from .certs import Certificate, make_certificate
-from .spaces import (FiniteMetricSpace, as_indices, bad_indices, floyd_warshall,
-                     require_metric, sup_distance, validate_metric)
+from .spaces import (FiniteMetricSpace, as_indices, bad_indices, first_equal_rows,
+                     floyd_warshall, require_metric, sup_distance, validate_metric)
 
 
 class AdmissionError(ValueError):
@@ -136,13 +136,6 @@ def _difference(cols_a: np.ndarray, vals_a: np.ndarray, cols_b: np.ndarray,
     return cols, vals
 
 
-def _dense(cols: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
-    """The sparse rows (cols, vals) as an m-wide dense matrix."""
-    out = np.zeros((len(cols), m + 1))
-    np.put_along_axis(out, cols, vals, axis=1)
-    return out[:, :m]
-
-
 def _triage(cols: np.ndarray, vals: np.ndarray, d: np.ndarray,
             base: int) -> tuple[np.ndarray, np.ndarray]:
     """Shortcut norms of the sparse rows (cols, vals), and a mask of the rows
@@ -211,39 +204,46 @@ def _row_norms(cols: np.ndarray, vals: np.ndarray, d: np.ndarray, base: int,
     return value
 
 
-# Pairs per block of the molecule sweeps, in rows of the n x n pair matrix.
-# A block's sparse differences are only twice the widest weight row wide, but
-# `operator_norm` makes its LP rows dense for `_ratio_upper_bounds`, and those
-# m-wide transients grow with the block.  At 4 rows the glue workload's peak
-# RSS matches one x per block, and the 900-point sweeps take about 100 numpy
-# passes each.
+# Pairs per block of the molecule sweeps, in rows of the pair matrix.  A
+# block's sparse differences are only twice the widest weight row wide, but
+# `_ratio_upper_bounds` fills an m-wide row of star bounds for each of its LP
+# pairs, and those transients grow with the block.  At 4 rows the glue
+# workload's peak RSS matches one x per block, and the 900-point sweeps take
+# about 100 numpy passes each.
 _BLOCK_ROWS = 4
 
 
-def _pair_blocks(n: int):
-    """All pairs x < y as (x, y) index arrays in row-major order, in blocks of
-    consecutive x's holding about _BLOCK_ROWS * n pairs each.
+def _pair_blocks(starts: np.ndarray, ends: np.ndarray):
+    """The pairs (a, b) with starts[a] < ends[b] as (a, b) index arrays in
+    row-major order, in blocks of consecutive a's holding about
+    _BLOCK_ROWS * len(ends) pairs each.  With starts = ends = arange(n) these
+    are the pairs x < y of n points.
 
     The blocking changes no molecule norm and no ratio: the merge, the
-    triage and the LP read each pair's two weight rows alone.  Only the
-    rounding of the matrix product in `_ratio_upper_bounds` may depend on the
-    rows it is called with, and a bound only decides which pairs
-    `operator_norm` skips, never a value.
+    triage, the star bounds and the LP read each pair's two weight rows
+    alone.
     """
+    counts = len(ends) - np.searchsorted(np.sort(ends), starts, side="right")
     lo = 0
-    while lo < n - 1:
-        hi, pairs = lo, 0
-        while hi < n - 1 and pairs < _BLOCK_ROWS * n:
-            pairs += n - 1 - hi
+    while lo < len(starts):
+        hi, pairs = lo + 1, counts[lo]
+        while hi < len(starts) and pairs < _BLOCK_ROWS * len(ends):
+            pairs += counts[hi]
             hi += 1
-        xs = np.arange(lo, hi)
-        counts = n - 1 - xs
-        x = np.repeat(xs, counts)
-        # y runs from x + 1 within each x
-        starts = np.cumsum(counts) - counts
-        y = np.arange(pairs) + np.repeat(xs + 1 - starts, counts)
-        yield x, y
+        if pairs:
+            a, b = np.nonzero(starts[lo:hi, None] < ends[None, :])
+            yield a + lo, b
         lo = hi
+
+
+def _upper_pair(n: int, index):
+    """The index-th pair x < y of n points in row-major order, the entry
+    `np.triu_indices(n, k=1)` holds there, from the row starts with one
+    searchsorted; index may be an int or an integer array."""
+    counts = np.arange(n - 1, 0, -1)
+    starts = np.cumsum(counts) - counts
+    x = np.searchsorted(starts, index, side="right") - 1
+    return x, x + 1 + (index - starts[x])
 
 
 # Relative slack an upper bound on a molecule ratio must clear before its pair
@@ -252,9 +252,10 @@ def _pair_blocks(n: int):
 PRUNE_MARGIN = 1e-6
 
 
-def _ratio_upper_bounds(c: np.ndarray, d: np.ndarray, base: int,
-                        d_t: np.ndarray) -> np.ndarray:
-    """Upper bounds on LP-norm / d_t for rows c with zero base entries.
+def _ratio_upper_bounds(cols: np.ndarray, vals: np.ndarray, d: np.ndarray,
+                        base: int, d_t: np.ndarray) -> np.ndarray:
+    """Upper bounds on LP-norm / d_t for the sparse rows (cols, vals), with
+    the padding of `_sparse_rows` and zero base entries.
 
     For f with f(base) = 0 and Lipschitz constant 1 and any point p,
       sum_i c_i f(i) = sum_i c_i (f(i) - f(p)) + (sum_i c_i) f(p)
@@ -262,10 +263,24 @@ def _ratio_upper_bounds(c: np.ndarray, d: np.ndarray, base: int,
     so the minimum over p bounds the norm.  The LP may accept potentials that
     break each constraint by its residual limit; that adds at most twice the
     limit times ||c||_1.  PRUNE_MARGIN covers the rounding of all of it.
+
+    The sums run over each row's slots in order, one elementwise add per
+    slot, so a row's bound depends on that row alone and not on the other
+    rows of the call.  A slot whose value is 0 (padding, a merged-away or a
+    base entry) adds exact zeros; the sentinel column m reads a zero row.
     """
-    abs_c = np.abs(c)
-    star = abs_c @ d + np.abs(c.sum(axis=1))[:, None] * d[base][None, :]
-    residual = 2.0 * lpmod.SOLVER_TOL * max(1.0, float(d.max())) * abs_c.sum(axis=1)
+    m = len(d)
+    d_pad = np.vstack([d, np.zeros(m)])
+    abs_v = np.abs(vals)
+    star = np.zeros((len(cols), m))
+    total = np.zeros(len(cols))
+    mass = np.zeros(len(cols))
+    for s in range(cols.shape[1]):
+        star += abs_v[:, s, None] * d_pad[cols[:, s]]
+        total += vals[:, s]
+        mass += abs_v[:, s]
+    star += np.abs(total)[:, None] * d[base][None, :]
+    residual = 2.0 * lpmod.SOLVER_TOL * max(1.0, float(d.max())) * mass
     return (star.min(axis=1) + residual) * (1.0 + PRUNE_MARGIN) / d_t
 
 
@@ -349,25 +364,43 @@ def molecule_norm_matrix(op: WeightOperator, d: np.ndarray) -> np.ndarray:
     sup over the unit ball of Lip0(A, d|A) of |op(f)(x) - op(f)(y)|, for the
     n x n metric d on all points.
 
+    The entry depends on x and y only through their weight rows, so the
+    norms are computed once per oriented pair (a, b) of bitwise-distinct
+    rows that some pair x < y takes, x in class a and y in class b: with the
+    classes numbered by first occurrence, those with first(a) < last(b).
+    Each is computed as the pair x < y would be, w[x] - w[y] from its
+    representatives, and never as w[y] - w[x]: the norm LP of -c is another
+    memo key, and its simplex path may differ from that of c in the last
+    bits.  Entry (x, y), x < y, is then read from the table for (class of x,
+    class of y) and mirrored to (y, x).
+
     The weight rows are read once as sparse rows: a partition of unity
     subordinate to a cover of order r has at most r + 1 nonzeros per row.
     The differences of a block of pairs (`_pair_blocks`) are merged from them
     by `_difference`, bitwise the dense differences on every column, and
     passed to `_row_norms`, which answers zero, single-point and exact
     two-point molecules by their norm identities and solves the norm LP once
-    per distinct (support, weights) in this call.  So every entry is the one
-    the dense per-pair sweep gives.
+    per distinct (support, weights) in this call, the same set of LPs as a
+    sweep over all pairs.  So every entry is the one the dense per-pair
+    sweep gives.
     """
     _, d_a, base = _metrics(op, d)
     n, m = op.matrix.shape
-    cols, vals = _sparse_rows(op.matrix)
-    out = np.zeros((n, n))
+    first = first_equal_rows(op.matrix)
+    reps = np.flatnonzero(first == np.arange(n))
+    cls = np.searchsorted(reps, first)
+    last = np.zeros(len(reps), dtype=np.intp)
+    np.maximum.at(last, cls, np.arange(n))
+    cols, vals = _sparse_rows(op.matrix[reps])
+    table = np.zeros((len(reps), len(reps)))
     memo: dict = {}
-    for x, y in _pair_blocks(n):
-        value = _row_norms(*_difference(cols[x], vals[x], cols[y], vals[y], m),
-                           d_a, base, memo)
-        out[x, y] = value
-        out[y, x] = value
+    for a, b in _pair_blocks(reps, last):
+        table[a, b] = _row_norms(*_difference(cols[a], vals[a], cols[b], vals[b], m),
+                                 d_a, base, memo)
+    out = np.empty((n, n))
+    for x in range(n):
+        out[x, x:] = table[cls[x], cls[x:]]
+        out[x, :x] = out[:x, x]
     return out
 
 
@@ -381,13 +414,14 @@ def _pruned_ratios(w: np.ndarray, d_a: np.ndarray, base: int,
     ratios = np.empty(n * (n - 1) // 2)
     lp_parts = []
     start = 0
-    for x, y in _pair_blocks(n):
+    points = np.arange(n)
+    for x, y in _pair_blocks(points, points):
         c, v = _difference(cols[x], vals[x], cols[y], vals[y], m)
         value, needs_lp = _triage(c, v, d_a, base)
         ratios[start:start + len(x)] = value / d_t[x, y]
         rows = np.flatnonzero(needs_lp)
         lp_parts.append((rows + start, x[rows], y[rows],
-                         _ratio_upper_bounds(_dense(c[rows], v[rows], m), d_a, base,
+                         _ratio_upper_bounds(c[rows], v[rows], d_a, base,
                                              d_t[x[rows], y[rows]])))
         start += len(x)
     index, lp_x, lp_y, bounds = map(np.concatenate, zip(*lp_parts))
@@ -413,20 +447,21 @@ def operator_norm(op: WeightOperator, d: np.ndarray) -> tuple[float, tuple[int, 
 
     Only the maximum is needed.  The pairs are triaged from the sparse weight
     rows as in `molecule_norm_matrix`, so shortcut pairs give exact ratios.
-    Only the rows left to the LP are made dense, for `_ratio_upper_bounds`,
-    and they are solved in descending order of that proven upper bound on
-    their ratio, skipping every pair whose bound falls below the best exact
-    ratio so far.  A skipped pair lies strictly below the maximum, so the
-    value and the witness equal those of the exhaustive sweep.
+    The rows left to the LP are solved in descending order of the proven
+    upper bound of `_ratio_upper_bounds` on their ratio, skipping every pair
+    whose bound falls below the best exact ratio so far.  A skipped pair lies
+    strictly below the maximum, so the value and the witness equal those of
+    the exhaustive sweep.  The witness is read from the first maximiser's
+    flat index by `_upper_pair`.
     """
     d, d_a, base = _metrics(op, d)
     n = op.space.n
     if n < 2:
         return 0.0, (0, 0)
-    xs, ys = np.triu_indices(n, k=1)
     ratios = _pruned_ratios(op.matrix, d_a, base, d)
     best = int(np.argmax(ratios))
-    return float(ratios[best]), (int(xs[best]), int(ys[best]))
+    x, y = _upper_pair(n, best)
+    return float(ratios[best]), (int(x), int(y))
 
 
 # ---------------------------------------------------------------------------

@@ -55,11 +55,37 @@ class ValidationReport:
         )
 
 
+def first_equal_rows(mat: np.ndarray) -> np.ndarray:
+    """For each row of the 2-D array mat, the index of the first row that is
+    bitwise equal to it (a row seen for the first time maps to itself).
+
+    Rows are bucketed by the hash of their bytes, and every hit is confirmed
+    by comparing the bytes, so the result is exact and does not depend on the
+    hash function or the interpreter's hash seed.  The buckets hold row
+    indices only: O(n) memory beyond one row's bytes at a time.  Bitwise
+    means 0.0 and -0.0 differ and so do NaNs of different payloads.
+    """
+    first = np.arange(len(mat))
+    buckets: dict[int, list[int]] = {}
+    for i, row in enumerate(mat):
+        data = row.tobytes()
+        bucket = buckets.setdefault(hash(data), [])
+        for j in bucket:
+            if mat[j].tobytes() == data:
+                first[i] = j
+                break
+        else:
+            bucket.append(i)
+    return first
+
+
 # The row-block engine behind the two O(n^3) min-plus sweeps, the triangle
 # check and Floyd-Warshall, both on the caller's thread.  _row_blocks cuts the
 # rows into blocks of about _BLOCK_CELLS entries, so a block's candidate sums
 # stay in cache while each numpy call still does enough work to hide its
-# overhead.
+# overhead.  On an exactly symmetric matrix both sweep only the columns from
+# each block's first row on, about half the work, and the triangle check
+# sweeps only the first of each set of bitwise-equal rows.
 _BLOCK_CELLS = 2 ** 16
 
 
@@ -109,6 +135,21 @@ def _block_excess(d: np.ndarray, lo: int, hi: int, k0: int, best: np.ndarray,
     return float(best[r, k]), lo + int(r), k0 + int(k)
 
 
+def _may_repeat_rows(d: np.ndarray) -> bool:
+    """False when no two rows of the symmetric matrix d can be equal.
+
+    Equal rows i != j give d(i, j) = d(j, j) on column j and, by symmetry,
+    d(i, j) = d(j, i) = d(i, i) on column i.  So some off-diagonal entry must
+    equal both of its diagonal entries, which never happens in a metric (zero
+    diagonal, positive off it).  The two n x n masks are freed on return.
+    """
+    diag = np.diagonal(d)
+    tied = d == diag[:, None]
+    tied &= d == diag[None, :]
+    np.fill_diagonal(tied, False)
+    return bool(tied.any())
+
+
 def _min_plus_excess(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     """Largest triangle excess d(i,k) - min_j (d(i,j) + d(j,k)) and a witness.
 
@@ -119,13 +160,29 @@ def _min_plus_excess(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     IEEE sums d(i,j) + d(j,k) = d(k,j) + d(j,i), so the first worst pair lies
     on or above the diagonal, and each swept cell is computed as in the full
     sweep.  Any other matrix is swept in full.
+
+    A symmetric matrix with repeated rows (a pseudometric pulled back through
+    a partition of unity has many) is swept only over the first occurrences
+    R of its bitwise-distinct rows, in ascending order.  Row i equal to row r
+    makes column i equal to column r, so excess(i, k) = excess(r, s) for the
+    first occurrences r of i and s of k, and a j in the class of j' adds the
+    same values as j'.  The minimum over j in R is the full minimum, and the
+    first worst pair in row-major order has first occurrences at both ends,
+    since each class's first occurrence is its least index: the reduced
+    sweep's first worst pair, read through R, is the full sweep's.  j is
+    taken from the full rows.
     """
     symmetric = np.array_equal(d, d.T)
-    with _row_blocks(d.shape[0], 2) as (blocks, scratch):
-        worst = [_block_excess(d, lo, hi, lo if symmetric else 0, *scratch)
+    reps = np.arange(len(d))
+    if symmetric and _may_repeat_rows(d):
+        reps = np.flatnonzero(first_equal_rows(d) == reps)
+    swept = d if len(reps) == len(d) else d[np.ix_(reps, reps)]
+    with _row_blocks(len(swept), 2) as (blocks, scratch):
+        worst = [_block_excess(swept, lo, hi, lo if symmetric else 0, *scratch)
                  for lo, hi in blocks]
     # max keeps the first of equal excesses, so ties go to the first block
     excess, i, k = max(worst, key=lambda t: t[0])
+    i, k = int(reps[i]), int(reps[k])
     j = np.argmin(d[i] + d[:, k])
     return excess, (i, int(j), k)
 
@@ -139,7 +196,8 @@ def validate_metric(mat: np.ndarray, allow_zero: bool = False) -> ValidationRepo
     A NaN or infinite entry is the one violation reported: every other check
     is a comparison, which NaN would pass.  The triangle check is the O(n^3)
     min-plus sweep of _min_plus_excess on the caller's thread, over the upper
-    triangle only when the matrix is exactly symmetric.
+    triangle only when the matrix is exactly symmetric, and then only over
+    its distinct rows.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -343,6 +401,10 @@ def floyd_warshall(w: np.ndarray) -> np.ndarray:
     and nonnegative weights, step k rewrites row k with d(k, k) + d(k, j) =
     d(k, j) and column k with d(i, k) + d(k, k) = d(i, k), its own values,
     so no block sees row k or column k change during step k.
+
+    Weights symmetric bit for bit are swept by `_floyd_warshall_upper`, about
+    half the work, with the same result.  Symmetry by value is not enough:
+    0.0 and -0.0 compare equal, and a mirrored copy would swap them.
     """
     d = np.array(w, dtype=float)
     if not (d >= 0).all():                  # also false on NaN
@@ -350,12 +412,46 @@ def floyd_warshall(w: np.ndarray) -> np.ndarray:
     np.fill_diagonal(d, 0.0)
     n = d.shape[0]
     if n:
+        bits = d.view(np.uint64)
+        symmetric = np.array_equal(bits, bits.T)
         with _row_blocks(n, 1) as (blocks, (cand,)):
-            for k in range(n):
-                for lo, hi in blocks:
-                    np.add(d[lo:hi, k, None], d[k], out=cand[:hi - lo])
-                    np.minimum(d[lo:hi], cand[:hi - lo], out=d[lo:hi])
+            if symmetric:
+                _floyd_warshall_upper(d, blocks, cand)
+            else:
+                for k in range(n):
+                    for lo, hi in blocks:
+                        np.add(d[lo:hi, k, None], d[k], out=cand[:hi - lo])
+                        np.minimum(d[lo:hi], cand[:hi - lo], out=d[lo:hi])
     return d
+
+
+def _floyd_warshall_upper(d: np.ndarray, blocks, cand: np.ndarray) -> None:
+    """The k-loop of `floyd_warshall` on a bitwise symmetric d, in place.
+
+    Every step keeps d bitwise symmetric: d(i, k) + d(k, j) and
+    d(j, k) + d(k, i) are the same IEEE sum, and the minimum then sees the
+    same operands in the same order.  So each block (lo, hi) updates only its
+    columns j >= lo, which hold every cell on or above the diagonal; the cells
+    left of a block go stale.  Row k is read from the start of step k: its
+    entries from its own block's first column on are current, and the stale
+    ones left of it are read from column k above that block, which is
+    current and equal to them.  The same vector serves as column k, equal to
+    row k bit for bit.  At the end the stale cells are overwritten with exact
+    copies of their mirror images.
+    """
+    n = d.shape[0]
+    row = np.empty(n)
+    for klo, khi in blocks:
+        for k in range(klo, khi):
+            row[klo:] = d[k, klo:]
+            row[:klo] = d[:klo, k]
+            for lo, hi in blocks:
+                upper = d[lo:hi, lo:]
+                sums = cand.reshape(-1)[:upper.size].reshape(upper.shape)
+                np.add(row[lo:hi, None], row[None, lo:], out=sums)
+                np.minimum(upper, sums, out=upper)
+    for lo, hi in blocks:
+        d[lo:hi, :lo] = d[:lo, lo:hi].T
 
 
 def perturb_metric(d: np.ndarray, amplitude: float, rng: np.random.Generator) -> np.ndarray:

@@ -73,6 +73,14 @@ def lp_norm_dense(c: np.ndarray, d: np.ndarray, base: int, memo: dict) -> float:
     return fn._lp_norm(support, c[support], d, base, memo)
 
 
+def dense_rows(cols: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
+    """The sparse rows (cols, vals) of `freenorm._sparse_rows` and
+    `freenorm._difference` as an m-wide dense matrix."""
+    out = np.zeros((len(cols), m + 1))
+    np.put_along_axis(out, cols, vals, axis=1)
+    return out[:, :m]
+
+
 def free_space_norm(space, weights) -> float:
     """Norm of the weight vector in the free space over space, always by the
     LP: the reference the norm identities of `freenorm._triage` are tested
@@ -220,7 +228,8 @@ def operator_norm_dense(op, d: np.ndarray) -> tuple[float, tuple[int, int]]:
         ratios[start:start + len(x)] = value / d[x, y]
         rows = np.flatnonzero(needs_lp)
         lp_parts.append((rows + start, x[rows], y[rows],
-                         fn._ratio_upper_bounds(c[rows], d_a, base, d[x[rows], y[rows]])))
+                         fn._ratio_upper_bounds(*fn._sparse_rows(c[rows]), d_a, base,
+                                                d[x[rows], y[rows]])))
         start += len(x)
     index, lp_x, lp_y, bounds = map(np.concatenate, zip(*lp_parts))
     exact = np.ones(len(ratios), dtype=bool)

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import lipfree as lf
-from conftest import json_dump_of_lists
+from conftest import (floyd_warshall_serial, json_dump_of_lists, min_plus_excess_by_via,
+                      molecule_norms_by_pairs)
+from lipfree import cli, extension, freenorm, spaces
 from lipfree.cli import _write_json, main
 
 
@@ -289,6 +296,18 @@ VALUES = st.recursive(
     max_leaves=16)
 
 
+@st.composite
+def repeated_row_arrays(draw):
+    """2-D float arrays whose rows are copies of a few distinct rows, in any
+    order, with each distinct row also present with the signs of its zeros
+    flipped."""
+    distinct = draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(0, 4)),
+                               elements=FLOATS))
+    distinct = np.vstack([distinct, np.where(distinct == 0.0, -distinct, distinct)])
+    order = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=12))
+    return distinct[np.array(order, dtype=int)]
+
+
 class TestReportWriter:
     @settings(max_examples=300, deadline=None)
     @given(payload=st.dictionaries(TEXT, VALUES, max_size=5))
@@ -329,6 +348,16 @@ class TestReportWriter:
         with pytest.raises(TypeError, match="keys must be str"):
             _write_json(tmp_path / "r.json", {"a": [{"b": 1, key: 2}]})
 
+    @settings(max_examples=200, deadline=None)
+    @given(mat=repeated_row_arrays())
+    def test_repeated_rows_are_encoded_once(self, tmp_path_factory, mat):
+        path = tmp_path_factory.mktemp("writer") / "r.json"
+        with mock.patch.object(cli, "_ENCODE", wraps=cli._ENCODE) as encode:
+            _write_json(path, {"m": mat})
+        assert path.read_text() == json_dump_of_lists({"m": mat})
+        # the key, then each bitwise-distinct row
+        assert encode.call_count == 1 + len({row.tobytes() for row in mat})
+
     def test_matrix_is_written_row_by_row(self, tmp_path):
         m = np.random.default_rng(0).random((1000, 1000))
         tracemalloc.start()
@@ -339,3 +368,58 @@ class TestReportWriter:
             tracemalloc.stop()
         # m.tolist() alone takes about 32 MB
         assert peak < 2 * 2**20
+
+
+def oracle_write_json(path, payload):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json_dump_of_lists(payload))
+
+
+def molecule_norms_on_domain(op, d):
+    return molecule_norms_by_pairs(op, d[np.ix_(op.domain, op.domain)])
+
+
+class TestEquivalence:
+    """Whole reports from the row-collapsing sweeps and writer are the bytes
+    the reference sweeps and writer of tests/conftest.py give."""
+
+    @pytest.mark.parametrize("pipeline, config", [
+        # 9 x 9 at eps 1/4: the bundle's molecules need 1,314 LPs
+        ("extend", {"space": grid_space_json([9, 9], 0.02), "eps_schedule": [0.25],
+                    "seed": 3, "perturbations": {"count": 1}}),
+        ("glue", {"space": grid_space_json([6, 6], 1 / 6), "k": [i * 6 for i in range(6)],
+                  "dim_k": 1, "thresholds": [4 / 6, 3 / 6, 2 / 6, 1 / 6],
+                  "n": 1, "eps": 0.6, "seed": 5, "probes": {"count": 2}}),
+    ])
+    def test_reports_equal_the_reference_sweeps(self, tmp_path, monkeypatch, pipeline, config):
+        cfg = write_config(tmp_path, "c.json", config)
+        assert main(["--out-dir", str(tmp_path / "fast"), pipeline, cfg]) == 0
+        monkeypatch.setattr(spaces, "_min_plus_excess", min_plus_excess_by_via)
+        monkeypatch.setattr(spaces, "floyd_warshall", floyd_warshall_serial)
+        monkeypatch.setattr(freenorm, "floyd_warshall", floyd_warshall_serial)
+        monkeypatch.setattr(freenorm, "molecule_norm_matrix", molecule_norms_on_domain)
+        monkeypatch.setattr(extension, "molecule_norm_matrix", molecule_norms_on_domain)
+        monkeypatch.setattr(cli, "_write_json", oracle_write_json)
+        assert main(["--out-dir", str(tmp_path / "reference"), pipeline, cfg]) == 0
+        fast = sorted((tmp_path / "fast").iterdir())
+        assert [f.name for f in fast] == [f.name for f in sorted((tmp_path / "reference").iterdir())]
+        for f in fast:
+            assert f.read_bytes() == (tmp_path / "reference" / f.name).read_bytes()
+
+    def test_reports_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # the row collapse buckets rows by hash(); a report must not show it
+        cfg = write_config(tmp_path, "c.json", {
+            "space": grid_space_json([6, 6], 0.05), "eps_schedule": [0.5], "seed": 4,
+            "perturbations": {"count": 1},
+        })
+        src = str(Path(lf.__file__).resolve().parents[1])
+        reports = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            out = tmp_path / f"out-{seed}"
+            subprocess.run([sys.executable, "-m", "lipfree.cli", "--out-dir", str(out),
+                            "extend", cfg], env=env, check=True, capture_output=True,
+                           timeout=120)
+            reports.append([(f.name, f.read_bytes()) for f in sorted(out.iterdir())])
+        assert reports[0] == reports[1] and len(reports[0]) == 1

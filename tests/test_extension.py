@@ -112,6 +112,17 @@ class TestExtensionBundle:
         for bundle in (line_bundle, grid_bundle):
             assert abs(bundle.enorm - 1.0) <= 1e-9
 
+    def test_norm_witness_is_the_first_row_major_maximiser(self, line_bundle, grid_bundle):
+        # the ratio 1 is attained at many pairs, so the witness pins the order
+        for bundle in (line_bundle, grid_bundle):
+            xs, ys = np.triu_indices(bundle.nc.space.n, k=1)
+            ratios = bundle.induced[xs, ys] / bundle.adapted[xs, ys]
+            best = int(np.argmax(ratios))
+            assert np.count_nonzero(ratios == ratios[best]) > 1
+            cert = next(c for c in bundle.certificates if c.kind == "extension-operator-norm")
+            assert cert.measured == ratios[best]
+            assert cert.witnesses == ([int(xs[best]), int(ys[best])],)
+
     def test_extension_property_exact(self, line_bundle):
         rng = np.random.default_rng(0)
         f = rng.normal(size=len(line_bundle.net))

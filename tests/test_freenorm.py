@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
 from lipfree import freenorm as fn, lp as lpmod
-from conftest import (free_norm_by_vertices, free_space_norm, lipschitz_constant_dense,
-                      line_space, molecule_norm_matrix_dense,
+from conftest import (dense_rows, free_norm_by_vertices, free_space_norm,
+                      lipschitz_constant_dense, line_space, molecule_norm_matrix_dense,
                       molecule_norms_by_pairs, operator_norm_by_molecules, operator_norm_dense,
                       triage_dense)
 
@@ -363,6 +364,23 @@ def merge_operators(draw):
     return lf.WeightOperator(space, tuple(domain), np.array(rows))
 
 
+@st.composite
+def repeated_row_operators(draw):
+    """Weight operators on 2 to 9 points whose rows are copies of one to four
+    distinct rows, most wide enough to need the norm LP, with the copies in
+    any order, so that both orientations of a pair of classes occur among
+    the pairs x < y."""
+    n = draw(st.integers(2, 9))
+    space = lf.random_metric_space(n, seed=draw(st.integers(0, 2**16)))
+    others = draw(st.permutations([i for i in range(n) if i != space.base_index]))
+    domain = draw(st.permutations([space.base_index, *others[:draw(st.integers(0, n - 1))]]))
+    row = st.lists(st.sampled_from((0.0,) + WEIGHTS), min_size=len(domain),
+                   max_size=len(domain))
+    distinct = draw(st.lists(row, min_size=1, max_size=4))
+    classes = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    return lf.WeightOperator(space, tuple(domain), np.array([distinct[c] for c in classes]))
+
+
 @pytest.fixture(scope="module")
 def grid_operators():
     """A 9 x 9 grid bundle and two operators rebuilt on perturbed metrics, as
@@ -432,7 +450,7 @@ class TestMoleculeNormLayer:
         cols, vals = fn._sparse_rows(op.matrix)
         c, v = fn._difference(cols[xs], vals[xs], cols[ys], vals[ys], m)
         got, got_lp = fn._triage(c, v, d_a, base)
-        assert np.array_equal(fn._dense(c, v, m), dense)
+        assert np.array_equal(dense_rows(c, v, m), dense)
         assert np.array_equal(got, want) and np.array_equal(got_lp, want_lp)
         assert np.array_equal(lf.molecule_norm_matrix(op, d), molecule_norm_matrix_dense(op, d))
         assert lf.operator_norm(op, d) == operator_norm_dense(op, d)
@@ -451,8 +469,7 @@ class TestMoleculeNormLayer:
             d_a = on_domain(op, d)
             c, v = lp_pair_rows(op, d_a)
             base = op.base_position
-            bounds = fn._ratio_upper_bounds(fn._dense(c, v, len(d_a)), d_a, base,
-                                            np.ones(len(c)))
+            bounds = fn._ratio_upper_bounds(c, v, d_a, base, np.ones(len(c)))
             norms = np.array([fn._lp_norm(cr, vr, d_a, base, {}) for cr, vr in zip(c, v)])
             assert np.all(bounds >= norms)
             checked += len(c)
@@ -462,7 +479,7 @@ class TestMoleculeNormLayer:
         calls = count_solves(monkeypatch)
         for op, d in grid_operators:
             d_a = on_domain(op, d)
-            c = fn._dense(*lp_pair_rows(op, d_a), len(d_a))
+            c = dense_rows(*lp_pair_rows(op, d_a), len(d_a))
             distinct = {(np.flatnonzero(r).tobytes(), r[r != 0].tobytes()) for r in c}
             calls.clear()
             full = lf.molecule_norm_matrix(op, d)
@@ -473,6 +490,76 @@ class TestMoleculeNormLayer:
             calls.clear()
             assert np.array_equal(molecule_norms_by_pairs(op, d_a), full)
             assert len(calls) == len(c)
+
+    @given(repeated_row_operators())
+    @settings(max_examples=200, deadline=None)
+    def test_repeated_rows_equal_the_per_pair_sweep(self, op):
+        for d in (op.space.dist, 1.5 * op.space.dist):
+            got = lf.molecule_norm_matrix(op, d)
+            assert got.tobytes() == molecule_norms_by_pairs(op, on_domain(op, d)).tobytes()
+
+    def test_repeated_rows_solve_each_distinct_lp_once(self, monkeypatch):
+        # rows 0 and 2 are class a, rows 1 and 3 class b: pairs (0, 1) and
+        # (1, 2) take a - b and b - a, and (2, 3) takes a - b again
+        space = lf.random_metric_space(6, seed=8)
+        a, b = [0.5, 0.25, 0.0, 0.25], [0.0, 0.5, 0.25, 0.25]
+        rows = np.array([a, b, a, b, [0.0, 0.0, 0.0, 1.0], a])
+        op = lf.WeightOperator(space, (0, 2, 3, 5), rows)
+        d_a = on_domain(op, space.dist)
+        c = dense_rows(*lp_pair_rows(op, d_a), len(d_a))
+        distinct = {(np.flatnonzero(r).tobytes(), r[r != 0].tobytes()) for r in c}
+        calls = count_solves(monkeypatch)
+        got = lf.molecule_norm_matrix(op, space.dist)
+        assert len(calls) == len(distinct) < len(c)
+        assert got.tobytes() == molecule_norms_by_pairs(op, d_a).tobytes()
+        assert got[0, 1] == got[2, 3] == got[0, 3] and got[1, 2] == got[1, 5]
+
+    def test_each_orientation_keeps_its_own_lp(self):
+        # on this space the simplex answers c and -c a bit apart
+        space = lf.random_metric_space(6, seed=92)
+        a = np.array([0.0, 0.25, 0.0, 0.0, 1.0, 1.0])
+        b = np.array([0.0, 0.0, 0.0, 0.5, 0.0, 0.0])
+        op = lf.WeightOperator(space, tuple(range(6)), np.array([a, b, a, b, a, b]))
+        support = np.flatnonzero(a - b)
+        forward = fn._lp_norm(support, (a - b)[support], space.dist, 0, {})
+        backward = fn._lp_norm(support, (b - a)[support], space.dist, 0, {})
+        assert forward != backward
+        got = lf.molecule_norm_matrix(op, space.dist)
+        assert got[0, 1] == got[1, 0] == forward and got[1, 2] == got[2, 1] == backward
+        assert got.tobytes() == molecule_norms_by_pairs(op, space.dist).tobytes()
+
+    def test_bound_of_a_row_does_not_depend_on_its_block(self):
+        # rows of six nonzeros over 150 columns: a matrix product rounds
+        # such rows differently inside a block than alone
+        rng = np.random.default_rng(5)
+        m = 150
+        d = lf.random_metric_space(m, seed=5).dist
+        cols = np.sort(np.array([rng.choice(np.arange(1, m), 6, replace=False)
+                                 for _ in range(400)]), axis=1)
+        vals = rng.uniform(-1.0, 1.0, cols.shape)
+        ones = np.ones(len(cols))
+        block = fn._ratio_upper_bounds(cols, vals, d, 0, ones)
+        alone = [fn._ratio_upper_bounds(cols[r:r + 1], vals[r:r + 1], d, 0, ones[:1])[0]
+                 for r in range(len(cols))]
+        assert block.tobytes() == np.array(alone).tobytes()
+
+    @given(st.lists(st.integers(0, 9), max_size=12), st.lists(st.integers(0, 9), max_size=12),
+           st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_pair_blocks_list_each_pair_once_in_row_major_order(self, starts, ends, rows):
+        starts, ends = np.array(starts, dtype=int), np.array(ends, dtype=int)
+        with mock.patch.object(fn, "_BLOCK_ROWS", rows):
+            got = [(int(a), int(b)) for xs, ys in fn._pair_blocks(starts, ends)
+                   for a, b in zip(xs, ys)]
+        assert got == [(a, b) for a in range(len(starts)) for b in range(len(ends))
+                       if starts[a] < ends[b]]
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 130])
+    def test_upper_pair_matches_triu_indices(self, n):
+        xs, ys = np.triu_indices(n, k=1)
+        x, y = fn._upper_pair(n, np.arange(len(xs)))
+        assert np.array_equal(x, xs) and np.array_equal(y, ys)
+        assert fn._upper_pair(n, len(xs) - 1) == (n - 2, n - 1)
 
     def test_single_point_net(self):
         space = lf.random_metric_space(5, seed=30)

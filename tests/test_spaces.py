@@ -233,6 +233,114 @@ class TestMinPlusExcess:
         assert results == [[serial[0]] * 3, [serial[1]] * 3]
 
 
+# Class entries with ties, zeros of both signs and values far enough apart to
+# break the triangle inequality between classes.
+CLASS_ENTRIES = (0.0, -0.0, 0.5, 1.0, 2.0, 3.0)
+
+
+@st.composite
+def repeated_row_matrices(draw):
+    """Exactly symmetric matrices with a few distinct rows: d(i, k) =
+    b(class of i, class of k) for a symmetric k x k matrix b and a class per
+    point in any order, so classes interleave.  Optionally classes 0 and 1
+    differ only in the sign of one zero, on both sides of the diagonal or on
+    one (then d is symmetric by value but not bitwise).  Also returns a block
+    height."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 30))
+    cls = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    b = np.array(draw(st.lists(st.sampled_from(CLASS_ENTRIES), min_size=k * k,
+                               max_size=k * k))).reshape(k, k)
+    lower = np.tril_indices(k, -1)
+    b[lower] = b.T[lower]
+    if k >= 3 and draw(st.booleans()):
+        b[:, 1] = b[:, 0]
+        b[1] = b[0]
+        c = draw(st.integers(2, k - 1))
+        b[0, c] = b[c, 0] = 0.0
+        b[1, c] = -0.0
+        b[c, 1] = draw(st.sampled_from([0.0, -0.0]))
+    return b[np.ix_(cls, cls)], draw(st.integers(1, 5))
+
+
+def swept_sizes(monkeypatch):
+    """Record (size of the swept matrix, first column) of every block of
+    `_min_plus_excess`."""
+    block_excess = spaces._block_excess
+    seen = []
+
+    def recording(d, lo, hi, k0, best, cand):
+        seen.append((d.shape[0], k0))
+        return block_excess(d, lo, hi, k0, best, cand)
+
+    monkeypatch.setattr(spaces, "_block_excess", recording)
+    return seen
+
+
+class TestFirstEqualRows:
+    @given(arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(0, 4)),
+                  elements=st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf])))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_byte_comparison(self, mat):
+        rows = [r.tobytes() for r in mat]
+        assert spaces.first_equal_rows(mat).tolist() == [rows.index(r) for r in rows]
+
+    def test_hash_collisions_are_settled_by_the_bytes(self, monkeypatch):
+        monkeypatch.setattr(spaces, "hash", lambda data: 0, raising=False)
+        mat = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [-0.0, 1.0]])
+        assert spaces.first_equal_rows(mat).tolist() == [0, 1, 0, 3, 1]
+
+
+class TestRepeatedRows:
+    @given(repeated_row_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_via_sweep(self, case):
+        d, rows = case
+        assert np.array_equal(d, d.T)
+        with mock.patch.object(spaces, "_BLOCK_CELLS", rows * d.shape[0]):
+            assert _min_plus_excess(d) == min_plus_excess_by_via(d)
+
+    @given(repeated_row_matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_ulp_of_asymmetry_matches_the_via_sweep(self, case, data):
+        d, rows = case
+        n = d.shape[0]
+        i, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        d[i, k] = np.nextafter(d[i, k], np.inf)
+        with mock.patch.object(spaces, "_BLOCK_CELLS", rows * n):
+            assert _min_plus_excess(d) == min_plus_excess_by_via(d)
+
+    def test_only_the_distinct_rows_are_swept(self, monkeypatch):
+        # classes interleave; classes 2 and 3 start at points 3 and 8
+        cls = [0, 1, 0, 2, 1, 2, 2, 0, 3, 3, 1]
+        b = np.array([[0.0, 1.0, 1.0, 1.0],
+                      [1.0, 0.0, 1.0, 1.0],
+                      [1.0, 1.0, 0.0, 5.0],       # d(2, 3) = 5 > 1 + 1
+                      [1.0, 1.0, 5.0, 0.0]])
+        d = b[np.ix_(cls, cls)]
+        seen = swept_sizes(monkeypatch)
+        got = _min_plus_excess(d)
+        assert got == min_plus_excess_by_via(d) == (3.0, (3, 0, 8))
+        assert seen == [(4, 0)]
+        seen.clear()
+        d[9, 3] = np.nextafter(5.0, np.inf)     # one ulp: no longer symmetric
+        got = _min_plus_excess(d)
+        assert got == min_plus_excess_by_via(d)
+        assert got[0] > 3.0 and (got[1][0], got[1][2]) == (9, 3)
+        assert seen == [(11, 0)]
+
+    def test_metrics_never_look_for_equal_rows(self, monkeypatch):
+        calls = []
+        real = spaces.first_equal_rows
+        monkeypatch.setattr(spaces, "first_equal_rows", lambda m: calls.append(1) or real(m))
+        assert lf.validate_metric(random_metric_matrix(4, 40)).ok
+        assert calls == []
+        d = lf.quotient_pseudometric(random_metric_matrix(4, 40), range(10))
+        seen = swept_sizes(monkeypatch)
+        assert lf.validate_pseudometric(d).ok
+        assert calls == [1] and seen == [(31, 0)]
+
+
 class TestRowBlockEngine:
     def _bufsize_after(self, call):
         old = np.setbufsize(4096)                       # not numpy's default
@@ -282,6 +390,20 @@ def weight_matrices(draw):
     return w, draw(st.integers(1, 5))
 
 
+@st.composite
+def symmetric_weights(draw):
+    """Bitwise symmetric weights with ties, zeros of both signs and missing
+    edges (+inf), and a block of a few rows."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.integers(0, draw(st.integers(1, 6)), (n, n)).astype(float)
+    w[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = np.inf
+    w[rng.random((n, n)) < 0.1] = -0.0
+    lower = np.tril_indices(n, -1)
+    w[lower] = w.T[lower]
+    return w, draw(st.integers(1, 5))
+
+
 class TestFloydWarshall:
     @given(weight_matrices())
     @settings(max_examples=200, deadline=None)
@@ -295,6 +417,28 @@ class TestFloydWarshall:
         w = lf.random_metric_space(300, seed=3).dist * \
             np.random.default_rng(3).uniform(0.5, 1.5, (300, 300))
         assert np.array_equal(lf.floyd_warshall(w), floyd_warshall_serial(w))
+
+    @given(symmetric_weights())
+    @settings(max_examples=200, deadline=None)
+    def test_symmetric_weights_sweep_the_upper_triangle(self, case):
+        w, rows = case
+        with mock.patch.object(spaces, "_BLOCK_CELLS", rows * w.shape[0]), \
+                mock.patch.object(spaces, "_floyd_warshall_upper",
+                                  wraps=spaces._floyd_warshall_upper) as upper:
+            got = lf.floyd_warshall(w)
+        assert got.tobytes() == floyd_warshall_serial(w).tobytes()
+        assert upper.call_count == 1
+
+    @pytest.mark.parametrize("lower", [-0.0, np.nextafter(2.0, np.inf)])
+    def test_bitwise_asymmetric_weights_take_the_full_sweep(self, lower, monkeypatch):
+        monkeypatch.setattr(spaces, "_BLOCK_CELLS", 3 * 40)
+        w = random_metric_matrix(5, 40).copy()
+        w[7, 30] = 0.0 if lower == -0.0 else 2.0
+        w[30, 7] = lower
+        with mock.patch.object(spaces, "_floyd_warshall_upper") as upper:
+            got = lf.floyd_warshall(w)
+        assert got.tobytes() == floyd_warshall_serial(w).tobytes()
+        assert upper.call_count == 0
 
     def test_input_is_not_modified(self):
         w = np.full((3, 3), 5.0)
