@@ -4,9 +4,8 @@ tables, metric perturbation, and certificate re-verification.
 Every run is driven by a JSON config, every randomized step takes its seed
 from the config, and reports are written as compact JSON with sorted keys, so
 that re-running with the same config produces byte-identical files.  They are
-written leaf by leaf through CPython's C encoder, matrices row by row and
-each distinct row once, so no report holds a matrix as Python floats (see
-`_write_value`).
+written leaf by leaf through CPython's C encoder, matrices row by row, so
+no report holds a matrix as Python floats (see `_write_value`).
 Certificate tolerances are not configurable: each certificate records the
 fixed tolerance it was checked with, and `verify` re-applies that recorded
 value.
@@ -16,7 +15,7 @@ and leaves out what is a function of what it keeps:
 
   build-cover  space (the config's spec), eps, cover {net, sets, order_bound},
                certificates
-  extend       pipeline, space, eps, seed, bundle {cover, weights, induced,
+  extend       pipeline, space, eps, seed, bundle {cover, weights,
                operator_norm, certificates}, perturbed [{index, norm, bound,
                certificates}], and the bundle certificates again at the top
   glue         pipeline, seed, n, m, eps, dim_k, admission_radius, bound, net,
@@ -27,8 +26,12 @@ and leaves out what is a function of what it keeps:
                sup_distance from the source metric
 
 `weights` has one column per point of `cover.net`.  The extend report stores
-no adapted metric: it is `induced + quotient_pseudometric(space.dist,
-cover.net)`, bit for bit, recomputed from the embedded space spec.
+neither the induced pseudometric nor the adapted metric.  With `space` read
+back by `space_from_json`, both are recomputed bit for bit:
+
+  induced = molecule_norm_matrix(WeightOperator(space, cover.net, weights,
+                                                partition=True), space.dist)
+  adapted = induced + quotient_pseudometric(space.dist, cover.net)
 """
 
 from __future__ import annotations
@@ -46,12 +49,18 @@ from . import certs as certsmod
 from . import covers as coversmod
 from . import extension as extmod
 from . import gluing as gluemod
-from .spaces import (first_equal_rows, perturb_metric, set_distance, space_from_json,
-                     sup_distance)
+from .spaces import perturb_metric, set_distance, space_from_json, sup_distance
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _get(cfg: dict, key: str):
+    """cfg[key]; a missing key is a ConfigError that names it."""
+    if key not in cfg:
+        raise ConfigError(f"config needs a '{key}' entry")
+    return cfg[key]
 
 
 def _load_config(args) -> dict:
@@ -66,9 +75,7 @@ def _load_config(args) -> dict:
 
 
 def _space_from_config(cfg: dict):
-    if "space" not in cfg:
-        raise ConfigError("config needs a 'space' entry")
-    return space_from_json(cfg["space"])
+    return space_from_json(_get(cfg, "space"))
 
 
 def _require_seed(cfg: dict) -> int:
@@ -91,7 +98,7 @@ def _write_value(write, value) -> None:
     Every other value (a scalar, a flat list, a 1-D array or one row) is a
     leaf: one call of `_ENCODE`, so no matrix is ever held as Python floats.
     A dict key that is not a str raises TypeError, as does any leaf the
-    encoder refuses.  The rows of a 2-D array go through `_write_rows`.
+    encoder refuses.
     """
     if isinstance(value, dict):
         bad = [key for key in value if not isinstance(key, str)]
@@ -102,9 +109,7 @@ def _write_value(write, value) -> None:
             write(("," if i else "") + _ENCODE(key) + ":")
             _write_value(write, value[key])
         write("}")
-    elif isinstance(value, np.ndarray) and value.ndim == 2:
-        _write_rows(write, value)
-    elif (isinstance(value, np.ndarray) and value.ndim > 2
+    elif (isinstance(value, np.ndarray) and value.ndim > 1
           or isinstance(value, (list, tuple)) and any(isinstance(v, _NESTED) for v in value)):
         write("[")
         for i, item in enumerate(value):
@@ -114,27 +119,6 @@ def _write_value(write, value) -> None:
         write("]")
     else:
         write(_ENCODE(value.tolist() if isinstance(value, np.ndarray) else value))
-
-
-def _write_rows(write, mat: np.ndarray) -> None:
-    """Write the 2-D array mat as a JSON list of its rows, encoding each
-    bitwise-distinct row once (`first_equal_rows`).
-
-    Bitwise-equal rows have equal `.tolist()`, so they encode to the same
-    text.  A row's text is kept only while rows equal to it remain to be
-    written: no more texts are held at once than there are distinct rows
-    with a later copy still ahead.
-    """
-    first = first_equal_rows(mat).tolist()
-    last = dict(zip(first, range(len(first))))     # a class's last row wins
-    kept: dict[int, str] = {}
-    write("[")
-    for i, r in enumerate(first):
-        text = kept.pop(r) if r in kept else _ENCODE(mat[i].tolist())
-        if i < last[r]:
-            kept[r] = text
-        write(("," if i else "") + text)
-    write("]")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -193,7 +177,7 @@ def _eps_schedule(cfg: dict) -> list[tuple[str, float]]:
 def cmd_build_cover(args) -> int:
     cfg = _load_config(args)
     space = _space_from_config(cfg)
-    eps = float(cfg["eps"])
+    eps = float(_get(cfg, "eps"))
     nc = coversmod.build_net_cover(space, eps)
     cert = coversmod.verify_net_cover(nc)
     out = Path(args.out_dir) / f"cover-{cfg.get('seed', 0)}-{eps}.json"
@@ -242,7 +226,6 @@ def cmd_extend(args) -> int:
             "bundle": {
                 "cover": _cover(bundle.nc),
                 "weights": _matrix(bundle.pou.matrix),
-                "induced": _matrix(bundle.induced),
                 "operator_norm": bundle.enorm,
                 "certificates": bundle_certs,
             },
@@ -263,14 +246,16 @@ def cmd_extend(args) -> int:
 def cmd_glue(args) -> int:
     cfg = _load_config(args)
     space = _space_from_config(cfg)
-    gcfg = gluemod.GluingConfig(space, tuple(cfg["k"]), int(cfg["dim_k"]),
-                                tuple(cfg["thresholds"]))
+    gcfg = gluemod.GluingConfig(space, tuple(_get(cfg, "k")), int(_get(cfg, "dim_k")),
+                                tuple(_get(cfg, "thresholds")))
     n = int(cfg.get("n", 1))
     if "eps" in cfg:
         eps = float(cfg["eps"])
     else:
-        nu = float(cfg["nu"])
+        nu = float(_get(cfg, "nu"))
         exh = gluemod.build_exhaustion(gcfg)
+        if not 1 <= n <= len(exh):
+            raise ConfigError(f"n = {n} must lie in 1..{len(exh)}, the exhaustion's levels")
         eps = min(nu / 5.0, set_distance(space.dist, gcfg.k, exh[n - 1]))
     bundle = gluemod.build_gluing_bundle(gcfg, n, eps)
     probes = cfg.get("probes", {})
@@ -325,7 +310,7 @@ def cmd_bap(args) -> int:
     seed = int(cfg.get("seed", 0))
     stages = []
     bound = None
-    for n in cfg["n_schedule"]:
+    for n in _get(cfg, "n_schedule"):
         n = int(n)
         eps = _stage_eps(nu, n)
         nc = coversmod.build_net_cover(space, eps)
@@ -352,7 +337,7 @@ def cmd_perturb(args) -> int:
     cfg = _load_config(args)
     space = _space_from_config(cfg)
     seed = _require_seed(cfg)
-    amplitude = float(cfg["amplitude"])
+    amplitude = float(_get(cfg, "amplitude"))
     count = int(cfg.get("count", 1))
     rng = np.random.default_rng(seed)
     for i in range(count):
@@ -425,7 +410,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, gluemod.GluingError) as err:
+    except (ConfigError, ValueError, OSError, gluemod.GluingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -228,31 +228,69 @@ class TestPerturbAndVerify:
         assert "error:" in capsys.readouterr().err
 
 
+# a glue config on the 6 x 6 grid without its core "k"
+GLUE_6X6_NO_CORE = {"space": grid_space_json([6, 6], 1 / 6), "dim_k": 1,
+                    "thresholds": [4 / 6, 3 / 6, 2 / 6, 1 / 6], "seed": 5}
+
+
+class TestConfigErrors:
+    """A config or path the pipeline cannot use exits 2 with one error line
+    that names it; exit 1 is left to failed certificates."""
+
+    @pytest.mark.parametrize("command, config, named", [
+        ("build-cover", {"space": grid_space_json([9], 1 / 8), "seed": 0}, "'eps'"),
+        ("glue", {**GLUE_6X6_NO_CORE, "n": 1, "eps": 0.6}, "'k'"),
+        ("glue", {**GLUE_6X6_NO_CORE, "k": [i * 6 for i in range(6)], "n": 9, "nu": 1.0},
+         "n = 9"),
+        ("bap", {"space": grid_space_json([9], 1 / 8), "nu": 1.0}, "'n_schedule'"),
+        ("perturb", {"space": grid_space_json([5], 0.25), "seed": 9}, "'amplitude'"),
+        ("extend", None, "missing.json"),
+        ("verify", None, "missing.json"),
+    ], ids=["no-eps", "no-k", "n-past-exhaustion", "no-n_schedule", "no-amplitude",
+            "missing-config", "missing-report"])
+    def test_exits_2_and_names_the_cause(self, tmp_path, capsys, command, config, named):
+        if config is None:
+            path = str(tmp_path / "missing.json")
+        else:
+            path = write_config(tmp_path, "c.json", config)
+        argv = ["verify", path] if command == "verify" else \
+            ["--out-dir", str(tmp_path / "out"), command, path]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestReportLayout:
     def test_extend_report_recovers_adapted_metric(self, tmp_path):
-        space_spec = grid_space_json([5, 5], 1 / 8)
-        cfg = write_config(tmp_path, "c.json", {
-            "space": space_spec, "eps_schedule": [0.5], "seed": 1,
-            "perturbations": {"count": 1},
-        })
-        assert main(["--out-dir", str(tmp_path / "out"), "extend", cfg]) == 0
-        report = json.loads(next((tmp_path / "out").glob("extend-*.json")).read_text())
-        assert report["space"] == space_spec
-        assert set(report) == {"pipeline", "space", "eps", "seed", "bundle",
-                               "perturbed", "certificates"}
-        assert set(report["bundle"]) == {"cover", "weights", "induced",
-                                         "operator_norm", "certificates"}
+        # 5 x 5 at eps 1/2, and 9 x 9 at eps 1/4, whose molecules need LPs
+        for dims, spacing, eps, seed in (([5, 5], 1 / 8, 0.5, 1), ([9, 9], 0.02, 0.25, 3)):
+            space_spec = grid_space_json(dims, spacing)
+            cfg = write_config(tmp_path, f"c{dims[0]}.json", {
+                "space": space_spec, "eps_schedule": [eps], "seed": seed,
+                "perturbations": {"count": 1},
+            })
+            out = tmp_path / f"out{dims[0]}"
+            assert main(["--out-dir", str(out), "extend", cfg]) == 0
+            report = json.loads(next(out.glob("extend-*.json")).read_text())
+            assert report["space"] == space_spec
+            assert set(report) == {"pipeline", "space", "eps", "seed", "bundle",
+                                   "perturbed", "certificates"}
+            assert set(report["bundle"]) == {"cover", "weights", "operator_norm",
+                                             "certificates"}
 
-        space = lf.space_from_json(report["space"])
-        net = report["bundle"]["cover"]["net"]
-        induced = np.array(report["bundle"]["induced"])
-        adapted = induced + lf.quotient_pseudometric(space.dist, net)
-        bundle = lf.build_extension_bundle(lf.build_net_cover(space, 0.5))
-        assert np.array_equal(adapted, bundle.adapted)
-        sup = next(c for c in report["certificates"] if c["kind"] == "adapted-sup-distance")
-        assert lf.sup_distance(space.dist, adapted) == sup["measured"]
-        xs, ys = np.triu_indices(space.n, k=1)
-        assert (induced[xs, ys] / adapted[xs, ys]).max() == report["bundle"]["operator_norm"]
+            space = lf.space_from_json(report["space"])
+            net = report["bundle"]["cover"]["net"]
+            op = lf.WeightOperator(space, net, report["bundle"]["weights"], partition=True)
+            induced = lf.molecule_norm_matrix(op, space.dist)
+            adapted = induced + lf.quotient_pseudometric(space.dist, net)
+            bundle = lf.build_extension_bundle(lf.build_net_cover(space, eps))
+            assert induced.tobytes() == bundle.induced.tobytes()
+            assert adapted.tobytes() == bundle.adapted.tobytes()
+            sup = next(c for c in report["certificates"] if c["kind"] == "adapted-sup-distance")
+            assert lf.sup_distance(space.dist, adapted) == sup["measured"]
+            xs, ys = np.triu_indices(space.n, k=1)
+            assert (induced[xs, ys] / adapted[xs, ys]).max() == report["bundle"]["operator_norm"]
 
     @pytest.mark.parametrize("pipeline, config", [
         ("build-cover", {"space": grid_space_json([9], 1 / 8), "eps": 0.25, "seed": 0}),
@@ -310,7 +348,7 @@ def repeated_row_arrays(draw):
 
 class TestReportWriter:
     @settings(max_examples=300, deadline=None)
-    @given(payload=st.dictionaries(TEXT, VALUES, max_size=5))
+    @given(payload=st.dictionaries(TEXT, st.one_of(VALUES, repeated_row_arrays()), max_size=5))
     @example(payload={"b": np.zeros((0, 3)), "a": np.zeros((3, 0)), "c": [1, {"y": [], "x": ()}]})
     def test_bytes_equal_json_dump_of_lists(self, tmp_path_factory, payload):
         path = tmp_path_factory.mktemp("writer") / "r.json"
@@ -355,8 +393,8 @@ class TestReportWriter:
         with mock.patch.object(cli, "_ENCODE", wraps=cli._ENCODE) as encode:
             _write_json(path, {"m": mat})
         assert path.read_text() == json_dump_of_lists({"m": mat})
-        # the key, then each bitwise-distinct row
-        assert encode.call_count == 1 + len({row.tobytes() for row in mat})
+        # the key, then each row once as one leaf, repeated or not
+        assert encode.call_count == 1 + len(mat)
 
     def test_matrix_is_written_row_by_row(self, tmp_path):
         m = np.random.default_rng(0).random((1000, 1000))
@@ -380,8 +418,8 @@ def molecule_norms_on_domain(op, d):
 
 
 class TestEquivalence:
-    """Whole reports from the row-collapsing sweeps and writer are the bytes
-    the reference sweeps and writer of tests/conftest.py give."""
+    """Whole reports from the row-collapsing sweeps and the streaming writer
+    are the bytes the reference sweeps and writer of tests/conftest.py give."""
 
     @pytest.mark.parametrize("pipeline, config", [
         # 9 x 9 at eps 1/4: the bundle's molecules need 1,314 LPs

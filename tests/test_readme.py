@@ -1,9 +1,13 @@
-"""The README's library sketch runs against the current API."""
+"""The README's library sketch and example configs run against the current
+code, and the report layout it documents is the one the CLI writes."""
 
+import json
 import re
 from pathlib import Path
 
 import pytest
+
+from lipfree.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,3 +20,38 @@ def test_library_sketch_runs():
     exec(compile(code, f"{README}:library-sketch", "exec"), scope)
     assert scope["bundle"].enorm == pytest.approx(1.0, abs=1e-9)
     assert scope["pb"].passed
+
+
+@pytest.fixture(scope="module")
+def readme_runs(tmp_path_factory):
+    """Each "Example `PIPELINE` config" block of the README run through
+    lipfree, as (pipeline, exit code, report paths)."""
+    text = README.read_text()
+    configs = re.findall(r"Example `([\w-]+)` config[^\n]*\n\n```json\n(.*?)```", text, re.S)
+    assert len(configs) == text.count("```json") > 0
+    runs = []
+    for i, (pipeline, config) in enumerate(configs):
+        root = tmp_path_factory.mktemp(f"readme-{i}-{pipeline}")
+        (root / "config.json").write_text(config)
+        rc = main(["--out-dir", str(root / "out"), pipeline, str(root / "config.json")])
+        runs.append((pipeline, rc, sorted((root / "out").glob("*.json"))))
+    return runs
+
+
+def test_example_configs_run_and_verify(readme_runs):
+    for pipeline, rc, reports in readme_runs:
+        assert rc == 0, pipeline
+        assert reports, pipeline
+        for report in reports:
+            assert main(["verify", str(report)]) == 0, report.name
+
+
+def test_extend_report_layout_is_the_documented_one(readme_runs):
+    text = README.read_text()
+    start = text.index("An `extend` report holds")
+    paragraph = text[start:text.index("\n\n", start)]
+    documented = set(re.findall(r"`bundle\.(\w+)`", paragraph))
+    reports = [r for pipeline, _, paths in readme_runs if pipeline == "extend" for r in paths]
+    assert reports
+    for report in reports:
+        assert set(json.loads(report.read_text())["bundle"]) == documented

@@ -329,13 +329,12 @@ class TestRepeatedRows:
         assert got[0] > 3.0 and (got[1][0], got[1][2]) == (9, 3)
         assert seen == [(11, 0)]
 
-    def test_metrics_never_look_for_equal_rows(self, monkeypatch):
+    def test_quotient_pseudometric_sweeps_its_distinct_rows(self, monkeypatch):
+        # collapsing 10 of 40 points leaves 31 distinct rows
+        d = lf.quotient_pseudometric(random_metric_matrix(4, 40), range(10))
         calls = []
         real = spaces.first_equal_rows
         monkeypatch.setattr(spaces, "first_equal_rows", lambda m: calls.append(1) or real(m))
-        assert lf.validate_metric(random_metric_matrix(4, 40)).ok
-        assert calls == []
-        d = lf.quotient_pseudometric(random_metric_matrix(4, 40), range(10))
         seen = swept_sizes(monkeypatch)
         assert lf.validate_pseudometric(d).ok
         assert calls == [1] and seen == [(31, 0)]
