@@ -9,8 +9,8 @@ from .spaces import (DEFAULT_TOL, DensityReport, FiniteMetricSpace, MetricError,
                      validate_pseudometric)
 from .lp import LinearProgram, LpError, LpSolution, solve
 from .freenorm import (AdmissionError, MetricExtension, MetricExtensionError,
-                       WeightOperator, lipschitz_constant, metric_extension_lp,
-                       molecule_norm_matrix, operator_norm)
+                       WeightOperator, free_norms, lipschitz_constant,
+                       metric_extension_lp, molecule_norm_matrix, operator_norm)
 from .covers import (CoverError, CoverFamily, NetAndCover, brick_cover,
                      build_net_cover, order, verify_net_cover)
 from .certs import (Certificate, all_passed, certificate_from_json,

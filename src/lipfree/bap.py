@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certs import Certificate, make_certificate, all_passed
-from .freenorm import (WeightOperator, _difference, _metrics, _row_norms, _sparse_rows,
-                       operator_norm)
+from .freenorm import WeightOperator, free_norms, operator_norm
 from .spaces import DEFAULT_TOL, is_eps_dense
 
 
@@ -42,13 +41,9 @@ def almost_extension_defect(op: WeightOperator, dist: np.ndarray) -> DefectRepor
     Zero exactly when the rows at the net points are indicators, i.e. when op
     is an extension operator.
     """
-    _, d_a, base_pos = _metrics(op, dist)   # raises on a wrong shape or a missing base
     dom = list(op.domain)
-    q = len(dom)
-    cols, vals = _sparse_rows(op.matrix[dom])
-    # row i minus delta_{a_i}, merged as a molecule's two rows are
-    rows = _difference(cols, vals, np.arange(q)[:, None], np.ones((q, 1)), q)
-    values = _row_norms(*rows, d_a, base_pos, {})
+    # row i minus delta_{a_i}
+    values = free_norms(op, dist, op.matrix[dom] - np.eye(len(dom)))
     w = int(np.argmax(values))
     return DefectReport(tuple(dom), float(values[w]), w)
 

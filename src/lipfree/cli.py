@@ -379,8 +379,7 @@ def cmd_verify(args) -> int:
         print(f"{cert.kind}: recorded {'pass' if cert.passed else 'fail'}, "
               f"re-evaluated {'consistent' if consistent else 'INCONSISTENT'}")
     if found == 0:
-        print("no certificates found in file")
-        return 1
+        raise ValueError(f"no certificates found in {args.path}")
     print(f"{found - bad}/{found} certificates pass")
     return 0 if bad == 0 else 1
 

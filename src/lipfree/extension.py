@@ -109,11 +109,11 @@ def verify_complement_margin(metric: np.ndarray, sets, eps: float) -> Certificat
 
 @dataclass(frozen=True)
 class ExtensionBundle:
-    """Net, cover, partition weights, the adapted metric, and its certificates."""
+    """Net, cover, partition weights, the adapted metric, and its certificates;
+    the induced pseudometric is `molecule_norm_matrix(pou, nc.space.dist)`."""
 
     nc: NetAndCover
     pou: WeightOperator          # the weights, read as the operator under `adapted`
-    induced: np.ndarray          # pseudometric pulled back through the weights
     adapted: np.ndarray          # induced + quotient pseudometric of the net
     enorm: float
     certificates: tuple[Certificate, ...]
@@ -187,10 +187,8 @@ def build_extension_bundle(nc: NetAndCover) -> ExtensionBundle:
         witnesses=[int(np.argmax(lips))], inputs=inputs))
     certs.append(verify_complement_margin(adapted, nc.sets, eps))
 
-    bundle = ExtensionBundle(
-        nc=nc, pou=pou, induced=induced, adapted=adapted,
-        enorm=float(enorm), certificates=tuple(certs),
-    )
+    bundle = ExtensionBundle(nc=nc, pou=pou, adapted=adapted, enorm=float(enorm),
+                             certificates=tuple(certs))
     failed = [c for c in certs if not c.passed]
     if failed:
         raise BundleError(failed[0])

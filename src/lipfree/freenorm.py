@@ -285,17 +285,6 @@ def _ratio_upper_bounds(cols: np.ndarray, vals: np.ndarray, d: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# McShane extension
-
-
-def _mcshane_values(d: np.ndarray, idx, f: np.ndarray, lip: float) -> np.ndarray:
-    """g(x) = min_a f(a) + lip d(x, a) over the points idx; g = f on idx."""
-    g = (f[None, :] + lip * d[:, idx]).min(axis=1)
-    g[idx] = f
-    return g
-
-
-# ---------------------------------------------------------------------------
 # weight operators
 
 
@@ -355,6 +344,18 @@ def _metrics(op: WeightOperator, d) -> tuple[np.ndarray, np.ndarray, int]:
     if d.shape != (n, n):
         raise ValueError(f"metric must be {n} x {n}, got {d.shape}")
     return d, d[np.ix_(op.domain, op.domain)], op.base_position
+
+
+def free_norms(op: WeightOperator, d: np.ndarray, rows) -> np.ndarray:
+    """Free-space norms over (A, d|A) of the dense rows, each a weight vector
+    over the domain A of op, for the n x n metric d on all points.  Rows are
+    read by their nonzeros, as in `molecule_norm_matrix`, and each distinct
+    (support, weights) solves the norm LP at most once."""
+    _, d_a, base = _metrics(op, d)
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != len(op.domain):
+        raise ValueError(f"rows must have {len(op.domain)} columns, one per domain point")
+    return _row_norms(*_sparse_rows(rows), d_a, base, {})
 
 
 def molecule_norm_matrix(op: WeightOperator, d: np.ndarray) -> np.ndarray:
@@ -471,7 +472,6 @@ def operator_norm(op: WeightOperator, d: np.ndarray) -> tuple[float, tuple[int, 
 @dataclass(frozen=True)
 class MetricExtension:
     matrix: np.ndarray
-    distortion: float
     certificate: Certificate
 
 
@@ -490,7 +490,7 @@ def metric_extension_lp(d: np.ndarray, members, rho: np.ndarray) -> MetricExtens
     tolerance since the closure only lowers entries.  It measures the lower
     side, max (d - d2) off S x S, against delta with slack 1e-9; a d2 above w
     or not a metric measures inf.  A failure raises MetricExtensionError.
-    `distortion` is sup |d2 - d| off S x S, also recorded in the details.
+    The certificate's details hold sup |d2 - d| off S x S as `sup_distortion`.
     """
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
@@ -524,4 +524,4 @@ def metric_extension_lp(d: np.ndarray, members, rho: np.ndarray) -> MetricExtens
     )
     if not cert.passed:
         raise MetricExtensionError(cert)
-    return MetricExtension(d2, distortion, cert)
+    return MetricExtension(d2, cert)

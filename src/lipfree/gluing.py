@@ -33,8 +33,8 @@ from .covers import NetAndCover, build_net_cover, verify_net_cover
 from .extension import (BundleError, ExtensionBundle, PerturbedBundle,
                         build_extension_bundle, build_perturbed_operator,
                         perturbed_norm_bound)
-from .freenorm import (AdmissionError, WeightOperator, _mcshane_values,
-                       lipschitz_constant, metric_extension_lp, operator_norm)
+from .freenorm import (AdmissionError, WeightOperator, lipschitz_constant,
+                       metric_extension_lp, operator_norm)
 from .spaces import (DEFAULT_TOL, FiniteMetricSpace, as_indices,
                      dist_to_set_all, restrict_space, set_distance,
                      sup_distance, truncate, validate_metric)
@@ -134,6 +134,9 @@ def cutoff(e: np.ndarray, w1, eps: float, dim_k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GluingBundle:
+    """Glue metric of level n, what the probes read, and the certificates; the extended
+    inner metric is `metric_extension_lp(cfg.space.dist, v_indices, v_bundle.adapted).matrix`."""
+
     cfg: GluingConfig
     n: int
     m: int
@@ -142,7 +145,6 @@ class GluingBundle:
     exhaustion: tuple[tuple[int, ...], ...]
     v_indices: tuple[int, ...]            # the collar V around the core
     v_bundle: ExtensionBundle
-    extended: np.ndarray                  # inner metric extended to T
     metric: np.ndarray                    # extended + c min(d, eta) / eta, c = eps/(14 (dimK+1))
     core_lo: tuple[int, ...]              # reference sandwich sets for `metric`
     core_hi: tuple[int, ...]
@@ -249,8 +251,7 @@ def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float) -> GluingBundle:
     bundle = GluingBundle(
         cfg=cfg, n=int(n), m=int(m_found), eps=float(eps), net=net,
         exhaustion=exhaustion, v_indices=v_indices, v_bundle=v_bundle,
-        extended=extended, metric=glue, core_lo=core_lo, core_hi=core_hi,
-        certificates=tuple(certs),
+        metric=glue, core_lo=core_lo, core_hi=core_hi, certificates=tuple(certs),
     )
     failed = [c for c in certs if not c.passed]
     if failed:
@@ -296,6 +297,13 @@ def build_h_operator(bundle: GluingBundle, inner: PerturbedBundle,
     xs = np.flatnonzero(rho > 0.0)
     rows[xs, np.searchsorted(dom, xs)] += rho[xs]
     return WeightOperator(space, dom, rows, partition=True)
+
+
+def _mcshane_values(d: np.ndarray, idx, f: np.ndarray, lip: float) -> np.ndarray:
+    """g(x) = min_a f(a) + lip d(x, a) over the points idx; g = f on idx."""
+    g = (f[None, :] + lip * d[:, idx]).min(axis=1)
+    g[idx] = f
+    return g
 
 
 @dataclass(frozen=True)

@@ -546,18 +546,24 @@ def restrict_space(space: FiniteMetricSpace, members: Sequence[int],
 
 
 def space_from_json(obj: dict) -> FiniteMetricSpace:
-    """Space from a config spec: a generator entry or an inline metric."""
+    """Space from a config spec: a generator entry or an inline metric.  A
+    missing required entry is a ValueError that names it."""
+    def need(key):
+        if key not in obj:
+            raise ValueError(f"space spec needs a '{key}' entry")
+        return obj[key]
+
     if "generator" in obj:
         kind = obj["generator"]
         if kind == "grid":
-            return make_grid_space(obj["dims"], obj["spacing"], obj.get("ground", "linf"))
+            return make_grid_space(need("dims"), need("spacing"), obj.get("ground", "linf"))
         if kind == "random":
-            return random_metric_space(obj["n"], obj["seed"], obj.get("scale", 1.0))
+            return random_metric_space(need("n"), need("seed"), obj.get("scale", 1.0))
         raise ValueError(f"unknown generator {kind!r}")
     coords = np.array(obj["coords"], dtype=int) if "coords" in obj else None
     return FiniteMetricSpace(
-        tuple(obj["points"]),
-        np.array(obj["metric"], dtype=float),
+        tuple(need("points")),
+        np.array(need("metric"), dtype=float),
         base_index=int(obj.get("base_point", 0)),
         coords=coords,
         nominal_dim=obj.get("nominal_dim"),

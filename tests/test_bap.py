@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
 from conftest import free_space_norm
+from lipfree import freenorm as fn
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +88,54 @@ class TestDefect:
             gaps = np.abs(verts @ w[p] - verts[:, pos])
             brute = max(brute, float(gaps.max()))
         assert report.defect == pytest.approx(brute, abs=1e-8)
+
+
+def defects_by_merged_rows(op, d):
+    """Norms of the net rows of op minus delta_{a_i}, each sparse net row
+    merged with -delta_{a_i} as a molecule's two rows are merged."""
+    dom = list(op.domain)
+    q = len(dom)
+    cols, vals = fn._sparse_rows(op.matrix[dom])
+    rows = fn._difference(cols, vals, np.arange(q)[:, None], np.ones((q, 1)), q)
+    return fn._row_norms(*rows, d[np.ix_(dom, dom)], op.base_position, {})
+
+
+@st.composite
+def non_extension_operators(draw):
+    """Operators on a random space whose domain holds the base point in any
+    position, with weights that mix exact 0, -0, +-1 and other values, and
+    whose net rows are not all indicators."""
+    n = draw(st.integers(2, 7))
+    space = lf.random_metric_space(n, seed=draw(st.integers(0, 2**16)))
+    others = draw(st.sets(st.integers(0, n - 1).filter(lambda i: i != space.base_index),
+                          max_size=4))
+    dom = draw(st.permutations([space.base_index, *sorted(others)]))
+    w = draw(arrays(np.float64, (n, len(dom)), elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]),
+        st.floats(-3.0, 3.0, allow_subnormal=False))))
+    assume(not np.array_equal(w[list(dom)], np.eye(len(dom))))
+    return lf.WeightOperator(space, tuple(dom), w)
+
+
+def orientation_operator():
+    """Net row 0 minus delta_0 is a molecule c whose norm LP on this space
+    answers c and -c a bit apart."""
+    w = np.zeros((6, 6))
+    w[0] = [1.0, 0.25, 0.0, -0.5, 1.0, 1.0]
+    return lf.WeightOperator(lf.random_metric_space(6, seed=92), tuple(range(6)), w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(non_extension_operators())
+@example(orientation_operator())
+def test_defects_are_bitwise_the_merged_sparse_rows(op):
+    d = op.space.dist
+    want = defects_by_merged_rows(op, d)
+    dom = list(op.domain)
+    got = lf.free_norms(op, d, op.matrix[dom] - np.eye(len(dom)))
+    assert got.tobytes() == want.tobytes()
+    report = lf.almost_extension_defect(op, d)
+    assert report.defect == want.max() and report.witness == int(np.argmax(want))
 
 
 class TestBapCertificate:

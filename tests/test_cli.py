@@ -194,6 +194,17 @@ class TestPerturbAndVerify:
             payload = json.loads(f.read_text())
             assert payload["sup_distance"] <= 0.05 + 1e-12
 
+    def test_verify_rejects_a_report_without_certificates(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            "space": grid_space_json([5], 0.25), "amplitude": 0.05, "count": 1, "seed": 9,
+        })
+        assert main(["--out-dir", str(tmp_path / "out"), "perturb", cfg]) == 0
+        report = str(next((tmp_path / "out").glob("perturb-9-*.json")))
+        capsys.readouterr()
+        assert main(["verify", report]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: no certificates found in {report}\n"
+
     def test_verify_accepts_valid_report(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "space": grid_space_json([9], 1 / 8), "eps": 0.25, "seed": 0,
@@ -246,8 +257,18 @@ class TestConfigErrors:
         ("perturb", {"space": grid_space_json([5], 0.25), "seed": 9}, "'amplitude'"),
         ("extend", None, "missing.json"),
         ("verify", None, "missing.json"),
+        *(("build-cover", {"space": spec, "eps": 0.25, "seed": 0}, f"'{key}'")
+          for spec, key in [
+              ({"generator": "grid", "spacing": 0.1}, "dims"),
+              ({"generator": "grid", "dims": [5]}, "spacing"),
+              ({"generator": "random", "seed": 1}, "n"),
+              ({"generator": "random", "n": 5}, "seed"),
+              ({"metric": [[0.0, 1.0], [1.0, 0.0]]}, "points"),
+              ({"points": [0, 1]}, "metric"),
+          ]),
     ], ids=["no-eps", "no-k", "n-past-exhaustion", "no-n_schedule", "no-amplitude",
-            "missing-config", "missing-report"])
+            "missing-config", "missing-report", "grid-no-dims", "grid-no-spacing",
+            "random-no-n", "random-no-seed", "inline-no-points", "inline-no-metric"])
     def test_exits_2_and_names_the_cause(self, tmp_path, capsys, command, config, named):
         if config is None:
             path = str(tmp_path / "missing.json")
@@ -285,7 +306,8 @@ class TestReportLayout:
             induced = lf.molecule_norm_matrix(op, space.dist)
             adapted = induced + lf.quotient_pseudometric(space.dist, net)
             bundle = lf.build_extension_bundle(lf.build_net_cover(space, eps))
-            assert induced.tobytes() == bundle.induced.tobytes()
+            rebuilt = lf.molecule_norm_matrix(bundle.pou, bundle.nc.space.dist)
+            assert induced.tobytes() == rebuilt.tobytes()
             assert adapted.tobytes() == bundle.adapted.tobytes()
             sup = next(c for c in report["certificates"] if c["kind"] == "adapted-sup-distance")
             assert lf.sup_distance(space.dist, adapted) == sup["measured"]

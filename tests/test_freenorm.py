@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
-from lipfree import freenorm as fn, lp as lpmod
+from lipfree import freenorm as fn, gluing as gluemod, lp as lpmod
 from conftest import (dense_rows, free_norm_by_vertices, free_space_norm,
                       lipschitz_constant_dense, line_space, molecule_norm_matrix_dense,
                       molecule_norms_by_pairs, operator_norm_by_molecules, operator_norm_dense,
@@ -158,12 +158,12 @@ class TestMcShane:
     def test_full_subset_is_identity(self):
         space = lf.random_metric_space(5, seed=3)
         f = space.dist[:, 0]
-        out = fn._mcshane_values(space.dist, list(range(5)), f, 1.0)
+        out = gluemod._mcshane_values(space.dist, list(range(5)), f, 1.0)
         assert np.array_equal(out, f)
 
     def test_zero_seed_gives_scaled_distance(self):
         space = line_space([0.0, 1.0, 2.0, 3.0])
-        out = fn._mcshane_values(space.dist, [0, 1], np.zeros(2), 2.0)
+        out = gluemod._mcshane_values(space.dist, [0, 1], np.zeros(2), 2.0)
         expected = 2.0 * space.dist[:, [0, 1]].min(axis=1)
         assert np.allclose(out, expected)
 
@@ -175,7 +175,7 @@ class TestMcShane:
             f = rng.normal(size=3)
             sub = space.dist[np.ix_(members, members)]
             lip = lf.lipschitz_constant(f, sub)
-            out = fn._mcshane_values(space.dist, members, f, lip)
+            out = gluemod._mcshane_values(space.dist, members, f, lip)
             assert np.array_equal(out[members], f)
             assert lf.lipschitz_constant(out, space.dist) <= lip * (1 + 1e-12)
 
@@ -185,7 +185,7 @@ class TestMcShane:
         f = np.array([0.0, 0.7, -0.3])
         sub = space.dist[np.ix_(members, members)]
         lip = lf.lipschitz_constant(f, sub)
-        out = fn._mcshane_values(space.dist, members, f, lip)
+        out = gluemod._mcshane_values(space.dist, members, f, lip)
         assert out[space.base_index] == 0.0
 
 
@@ -258,6 +258,11 @@ class TestOperatorNorm:
             lf.operator_norm(op, wrong)
         with pytest.raises(ValueError, match="5 x 5"):
             lf.molecule_norm_matrix(op, wrong)
+        with pytest.raises(ValueError, match="5 x 5"):
+            lf.free_norms(op, wrong, np.zeros((1, 2)))
+        for rows in (np.zeros((1, 3)), np.zeros(2)):
+            with pytest.raises(ValueError, match="2 columns"):
+                lf.free_norms(op, space.dist, rows)
 
     def test_thread_safety_of_pair_sweep(self):
         # pure function: concurrent evaluation must agree with serial
@@ -582,7 +587,7 @@ class TestMetricExtension:
         s = [0, 2, 3]
         rho = space.dist[np.ix_(s, s)]
         ext = lf.metric_extension_lp(space.dist, s, rho)
-        assert ext.distortion <= 1e-9
+        assert ext.certificate.details["sup_distortion"] <= 1e-9
         assert np.allclose(ext.matrix, space.dist, atol=1e-8)
 
     def test_full_subset_returns_rho(self):
@@ -600,7 +605,7 @@ class TestMetricExtension:
             ext = lf.metric_extension_lp(space.dist, s, rho)
             assert np.array_equal(ext.matrix[np.ix_(s, s)], rho)
             bound = lf.sup_distance(rho, space.dist[np.ix_(s, s)])
-            assert ext.distortion <= bound + 1e-9
+            assert ext.certificate.details["sup_distortion"] <= bound + 1e-9
             assert lf.validate_metric(ext.matrix).ok
             assert ext.certificate.passed
 
@@ -608,7 +613,7 @@ class TestMetricExtension:
         space = lf.random_metric_space(4, seed=23)
         ext = lf.metric_extension_lp(space.dist, [], np.zeros((0, 0)))
         assert np.array_equal(ext.matrix, space.dist)
-        assert ext.distortion == 0.0 and ext.certificate.passed
+        assert ext.certificate.details["sup_distortion"] == 0.0 and ext.certificate.passed
 
     def test_invalid_rho_reported(self):
         space = lf.random_metric_space(5, seed=21)

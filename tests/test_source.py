@@ -89,6 +89,50 @@ def test_unused_import_is_reported():
     assert unused_imports(source) == ["family_order (line 4)"]
 
 
+def private_imports(source: str) -> list[str]:
+    """Private names (one leading underscore) a module takes from another
+    module of the package: by `from .mod import _name`, or as an attribute
+    `mod._name` of a package module it imported."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname for alias in node.names
+                        if alias.name.startswith("lipfree.") and alias.asname}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "lipfree"):
+            for alias in node.names:
+                if node.module in (None, "lipfree"):
+                    modules.add(alias.asname or alias.name)
+                elif private(alias.name):
+                    found.append((node.lineno, alias.name))
+    found += [(node.lineno, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and private(node.attr)]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_no_private_imports_across_modules():
+    found = {p.name: private_imports(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_private_import_is_reported():
+    source = ("from . import lp as lpmod, spaces\n"
+              "from .freenorm import WeightOperator, _sparse_rows, __version__\n"
+              "from lipfree.gluing import _mcshane_values\n"
+              "import lipfree.certs as certsmod\n"
+              "from numpy import _NoValue\n"
+              "lpmod._tableau, spaces.DEFAULT_TOL, spaces._hash_rows\n"
+              "certsmod._canonical, other._private, self._cache\n")
+    assert private_imports(source) == ["_sparse_rows (line 2)", "_mcshane_values (line 3)",
+                                       "_hash_rows (line 6)", "_tableau (line 6)",
+                                       "_canonical (line 7)"]
+
+
 def json_dump_calls(source: str) -> list[int]:
     """Lines that call json.dump, the streaming pure-Python encoder, through
     the json module (under any alias) or a name imported from it."""
