@@ -57,11 +57,14 @@ def complement_distances(d: np.ndarray, sets) -> np.ndarray:
     the row is lower.  Only the rows whose first[x] lies in U_i take the
     masked minimum over the complement's columns.  For a metric first[x] is
     x itself, so those are the members of U_i.
+
+    first is taken row by row: numpy's argmin copies a read-only array, such
+    as a space's metric, whole.
     """
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
     fallback = max(diameter(d), 1.0)
-    first = np.argmin(d, axis=1)
+    first = np.fromiter((np.argmin(row) for row in d), dtype=np.intp, count=n)
     low = d[np.arange(n), first]
     out = np.empty((n, len(sets)))
     for i, s in enumerate(sets):
@@ -147,7 +150,8 @@ def build_extension_bundle(nc: NetAndCover) -> ExtensionBundle:
         raise BundleError(make_certificate(
             "induced-pseudometric", 0.0, 1.0, "le", 0.0,
             details={"violations": ps_report.summary()}))
-    adapted = induced + quotient_pseudometric(d, a)
+    adapted = quotient_pseudometric(d, a)
+    adapted += induced                           # = induced + quotient, bitwise
     m_report = validate_metric(adapted)
     if not m_report.ok:
         raise BundleError(make_certificate(

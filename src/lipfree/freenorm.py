@@ -405,40 +405,50 @@ def molecule_norm_matrix(op: WeightOperator, d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pruned_ratios(w: np.ndarray, d_a: np.ndarray, base: int,
-                   d_t: np.ndarray) -> np.ndarray:
-    """Ratios norm(x, y) / d_t(x, y) over the pairs x < y of the weight rows w
-    in row-major order: exact wherever they can reach the maximum, -inf where
-    a bound proves they cannot."""
+def _pruned_max(w: np.ndarray, d_a: np.ndarray, base: int,
+                d_t: np.ndarray) -> tuple[float, int]:
+    """Largest ratio norm(x, y) / d_t(x, y) over the pairs x < y of the weight
+    rows w, and the flat row-major index of its first maximiser.
+
+    Shortcut pairs give exact ratios as they are triaged.  The pairs left to
+    the LP are solved in descending order of the proven upper bound of
+    `_ratio_upper_bounds` on their ratio, skipping every pair whose bound
+    falls below the best ratio so far: a skipped pair lies strictly below the
+    maximum.  Only the running maximum and its index are kept, with ties
+    going to the lower index, so the result is the first maximiser of the
+    exhaustive sweep without its n(n-1)/2 ratios.
+    """
     n, m = w.shape
     cols, vals = _sparse_rows(w)
-    ratios = np.empty(n * (n - 1) // 2)
+    best, first = -np.inf, -1
     lp_parts = []
     start = 0
     points = np.arange(n)
     for x, y in _pair_blocks(points, points):
         c, v = _difference(cols[x], vals[x], cols[y], vals[y], m)
         value, needs_lp = _triage(c, v, d_a, base)
-        ratios[start:start + len(x)] = value / d_t[x, y]
+        ratios = value / d_t[x, y]
+        ratios[needs_lp] = -np.inf
+        top = int(np.argmax(ratios))
+        # blocks run in row-major order: a later block must beat the best
+        if ratios[top] > best:
+            best, first = float(ratios[top]), start + top
         rows = np.flatnonzero(needs_lp)
         lp_parts.append((rows + start, x[rows], y[rows],
                          _ratio_upper_bounds(c[rows], v[rows], d_a, base,
                                              d_t[x[rows], y[rows]])))
         start += len(x)
     index, lp_x, lp_y, bounds = map(np.concatenate, zip(*lp_parts))
-    exact = np.ones(len(ratios), dtype=bool)
-    exact[index] = False
-    best = float(ratios[exact].max()) if exact.any() else -np.inf
     memo: dict = {}
     for i in np.argsort(-bounds, kind="stable"):
         if bounds[i] < best:
-            ratios[index[i]] = -np.inf
             continue
         x, y = lp_x[i:i + 1], lp_y[i:i + 1]
         c, v = _difference(cols[x], vals[x], cols[y], vals[y], m)
-        ratios[index[i]] = _row_norms(c, v, d_a, base, memo)[0] / d_t[x[0], y[0]]
-        best = max(best, ratios[index[i]])
-    return ratios
+        ratio = _row_norms(c, v, d_a, base, memo)[0] / d_t[x[0], y[0]]
+        if ratio > best or (ratio == best and index[i] < first):
+            best, first = float(ratio), int(index[i])
+    return best, first
 
 
 def operator_norm(op: WeightOperator, d: np.ndarray) -> tuple[float, tuple[int, int]]:
@@ -447,11 +457,8 @@ def operator_norm(op: WeightOperator, d: np.ndarray) -> tuple[float, tuple[int, 
     d(x, y), with the first maximising pair (x < y, row-major).
 
     Only the maximum is needed.  The pairs are triaged from the sparse weight
-    rows as in `molecule_norm_matrix`, so shortcut pairs give exact ratios.
-    The rows left to the LP are solved in descending order of the proven
-    upper bound of `_ratio_upper_bounds` on their ratio, skipping every pair
-    whose bound falls below the best exact ratio so far.  A skipped pair lies
-    strictly below the maximum, so the value and the witness equal those of
+    rows as in `molecule_norm_matrix`, and LP pairs are pruned by proven
+    upper bounds (`_pruned_max`), so the value and the witness equal those of
     the exhaustive sweep.  The witness is read from the first maximiser's
     flat index by `_upper_pair`.
     """
@@ -459,10 +466,9 @@ def operator_norm(op: WeightOperator, d: np.ndarray) -> tuple[float, tuple[int, 
     n = op.space.n
     if n < 2:
         return 0.0, (0, 0)
-    ratios = _pruned_ratios(op.matrix, d_a, base, d)
-    best = int(np.argmax(ratios))
-    x, y = _upper_pair(n, best)
-    return float(ratios[best]), (int(x), int(y))
+    value, first = _pruned_max(op.matrix, d_a, base, d)
+    x, y = _upper_pair(n, first)
+    return value, (int(x), int(y))
 
 
 # ---------------------------------------------------------------------------

@@ -70,38 +70,49 @@ def _pivot(tab: np.ndarray, r: int, col: int) -> None:
     tab[r, col] = 1.0
 
 
-def _bland_loop(tab: np.ndarray, basis: list[int], max_iter: int) -> tuple[str, int]:
-    """Run simplex iterations on a tableau whose last row is the cost row."""
+def _bland_loop(tab: np.ndarray, basis: list[int], max_iter: int) -> tuple[str, int, float]:
+    """Run simplex iterations on a tableau whose last row is the cost row.
+
+    Returns the status, the iteration count and the largest amount the
+    clip of the rhs column to >= 0 removed after a pivot: rounding drift
+    that would otherwise vanish without a trace.
+    """
     m = len(basis)
     it = 0
+    clipped = 0.0
     while True:
         cost = tab[-1, :-1]
         eligible = np.flatnonzero(cost < -PIVOT_TOL)
         if eligible.size == 0:
-            return "optimal", it
+            return "optimal", it, clipped
         col = int(eligible[0])          # Bland: smallest eligible index
         colvals = tab[:m, col]
         pos = np.flatnonzero(colvals > PIVOT_TOL)
         if pos.size == 0:
-            return "unbounded", it
+            return "unbounded", it, clipped
         ratios = tab[pos, -1] / colvals[pos]
         best = ratios.min()
         ties = pos[np.flatnonzero(ratios <= best + 0.0)]
         r = int(min(ties, key=lambda i: basis[i]))   # Bland: smallest basis index
         _pivot(tab, r, col)
         basis[r] = col
+        clipped = max(clipped, -float(tab[:m, -1].min()))
         np.clip(tab[:m, -1], 0.0, None, out=tab[:m, -1])
         it += 1
         if it > max_iter:
             raise LpError(f"simplex exceeded {max_iter} iterations")
 
 
-def _solution(lp: LinearProgram, status: str, x: np.ndarray, iterations: int) -> LpSolution:
+def _solution(lp: LinearProgram, status: str, x: np.ndarray, iterations: int,
+              clipped: float) -> LpSolution:
+    """The solution record of x; max_violation is the larger of the worst
+    row residual and the drift `clipped` from the tableau's rhs."""
     if status != "optimal":
         return LpSolution(status, float("nan"), np.full(len(lp.objective), np.nan),
                           float("inf"), iterations)
     worst = float((lp.rows @ x - lp.rhs).max()) if len(lp.rhs) else 0.0
-    return LpSolution("optimal", float(lp.objective @ x), x, max(0.0, worst), iterations)
+    return LpSolution("optimal", float(lp.objective @ x), x, max(0.0, worst, clipped),
+                      iterations)
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -117,8 +128,8 @@ def solve(lp: LinearProgram) -> LpSolution:
     tab[-1, 0:2 * n:2] = -lp.objective
     tab[-1, 1:2 * n:2] = lp.objective
     basis = list(range(2 * n, total))
-    status, iterations = _bland_loop(tab, basis, 20000 + 200 * (m + total))
+    status, iterations, clipped = _bland_loop(tab, basis, 20000 + 200 * (m + total))
     z = np.zeros(total)
     z[basis] = tab[:m, -1]
-    return _solution(lp, status, z[0:2 * n:2] - z[1:2 * n:2], iterations)
+    return _solution(lp, status, z[0:2 * n:2] - z[1:2 * n:2], iterations, clipped)
 

@@ -3,7 +3,9 @@
 All distances are plain float64 numpy matrices.  A matrix is a metric when it
 is symmetric, zero exactly on the diagonal, positive off it, and satisfies the
 triangle inequality; pseudometrics drop the positivity requirement.  Every
-operation here is a pure function of its inputs.
+operation here is a pure function of its inputs, and none holds an n x n
+temporary beyond its inputs and its result: the one-scratch rule, kept by the
+row-block engine below.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import reprlib
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -90,14 +93,44 @@ def first_equal_rows(mat: np.ndarray) -> np.ndarray:
 # overhead.  On an exactly symmetric matrix both sweep only the columns from
 # each block's first row on, about half the work, and the triangle check
 # sweeps only the first of each set of bitwise-equal rows.
+#
+# The one-scratch rule: no function here holds an n x n temporary beyond its
+# inputs and its result (FiniteMetricSpace keeps its own copy of the matrix
+# it is given).  O(n^2) elementwise passes run in place on the result or over
+# the same row blocks (`_spans`): the scans of validate_metric and
+# sup_distance, the grid metric, built one axis at a time, and
+# perturb_metric's noise, which becomes its output and is closed in place.
 _BLOCK_CELLS = 2 ** 16
+
+
+def _spans(rows: int, width: int) -> list[tuple[int, int]]:
+    """Row ranges (lo, hi), in order, covering `rows` rows of `width` entries
+    in blocks of about _BLOCK_CELLS entries (at least one row each)."""
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _first_max(rows: int, block) -> tuple[float, int, int]:
+    """Largest entry of a 2-D array of `rows` rows of length `rows`, given
+    block by block as block(lo, hi) for the rows lo..hi-1, and its first
+    position in row-major order, as (value, i, j).  Only one block exists at
+    a time.  Gives (-inf, 0, 0) when no entry exceeds -inf; NaN is never
+    the maximum, so call it on finite values."""
+    best = (-np.inf, 0, 0)
+    for lo, hi in _spans(rows, rows):
+        values = block(lo, hi)
+        r, c = np.unravel_index(np.argmax(values), values.shape)
+        # a later block's entry counts only when it beats every earlier one
+        if values[r, c] > best[0]:
+            best = (float(values[r, c]), lo + int(r), int(c))
+    return best
 
 
 @contextlib.contextmanager
 def _row_blocks(n: int, buffers: int):
     """Yield (blocks, scratch) for n >= 1 rows of length n: the row blocks as
-    (lo, hi) pairs, and `buffers` arrays of one block's shape, allocated once
-    for the call; a block takes views of them.
+    (lo, hi) pairs from `_spans`, and `buffers` arrays of one block's shape,
+    allocated once for the call; a block takes views of them.
 
     Inside the scope numpy's ufunc buffer is sized to one row, rounded up to
     a multiple of 16.  The inner step of both sweeps is a broadcast add of a
@@ -110,9 +143,8 @@ def _row_blocks(n: int, buffers: int):
     rounding could depend on the buffer.  Elementwise adds, minima and argmax
     are exact whatever the buffer.
     """
-    rows = min(n, max(1, _BLOCK_CELLS // n))
-    blocks = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
-    scratch = np.empty((buffers, rows, n))
+    blocks = _spans(n, n)
+    scratch = np.empty((buffers, blocks[0][1], n))
     old = np.setbufsize(-(-n // 16) * 16)
     try:
         yield blocks, scratch
@@ -192,11 +224,11 @@ def validate_metric(mat: np.ndarray, allow_zero: bool = False) -> ValidationRepo
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        i, j = np.unravel_index(np.argmin(np.isfinite(mat)), mat.shape)
-        return ValidationReport(tuple(mat.shape),
-                                (Violation("nonfinite", (int(i), int(j)), float(mat[i, j])),))
     n = mat.shape[0]
+    bad, i, j = _first_max(n, lambda lo, hi: ~np.isfinite(mat[lo:hi]))
+    if bad > 0:
+        return ValidationReport(tuple(mat.shape),
+                                (Violation("nonfinite", (i, j), float(mat[i, j])),))
     violations = []
 
     diag = np.abs(np.diagonal(mat))
@@ -204,26 +236,26 @@ def validate_metric(mat: np.ndarray, allow_zero: bool = False) -> ValidationRepo
         i = int(np.argmax(diag))
         violations.append(Violation("diagonal", (i,), float(diag[i])))
 
-    # Each n x n temporary is dropped before the next check: the triangle
-    # check runs with no other full-size array alive.
-    asym = mat - mat.T
-    np.abs(asym, out=asym)
-    if asym.size and asym.max() > DEFAULT_TOL:
-        i, j = np.unravel_index(np.argmax(asym), asym.shape)
-        violations.append(Violation("symmetry", (int(i), int(j)), float(asym[i, j])))
-    del asym
+    # The symmetry and zero scans go by row blocks, the first worst entry in
+    # row-major order as their witness, so no n x n temporary is made.
+    asym, i, j = _first_max(n, lambda lo, hi: np.abs(mat[lo:hi] - mat[:, lo:hi].T))
+    if asym > DEFAULT_TOL:
+        violations.append(Violation("symmetry", (i, j), asym))
 
     if n and -mat.min() > DEFAULT_TOL:
         i, j = np.unravel_index(np.argmin(mat), mat.shape)
         violations.append(Violation("negative", (int(i), int(j)), float(-mat[i, j])))
 
     if not allow_zero and n > 1:
-        off = mat.copy()
-        np.fill_diagonal(off, np.inf)
-        i, j = np.unravel_index(np.argmin(off), off.shape)
-        if off[i, j] <= DEFAULT_TOL:
-            violations.append(Violation("zero_offdiag", (int(i), int(j)), float(-off[i, j])))
-        del off
+        def negated_off_diagonal(lo, hi):
+            block = np.negative(mat[lo:hi])
+            block[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
+            return block
+
+        # the first largest -d(i, j) is the first smallest off-diagonal entry
+        gap, i, j = _first_max(n, negated_off_diagonal)
+        if -gap <= DEFAULT_TOL:
+            violations.append(Violation("zero_offdiag", (i, j), gap))
 
     if n:
         excess, witness = _min_plus_excess(mat)
@@ -274,7 +306,7 @@ class FiniteMetricSpace:
             object.__setattr__(self, "coords", c)
         digest = hashlib.sha256()
         digest.update(json.dumps(pts).encode())
-        digest.update(d.tobytes())
+        digest.update(d)                 # C-contiguous: the bytes of d.tobytes()
         digest.update(str(self.base_index).encode())
         object.__setattr__(self, "key", digest.hexdigest()[:16])
 
@@ -311,11 +343,14 @@ def as_indices(subset, space: FiniteMetricSpace | None = None) -> tuple[int, ...
 
 def sup_distance(d: np.ndarray, e: np.ndarray) -> float:
     """Uniform distance max |d - e| between two same-shape matrices."""
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    e = np.atleast_1d(np.asarray(e, dtype=float))
     if d.shape != e.shape:
         raise ValueError(f"shape mismatch {d.shape} vs {e.shape}")
-    return float(np.abs(d - e).max(initial=0.0))
+    # by row blocks; np.max keeps a NaN, as the whole-matrix maximum would
+    worst = [np.abs(d[lo:hi] - e[lo:hi]).max(initial=0.0)
+             for lo, hi in _spans(len(d), d[:1].size)]
+    return float(np.max(worst, initial=0.0))
 
 
 def dist_to_set_all(d: np.ndarray, members: Sequence[int]) -> np.ndarray:
@@ -323,7 +358,11 @@ def dist_to_set_all(d: np.ndarray, members: Sequence[int]) -> np.ndarray:
     members = list(members)
     if not members:
         raise ValueError("set must be nonempty")
-    return np.asarray(d)[:, members].min(axis=1)
+    d = np.asarray(d)
+    out = np.empty(len(d), dtype=d.dtype)
+    for lo, hi in _spans(len(d), len(members)):
+        out[lo:hi] = d[lo:hi, members].min(axis=1)
+    return out
 
 
 def set_distance(d: np.ndarray, a: Sequence[int], b: Sequence[int]) -> float:
@@ -374,8 +413,10 @@ def quotient_pseudometric(d: np.ndarray, members: Sequence[int]) -> np.ndarray:
     Vanishes exactly on pairs inside the subset, never exceeds d, and its sup
     norm is at most 2r when the subset is r-dense.
     """
+    d = np.asarray(d, dtype=float)
     da = dist_to_set_all(d, members)
-    out = np.minimum(np.asarray(d, dtype=float), da[:, None] + da[None, :])
+    out = np.add.outer(da, da)
+    np.minimum(d, out, out=out)
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -395,8 +436,16 @@ def floyd_warshall(w: np.ndarray) -> np.ndarray:
     Weights symmetric bit for bit are swept by `_floyd_warshall_upper`, about
     half the work, with the same result.  Symmetry by value is not enough:
     0.0 and -0.0 compare equal, and a mirrored copy would swap them.
+
+    The input is copied; `_close` runs the same completion in place.
     """
     d = np.array(w, dtype=float)
+    _close(d)
+    return d
+
+
+def _close(d: np.ndarray) -> None:
+    """`floyd_warshall` in place on the square float64 array d."""
     if not (d >= 0).all():                  # also false on NaN
         raise ValueError("weights must be nonnegative and not NaN")
     np.fill_diagonal(d, 0.0)
@@ -412,7 +461,15 @@ def floyd_warshall(w: np.ndarray) -> np.ndarray:
                     for lo, hi in blocks:
                         np.add(d[lo:hi, k, None], d[k], out=cand[:hi - lo])
                         np.minimum(d[lo:hi], cand[:hi - lo], out=d[lo:hi])
-    return d
+
+
+def _mirror_upper(a: np.ndarray) -> None:
+    """Copy the strict upper triangle of the square a onto its lower one and
+    zero the diagonal, in place.  On entries that are not -0.0 this is
+    bitwise `np.triu(a, 1) + np.triu(a, 1).T`, whose sums add +0.0."""
+    for i in range(len(a)):
+        a[i, :i] = a[:i, i]
+        a[i, i] = 0.0
 
 
 def _floyd_warshall_upper(d: np.ndarray, blocks, cand: np.ndarray) -> None:
@@ -451,6 +508,11 @@ def perturb_metric(d: np.ndarray, amplitude: float, rng: np.random.Generator) ->
     b = amplitude/diam and re-metrizes by shortest paths, which keeps every
     path cost within a factor (1 +- b) of its original cost and therefore the
     sup deviation at most `amplitude`.
+
+    The noise is drawn into the output, which is then scaled and closed in
+    place, so the call holds no n x n array but d and its result.
+    uniform(-b, b) never returns -0.0, so mirroring the upper triangle is
+    bitwise the symmetric sum of its strict upper triangle.
     """
     d = np.asarray(d, dtype=float)
     if amplitude < 0:
@@ -459,10 +521,11 @@ def perturb_metric(d: np.ndarray, amplitude: float, rng: np.random.Generator) ->
     if diam == 0 or amplitude == 0:
         return d.copy()
     beta = min(amplitude / diam, 0.999)
-    noise = rng.uniform(-beta, beta, size=d.shape)
-    noise = np.triu(noise, 1)
-    noise = noise + noise.T
-    e = floyd_warshall(d * (1.0 + noise))
+    e = rng.uniform(-beta, beta, size=d.shape)
+    _mirror_upper(e)
+    e += 1.0
+    e *= d
+    _close(e)
     achieved = sup_distance(e, d)
     if achieved > amplitude + 1e-12:
         raise RuntimeError(f"perturbation overshoot: {achieved} > {amplitude}")
@@ -483,16 +546,25 @@ def make_grid_space(dims: Sequence[int], spacing: float, ground: str = "linf") -
         raise ValueError("dims must be a nonempty list of positive extents")
     if spacing <= 0:
         raise ValueError("spacing must be positive")
-    coords = np.array(list(itertools.product(*(range(k) for k in dims))), dtype=int)
-    delta = np.abs(coords[:, None, :] - coords[None, :, :]).astype(float)
-    if ground == "linf":
-        d = delta.max(axis=2)
-    elif ground == "l1":
-        d = delta.sum(axis=2)
-    elif ground == "l2":
-        d = np.sqrt((delta ** 2).sum(axis=2))
-    else:
+    if ground not in ("linf", "l1", "l2"):
         raise ValueError(f"unknown ground metric {ground!r}")
+    coords = np.array(list(itertools.product(*(range(k) for k in dims))), dtype=int)
+    # Row block by row block, one axis at a time: integer coordinate
+    # differences are exact in float64, and so are their squares and sums,
+    # so d is bitwise what an n x n x len(dims) difference array would give.
+    n = len(coords)
+    axes = coords.T.astype(float)
+    d = np.zeros((n, n))
+    for lo, hi in _spans(n, n):
+        block = d[lo:hi]
+        for axis in axes:
+            step = np.abs(np.subtract.outer(axis[lo:hi], axis))
+            if ground == "linf":
+                np.maximum(block, step, out=block)
+            else:
+                block += step * step if ground == "l2" else step
+    if ground == "l2":
+        np.sqrt(d, out=d)
     d *= spacing
     names = tuple("-".join(map(str, c)) for c in coords)
     return FiniteMetricSpace(names, d, base_index=0, coords=coords,
@@ -504,10 +576,10 @@ def random_metric_space(n: int, seed: int | np.random.Generator, scale: float = 
     if n < 1:
         raise ValueError("need at least one point")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    w = rng.uniform(0.5, 1.5, size=(n, n)) * scale
-    w = np.triu(w, 1)
-    w = w + w.T
-    d = floyd_warshall(w)
+    d = rng.uniform(0.5, 1.5, size=(n, n))
+    d *= scale
+    _mirror_upper(d)
+    _close(d)
     names = tuple(f"r{i}" for i in range(n))
     return FiniteMetricSpace(names, d, base_index=0)
 
@@ -545,25 +617,48 @@ def restrict_space(space: FiniteMetricSpace, members: Sequence[int],
 # JSON space specs
 
 
+def _is_int(value) -> bool:
+    return not bad_indices([value])
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, (list, tuple))
+
+
 def space_from_json(obj: dict) -> FiniteMetricSpace:
     """Space from a config spec: a generator entry or an inline metric.  A
-    missing required entry is a ValueError that names it."""
-    def need(key):
+    required entry that is missing or of the wrong type (`dims` a list of
+    integers, `spacing` a number, `n` and `seed` integers, `points` and
+    `metric` lists) is a ValueError that names it."""
+    def need(key, fits, what):
         if key not in obj:
             raise ValueError(f"space spec needs a '{key}' entry")
-        return obj[key]
+        value = obj[key]
+        if not fits(value):
+            raise ValueError(f"space spec entry '{key}' must be {what}, "
+                             f"got {reprlib.repr(value)}")
+        return value
 
     if "generator" in obj:
         kind = obj["generator"]
         if kind == "grid":
-            return make_grid_space(need("dims"), need("spacing"), obj.get("ground", "linf"))
+            dims = need("dims", lambda v: _is_list(v) and not bad_indices(v),
+                        "a list of integers")
+            return make_grid_space(dims, need("spacing", _is_number, "a number"),
+                                   obj.get("ground", "linf"))
         if kind == "random":
-            return random_metric_space(need("n"), need("seed"), obj.get("scale", 1.0))
+            return random_metric_space(need("n", _is_int, "an integer"),
+                                       need("seed", _is_int, "an integer"),
+                                       obj.get("scale", 1.0))
         raise ValueError(f"unknown generator {kind!r}")
     coords = np.array(obj["coords"], dtype=int) if "coords" in obj else None
     return FiniteMetricSpace(
-        tuple(need("points")),
-        np.array(need("metric"), dtype=float),
+        tuple(need("points", _is_list, "a list")),
+        np.array(need("metric", _is_list, "a list"), dtype=float),
         base_index=int(obj.get("base_point", 0)),
         coords=coords,
         nominal_dim=obj.get("nominal_dim"),

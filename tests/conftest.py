@@ -3,6 +3,7 @@
 import io
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import settings
 from scipy.optimize import linprog
 
 import lipfree as lf
-from lipfree import freenorm as fn, lp as lpmod
+from lipfree import freenorm as fn, lp as lpmod, spaces
 from lipfree.covers import _prune_irredundant
 
 # CI runs with --hypothesis-profile=ci: derandomized, so a failing example
@@ -98,7 +99,7 @@ def solve_with_scipy(prog):
     status = {0: "optimal", 3: "unbounded"}.get(res.status)
     if status is None:
         raise lpmod.LpError(f"scipy backend failed: {res.message}")
-    return lpmod._solution(prog, status, np.asarray(res.x, dtype=float), int(res.nit))
+    return lpmod._solution(prog, status, np.asarray(res.x, dtype=float), int(res.nit), 0.0)
 
 
 def free_norm_by_vertices(weights: np.ndarray, d_a: np.ndarray, base_pos: int) -> float:
@@ -248,6 +249,48 @@ def operator_norm_dense(op, d: np.ndarray) -> tuple[float, tuple[int, int]]:
     xs, ys = np.triu_indices(n, k=1)
     top = int(np.argmax(ratios))
     return float(ratios[top]), (int(xs[top]), int(ys[top]))
+
+
+def operator_norm_by_ratio_vector(op, d: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """`freenorm.operator_norm` as earlier versions finished it: the
+    n(n-1)/2 ratios of the sparse sweep in one vector, exact where they can
+    reach the maximum and -inf where a bound rules them out, and the first
+    maximiser from np.argmax over the whole vector."""
+    d = np.asarray(d, dtype=float)
+    d_a = d[np.ix_(op.domain, op.domain)]
+    base = op.base_position
+    n, m = op.matrix.shape
+    if n < 2:
+        return 0.0, (0, 0)
+    cols, vals = fn._sparse_rows(op.matrix)
+    ratios = np.empty(n * (n - 1) // 2)
+    lp_parts = []
+    start = 0
+    for x, y in fn._pair_blocks(np.arange(n), np.arange(n)):
+        c, v = fn._difference(cols[x], vals[x], cols[y], vals[y], m)
+        value, needs_lp = fn._triage(c, v, d_a, base)
+        ratios[start:start + len(x)] = value / d[x, y]
+        rows = np.flatnonzero(needs_lp)
+        lp_parts.append((rows + start, x[rows], y[rows],
+                         fn._ratio_upper_bounds(c[rows], v[rows], d_a, base,
+                                                d[x[rows], y[rows]])))
+        start += len(x)
+    index, lp_x, lp_y, bounds = map(np.concatenate, zip(*lp_parts))
+    exact = np.ones(len(ratios), dtype=bool)
+    exact[index] = False
+    best = float(ratios[exact].max()) if exact.any() else -np.inf
+    memo: dict = {}
+    for i in np.argsort(-bounds, kind="stable"):
+        if bounds[i] < best:
+            ratios[index[i]] = -np.inf
+            continue
+        x, y = lp_x[i:i + 1], lp_y[i:i + 1]
+        c, v = fn._difference(cols[x], vals[x], cols[y], vals[y], m)
+        ratios[index[i]] = fn._row_norms(c, v, d_a, base, memo)[0] / d[x[0], y[0]]
+        best = max(best, ratios[index[i]])
+    top = int(np.argmax(ratios))
+    x, y = fn._upper_pair(n, top)
+    return float(ratios[top]), (int(x), int(y))
 
 
 def prune_irredundant_by_unions(sets: list[set], n: int) -> list[set]:
@@ -441,6 +484,86 @@ def floyd_warshall_serial(w: np.ndarray) -> np.ndarray:
     return d
 
 
+def grid_metric_by_broadcast(dims, spacing: float, ground: str) -> np.ndarray:
+    """The grid metric of `spaces.make_grid_space` as earlier versions built
+    it: one n x n x len(dims) array of coordinate differences, reduced over
+    its last axis."""
+    coords = np.array(list(itertools.product(*(range(k) for k in dims))), dtype=int)
+    delta = np.abs(coords[:, None, :] - coords[None, :, :]).astype(float)
+    if ground == "linf":
+        d = delta.max(axis=2)
+    elif ground == "l1":
+        d = delta.sum(axis=2)
+    else:
+        d = np.sqrt((delta ** 2).sum(axis=2))
+    d *= spacing
+    return d
+
+
+def random_metric_by_triu(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
+    """The metric of `spaces.random_metric_space` as earlier versions built
+    it: the symmetric sum of the strict upper triangle of the weights, closed
+    by `floyd_warshall`."""
+    w = np.random.default_rng(seed).uniform(0.5, 1.5, size=(n, n)) * scale
+    w = np.triu(w, 1)
+    return lf.floyd_warshall(w + w.T)
+
+
+def perturb_metric_by_triu(d: np.ndarray, amplitude: float, rng) -> np.ndarray:
+    """`spaces.perturb_metric` as earlier versions computed it, with six
+    n x n arrays alive at once: triu of the noise, its symmetric sum,
+    1 + noise, its product with d, and `floyd_warshall`'s copy of it."""
+    d = np.asarray(d, dtype=float)
+    diam = lf.diameter(d)
+    if diam == 0 or amplitude == 0:
+        return d.copy()
+    beta = min(amplitude / diam, 0.999)
+    noise = rng.uniform(-beta, beta, size=d.shape)
+    noise = np.triu(noise, 1)
+    noise = noise + noise.T
+    e = lf.floyd_warshall(d * (1.0 + noise))
+    assert float(np.abs(e - d).max(initial=0.0)) <= amplitude + 1e-12
+    return e
+
+
+def validate_metric_full(mat: np.ndarray, allow_zero: bool = False) -> spaces.ValidationReport:
+    """`spaces.validate_metric` with the scans of earlier versions: each
+    check on the whole matrix, through n x n temporaries (|mat - mat.T| and a
+    copy with an infinite diagonal), its witness the first worst entry of
+    np.argmax or np.argmin.  The triangle check is `_min_plus_excess`, as in
+    the library."""
+    mat = np.asarray(mat, dtype=float)
+    if not np.isfinite(mat).all():
+        i, j = np.unravel_index(np.argmin(np.isfinite(mat)), mat.shape)
+        return spaces.ValidationReport(tuple(mat.shape), (
+            spaces.Violation("nonfinite", (int(i), int(j)), float(mat[i, j])),))
+    n = mat.shape[0]
+    tol = spaces.DEFAULT_TOL
+    violations = []
+    diag = np.abs(np.diagonal(mat))
+    if diag.size and diag.max() > tol:
+        i = int(np.argmax(diag))
+        violations.append(spaces.Violation("diagonal", (i,), float(diag[i])))
+    asym = np.abs(mat - mat.T)
+    if asym.size and asym.max() > tol:
+        i, j = np.unravel_index(np.argmax(asym), asym.shape)
+        violations.append(spaces.Violation("symmetry", (int(i), int(j)), float(asym[i, j])))
+    if n and -mat.min() > tol:
+        i, j = np.unravel_index(np.argmin(mat), mat.shape)
+        violations.append(spaces.Violation("negative", (int(i), int(j)), float(-mat[i, j])))
+    if not allow_zero and n > 1:
+        off = mat.copy()
+        np.fill_diagonal(off, np.inf)
+        i, j = np.unravel_index(np.argmin(off), off.shape)
+        if off[i, j] <= tol:
+            violations.append(spaces.Violation("zero_offdiag", (int(i), int(j)), float(-off[i, j])))
+    if n:
+        excess, witness = spaces._min_plus_excess(mat)
+        if excess > tol:
+            violations.append(spaces.Violation("triangle", witness, excess))
+    return spaces.ValidationReport(tuple(mat.shape), tuple(violations))
+
+
 def metric_extension_by_lp(d: np.ndarray, members, rho: np.ndarray) -> float:
     """Least sup distortion over all metric extensions of rho to (T, d).
 
@@ -502,6 +625,29 @@ def json_dump_of_lists(payload) -> str:
     json.dump(lists(payload), buf, sort_keys=True, separators=(",", ":"))
     buf.write("\n")
     return buf.getvalue()
+
+
+def traced_peak(call):
+    """call()'s result and the peak of the traced Python heap during the call,
+    in bytes above what was traced when it started.  numpy reports its array
+    buffers to tracemalloc, so every temporary array counts."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak - before
+
+
+# Bytes of one 900 x 900 float64 array, the memory budget of the 900-point
+# tests: a call may hold its inputs and its result, but no n x n temporary.
+ONE_900 = 900 * 900 * 8
 
 
 @pytest.fixture

@@ -265,10 +265,13 @@ class TestConfigErrors:
               ({"generator": "random", "n": 5}, "seed"),
               ({"metric": [[0.0, 1.0], [1.0, 0.0]]}, "points"),
               ({"points": [0, 1]}, "metric"),
+              ({"generator": "grid", "dims": 5, "spacing": 0.1}, "dims"),
+              ({"generator": "random", "n": 2.5, "seed": 1}, "n"),
           ]),
     ], ids=["no-eps", "no-k", "n-past-exhaustion", "no-n_schedule", "no-amplitude",
             "missing-config", "missing-report", "grid-no-dims", "grid-no-spacing",
-            "random-no-n", "random-no-seed", "inline-no-points", "inline-no-metric"])
+            "random-no-n", "random-no-seed", "inline-no-points", "inline-no-metric",
+            "grid-dims-not-a-list", "random-n-not-an-integer"])
     def test_exits_2_and_names_the_cause(self, tmp_path, capsys, command, config, named):
         if config is None:
             path = str(tmp_path / "missing.json")

@@ -8,9 +8,10 @@ from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
 from lipfree import freenorm as fn, gluing as gluemod, lp as lpmod
-from conftest import (dense_rows, free_norm_by_vertices, free_space_norm,
+from conftest import (ONE_900, dense_rows, free_norm_by_vertices, free_space_norm,
                       lipschitz_constant_dense, line_space, molecule_norm_matrix_dense,
-                      molecule_norms_by_pairs, operator_norm_by_molecules, operator_norm_dense,
+                      molecule_norms_by_pairs, operator_norm_by_molecules,
+                      operator_norm_by_ratio_vector, operator_norm_dense, traced_peak,
                       triage_dense)
 
 
@@ -565,6 +566,54 @@ class TestMoleculeNormLayer:
         x, y = fn._upper_pair(n, np.arange(len(xs)))
         assert np.array_equal(x, xs) and np.array_equal(y, ys)
         assert fn._upper_pair(n, len(xs) - 1) == (n - 2, n - 1)
+
+    @given(st.integers(0, 10_000), st.booleans(), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_running_maximum_matches_the_ratio_vector(self, seed, partition, rows):
+        op, d_t = random_operator(seed, partition)
+        with mock.patch.object(fn, "_BLOCK_ROWS", rows):
+            for metric in (d_t, op.space.dist):
+                assert lf.operator_norm(op, metric) == operator_norm_by_ratio_vector(op, metric)
+
+    def test_exact_ties_across_blocks_keep_the_first_pair(self, monkeypatch):
+        # every molecule of the identity is exact and every ratio is 1
+        monkeypatch.setattr(fn, "_BLOCK_ROWS", 1)
+        space = line_space(np.arange(12.0))
+        op = identity_operator(space)
+        assert lf.operator_norm(op, space.dist) == (1.0, (0, 1))
+        # rows 0 and 1 equal: the ratio-1 pairs left start at (0, 2)
+        rows = np.eye(12)
+        rows[1] = rows[0]
+        op = lf.WeightOperator(space, tuple(range(12)), rows)
+        assert lf.operator_norm(op, space.dist) == (2.0, (1, 2))
+        assert lf.operator_norm(op, space.dist) == operator_norm_by_ratio_vector(op, space.dist)
+
+    def test_lp_ties_solved_out_of_order_keep_the_first_pair(self, monkeypatch):
+        # a - b at the unit pairs (0, 1), (2, 3), (4, 5) and b - a at (1, 2),
+        # (3, 4) need LPs; the bounds below hold (they are huge) and rise with
+        # the pair index, so the tied LP pairs are solved last pair first
+        space = line_space([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        a, b = [0.5, 0.25, 0.0, 0.25], [0.0, 0.5, 0.25, 0.25]
+        op = lf.WeightOperator(space, (0, 2, 3, 5), np.array([a, b, a, b, a, b]))
+        seen = []
+
+        def rising(cols, vals, d, base, d_t):
+            seen.extend(range(len(seen), len(seen) + len(cols)))
+            return 1e9 + np.array(seen[len(seen) - len(cols):], dtype=float)
+
+        monkeypatch.setattr(fn, "_ratio_upper_bounds", rising)
+        monkeypatch.setattr(fn, "_BLOCK_ROWS", 1)
+        got = lf.operator_norm(op, space.dist)
+        assert got == operator_norm_by_molecules(op, space.dist)
+        assert got[1] in ((0, 1), (1, 2))
+
+    def test_memory_budget_at_900_points(self):
+        space = lf.make_grid_space([30, 30], 0.02)
+        nc = lf.build_net_cover(space, 0.125)
+        op = lf.partition_of_unity(space.dist, nc.sets, nc.net, space)
+        got, peak = traced_peak(lambda: lf.operator_norm(op, space.dist))
+        assert peak < ONE_900
+        assert got == operator_norm_by_ratio_vector(op, space.dist)
 
     def test_single_point_net(self):
         space = lf.random_metric_space(5, seed=30)

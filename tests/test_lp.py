@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import solve_with_scipy
-from lipfree.lp import LinearProgram, solve
+from lipfree import freenorm as fn, lp as lpmod
+from lipfree.lp import LinearProgram, LpError, solve
 
 
 class TestBasics:
@@ -88,3 +89,36 @@ class TestObjectiveConsistency:
         sol = solve(prog)
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(float(prog.objective @ sol.assignment), abs=1e-9)
+
+
+class TestClippedDrift:
+    # the norm LP of 0.5 delta_1 - 0.25 delta_2 over 0, 1, 3 with base 0
+    WEIGHTS = np.array([0.5, -0.25])
+    D_SUB = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 3.0], [1.0, 3.0, 0.0]])
+
+    def drifting(self, monkeypatch, amount):
+        """Make every pivot leave the pivot row's rhs at -amount, as rounding
+        could; the clip then removes amount."""
+        real = lpmod._pivot
+
+        def pivot(tab, r, col):
+            real(tab, r, col)
+            tab[r, -1] = -amount
+
+        monkeypatch.setattr(lpmod, "_pivot", pivot)
+
+    def test_untouched_program_has_no_drift(self):
+        prog = LinearProgram(objective=[1.0, 1.0], rows=np.eye(2), rhs=[1.0, 2.0])
+        assert solve(prog).max_violation == 0.0
+        assert fn._dual_norm(self.WEIGHTS, self.D_SUB) > 0.0
+
+    def test_clipped_drift_counts_as_violation(self, monkeypatch):
+        self.drifting(monkeypatch, 1e-6)
+        prog = LinearProgram(objective=[1.0, 1.0], rows=np.eye(2), rhs=[1.0, 2.0])
+        sol = solve(prog)
+        assert sol.status == "optimal" and sol.max_violation >= 1e-6
+
+    def test_norm_lp_rejects_clipped_drift(self, monkeypatch):
+        self.drifting(monkeypatch, 1e-6)
+        with pytest.raises(LpError, match="residual"):
+            fn._dual_norm(self.WEIGHTS, self.D_SUB)

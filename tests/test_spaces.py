@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 import threading
 from unittest import mock
@@ -8,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
-from conftest import floyd_warshall_serial, line_space, min_plus_excess_by_via
+from conftest import (ONE_900, floyd_warshall_serial, grid_metric_by_broadcast, line_space,
+                      min_plus_excess_by_via, perturb_metric_by_triu, random_metric_by_triu,
+                      traced_peak, validate_metric_full)
 from lipfree import spaces
 from lipfree.spaces import _min_plus_excess
 
@@ -376,6 +380,61 @@ class TestRowBlockEngine:
 
 
 @st.composite
+def scan_matrices(draw):
+    """Square matrices for the row-block scans of validate_metric: a
+    symmetric base of few values, with off-diagonal zeros of both signs, then
+    planted asymmetries of a few equal sizes, so worst entries tie across
+    blocks; sometimes a NaN or infinite entry.  Also a block height."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, 3, (n, n)) * 0.5
+    a[rng.random((n, n)) < 0.1] = -0.0
+    lower = np.tril_indices(n, -1)
+    a[lower] = a.T[lower]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = rng.integers(n, size=2)
+        a[i, j] += draw(st.sampled_from([0.25, 1.0, -0.5]))
+    if draw(st.integers(0, 5)) == 0:
+        i, j = rng.integers(n, size=2)
+        a[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return a, draw(st.integers(1, 3))
+
+
+class TestRowBlockScans:
+    @given(scan_matrices(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_reports_match_the_full_matrix_scans(self, case, allow_zero):
+        mat, rows = case
+        with mock.patch.object(spaces, "_BLOCK_CELLS", rows * mat.shape[0]):
+            got = lf.validate_metric(mat, allow_zero=allow_zero)
+        # repr tells NaN from NaN and -0.0 from 0.0 apart, as the bits would
+        assert repr(got) == repr(validate_metric_full(mat, allow_zero=allow_zero))
+
+    def test_ties_across_blocks_go_to_the_first_row(self, monkeypatch):
+        monkeypatch.setattr(spaces, "_BLOCK_CELLS", 6)         # one row per block
+        d = np.ones((6, 6)) - np.eye(6)
+        d[4, 1] = d[1, 4] = d[5, 3] = 0.0                    # zeros in rows 1, 4, 5
+        d[3, 5] = 2.0                                        # asymmetry 2 at (3, 5), (5, 3)
+        d[2, 0] = 3.0                                        # asymmetry 2 at (0, 2), (2, 0)
+        kinds = {v.kind: v for v in lf.validate_metric(d).violations}
+        assert (kinds["symmetry"].witness, kinds["symmetry"].amount) == ((0, 2), 2.0)
+        assert (kinds["zero_offdiag"].witness, kinds["zero_offdiag"].amount) == ((1, 4), -0.0)
+        assert repr(lf.validate_metric(d)) == repr(validate_metric_full(d))
+        d[5, 2] = -1.0                                       # a smaller one in the last block
+        kinds = {v.kind: v for v in lf.validate_metric(d).violations}
+        assert (kinds["zero_offdiag"].witness, kinds["zero_offdiag"].amount) == ((5, 2), 1.0)
+        assert kinds["symmetry"].witness == (0, 2)
+
+    def test_first_nonfinite_entry_in_a_later_block(self, monkeypatch):
+        monkeypatch.setattr(spaces, "_BLOCK_CELLS", 2 * 5)     # two rows per block
+        d = np.ones((5, 5)) - np.eye(5)
+        d[3, 1], d[4, 0], d[2, 4] = np.inf, np.nan, -np.inf
+        rep = lf.validate_metric(d)
+        assert [(v.kind, v.witness, v.amount) for v in rep.violations] == \
+            [("nonfinite", (2, 4), -np.inf)]
+
+
+@st.composite
 def weight_matrices(draw):
     """Nonnegative, possibly asymmetric weights with many ties, zeros and
     missing edges (+inf), and a block of a few rows."""
@@ -474,6 +533,22 @@ class TestSupDistance:
         with pytest.raises(ValueError):
             lf.sup_distance(np.zeros((2, 2)), np.zeros((3, 3)))
 
+    @given(arrays(np.float64, st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                  elements=st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0, np.nan, np.inf])),
+           st.integers(0, 2**16), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_row_blocks_give_the_whole_matrix_maximum(self, d, seed, rows):
+        e = np.random.default_rng(seed).permutation(d.reshape(-1)).reshape(d.shape)
+        with mock.patch.object(spaces, "_BLOCK_CELLS", rows * max(1, d.shape[1])), \
+                np.errstate(invalid="ignore"):                  # inf - inf
+            got = lf.sup_distance(d, e)
+            want = float(np.abs(d - e).max(initial=0.0))
+        assert repr(got) == repr(want)        # a NaN included
+
+    def test_vectors_and_scalars(self):
+        assert lf.sup_distance([0.0, 1.0, 5.0], [0.5, 1.0, 2.0]) == 3.0
+        assert lf.sup_distance(2.0, -1.0) == 3.0
+
     @given(st.integers(0, 50))
     @settings(max_examples=20, deadline=None)
     def test_metric_axioms_on_matrices(self, seed):
@@ -544,6 +619,17 @@ class TestQuotientPseudometric:
         with pytest.raises(ValueError):
             lf.quotient_pseudometric(np.zeros((2, 2)), [])
 
+    @pytest.mark.parametrize("members", [[0], [3, 1, 3], list(range(0, 40, 3)), range(40)])
+    def test_matches_the_broadcast_formula(self, members, monkeypatch):
+        monkeypatch.setattr(spaces, "_BLOCK_CELLS", 3 * 40)
+        d = random_metric_matrix(11, 40).copy()
+        d[5, 7] = d[7, 5] = -0.0                       # signed zeros meet the minimum
+        da = d[:, list(members)].min(axis=1)
+        want = np.minimum(d, da[:, None] + da[None, :])
+        np.fill_diagonal(want, 0.0)
+        assert lf.dist_to_set_all(d, members).tobytes() == da.tobytes()
+        assert lf.quotient_pseudometric(d, members).tobytes() == want.tobytes()
+
 
 class TestSetGeometry:
     def test_dist_to_own_member(self):
@@ -607,6 +693,22 @@ class TestGridSpace:
     def test_nominal_dimension_recorded(self):
         assert lf.make_grid_space([4, 4], 1.0).nominal_dim == 2
 
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           st.sampled_from(["linf", "l1", "l2"]), st.sampled_from([1.0, 0.02, 0.1, 1 / 3, 7.5]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_broadcast_formula(self, dims, ground, spacing):
+        got = lf.make_grid_space(dims, spacing, ground=ground).dist
+        assert got.tobytes() == grid_metric_by_broadcast(dims, spacing, ground).tobytes()
+
+    @pytest.mark.parametrize("ground", ["linf", "l1", "l2"])
+    def test_three_axes_match_the_broadcast_formula(self, ground):
+        got = lf.make_grid_space([6, 5, 4], 0.05, ground=ground).dist
+        assert got.tobytes() == grid_metric_by_broadcast([6, 5, 4], 0.05, ground).tobytes()
+
+    def test_unknown_ground_rejected(self):
+        with pytest.raises(ValueError, match="unknown ground metric 'l3'"):
+            lf.make_grid_space([3, 3], 1.0, ground="l3")
+
 
 class TestPseudometricSum:
     @given(st.integers(0, 30))
@@ -635,6 +737,25 @@ class TestRandomAndPerturb:
         d = random_metric_matrix(13, 6)
         assert np.allclose(lf.floyd_warshall(d), d)
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-4, 0.01, 0.3, 5.0]),
+           st.sampled_from(["random", "grid", "point"]), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_perturbation_matches_the_triu_formula(self, seed, amplitude, kind, rows):
+        d = {"random": lambda: random_metric_matrix(seed % 1000, 1 + seed % 23),
+             "grid": lambda: lf.make_grid_space([1 + seed % 7, 5], 0.1).dist,
+             "point": lambda: np.zeros((1, 1))}[kind]()
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        with mock.patch.object(spaces, "_BLOCK_CELLS", rows * d.shape[0]):
+            got = lf.perturb_metric(d, amplitude, ours)
+        assert got.tobytes() == perturb_metric_by_triu(d, amplitude, theirs).tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("n, seed, scale", [(1, 0, 1.0), (2, 1, 1.0), (7, 42, 1.0),
+                                                (40, 3, 0.25), (130, 9, 3.0)])
+    def test_random_space_matches_the_triu_formula(self, n, seed, scale):
+        got = lf.random_metric_space(n, seed=seed, scale=scale).dist
+        assert got.tobytes() == random_metric_by_triu(n, seed, scale).tobytes()
+
 
 class TestRestrictAndJson:
     def test_restrict_line_of_grid(self):
@@ -659,6 +780,42 @@ class TestRestrictAndJson:
         space = lf.space_from_json({"generator": "grid", "dims": [3, 3],
                                     "spacing": 0.5, "ground": "linf"})
         assert space.n == 9
+
+    def test_key_is_the_digest_of_the_metric_bytes(self):
+        def bytes_key(space):
+            digest = hashlib.sha256()
+            digest.update(json.dumps(space.points).encode())
+            digest.update(space.dist.tobytes())
+            digest.update(str(space.base_index).encode())
+            return digest.hexdigest()[:16]
+
+        inline = lf.space_from_json({"points": ["a", "b", "c"], "base_point": 2,
+                                     "metric": [[0, 1, 2.5], [1, 0, 1.5], [2.5, 1.5, 0]]})
+        for space in (lf.make_grid_space([30, 30], 0.02), lf.random_metric_space(17, seed=4),
+                      inline):
+            assert space.key == bytes_key(space)
+
+    @pytest.mark.parametrize("spec, named", [
+        ({"generator": "grid", "dims": 5, "spacing": 0.1}, "'dims'"),
+        ({"generator": "grid", "dims": [5, 2.0], "spacing": 0.1}, "'dims'"),
+        ({"generator": "grid", "dims": [5, True], "spacing": 0.1}, "'dims'"),
+        ({"generator": "grid", "dims": [5], "spacing": "0.1"}, "'spacing'"),
+        ({"generator": "grid", "dims": [5], "spacing": None}, "'spacing'"),
+        ({"generator": "random", "n": 2.5, "seed": 1}, "'n'"),
+        ({"generator": "random", "n": 4, "seed": "1"}, "'seed'"),
+        ({"generator": "random", "n": 4, "seed": 1.0}, "'seed'"),
+        ({"points": "ab", "metric": [[0, 1], [1, 0]]}, "'points'"),
+        ({"points": ["a", "b"], "metric": 1.0}, "'metric'"),
+    ])
+    def test_entries_of_the_wrong_type_are_named(self, spec, named):
+        with pytest.raises(ValueError, match=f"entry {named} must be"):
+            lf.space_from_json(spec)
+
+    def test_entries_of_the_right_type_pass(self):
+        assert lf.space_from_json({"generator": "grid", "dims": (2, np.int64(3)),
+                                   "spacing": 1}).n == 6
+        assert lf.space_from_json({"generator": "random", "n": np.int32(3), "seed": 0}).n == 3
+        assert lf.space_from_json({"points": ("a", "b"), "metric": ((0, 1), (1, 0))}).n == 2
 
     def test_restrict_to_empty_subset_rejected(self):
         space = lf.make_grid_space([4], 0.5)
@@ -699,3 +856,41 @@ class TestPointIndices:
         assert lf.CoverFamily(space, ((np.int64(2), 0),), 1).sets == ((0, 2),)
         op = lf.WeightOperator(space, (np.uint8(0), 3), np.zeros((5, 2)))
         assert op.domain == (0, 3) and all(type(i) is int for i in op.domain)
+
+
+@pytest.fixture(scope="module")
+def grid_900():
+    return lf.make_grid_space([30, 30], 0.02)
+
+
+class TestMemoryBudgets:
+    """At 900 points each call holds its inputs and its result, and no n x n
+    temporary: its traced peak beyond an n x n result stays under one 900 x
+    900 float array (`ONE_900`)."""
+
+    def test_validate_metric(self, grid_900):
+        report, peak = traced_peak(lambda: lf.validate_metric(grid_900.dist))
+        assert report.ok and peak < ONE_900
+
+    def test_validate_metric_with_violations(self, grid_900):
+        d = grid_900.dist.copy()
+        d[700, 3] = 0.0                                     # asymmetric, zero, triangle
+        report, peak = traced_peak(lambda: lf.validate_metric(d))
+        assert [v.kind for v in report.violations] == ["symmetry", "zero_offdiag", "triangle"]
+        assert peak < ONE_900
+
+    def test_sup_distance(self, grid_900):
+        e = grid_900.dist * 1.5
+        value, peak = traced_peak(lambda: lf.sup_distance(grid_900.dist, e))
+        assert value == np.abs(grid_900.dist - e).max() and peak < ONE_900
+
+    def test_quotient_pseudometric(self, grid_900):
+        out, peak = traced_peak(lambda: lf.quotient_pseudometric(grid_900.dist, range(450)))
+        assert out.shape == (900, 900) and peak - out.nbytes < ONE_900
+
+    def test_perturb_metric(self, grid_900):
+        e, peak = traced_peak(lambda: lf.perturb_metric(grid_900.dist, 1e-3,
+                                                        np.random.default_rng(7)))
+        assert peak - e.nbytes < ONE_900
+        want = perturb_metric_by_triu(grid_900.dist, 1e-3, np.random.default_rng(7))
+        assert e.tobytes() == want.tobytes()
