@@ -100,6 +100,52 @@ def partition_of_unity(d: np.ndarray, sets, domain,
     return WeightOperator(space, domain, weights, partition=True)
 
 
+def _adapted_excess_bound(d: np.ndarray, d_excess: float, induced: np.ndarray,
+                          induced_excess: float, adapted: np.ndarray) -> float:
+    """A proven upper bound on the triangle excess `validate_metric` would
+    measure on adapted = fl(q + induced), where q =
+    `quotient_pseudometric(d, A)` for a nonempty net A, given bounds on the
+    excesses it measures on d and on induced; +inf unless d is exactly
+    symmetric and neither d nor induced has a negative entry.
+
+    Lemma.  Let u = 2^-53 and M = max adapted.  Write a(x) = min over z in A
+    of d(x, z), exact; p(x, y) = fl(a(x) + a(y)); q = min(d, p) off the
+    diagonal and 0 on it; b = induced, so adapted = fl(q + b).  With d
+    symmetric and d, b >= 0, every q and b entry lies in [0, adapted], so
+    in [0, M], and every triangle excess
+        adapted(i, k) - fl(adapted(i, j) + adapted(j, k))
+    is at most (d_excess+ + induced_excess+) (1 + 2^-50) + 2^-48 M, where
+    x+ = max(x, 0).  Proof, triple by triple; e(X) is the exact excess
+    X(i, k) - X(i, j) - X(j, k).
+      * From measured to exact: for X = d or b and any triple,
+        e(X) <= excess+ / (1 - u) + u (X(i, j) + X(j, k)), since the sweep
+        rounds the sum once and the difference once, monotonically.
+      * q, for distinct i, j, k, by which term attains q(i, j) and q(j, k).
+        (d, d): q(i, k) <= d(i, k), so e(q) <= e(d).  (p, p):
+        a(i) + a(k) <= (a(i) + a(j)) + (a(j) + a(k)), so e(q) <= 2u (p(i, j)
+        + p(j, k)) / (1 - u) <= 4uM / (1 - u).  (d, p): a is 1-Lipschitz up
+        to the excess, a(i) <= d(i, j) + a(j) + e(d) on the triangle
+        (i, j, z) for the z that attains a(j), so e(q) <= (1 + u) e(d)+ +
+        uM + 2uM / (1 - u).  (p, d) is the mirror case and reads d(k, j) =
+        d(j, k), the one use of symmetry.  Every d entry these triangles
+        read is q(i, j), q(j, k) or a(j) <= M / (1 - u), so the first step
+        turns e(d) into d_excess+ with a term of 2uM / (1 - u).  A triple
+        with i = k has e(q) = -q(i, j) - q(j, i) <= 0, one with j = i or
+        j = k has e(q) = 0.
+      * Sum: e(q + b) = e(q) + e(b) exactly, and rounding each of the three
+        entries of fl(q + b) moves the excess by at most 3uM / (1 - u); the
+        sweep's rounded sum adds 2uM more.
+    The terms add up to (1 + 2u) d_excess+ + (1 + u) induced_excess+ +
+    12uM + O(u^2 M).  The bound's factors 1 + 8u and 32uM leave room for
+    the O(u^2) terms and for the rounding of its own evaluation.  The
+    preconditions cost three O(n^2) passes.
+    """
+    if d.min() < 0 or induced.min() < 0 or sup_distance(d, d.T) > 0:
+        return np.inf
+    excess = max(d_excess, 0.0) + max(induced_excess, 0.0)
+    return excess * (1.0 + 2.0 ** -50) + 2.0 ** -48 * float(adapted.max())
+
+
 def verify_complement_margin(metric: np.ndarray, sets, eps: float) -> Certificate:
     """Certify min_x sum_i metric(x, U_i^c) >= eps/3."""
     sums = complement_distances(metric, sets).sum(axis=1)
@@ -152,7 +198,8 @@ def build_extension_bundle(nc: NetAndCover) -> ExtensionBundle:
             details={"violations": ps_report.summary()}))
     adapted = quotient_pseudometric(d, a)
     adapted += induced                           # = induced + quotient, bitwise
-    m_report = validate_metric(adapted)
+    m_report = validate_metric(adapted, excess_bound=_adapted_excess_bound(
+        d, space.excess, induced, ps_report.excess, adapted))
     if not m_report.ok:
         raise BundleError(make_certificate(
             "adapted-metric", 0.0, 1.0, "le", 0.0,

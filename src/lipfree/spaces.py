@@ -6,6 +6,18 @@ triangle inequality; pseudometrics drop the positivity requirement.  Every
 operation here is a pure function of its inputs, and none holds an n x n
 temporary beyond its inputs and its result: the one-scratch rule, kept by the
 row-block engine below.
+
+Validation scans every matrix in O(n^2) for the axioms other than the
+triangle inequality.  The triangle inequality costs an O(n^3) min-plus sweep,
+except on two matrices the library builds from parts it has already checked.
+Those are certified by a derived upper bound on their triangle excess:
+a space's lattice metric, matched entry for entry against its integer
+`coords` (`_lattice_excess`), and the adapted metric of an extension bundle
+(`extension._adapted_excess_bound`).  Every other matrix is swept: inline
+metrics that match no lattice, random spaces, shortest-path closures and the
+perturbed metrics.  A perturbed metric has no cheaper certificate, since
+checking that a matrix is its own shortest-path closure is itself a min-plus
+sweep.
 """
 
 from __future__ import annotations
@@ -45,6 +57,9 @@ class Violation:
 class ValidationReport:
     shape: tuple
     violations: tuple[Violation, ...]
+    # the triangle excess the check used: the sweep's maximum or a derived
+    # bound; None when a nonfinite entry ended the check before it
+    excess: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -95,11 +110,12 @@ def first_equal_rows(mat: np.ndarray) -> np.ndarray:
 # sweeps only the first of each set of bitwise-equal rows.
 #
 # The one-scratch rule: no function here holds an n x n temporary beyond its
-# inputs and its result (FiniteMetricSpace keeps its own copy of the matrix
-# it is given).  O(n^2) elementwise passes run in place on the result or over
-# the same row blocks (`_spans`): the scans of validate_metric and
-# sup_distance, the grid metric, built one axis at a time, and
-# perturb_metric's noise, which becomes its output and is closed in place.
+# inputs and its result (FiniteMetricSpace copies a matrix it is given, but
+# keeps the one a builder here hands over).  O(n^2) elementwise passes run in
+# place on the result or over the same row blocks (`_spans`): the scans of
+# validate_metric and sup_distance, the grid metric and its check in
+# FiniteMetricSpace, built one axis at a time, and perturb_metric's noise,
+# which becomes its output and is closed in place.
 _BLOCK_CELLS = 2 ** 16
 
 
@@ -209,17 +225,28 @@ def _min_plus_excess(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     return excess, (i, int(j), k)
 
 
-def validate_metric(mat: np.ndarray, allow_zero: bool = False) -> ValidationReport:
+def validate_metric(mat: np.ndarray, allow_zero: bool = False,
+                    excess_bound: float | None = None) -> ValidationReport:
     """Check the metric axioms up to DEFAULT_TOL, reporting one witness per
     violated axiom.
 
     With allow_zero=True the matrix is checked as a pseudometric (zero
     off-diagonal entries permitted).  Non-square input is rejected outright.
     A NaN or infinite entry is the one violation reported: every other check
-    is a comparison, which NaN would pass.  The triangle check is the O(n^3)
-    min-plus sweep of _min_plus_excess on the caller's thread, over the upper
-    triangle only when the matrix is exactly symmetric, and then only over
-    its distinct rows.
+    is a comparison, which NaN would pass.  The scans of the other axioms are
+    O(n^2) and run on every matrix.
+
+    The triangle check is the O(n^3) min-plus sweep of _min_plus_excess on
+    the caller's thread, over the upper triangle only when the matrix is
+    exactly symmetric, and then only over its distinct rows.  It measures the
+    triangle excess, the largest d(i, k) - (d(i, j) + d(j, k)) in floats.
+    excess_bound is a proven upper bound on that value, for a matrix whose
+    construction gives one.  A bound of at most DEFAULT_TOL stands in for
+    the sweep, since no triangle can then fail; a larger one is ignored and
+    the sweep decides, with its witness.  Only `FiniteMetricSpace` for a
+    lattice metric and `build_extension_bundle` for the adapted metric pass
+    one; every other matrix is swept.  The report's `excess` is the value
+    used.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -257,27 +284,142 @@ def validate_metric(mat: np.ndarray, allow_zero: bool = False) -> ValidationRepo
         if -gap <= DEFAULT_TOL:
             violations.append(Violation("zero_offdiag", (i, j), gap))
 
-    if n:
+    excess = 0.0                            # an empty matrix has no triangle
+    if excess_bound is not None and excess_bound <= DEFAULT_TOL:
+        excess = float(excess_bound)
+    elif n:
         excess, witness = _min_plus_excess(mat)
         if excess > DEFAULT_TOL:
             violations.append(Violation("triangle", witness, excess))
 
-    return ValidationReport(tuple(mat.shape), tuple(violations))
+    return ValidationReport(tuple(mat.shape), tuple(violations), excess)
 
 
 def validate_pseudometric(mat: np.ndarray) -> ValidationReport:
     return validate_metric(mat, allow_zero=True)
 
 
-def require_metric(mat: np.ndarray, what: str = "matrix") -> None:
-    report = validate_metric(mat)
+def require_metric(mat: np.ndarray, what: str = "matrix",
+                   excess_bound: float | None = None) -> ValidationReport:
+    """`validate_metric`'s report; MetricError when it finds a violation."""
+    report = validate_metric(mat, excess_bound=excess_bound)
     if not report.ok:
         raise MetricError(f"{what} is not a metric: {report.summary()}", report)
+    return report
+
+
+# Ground metrics of a lattice, with the number of roundings in each entry of
+# its metric: the product by the spacing, and for l2 the square root.
+_GROUNDS = {"linf": 1, "l1": 1, "l2": 2}
+
+
+def _lattice_rows(axes: np.ndarray, lo: int, hi: int, ground: str, spacing: float,
+                  out: np.ndarray) -> np.ndarray:
+    """Rows lo..hi-1 of the lattice metric, written into out and returned.
+
+    axes holds one row of float coordinates per axis.  The ground norm is
+    built one axis at a time: integer coordinate differences are exact in
+    float64, and so are their squares and sums, so each entry is bitwise what
+    an n x n x len(axes) difference array would give.  The norm is then
+    square-rooted for l2 and multiplied by the spacing.
+    """
+    out.fill(0.0)
+    for axis in axes:
+        step = np.abs(np.subtract.outer(axis[lo:hi], axis))
+        if ground == "linf":
+            np.maximum(out, step, out=out)
+        else:
+            out += step * step if ground == "l2" else step
+    if ground == "l2":
+        np.sqrt(out, out=out)
+    out *= spacing
+    return out
+
+
+def _unit_step_pair(coords: np.ndarray) -> tuple[int, int] | None:
+    """Two points whose coordinates differ by one along one axis, or None."""
+    rows = [tuple(c) for c in coords.tolist()]
+    where = {c: i for i, c in enumerate(rows)}
+    for i, c in enumerate(rows):
+        for a in range(len(c)):
+            j = where.get(c[:a] + (c[a] + 1,) + c[a + 1:])
+            if j is not None:
+                return i, j
+    return None
+
+
+def _lattice_excess(d: np.ndarray, coords: np.ndarray) -> float | None:
+    """A proven bound on the triangle excess of the n x n matrix d when d is
+    the lattice metric of the integer coords (n rows) under some ground and
+    spacing, as `make_grid_space` builds it; None when it is not.
+
+    The spacing s is read from a unit-step pair, whose entry is fl(1 * s) = s
+    under every ground.  Each ground's metric is rebuilt by row blocks with
+    `_lattice_rows` and compared with d, block by block, so the check holds
+    one block of scratch and costs O(n^2) per ground tried.  The comparison
+    is by value; the excess is a function of the values.
+
+    Lemma.  Let u = 2^-53, N(x, y) the exact ground norm of the integer
+    difference c_x - c_y, and M the largest entry of d.  Every triangle
+    excess d(i, k) - fl(d(i, j) + d(j, k)) is at most (2r + 2) u M, where r
+    is the number of roundings per entry (_GROUNDS: 1 for linf and l1, 2
+    for l2).  Proof: the coordinates are exact, and so are their
+    differences, squares and sums, since k (2 max|c|)^2 < 2^53 is required.
+    So the ground value is N exactly for linf and l1, and fl(sqrt(N^2)),
+    one rounding, for l2.  The product by s >= the least normal float adds
+    one relative rounding and no underflow, so
+    d(x, y) = s N(x, y) (1 + t) with (1 - u)^r <= 1 + t <= (1 + u)^r.
+    N is a norm of exact integer vectors, so
+    N(i, k) <= N(i, j) + N(j, k) =: S.  An excess that is positive has
+    fl(d(i, j) + d(j, k)) < d(i, k) <= M, so s S (1 - u)^(r+1) <= M, and
+        d(i, k) - fl(d(i, j) + d(j, k))
+            <= s S ((1 + u)^r - (1 - u)^(r+1))
+            <= M ((1 + u)^r / (1 - u)^(r+1) - 1),
+    which is (2r + 1) u M + O(u^2 M) < (2r + 2) u M.  The bound is
+    computed in floats with one rounding, inside that margin, and the sweep
+    rounds its final subtraction monotonically, so it also bounds what the
+    sweep would measure.
+    """
+    n, k = coords.shape
+    pair = _unit_step_pair(coords)
+    if pair is None or k * (2 * int(np.abs(coords).max())) ** 2 >= 2 ** 53:
+        return None
+    spacing = float(d[pair])
+    if not np.finfo(float).tiny <= spacing < np.inf:
+        return None
+    axes = coords.T.astype(float)
+    blocks = _spans(n, n)
+    scratch = np.empty((blocks[0][1], n))
+    for ground, rounds in _GROUNDS.items():
+        top = 0.0
+        for lo, hi in blocks:
+            block = _lattice_rows(axes, lo, hi, ground, spacing, scratch[:hi - lo])
+            if not np.array_equal(block, d[lo:hi]):
+                break
+            top = max(top, float(block.max()))
+        else:
+            return (2 * rounds + 2) * 2.0 ** -53 * top
+    return None
+
+
+class _Built(NamedTuple):
+    """A matrix one of this module's builders has just made and hands to
+    FiniteMetricSpace, which keeps it without a copy; a matrix from anywhere
+    else is copied."""
+    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Finite set of named points with a validated metric and a base point."""
+    """Finite set of named points with a validated metric and a base point.
+
+    Construction sets two attributes besides the fields: `key`, a digest of
+    the points, the metric bytes and the base point, and `excess`, the
+    triangle excess its validation used (`ValidationReport.excess`).  When
+    coords are given and dist is their lattice metric, that is the derived
+    bound of `_lattice_excess` and the O(n^3) sweep is skipped.  The matrix
+    is copied, unless one of this module's builders hands it over.
+    """
 
     points: tuple[str, ...]
     dist: np.ndarray
@@ -288,22 +430,33 @@ class FiniteMetricSpace:
     def __post_init__(self):
         pts = tuple(str(p) for p in self.points)
         object.__setattr__(self, "points", pts)
-        d = np.array(self.dist, dtype=float)
-        require_metric(d, what="space metric")
+        if isinstance(self.dist, _Built):
+            d = np.ascontiguousarray(self.dist.matrix, dtype=float)
+        else:
+            d = np.array(self.dist, dtype=float)
+        if self.coords is not None:
+            c = np.asarray(self.coords)
+            if c.dtype.kind not in "iu" or c.ndim != 2 or len(c) != len(pts):
+                raise ValueError("coords must be integers, one row of equal length per point")
+            c = np.array(c, dtype=int)
+            c.setflags(write=False)
+            object.__setattr__(self, "coords", c)
+        bound = None
+        if self.coords is not None and d.shape == (len(pts), len(pts)):
+            bound = _lattice_excess(d, self.coords)
+        report = require_metric(d, what="space metric", excess_bound=bound)
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
+        object.__setattr__(self, "excess", report.excess)
         if len(pts) != d.shape[0]:
             raise ValueError("point count does not match matrix size")
         if len(set(pts)) != len(pts):
             raise ValueError("point names must be unique")
-        if not 0 <= self.base_index < len(pts):
+        if bad_indices([self.base_index], len(pts)):
             raise ValueError("base point must be one of the points")
-        if self.coords is not None:
-            c = np.array(self.coords, dtype=int)
-            if c.shape[0] != len(pts):
-                raise ValueError("coords row count does not match points")
-            c.setflags(write=False)
-            object.__setattr__(self, "coords", c)
+        object.__setattr__(self, "base_index", int(self.base_index))
+        if self.nominal_dim is not None and bad_indices([self.nominal_dim]):
+            raise ValueError(f"nominal_dim must be an integer, got {self.nominal_dim!r}")
         digest = hashlib.sha256()
         digest.update(json.dumps(pts).encode())
         digest.update(d)                 # C-contiguous: the bytes of d.tobytes()
@@ -539,35 +692,25 @@ def perturb_metric(d: np.ndarray, amplitude: float, rng: np.random.Generator) ->
 def make_grid_space(dims: Sequence[int], spacing: float, ground: str = "linf") -> FiniteMetricSpace:
     """Lattice of the given extents with an l-infinity (default) ground metric.
 
-    The nominal dimension is len(dims); the base point is the origin.
+    The nominal dimension is len(dims); the base point is the origin.  The
+    metric is built by row blocks with `_lattice_rows`; the space certifies
+    its triangle inequality by `_lattice_excess`, not by a sweep.
     """
     dims = [int(k) for k in dims]
     if not dims or any(k < 1 for k in dims):
         raise ValueError("dims must be a nonempty list of positive extents")
     if spacing <= 0:
         raise ValueError("spacing must be positive")
-    if ground not in ("linf", "l1", "l2"):
+    if ground not in _GROUNDS:
         raise ValueError(f"unknown ground metric {ground!r}")
     coords = np.array(list(itertools.product(*(range(k) for k in dims))), dtype=int)
-    # Row block by row block, one axis at a time: integer coordinate
-    # differences are exact in float64, and so are their squares and sums,
-    # so d is bitwise what an n x n x len(dims) difference array would give.
     n = len(coords)
     axes = coords.T.astype(float)
-    d = np.zeros((n, n))
+    d = np.empty((n, n))
     for lo, hi in _spans(n, n):
-        block = d[lo:hi]
-        for axis in axes:
-            step = np.abs(np.subtract.outer(axis[lo:hi], axis))
-            if ground == "linf":
-                np.maximum(block, step, out=block)
-            else:
-                block += step * step if ground == "l2" else step
-    if ground == "l2":
-        np.sqrt(d, out=d)
-    d *= spacing
+        _lattice_rows(axes, lo, hi, ground, spacing, d[lo:hi])
     names = tuple("-".join(map(str, c)) for c in coords)
-    return FiniteMetricSpace(names, d, base_index=0, coords=coords,
+    return FiniteMetricSpace(names, _Built(d), base_index=0, coords=coords,
                              nominal_dim=len(dims))
 
 
@@ -581,7 +724,7 @@ def random_metric_space(n: int, seed: int | np.random.Generator, scale: float = 
     _mirror_upper(d)
     _close(d)
     names = tuple(f"r{i}" for i in range(n))
-    return FiniteMetricSpace(names, d, base_index=0)
+    return FiniteMetricSpace(names, _Built(d), base_index=0)
 
 
 def restrict_space(space: FiniteMetricSpace, members: Sequence[int],
@@ -606,7 +749,7 @@ def restrict_space(space: FiniteMetricSpace, members: Sequence[int],
         nominal = int(sum(len(np.unique(coords[:, a])) > 1 for a in range(coords.shape[1])))
     return FiniteMetricSpace(
         tuple(space.points[i] for i in sub),
-        space.dist[np.ix_(sub, sub)],
+        _Built(space.dist[np.ix_(sub, sub)]),
         base_index=sub.index(base_point),
         coords=coords,
         nominal_dim=nominal,
@@ -629,11 +772,17 @@ def _is_list(value) -> bool:
     return isinstance(value, (list, tuple))
 
 
+def _is_int_rows(value) -> bool:
+    return (_is_list(value) and all(_is_list(row) and not bad_indices(row) for row in value)
+            and len({len(row) for row in value}) <= 1)
+
+
 def space_from_json(obj: dict) -> FiniteMetricSpace:
-    """Space from a config spec: a generator entry or an inline metric.  A
-    required entry that is missing or of the wrong type (`dims` a list of
-    integers, `spacing` a number, `n` and `seed` integers, `points` and
-    `metric` lists) is a ValueError that names it."""
+    """Space from a config spec: a generator entry or an inline metric.  An
+    entry of the wrong type (`dims` a list of integers, `spacing` and
+    `scale` numbers, `n`, `seed`, `base_point` and `nominal_dim` integers,
+    `points` and `metric` lists, `coords` lists of integers of one length)
+    or a required entry that is missing is a ValueError that names it."""
     def need(key, fits, what):
         if key not in obj:
             raise ValueError(f"space spec needs a '{key}' entry")
@@ -642,6 +791,9 @@ def space_from_json(obj: dict) -> FiniteMetricSpace:
             raise ValueError(f"space spec entry '{key}' must be {what}, "
                              f"got {reprlib.repr(value)}")
         return value
+
+    def optional(key, fits, what, default=None):
+        return need(key, fits, what) if key in obj else default
 
     if "generator" in obj:
         kind = obj["generator"]
@@ -653,13 +805,13 @@ def space_from_json(obj: dict) -> FiniteMetricSpace:
         if kind == "random":
             return random_metric_space(need("n", _is_int, "an integer"),
                                        need("seed", _is_int, "an integer"),
-                                       obj.get("scale", 1.0))
+                                       optional("scale", _is_number, "a number", 1.0))
         raise ValueError(f"unknown generator {kind!r}")
-    coords = np.array(obj["coords"], dtype=int) if "coords" in obj else None
+    coords = optional("coords", _is_int_rows, "lists of integers of one length")
     return FiniteMetricSpace(
         tuple(need("points", _is_list, "a list")),
         np.array(need("metric", _is_list, "a list"), dtype=float),
-        base_index=int(obj.get("base_point", 0)),
-        coords=coords,
-        nominal_dim=obj.get("nominal_dim"),
+        base_index=optional("base_point", _is_int, "an integer", 0),
+        coords=None if coords is None else np.array(coords, dtype=int),
+        nominal_dim=optional("nominal_dim", _is_int, "an integer"),
     )

@@ -531,7 +531,7 @@ def validate_metric_full(mat: np.ndarray, allow_zero: bool = False) -> spaces.Va
     check on the whole matrix, through n x n temporaries (|mat - mat.T| and a
     copy with an infinite diagonal), its witness the first worst entry of
     np.argmax or np.argmin.  The triangle check is `_min_plus_excess`, as in
-    the library."""
+    the library, and the report records its excess."""
     mat = np.asarray(mat, dtype=float)
     if not np.isfinite(mat).all():
         i, j = np.unravel_index(np.argmin(np.isfinite(mat)), mat.shape)
@@ -557,11 +557,12 @@ def validate_metric_full(mat: np.ndarray, allow_zero: bool = False) -> spaces.Va
         i, j = np.unravel_index(np.argmin(off), off.shape)
         if off[i, j] <= tol:
             violations.append(spaces.Violation("zero_offdiag", (int(i), int(j)), float(-off[i, j])))
+    excess = 0.0
     if n:
         excess, witness = spaces._min_plus_excess(mat)
         if excess > tol:
             violations.append(spaces.Violation("triangle", witness, excess))
-    return spaces.ValidationReport(tuple(mat.shape), tuple(violations))
+    return spaces.ValidationReport(tuple(mat.shape), tuple(violations), excess)
 
 
 def metric_extension_by_lp(d: np.ndarray, members, rho: np.ndarray) -> float:
@@ -643,6 +644,20 @@ def traced_peak(call):
         if started:
             tracemalloc.stop()
     return result, peak - before
+
+
+def sweeps_of(monkeypatch):
+    """A list that gets the matrix shape of every call of the O(n^3)
+    triangle sweep `spaces._min_plus_excess` made while the patch holds."""
+    calls = []
+    sweep = spaces._min_plus_excess
+
+    def counted(d):
+        calls.append(d.shape)
+        return sweep(d)
+
+    monkeypatch.setattr(spaces, "_min_plus_excess", counted)
+    return calls
 
 
 # Bytes of one 900 x 900 float64 array, the memory budget of the 900-point

@@ -244,6 +244,11 @@ GLUE_6X6_NO_CORE = {"space": grid_space_json([6, 6], 1 / 6), "dim_k": 1,
                     "thresholds": [4 / 6, 3 / 6, 2 / 6, 1 / 6], "seed": 5}
 
 
+# three points on a line, 0.5 apart
+INLINE_LINE = {"points": ["a", "b", "c"],
+               "metric": [[0.0, 0.5, 1.0], [0.5, 0.0, 0.5], [1.0, 0.5, 0.0]]}
+
+
 class TestConfigErrors:
     """A config or path the pipeline cannot use exits 2 with one error line
     that names it; exit 1 is left to failed certificates."""
@@ -267,11 +272,15 @@ class TestConfigErrors:
               ({"points": [0, 1]}, "metric"),
               ({"generator": "grid", "dims": 5, "spacing": 0.1}, "dims"),
               ({"generator": "random", "n": 2.5, "seed": 1}, "n"),
+              ({**INLINE_LINE, "base_point": 1.7}, "base_point"),
+              ({**INLINE_LINE, "coords": [[0.6], [1.2], [2.9]]}, "coords"),
+              ({**INLINE_LINE, "nominal_dim": "two"}, "nominal_dim"),
           ]),
     ], ids=["no-eps", "no-k", "n-past-exhaustion", "no-n_schedule", "no-amplitude",
             "missing-config", "missing-report", "grid-no-dims", "grid-no-spacing",
             "random-no-n", "random-no-seed", "inline-no-points", "inline-no-metric",
-            "grid-dims-not-a-list", "random-n-not-an-integer"])
+            "grid-dims-not-a-list", "random-n-not-an-integer", "inline-base-point-float",
+            "inline-coords-float", "inline-nominal-dim-string"])
     def test_exits_2_and_names_the_cause(self, tmp_path, capsys, command, config, named):
         if config is None:
             path = str(tmp_path / "missing.json")

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
+from lipfree.extension import _adapted_excess_bound
+from lipfree.spaces import _min_plus_excess
 from conftest import (complement_distances_by_sets, lip_ball_vertices, line_space,
-                      operator_norm_by_vertices)
+                      operator_norm_by_vertices, sweeps_of)
 
 # Entries within DEFAULT_TOL of zero, either side, next to ordinary distances.
 NEAR_ZERO = [0.0, 5e-324, 1e-12, -1e-12, 0.5 * lf.DEFAULT_TOL, -0.5 * lf.DEFAULT_TOL]
@@ -192,6 +194,94 @@ class TestExtensionBundle:
             sups.append(lf.sup_distance(space.dist, bundle.adapted))
         assert all(s < 4 * e for s, e in zip(sups, (1 / 2, 1 / 4, 1 / 8)))
         assert sups[0] >= sups[1] >= sups[2]
+
+
+def adapted_bound_and_sweep(d, net, b):
+    """The bound `_adapted_excess_bound` derives for quotient(d, net) + b
+    from the swept excesses of d and b, and the excess the sweep measures."""
+    adapted = lf.quotient_pseudometric(d, net)
+    adapted += b
+    bound = _adapted_excess_bound(d, _min_plus_excess(d)[0], b, _min_plus_excess(b)[0],
+                                  adapted)
+    return bound, _min_plus_excess(adapted)[0]
+
+
+def bumped(m, i, k, amount):
+    """m with the symmetric pair (i, k) raised by amount."""
+    m = m.copy()
+    m[i, k] += amount
+    m[k, i] = m[i, k]
+    return m
+
+
+class TestAdaptedExcessBound:
+    """The adapted metric is certified by the bound of
+    `_adapted_excess_bound` instead of the min-plus sweep, and that bound is
+    never below what the sweep measures."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 10), seed=st.integers(0, 2 ** 16), data=st.data())
+    def test_bound_covers_the_sweep(self, n, seed, data):
+        rng = np.random.default_rng(seed)
+        d = lf.random_metric_space(n, seed=rng, scale=rng.uniform(0.01, 10)).dist
+        other = lf.random_metric_space(n, seed=rng).dist
+        b = lf.quotient_pseudometric(other, data.draw(st.sets(st.integers(0, n - 1),
+                                                              min_size=1)))
+        if data.draw(st.booleans()):       # triangle excesses well above rounding
+            i, k = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                      unique=True))
+            d = bumped(d, i, k, data.draw(st.floats(0.0, 0.5)))
+            b = bumped(b, i, k, data.draw(st.floats(0.0, 0.5)))
+        net = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        bound, measured = adapted_bound_and_sweep(d, net, b)
+        assert bound >= measured
+
+    def test_rounding_term_is_needed(self):
+        # d and b sweep to excess 0, the adapted metric does not
+        d = lf.random_metric_space(6, seed=2).dist
+        b = lf.quotient_pseudometric(lf.random_metric_space(6, seed=13).dist, [1, 2])
+        assert _min_plus_excess(d)[0] == _min_plus_excess(b)[0] == 0.0
+        bound, measured = adapted_bound_and_sweep(d, [0, 5], b)
+        assert 0.0 < measured <= bound < 1e-14
+
+    @pytest.mark.parametrize("e_d, e_b", [(1e-3, 2e-3), (2e-3, 1e-3)])
+    def test_both_excesses_are_summed(self, e_d, e_b):
+        # on the line 0, 1, 2 with the net {0}, q keeps d's excess on the
+        # triangle (0, 1, 2), and b adds its own on the same triangle
+        line = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float)
+        bound, measured = adapted_bound_and_sweep(bumped(line, 0, 2, e_d), [0],
+                                                  bumped(line, 0, 2, e_b))
+        assert measured == pytest.approx(e_d + e_b, abs=1e-15)
+        assert measured <= bound <= e_d + e_b + 1e-13
+
+    @pytest.mark.parametrize("where", ["asymmetric d", "negative d", "negative b"])
+    def test_inexact_inputs_get_no_bound(self, where):
+        d = lf.random_metric_space(5, seed=1).dist.copy()
+        b = lf.quotient_pseudometric(lf.random_metric_space(5, seed=2).dist, [0])
+        if where == "asymmetric d":
+            d[1, 2] = np.nextafter(d[1, 2], 9.0)
+        elif where == "negative d":
+            d[1, 2] = d[2, 1] = -1e-12
+        else:
+            b[1, 2] = b[2, 1] = -1e-12
+        adapted = lf.quotient_pseudometric(d, [0]) + b
+        assert _adapted_excess_bound(d, 0.0, b, 0.0, adapted) == np.inf
+
+    def test_bundle_sweeps_only_the_induced_pseudometric(self, monkeypatch):
+        nc = lf.build_net_cover(lf.make_grid_space([7, 7], 1 / 24), 0.3)
+        swept = sweeps_of(monkeypatch)
+        assert lf.build_extension_bundle(nc).passed
+        assert swept == [(49, 49)]
+
+    def test_asymmetric_space_metric_takes_the_adapted_sweep(self, monkeypatch):
+        grid = lf.make_grid_space([7, 7], 1 / 24)
+        d = grid.dist.copy()
+        d[3, 4] = np.nextafter(d[3, 4], 1.0)
+        space = lf.FiniteMetricSpace(grid.points, d, coords=grid.coords)
+        nc = lf.build_net_cover(space, 0.3)
+        swept = sweeps_of(monkeypatch)
+        assert lf.build_extension_bundle(nc).passed
+        assert swept == [(49, 49), (49, 49)]
 
 
 class TestPerturbedOperator:

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 import lipfree as lf
 from conftest import (ONE_900, floyd_warshall_serial, grid_metric_by_broadcast, line_space,
                       min_plus_excess_by_via, perturb_metric_by_triu, random_metric_by_triu,
-                      traced_peak, validate_metric_full)
+                      sweeps_of, traced_peak, validate_metric_full)
 from lipfree import spaces
 from lipfree.spaces import _min_plus_excess
 
@@ -806,6 +806,7 @@ class TestRestrictAndJson:
         ({"generator": "random", "n": 4, "seed": 1.0}, "'seed'"),
         ({"points": "ab", "metric": [[0, 1], [1, 0]]}, "'points'"),
         ({"points": ["a", "b"], "metric": 1.0}, "'metric'"),
+        ({"generator": "random", "n": 4, "seed": 1, "scale": "2"}, "'scale'"),
     ])
     def test_entries_of_the_wrong_type_are_named(self, spec, named):
         with pytest.raises(ValueError, match=f"entry {named} must be"):
@@ -823,6 +824,143 @@ class TestRestrictAndJson:
             lf.restrict_space(space, [])
         with pytest.raises(ValueError, match="subset must be nonempty"):
             lf.restrict_space(space, [], base_point=0)
+
+
+class TestSpecEntries:
+    """Inline space entries that int() or np.array(dtype=int) would truncate
+    are rejected and named."""
+
+    LINE = {"points": ["a", "b", "c"],
+            "metric": [[0.0, 0.5, 1.0], [0.5, 0.0, 0.5], [1.0, 0.5, 0.0]]}
+
+    @pytest.mark.parametrize("key, value", [
+        ("base_point", 1.7), ("base_point", True), ("base_point", "1"),
+        ("coords", [[0.6], [1.2], [2.9]]), ("coords", [[0], [1, 0], [2]]),
+        ("coords", [0, 1, 2]), ("coords", [[0], [True], [2]]),
+        ("nominal_dim", "two"), ("nominal_dim", 1.0), ("nominal_dim", None),
+    ])
+    def test_wrong_entry_is_named(self, key, value):
+        with pytest.raises(ValueError, match=f"entry '{key}' must be"):
+            lf.space_from_json({**self.LINE, key: value})
+
+    def test_right_entries_pass(self):
+        space = lf.space_from_json({**self.LINE, "base_point": np.int64(2),
+                                    "coords": [[0], [1], [2]], "nominal_dim": 1})
+        assert (space.base_index, space.nominal_dim) == (2, 1)
+        assert type(space.base_index) is int and space.coords.tolist() == [[0], [1], [2]]
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"base_index": True}, "base point"),
+        ({"base_index": 1.0}, "base point"),
+        ({"base_index": 3}, "base point"),
+        ({"coords": np.array([[0.6], [1.2], [2.9]])}, "coords"),
+        ({"coords": [[0], [1]]}, "coords"),
+        ({"coords": [0, 1, 2]}, "coords"),
+        ({"nominal_dim": "two"}, "nominal_dim"),
+    ])
+    def test_constructor_rejects_what_it_would_truncate(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            lf.FiniteMetricSpace(("a", "b", "c"), np.array(self.LINE["metric"]), **kwargs)
+
+
+class TestMatrixOwnership:
+    def test_caller_array_is_copied(self):
+        d = np.array(TestSpecEntries.LINE["metric"])
+        space = lf.FiniteMetricSpace(("a", "b", "c"), d)
+        dist, key = space.dist.copy(), space.key
+        d[0, 1] = d[1, 0] = 0.75
+        assert space.dist.tobytes() == dist.tobytes() and space.key == key
+        assert not space.dist.flags.writeable
+
+    def test_builders_hand_over_their_matrix(self):
+        space, peak = traced_peak(lambda: lf.make_grid_space([30, 30], 0.02))
+        assert peak - space.dist.nbytes < ONE_900
+        for built in (space, lf.random_metric_space(5, seed=1),
+                      lf.restrict_space(space, range(10))):
+            assert not built.dist.flags.writeable and built.dist.flags.c_contiguous
+
+
+class TestLatticeExcess:
+    """A lattice metric is certified by the bound of `_lattice_excess`
+    instead of the min-plus sweep, and that bound is never below what the
+    sweep measures."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           ground=st.sampled_from(["linf", "l1", "l2"]),
+           spacing=st.one_of(st.sampled_from([0.02, 0.1, 1 / 3, 0.7, 2.0 ** -5, 1.0, 8.0]),
+                             st.floats(1e-3, 1e3)))
+    def test_bound_covers_the_sweep(self, dims, ground, spacing):
+        space = lf.make_grid_space(dims, spacing, ground)
+        assert space.excess >= _min_plus_excess(space.dist)[0]
+        if space.n > 1:
+            assert space.excess == spaces._lattice_excess(space.dist, space.coords)
+
+    @pytest.mark.parametrize("dims, spacing, ground", [
+        ([30, 30], 0.02, "linf"), ([8, 8], 0.7, "l1"), ([5, 5, 5], 0.1, "l2"), ([9], 0.1, "linf"),
+    ])
+    def test_rounding_term_is_needed(self, dims, spacing, ground):
+        # these lattices have a positive measured excess, which a bound
+        # without its rounding term (zero) would miss
+        space = lf.make_grid_space(dims, spacing, ground)
+        measured = _min_plus_excess(space.dist)[0]
+        assert 0.0 < measured <= space.excess < 1e-12
+
+    @pytest.mark.parametrize("ground", ["linf", "l1", "l2"])
+    def test_lattice_spaces_skip_the_sweep(self, ground, monkeypatch):
+        calls = sweeps_of(monkeypatch)
+        space = lf.make_grid_space([5, 4], 0.1, ground)
+        sub = lf.restrict_space(space, [0, 1, 5, 6, 7])
+        inline = lf.space_from_json({"points": list(space.points),
+                                     "metric": space.dist.tolist(),
+                                     "coords": space.coords.tolist()})
+        assert calls == []
+        assert inline.excess == space.excess and sub.excess > 0
+
+    def test_one_ulp_off_the_lattice_takes_the_sweep(self, monkeypatch):
+        space = lf.make_grid_space([4, 4], 0.1)
+        metric = space.dist.copy()
+        metric[5, 10] = metric[10, 5] = np.nextafter(metric[5, 10], 1.0)
+        calls = sweeps_of(monkeypatch)
+        inline = lf.space_from_json({"points": list(space.points), "metric": metric.tolist(),
+                                     "coords": space.coords.tolist()})
+        assert calls == [(16, 16)]
+        assert inline.excess == _min_plus_excess(metric)[0]
+
+    def test_coords_without_a_unit_step_take_the_sweep(self, monkeypatch):
+        calls = sweeps_of(monkeypatch)
+        space = lf.make_grid_space([7], 0.5)
+        lf.restrict_space(space, [0, 2, 4, 6])
+        assert calls == [(4, 4)]
+
+    def test_triangle_violation_with_lattice_coords_is_rejected(self):
+        d = np.array([[0, 1, 3], [1, 0, 1], [3, 1, 0]], dtype=float)
+        with pytest.raises(lf.MetricError) as err:
+            lf.space_from_json({"points": ["a", "b", "c"], "metric": d.tolist(),
+                                "coords": [[0], [1], [2]]})
+        assert err.value.report == lf.validate_metric(d)
+        assert [v.kind for v in err.value.report.violations] == ["triangle"]
+
+    def test_grid_check_holds_row_blocks_only(self, grid_900):
+        bound, peak = traced_peak(lambda: spaces._lattice_excess(grid_900.dist,
+                                                                 grid_900.coords))
+        assert bound == grid_900.excess and peak < ONE_900 / 2
+
+
+class TestExcessBoundArgument:
+    @pytest.mark.parametrize("bound", [1e-15, lf.DEFAULT_TOL])
+    def test_small_bound_stands_in_for_the_sweep(self, bound, monkeypatch):
+        d = random_metric_matrix(3, 6)
+        calls = sweeps_of(monkeypatch)
+        report = lf.validate_metric(d, excess_bound=bound)
+        assert report.ok and report.excess == bound and calls == []
+
+    @pytest.mark.parametrize("bound", [None, 2 * lf.DEFAULT_TOL, np.inf])
+    def test_large_bound_leaves_the_sweep_to_decide(self, bound):
+        d = np.array([[0, 1, 3], [1, 0, 1], [3, 1, 0]], dtype=float)
+        report = lf.validate_metric(d, excess_bound=bound)
+        assert report == validate_metric_full(d)
+        assert report.excess == 1.0
 
 
 class TestPointIndices:
