@@ -134,7 +134,7 @@ def brick_cover(space: FiniteMetricSpace, eps: float) -> CoverFamily:
     if space.coords is None:
         raise CoverError("brick covers need lattice coordinates; supply a custom refiner")
     coords = space.coords
-    active = [a for a in range(coords.shape[1]) if len(np.unique(coords[:, a])) > 1]
+    active = np.flatnonzero(coords.min(axis=0) != coords.max(axis=0)).tolist()
     bound = max(len(active), 0)
 
     def max_diam(m: int) -> float:

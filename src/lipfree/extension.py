@@ -25,7 +25,7 @@ from .certs import Certificate, make_certificate, all_passed
 from .covers import NetAndCover, verify_net_cover
 from .freenorm import (AdmissionError, WeightOperator, lipschitz_constant,
                        molecule_norm_matrix, operator_norm)
-from .spaces import (DEFAULT_TOL, FiniteMetricSpace, diameter,
+from .spaces import (DEFAULT_TOL, FiniteMetricSpace, closure_excess_bound, diameter,
                      quotient_pseudometric, sup_distance, validate_metric,
                      validate_pseudometric)
 
@@ -273,7 +273,7 @@ def build_perturbed_operator(bundle: ExtensionBundle, e: np.ndarray) -> Perturbe
     measured = sup_distance(e, bundle.adapted)
     if measured > radius:
         raise AdmissionError(measured, radius)
-    report = validate_metric(e)
+    report = validate_metric(e, excess_bound=closure_excess_bound(e))
     if not report.ok:
         raise BundleError(make_certificate(
             "perturbed-metric", 0.0, 1.0, "le", 0.0,

@@ -3,21 +3,24 @@
 All distances are plain float64 numpy matrices.  A matrix is a metric when it
 is symmetric, zero exactly on the diagonal, positive off it, and satisfies the
 triangle inequality; pseudometrics drop the positivity requirement.  Every
-operation here is a pure function of its inputs, and none holds an n x n
-temporary beyond its inputs and its result: the one-scratch rule, kept by the
-row-block engine below.
+operation here is a pure function of its inputs but `closure_excess_bound`,
+which reads a table of the last few closures made (a content hash and a
+bound each).  None holds an n x n temporary beyond its inputs and its
+result: the one-scratch rule, kept by the row-block engine below.
 
 Validation scans every matrix in O(n^2) for the axioms other than the
 triangle inequality.  The triangle inequality costs an O(n^3) min-plus sweep,
-except on two matrices the library builds from parts it has already checked.
-Those are certified by a derived upper bound on their triangle excess:
-a space's lattice metric, matched entry for entry against its integer
-`coords` (`_lattice_excess`), and the adapted metric of an extension bundle
-(`extension._adapted_excess_bound`).  Every other matrix is swept: inline
-metrics that match no lattice, random spaces, shortest-path closures and the
-perturbed metrics.  A perturbed metric has no cheaper certificate, since
-checking that a matrix is its own shortest-path closure is itself a min-plus
-sweep.
+except on three matrices the library builds from parts it has already
+checked.  Those are certified by a derived upper bound on their triangle
+excess: a space's lattice metric, matched entry for entry against its integer
+`coords` (`_lattice_excess`), the adapted metric of an extension bundle
+(`extension._adapted_excess_bound`), and a perturbed metric, which is a
+shortest-path closure this process computed and is found by its content
+(`closure_excess_bound`, with the lemma in `_close`).  Checking that a
+matrix is its own closure would be a sweep, but the float k-loop's error is
+bounded by counting the depth of its sums.  Every other matrix is swept:
+inline metrics that match no lattice, random spaces, and any closure that
+was restricted or edited after it was made.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import hashlib
 import itertools
 import json
 import reprlib
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -107,7 +111,8 @@ def first_equal_rows(mat: np.ndarray) -> np.ndarray:
 # stay in cache while each numpy call still does enough work to hide its
 # overhead.  On an exactly symmetric matrix both sweep only the columns from
 # each block's first row on, about half the work, and the triangle check
-# sweeps only the first of each set of bitwise-equal rows.
+# sweeps only the first of each set of bitwise-equal rows.  There
+# Floyd-Warshall takes _PIVOT_BATCH steps per visit of a block.
 #
 # The one-scratch rule: no function here holds an n x n temporary beyond its
 # inputs and its result (FiniteMetricSpace copies a matrix it is given, but
@@ -117,6 +122,9 @@ def first_equal_rows(mat: np.ndarray) -> np.ndarray:
 # FiniteMetricSpace, built one axis at a time, and perturb_metric's noise,
 # which becomes its output and is closed in place.
 _BLOCK_CELLS = 2 ** 16
+# Steps of the symmetric Floyd-Warshall sweep applied to a row block per
+# visit (`_floyd_warshall_upper`).
+_PIVOT_BATCH = 8
 
 
 def _spans(rows: int, width: int) -> list[tuple[int, int]]:
@@ -244,9 +252,10 @@ def validate_metric(mat: np.ndarray, allow_zero: bool = False,
     construction gives one.  A bound of at most DEFAULT_TOL stands in for
     the sweep, since no triangle can then fail; a larger one is ignored and
     the sweep decides, with its witness.  Only `FiniteMetricSpace` for a
-    lattice metric and `build_extension_bundle` for the adapted metric pass
-    one; every other matrix is swept.  The report's `excess` is the value
-    used.
+    lattice metric, `build_extension_bundle` for the adapted metric and
+    `build_perturbed_operator` for a perturbed metric (`closure_excess_bound`)
+    pass one; every other matrix is swept.  The report's `excess` is the
+    value used.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -574,6 +583,23 @@ def quotient_pseudometric(d: np.ndarray, members: Sequence[int]) -> np.ndarray:
     return out
 
 
+# The excess bounds of the last few closures `_close` computed, keyed by
+# `_content_key`: a matrix gets a bound only by being bitwise one of them.
+_CLOSURES: dict[bytes, float] = {}
+_CLOSURES_KEPT = 8
+_CLOSURES_LOCK = threading.Lock()
+
+
+def _content_key(d: np.ndarray) -> bytes | None:
+    """sha256 of the shape and bytes of a C-contiguous 2-D float64 array;
+    None for any other array, which is then never matched."""
+    if d.dtype != np.float64 or d.ndim != 2 or not d.flags.c_contiguous:
+        return None
+    digest = hashlib.sha256(repr(d.shape).encode())
+    digest.update(d)
+    return digest.digest()
+
+
 def floyd_warshall(w: np.ndarray) -> np.ndarray:
     """All-pairs shortest-path completion of a nonnegative weight matrix.
 
@@ -583,14 +609,18 @@ def floyd_warshall(w: np.ndarray) -> np.ndarray:
     min(d(i, j), d(i, k) + d(k, j)) in place.  The result is bitwise the
     whole-matrix k-loop's.  That needs the precondition: with a zero diagonal
     and nonnegative weights, step k rewrites row k with d(k, k) + d(k, j) =
-    d(k, j) and column k with d(i, k) + d(k, k) = d(i, k), its own values,
-    so no block sees row k or column k change during step k.
+    d(k, j) and column k with d(i, k) + d(k, k) = d(i, k), its own values
+    but for the sign of a zero.  So each block reads column k of its own
+    rows before it writes them, and row k from a copy taken at the start of
+    the step, and sees the whole-matrix step's operands bit for bit.
 
     Weights symmetric bit for bit are swept by `_floyd_warshall_upper`, about
-    half the work, with the same result.  Symmetry by value is not enough:
-    0.0 and -0.0 compare equal, and a mirrored copy would swap them.
+    half the work, in batches of pivot rows, with the same result.  Symmetry
+    by value is not enough: 0.0 and -0.0 compare equal, and a mirrored copy
+    would swap them.
 
-    The input is copied; `_close` runs the same completion in place.
+    The input is copied; `_close` runs the same completion in place, and
+    records the result's derived excess bound for `closure_excess_bound`.
     """
     d = np.array(w, dtype=float)
     _close(d)
@@ -598,22 +628,91 @@ def floyd_warshall(w: np.ndarray) -> np.ndarray:
 
 
 def _close(d: np.ndarray) -> None:
-    """`floyd_warshall` in place on the square float64 array d."""
+    """`floyd_warshall` in place on the square float64 array d; a closure
+    with a derived excess bound is then recorded for `closure_excess_bound`.
+
+    Lemma.  Let w >= 0 be the weights with their diagonal set to 0, S the
+    exact shortest-path distances of w, D the float k-loop's result (any of
+    its bitwise-equal variants), n = len(D), u = 2^-53 and M = max D, finite.
+    Then
+        (1 - u)^n S <= D <= (1 + u)^max(n-2, 0) S,
+    and every triangle excess D(i, k) - fl(D(i, j) + D(j, k)) is at most
+        M ((1 + u)^max(n-2, 0) / (1 - u)^(n+1) - 1) < 2 n u M (1 + 2^-11)
+    when 2^-900 <= M <= 2^1000 and n <= 2^40.  Proof.  Every rounding of a
+    sum of floats a, b >= 0 gives fl(a + b) = (a + b)(1 + t), |t| <= u
+    (a sum in the subnormal range is exact), and a min picks one operand.
+      * Lower bound.  Step k sets D(i, j) to D(i, j) or to a rounded sum of
+        D(i, k) and D(k, j), so each entry after step k is a rounded sum of
+        the weights of some walk from i to j, over an evaluation tree of
+        depth at most k.  Its terms are >= 0, so each is scaled by at least
+        (1 - u)^n, and the walk weighs at least S(i, j).
+      * Upper bound.  By induction on k: after step k, D(i, j) <= (1 + u)^t
+        L(P) for every simple path P from i to j with t intermediate
+        vertices, all among the first k pivots.  With none, D(i, j) is the
+        weight or 0.  Otherwise split P at its largest intermediate vertex
+        v into P1 and P2 with t1 + t2 + 1 = t; at step v, D(i, j) <=
+        fl(D(i, v) + D(v, j)) <= (1 + u)((1 + u)^t1 L(P1) + (1 + u)^t2
+        L(P2)) <= (1 + u)^t L(P), and later steps only lower it.  A
+        shortest simple path has t <= n - 2.  No such sum overflows: it is
+        at most (1 + u)^n S <= 2M, since S <= D / (1 - u)^n.
+      * Excess.  S is exact, so S(i, k) <= S(i, j) + S(j, k) =: T.  An
+        excess that is positive has (1 - u)^(n+1) T <= fl(D(i, j) + D(j, k))
+        < D(i, k) <= M, and D(i, k) - fl(D(i, j) + D(j, k)) <= T ((1 + u)^a -
+        (1 - u)^(n+1)) with a = max(n - 2, 0), which gives the first form.
+        Its log is at most c = u (a + (n + 1) / (1 - u)) < 2nu for n >= 2
+        (at n = 1, M = 0), and e^c - 1 <= c / (1 - c) < 2nu (1 + 2^-11)
+        for n <= 2^40.
+    The bound is evaluated as (2n u) M (1 + 2^-10): 2nu is exact, and the
+    two roundings of a normal product cost less than the extra 2^-11.  The
+    sweep rounds its final subtraction monotonically, so the bound also
+    covers what `_min_plus_excess` measures.  At 900 points and M = 0.62 it
+    is about 1.2e-13.  A closure with an infinite entry, or with M outside
+    that range, gets no bound; M = 0 gets 0, since every entry is 0.
+    """
     if not (d >= 0).all():                  # also false on NaN
         raise ValueError("weights must be nonnegative and not NaN")
     np.fill_diagonal(d, 0.0)
     n = d.shape[0]
-    if n:
-        bits = d.view(np.uint64)
-        symmetric = np.array_equal(bits, bits.T)
-        with _row_blocks(n, 1) as (blocks, (cand,)):
-            if symmetric:
-                _floyd_warshall_upper(d, blocks, cand)
-            else:
-                for k in range(n):
-                    for lo, hi in blocks:
-                        np.add(d[lo:hi, k, None], d[k], out=cand[:hi - lo])
-                        np.minimum(d[lo:hi], cand[:hi - lo], out=d[lo:hi])
+    if not n:
+        return
+    bits = d.view(np.uint64)
+    symmetric = np.array_equal(bits, bits.T)
+    with _row_blocks(n, 1) as (blocks, (cand,)):
+        if symmetric:
+            _floyd_warshall_upper(d, blocks, cand)
+        else:
+            row = np.empty(n)
+            for k in range(n):
+                # row k as the step found it: its own block may turn a -0.0
+                # of it into d(k, k) + -0.0 = +0.0 before later blocks read it
+                row[:] = d[k]
+                for lo, hi in blocks:
+                    np.add(d[lo:hi, k, None], row, out=cand[:hi - lo])
+                    np.minimum(d[lo:hi], cand[:hi - lo], out=d[lo:hi])
+    top = float(d.max())
+    key = _content_key(d)
+    if key is None or n > 2 ** 40 or not (top == 0 or 2.0 ** -900 <= top <= 2.0 ** 1000):
+        return
+    with _CLOSURES_LOCK:
+        _CLOSURES.pop(key, None)
+        _CLOSURES[key] = (2 * n * 2.0 ** -53) * top * (1.0 + 2.0 ** -10)
+        while len(_CLOSURES) > _CLOSURES_KEPT:
+            del _CLOSURES[next(iter(_CLOSURES))]
+
+
+def closure_excess_bound(mat: np.ndarray) -> float | None:
+    """The derived triangle-excess bound of `_close`'s lemma when mat is
+    bitwise one of the last few shortest-path closures this process computed
+    (`floyd_warshall`, `perturb_metric`, `random_metric_space`), else None.
+
+    The match is by content, a sha256 of the bytes, so no caller can claim
+    the bound for a matrix: a restricted, edited or copied-and-changed
+    closure gets None and is swept.  Costs one hash, about 6 ms at 900
+    points.
+    """
+    key = _content_key(np.asarray(mat))
+    with _CLOSURES_LOCK:
+        return None if key is None else _CLOSURES.get(key)
 
 
 def _mirror_upper(a: np.ndarray) -> None:
@@ -632,22 +731,39 @@ def _floyd_warshall_upper(d: np.ndarray, blocks, cand: np.ndarray) -> None:
     d(j, k) + d(k, i) are the same IEEE sum, and the minimum then sees the
     same operands in the same order.  So each block (lo, hi) updates only its
     columns j >= lo, which hold every cell on or above the diagonal; the cells
-    left of a block go stale.  Row k is read from the start of step k: its
-    entries from its own block's first column on are current, and the stale
+    left of a block go stale.  Row k is the pivot of step k, and the same
+    vector serves as column k, equal to row k bit for bit.
+
+    The steps run in batches of _PIVOT_BATCH.  A batch first brings its
+    pivot rows up to date.  Each row k is read as it stood before the batch
+    (its entries from its own block's first column on are current, the stale
     ones left of it are read from column k above that block, which is
-    current and equal to them.  The same vector serves as column k, equal to
-    row k bit for bit.  At the end the stale cells are overwritten with exact
-    copies of their mirror images.
+    current and equal to them).  Then, for each step s of the batch in
+    order, every later pivot row k takes min(d(k, j), d(k, s) + d(s, j))
+    with the pivot row s, the serial step's update of row k; row s has by
+    then taken all the steps before s.  After that each block takes the
+    batch's steps in order while it is in cache.  Every cell so sees the serial
+    k-loop's operands in the serial order, and the result is bitwise the
+    same.  Tiled Floyd-Warshall is not: it updates a tile with d(i, k)
+    values that later pivots have already lowered.  At the end the stale
+    cells are overwritten with exact copies of their mirror images.
     """
     n = d.shape[0]
-    row = np.empty(n)
-    for klo, khi in blocks:
-        for k in range(klo, khi):
-            row[klo:] = d[k, klo:]
-            row[:klo] = d[:klo, k]
-            for lo, hi in blocks:
-                upper = d[lo:hi, lo:]
-                sums = cand.reshape(-1)[:upper.size].reshape(upper.shape)
+    starts = [lo for lo, hi in blocks for _ in range(lo, hi)]
+    pivots, steps = np.empty((2, _PIVOT_BATCH, n))
+    for k0 in range(0, n, _PIVOT_BATCH):
+        rows = pivots[:min(_PIVOT_BATCH, n - k0)]
+        for k, row in enumerate(rows, k0):
+            row[starts[k]:] = d[k, starts[k]:]
+            row[:starts[k]] = d[:starts[k], k]
+        for s in range(len(rows) - 1):
+            later, step = rows[s + 1:], steps[s + 1:len(rows)]
+            np.add(later[:, k0 + s, None], rows[s], out=step)
+            np.minimum(later, step, out=later)
+        for lo, hi in blocks:
+            upper = d[lo:hi, lo:]
+            sums = cand.reshape(-1)[:upper.size].reshape(upper.shape)
+            for row in rows:
                 np.add(row[lo:hi, None], row[None, lo:], out=sums)
                 np.minimum(upper, sums, out=upper)
     for lo, hi in blocks:
@@ -665,7 +781,9 @@ def perturb_metric(d: np.ndarray, amplitude: float, rng: np.random.Generator) ->
     The noise is drawn into the output, which is then scaled and closed in
     place, so the call holds no n x n array but d and its result.
     uniform(-b, b) never returns -0.0, so mirroring the upper triangle is
-    bitwise the symmetric sum of its strict upper triangle.
+    bitwise the symmetric sum of its strict upper triangle.  The result is a
+    closure, so `closure_excess_bound` gives its derived excess bound until
+    it is changed.
     """
     d = np.asarray(d, dtype=float)
     if amplitude < 0:
@@ -696,6 +814,10 @@ def make_grid_space(dims: Sequence[int], spacing: float, ground: str = "linf") -
     metric is built by row blocks with `_lattice_rows`; the space certifies
     its triangle inequality by `_lattice_excess`, not by a sweep.
     """
+    dims = list(dims)
+    bad = bad_indices(dims)
+    if bad:
+        raise ValueError(f"dims entry {bad[0]} ({dims[bad[0]]!r}) is not an integer")
     dims = [int(k) for k in dims]
     if not dims or any(k < 1 for k in dims):
         raise ValueError("dims must be a nonempty list of positive extents")
@@ -746,7 +868,7 @@ def restrict_space(space: FiniteMetricSpace, members: Sequence[int],
     nominal = space.nominal_dim
     if space.coords is not None:
         coords = space.coords[sub]
-        nominal = int(sum(len(np.unique(coords[:, a])) > 1 for a in range(coords.shape[1])))
+        nominal = int(np.count_nonzero(coords.min(axis=0) != coords.max(axis=0)))
     return FiniteMetricSpace(
         tuple(space.points[i] for i in sub),
         _Built(space.dist[np.ix_(sub, sub)]),

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import lipfree as lf
 from conftest import (net_cover_by_loops, prune_irredundant_by_unions,
                       verify_net_cover_by_loops)
+from lipfree import covers
 from lipfree.covers import CoverError, CoverFamily, _prune_irredundant
 
 
@@ -105,6 +108,21 @@ class TestBrickCover:
         assert fam.covers()
         assert lf.order(fam) <= 1
         assert fam.nominal_order_bound == 1
+
+    @pytest.mark.parametrize("dims, members", [
+        ([1], [0]), ([3, 3], [4]), ([1, 5], range(5)), ([4, 1, 3], range(12)),
+        ([4, 3], [0, 3, 6, 9]), ([3, 3, 3], [1, 4, 7]), ([2, 2], range(4)),
+    ])
+    def test_active_axes_are_the_varying_ones(self, dims, members):
+        # lattices with constant axes, and single points
+        space = lf.restrict_space(lf.make_grid_space(dims, 0.1), members)
+        coords = space.coords
+        want = [a for a in range(coords.shape[1]) if len(np.unique(coords[:, a])) > 1]
+        with mock.patch.object(covers, "_build_bricks", wraps=covers._build_bricks) as build:
+            fam = lf.brick_cover(space, 0.9)
+        assert all(call.args[1] == want for call in build.call_args_list)
+        assert fam.nominal_order_bound == len(want) == space.nominal_dim
+        assert fam.covers()
 
     def test_requires_coordinates(self):
         space = lf.random_metric_space(5, seed=0)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
+from lipfree import spaces
 from lipfree.extension import _adapted_excess_bound
 from lipfree.spaces import _min_plus_excess
 from conftest import (complement_distances_by_sets, lip_ball_vertices, line_space,
@@ -322,6 +323,28 @@ class TestPerturbedOperator:
             lip_bound = 4 * (2 * line_bundle.nc.order_bound + 3) / line_bundle.nc.eps
             for i in range(len(line_bundle.net)):
                 assert lf.lipschitz_constant(pb.pou.matrix[:, i], e) <= lip_bound + 1e-7
+
+    def test_perturbed_metric_is_certified_by_its_closure(self, grid_bundle, monkeypatch):
+        radius = lf.admission_radius(grid_bundle.nc.eps, grid_bundle.nc.order_bound)
+        e = lf.perturb_metric(grid_bundle.adapted, 0.9 * radius, np.random.default_rng(3))
+        swept = sweeps_of(monkeypatch)
+        assert lf.build_perturbed_operator(grid_bundle, e).passed
+        assert swept == []
+
+    def test_restricted_closure_is_swept(self, grid_bundle, monkeypatch):
+        # one more point, one unit from point 0, then the closure restricted
+        # back: the bound is for the closure, not for its part
+        n = grid_bundle.adapted.shape[0]
+        big = np.zeros((n + 1, n + 1))
+        big[:n, :n] = grid_bundle.adapted
+        big[n, :n] = big[:n, n] = grid_bundle.adapted[0] + 1.0
+        radius = lf.admission_radius(grid_bundle.nc.eps, grid_bundle.nc.order_bound)
+        closed = lf.perturb_metric(big, 0.9 * radius, np.random.default_rng(3))
+        assert spaces.closure_excess_bound(closed) is not None
+        part = closed[np.ix_(range(n), range(n))]
+        swept = sweeps_of(monkeypatch)
+        assert lf.build_perturbed_operator(grid_bundle, part).passed
+        assert swept == [(n, n)]
 
     def test_unit_ball_transfer_estimate(self):
         # every extreme profile for the perturbed metric stays nearly

@@ -436,13 +436,14 @@ class TestRowBlockScans:
 
 @st.composite
 def weight_matrices(draw):
-    """Nonnegative, possibly asymmetric weights with many ties, zeros and
-    missing edges (+inf), and a block of a few rows."""
+    """Nonnegative, possibly asymmetric weights with many ties, zeros of
+    both signs and missing edges (+inf), and a block of a few rows."""
     n = draw(st.integers(1, 150))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     w = rng.integers(0, draw(st.integers(1, 6)), (n, n)).astype(float)
     w[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = np.inf
+    w[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.1]))] = -0.0
     if draw(st.booleans()):
         w = np.minimum(w, w.T)
     return w, draw(st.integers(1, 5))
@@ -462,6 +463,28 @@ def symmetric_weights(draw):
     return w, draw(st.integers(1, 5))
 
 
+@st.composite
+def closure_weights(draw, symmetric=None):
+    """Nonnegative weights to close: uniform floats of three scales, a few
+    values with ties, or 1 + ulp steps, with zeros and missing edges (+inf);
+    bitwise symmetric or not (when `symmetric` is None), so both k-loops
+    run.  Sizes run from 1 to 40, most not a multiple of the pivot batch."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "ties", "ulps"]))
+    if kind == "uniform":
+        w = rng.uniform(0.0, draw(st.sampled_from([1e-3, 1.0, 1e6])), (n, n))
+    elif kind == "ties":
+        w = rng.integers(0, 4, (n, n)) * 0.1
+    else:
+        w = 1.0 + rng.integers(0, 4, (n, n)) * 2.0 ** -52
+    w[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.05, 0.5]))] = np.inf
+    w[rng.random((n, n)) < 0.05] = 0.0
+    if draw(st.booleans()) if symmetric is None else symmetric:
+        spaces._mirror_upper(w)
+    return w, draw(st.integers(1, 5))
+
+
 class TestFloydWarshall:
     @given(weight_matrices())
     @settings(max_examples=200, deadline=None)
@@ -469,7 +492,7 @@ class TestFloydWarshall:
         w, rows = case
         with mock.patch.object(spaces, "_BLOCK_CELLS", rows * w.shape[0]):
             got = lf.floyd_warshall(w)
-        assert np.array_equal(got, floyd_warshall_serial(w))
+        assert got.tobytes() == floyd_warshall_serial(w).tobytes()
 
     def test_default_blocks_match_the_serial_k_loop(self):
         w = lf.random_metric_space(300, seed=3).dist * \
@@ -486,6 +509,15 @@ class TestFloydWarshall:
             got = lf.floyd_warshall(w)
         assert got.tobytes() == floyd_warshall_serial(w).tobytes()
         assert upper.call_count == 1
+
+    @given(st.one_of(symmetric_weights(), closure_weights(symmetric=True)), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_pivot_batches_match_the_serial_k_loop(self, case, batch):
+        w, rows = case
+        with mock.patch.object(spaces, "_BLOCK_CELLS", rows * w.shape[0]), \
+                mock.patch.object(spaces, "_PIVOT_BATCH", batch):
+            got = lf.floyd_warshall(w)
+        assert got.tobytes() == floyd_warshall_serial(w).tobytes()
 
     @pytest.mark.parametrize("lower", [-0.0, np.nextafter(2.0, np.inf)])
     def test_bitwise_asymmetric_weights_take_the_full_sweep(self, lower, monkeypatch):
@@ -693,6 +725,17 @@ class TestGridSpace:
     def test_nominal_dimension_recorded(self):
         assert lf.make_grid_space([4, 4], 1.0).nominal_dim == 2
 
+    @pytest.mark.parametrize("dims, entry", [([3.7, True], 0), ([3, True], 1), ([2, 3.0], 1),
+                                             ([np.float64(2.0)], 0), (["3"], 0)])
+    def test_non_integer_dims_rejected(self, dims, entry):
+        # read with int() these built a smaller grid without a word
+        with pytest.raises(ValueError, match=rf"dims entry {entry} \("):
+            lf.make_grid_space(dims, 0.5)
+
+    def test_numpy_integer_dims_accepted(self):
+        space = lf.make_grid_space(np.array([3, 2]), 0.5)
+        assert space.n == 6 and space.nominal_dim == 2
+
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=3),
            st.sampled_from(["linf", "l1", "l2"]), st.sampled_from([1.0, 0.02, 0.1, 1 / 3, 7.5]))
     @settings(max_examples=100, deadline=None)
@@ -764,6 +807,17 @@ class TestRestrictAndJson:
         sub = lf.restrict_space(space, row)
         assert sub.nominal_dim == 1
         assert sub.n == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=3), data=st.data())
+    def test_nominal_dimension_counts_the_varying_axes(self, dims, data):
+        # lattices with constant axes, single points among them
+        space = lf.make_grid_space(dims, 0.5)
+        members = data.draw(st.lists(st.integers(0, space.n - 1), min_size=1, unique=True))
+        sub = lf.restrict_space(space, members)
+        coords = space.coords[sorted(members)]
+        assert sub.nominal_dim == sum(len(np.unique(coords[:, a])) > 1
+                                      for a in range(coords.shape[1]))
 
     def test_json_round_trip_bit_exact(self):
         space = lf.random_metric_space(6, seed=5)
@@ -945,6 +999,94 @@ class TestLatticeExcess:
         bound, peak = traced_peak(lambda: spaces._lattice_excess(grid_900.dist,
                                                                  grid_900.coords))
         assert bound == grid_900.excess and peak < ONE_900 / 2
+
+
+class TestClosureExcessBound:
+    """A shortest-path closure this process computed carries the derived
+    bound of `_close`'s lemma, found by its content; every other matrix
+    gets None."""
+
+    @given(closure_weights())
+    @settings(max_examples=200, deadline=None)
+    def test_bound_covers_the_sweep(self, case):
+        w, rows = case
+        with mock.patch.object(spaces, "_BLOCK_CELLS", rows * w.shape[0]):
+            d = lf.floyd_warshall(w)
+        bound = spaces.closure_excess_bound(d)
+        if np.isfinite(d).all():
+            assert 0.0 <= _min_plus_excess(d)[0] <= bound
+            assert bound <= 2.01 * len(d) * 2.0 ** -53 * d.max()
+        else:
+            assert bound is None
+
+    @pytest.mark.parametrize("dims, amplitude, ulps", [([10, 10], 0.01, 1), ([30, 30], 0.005, 3)])
+    def test_rounding_term_is_needed(self, dims, amplitude, ulps):
+        # perturbed lattice metrics measure an excess above `ulps` u M, which
+        # a bound without its rounding term, or with a smaller one, would miss
+        e = lf.perturb_metric(lf.make_grid_space(dims, 0.02).dist, amplitude,
+                              np.random.default_rng(7))
+        measured = _min_plus_excess(e)[0]
+        assert ulps * 2.0 ** -53 * e.max() < measured <= spaces.closure_excess_bound(e) < 1e-12
+
+    def test_the_match_is_by_content(self, monkeypatch):
+        e = lf.perturb_metric(lf.make_grid_space([6, 6], 0.1).dist, 0.05,
+                              np.random.default_rng(3))
+        bound = spaces.closure_excess_bound(e)
+        assert bound is not None
+        assert spaces.closure_excess_bound(e.copy()) == bound
+        assert spaces.closure_excess_bound(e.tolist()) == bound
+        assert spaces.closure_excess_bound(np.asfortranarray(e)) is None
+        assert spaces.closure_excess_bound(e.astype(np.float32)) is None
+        edited = e.copy()
+        edited[3, 8] = edited[8, 3] = np.nextafter(edited[3, 8], 1.0)
+        assert spaces.closure_excess_bound(edited) is None
+        calls = sweeps_of(monkeypatch)
+        report = lf.validate_metric(edited, excess_bound=spaces.closure_excess_bound(edited))
+        assert calls == [(36, 36)] and report.excess == _min_plus_excess(edited)[0]
+
+    def test_only_the_last_closures_are_kept(self):
+        rng = np.random.default_rng(11)
+        first = lf.floyd_warshall(rng.uniform(0.5, 1.5, (5, 5)))
+        assert spaces.closure_excess_bound(first) is not None
+        for _ in range(spaces._CLOSURES_KEPT):
+            lf.floyd_warshall(rng.uniform(0.5, 1.5, (5, 5)))
+        assert spaces.closure_excess_bound(first) is None
+
+    def test_concurrent_closures_keep_the_table_whole(self):
+        # more threads than cores, switching often: no closure fails, each
+        # lookup of a closure just made gives its bound or, once evicted,
+        # None, and the table is never seen past its size
+        found, errors = [], []
+
+        def run(k):
+            rng = np.random.default_rng(k)
+            try:
+                for _ in range(1000):
+                    d = lf.floyd_warshall(rng.uniform(0.5, 1.5, (3, 3)))
+                    bound = spaces.closure_excess_bound(d)
+                    assert bound is None or bound >= _min_plus_excess(d)[0]
+                    with spaces._CLOSURES_LOCK:
+                        assert len(spaces._CLOSURES) <= spaces._CLOSURES_KEPT
+                    found.append(bound is not None)
+            except Exception as err:        # reported below, with the thread's others
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert errors == [] and len(found) == 4000 and any(found)
+
+    def test_matrices_no_closure_made_get_none(self):
+        assert spaces.closure_excess_bound(lf.make_grid_space([4, 4], 0.1).dist) is None
+        assert spaces.closure_excess_bound(np.zeros(3)) is None
 
 
 class TestExcessBoundArgument:
