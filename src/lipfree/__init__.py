@@ -7,7 +7,7 @@ from .spaces import (DEFAULT_TOL, DensityReport, FiniteMetricSpace, MetricError,
                      restrict_space, set_distance, space_from_json,
                      sup_distance, truncate, validate_metric,
                      validate_pseudometric)
-from .lp import LinearProgram, LpError, LpSolution, solve
+from .lp import LinearProgram, LpError, LpSolution, ProgramStack, solve, solve_stack
 from .freenorm import (AdmissionError, MetricExtension, MetricExtensionError,
                        WeightOperator, free_norms, lipschitz_constant,
                        metric_extension_lp, molecule_norm_matrix, operator_norm)

@@ -69,30 +69,37 @@ def lipschitz_constant(values, d: np.ndarray) -> float:
 # free-space norm
 
 
-def _dual_norm(weights: np.ndarray, d_sub: np.ndarray) -> float:
-    """LP value for weights over points 0..q-1 with the base at index q.
+def _dual_norms(weights: np.ndarray, d_subs: np.ndarray) -> np.ndarray:
+    """LP values for the rows of weights (k x q), row p over points 0..q-1
+    with the base at index q.
 
-    d_sub is the (q+1) x (q+1) metric on support + base, base last.  The rows
-    are f_i - f_j <= d(i, j) for i != j in row-major order, then
-    f_i <= d(i, base) and -f_i <= d(base, i) for each i.
+    d_subs[p] is the (q+1) x (q+1) metric on support + base of row p, base
+    last.  The rows of every program are f_i - f_j <= d(i, j) for i != j in
+    row-major order, then f_i <= d(i, base) and -f_i <= d(base, i) for each
+    i; they depend on q alone, so they are built once and the k programs are
+    solved as one `lpmod.ProgramStack`.  Each program must end optimal within
+    its own residual limit.
     """
-    q = len(weights)
+    k, q = weights.shape
     if q == 0:
-        return 0.0
+        return np.zeros(k)
     eye = np.eye(q)
     i, j = np.nonzero(~np.eye(q, dtype=bool))
-    prog = lpmod.LinearProgram(
-        objective=np.asarray(weights, dtype=float),
+    stack = lpmod.ProgramStack(
+        objective=weights,
         rows=np.vstack([eye[i] - eye[j], np.stack([eye, -eye], axis=1).reshape(2 * q, q)]),
-        rhs=np.concatenate([d_sub[i, j], np.stack([d_sub[:q, q], d_sub[q, :q]], axis=1).ravel()]),
+        rhs=np.concatenate([d_subs[:, i, j], np.stack([d_subs[:, :q, q], d_subs[:, q, :q]],
+                                                      axis=2).reshape(k, 2 * q)], axis=1),
     )
-    sol = lpmod.solve(prog)
-    if sol.status != "optimal":
-        raise lpmod.LpError(f"norm LP ended with status {sol.status}")
-    allowed = lpmod.SOLVER_TOL * max(1.0, float(np.abs(prog.rhs).max()))
-    if sol.max_violation > allowed:
-        raise lpmod.LpError(f"norm LP residual {sol.max_violation:.3g} exceeds {allowed:.3g}")
-    return max(sol.value, 0.0)
+    out = np.empty(k)
+    for p, sol in enumerate(lpmod.solve_stack(stack)):
+        if sol.status != "optimal":
+            raise lpmod.LpError(f"norm LP ended with status {sol.status}")
+        allowed = lpmod.SOLVER_TOL * max(1.0, float(np.abs(stack.rhs[p]).max()))
+        if sol.max_violation > allowed:
+            raise lpmod.LpError(f"norm LP residual {sol.max_violation:.3g} exceeds {allowed:.3g}")
+        out[p] = max(sol.value, 0.0)
+    return out
 
 
 def _sparse_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,25 +175,31 @@ def _triage(cols: np.ndarray, vals: np.ndarray, d: np.ndarray,
     return value, needs_lp
 
 
-def _lp_norm(cols: np.ndarray, vals: np.ndarray, d: np.ndarray, base: int,
-             memo: dict) -> float:
-    """LP norm of one sparse row (cols, vals) whose base entry is zero,
+def _lp_norms(cols: np.ndarray, vals: np.ndarray, d: np.ndarray, base: int,
+              memo: dict) -> np.ndarray:
+    """LP norms of the sparse rows (cols, vals), whose base entries are zero,
     memoised in memo.
 
-    The key is the exact bytes of the support and of its weights, in column
-    order, as a dense row's `flatnonzero` would give them; with d fixed per
-    memo, equal keys pose the same LP, which the deterministic simplex answers
-    identically.
+    A row's key is the exact bytes of its support and of its weights, in
+    column order, as a dense row's `flatnonzero` would give them; with d
+    fixed per memo, equal keys pose the same LP, which the deterministic
+    simplex answers identically.  The keys missing from memo are solved
+    once each, grouped by support size, one `_dual_norms` call per group.
     """
-    keep = vals != 0.0
-    support = cols[keep]
-    weights = vals[keep]
-    key = (support.tobytes(), weights.tobytes())
-    value = memo.get(key)
-    if value is None:
-        sub = np.append(support, base)
-        value = memo[key] = _dual_norm(weights, d[np.ix_(sub, sub)])
-    return value
+    keys = []
+    groups: dict = {}           # support size -> {key: (support, weights)}
+    for c, v, keep in zip(cols, vals, vals != 0.0):
+        support, weights = c[keep], v[keep]
+        key = (support.tobytes(), weights.tobytes())
+        keys.append(key)
+        if key not in memo:
+            groups.setdefault(len(support), {})[key] = (support, weights)
+    for group in groups.values():
+        subs = np.array([np.append(support, base) for support, _ in group.values()])
+        values = _dual_norms(np.array([weights for _, weights in group.values()]),
+                             d[subs[:, :, None], subs[:, None, :]])
+        memo.update(zip(group, values.tolist()))
+    return np.array([memo[key] for key in keys], dtype=float)
 
 
 def _row_norms(cols: np.ndarray, vals: np.ndarray, d: np.ndarray, base: int,
@@ -196,11 +209,11 @@ def _row_norms(cols: np.ndarray, vals: np.ndarray, d: np.ndarray, base: int,
 
     The base entries never matter and are zeroed in place.  `_triage` answers
     zero, single-point and exact two-point rows; every other row solves the
-    norm LP once per distinct (support, weights) in memo.
+    norm LP once per distinct (support, weights) in memo, all in one
+    `_lp_norms` call.
     """
     value, needs_lp = _triage(cols, vals, d, base)
-    for r in np.flatnonzero(needs_lp):
-        value[r] = _lp_norm(cols[r], vals[r], d, base, memo)
+    value[needs_lp] = _lp_norms(cols[needs_lp], vals[needs_lp], d, base, memo)
     return value
 
 
@@ -379,11 +392,13 @@ def molecule_norm_matrix(op: WeightOperator, d: np.ndarray) -> np.ndarray:
     subordinate to a cover of order r has at most r + 1 nonzeros per row.
     The differences of a block of pairs (`_pair_blocks`) are merged from them
     by `_difference`, bitwise the dense differences on every column, and
-    passed to `_row_norms`, which answers zero, single-point and exact
-    two-point molecules by their norm identities and solves the norm LP once
-    per distinct (support, weights) in this call, the same set of LPs as a
-    sweep over all pairs.  So every entry is the one the dense per-pair
-    sweep gives.
+    triaged: zero, single-point and exact two-point molecules are answered
+    by their norm identities.  The rows every block leaves to the LP are
+    then passed to one `_lp_norms` call, which solves the norm LP once per
+    distinct (support, weights) of the whole sweep, the same set of LPs as
+    a sweep over all pairs, in stacks of programs that share a support
+    size.  A stacked solve is bitwise a solve alone, so every entry is the
+    one the dense per-pair sweep gives.
     """
     _, d_a, base = _metrics(op, d)
     n, m = op.matrix.shape
@@ -394,10 +409,14 @@ def molecule_norm_matrix(op: WeightOperator, d: np.ndarray) -> np.ndarray:
     np.maximum.at(last, cls, np.arange(n))
     cols, vals = _sparse_rows(op.matrix[reps])
     table = np.zeros((len(reps), len(reps)))
-    memo: dict = {}
+    lp_parts = []
     for a, b in _pair_blocks(reps, last):
-        table[a, b] = _row_norms(*_difference(cols[a], vals[a], cols[b], vals[b], m),
-                                 d_a, base, memo)
+        c, v = _difference(cols[a], vals[a], cols[b], vals[b], m)
+        table[a, b], needs_lp = _triage(c, v, d_a, base)
+        lp_parts.append((a[needs_lp], b[needs_lp], c[needs_lp], v[needs_lp]))
+    if lp_parts:
+        a, b, c, v = map(np.concatenate, zip(*lp_parts))
+        table[a, b] = _lp_norms(c, v, d_a, base, {})
     out = np.empty((n, n))
     for x in range(n):
         out[x, x:] = table[cls[x], cls[x:]]

@@ -14,13 +14,13 @@ except on three matrices the library builds from parts it has already
 checked.  Those are certified by a derived upper bound on their triangle
 excess: a space's lattice metric, matched entry for entry against its integer
 `coords` (`_lattice_excess`), the adapted metric of an extension bundle
-(`extension._adapted_excess_bound`), and a perturbed metric, which is a
-shortest-path closure this process computed and is found by its content
-(`closure_excess_bound`, with the lemma in `_close`).  Checking that a
-matrix is its own closure would be a sweep, but the float k-loop's error is
-bounded by counting the depth of its sums.  Every other matrix is swept:
-inline metrics that match no lattice, random spaces, and any closure that
-was restricted or edited after it was made.
+(`extension._adapted_excess_bound`), and a shortest-path closure this process
+computed, such as a perturbed metric or a random space's metric, which is
+found by its content (`closure_excess_bound`, with the lemma in `_close`).
+Checking that a matrix is its own closure would be a sweep, but the float
+k-loop's error is bounded by counting the depth of its sums.  Every other
+matrix is swept: inline metrics that match no lattice and no closure, and any
+closure that was restricted or edited after it was made.
 """
 
 from __future__ import annotations
@@ -252,9 +252,9 @@ def validate_metric(mat: np.ndarray, allow_zero: bool = False,
     construction gives one.  A bound of at most DEFAULT_TOL stands in for
     the sweep, since no triangle can then fail; a larger one is ignored and
     the sweep decides, with its witness.  Only `FiniteMetricSpace` for a
-    lattice metric, `build_extension_bundle` for the adapted metric and
-    `build_perturbed_operator` for a perturbed metric (`closure_excess_bound`)
-    pass one; every other matrix is swept.  The report's `excess` is the
+    lattice metric or a closure, `build_extension_bundle` for the adapted
+    metric and `build_perturbed_operator` for a perturbed metric
+    (`closure_excess_bound`) pass one; every other matrix is swept.  The report's `excess` is the
     value used.
     """
     mat = np.asarray(mat, dtype=float)
@@ -426,8 +426,11 @@ class FiniteMetricSpace:
     the points, the metric bytes and the base point, and `excess`, the
     triangle excess its validation used (`ValidationReport.excess`).  When
     coords are given and dist is their lattice metric, that is the derived
-    bound of `_lattice_excess` and the O(n^3) sweep is skipped.  The matrix
-    is copied, unless one of this module's builders hands it over.
+    bound of `_lattice_excess`; otherwise, when dist is bitwise a closure
+    this process computed (`random_metric_space`, `floyd_warshall`), it is
+    the derived bound of `closure_excess_bound`.  Either skips the O(n^3)
+    sweep.  The matrix is copied, unless one of this module's builders
+    hands it over.
     """
 
     points: tuple[str, ...]
@@ -453,6 +456,8 @@ class FiniteMetricSpace:
         bound = None
         if self.coords is not None and d.shape == (len(pts), len(pts)):
             bound = _lattice_excess(d, self.coords)
+        if bound is None:
+            bound = closure_excess_bound(d)
         report = require_metric(d, what="space metric", excess_bound=bound)
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)

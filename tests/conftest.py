@@ -69,9 +69,14 @@ def lip_ball_vertices(d_a: np.ndarray, base_pos: int) -> np.ndarray:
 
 
 def lp_norm_dense(c: np.ndarray, d: np.ndarray, base: int, memo: dict) -> float:
-    """`freenorm._lp_norm` of a dense weight row whose base entry is zero."""
+    """`freenorm._lp_norms` of one dense weight row whose base entry is zero."""
     support = np.flatnonzero(c)
-    return fn._lp_norm(support, c[support], d, base, memo)
+    return fn._lp_norms(support[None], c[support][None], d, base, memo)[0]
+
+
+def dual_norm(weights, d_sub: np.ndarray) -> float:
+    """`freenorm._dual_norms` of one weight vector, a stack of one program."""
+    return fn._dual_norms(np.asarray(weights, dtype=float)[None], d_sub[None])[0]
 
 
 def dense_rows(cols: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
@@ -99,7 +104,82 @@ def solve_with_scipy(prog):
     status = {0: "optimal", 3: "unbounded"}.get(res.status)
     if status is None:
         raise lpmod.LpError(f"scipy backend failed: {res.message}")
-    return lpmod._solution(prog, status, np.asarray(res.x, dtype=float), int(res.nit), 0.0)
+    return serial_solution(prog, status, np.asarray(res.x, dtype=float), int(res.nit), 0.0)
+
+
+# The one-program simplex of earlier versions, tableau by tableau: the oracle
+# the stacked engine of `lipfree.lp` must match bit for bit.
+
+def serial_pivot(tab: np.ndarray, r: int, col: int) -> None:
+    tab[r] /= tab[r, col]
+    factors = tab[:, col].copy()
+    factors[r] = 0.0
+    tab -= np.outer(factors, tab[r])
+    tab[:, col] = 0.0
+    tab[r, col] = 1.0
+
+
+def serial_bland_loop(tab: np.ndarray, basis: list, max_iter: int) -> tuple[str, int, float]:
+    """Simplex iterations on a tableau whose last row is the cost row: the
+    status, the iteration count and the largest drift the rhs clip removed."""
+    m = len(basis)
+    it = 0
+    clipped = 0.0
+    while True:
+        cost = tab[-1, :-1]
+        eligible = np.flatnonzero(cost < -lpmod.PIVOT_TOL)
+        if eligible.size == 0:
+            return "optimal", it, clipped
+        col = int(eligible[0])
+        colvals = tab[:m, col]
+        pos = np.flatnonzero(colvals > lpmod.PIVOT_TOL)
+        if pos.size == 0:
+            return "unbounded", it, clipped
+        ratios = tab[pos, -1] / colvals[pos]
+        best = ratios.min()
+        ties = pos[np.flatnonzero(ratios <= best + 0.0)]
+        r = int(min(ties, key=lambda i: basis[i]))
+        serial_pivot(tab, r, col)
+        basis[r] = col
+        clipped = max(clipped, -float(tab[:m, -1].min()))
+        np.clip(tab[:m, -1], 0.0, None, out=tab[:m, -1])
+        it += 1
+        if it > max_iter:
+            raise lpmod.LpError(f"simplex exceeded {max_iter} iterations")
+
+
+def serial_solution(prog, status: str, x: np.ndarray, iterations: int,
+                    clipped: float) -> lpmod.LpSolution:
+    if status != "optimal":
+        return lpmod.LpSolution(status, float("nan"), np.full(len(prog.objective), np.nan),
+                                float("inf"), iterations)
+    worst = float((prog.rows @ x - prog.rhs).max()) if len(prog.rhs) else 0.0
+    return lpmod.LpSolution("optimal", float(prog.objective @ x), x,
+                            max(0.0, worst, clipped), iterations)
+
+
+def solve_serial(prog) -> lpmod.LpSolution:
+    """The program alone on its own tableau, from the slack basis."""
+    m, n = prog.rows.shape
+    total = 2 * n + m
+    tab = np.zeros((m + 1, total + 1))
+    tab[:m, 0:2 * n:2] = prog.rows + 0.0
+    tab[:m, 1:2 * n:2] = 0.0 - prog.rows
+    tab[:m, 2 * n:total] = np.eye(m)
+    tab[:m, -1] = prog.rhs
+    tab[-1, 0:2 * n:2] = -prog.objective
+    tab[-1, 1:2 * n:2] = prog.objective
+    basis = list(range(2 * n, total))
+    status, iterations, clipped = serial_bland_loop(tab, basis, 20000 + 200 * (m + total))
+    z = np.zeros(total)
+    z[basis] = tab[:m, -1]
+    return serial_solution(prog, status, z[0:2 * n:2] - z[1:2 * n:2], iterations, clipped)
+
+
+def solution_bytes(sol: lpmod.LpSolution) -> tuple:
+    """Every field of an LpSolution, floats as their bytes."""
+    return (sol.status, np.float64(sol.value).tobytes(), sol.assignment.tobytes(),
+            np.float64(sol.max_violation).tobytes(), sol.iterations)
 
 
 def free_norm_by_vertices(weights: np.ndarray, d_a: np.ndarray, base_pos: int) -> float:
@@ -143,7 +223,7 @@ def molecule_norms_by_pairs(op, d_a: np.ndarray) -> np.ndarray:
             val = float(d_a[nz[0], nz[1]])
         else:
             sub = nz + [base]
-            val = lf.freenorm._dual_norm(c[nz], d_a[np.ix_(sub, sub)])
+            val = dual_norm(c[nz], d_a[np.ix_(sub, sub)])
         out[x, y] = out[y, x] = val
     return out
 

@@ -8,10 +8,11 @@ from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
 from lipfree import freenorm as fn, gluing as gluemod, lp as lpmod
-from conftest import (ONE_900, dense_rows, free_norm_by_vertices, free_space_norm,
-                      lipschitz_constant_dense, line_space, molecule_norm_matrix_dense,
-                      molecule_norms_by_pairs, operator_norm_by_molecules,
-                      operator_norm_by_ratio_vector, operator_norm_dense, traced_peak,
+from conftest import (ONE_900, dense_rows, dual_norm, free_norm_by_vertices,
+                      free_space_norm, lipschitz_constant_dense, line_space,
+                      molecule_norm_matrix_dense, molecule_norms_by_pairs,
+                      operator_norm_by_molecules, operator_norm_by_ratio_vector,
+                      operator_norm_dense, solution_bytes, solve_serial, traced_peak,
                       triage_dense)
 
 
@@ -104,7 +105,7 @@ class TestFreeSpaceNorm:
             fast = free_space_norm(space, w)
             others = [i for i in range(space.n) if i != space.base_index]
             sub = others + [space.base_index]
-            slow = fn._dual_norm(w[others], space.dist[np.ix_(sub, sub)])
+            slow = dual_norm(w[others], space.dist[np.ix_(sub, sub)])
             assert fast == pytest.approx(slow, abs=1e-8)
 
     def test_agrees_with_vertex_enumeration(self):
@@ -145,14 +146,57 @@ class TestFreeSpaceNorm:
         assert norm == pytest.approx(free_space_norm(space, w2), abs=1e-12)
 
     def test_norm_lp_residual_rejected(self, monkeypatch):
-        real = lpmod.solve
+        real = lpmod.solve_stack
 
-        def sloppy(prog):
-            return dataclasses.replace(real(prog), max_violation=1e-6)
+        def sloppy(stack):
+            return [dataclasses.replace(sol, max_violation=1e-6) for sol in real(stack)]
 
-        monkeypatch.setattr(lpmod, "solve", sloppy)
+        monkeypatch.setattr(lpmod, "solve_stack", sloppy)
         with pytest.raises(lf.LpError, match="residual"):
             free_space_norm(line_space([0.0, 1.0, 3.0]), [0.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("sloppy_index", [0, 1, 4])
+    def test_each_program_of_a_stack_has_its_residual_checked(self, monkeypatch,
+                                                              sloppy_index):
+        real = lpmod.solve_stack
+
+        def sloppy(stack):
+            sols = real(stack)
+            sols[sloppy_index] = dataclasses.replace(sols[sloppy_index], max_violation=1e-6)
+            return sols
+
+        d = line_space([0.0, 1.0, 3.0, 4.5]).dist
+        weights = np.array([[1.0, 0.5, 0.25], [0.5, -1.0, 2.0], [1.0, 1.0, 1.0],
+                            [0.0, 2.0, -0.5], [3.0, 0.0, 1.0]])
+        assert np.all(fn._dual_norms(weights, np.stack([d] * 5)) > 0.0)
+        monkeypatch.setattr(lpmod, "solve_stack", sloppy)
+        with pytest.raises(lf.LpError, match="residual"):
+            fn._dual_norms(weights, np.stack([d] * 5))
+
+    @given(st.integers(0, 2**16), st.integers(1, 5), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_norm_lps_are_the_serial_ones(self, seed, q, k):
+        # each program of a stack as earlier versions posed and solved it
+        # alone: its own LinearProgram on the one-program simplex
+        rng = np.random.default_rng(seed)
+        d = lf.random_metric_space(q + 3, seed=seed).dist
+        subs = np.array([np.append(rng.choice(np.arange(1, q + 3), q, replace=False), 0)
+                         for _ in range(k)])
+        weights = np.where(rng.random((k, q)) < 0.5, rng.integers(-2, 3, (k, q)),
+                           np.round(rng.normal(size=(k, q)), 2)).astype(float)
+        d_subs = d[subs[:, :, None], subs[:, None, :]]
+        got = fn._dual_norms(weights, d_subs)
+        eye = np.eye(q)
+        i, j = np.nonzero(~np.eye(q, dtype=bool))
+        for p in range(k):
+            prog = lf.LinearProgram(
+                objective=weights[p],
+                rows=np.vstack([eye[i] - eye[j], np.stack([eye, -eye], axis=1).reshape(2 * q, q)]),
+                rhs=np.concatenate([d_subs[p][i, j], np.stack([d_subs[p][:q, q], d_subs[p][q, :q]],
+                                                              axis=1).ravel()]))
+            sol = solve_serial(prog)
+            assert solution_bytes(lpmod.solve(prog)) == solution_bytes(sol)
+            assert got[p].tobytes() == np.float64(max(sol.value, 0.0)).tobytes()
 
 
 class TestMcShane:
@@ -418,14 +462,16 @@ def lp_pair_rows(op, d_a):
 
 
 def count_solves(monkeypatch):
+    """A list that gets a 1 for every program solved through
+    `lpmod.solve_stack` while the patch holds."""
     calls = []
-    real = lpmod.solve
+    real = lpmod.solve_stack
 
-    def counted(prog):
-        calls.append(1)
-        return real(prog)
+    def counted(stack):
+        calls.extend([1] * len(stack.objective))
+        return real(stack)
 
-    monkeypatch.setattr(lpmod, "solve", counted)
+    monkeypatch.setattr(lpmod, "solve_stack", counted)
     return calls
 
 
@@ -476,7 +522,7 @@ class TestMoleculeNormLayer:
             c, v = lp_pair_rows(op, d_a)
             base = op.base_position
             bounds = fn._ratio_upper_bounds(c, v, d_a, base, np.ones(len(c)))
-            norms = np.array([fn._lp_norm(cr, vr, d_a, base, {}) for cr, vr in zip(c, v)])
+            norms = fn._lp_norms(c, v, d_a, base, {})
             assert np.all(bounds >= norms)
             checked += len(c)
         assert checked > 1000
@@ -527,8 +573,8 @@ class TestMoleculeNormLayer:
         b = np.array([0.0, 0.0, 0.0, 0.5, 0.0, 0.0])
         op = lf.WeightOperator(space, tuple(range(6)), np.array([a, b, a, b, a, b]))
         support = np.flatnonzero(a - b)
-        forward = fn._lp_norm(support, (a - b)[support], space.dist, 0, {})
-        backward = fn._lp_norm(support, (b - a)[support], space.dist, 0, {})
+        forward = fn._lp_norms(support[None], (a - b)[support][None], space.dist, 0, {})[0]
+        backward = fn._lp_norms(support[None], (b - a)[support][None], space.dist, 0, {})[0]
         assert forward != backward
         got = lf.molecule_norm_matrix(op, space.dist)
         assert got[0, 1] == got[1, 0] == forward and got[1, 2] == got[2, 1] == backward

@@ -1084,6 +1084,18 @@ class TestClosureExcessBound:
         assert not any(t.is_alive() for t in callers)
         assert errors == [] and len(found) == 4000 and any(found)
 
+    def test_random_spaces_skip_the_sweep(self, monkeypatch):
+        calls = sweeps_of(monkeypatch)
+        space = lf.random_metric_space(40, seed=4)
+        assert calls == []
+        assert space.excess == spaces.closure_excess_bound(space.dist)
+        assert _min_plus_excess(space.dist)[0] <= space.excess < 1e-13
+        calls.clear()
+        edited = space.dist.copy()
+        edited[3, 8] = edited[8, 3] = np.nextafter(edited[3, 8], 0.0)
+        again = lf.FiniteMetricSpace(space.points, edited)
+        assert calls == [(40, 40)] and again.excess == _min_plus_excess(edited)[0]
+
     def test_matrices_no_closure_made_get_none(self):
         assert spaces.closure_excess_bound(lf.make_grid_space([4, 4], 0.1).dist) is None
         assert spaces.closure_excess_bound(np.zeros(3)) is None
