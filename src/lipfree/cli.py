@@ -49,7 +49,7 @@ from . import certs as certsmod
 from . import covers as coversmod
 from . import extension as extmod
 from . import gluing as gluemod
-from .spaces import perturb_metric, set_distance, space_from_json, sup_distance
+from .spaces import bad_indices, perturb_metric, set_distance, space_from_json, sup_distance
 
 
 class ConfigError(ValueError):
@@ -61,6 +61,18 @@ def _get(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"config needs a '{key}' entry")
     return cfg[key]
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; a ConfigError that names the entry when it is not an
+    integer (`bad_indices`), since int() would read 1.9 or true as 1."""
+    if bad_indices([value]):
+        raise ConfigError(f"config entry '{name}' must be an integer, got {value!r}")
+    return int(value)
+
+
+def _n_schedule(cfg: dict) -> list[int]:
+    return [_integer(n, f"n_schedule[{i}]") for i, n in enumerate(_get(cfg, "n_schedule"))]
 
 
 def _load_config(args) -> dict:
@@ -81,7 +93,7 @@ def _space_from_config(cfg: dict):
 def _require_seed(cfg: dict) -> int:
     if "seed" not in cfg:
         raise ConfigError("config performs a randomized step and must carry a seed")
-    return int(cfg["seed"])
+    return _integer(cfg["seed"], "seed")
 
 
 # One-shot encode() of an encoder without indent runs CPython's C encoder.
@@ -166,7 +178,7 @@ def _eps_schedule(cfg: dict) -> list[tuple[str, float]]:
         return [(str(e), float(e)) for e in cfg["eps_schedule"]]
     if "nu" in cfg and "n_schedule" in cfg:
         nu = float(cfg["nu"])
-        return [(str(n), _stage_eps(nu, int(n))) for n in cfg["n_schedule"]]
+        return [(str(n), _stage_eps(nu, n)) for n in _n_schedule(cfg)]
     raise ConfigError("config needs eps_schedule or (nu, n_schedule)")
 
 
@@ -197,8 +209,8 @@ def cmd_extend(args) -> int:
     space = _space_from_config(cfg)
     schedule = _eps_schedule(cfg)
     perturb_cfg = cfg.get("perturbations", {})
-    count = int(perturb_cfg.get("count", 0))
-    seed = _require_seed(cfg) if count else int(cfg.get("seed", 0))
+    count = _integer(perturb_cfg.get("count", 0), "perturbations.count")
+    seed = _require_seed(cfg) if count else _integer(cfg.get("seed", 0), "seed")
     ok = True
     for label, eps in schedule:
         nc = coversmod.build_net_cover(space, eps)
@@ -246,9 +258,9 @@ def cmd_extend(args) -> int:
 def cmd_glue(args) -> int:
     cfg = _load_config(args)
     space = _space_from_config(cfg)
-    gcfg = gluemod.GluingConfig(space, tuple(_get(cfg, "k")), int(_get(cfg, "dim_k")),
+    gcfg = gluemod.GluingConfig(space, tuple(_get(cfg, "k")), _get(cfg, "dim_k"),
                                 tuple(_get(cfg, "thresholds")))
-    n = int(cfg.get("n", 1))
+    n = _integer(cfg.get("n", 1), "n")
     if "eps" in cfg:
         eps = float(cfg["eps"])
     else:
@@ -259,8 +271,8 @@ def cmd_glue(args) -> int:
         eps = min(nu / 5.0, set_distance(space.dist, gcfg.k, exh[n - 1]))
     bundle = gluemod.build_gluing_bundle(gcfg, n, eps)
     probes = cfg.get("probes", {})
-    count = int(probes.get("count", 1))
-    seed = _require_seed(cfg) if count else int(cfg.get("seed", 0))
+    count = _integer(probes.get("count", 1), "probes.count")
+    seed = _require_seed(cfg) if count else _integer(cfg.get("seed", 0), "seed")
     rng = np.random.default_rng(seed)
     radius = gluemod.probe_radius(eps, gcfg.dim_k)
     bound = gluemod.glued_norm_bound(gcfg.dim_k)
@@ -307,11 +319,10 @@ def cmd_bap(args) -> int:
     space = _space_from_config(cfg)
     nu = float(cfg.get("nu", 1.0))
     envelope = float(cfg.get("envelope", 4.0))
-    seed = int(cfg.get("seed", 0))
+    seed = _integer(cfg.get("seed", 0), "seed")
     stages = []
     bound = None
-    for n in _get(cfg, "n_schedule"):
-        n = int(n)
+    for n in _n_schedule(cfg):
         eps = _stage_eps(nu, n)
         nc = coversmod.build_net_cover(space, eps)
         bundle = extmod.build_extension_bundle(nc)
@@ -338,7 +349,7 @@ def cmd_perturb(args) -> int:
     space = _space_from_config(cfg)
     seed = _require_seed(cfg)
     amplitude = float(_get(cfg, "amplitude"))
-    count = int(cfg.get("count", 1))
+    count = _integer(cfg.get("count", 1), "count")
     rng = np.random.default_rng(seed)
     for i in range(count):
         e = perturb_metric(space.dist, amplitude, rng)

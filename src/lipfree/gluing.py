@@ -35,7 +35,7 @@ from .extension import (BundleError, ExtensionBundle, PerturbedBundle,
                         perturbed_norm_bound)
 from .freenorm import (AdmissionError, WeightOperator, lipschitz_constant,
                        metric_extension_lp, operator_norm)
-from .spaces import (DEFAULT_TOL, FiniteMetricSpace, as_indices,
+from .spaces import (DEFAULT_TOL, FiniteMetricSpace, as_indices, bad_indices,
                      dist_to_set_all, restrict_space, set_distance,
                      sup_distance, truncate, validate_metric)
 
@@ -74,6 +74,9 @@ class GluingConfig:
             raise ValueError("core subset must be nonempty")
         if self.space.base_index not in k:
             raise ValueError("base point must belong to the core subset")
+        if bad_indices([self.dim_k]):
+            raise ValueError(f"dim_k must be an integer, got {self.dim_k!r}")
+        object.__setattr__(self, "dim_k", int(self.dim_k))
         if self.dim_k < 0:
             raise ValueError("dim_k must be nonnegative")
         ts = tuple(float(t) for t in self.thresholds)
@@ -211,7 +214,7 @@ def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float) -> GluingBundle:
         tuple(np.searchsorted(v_indices, net).tolist()),
         tuple(tuple(int(i) for i in np.flatnonzero(col)) for col in member[in_v].T),
         float(eps),
-        int(cfg.dim_k),
+        cfg.dim_k,
     )
     nc_cert = verify_net_cover(nc_v)
     if not nc_cert.passed:

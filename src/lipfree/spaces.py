@@ -10,17 +10,17 @@ result: the one-scratch rule, kept by the row-block engine below.
 
 Validation scans every matrix in O(n^2) for the axioms other than the
 triangle inequality.  The triangle inequality costs an O(n^3) min-plus sweep,
-except on three matrices the library builds from parts it has already
-checked.  Those are certified by a derived upper bound on their triangle
-excess: a space's lattice metric, matched entry for entry against its integer
-`coords` (`_lattice_excess`), the adapted metric of an extension bundle
-(`extension._adapted_excess_bound`), and a shortest-path closure this process
-computed, such as a perturbed metric or a random space's metric, which is
-found by its content (`closure_excess_bound`, with the lemma in `_close`).
-Checking that a matrix is its own closure would be a sweep, but the float
-k-loop's error is bounded by counting the depth of its sums.  Every other
-matrix is swept: inline metrics that match no lattice and no closure, and any
-closure that was restricted or edited after it was made.
+unless the code that built the matrix hands over a proven upper bound on its
+triangle excess.  Here that is one rule: a space is certified by the bound
+its builder passes in `_Built`, or else swept, and nothing is looked up.
+`make_grid_space` passes its lattice lemma's bound, `random_metric_space` the
+bound `_close` derives for the closure it just made, and `restrict_space`
+its parent's `excess`: a subset's triples are the parent's, over fewer
+candidates j.  Elsewhere `build_extension_bundle` bounds the adapted metric
+(`extension._adapted_excess_bound`) and `build_perturbed_operator` finds a
+perturbed metric's closure bound by its content (`closure_excess_bound`).
+Every other matrix is swept: inline metrics, with or without coords, and
+closures a caller computed.
 """
 
 from __future__ import annotations
@@ -118,9 +118,9 @@ def first_equal_rows(mat: np.ndarray) -> np.ndarray:
 # inputs and its result (FiniteMetricSpace copies a matrix it is given, but
 # keeps the one a builder here hands over).  O(n^2) elementwise passes run in
 # place on the result or over the same row blocks (`_spans`): the scans of
-# validate_metric and sup_distance, the grid metric and its check in
-# FiniteMetricSpace, built one axis at a time, and perturb_metric's noise,
-# which becomes its output and is closed in place.
+# validate_metric and sup_distance, the grid metric, built one axis at a
+# time, and perturb_metric's noise, which becomes its output and is closed in
+# place.
 _BLOCK_CELLS = 2 ** 16
 # Steps of the symmetric Floyd-Warshall sweep applied to a row block per
 # visit (`_floyd_warshall_upper`).
@@ -251,11 +251,11 @@ def validate_metric(mat: np.ndarray, allow_zero: bool = False,
     excess_bound is a proven upper bound on that value, for a matrix whose
     construction gives one.  A bound of at most DEFAULT_TOL stands in for
     the sweep, since no triangle can then fail; a larger one is ignored and
-    the sweep decides, with its witness.  Only `FiniteMetricSpace` for a
-    lattice metric or a closure, `build_extension_bundle` for the adapted
-    metric and `build_perturbed_operator` for a perturbed metric
-    (`closure_excess_bound`) pass one; every other matrix is swept.  The report's `excess` is the
-    value used.
+    the sweep decides, with its witness.  Three callers pass one:
+    `FiniteMetricSpace` the bound its builder handed over, if any,
+    `build_extension_bundle` for the adapted metric, and
+    `build_perturbed_operator` for a perturbed metric (`closure_excess_bound`).
+    Every other matrix is swept.  The report's `excess` is the value used.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -345,77 +345,15 @@ def _lattice_rows(axes: np.ndarray, lo: int, hi: int, ground: str, spacing: floa
     return out
 
 
-def _unit_step_pair(coords: np.ndarray) -> tuple[int, int] | None:
-    """Two points whose coordinates differ by one along one axis, or None."""
-    rows = [tuple(c) for c in coords.tolist()]
-    where = {c: i for i, c in enumerate(rows)}
-    for i, c in enumerate(rows):
-        for a in range(len(c)):
-            j = where.get(c[:a] + (c[a] + 1,) + c[a + 1:])
-            if j is not None:
-                return i, j
-    return None
-
-
-def _lattice_excess(d: np.ndarray, coords: np.ndarray) -> float | None:
-    """A proven bound on the triangle excess of the n x n matrix d when d is
-    the lattice metric of the integer coords (n rows) under some ground and
-    spacing, as `make_grid_space` builds it; None when it is not.
-
-    The spacing s is read from a unit-step pair, whose entry is fl(1 * s) = s
-    under every ground.  Each ground's metric is rebuilt by row blocks with
-    `_lattice_rows` and compared with d, block by block, so the check holds
-    one block of scratch and costs O(n^2) per ground tried.  The comparison
-    is by value; the excess is a function of the values.
-
-    Lemma.  Let u = 2^-53, N(x, y) the exact ground norm of the integer
-    difference c_x - c_y, and M the largest entry of d.  Every triangle
-    excess d(i, k) - fl(d(i, j) + d(j, k)) is at most (2r + 2) u M, where r
-    is the number of roundings per entry (_GROUNDS: 1 for linf and l1, 2
-    for l2).  Proof: the coordinates are exact, and so are their
-    differences, squares and sums, since k (2 max|c|)^2 < 2^53 is required.
-    So the ground value is N exactly for linf and l1, and fl(sqrt(N^2)),
-    one rounding, for l2.  The product by s >= the least normal float adds
-    one relative rounding and no underflow, so
-    d(x, y) = s N(x, y) (1 + t) with (1 - u)^r <= 1 + t <= (1 + u)^r.
-    N is a norm of exact integer vectors, so
-    N(i, k) <= N(i, j) + N(j, k) =: S.  An excess that is positive has
-    fl(d(i, j) + d(j, k)) < d(i, k) <= M, so s S (1 - u)^(r+1) <= M, and
-        d(i, k) - fl(d(i, j) + d(j, k))
-            <= s S ((1 + u)^r - (1 - u)^(r+1))
-            <= M ((1 + u)^r / (1 - u)^(r+1) - 1),
-    which is (2r + 1) u M + O(u^2 M) < (2r + 2) u M.  The bound is
-    computed in floats with one rounding, inside that margin, and the sweep
-    rounds its final subtraction monotonically, so it also bounds what the
-    sweep would measure.
-    """
-    n, k = coords.shape
-    pair = _unit_step_pair(coords)
-    if pair is None or k * (2 * int(np.abs(coords).max())) ** 2 >= 2 ** 53:
-        return None
-    spacing = float(d[pair])
-    if not np.finfo(float).tiny <= spacing < np.inf:
-        return None
-    axes = coords.T.astype(float)
-    blocks = _spans(n, n)
-    scratch = np.empty((blocks[0][1], n))
-    for ground, rounds in _GROUNDS.items():
-        top = 0.0
-        for lo, hi in blocks:
-            block = _lattice_rows(axes, lo, hi, ground, spacing, scratch[:hi - lo])
-            if not np.array_equal(block, d[lo:hi]):
-                break
-            top = max(top, float(block.max()))
-        else:
-            return (2 * rounds + 2) * 2.0 ** -53 * top
-    return None
-
-
 class _Built(NamedTuple):
     """A matrix one of this module's builders has just made and hands to
     FiniteMetricSpace, which keeps it without a copy; a matrix from anywhere
-    else is copied."""
+    else is copied.  excess is the builder's proven upper bound on the
+    matrix's triangle excess, or None: the lattice lemma of
+    `make_grid_space`, the closure lemma of `_close` for
+    `random_metric_space`, and the parent's `excess` for `restrict_space`."""
     matrix: np.ndarray
+    excess: float | None = None
 
 
 @dataclass(frozen=True)
@@ -424,13 +362,12 @@ class FiniteMetricSpace:
 
     Construction sets two attributes besides the fields: `key`, a digest of
     the points, the metric bytes and the base point, and `excess`, the
-    triangle excess its validation used (`ValidationReport.excess`).  When
-    coords are given and dist is their lattice metric, that is the derived
-    bound of `_lattice_excess`; otherwise, when dist is bitwise a closure
-    this process computed (`random_metric_space`, `floyd_warshall`), it is
-    the derived bound of `closure_excess_bound`.  Either skips the O(n^3)
-    sweep.  The matrix is copied, unless one of this module's builders
-    hands it over.
+    triangle excess its validation used (`ValidationReport.excess`).  One
+    rule: the triangle inequality is certified by the bound the builder
+    hands over in `_Built`, else by the O(n^3) sweep; nothing is looked up
+    or rediscovered from the matrix.  So inline metrics, with or without
+    coords, and matrices a caller closed are swept.  The matrix is copied,
+    unless one of this module's builders hands it over.
     """
 
     points: tuple[str, ...]
@@ -442,8 +379,10 @@ class FiniteMetricSpace:
     def __post_init__(self):
         pts = tuple(str(p) for p in self.points)
         object.__setattr__(self, "points", pts)
+        bound = None
         if isinstance(self.dist, _Built):
             d = np.ascontiguousarray(self.dist.matrix, dtype=float)
+            bound = self.dist.excess
         else:
             d = np.array(self.dist, dtype=float)
         if self.coords is not None:
@@ -453,11 +392,6 @@ class FiniteMetricSpace:
             c = np.array(c, dtype=int)
             c.setflags(write=False)
             object.__setattr__(self, "coords", c)
-        bound = None
-        if self.coords is not None and d.shape == (len(pts), len(pts)):
-            bound = _lattice_excess(d, self.coords)
-        if bound is None:
-            bound = closure_excess_bound(d)
         report = require_metric(d, what="space metric", excess_bound=bound)
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
@@ -632,9 +566,10 @@ def floyd_warshall(w: np.ndarray) -> np.ndarray:
     return d
 
 
-def _close(d: np.ndarray) -> None:
-    """`floyd_warshall` in place on the square float64 array d; a closure
-    with a derived excess bound is then recorded for `closure_excess_bound`.
+def _close(d: np.ndarray) -> float | None:
+    """`floyd_warshall` in place on the square float64 array d.  Returns the
+    closure's derived excess bound, or None, and records a bound for
+    `closure_excess_bound`.
 
     Lemma.  Let w >= 0 be the weights with their diagonal set to 0, S the
     exact shortest-path distances of w, D the float k-loop's result (any of
@@ -679,7 +614,7 @@ def _close(d: np.ndarray) -> None:
     np.fill_diagonal(d, 0.0)
     n = d.shape[0]
     if not n:
-        return
+        return None
     bits = d.view(np.uint64)
     symmetric = np.array_equal(bits, bits.T)
     with _row_blocks(n, 1) as (blocks, (cand,)):
@@ -695,14 +630,17 @@ def _close(d: np.ndarray) -> None:
                     np.add(d[lo:hi, k, None], row, out=cand[:hi - lo])
                     np.minimum(d[lo:hi], cand[:hi - lo], out=d[lo:hi])
     top = float(d.max())
+    if n > 2 ** 40 or not (top == 0 or 2.0 ** -900 <= top <= 2.0 ** 1000):
+        return None
+    bound = (2 * n * 2.0 ** -53) * top * (1.0 + 2.0 ** -10)
     key = _content_key(d)
-    if key is None or n > 2 ** 40 or not (top == 0 or 2.0 ** -900 <= top <= 2.0 ** 1000):
-        return
-    with _CLOSURES_LOCK:
-        _CLOSURES.pop(key, None)
-        _CLOSURES[key] = (2 * n * 2.0 ** -53) * top * (1.0 + 2.0 ** -10)
-        while len(_CLOSURES) > _CLOSURES_KEPT:
-            del _CLOSURES[next(iter(_CLOSURES))]
+    if key is not None:
+        with _CLOSURES_LOCK:
+            _CLOSURES.pop(key, None)
+            _CLOSURES[key] = bound
+            while len(_CLOSURES) > _CLOSURES_KEPT:
+                del _CLOSURES[next(iter(_CLOSURES))]
+    return bound
 
 
 def closure_excess_bound(mat: np.ndarray) -> float | None:
@@ -713,7 +651,9 @@ def closure_excess_bound(mat: np.ndarray) -> float | None:
     The match is by content, a sha256 of the bytes, so no caller can claim
     the bound for a matrix: a restricted, edited or copied-and-changed
     closure gets None and is swept.  Costs one hash, about 6 ms at 900
-    points.
+    points.  Its one reader is `build_perturbed_operator`, whose metric was
+    made by `perturb_metric` out of its sight.  `FiniteMetricSpace` never
+    calls it: a space takes its bound from its builder (`_Built`).
     """
     key = _content_key(np.asarray(mat))
     with _CLOSURES_LOCK:
@@ -816,8 +756,31 @@ def make_grid_space(dims: Sequence[int], spacing: float, ground: str = "linf") -
     """Lattice of the given extents with an l-infinity (default) ground metric.
 
     The nominal dimension is len(dims); the base point is the origin.  The
-    metric is built by row blocks with `_lattice_rows`; the space certifies
-    its triangle inequality by `_lattice_excess`, not by a sweep.
+    metric is built by row blocks with `_lattice_rows`, and the space is
+    certified by the lemma's bound (2r + 2) u M below, not by a sweep.  When
+    its preconditions fail (coordinates too large, or a spacing below the
+    least normal float or not finite) the space is swept.
+
+    Lemma.  Let u = 2^-53, s the spacing, N(x, y) the exact ground norm of
+    the integer difference c_x - c_y, and M the largest entry of d.  Every
+    triangle excess d(i, k) - fl(d(i, j) + d(j, k)) is at most
+    (2r + 2) u M, where r is the number of roundings per entry (_GROUNDS: 1
+    for linf and l1, 2 for l2).  Proof: the coordinates are exact, and so
+    are their differences, squares and sums, since k (2 max|c|)^2 < 2^53 is
+    required.  So the ground value is N exactly for linf and l1, and
+    fl(sqrt(N^2)), one rounding, for l2.  The product by s >= the least
+    normal float adds one relative rounding and no underflow, so
+    d(x, y) = s N(x, y) (1 + t) with (1 - u)^r <= 1 + t <= (1 + u)^r.
+    N is a norm of exact integer vectors, so
+    N(i, k) <= N(i, j) + N(j, k) =: S.  An excess that is positive has
+    fl(d(i, j) + d(j, k)) < d(i, k) <= M, so s S (1 - u)^(r+1) <= M, and
+        d(i, k) - fl(d(i, j) + d(j, k))
+            <= s S ((1 + u)^r - (1 - u)^(r+1))
+            <= M ((1 + u)^r / (1 - u)^(r+1) - 1),
+    which is (2r + 1) u M + O(u^2 M) < (2r + 2) u M.  The bound is
+    computed in floats with one rounding, inside that margin, and the sweep
+    rounds its final subtraction monotonically, so it also bounds what the
+    sweep would measure.
     """
     dims = list(dims)
     bad = bad_indices(dims)
@@ -836,22 +799,26 @@ def make_grid_space(dims: Sequence[int], spacing: float, ground: str = "linf") -
     d = np.empty((n, n))
     for lo, hi in _spans(n, n):
         _lattice_rows(axes, lo, hi, ground, spacing, d[lo:hi])
+    excess = None
+    if (len(dims) * (2 * (max(dims) - 1)) ** 2 < 2 ** 53
+            and np.finfo(float).tiny <= spacing < np.inf):
+        excess = (2 * _GROUNDS[ground] + 2) * 2.0 ** -53 * float(d.max())
     names = tuple("-".join(map(str, c)) for c in coords)
-    return FiniteMetricSpace(names, _Built(d), base_index=0, coords=coords,
+    return FiniteMetricSpace(names, _Built(d, excess), base_index=0, coords=coords,
                              nominal_dim=len(dims))
 
 
 def random_metric_space(n: int, seed: int | np.random.Generator, scale: float = 1.0) -> FiniteMetricSpace:
-    """Seeded random metric: shortest-path completion of random edge weights."""
+    """Seeded random metric: shortest-path completion of random edge weights,
+    certified by the closure bound `_close` derives, not by a sweep."""
     if n < 1:
         raise ValueError("need at least one point")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     d = rng.uniform(0.5, 1.5, size=(n, n))
     d *= scale
     _mirror_upper(d)
-    _close(d)
     names = tuple(f"r{i}" for i in range(n))
-    return FiniteMetricSpace(names, _Built(d), base_index=0)
+    return FiniteMetricSpace(names, _Built(d, _close(d)), base_index=0)
 
 
 def restrict_space(space: FiniteMetricSpace, members: Sequence[int],
@@ -860,12 +827,25 @@ def restrict_space(space: FiniteMetricSpace, members: Sequence[int],
 
     For lattice-backed spaces the coordinates are carried over and the nominal
     dimension becomes the number of axes along which the subset actually varies.
+
+    The subspace is certified by its parent's `excess`, not by a sweep.
+    Lemma: that value bounds the triangle excess the sweep would measure on
+    the submatrix.  Its entries are bitwise the parent's, and every triple
+    (i, j, k) of the subset is a triple of the parent.  For a pair (i, k) of
+    the subset the minimum of fl(d(i, j) + d(j, k)) runs over fewer
+    candidates j than in the parent, so it is no lower, and the subset's
+    excess at (i, k) is at most the parent's.  So the measured excess of the
+    subset is at most the parent's, which `space.excess` bounds: it is that
+    measurement or a derived bound above it.  A constructed space always has
+    `excess` <= DEFAULT_TOL, so a restriction is never swept.
     """
     idx = as_indices(members, space)
     if not idx:
         raise ValueError("subset must be nonempty")
     if base_point is None:
         base_point = space.base_index if space.base_index in idx else idx[0]
+    elif bad_indices([base_point]):
+        raise ValueError(f"base_point ({base_point!r}) is not a point index")
     if base_point not in idx:
         raise ValueError("base point must belong to the subset")
     sub = list(idx)
@@ -876,7 +856,7 @@ def restrict_space(space: FiniteMetricSpace, members: Sequence[int],
         nominal = int(np.count_nonzero(coords.min(axis=0) != coords.max(axis=0)))
     return FiniteMetricSpace(
         tuple(space.points[i] for i in sub),
-        _Built(space.dist[np.ix_(sub, sub)]),
+        _Built(space.dist[np.ix_(sub, sub)], space.excess),
         base_index=sub.index(base_point),
         coords=coords,
         nominal_dim=nominal,

@@ -13,9 +13,13 @@ from hypothesis.extra import numpy as hnp
 
 import lipfree as lf
 from conftest import (floyd_warshall_serial, json_dump_of_lists, min_plus_excess_by_via,
-                      molecule_norms_by_pairs)
+                      molecule_norms_by_pairs, sweeps_of)
 from lipfree import cli, extension, freenorm, spaces
 from lipfree.cli import _write_json, main
+
+
+WORKLOADS = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                        / "workloads.json").read_text())["workloads"]
 
 
 def write_config(tmp_path, name, payload):
@@ -247,6 +251,10 @@ GLUE_6X6_NO_CORE = {"space": grid_space_json([6, 6], 1 / 6), "dim_k": 1,
 # three points on a line, 0.5 apart
 INLINE_LINE = {"points": ["a", "b", "c"],
                "metric": [[0.0, 0.5, 1.0], [0.5, 0.0, 0.5], [1.0, 0.5, 0.0]]}
+# a glue run whose core is the whole 5-point line, and an extend run on 9
+GLUE_LINE = {"space": grid_space_json([5], 1 / 5), "k": [0, 1, 2, 3, 4], "dim_k": 1,
+             "thresholds": [0.5], "n": 1, "eps": 0.5, "seed": 0, "probes": {"count": 1}}
+EXTEND_LINE = {"space": grid_space_json([9], 1 / 8), "eps_schedule": [0.25], "seed": 0}
 
 
 class TestConfigErrors:
@@ -276,11 +284,30 @@ class TestConfigErrors:
               ({**INLINE_LINE, "coords": [[0.6], [1.2], [2.9]]}, "coords"),
               ({**INLINE_LINE, "nominal_dim": "two"}, "nominal_dim"),
           ]),
+        # integer entries that int() would truncate without a word
+        ("glue", {**GLUE_LINE, "dim_k": 1.9}, "dim_k must be an integer"),
+        ("glue", {**GLUE_LINE, "dim_k": True}, "dim_k must be an integer"),
+        ("glue", {**GLUE_LINE, "seed": 5.8}, "'seed'"),
+        ("glue", {**GLUE_LINE, "probes": {"count": 1.7}}, "'probes.count'"),
+        ("glue", {**GLUE_LINE, "n": 1.0}, "'n'"),
+        ("extend", {**EXTEND_LINE, "perturbations": {"count": 2.5}}, "'perturbations.count'"),
+        ("extend", {**EXTEND_LINE, "seed": True}, "'seed'"),
+        ("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": [2, 2.9]},
+         "'n_schedule[1]'"),
+        ("bap", {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": [1.5, 2.9]},
+         "'n_schedule[0]'"),
+        ("bap", {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": [2],
+                 "seed": "3"}, "'seed'"),
+        ("perturb", {"space": grid_space_json([5], 0.25), "seed": 9, "amplitude": 0.01,
+                     "count": 1.5}, "'count'"),
     ], ids=["no-eps", "no-k", "n-past-exhaustion", "no-n_schedule", "no-amplitude",
             "missing-config", "missing-report", "grid-no-dims", "grid-no-spacing",
             "random-no-n", "random-no-seed", "inline-no-points", "inline-no-metric",
             "grid-dims-not-a-list", "random-n-not-an-integer", "inline-base-point-float",
-            "inline-coords-float", "inline-nominal-dim-string"])
+            "inline-coords-float", "inline-nominal-dim-string", "glue-dim-k-float",
+            "glue-dim-k-bool", "glue-seed-float", "glue-probe-count-float", "glue-n-float",
+            "extend-perturbation-count-float", "extend-seed-bool", "extend-n-schedule-float",
+            "bap-n-schedule-float", "bap-seed-string", "perturb-count-float"])
     def test_exits_2_and_names_the_cause(self, tmp_path, capsys, command, config, named):
         if config is None:
             path = str(tmp_path / "missing.json")
@@ -292,6 +319,26 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert not (tmp_path / "out").exists()
+
+
+class TestTriangleSweeps:
+    """The benchmark pipelines run the O(n^3) triangle sweep only on matrices
+    no builder bounds: the induced pseudometrics, the glue metric and its
+    collar's extension, and the restricted probe metrics.  A space built by
+    the grid generator, or restricted from one, is never swept, so a bound
+    that gets lost adds a sweep here."""
+
+    @pytest.mark.parametrize("name, sweeps", [
+        ("glue-10x10-line", [40, 40, 100, 100, 40, 40, 40, 40]),
+        ("extend-13x13-lp", [169]),
+        ("extend-30x30-fine", [900]),
+    ], ids=["glue-10x10-line", "extend-13x13-lp", "extend-30x30-fine"])
+    def test_sweeps_of_each_workload(self, tmp_path, monkeypatch, name, sweeps):
+        workload = WORKLOADS[name]
+        path = write_config(tmp_path, "c.json", workload["config"])
+        calls = sweeps_of(monkeypatch)
+        assert main(["--out-dir", str(tmp_path / "out"), workload["pipeline"], path]) == 0
+        assert [n for n, _ in calls] == sweeps
 
 
 class TestReportLayout:

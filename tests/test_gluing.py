@@ -71,6 +71,17 @@ class TestExhaustion:
         with pytest.raises(ValueError):
             lf.GluingConfig(space, (0,), 0, (0.5, 0.5))   # not decreasing
 
+    @pytest.mark.parametrize("dim_k", [1.9, 1.0, np.float64(0.0), True, "1"])
+    def test_non_integer_dim_k_rejected(self, dim_k):
+        # read with int() each of these gave a dimension, and the bound of it
+        space = lf.make_grid_space([4], 0.5)
+        with pytest.raises(ValueError, match="dim_k must be an integer"):
+            lf.GluingConfig(space, (0,), dim_k, (0.5,))
+
+    def test_numpy_integer_dim_k_becomes_int(self):
+        cfg = lf.GluingConfig(lf.make_grid_space([4], 0.5), (0,), np.int64(2), (0.5,))
+        assert type(cfg.dim_k) is int and cfg.dim_k == 2
+
 
 class TestSandwichSets:
     def test_full_core_gives_everything(self):

@@ -1,6 +1,7 @@
 """Source checks on the library modules, with the standard library's `ast`."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,47 @@ def test_unused_import_is_reported():
               "from .covers import build_net_cover, order as family_order\n"
               "build_net_cover(np.zeros(1), os.sep)\n")
     assert unused_imports(source) == ["family_order (line 4)"]
+
+
+# What a library module may import: the runtime dependencies pyproject.toml
+# declares (numpy) and the package itself, besides the standard library.
+ALLOWED_IMPORTS = set(sys.stdlib_module_names) | {"numpy", "lipfree"}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Modules an import statement names, at any depth of the source, whose
+    top-level package is not in ALLOWED_IMPORTS; relative imports are the
+    package's own."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] not in ALLOWED_IMPORTS]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_stdlib_numpy_and_lipfree(path):
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_foreign_import_is_reported():
+    source = ("from __future__ import annotations\n"
+              "import scipy\n"
+              "import os.path, numpy.linalg as la\n"
+              "from . import lp\n"
+              "from .spaces import DEFAULT_TOL\n"
+              "from lipfree.certs import make_certificate\n"
+              "def solve():\n"
+              "    from scipy.optimize import linprog\n"
+              "    import networkx as nx, json\n")
+    assert foreign_imports(source) == ["scipy (line 2)", "scipy.optimize (line 8)",
+                                       "networkx (line 9)"]
 
 
 def private_imports(source: str) -> list[str]:

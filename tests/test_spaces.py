@@ -935,9 +935,9 @@ class TestMatrixOwnership:
 
 
 class TestLatticeExcess:
-    """A lattice metric is certified by the bound of `_lattice_excess`
-    instead of the min-plus sweep, and that bound is never below what the
-    sweep measures."""
+    """A lattice metric is certified by the bound (2r + 2) u max d that
+    `make_grid_space` hands over instead of the min-plus sweep, and that
+    bound is never below what the sweep measures."""
 
     @settings(max_examples=60, deadline=None)
     @given(dims=st.lists(st.integers(1, 5), min_size=1, max_size=3),
@@ -947,8 +947,8 @@ class TestLatticeExcess:
     def test_bound_covers_the_sweep(self, dims, ground, spacing):
         space = lf.make_grid_space(dims, spacing, ground)
         assert space.excess >= _min_plus_excess(space.dist)[0]
-        if space.n > 1:
-            assert space.excess == spaces._lattice_excess(space.dist, space.coords)
+        rounds = {"linf": 1, "l1": 1, "l2": 2}[ground]
+        assert space.excess == (2 * rounds + 2) * 2.0 ** -53 * space.dist.max()
 
     @pytest.mark.parametrize("dims, spacing, ground", [
         ([30, 30], 0.02, "linf"), ([8, 8], 0.7, "l1"), ([5, 5, 5], 0.1, "l2"), ([9], 0.1, "linf"),
@@ -965,11 +965,19 @@ class TestLatticeExcess:
         calls = sweeps_of(monkeypatch)
         space = lf.make_grid_space([5, 4], 0.1, ground)
         sub = lf.restrict_space(space, [0, 1, 5, 6, 7])
+        assert calls == []
+        assert sub.excess == space.excess > 0
+
+    def test_inline_coords_take_the_sweep(self, monkeypatch):
+        # nothing is rediscovered from a matrix: the same lattice metric
+        # given inline is swept, with the same verdict and key
+        space = lf.make_grid_space([5, 4], 0.1)
+        calls = sweeps_of(monkeypatch)
         inline = lf.space_from_json({"points": list(space.points),
                                      "metric": space.dist.tolist(),
                                      "coords": space.coords.tolist()})
-        assert calls == []
-        assert inline.excess == space.excess and sub.excess > 0
+        assert calls == [(20, 20)] and inline.key == space.key
+        assert inline.excess == _min_plus_excess(space.dist)[0] <= space.excess
 
     def test_one_ulp_off_the_lattice_takes_the_sweep(self, monkeypatch):
         space = lf.make_grid_space([4, 4], 0.1)
@@ -981,11 +989,12 @@ class TestLatticeExcess:
         assert calls == [(16, 16)]
         assert inline.excess == _min_plus_excess(metric)[0]
 
-    def test_coords_without_a_unit_step_take_the_sweep(self, monkeypatch):
+    def test_restriction_without_a_unit_step_inherits_the_bound(self, monkeypatch):
         calls = sweeps_of(monkeypatch)
         space = lf.make_grid_space([7], 0.5)
-        lf.restrict_space(space, [0, 2, 4, 6])
-        assert calls == [(4, 4)]
+        sub = lf.restrict_space(space, [0, 2, 4, 6])
+        assert calls == [] and sub.excess == space.excess
+        assert _min_plus_excess(sub.dist)[0] <= sub.excess
 
     def test_triangle_violation_with_lattice_coords_is_rejected(self):
         d = np.array([[0, 1, 3], [1, 0, 1], [3, 1, 0]], dtype=float)
@@ -995,10 +1004,35 @@ class TestLatticeExcess:
         assert err.value.report == lf.validate_metric(d)
         assert [v.kind for v in err.value.report.violations] == ["triangle"]
 
-    def test_grid_check_holds_row_blocks_only(self, grid_900):
-        bound, peak = traced_peak(lambda: spaces._lattice_excess(grid_900.dist,
-                                                                 grid_900.coords))
-        assert bound == grid_900.excess and peak < ONE_900 / 2
+
+class TestRestrictionExcess:
+    """A restriction is certified by its parent's excess, never swept: every
+    triple of the subset is one of the parent's, over fewer candidates j."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["grid", "random", "perturbed"]), n=st.integers(2, 12),
+           seed=st.integers(0, 2 ** 16), ground=st.sampled_from(["linf", "l1", "l2"]),
+           data=st.data())
+    def test_parent_excess_covers_the_subset(self, kind, n, seed, ground, data):
+        if kind == "grid":
+            parent = lf.make_grid_space([n, 2], 0.1, ground)
+        elif kind == "random":
+            parent = lf.random_metric_space(n, seed)
+        else:
+            base = lf.make_grid_space([n], 0.1, ground)
+            parent = lf.FiniteMetricSpace(base.points, lf.perturb_metric(
+                base.dist, 0.03, np.random.default_rng(seed)))
+        members = data.draw(st.lists(st.integers(0, parent.n - 1), min_size=1, unique=True))
+        calls = []
+        sweep = spaces._min_plus_excess
+        with mock.patch.object(spaces, "_min_plus_excess",
+                               lambda d: calls.append(d.shape) or sweep(d)):
+            sub = lf.restrict_space(parent, members)
+            again = lf.restrict_space(sub, range(0, sub.n, 2))
+        assert calls == []
+        assert sub.excess == again.excess == parent.excess
+        assert _min_plus_excess(sub.dist)[0] <= sub.excess
+        assert _min_plus_excess(again.dist)[0] <= again.excess
 
 
 class TestClosureExcessBound:
@@ -1096,6 +1130,16 @@ class TestClosureExcessBound:
         again = lf.FiniteMetricSpace(space.points, edited)
         assert calls == [(40, 40)] and again.excess == _min_plus_excess(edited)[0]
 
+    def test_close_returns_the_bound_it_records(self):
+        rng = np.random.default_rng(5)
+        d = rng.uniform(0.5, 1.5, (6, 6))
+        bound = spaces._close(d)
+        assert bound is not None and bound == spaces.closure_excess_bound(d)
+        assert 0.0 <= _min_plus_excess(d)[0] <= bound
+        w = rng.uniform(0.5, 1.5, (4, 4))
+        w[0, 1:] = w[1:, 0] = np.inf                        # point 0 stays unreachable
+        assert spaces._close(w) is None and spaces.closure_excess_bound(w) is None
+
     def test_matrices_no_closure_made_get_none(self):
         assert spaces.closure_excess_bound(lf.make_grid_space([4, 4], 0.1).dist) is None
         assert spaces.closure_excess_bound(np.zeros(3)) is None
@@ -1123,7 +1167,10 @@ class TestPointIndices:
         "CoverFamily": lambda s, v: lf.CoverFamily(s, ((0, v),), 1),
         "WeightOperator": lambda s, v: lf.WeightOperator(s, (0, v), np.zeros((5, 2))),
         "GluingConfig": lambda s, v: lf.GluingConfig(s, (0, v), 1, (0.2,)),
+        "restrict_space": lambda s, v: lf.restrict_space(s, [0, 1, 2], base_point=v),
     }
+    # a sequence's entry is named by its position, an argument by its name
+    NAMED = {"restrict_space": r"base_point \("}
 
     # read with int() each of these named a real point, and the call went on
     @pytest.mark.parametrize("value", [3.9, 1.5, 3.0, np.float64(2.0), True],
@@ -1138,7 +1185,7 @@ class TestPointIndices:
             assert cert.witnesses == (["range", "net", 1, value],)
             assert cert.details == {"range": False}
         else:
-            with pytest.raises(ValueError, match=r"entry 1 \("):
+            with pytest.raises(ValueError, match=self.NAMED.get(site, r"entry 1 \(")):
                 self.SITES[site](space, value)
 
     def test_python_and_numpy_integers_accepted(self):
