@@ -1,7 +1,7 @@
 """Certified extension operators and free-space norms on finite metric spaces."""
 
-from .spaces import (DEFAULT_TOL, DensityReport, FiniteMetricSpace, MetricError,
-                     ValidationReport, diameter, dist_to_set_all,
+from .spaces import (DEFAULT_TOL, BoundedMetric, DensityReport, FiniteMetricSpace,
+                     MetricError, ValidationReport, diameter, dist_to_set_all,
                      floyd_warshall, is_eps_dense, make_grid_space,
                      perturb_metric, quotient_pseudometric, random_metric_space,
                      restrict_space, set_distance, space_from_json,

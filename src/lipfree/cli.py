@@ -49,7 +49,8 @@ from . import certs as certsmod
 from . import covers as coversmod
 from . import extension as extmod
 from . import gluing as gluemod
-from .spaces import bad_indices, perturb_metric, set_distance, space_from_json, sup_distance
+from .spaces import (BoundedMetric, bad_indices, perturb_metric, set_distance,
+                     space_from_json, sup_distance)
 
 
 class ConfigError(ValueError):
@@ -71,8 +72,16 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _schedule(cfg: dict, key: str) -> list:
+    """cfg[key], if it is a nonempty list (an empty one runs no stage)."""
+    value = _get(cfg, key)
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"config entry '{key}' must be a nonempty list, got {value!r}")
+    return value
+
+
 def _n_schedule(cfg: dict) -> list[int]:
-    return [_integer(n, f"n_schedule[{i}]") for i, n in enumerate(_get(cfg, "n_schedule"))]
+    return [_integer(n, f"n_schedule[{i}]") for i, n in enumerate(_schedule(cfg, "n_schedule"))]
 
 
 def _load_config(args) -> dict:
@@ -175,7 +184,7 @@ def _eps_schedule(cfg: dict) -> list[tuple[str, float]]:
     """Either an explicit eps list, or (nu, n_schedule) mapped through
     `_stage_eps`."""
     if "eps_schedule" in cfg:
-        return [(str(e), float(e)) for e in cfg["eps_schedule"]]
+        return [(str(e), float(e)) for e in _schedule(cfg, "eps_schedule")]
     if "nu" in cfg and "n_schedule" in cfg:
         nu = float(cfg["nu"])
         return [(str(n), _stage_eps(nu, n)) for n in _n_schedule(cfg)]
@@ -219,8 +228,9 @@ def cmd_extend(args) -> int:
         perturbed = []
         rng = np.random.default_rng(seed)
         radius = extmod.admission_radius(eps, nc.order_bound)
+        start = BoundedMetric(bundle.adapted, bundle.excess)
         for i in range(count):
-            e = perturb_metric(bundle.adapted, 0.9 * radius, rng)
+            e = perturb_metric(start, 0.9 * radius, rng)
             pb = extmod.build_perturbed_operator(bundle, e)
             perturbed.append({
                 "index": i,
@@ -278,15 +288,16 @@ def cmd_glue(args) -> int:
     bound = gluemod.glued_norm_bound(gcfg.dim_k)
     ok = bundle.passed
     results = []
+    glue = BoundedMetric(bundle.metric, bundle.excess)
     for i in range(count):
         amp = float(probes.get("amplitude", 0.9)) * radius
-        e = bundle.metric if i == 0 else perturb_metric(bundle.metric, amp, rng)
+        e = glue if i == 0 else perturb_metric(glue, amp, rng)
         cert = gluemod.certify_gluing(bundle, e, rng=rng)
         ok = ok and cert.passed
         results.append({
             "index": i,
             "norm": cert.measured_norm,
-            "probe_metric": _matrix(e),
+            "probe_metric": _matrix(e.matrix),
             "operator": None if cert.h_matrix is None else _matrix(cert.h_matrix),
             "certificates": _cert_list(cert.certificates),
         })
@@ -352,7 +363,7 @@ def cmd_perturb(args) -> int:
     count = _integer(cfg.get("count", 1), "count")
     rng = np.random.default_rng(seed)
     for i in range(count):
-        e = perturb_metric(space.dist, amplitude, rng)
+        e = perturb_metric(space.dist, amplitude, rng).matrix
         out = Path(args.out_dir) / f"perturb-{seed}-{i}.json"
         _write_json(out, {
             "points": list(space.points),

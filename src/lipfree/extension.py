@@ -25,7 +25,7 @@ from .certs import Certificate, make_certificate, all_passed
 from .covers import NetAndCover, verify_net_cover
 from .freenorm import (AdmissionError, WeightOperator, lipschitz_constant,
                        molecule_norm_matrix, operator_norm)
-from .spaces import (DEFAULT_TOL, FiniteMetricSpace, closure_excess_bound, diameter,
+from .spaces import (DEFAULT_TOL, BoundedMetric, FiniteMetricSpace, diameter,
                      quotient_pseudometric, sup_distance, validate_metric,
                      validate_pseudometric)
 
@@ -164,6 +164,7 @@ class ExtensionBundle:
     nc: NetAndCover
     pou: WeightOperator          # the weights, read as the operator under `adapted`
     adapted: np.ndarray          # induced + quotient pseudometric of the net
+    excess: float                # the triangle excess validating `adapted` used
     enorm: float
     certificates: tuple[Certificate, ...]
 
@@ -238,8 +239,8 @@ def build_extension_bundle(nc: NetAndCover) -> ExtensionBundle:
         witnesses=[int(np.argmax(lips))], inputs=inputs))
     certs.append(verify_complement_margin(adapted, nc.sets, eps))
 
-    bundle = ExtensionBundle(nc=nc, pou=pou, adapted=adapted, enorm=float(enorm),
-                             certificates=tuple(certs))
+    bundle = ExtensionBundle(nc=nc, pou=pou, adapted=adapted, excess=m_report.excess,
+                             enorm=float(enorm), certificates=tuple(certs))
     failed = [c for c in certs if not c.passed]
     if failed:
         raise BundleError(failed[0])
@@ -259,13 +260,18 @@ class PerturbedBundle:
         return all_passed(self.certificates)
 
 
-def build_perturbed_operator(bundle: ExtensionBundle, e: np.ndarray) -> PerturbedBundle:
+def build_perturbed_operator(bundle: ExtensionBundle, e) -> PerturbedBundle:
     """Extension operator for a metric e within the admissible radius.
 
     Rejects e outside the radius with the measured distance; otherwise
     certifies the Lipschitz estimate on the weights and the operator norm
-    against 88 (r+1) (2r+3).
+    against 88 (r+1) (2r+3).  e is a matrix or a `BoundedMetric`, whose
+    bound stands in for the triangle sweep and every certificate records as
+    `excess_bound`, readable in the admission's details (None: swept).
     """
+    excess = None
+    if isinstance(e, BoundedMetric):
+        e, excess = e
     e = np.asarray(e, dtype=float)
     nc = bundle.nc
     eps, r = nc.eps, nc.order_bound
@@ -273,17 +279,17 @@ def build_perturbed_operator(bundle: ExtensionBundle, e: np.ndarray) -> Perturbe
     measured = sup_distance(e, bundle.adapted)
     if measured > radius:
         raise AdmissionError(measured, radius)
-    report = validate_metric(e, excess_bound=closure_excess_bound(e))
+    report = validate_metric(e, excess_bound=excess)
     if not report.ok:
         raise BundleError(make_certificate(
             "perturbed-metric", 0.0, 1.0, "le", 0.0,
-            details={"violations": report.summary()}))
+            details={"violations": report.summary(), "excess_bound": excess}))
 
     a = list(bundle.net)
     mu = partition_of_unity(e, nc.sets, nc.net, space=nc.space)
-    inputs = {"space": nc.space.key, "eps": eps, "r": r}
+    inputs = {"space": nc.space.key, "eps": eps, "r": r, "excess_bound": excess}
     certs = [make_certificate("perturbation-admission", radius, measured, "le", 0.0,
-                              inputs=inputs)]
+                              inputs=inputs, details={"excess_bound": excess})]
     lips = [lipschitz_constant(mu.matrix[:, i], e) for i in range(len(a))]
     certs.append(make_certificate(
         "perturbed-partition-lipschitz", 4.0 * (2 * r + 3) / eps, float(max(lips)),

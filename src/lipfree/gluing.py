@@ -35,8 +35,8 @@ from .extension import (BundleError, ExtensionBundle, PerturbedBundle,
                         perturbed_norm_bound)
 from .freenorm import (AdmissionError, WeightOperator, lipschitz_constant,
                        metric_extension_lp, operator_norm)
-from .spaces import (DEFAULT_TOL, FiniteMetricSpace, as_indices, bad_indices,
-                     dist_to_set_all, restrict_space, set_distance,
+from .spaces import (DEFAULT_TOL, BoundedMetric, FiniteMetricSpace, as_indices,
+                     bad_indices, dist_to_set_all, restrict_space, set_distance,
                      sup_distance, truncate, validate_metric)
 
 
@@ -149,6 +149,7 @@ class GluingBundle:
     v_indices: tuple[int, ...]            # the collar V around the core
     v_bundle: ExtensionBundle
     metric: np.ndarray                    # extended + c min(d, eta) / eta, c = eps/(14 (dimK+1))
+    excess: float                         # the triangle excess validating `metric` measured
     core_lo: tuple[int, ...]              # reference sandwich sets for `metric`
     core_hi: tuple[int, ...]
     certificates: tuple[Certificate, ...]
@@ -254,7 +255,8 @@ def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float) -> GluingBundle:
     bundle = GluingBundle(
         cfg=cfg, n=int(n), m=int(m_found), eps=float(eps), net=net,
         exhaustion=exhaustion, v_indices=v_indices, v_bundle=v_bundle,
-        metric=glue, core_lo=core_lo, core_hi=core_hi, certificates=tuple(certs),
+        metric=glue, excess=report.excess, core_lo=core_lo, core_hi=core_hi,
+        certificates=tuple(certs),
     )
     failed = [c for c in certs if not c.passed]
     if failed:
@@ -320,7 +322,7 @@ class GluingCertificate:
         return all_passed(self.certificates)
 
 
-def certify_gluing(bundle: GluingBundle, e: np.ndarray, rng=None) -> GluingCertificate:
+def certify_gluing(bundle: GluingBundle, e, rng=None) -> GluingCertificate:
     """Certify the glued operator for one probe metric.
 
     Never raises on a failed bound; the returned certificate carries every
@@ -328,12 +330,19 @@ def certify_gluing(bundle: GluingBundle, e: np.ndarray, rng=None) -> GluingCerti
     cutoff supports and Lipschitz estimate, exact restriction identity, the
     operator norm against (150 dimK + 152)(Gamma + 1), and a random spanning
     family driven through the operator as a guard on the identity part.
+    e is a matrix or a `BoundedMetric`, whose bound the collar restriction
+    inherits (`restrict_space`'s lemma) and every certificate records as
+    `excess_bound`; for a bare matrix it is None, and the collar is swept.
     """
     space = bundle.cfg.space
+    excess = None
+    if isinstance(e, BoundedMetric):
+        e, excess = e
     e = np.asarray(e, dtype=float)
     eps, dim_k = bundle.eps, bundle.cfg.dim_k
     bound = glued_norm_bound(dim_k)
-    inputs = {"space": space.key, "n": bundle.n, "m": bundle.m, "eps": eps}
+    inputs = {"space": space.key, "n": bundle.n, "m": bundle.m, "eps": eps,
+              "excess_bound": excess}
     certs: list[Certificate] = []
 
     def finish(h_matrix=None, measured=float("inf")):
@@ -343,7 +352,8 @@ def certify_gluing(bundle: GluingBundle, e: np.ndarray, rng=None) -> GluingCerti
     radius = probe_radius(eps, dim_k)
     measured_dist = sup_distance(e, bundle.metric)
     certs.append(make_certificate(
-        "probe-admission", radius, measured_dist, "lt", 0.0, inputs=inputs))
+        "probe-admission", radius, measured_dist, "lt", 0.0, inputs=inputs,
+        details={"excess_bound": excess}))
     if not certs[-1].passed:
         return finish()
 
@@ -365,7 +375,7 @@ def certify_gluing(bundle: GluingBundle, e: np.ndarray, rng=None) -> GluingCerti
     v_list = list(bundle.v_indices)
     try:
         inner = build_perturbed_operator(
-            bundle.v_bundle, e[np.ix_(v_list, v_list)])
+            bundle.v_bundle, BoundedMetric(e[np.ix_(v_list, v_list)], excess))
     except (AdmissionError, BundleError) as err:
         certs.append(make_certificate(
             "inner-operator", 0.0, 1.0, "le", 0.0,

@@ -3,24 +3,15 @@
 All distances are plain float64 numpy matrices.  A matrix is a metric when it
 is symmetric, zero exactly on the diagonal, positive off it, and satisfies the
 triangle inequality; pseudometrics drop the positivity requirement.  Every
-operation here is a pure function of its inputs but `closure_excess_bound`,
-which reads a table of the last few closures made (a content hash and a
-bound each).  None holds an n x n temporary beyond its inputs and its
-result: the one-scratch rule, kept by the row-block engine below.
+operation here is a pure function of its inputs, and keeps the one-scratch
+rule of the row-block engine below.
 
 Validation scans every matrix in O(n^2) for the axioms other than the
 triangle inequality.  The triangle inequality costs an O(n^3) min-plus sweep,
 unless the code that built the matrix hands over a proven upper bound on its
-triangle excess.  Here that is one rule: a space is certified by the bound
-its builder passes in `_Built`, or else swept, and nothing is looked up.
-`make_grid_space` passes its lattice lemma's bound, `random_metric_space` the
-bound `_close` derives for the closure it just made, and `restrict_space`
-its parent's `excess`: a subset's triples are the parent's, over fewer
-candidates j.  Elsewhere `build_extension_bundle` bounds the adapted metric
-(`extension._adapted_excess_bound`) and `build_perturbed_operator` finds a
-perturbed metric's closure bound by its content (`closure_excess_bound`).
-Every other matrix is swept: inline metrics, with or without coords, and
-closures a caller computed.
+triangle excess in a `BoundedMetric`, whose docstring lists the builders
+that do.  Every other matrix is swept: inline metrics, with or without
+coords, and matrices a caller made.
 """
 
 from __future__ import annotations
@@ -30,7 +21,6 @@ import hashlib
 import itertools
 import json
 import reprlib
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -106,25 +96,20 @@ def first_equal_rows(mat: np.ndarray) -> np.ndarray:
 
 
 # The row-block engine behind the two O(n^3) min-plus sweeps, the triangle
-# check and Floyd-Warshall, both on the caller's thread.  _row_blocks cuts the
-# rows into blocks of about _BLOCK_CELLS entries, so a block's candidate sums
-# stay in cache while each numpy call still does enough work to hide its
-# overhead.  On an exactly symmetric matrix both sweep only the columns from
-# each block's first row on, about half the work, and the triangle check
-# sweeps only the first of each set of bitwise-equal rows.  There
-# Floyd-Warshall takes _PIVOT_BATCH steps per visit of a block.
+# check and Floyd-Warshall, and the O(n^2) shortcut update `shorten_edge`,
+# all on the caller's thread.  _row_blocks cuts the rows into blocks of about
+# _BLOCK_CELLS entries, so a block's candidate sums stay in cache while each
+# numpy call still does enough work to hide its overhead.  On an exactly
+# symmetric matrix the triangle check sweeps only the columns from each
+# block's first row on, about half the work, and only the first of each set
+# of bitwise-equal rows.
 #
 # The one-scratch rule: no function here holds an n x n temporary beyond its
-# inputs and its result (FiniteMetricSpace copies a matrix it is given, but
-# keeps the one a builder here hands over).  O(n^2) elementwise passes run in
-# place on the result or over the same row blocks (`_spans`): the scans of
-# validate_metric and sup_distance, the grid metric, built one axis at a
-# time, and perturb_metric's noise, which becomes its output and is closed in
-# place.
+# inputs and its result.  O(n^2) elementwise passes run in place on the
+# result or over the same row blocks (`_spans`): the scans of validate_metric
+# and sup_distance, the grid metric, built one axis at a time, and
+# perturb_metric's shortcuts, applied in place to its output.
 _BLOCK_CELLS = 2 ** 16
-# Steps of the symmetric Floyd-Warshall sweep applied to a row block per
-# visit (`_floyd_warshall_upper`).
-_PIVOT_BATCH = 8
 
 
 def _spans(rows: int, width: int) -> list[tuple[int, int]]:
@@ -251,11 +236,9 @@ def validate_metric(mat: np.ndarray, allow_zero: bool = False,
     excess_bound is a proven upper bound on that value, for a matrix whose
     construction gives one.  A bound of at most DEFAULT_TOL stands in for
     the sweep, since no triangle can then fail; a larger one is ignored and
-    the sweep decides, with its witness.  Three callers pass one:
-    `FiniteMetricSpace` the bound its builder handed over, if any,
-    `build_extension_bundle` for the adapted metric, and
-    `build_perturbed_operator` for a perturbed metric (`closure_excess_bound`).
-    Every other matrix is swept.  The report's `excess` is the value used.
+    the sweep decides, with its witness.  Callers pass the bound of a
+    `BoundedMetric` or of the adapted metric (`build_extension_bundle`).
+    The report's `excess` is the value used.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -345,13 +328,18 @@ def _lattice_rows(axes: np.ndarray, lo: int, hi: int, ground: str, spacing: floa
     return out
 
 
-class _Built(NamedTuple):
-    """A matrix one of this module's builders has just made and hands to
-    FiniteMetricSpace, which keeps it without a copy; a matrix from anywhere
-    else is copied.  excess is the builder's proven upper bound on the
-    matrix's triangle excess, or None: the lattice lemma of
-    `make_grid_space`, the closure lemma of `_close` for
-    `random_metric_space`, and the parent's `excess` for `restrict_space`."""
+class BoundedMetric(NamedTuple):
+    """A matrix with a proven upper bound on the triangle excess
+    `validate_metric` would measure on it, or None.
+
+    This module's builders hand one to FiniteMetricSpace: the lattice lemma
+    of `make_grid_space`, the closure lemma of `_close` for
+    `random_metric_space`, and the parent's `excess` for `restrict_space`
+    (a subset's triples are the parent's).  `perturb_metric` returns its
+    probe as one, with the shortcut lemma's bound, and
+    `build_perturbed_operator` and `certify_gluing` take it.  Whoever builds
+    one asserts its bound: nothing checks it, so the probe certificates
+    record the bound they took as `excess_bound`."""
     matrix: np.ndarray
     excess: float | None = None
 
@@ -362,12 +350,9 @@ class FiniteMetricSpace:
 
     Construction sets two attributes besides the fields: `key`, a digest of
     the points, the metric bytes and the base point, and `excess`, the
-    triangle excess its validation used (`ValidationReport.excess`).  One
-    rule: the triangle inequality is certified by the bound the builder
-    hands over in `_Built`, else by the O(n^3) sweep; nothing is looked up
-    or rediscovered from the matrix.  So inline metrics, with or without
-    coords, and matrices a caller closed are swept.  The matrix is copied,
-    unless one of this module's builders hands it over.
+    triangle excess its validation used (`ValidationReport.excess`).  The
+    triangle inequality is certified by the bound of a `BoundedMetric`,
+    whose matrix is kept without a copy, else by the O(n^3) sweep of a copy.
     """
 
     points: tuple[str, ...]
@@ -380,7 +365,7 @@ class FiniteMetricSpace:
         pts = tuple(str(p) for p in self.points)
         object.__setattr__(self, "points", pts)
         bound = None
-        if isinstance(self.dist, _Built):
+        if isinstance(self.dist, BoundedMetric):
             d = np.ascontiguousarray(self.dist.matrix, dtype=float)
             bound = self.dist.excess
         else:
@@ -522,23 +507,6 @@ def quotient_pseudometric(d: np.ndarray, members: Sequence[int]) -> np.ndarray:
     return out
 
 
-# The excess bounds of the last few closures `_close` computed, keyed by
-# `_content_key`: a matrix gets a bound only by being bitwise one of them.
-_CLOSURES: dict[bytes, float] = {}
-_CLOSURES_KEPT = 8
-_CLOSURES_LOCK = threading.Lock()
-
-
-def _content_key(d: np.ndarray) -> bytes | None:
-    """sha256 of the shape and bytes of a C-contiguous 2-D float64 array;
-    None for any other array, which is then never matched."""
-    if d.dtype != np.float64 or d.ndim != 2 or not d.flags.c_contiguous:
-        return None
-    digest = hashlib.sha256(repr(d.shape).encode())
-    digest.update(d)
-    return digest.digest()
-
-
 def floyd_warshall(w: np.ndarray) -> np.ndarray:
     """All-pairs shortest-path completion of a nonnegative weight matrix.
 
@@ -553,13 +521,8 @@ def floyd_warshall(w: np.ndarray) -> np.ndarray:
     rows before it writes them, and row k from a copy taken at the start of
     the step, and sees the whole-matrix step's operands bit for bit.
 
-    Weights symmetric bit for bit are swept by `_floyd_warshall_upper`, about
-    half the work, in batches of pivot rows, with the same result.  Symmetry
-    by value is not enough: 0.0 and -0.0 compare equal, and a mirrored copy
-    would swap them.
-
-    The input is copied; `_close` runs the same completion in place, and
-    records the result's derived excess bound for `closure_excess_bound`.
+    The input is copied; `_close` runs the same completion in place and
+    returns the result's derived excess bound.
     """
     d = np.array(w, dtype=float)
     _close(d)
@@ -568,8 +531,7 @@ def floyd_warshall(w: np.ndarray) -> np.ndarray:
 
 def _close(d: np.ndarray) -> float | None:
     """`floyd_warshall` in place on the square float64 array d.  Returns the
-    closure's derived excess bound, or None, and records a bound for
-    `closure_excess_bound`.
+    closure's derived excess bound, or None.
 
     Lemma.  Let w >= 0 be the weights with their diagonal set to 0, S the
     exact shortest-path distances of w, D the float k-loop's result (any of
@@ -615,49 +577,19 @@ def _close(d: np.ndarray) -> float | None:
     n = d.shape[0]
     if not n:
         return None
-    bits = d.view(np.uint64)
-    symmetric = np.array_equal(bits, bits.T)
     with _row_blocks(n, 1) as (blocks, (cand,)):
-        if symmetric:
-            _floyd_warshall_upper(d, blocks, cand)
-        else:
-            row = np.empty(n)
-            for k in range(n):
-                # row k as the step found it: its own block may turn a -0.0
-                # of it into d(k, k) + -0.0 = +0.0 before later blocks read it
-                row[:] = d[k]
-                for lo, hi in blocks:
-                    np.add(d[lo:hi, k, None], row, out=cand[:hi - lo])
-                    np.minimum(d[lo:hi], cand[:hi - lo], out=d[lo:hi])
+        row = np.empty(n)
+        for k in range(n):
+            # row k as the step found it: its own block may turn a -0.0 of
+            # it into d(k, k) + -0.0 = +0.0 before later blocks read it
+            row[:] = d[k]
+            for lo, hi in blocks:
+                np.add(d[lo:hi, k, None], row, out=cand[:hi - lo])
+                np.minimum(d[lo:hi], cand[:hi - lo], out=d[lo:hi])
     top = float(d.max())
     if n > 2 ** 40 or not (top == 0 or 2.0 ** -900 <= top <= 2.0 ** 1000):
         return None
-    bound = (2 * n * 2.0 ** -53) * top * (1.0 + 2.0 ** -10)
-    key = _content_key(d)
-    if key is not None:
-        with _CLOSURES_LOCK:
-            _CLOSURES.pop(key, None)
-            _CLOSURES[key] = bound
-            while len(_CLOSURES) > _CLOSURES_KEPT:
-                del _CLOSURES[next(iter(_CLOSURES))]
-    return bound
-
-
-def closure_excess_bound(mat: np.ndarray) -> float | None:
-    """The derived triangle-excess bound of `_close`'s lemma when mat is
-    bitwise one of the last few shortest-path closures this process computed
-    (`floyd_warshall`, `perturb_metric`, `random_metric_space`), else None.
-
-    The match is by content, a sha256 of the bytes, so no caller can claim
-    the bound for a matrix: a restricted, edited or copied-and-changed
-    closure gets None and is swept.  Costs one hash, about 6 ms at 900
-    points.  Its one reader is `build_perturbed_operator`, whose metric was
-    made by `perturb_metric` out of its sight.  `FiniteMetricSpace` never
-    calls it: a space takes its bound from its builder (`_Built`).
-    """
-    key = _content_key(np.asarray(mat))
-    with _CLOSURES_LOCK:
-        return None if key is None else _CLOSURES.get(key)
+    return (2 * n * 2.0 ** -53) * top * (1.0 + 2.0 ** -10)
 
 
 def _mirror_upper(a: np.ndarray) -> None:
@@ -669,83 +601,123 @@ def _mirror_upper(a: np.ndarray) -> None:
         a[i, i] = 0.0
 
 
-def _floyd_warshall_upper(d: np.ndarray, blocks, cand: np.ndarray) -> None:
-    """The k-loop of `floyd_warshall` on a bitwise symmetric d, in place.
-
-    Every step keeps d bitwise symmetric: d(i, k) + d(k, j) and
-    d(j, k) + d(k, i) are the same IEEE sum, and the minimum then sees the
-    same operands in the same order.  So each block (lo, hi) updates only its
-    columns j >= lo, which hold every cell on or above the diagonal; the cells
-    left of a block go stale.  Row k is the pivot of step k, and the same
-    vector serves as column k, equal to row k bit for bit.
-
-    The steps run in batches of _PIVOT_BATCH.  A batch first brings its
-    pivot rows up to date.  Each row k is read as it stood before the batch
-    (its entries from its own block's first column on are current, the stale
-    ones left of it are read from column k above that block, which is
-    current and equal to them).  Then, for each step s of the batch in
-    order, every later pivot row k takes min(d(k, j), d(k, s) + d(s, j))
-    with the pivot row s, the serial step's update of row k; row s has by
-    then taken all the steps before s.  After that each block takes the
-    batch's steps in order while it is in cache.  Every cell so sees the serial
-    k-loop's operands in the serial order, and the result is bitwise the
-    same.  Tiled Floyd-Warshall is not: it updates a tile with d(i, k)
-    values that later pivots have already lowered.  At the end the stale
-    cells are overwritten with exact copies of their mirror images.
-    """
-    n = d.shape[0]
-    starts = [lo for lo, hi in blocks for _ in range(lo, hi)]
-    pivots, steps = np.empty((2, _PIVOT_BATCH, n))
-    for k0 in range(0, n, _PIVOT_BATCH):
-        rows = pivots[:min(_PIVOT_BATCH, n - k0)]
-        for k, row in enumerate(rows, k0):
-            row[starts[k]:] = d[k, starts[k]:]
-            row[:starts[k]] = d[:starts[k], k]
-        for s in range(len(rows) - 1):
-            later, step = rows[s + 1:], steps[s + 1:len(rows)]
-            np.add(later[:, k0 + s, None], rows[s], out=step)
-            np.minimum(later, step, out=later)
+def _edge_paths(e: np.ndarray, x: int, y: int):
+    """Yield (lo, hi, s) over the row blocks of _row_blocks: s(u, v) =
+    min(fl(a_u + b_v), fl(b_u + a_v)), a and b the columns x and y of e, in
+    a reused buffer.  Consume it whole, so that the scope closes."""
+    a, b = e[:, x].copy(), e[:, y].copy()
+    with _row_blocks(len(e), 2) as (blocks, (p, q)):
         for lo, hi in blocks:
-            upper = d[lo:hi, lo:]
-            sums = cand.reshape(-1)[:upper.size].reshape(upper.shape)
-            for row in rows:
-                np.add(row[lo:hi, None], row[None, lo:], out=sums)
-                np.minimum(upper, sums, out=upper)
-    for lo, hi in blocks:
-        d[lo:hi, :lo] = d[:lo, lo:hi].T
+            via, other = p[:hi - lo], q[:hi - lo]
+            np.add(a[lo:hi, None], b, out=via)
+            np.add(b[lo:hi, None], a, out=other)
+            yield lo, hi, np.minimum(via, other, out=via)
 
 
-def perturb_metric(d: np.ndarray, amplitude: float, rng: np.random.Generator) -> np.ndarray:
-    """Random metric within sup-distance `amplitude` of d.
+def shorten_edge(e: np.ndarray, x: int, y: int, length: float) -> None:
+    """Add an edge of length l > 0 between the points x and y to the square
+    float64 array e, in place: the exact shortest-path update
+        e'(u, v) = min(e(u, v), fl(fl(a_u + b_v) + l), fl(fl(b_u + a_v) + l))
+    with a, b copies of the columns x and y.  Each row block takes the
+    path sums of `_edge_paths` plus l, the same value since rounding is
+    monotone; the scratch is two columns and two block buffers.
 
-    Multiplies distances by symmetric factors in [1-b, 1+b] with
-    b = amplitude/diam and re-metrizes by shortest paths, which keeps every
-    path cost within a factor (1 +- b) of its original cost and therefore the
-    sup deviation at most `amplitude`.
-
-    The noise is drawn into the output, which is then scaled and closed in
-    place, so the call holds no n x n array but d and its result.
-    uniform(-b, b) never returns -0.0, so mirroring the upper triangle is
-    bitwise the symmetric sum of its strict upper triangle.  The result is a
-    closure, so `closure_excess_bound` gives its derived excess bound until
-    it is changed.
+    Lemma, for e symmetric by value with entries >= 0; u = 2^-53, M = max e.
+      * fl(a_v + b_u) is fl(b_u + a_v), so a bitwise symmetric e gives a
+        bitwise symmetric e'.  Both candidates are >= l > 0: the diagonal
+        keeps its zeros and no positive entry drops to 0.
+      * Let G be the exact update and eps >= 0 bound e(i, k) - e(i, j) -
+        e(j, k) over all triples; G keeps that bound.  By the terms that
+        attain G(i, j) and G(j, k), with P = a + l + b and Q = b + l + a:
+        (e, e) as G(i, k) <= e(i, k); (P, e) as G(i, k) <= a_i + l + e(y, k)
+        and e(y, k) <= b_j + e(j, k) + eps, and (Q, e), (e, P), (e, Q)
+        alike by symmetry; (P, P) as G(i, k) <= a_i + l + b_k and b_j + l +
+        a_j >= 0, and (Q, Q) alike; (P, Q) as G(i, k) <= e(i, k) <= a_i +
+        a_k + eps, through x, and (Q, P) through y.
+      * Each candidate is a rounded sum of terms >= 0, so the float update F
+        has (1 - u)^2 G <= F <= (1 + u)^2 G.  A positive excess of F has
+        F(i, j) + F(j, k) < F(i, k) <= M, so it is at most eps + (2u + u^2)
+        M + (2u - u^2) M / (1 - u)^2 < eps + 4.0001 uM.  No sum overflows
+        when M <= 2^1000.
+      * e(u, v) - G(u, v) <= (e(x, y) - l) + 2 eps, by triangles through x
+        and y: no entry drops by more than the edge did plus 2 eps + 2uM,
+        and none rises.
     """
+    if not length > 0:
+        raise ValueError(f"length must be positive, got {length}")
+    for lo, hi, via in _edge_paths(e, x, y):
+        via += length
+        np.minimum(e[lo:hi], via, out=e[lo:hi])
+
+
+# Seeded single-edge shortcuts in one `perturb_metric` probe.
+_SHORTCUTS = 16
+
+
+def perturb_metric(d, amplitude: float, rng: np.random.Generator) -> BoundedMetric:
+    """Random metric within sup-distance `amplitude` of d, returned with a
+    proven bound on its triangle excess as `BoundedMetric(matrix, excess)`.
+
+    d is a matrix, or a `BoundedMetric` whose excess bounds the excess
+    `validate_metric` measures on it.  The probe e is a copy of d after
+    _SHORTCUTS seeded shortcuts (`shorten_edge`): the shortest-path metric
+    of d with those edges added, so e <= d.  All draws come first: shortcut
+    i joins a uniform pair x != y and lowers e(x, y) by a fraction f_i,
+    uniform in [0, 1), of the way to its floor: the larger of e(x, y) / 2
+    and the least length the ball allows, m - amplitude + 16uM, with m the
+    largest fl(d - s) over the path sums s of `_edge_paths(e, x, y)`.  So a
+    shortcut may spend what is left of the ball where it lands.  No n x n
+    array is held but d and the result.
+
+    Lemma.  Let u = 2^-53, M = max d and K = _SHORTCUTS.
+      * Ball.  As 0 <= s <= 2M(1 + u) and l <= M, d(u, v) - s <= m + u
+        max(d(u, v), s) and a candidate fl(s + l) >= (s + l)(1 - u): a
+        length at or above the float floor keeps every entry >= d -
+        amplitude (roundings below 11uM when amplitude <= 2M; above it,
+        every candidate is >= 0).  A final `sup_distance` check raises
+        RuntimeError otherwise.
+      * Excess.  Let R0 >= 0 bound the excess d(i, k) - fl(d(i, j) + d(j,
+        k)) the sweep measures on d.  If d is symmetric by value with
+        entries >= 0 and M <= 2^1000, the probe's is at most R0 (1 + 2^-50)
+        + (5K + 4) uM; the excess returned is None otherwise, or with no R0.
+        A triple of d whose exact excess d(i, k) - s is positive has s < M,
+        and the sweep's rounded sum is at most (1 + u) s, so that excess is
+        at most R0 / (1 - u) + uM.  Each shortcut keeps the matrix symmetric
+        with entries in [0, M] and adds at most 4.0001 uM.  At the end the
+        sweep's sum loses at most uM / (1 - u) on a positive excess, and its
+        rounded difference is at most (1 + u) times the exact one: in all (1
+        + u) (R0 / (1 - u) + (4.0001 K + 2.0001) uM), inside the bound with
+        room for its three roundings.
+    """
+    start = None
+    if isinstance(d, BoundedMetric):
+        d, start = d
     d = np.asarray(d, dtype=float)
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
-    diam = diameter(d)
-    if diam == 0 or amplitude == 0:
-        return d.copy()
-    beta = min(amplitude / diam, 0.999)
-    e = rng.uniform(-beta, beta, size=d.shape)
-    _mirror_upper(e)
-    e += 1.0
-    e *= d
-    _close(e)
+    e = d.copy()
+    n, top = len(d), diameter(d)
+    if top == 0 or amplitude == 0 or n < 2:
+        return BoundedMetric(e, start)
+    xs = rng.integers(0, n, _SHORTCUTS)
+    ys = rng.integers(0, n - 1, _SHORTCUTS)
+    ys += ys >= xs                          # uniform over the pairs x != y
+    fractions = rng.uniform(0.0, 1.0, _SHORTCUTS)
+    slack = 16 * 2.0 ** -53 * top
+    for x, y, f in zip(xs, ys, fractions):
+        reach = max(float(np.subtract(d[lo:hi], via, out=via).max())
+                    for lo, hi, via in _edge_paths(e, x, y))
+        floor = max(reach - amplitude + slack, e[x, y] / 2)
+        if floor < e[x, y]:
+            shorten_edge(e, x, y, max(e[x, y] - f * (e[x, y] - floor), floor))
     achieved = sup_distance(e, d)
     if achieved > amplitude + 1e-12:
         raise RuntimeError(f"perturbation overshoot: {achieved} > {amplitude}")
-    return e
+    excess = None
+    if (start is not None and top <= 2.0 ** 1000 and d.min() >= 0
+            and sup_distance(d, d.T) == 0):
+        excess = max(start, 0.0) * (1.0 + 2.0 ** -50) + (5 * _SHORTCUTS + 4) * 2.0 ** -53 * top
+    return BoundedMetric(e, excess)
 
 
 # ---------------------------------------------------------------------------
@@ -804,8 +776,8 @@ def make_grid_space(dims: Sequence[int], spacing: float, ground: str = "linf") -
             and np.finfo(float).tiny <= spacing < np.inf):
         excess = (2 * _GROUNDS[ground] + 2) * 2.0 ** -53 * float(d.max())
     names = tuple("-".join(map(str, c)) for c in coords)
-    return FiniteMetricSpace(names, _Built(d, excess), base_index=0, coords=coords,
-                             nominal_dim=len(dims))
+    return FiniteMetricSpace(names, BoundedMetric(d, excess), base_index=0,
+                             coords=coords, nominal_dim=len(dims))
 
 
 def random_metric_space(n: int, seed: int | np.random.Generator, scale: float = 1.0) -> FiniteMetricSpace:
@@ -818,7 +790,7 @@ def random_metric_space(n: int, seed: int | np.random.Generator, scale: float = 
     d *= scale
     _mirror_upper(d)
     names = tuple(f"r{i}" for i in range(n))
-    return FiniteMetricSpace(names, _Built(d, _close(d)), base_index=0)
+    return FiniteMetricSpace(names, BoundedMetric(d, _close(d)), base_index=0)
 
 
 def restrict_space(space: FiniteMetricSpace, members: Sequence[int],
@@ -856,7 +828,7 @@ def restrict_space(space: FiniteMetricSpace, members: Sequence[int],
         nominal = int(np.count_nonzero(coords.min(axis=0) != coords.max(axis=0)))
     return FiniteMetricSpace(
         tuple(space.points[i] for i in sub),
-        _Built(space.dist[np.ix_(sub, sub)], space.excess),
+        BoundedMetric(space.dist[np.ix_(sub, sub)], space.excess),
         base_index=sub.index(base_point),
         coords=coords,
         nominal_dim=nominal,

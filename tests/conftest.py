@@ -589,21 +589,12 @@ def random_metric_by_triu(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
     return lf.floyd_warshall(w + w.T)
 
 
-def perturb_metric_by_triu(d: np.ndarray, amplitude: float, rng) -> np.ndarray:
-    """`spaces.perturb_metric` as earlier versions computed it, with six
-    n x n arrays alive at once: triu of the noise, its symmetric sum,
-    1 + noise, its product with d, and `floyd_warshall`'s copy of it."""
-    d = np.asarray(d, dtype=float)
-    diam = lf.diameter(d)
-    if diam == 0 or amplitude == 0:
-        return d.copy()
-    beta = min(amplitude / diam, 0.999)
-    noise = rng.uniform(-beta, beta, size=d.shape)
-    noise = np.triu(noise, 1)
-    noise = noise + noise.T
-    e = lf.floyd_warshall(d * (1.0 + noise))
-    assert float(np.abs(e - d).max(initial=0.0)) <= amplitude + 1e-12
-    return e
+def shorten_edge_by_outer(d: np.ndarray, x: int, y: int, length: float) -> np.ndarray:
+    """`spaces.shorten_edge` as its formula reads, on a copy of d, with two
+    n x n arrays of candidates: min(d(u, v), fl(fl(a_u + b_v) + l),
+    fl(fl(b_u + a_v) + l)) for the columns a, b of x and y."""
+    a, b = d[:, x], d[:, y]
+    return np.minimum(np.minimum(d, np.add.outer(a, b) + length), np.add.outer(b, a) + length)
 
 
 def validate_metric_full(mat: np.ndarray, allow_zero: bool = False) -> spaces.ValidationReport:

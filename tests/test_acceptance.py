@@ -66,7 +66,7 @@ def perturbed_20(bundles_1d):
     radius = lf.admission_radius(bundle.nc.eps, bundle.nc.order_bound)
     out = []
     for _ in range(20):
-        e = lf.perturb_metric(bundle.adapted, 0.95 * radius, rng)
+        e = lf.perturb_metric(bundle.adapted, 0.95 * radius, rng).matrix
         out.append((e, lf.build_perturbed_operator(bundle, e)))
     return bundle, out
 
@@ -209,7 +209,7 @@ def test_metric_extension_50_instances():
             size = 2 + seed % 3
             s = sorted(rng.choice(n, size=size, replace=False).tolist())
             rho = lf.perturb_metric(space.dist[np.ix_(s, s)],
-                                    0.2 * lf.diameter(space.dist), rng)
+                                    0.2 * lf.diameter(space.dist), rng).matrix
             ext = lf.metric_extension_lp(space.dist, s, rho)
             distortion = ext.certificate.details["sup_distortion"]
             bound = lf.sup_distance(rho, space.dist[np.ix_(s, s)])

@@ -300,6 +300,11 @@ class TestConfigErrors:
                  "seed": "3"}, "'seed'"),
         ("perturb", {"space": grid_space_json([5], 0.25), "seed": 9, "amplitude": 0.01,
                      "count": 1.5}, "'count'"),
+        # schedules that are not lists, or run no stage
+        *(("extend", {**EXTEND_LINE, "eps_schedule": v}, "'eps_schedule'")
+          for v in (0.25, [], {})),
+        *((pipeline, {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": v},
+           "'n_schedule'") for pipeline in ("extend", "bap") for v in (3, [], {})),
     ], ids=["no-eps", "no-k", "n-past-exhaustion", "no-n_schedule", "no-amplitude",
             "missing-config", "missing-report", "grid-no-dims", "grid-no-spacing",
             "random-no-n", "random-no-seed", "inline-no-points", "inline-no-metric",
@@ -307,7 +312,11 @@ class TestConfigErrors:
             "inline-coords-float", "inline-nominal-dim-string", "glue-dim-k-float",
             "glue-dim-k-bool", "glue-seed-float", "glue-probe-count-float", "glue-n-float",
             "extend-perturbation-count-float", "extend-seed-bool", "extend-n-schedule-float",
-            "bap-n-schedule-float", "bap-seed-string", "perturb-count-float"])
+            "bap-n-schedule-float", "bap-seed-string", "perturb-count-float",
+            "extend-eps-schedule-number", "extend-eps-schedule-empty",
+            "extend-eps-schedule-dict", "extend-n-schedule-number", "extend-n-schedule-empty",
+            "extend-n-schedule-dict", "bap-n-schedule-number", "bap-n-schedule-empty",
+            "bap-n-schedule-dict"])
     def test_exits_2_and_names_the_cause(self, tmp_path, capsys, command, config, named):
         if config is None:
             path = str(tmp_path / "missing.json")
@@ -324,12 +333,12 @@ class TestConfigErrors:
 class TestTriangleSweeps:
     """The benchmark pipelines run the O(n^3) triangle sweep only on matrices
     no builder bounds: the induced pseudometrics, the glue metric and its
-    collar's extension, and the restricted probe metrics.  A space built by
-    the grid generator, or restricted from one, is never swept, so a bound
-    that gets lost adds a sweep here."""
+    collar's extension.  A space built by the grid generator, or restricted
+    from one, is never swept, nor is a probe, which carries its bound into
+    the glue collar; so a bound that gets lost adds a sweep here."""
 
     @pytest.mark.parametrize("name, sweeps", [
-        ("glue-10x10-line", [40, 40, 100, 100, 40, 40, 40, 40]),
+        ("glue-10x10-line", [40, 40, 100, 100]),
         ("extend-13x13-lp", [169]),
         ("extend-30x30-fine", [900]),
     ], ids=["glue-10x10-line", "extend-13x13-lp", "extend-30x30-fine"])
@@ -339,6 +348,17 @@ class TestTriangleSweeps:
         calls = sweeps_of(monkeypatch)
         assert main(["--out-dir", str(tmp_path / "out"), workload["pipeline"], path]) == 0
         assert [n for n, _ in calls] == sweeps
+
+    @pytest.mark.parametrize("name", ["extend-13x13-lp", "extend-30x30-fine"])
+    def test_extend_closes_no_matrix(self, tmp_path, monkeypatch, name):
+        # probes are made by single-edge shortcuts, not Floyd-Warshall
+        workload = WORKLOADS[name]
+        path = write_config(tmp_path, "c.json", workload["config"])
+        closes = []
+        close = spaces._close
+        monkeypatch.setattr(spaces, "_close", lambda d: closes.append(d.shape) or close(d))
+        assert main(["--out-dir", str(tmp_path / "out"), "extend", path]) == 0
+        assert closes == []
 
 
 class TestReportLayout:

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
-from lipfree import spaces
 from lipfree.extension import _adapted_excess_bound
 from lipfree.spaces import _min_plus_excess
 from conftest import (complement_distances_by_sets, lip_ball_vertices, line_space,
@@ -313,9 +312,11 @@ class TestPerturbedOperator:
     def test_seeded_perturbations_certify(self, line_bundle):
         rng = np.random.default_rng(5)
         radius = lf.admission_radius(line_bundle.nc.eps, line_bundle.nc.order_bound)
+        start = lf.BoundedMetric(line_bundle.adapted, line_bundle.excess)
         for _ in range(5):
-            e = lf.perturb_metric(line_bundle.adapted, 0.9 * radius, rng)
-            pb = lf.build_perturbed_operator(line_bundle, e)
+            probe = lf.perturb_metric(start, 0.9 * radius, rng)
+            pb = lf.build_perturbed_operator(line_bundle, probe)
+            e = probe.matrix
             assert pb.passed
             assert np.array_equal(pb.pou.matrix[list(pb.pou.domain)],
                                   np.eye(len(pb.pou.domain)))
@@ -324,27 +325,64 @@ class TestPerturbedOperator:
             for i in range(len(line_bundle.net)):
                 assert lf.lipschitz_constant(pb.pou.matrix[:, i], e) <= lip_bound + 1e-7
 
-    def test_perturbed_metric_is_certified_by_its_closure(self, grid_bundle, monkeypatch):
+    @pytest.mark.parametrize("dims, spacing", [([13, 13], 0.02), ([65], 1 / 64)])
+    def test_probes_reach_most_of_the_ball(self, dims, spacing):
+        # each shortcut may take what is left of the ball where it lands, so
+        # a probe's sup distance is most of its amplitude, not a sixteenth
+        nc = lf.build_net_cover(lf.make_grid_space(dims, spacing), 0.25)
+        bundle = lf.build_extension_bundle(nc)
+        amplitude = 0.9 * lf.admission_radius(nc.eps, nc.order_bound)
+        start = lf.BoundedMetric(bundle.adapted, bundle.excess)
+        for seed in (7, 11):
+            rng = np.random.default_rng(seed)
+            for _ in range(4):
+                probe = lf.perturb_metric(start, amplitude, rng).matrix
+                assert 0.8 * amplitude < lf.sup_distance(probe, bundle.adapted) <= amplitude
+
+    def test_handed_over_bound_is_recorded(self, grid_bundle):
+        # a bound in a BoundedMetric is taken on trust, so the certificates
+        # record which bound they took; a bare matrix records None
         radius = lf.admission_radius(grid_bundle.nc.eps, grid_bundle.nc.order_bound)
-        e = lf.perturb_metric(grid_bundle.adapted, 0.9 * radius, np.random.default_rng(3))
+        probe = lf.perturb_metric(lf.BoundedMetric(grid_bundle.adapted, grid_bundle.excess),
+                                  0.9 * radius, np.random.default_rng(3))
+        taken = lf.build_perturbed_operator(grid_bundle, probe).certificates
+        swept = lf.build_perturbed_operator(grid_bundle, probe.matrix).certificates
+        assert taken[0].kind == swept[0].kind == "perturbation-admission"
+        assert taken[0].details == {"excess_bound": probe.excess} and probe.excess is not None
+        assert swept[0].details == {"excess_bound": None}
+        assert all(a.inputs_hash != b.inputs_hash for a, b in zip(taken, swept))
+
+    def test_perturbed_metric_is_certified_by_its_closure(self, grid_bundle, monkeypatch):
+        # the probe is the shortest-path closure of the adapted metric with
+        # its shortcuts added, and carries the bound of that closure
+        radius = lf.admission_radius(grid_bundle.nc.eps, grid_bundle.nc.order_bound)
+        e = lf.perturb_metric(lf.BoundedMetric(grid_bundle.adapted, grid_bundle.excess),
+                              0.9 * radius, np.random.default_rng(3))
+        assert e.excess is not None
         swept = sweeps_of(monkeypatch)
         assert lf.build_perturbed_operator(grid_bundle, e).passed
         assert swept == []
 
     def test_restricted_closure_is_swept(self, grid_bundle, monkeypatch):
-        # one more point, one unit from point 0, then the closure restricted
-        # back: the bound is for the closure, not for its part
+        # one more point, one unit from point 0, then the probe restricted
+        # back: a bare part is swept, a part handed over with the probe's
+        # bound inherits it (the lemma of `restrict_space`)
         n = grid_bundle.adapted.shape[0]
         big = np.zeros((n + 1, n + 1))
         big[:n, :n] = grid_bundle.adapted
         big[n, :n] = big[:n, n] = grid_bundle.adapted[0] + 1.0
         radius = lf.admission_radius(grid_bundle.nc.eps, grid_bundle.nc.order_bound)
-        closed = lf.perturb_metric(big, 0.9 * radius, np.random.default_rng(3))
-        assert spaces.closure_excess_bound(closed) is not None
-        part = closed[np.ix_(range(n), range(n))]
+        closed = lf.perturb_metric(lf.BoundedMetric(big, lf.validate_metric(big).excess),
+                                   0.9 * radius, np.random.default_rng(3))
+        assert closed.excess is not None
+        part = closed.matrix[np.ix_(range(n), range(n))]
         swept = sweeps_of(monkeypatch)
         assert lf.build_perturbed_operator(grid_bundle, part).passed
         assert swept == [(n, n)]
+        swept.clear()
+        assert lf.build_perturbed_operator(
+            grid_bundle, lf.BoundedMetric(part, closed.excess)).passed
+        assert swept == []
 
     def test_unit_ball_transfer_estimate(self):
         # every extreme profile for the perturbed metric stays nearly
@@ -357,7 +395,7 @@ class TestPerturbedOperator:
         rng = np.random.default_rng(6)
         r = bundle.nc.order_bound
         radius = lf.admission_radius(bundle.nc.eps, r)
-        e = lf.perturb_metric(bundle.adapted, 0.9 * radius, rng)
+        e = lf.perturb_metric(bundle.adapted, 0.9 * radius, rng).matrix
         a = list(bundle.net)
         e_a = e[np.ix_(a, a)]
         d_a = bundle.adapted[np.ix_(a, a)]

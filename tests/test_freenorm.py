@@ -368,7 +368,7 @@ def random_operator(seed: int, partition: bool):
                 row[j] -= 1.0
         rows.append(row)
     op = lf.WeightOperator(space, domain, np.array(rows), partition=partition)
-    return op, lf.perturb_metric(space.dist, 0.05, rng)
+    return op, lf.perturb_metric(space.dist, 0.05, rng).matrix
 
 
 # Few distinct weights, so that entries of two rows cancel and +-1 pairs recur.
@@ -441,7 +441,7 @@ def grid_operators():
     radius = lf.admission_radius(0.25, bundle.nc.order_bound)
     ops = [(bundle.pou, bundle.adapted)]
     for _ in range(2):
-        e = lf.perturb_metric(bundle.adapted, 0.9 * radius, rng)
+        e = lf.perturb_metric(bundle.adapted, 0.9 * radius, rng).matrix
         ops.append((lf.build_perturbed_operator(bundle, e).pou, e))
     return ops
 
@@ -696,7 +696,7 @@ class TestMetricExtension:
         for seed in range(5):
             space = lf.random_metric_space(7, seed=seed)
             s = sorted(rng.choice(7, size=3, replace=False).tolist())
-            rho = lf.perturb_metric(space.dist[np.ix_(s, s)], 0.15, rng)
+            rho = lf.perturb_metric(space.dist[np.ix_(s, s)], 0.15, rng).matrix
             ext = lf.metric_extension_lp(space.dist, s, rho)
             assert np.array_equal(ext.matrix[np.ix_(s, s)], rho)
             bound = lf.sup_distance(rho, space.dist[np.ix_(s, s)])
@@ -720,7 +720,8 @@ class TestMetricExtension:
     def test_upper_side_checked_without_tolerance(self, monkeypatch):
         space = lf.random_metric_space(6, seed=22)
         s = [0, 1, 4]
-        rho = lf.perturb_metric(space.dist[np.ix_(s, s)], 0.1, np.random.default_rng(5))
+        rho = lf.perturb_metric(space.dist[np.ix_(s, s)], 0.1,
+                                np.random.default_rng(5)).matrix
         cert = lf.metric_extension_lp(space.dist, s, rho).certificate
         assert cert.passed and not cert.warning
         assert cert.details["entries_above_w"] == 0
@@ -744,7 +745,8 @@ class TestMetricExtension:
     def test_non_metric_extension_rejected(self, monkeypatch):
         space = lf.random_metric_space(6, seed=22)
         s = [0, 1, 4]
-        rho = lf.perturb_metric(space.dist[np.ix_(s, s)], 0.1, np.random.default_rng(5))
+        rho = lf.perturb_metric(space.dist[np.ix_(s, s)], 0.1,
+                                np.random.default_rng(5)).matrix
         assert lf.metric_extension_lp(space.dist, s, rho).certificate.passed
         real = lf.floyd_warshall
 

@@ -103,7 +103,7 @@ class TestSandwichSets:
     def test_inclusion_chain_under_admission(self, small_glue):
         rng = np.random.default_rng(2)
         radius = lf.probe_radius(small_glue.eps, small_glue.cfg.dim_k)
-        e = lf.perturb_metric(small_glue.metric, 0.9 * radius, rng)
+        e = lf.perturb_metric(small_glue.metric, 0.9 * radius, rng).matrix
         w1, w2 = lf.sandwich_sets(e, small_glue.cfg.k, small_glue.eps,
                                   small_glue.cfg.dim_k, "probe")
         assert set(small_glue.core_lo) <= set(w1) <= set(w2) <= set(small_glue.core_hi) \
@@ -244,6 +244,23 @@ class TestCertifyGluing:
             e = lf.perturb_metric(small_glue.metric, 0.9 * radius, rng)
             cert = lf.certify_gluing(small_glue, e, rng=rng)
             assert cert.passed
+
+    def test_handed_over_bound_is_recorded(self, small_glue):
+        # the probe's bound is taken on trust, so the glue certificates and
+        # the collar's say which bound they took; a bare matrix records None
+        radius = lf.probe_radius(small_glue.eps, small_glue.cfg.dim_k)
+        probe = lf.perturb_metric(lf.BoundedMetric(small_glue.metric, small_glue.excess),
+                                  0.9 * radius, np.random.default_rng(6))
+        assert probe.excess is not None
+        runs = []
+        for e, bound in ((probe, probe.excess), (probe.matrix, None)):
+            cert = lf.certify_gluing(small_glue, e, rng=np.random.default_rng(6))
+            assert cert.passed
+            recorded = {c.kind: c.details["excess_bound"] for c in cert.certificates
+                        if c.kind in ("probe-admission", "perturbation-admission")}
+            assert recorded == {"probe-admission": bound, "perturbation-admission": bound}
+            runs.append(cert.certificates)
+        assert all(a.inputs_hash != b.inputs_hash for a, b in zip(*runs))
 
     def test_glued_function_values(self, small_glue):
         # apply the operator as a function gluer and check the fixed part

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import sys
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
 from conftest import (ONE_900, floyd_warshall_serial, grid_metric_by_broadcast, line_space,
-                      min_plus_excess_by_via, perturb_metric_by_triu, random_metric_by_triu,
+                      min_plus_excess_by_via, random_metric_by_triu, shorten_edge_by_outer,
                       sweeps_of, traced_peak, validate_metric_full)
 from lipfree import spaces
 from lipfree.spaces import _min_plus_excess
@@ -450,25 +451,10 @@ def weight_matrices(draw):
 
 
 @st.composite
-def symmetric_weights(draw):
-    """Bitwise symmetric weights with ties, zeros of both signs and missing
-    edges (+inf), and a block of a few rows."""
-    n = draw(st.integers(1, 60))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    w = rng.integers(0, draw(st.integers(1, 6)), (n, n)).astype(float)
-    w[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = np.inf
-    w[rng.random((n, n)) < 0.1] = -0.0
-    lower = np.tril_indices(n, -1)
-    w[lower] = w.T[lower]
-    return w, draw(st.integers(1, 5))
-
-
-@st.composite
-def closure_weights(draw, symmetric=None):
+def closure_weights(draw):
     """Nonnegative weights to close: uniform floats of three scales, a few
-    values with ties, or 1 + ulp steps, with zeros and missing edges (+inf);
-    bitwise symmetric or not (when `symmetric` is None), so both k-loops
-    run.  Sizes run from 1 to 40, most not a multiple of the pivot batch."""
+    values with ties, or 1 + ulp steps, with zeros and missing edges (+inf),
+    bitwise symmetric or not.  Sizes run from 1 to 40."""
     n = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["uniform", "ties", "ulps"]))
@@ -480,7 +466,7 @@ def closure_weights(draw, symmetric=None):
         w = 1.0 + rng.integers(0, 4, (n, n)) * 2.0 ** -52
     w[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.05, 0.5]))] = np.inf
     w[rng.random((n, n)) < 0.05] = 0.0
-    if draw(st.booleans()) if symmetric is None else symmetric:
+    if draw(st.booleans()):
         spaces._mirror_upper(w)
     return w, draw(st.integers(1, 5))
 
@@ -499,36 +485,13 @@ class TestFloydWarshall:
             np.random.default_rng(3).uniform(0.5, 1.5, (300, 300))
         assert np.array_equal(lf.floyd_warshall(w), floyd_warshall_serial(w))
 
-    @given(symmetric_weights())
-    @settings(max_examples=200, deadline=None)
-    def test_symmetric_weights_sweep_the_upper_triangle(self, case):
-        w, rows = case
-        with mock.patch.object(spaces, "_BLOCK_CELLS", rows * w.shape[0]), \
-                mock.patch.object(spaces, "_floyd_warshall_upper",
-                                  wraps=spaces._floyd_warshall_upper) as upper:
-            got = lf.floyd_warshall(w)
-        assert got.tobytes() == floyd_warshall_serial(w).tobytes()
-        assert upper.call_count == 1
-
-    @given(st.one_of(symmetric_weights(), closure_weights(symmetric=True)), st.integers(1, 3))
-    @settings(max_examples=200, deadline=None)
-    def test_pivot_batches_match_the_serial_k_loop(self, case, batch):
-        w, rows = case
-        with mock.patch.object(spaces, "_BLOCK_CELLS", rows * w.shape[0]), \
-                mock.patch.object(spaces, "_PIVOT_BATCH", batch):
-            got = lf.floyd_warshall(w)
-        assert got.tobytes() == floyd_warshall_serial(w).tobytes()
-
     @pytest.mark.parametrize("lower", [-0.0, np.nextafter(2.0, np.inf)])
     def test_bitwise_asymmetric_weights_take_the_full_sweep(self, lower, monkeypatch):
         monkeypatch.setattr(spaces, "_BLOCK_CELLS", 3 * 40)
         w = random_metric_matrix(5, 40).copy()
         w[7, 30] = 0.0 if lower == -0.0 else 2.0
         w[30, 7] = lower
-        with mock.patch.object(spaces, "_floyd_warshall_upper") as upper:
-            got = lf.floyd_warshall(w)
-        assert got.tobytes() == floyd_warshall_serial(w).tobytes()
-        assert upper.call_count == 0
+        assert lf.floyd_warshall(w).tobytes() == floyd_warshall_serial(w).tobytes()
 
     def test_input_is_not_modified(self):
         w = np.full((3, 3), 5.0)
@@ -772,26 +735,13 @@ class TestRandomAndPerturb:
     def test_perturbation_within_amplitude(self, amplitude):
         d = random_metric_matrix(12, 8)
         rng = np.random.default_rng(3)
-        e = lf.perturb_metric(d, amplitude, rng)
+        e = lf.perturb_metric(d, amplitude, rng).matrix
         assert lf.validate_metric(e).ok
         assert lf.sup_distance(e, d) <= amplitude + 1e-12
 
     def test_floyd_warshall_idempotent_on_metric(self):
         d = random_metric_matrix(13, 6)
         assert np.allclose(lf.floyd_warshall(d), d)
-
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-4, 0.01, 0.3, 5.0]),
-           st.sampled_from(["random", "grid", "point"]), st.integers(1, 4))
-    @settings(max_examples=100, deadline=None)
-    def test_perturbation_matches_the_triu_formula(self, seed, amplitude, kind, rows):
-        d = {"random": lambda: random_metric_matrix(seed % 1000, 1 + seed % 23),
-             "grid": lambda: lf.make_grid_space([1 + seed % 7, 5], 0.1).dist,
-             "point": lambda: np.zeros((1, 1))}[kind]()
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        with mock.patch.object(spaces, "_BLOCK_CELLS", rows * d.shape[0]):
-            got = lf.perturb_metric(d, amplitude, ours)
-        assert got.tobytes() == perturb_metric_by_triu(d, amplitude, theirs).tobytes()
-        assert ours.bit_generator.state == theirs.bit_generator.state
 
     @pytest.mark.parametrize("n, seed, scale", [(1, 0, 1.0), (2, 1, 1.0), (7, 42, 1.0),
                                                 (40, 3, 0.25), (130, 9, 3.0)])
@@ -1036,17 +986,16 @@ class TestRestrictionExcess:
 
 
 class TestClosureExcessBound:
-    """A shortest-path closure this process computed carries the derived
-    bound of `_close`'s lemma, found by its content; every other matrix
-    gets None."""
+    """`_close` returns the derived bound of its lemma for the closure it
+    just made."""
 
     @given(closure_weights())
     @settings(max_examples=200, deadline=None)
     def test_bound_covers_the_sweep(self, case):
         w, rows = case
+        d = w.copy()
         with mock.patch.object(spaces, "_BLOCK_CELLS", rows * w.shape[0]):
-            d = lf.floyd_warshall(w)
-        bound = spaces.closure_excess_bound(d)
+            bound = spaces._close(d)
         if np.isfinite(d).all():
             assert 0.0 <= _min_plus_excess(d)[0] <= bound
             assert bound <= 2.01 * len(d) * 2.0 ** -53 * d.max()
@@ -1055,74 +1004,24 @@ class TestClosureExcessBound:
 
     @pytest.mark.parametrize("dims, amplitude, ulps", [([10, 10], 0.01, 1), ([30, 30], 0.005, 3)])
     def test_rounding_term_is_needed(self, dims, amplitude, ulps):
-        # perturbed lattice metrics measure an excess above `ulps` u M, which
-        # a bound without its rounding term, or with a smaller one, would miss
-        e = lf.perturb_metric(lf.make_grid_space(dims, 0.02).dist, amplitude,
-                              np.random.default_rng(7))
+        # closures of lattice metrics under symmetric noise measure an excess
+        # above `ulps` u M, which a bound without its rounding term, or with
+        # a smaller one, would miss
+        d = lf.make_grid_space(dims, 0.02).dist
+        beta = amplitude / d.max()
+        e = np.random.default_rng(7).uniform(-beta, beta, d.shape)
+        spaces._mirror_upper(e)
+        e += 1.0
+        e *= d
+        bound = spaces._close(e)
         measured = _min_plus_excess(e)[0]
-        assert ulps * 2.0 ** -53 * e.max() < measured <= spaces.closure_excess_bound(e) < 1e-12
-
-    def test_the_match_is_by_content(self, monkeypatch):
-        e = lf.perturb_metric(lf.make_grid_space([6, 6], 0.1).dist, 0.05,
-                              np.random.default_rng(3))
-        bound = spaces.closure_excess_bound(e)
-        assert bound is not None
-        assert spaces.closure_excess_bound(e.copy()) == bound
-        assert spaces.closure_excess_bound(e.tolist()) == bound
-        assert spaces.closure_excess_bound(np.asfortranarray(e)) is None
-        assert spaces.closure_excess_bound(e.astype(np.float32)) is None
-        edited = e.copy()
-        edited[3, 8] = edited[8, 3] = np.nextafter(edited[3, 8], 1.0)
-        assert spaces.closure_excess_bound(edited) is None
-        calls = sweeps_of(monkeypatch)
-        report = lf.validate_metric(edited, excess_bound=spaces.closure_excess_bound(edited))
-        assert calls == [(36, 36)] and report.excess == _min_plus_excess(edited)[0]
-
-    def test_only_the_last_closures_are_kept(self):
-        rng = np.random.default_rng(11)
-        first = lf.floyd_warshall(rng.uniform(0.5, 1.5, (5, 5)))
-        assert spaces.closure_excess_bound(first) is not None
-        for _ in range(spaces._CLOSURES_KEPT):
-            lf.floyd_warshall(rng.uniform(0.5, 1.5, (5, 5)))
-        assert spaces.closure_excess_bound(first) is None
-
-    def test_concurrent_closures_keep_the_table_whole(self):
-        # more threads than cores, switching often: no closure fails, each
-        # lookup of a closure just made gives its bound or, once evicted,
-        # None, and the table is never seen past its size
-        found, errors = [], []
-
-        def run(k):
-            rng = np.random.default_rng(k)
-            try:
-                for _ in range(1000):
-                    d = lf.floyd_warshall(rng.uniform(0.5, 1.5, (3, 3)))
-                    bound = spaces.closure_excess_bound(d)
-                    assert bound is None or bound >= _min_plus_excess(d)[0]
-                    with spaces._CLOSURES_LOCK:
-                        assert len(spaces._CLOSURES) <= spaces._CLOSURES_KEPT
-                    found.append(bound is not None)
-            except Exception as err:        # reported below, with the thread's others
-                errors.append(err)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            callers = [threading.Thread(target=run, args=(k,)) for k in range(4)]
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in callers)
-        assert errors == [] and len(found) == 4000 and any(found)
+        assert ulps * 2.0 ** -53 * e.max() < measured <= bound < 1e-12
 
     def test_random_spaces_skip_the_sweep(self, monkeypatch):
         calls = sweeps_of(monkeypatch)
         space = lf.random_metric_space(40, seed=4)
         assert calls == []
-        assert space.excess == spaces.closure_excess_bound(space.dist)
+        assert space.excess == (2 * 40 * 2.0 ** -53) * space.dist.max() * (1.0 + 2.0 ** -10)
         assert _min_plus_excess(space.dist)[0] <= space.excess < 1e-13
         calls.clear()
         edited = space.dist.copy()
@@ -1131,18 +1030,119 @@ class TestClosureExcessBound:
         assert calls == [(40, 40)] and again.excess == _min_plus_excess(edited)[0]
 
     def test_close_returns_the_bound_it_records(self):
-        rng = np.random.default_rng(5)
-        d = rng.uniform(0.5, 1.5, (6, 6))
+        # the random generator records the bound as its space's excess
+        d = np.random.default_rng(5).uniform(0.5, 1.5, (6, 6))
+        spaces._mirror_upper(d)
         bound = spaces._close(d)
-        assert bound is not None and bound == spaces.closure_excess_bound(d)
+        assert bound is not None and bound == lf.random_metric_space(6, seed=5).excess
         assert 0.0 <= _min_plus_excess(d)[0] <= bound
-        w = rng.uniform(0.5, 1.5, (4, 4))
+        w = np.random.default_rng(5).uniform(0.5, 1.5, (4, 4))
         w[0, 1:] = w[1:, 0] = np.inf                        # point 0 stays unreachable
-        assert spaces._close(w) is None and spaces.closure_excess_bound(w) is None
+        assert spaces._close(w) is None
 
-    def test_matrices_no_closure_made_get_none(self):
-        assert spaces.closure_excess_bound(lf.make_grid_space([4, 4], 0.1).dist) is None
-        assert spaces.closure_excess_bound(np.zeros(3)) is None
+
+@functools.lru_cache(maxsize=None)
+def adapted_metric(dims, eps):
+    bundle = lf.build_extension_bundle(lf.build_net_cover(lf.make_grid_space(dims, 0.1), eps))
+    return lf.BoundedMetric(bundle.adapted, bundle.excess)
+
+
+@st.composite
+def bounded_metrics(draw):
+    """A bitwise symmetric metric with a proven bound on the excess the sweep
+    measures on it: a random closure, a lattice metric of each ground, or an
+    extension bundle's adapted metric."""
+    kind = draw(st.sampled_from(["random", "lattice", "adapted"]))
+    if kind == "adapted":
+        return adapted_metric(*draw(st.sampled_from([((9,), 0.25), ((5, 5), 0.3),
+                                                     ((7, 4), 0.45)])))
+    if kind == "random":
+        space = lf.random_metric_space(draw(st.integers(2, 30)), draw(st.integers(0, 2 ** 16)),
+                                       draw(st.sampled_from([1e-3, 1.0, 1e3])))
+    else:
+        space = lf.make_grid_space([draw(st.integers(2, 6)), draw(st.integers(1, 5))],
+                                   draw(st.sampled_from([0.1, 0.3])),
+                                   draw(st.sampled_from(["linf", "l1", "l2"])))
+    return lf.BoundedMetric(space.dist, space.excess)
+
+
+def bitwise_symmetric(e):
+    bits = e.view(np.uint64)
+    return np.array_equal(bits, bits.T)
+
+
+U = 2.0 ** -53
+
+
+class TestShortenEdge:
+    """An added edge keeps a metric a metric, bitwise symmetric, lowers no
+    entry by more than the edge's own drop plus rounding, and keeps the
+    excess bound up to 9 u max d: the lemma of `perturb_metric` with one
+    shortcut.  A probe of 16 shortcuts carries a bound above what the sweep
+    measures."""
+
+    @given(bounded_metrics(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_shortcut_keeps_the_bound(self, start, data):
+        d, bound = start
+        n, top = len(d), float(d.max())
+        x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        length = max(d[x, y] * data.draw(st.floats(0.01, 1.5)), 1e-3 * top)
+        e = d.copy()
+        with mock.patch.object(spaces, "_BLOCK_CELLS", data.draw(st.integers(1, 4)) * n):
+            spaces.shorten_edge(e, x, y, length)
+        assert e.tobytes() == shorten_edge_by_outer(d, x, y, length).tobytes()
+        assert bitwise_symmetric(d) and bitwise_symmetric(e)
+        assert not np.diagonal(e).any() and (e[~np.eye(n, dtype=bool)] > 0).all()
+        assert (e <= d).all()
+        assert (d - e).max() <= max(d[x, y] - length, 0.0) + 2.01 * bound + 10 * U * top
+        assert _min_plus_excess(e)[0] <= bound * (1 + 2.0 ** -50) + 9 * U * top
+
+    @given(bounded_metrics(), st.integers(0, 2 ** 32 - 1), st.sampled_from([1e-4, 0.01, 0.3]))
+    @settings(max_examples=100, deadline=None)
+    def test_probe_carries_its_bound(self, start, seed, fraction):
+        d = start.matrix
+        amplitude = fraction * d.max()
+        probe = lf.perturb_metric(start, amplitude, np.random.default_rng(seed))
+        e = probe.matrix
+        assert _min_plus_excess(e)[0] <= probe.excess <= lf.DEFAULT_TOL
+        assert bitwise_symmetric(e) and (e <= d).all()
+        assert lf.sup_distance(e, d) <= amplitude + 1e-12
+        assert lf.validate_metric(e).ok
+        again = lf.perturb_metric(start, amplitude, np.random.default_rng(seed))
+        assert again.matrix.tobytes() == e.tobytes() and again.excess == probe.excess
+
+    @pytest.mark.parametrize("n, seed, scale, fraction, draws", [(6, 38, 7.3, 0.5, 4),
+                                                                 (7, 31, 7.3, 2.0, 5)])
+    def test_rounding_term_is_needed(self, n, seed, scale, fraction, draws):
+        # the shortcuts of these probes raise the measured excess of a start
+        # that has none above 1.5 u M, which a bound without its rounding
+        # term would miss
+        d = lf.random_metric_space(n, seed, scale).dist
+        assert _min_plus_excess(d)[0] == 0.0
+        probe = lf.perturb_metric(lf.BoundedMetric(d, 0.0), fraction * d.max(),
+                                  np.random.default_rng(draws))
+        assert 1.5 * U * d.max() < _min_plus_excess(probe.matrix)[0] <= probe.excess
+
+    def test_no_bound_without_a_proven_start(self, monkeypatch):
+        space = lf.make_grid_space([4, 4], 0.1)
+        rng = np.random.default_rng(3)
+        bare = lf.perturb_metric(space.dist, 0.01, rng)
+        assert bare.excess is None
+        calls = sweeps_of(monkeypatch)
+        assert lf.FiniteMetricSpace(space.points, bare).excess == _min_plus_excess(bare.matrix)[0]
+        assert calls == [(16, 16)]
+        skewed = space.dist.copy()
+        skewed[0, 1] = np.nextafter(skewed[0, 1], 1.0)      # symmetric only up to one ulp
+        assert lf.perturb_metric(lf.BoundedMetric(skewed, 0.0), 0.01, rng).excess is None
+        same = lf.perturb_metric(lf.BoundedMetric(space.dist, space.excess), 0.0, rng)
+        assert same.excess == space.excess and np.array_equal(same.matrix, space.dist)
+
+    def test_length_must_be_positive(self):
+        e = lf.make_grid_space([3], 0.1).dist.copy()
+        for length in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="positive"):
+                spaces.shorten_edge(e, 0, 2, length)
 
 
 class TestExcessBoundArgument:
@@ -1228,8 +1228,8 @@ class TestMemoryBudgets:
         assert out.shape == (900, 900) and peak - out.nbytes < ONE_900
 
     def test_perturb_metric(self, grid_900):
-        e, peak = traced_peak(lambda: lf.perturb_metric(grid_900.dist, 1e-3,
-                                                        np.random.default_rng(7)))
-        assert peak - e.nbytes < ONE_900
-        want = perturb_metric_by_triu(grid_900.dist, 1e-3, np.random.default_rng(7))
-        assert e.tobytes() == want.tobytes()
+        start = lf.BoundedMetric(grid_900.dist, grid_900.excess)
+        probe, peak = traced_peak(lambda: lf.perturb_metric(start, 1e-3,
+                                                            np.random.default_rng(7)))
+        assert peak - probe.matrix.nbytes < ONE_900
+        assert probe.excess < 1e-13 and lf.sup_distance(probe.matrix, grid_900.dist) <= 1e-3
