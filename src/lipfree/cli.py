@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -72,6 +73,15 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _positive(value, name: str) -> float:
+    """value as a float; a ConfigError that names the entry when it is not a
+    finite number > 0, since float() would read true as 1.0 and "2" as 2.0."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value <= 0):
+        raise ConfigError(f"config entry '{name}' must be a positive number, got {value!r}")
+    return float(value)
+
+
 def _schedule(cfg: dict, key: str) -> list:
     """cfg[key], if it is a nonempty list (an empty one runs no stage)."""
     value = _get(cfg, key)
@@ -81,7 +91,12 @@ def _schedule(cfg: dict, key: str) -> list:
 
 
 def _n_schedule(cfg: dict) -> list[int]:
-    return [_integer(n, f"n_schedule[{i}]") for i, n in enumerate(_schedule(cfg, "n_schedule"))]
+    """The stages of n_schedule, integers >= 1 (stage n has scale 1/(10 n))."""
+    stages = [_integer(n, f"n_schedule[{i}]") for i, n in enumerate(_schedule(cfg, "n_schedule"))]
+    for i, n in enumerate(stages):
+        if n < 1:
+            raise ConfigError(f"config entry 'n_schedule[{i}]' must be at least 1, got {n}")
+    return stages
 
 
 def _load_config(args) -> dict:
@@ -184,9 +199,10 @@ def _eps_schedule(cfg: dict) -> list[tuple[str, float]]:
     """Either an explicit eps list, or (nu, n_schedule) mapped through
     `_stage_eps`."""
     if "eps_schedule" in cfg:
-        return [(str(e), float(e)) for e in _schedule(cfg, "eps_schedule")]
+        return [(str(e), _positive(e, f"eps_schedule[{i}]"))
+                for i, e in enumerate(_schedule(cfg, "eps_schedule"))]
     if "nu" in cfg and "n_schedule" in cfg:
-        nu = float(cfg["nu"])
+        nu = _positive(cfg["nu"], "nu")
         return [(str(n), _stage_eps(nu, n)) for n in _n_schedule(cfg)]
     raise ConfigError("config needs eps_schedule or (nu, n_schedule)")
 
@@ -198,7 +214,7 @@ def _eps_schedule(cfg: dict) -> list[tuple[str, float]]:
 def cmd_build_cover(args) -> int:
     cfg = _load_config(args)
     space = _space_from_config(cfg)
-    eps = float(_get(cfg, "eps"))
+    eps = _positive(_get(cfg, "eps"), "eps")
     nc = coversmod.build_net_cover(space, eps)
     cert = coversmod.verify_net_cover(nc)
     out = Path(args.out_dir) / f"cover-{cfg.get('seed', 0)}-{eps}.json"
@@ -272,9 +288,9 @@ def cmd_glue(args) -> int:
                                 tuple(_get(cfg, "thresholds")))
     n = _integer(cfg.get("n", 1), "n")
     if "eps" in cfg:
-        eps = float(cfg["eps"])
+        eps = _positive(cfg["eps"], "eps")
     else:
-        nu = float(_get(cfg, "nu"))
+        nu = _positive(_get(cfg, "nu"), "nu")
         exh = gluemod.build_exhaustion(gcfg)
         if not 1 <= n <= len(exh):
             raise ConfigError(f"n = {n} must lie in 1..{len(exh)}, the exhaustion's levels")
@@ -328,7 +344,7 @@ def cmd_glue(args) -> int:
 def cmd_bap(args) -> int:
     cfg = _load_config(args)
     space = _space_from_config(cfg)
-    nu = float(cfg.get("nu", 1.0))
+    nu = _positive(cfg.get("nu", 1.0), "nu")
     envelope = float(cfg.get("envelope", 4.0))
     seed = _integer(cfg.get("seed", 0), "seed")
     stages = []

@@ -23,8 +23,7 @@ import numpy as np
 
 from .certs import Certificate, make_certificate, all_passed
 from .covers import NetAndCover, verify_net_cover
-from .freenorm import (AdmissionError, WeightOperator, lipschitz_constant,
-                       molecule_norm_matrix, operator_norm)
+from .freenorm import AdmissionError, WeightOperator, ClassPairs, molecule_norm_matrix
 from .spaces import (DEFAULT_TOL, BoundedMetric, FiniteMetricSpace, diameter,
                      quotient_pseudometric, sup_distance, validate_metric,
                      validate_pseudometric)
@@ -215,15 +214,9 @@ def build_extension_bundle(nc: NetAndCover) -> ExtensionBundle:
     certs.append(make_certificate(
         "adapted-extends-net-metric", 0.0, agree, "le", 0.0, inputs=inputs))
 
+    pairs = ClassPairs(pou, adapted)            # the classes of pou against adapted
     if len(a) >= 2:
-        # the first row-major maximiser of the molecule ratios over x < y: a
-        # row's first maximum counts only when it beats every earlier row's
-        enorm, wit = -np.inf, None
-        for x in range(space.n - 1):
-            ratios = induced[x, x + 1:] / adapted[x, x + 1:]
-            y = int(np.argmax(ratios))
-            if ratios[y] > enorm:
-                enorm, wit = float(ratios[y]), (x, x + 1 + y)
+        enorm, wit = pairs.ratio_max(induced)
         certs.append(make_certificate(
             "extension-operator-norm", 1.0, enorm, "abs_le", 1e-9,
             witnesses=[wit], inputs=inputs))
@@ -233,9 +226,9 @@ def build_extension_bundle(nc: NetAndCover) -> ExtensionBundle:
             "extension-operator-norm", 0.0, 0.0, "abs_le", 0.0,
             details={"note": "single-point net"}, inputs=inputs))
 
-    lips = [lipschitz_constant(pou.matrix[:, i], adapted) for i in range(len(a))]
+    lips = pairs.lipschitz_constants()
     certs.append(make_certificate(
-        "partition-lipschitz", 3.0 / eps, float(max(lips)), "le", DEFAULT_TOL,
+        "partition-lipschitz", 3.0 / eps, float(lips.max()), "le", DEFAULT_TOL,
         witnesses=[int(np.argmax(lips))], inputs=inputs))
     certs.append(verify_complement_margin(adapted, nc.sets, eps))
 
@@ -290,13 +283,14 @@ def build_perturbed_operator(bundle: ExtensionBundle, e) -> PerturbedBundle:
     inputs = {"space": nc.space.key, "eps": eps, "r": r, "excess_bound": excess}
     certs = [make_certificate("perturbation-admission", radius, measured, "le", 0.0,
                               inputs=inputs, details={"excess_bound": excess})]
-    lips = [lipschitz_constant(mu.matrix[:, i], e) for i in range(len(a))]
+    pairs = ClassPairs(mu, e)                   # the classes of mu against e
+    lips = pairs.lipschitz_constants()
     certs.append(make_certificate(
-        "perturbed-partition-lipschitz", 4.0 * (2 * r + 3) / eps, float(max(lips)),
+        "perturbed-partition-lipschitz", 4.0 * (2 * r + 3) / eps, float(lips.max()),
         "le", DEFAULT_TOL, witnesses=[int(np.argmax(lips))], inputs=inputs))
     bound = perturbed_norm_bound(r)
     if len(a) >= 2:
-        gnorm, wit = operator_norm(mu, e)
+        gnorm, wit = pairs.operator_norm()
         certs.append(make_certificate(
             "perturbed-operator-norm", bound, gnorm, "le", DEFAULT_TOL,
             witnesses=[wit], details={"headroom": bound - gnorm}, inputs=inputs))

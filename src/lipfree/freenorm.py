@@ -15,13 +15,15 @@ test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import lp as lpmod
 from .certs import Certificate, make_certificate
 from .spaces import (FiniteMetricSpace, as_indices, bad_indices, first_equal_rows,
-                     floyd_warshall, require_metric, sup_distance, validate_metric)
+                     floyd_warshall, is_symmetric, least_class_distances, require_metric,
+                     sup_distance, validate_metric)
 
 
 class AdmissionError(ValueError):
@@ -217,12 +219,12 @@ def _row_norms(cols: np.ndarray, vals: np.ndarray, d: np.ndarray, base: int,
     return value
 
 
-# Pairs per block of the molecule sweeps, in rows of the pair matrix.  A
+# Pairs per block of the class-pair sweeps, in rows of the pair matrix.  A
 # block's sparse differences are only twice the widest weight row wide, but
 # `_ratio_upper_bounds` fills an m-wide row of star bounds for each of its LP
 # pairs, and those transients grow with the block.  At 4 rows the glue
-# workload's peak RSS matches one x per block, and the 900-point sweeps take
-# about 100 numpy passes each.
+# workload's peak RSS matches one x per block, and the sweeps over the 100
+# classes of the 900-point partitions take 14 blocks each.
 _BLOCK_ROWS = 4
 
 
@@ -249,14 +251,20 @@ def _pair_blocks(starts: np.ndarray, ends: np.ndarray):
         lo = hi
 
 
-def _upper_pair(n: int, index):
-    """The index-th pair x < y of n points in row-major order, the entry
-    `np.triu_indices(n, k=1)` holds there, from the row starts with one
-    searchsorted; index may be an int or an integer array."""
-    counts = np.arange(n - 1, 0, -1)
-    starts = np.cumsum(counts) - counts
-    x = np.searchsorted(starts, index, side="right") - 1
-    return x, x + 1 + (index - starts[x])
+class _RowClasses:
+    """The classes of bitwise-equal rows of a weight matrix w, numbered by
+    first occurrence: reps[a] and last[a] are the first and the last row of
+    class a, and cls[x] is the class of row x.  Some pair x < y has x in
+    class a and y in class b exactly when reps[a] < last[b].  A
+    `WeightOperator` builds its classes once (`WeightOperator._classes`)."""
+
+    def __init__(self, w: np.ndarray):
+        n = len(w)
+        first = first_equal_rows(w)
+        self.reps = np.flatnonzero(first == np.arange(n))
+        self.cls = np.searchsorted(self.reps, first)
+        self.last = np.zeros(len(self.reps), dtype=np.intp)
+        np.maximum.at(self.last, self.cls, np.arange(n))
 
 
 # Relative slack an upper bound on a molecule ratio must clear before its pair
@@ -280,19 +288,23 @@ def _ratio_upper_bounds(cols: np.ndarray, vals: np.ndarray, d: np.ndarray,
     The sums run over each row's slots in order, one elementwise add per
     slot, so a row's bound depends on that row alone and not on the other
     rows of the call.  A slot whose value is 0 (padding, a merged-away or a
-    base entry) adds exact zeros; the sentinel column m reads a zero row.
+    base entry) adds exact zeros, d being finite; the sentinel column m is
+    clipped to a real one.  One buffer holds each slot's terms in turn.
     """
     m = len(d)
-    d_pad = np.vstack([d, np.zeros(m)])
     abs_v = np.abs(vals)
     star = np.zeros((len(cols), m))
+    term = np.empty_like(star)
     total = np.zeros(len(cols))
     mass = np.zeros(len(cols))
     for s in range(cols.shape[1]):
-        star += abs_v[:, s, None] * d_pad[cols[:, s]]
+        np.take(d, cols[:, s], axis=0, mode="clip", out=term)
+        term *= abs_v[:, s, None]
+        star += term
         total += vals[:, s]
         mass += abs_v[:, s]
-    star += np.abs(total)[:, None] * d[base][None, :]
+    np.multiply(np.abs(total)[:, None], d[base][None, :], out=term)
+    star += term
     residual = 2.0 * lpmod.SOLVER_TOL * max(1.0, float(d.max())) * mass
     return (star.min(axis=1) + residual) * (1.0 + PRUNE_MARGIN) / d_t
 
@@ -342,6 +354,12 @@ class WeightOperator:
             raise ValueError("base point missing from the operator domain")
         return self.domain.index(b)
 
+    @cached_property
+    def _classes(self) -> _RowClasses:
+        """The classes of equal weight rows, shared by every sweep of this
+        operator."""
+        return _RowClasses(self.matrix)
+
     def apply(self, f_values) -> np.ndarray:
         f = np.asarray(f_values, dtype=float)
         if f.shape != (len(self.domain),):
@@ -349,13 +367,19 @@ class WeightOperator:
         return self.matrix @ f
 
 
-def _metrics(op: WeightOperator, d) -> tuple[np.ndarray, np.ndarray, int]:
-    """d as a float matrix over all points, its restriction to the operator
-    domain, and the base position in the domain."""
+def _metric(op: WeightOperator, d) -> np.ndarray:
+    """d as a float matrix over all points of op's space."""
     d = np.asarray(d, dtype=float)
     n = op.space.n
     if d.shape != (n, n):
         raise ValueError(f"metric must be {n} x {n}, got {d.shape}")
+    return d
+
+
+def _metrics(op: WeightOperator, d) -> tuple[np.ndarray, np.ndarray, int]:
+    """d as a float matrix over all points (`_metric`), its restriction to
+    the operator domain, and the base position in the domain."""
+    d = _metric(op, d)
     return d, d[np.ix_(op.domain, op.domain)], op.base_position
 
 
@@ -402,15 +426,12 @@ def molecule_norm_matrix(op: WeightOperator, d: np.ndarray) -> np.ndarray:
     """
     _, d_a, base = _metrics(op, d)
     n, m = op.matrix.shape
-    first = first_equal_rows(op.matrix)
-    reps = np.flatnonzero(first == np.arange(n))
-    cls = np.searchsorted(reps, first)
-    last = np.zeros(len(reps), dtype=np.intp)
-    np.maximum.at(last, cls, np.arange(n))
+    classes = op._classes
+    reps, cls = classes.reps, classes.cls
     cols, vals = _sparse_rows(op.matrix[reps])
     table = np.zeros((len(reps), len(reps)))
     lp_parts = []
-    for a, b in _pair_blocks(reps, last):
+    for a, b in _pair_blocks(reps, classes.last):
         c, v = _difference(cols[a], vals[a], cols[b], vals[b], m)
         table[a, b], needs_lp = _triage(c, v, d_a, base)
         lp_parts.append((a[needs_lp], b[needs_lp], c[needs_lp], v[needs_lp]))
@@ -424,70 +445,161 @@ def molecule_norm_matrix(op: WeightOperator, d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pruned_max(w: np.ndarray, d_a: np.ndarray, base: int,
-                d_t: np.ndarray) -> tuple[float, int]:
-    """Largest ratio norm(x, y) / d_t(x, y) over the pairs x < y of the weight
-    rows w, and the flat row-major index of its first maximiser.
+class ClassPairs:
+    """The classes of equal weight rows of op (`WeightOperator._classes`)
+    against one metric d on all points: least[a, b] is the least d(x, y)
+    over the pairs x < y with x in class a and y in class b
+    (`spaces.least_class_distances`), +inf where there is none.  The
+    extension pipeline builds one per (weights, metric) and runs both of its
+    sweeps on it: the bundle's extension-operator norm and partition
+    Lipschitz constants, and each perturbed operator's norm and Lipschitz
+    constants.  It is not exported from `lipfree`: `ratio_max` trusts its
+    argument to be a molecule-norm matrix of op.
 
-    Shortcut pairs give exact ratios as they are triaged.  The pairs left to
-    the LP are solved in descending order of the proven upper bound of
-    `_ratio_upper_bounds` on their ratio, skipping every pair whose bound
-    falls below the best ratio so far: a skipped pair lies strictly below the
-    maximum.  Only the running maximum and its index are kept, with ties
-    going to the lower index, so the result is the first maximiser of the
-    exhaustive sweep without its n(n-1)/2 ratios.
+    A sweep's quantity N >= 0 of a pair (x, y), a molecule norm or the gap
+    of a weight column, depends on x and y only through their weight rows,
+    so it is computed once per class pair and divided once, by the least
+    distance: correctly rounded division fl(N / d) does not rise as d > 0
+    grows, so fl(N / least d) is bitwise the largest member ratio, and a
+    bound on N / least d bounds every member.
     """
-    n, m = w.shape
-    cols, vals = _sparse_rows(w)
-    best, first = -np.inf, -1
-    lp_parts = []
-    start = 0
-    points = np.arange(n)
-    for x, y in _pair_blocks(points, points):
-        c, v = _difference(cols[x], vals[x], cols[y], vals[y], m)
-        value, needs_lp = _triage(c, v, d_a, base)
-        ratios = value / d_t[x, y]
-        ratios[needs_lp] = -np.inf
-        top = int(np.argmax(ratios))
-        # blocks run in row-major order: a later block must beat the best
-        if ratios[top] > best:
-            best, first = float(ratios[top]), start + top
-        rows = np.flatnonzero(needs_lp)
-        lp_parts.append((rows + start, x[rows], y[rows],
-                         _ratio_upper_bounds(c[rows], v[rows], d_a, base,
-                                             d_t[x[rows], y[rows]])))
-        start += len(x)
-    index, lp_x, lp_y, bounds = map(np.concatenate, zip(*lp_parts))
-    memo: dict = {}
-    for i in np.argsort(-bounds, kind="stable"):
-        if bounds[i] < best:
-            continue
-        x, y = lp_x[i:i + 1], lp_y[i:i + 1]
-        c, v = _difference(cols[x], vals[x], cols[y], vals[y], m)
-        ratio = _row_norms(c, v, d_a, base, memo)[0] / d_t[x[0], y[0]]
-        if ratio > best or (ratio == best and index[i] < first):
-            best, first = float(ratio), int(index[i])
-    return best, first
+
+    def __init__(self, op: WeightOperator, d):
+        self.op = op
+        self.d = _metric(op, d)
+        self.classes = op._classes
+        self.least = least_class_distances(self.d, self.classes.cls)
+
+    def first_maximiser(self, table: np.ndarray, best: float) -> tuple[int, int]:
+        """The first pair x < y in row-major order with fl(table[a, b] /
+        d(x, y)) == best, for the classes a of x and b of y, given best, the
+        largest of the class ratios fl(table / least); NaN entries of table
+        were never computed and cannot tie.
+
+        Only the class pairs whose ratio ties best can hold such a pair, and
+        each holds one, at its least distance.  Their members are scanned in
+        row-major order, in blocks of `_pair_blocks` over the rows and the
+        columns of the tied classes, until one reaches best: distinct
+        distances may round to the same ratio, so the first hit need not lie
+        at a least distance.
+        """
+        cls = self.classes.cls
+        tied = table / self.least == best
+        xs = np.flatnonzero(tied.any(axis=1)[cls])
+        ys = np.flatnonzero(tied.any(axis=0)[cls])
+        for i, j in _pair_blocks(xs, ys):
+            x, y = xs[i], ys[j]
+            a, b = cls[x], cls[y]
+            keep = np.flatnonzero(tied[a, b])
+            hit = np.flatnonzero(table[a[keep], b[keep]] / self.d[x[keep], y[keep]] == best)
+            if hit.size:
+                return int(x[keep[hit[0]]]), int(y[keep[hit[0]]])
+        raise ValueError(f"no pair x < y attains the ratio {best!r}")
+
+    def operator_norm(self) -> tuple[float, tuple[int, int]]:
+        """`operator_norm(op, d)`.
+
+        The sweep runs over the oriented class pairs (a, b), as in
+        `molecule_norm_matrix`, and each ratio is N(a, b) / least[a, b].
+        Shortcut pairs give exact ratios as they are triaged.  The pairs left
+        to the LP are solved one at a time in descending order of the proven
+        upper bound of `_ratio_upper_bounds` on their ratio, taken at the
+        least distance, until a bound falls below the best ratio so far:
+        every pair left lies strictly below the maximum.  So the value is
+        the exhaustive sweep's, and the witness (`first_maximiser`) its
+        first maximiser.
+        """
+        op, least = self.op, self.least
+        d_a, base = self.d[np.ix_(op.domain, op.domain)], op.base_position
+        n, m = op.matrix.shape
+        if n < 2:
+            return 0.0, (0, 0)
+        reps, last = self.classes.reps, self.classes.last
+        cols, vals = _sparse_rows(op.matrix[reps])
+        table = np.full(least.shape, np.nan)
+        best = -np.inf
+        lp_parts = []
+        for a, b in _pair_blocks(reps, last):
+            c, v = _difference(cols[a], vals[a], cols[b], vals[b], m)
+            value, needs_lp = _triage(c, v, d_a, base)
+            exact = ~needs_lp
+            table[a[exact], b[exact]] = value[exact]
+            best = max(best, (value[exact] / least[a[exact], b[exact]]).max(initial=-np.inf))
+            lp_parts.append((a[needs_lp], b[needs_lp],
+                             _ratio_upper_bounds(c[needs_lp], v[needs_lp], d_a, base,
+                                                 least[a[needs_lp], b[needs_lp]])))
+        lp_a, lp_b, bounds = map(np.concatenate, zip(*lp_parts))
+        memo: dict = {}
+        for i in np.argsort(-bounds, kind="stable"):
+            if bounds[i] < best:
+                break
+            a, b = lp_a[i:i + 1], lp_b[i:i + 1]
+            c, v = _difference(cols[a], vals[a], cols[b], vals[b], m)
+            table[a, b] = _row_norms(c, v, d_a, base, memo)
+            best = max(best, table[a[0], b[0]] / least[a[0], b[0]])
+        return float(best), self.first_maximiser(table, best)
+
+    def ratio_max(self, norms: np.ndarray) -> tuple[float, tuple[int, int]]:
+        """Largest ratio norms[x, y] / d(x, y) over the pairs x < y and its
+        first maximiser in row-major order, for norms =
+        `molecule_norm_matrix(op, e)` under any metric e: its entries above
+        the diagonal depend on x and y only through their weight rows, so
+        norms is read once per oriented class pair (a, b), at the pair
+        (reps[a], last[b])."""
+        if self.op.space.n < 2:
+            return 0.0, (0, 0)
+        reps, last = self.classes.reps, self.classes.last
+        table = np.where(reps[:, None] < last[None, :], norms[np.ix_(reps, last)], np.nan)
+        best = float(np.nanmax(table / self.least))
+        return best, self.first_maximiser(table, best)
+
+    def lipschitz_constants(self) -> np.ndarray:
+        """The Lipschitz constant of each weight column of op under d: entry
+        i is bitwise `lipschitz_constant(op.matrix[:, i], d)`, inf when a
+        pair at distance <= 0 carries different weights.
+
+        A column's gap |w_i(x) - w_i(y)| is symmetric, so it is divided by
+        the least distance over a class pair's members in either orientation
+        and either order: min(least, least.T) when d is bitwise symmetric,
+        as every pipeline metric is, and that together with the table of
+        d.T otherwise.  Only the class pairs with an end in the column's
+        support are read: the others have gap 0.
+        """
+        least = np.minimum(self.least, self.least.T)
+        if not is_symmetric(self.d):
+            lower = least_class_distances(self.d.T, self.classes.cls)
+            np.minimum(least, np.minimum(lower, lower.T), out=least)
+        w = self.op.matrix[self.classes.reps].T      # w[i, a]: column i on class a
+        nz_i, nz_a = np.nonzero(w)
+        out = np.zeros(len(w))
+        # each nonzero (i, a) against every class b, in chunks of about
+        # _LIP_CELLS gaps
+        step = max(1, _LIP_CELLS // len(least))
+        for lo in range(0, len(nz_i), step):
+            i, a = nz_i[lo:lo + step], nz_a[lo:lo + step]
+            gap = np.abs(w[i, a, None] - w[i])
+            ds = least[a]
+            pos = ds > 0.0
+            ratio = np.divide(gap, ds, out=np.zeros_like(gap), where=pos)
+            best = ratio.max(axis=1)
+            # a class pair (a, a) has gap 0, whatever least holds there
+            best[((~pos) & (gap > 0.0)).any(axis=1)] = np.inf
+            np.maximum.at(out, i, best)
+        return out
+
+
+# Gaps per chunk of `ClassPairs.lipschitz_constants`.
+_LIP_CELLS = 2 ** 16
 
 
 def operator_norm(op: WeightOperator, d: np.ndarray) -> tuple[float, tuple[int, int]]:
     """Norm of op from Lip0(A, d|A) to Lip0(T, d) via the molecule reduction,
     and its witness: max over pairs x != y of ||row(x) - row(y)||_{F(A)} /
-    d(x, y), with the first maximising pair (x < y, row-major).
-
-    Only the maximum is needed.  The pairs are triaged from the sparse weight
-    rows as in `molecule_norm_matrix`, and LP pairs are pruned by proven
-    upper bounds (`_pruned_max`), so the value and the witness equal those of
-    the exhaustive sweep.  The witness is read from the first maximiser's
-    flat index by `_upper_pair`.
-    """
-    d, d_a, base = _metrics(op, d)
-    n = op.space.n
-    if n < 2:
-        return 0.0, (0, 0)
-    value, first = _pruned_max(op.matrix, d_a, base, d)
-    x, y = _upper_pair(n, first)
-    return value, (int(x), int(y))
+    d(x, y), with the first maximising pair (x < y, row-major).  The sweep
+    runs over the pairs of classes of equal weight rows
+    (`ClassPairs.operator_norm`), and value and witness are bitwise the
+    exhaustive sweep's over the point pairs."""
+    return ClassPairs(op, d).operator_norm()
 
 
 # ---------------------------------------------------------------------------

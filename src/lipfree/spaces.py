@@ -107,8 +107,9 @@ def first_equal_rows(mat: np.ndarray) -> np.ndarray:
 # The one-scratch rule: no function here holds an n x n temporary beyond its
 # inputs and its result.  O(n^2) elementwise passes run in place on the
 # result or over the same row blocks (`_spans`): the scans of validate_metric
-# and sup_distance, the grid metric, built one axis at a time, and
-# perturb_metric's shortcuts, applied in place to its output.
+# and sup_distance, the symmetry test of is_symmetric, the grid metric, built
+# one axis at a time, perturb_metric's shortcuts, applied in place to its
+# output, and the class tables of least_class_distances.
 _BLOCK_CELLS = 2 ** 16
 
 
@@ -117,6 +118,56 @@ def _spans(rows: int, width: int) -> list[tuple[int, int]]:
     in blocks of about _BLOCK_CELLS entries (at least one row each)."""
     step = max(1, _BLOCK_CELLS // max(width, 1))
     return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def is_symmetric(d: np.ndarray) -> bool:
+    """Whether the square matrix d equals its transpose bitwise (NaN never
+    does), compared by the row blocks of `_spans`."""
+    n = len(d)
+    return all(np.array_equal(d[lo:hi], d[:, lo:hi].T) for lo, hi in _spans(n, n))
+
+
+def least_class_distances(d: np.ndarray, cls: np.ndarray) -> np.ndarray:
+    """The least distance between each oriented pair of classes of the labels
+    cls, which take every value in 0..k-1: a k x k table whose entry (a, b)
+    is the least d(x, y) over x < y with x in class a and y in class b; +inf
+    where no such pair exists.  On d.T it gives the least d(y, x) instead.
+
+    The points are sorted by class once.  Each row block of `_spans` is
+    gathered in that order, set to +inf at the pairs x >= y, gathered in
+    that order along its columns too, and reduced over the class runs of its
+    rows and then, by np.minimum.reduceat, of its columns.  A minimum is
+    exact in any order, so the table does not depend on the blocking; one
+    block is held at a time.
+    """
+    cls = np.asarray(cls)
+    n = len(cls)
+    k = int(cls.max()) + 1 if n else 0
+    order = np.argsort(cls, kind="stable")
+    # class a holds the sorted positions runs[a]..runs[a + 1] - 1
+    runs = np.searchsorted(cls[order], np.arange(k + 1))
+    table = np.full((k, k), np.inf)
+    # quarter-size blocks: the gather in class order and the reduced rows
+    # hold up to three copies of a block, and the pipelines build these
+    # tables while their n x n matrices are alive, near their peak of memory
+    for lo, hi in _spans(n, 4 * n):
+        rows = order[lo:hi]
+        block = d[rows]
+        for r, x in enumerate(rows):
+            block[r, :x + 1] = np.inf
+        block = np.take(block, order, axis=1)
+        # the block's classes are consecutive; class first + j's run of rows
+        # (the slice stops at the block's end) gives row j: a run of one row
+        # is taken as it is, and a longer run is reduced into it
+        first, last = cls[rows[0]], cls[rows[-1]] + 1
+        starts = np.maximum(runs[first:last], lo) - lo
+        ends = runs[first + 1:last + 1] - lo
+        reduced = block[starts]
+        for j in np.flatnonzero(ends - starts > 1):
+            np.min(block[starts[j]:ends[j]], axis=0, out=reduced[j])
+        least = np.minimum.reduceat(reduced, runs[:k], axis=1)
+        np.minimum(table[first:last], least, out=table[first:last])
+    return table
 
 
 def _first_max(rows: int, block) -> tuple[float, int, int]:
@@ -203,7 +254,7 @@ def _min_plus_excess(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     taken from the full rows.  A metric has no two equal rows (equal rows
     i != j would give d(i, j) = d(j, j) = 0), so it is swept whole.
     """
-    symmetric = np.array_equal(d, d.T)
+    symmetric = is_symmetric(d)
     reps = np.arange(len(d))
     if symmetric:
         reps = np.flatnonzero(first_equal_rows(d) == reps)

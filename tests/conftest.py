@@ -369,8 +369,18 @@ def operator_norm_by_ratio_vector(op, d: np.ndarray) -> tuple[float, tuple[int, 
         ratios[index[i]] = fn._row_norms(c, v, d_a, base, memo)[0] / d[x[0], y[0]]
         best = max(best, ratios[index[i]])
     top = int(np.argmax(ratios))
-    x, y = fn._upper_pair(n, top)
+    x, y = upper_pair(n, top)
     return float(ratios[top]), (int(x), int(y))
+
+
+def upper_pair(n: int, index):
+    """The index-th pair x < y of n points in row-major order, the entry
+    `np.triu_indices(n, k=1)` holds there, from the row starts with one
+    searchsorted; index may be an int or an integer array."""
+    counts = np.arange(n - 1, 0, -1)
+    starts = np.cumsum(counts) - counts
+    x = np.searchsorted(starts, index, side="right") - 1
+    return x, x + 1 + (index - starts[x])
 
 
 def prune_irredundant_by_unions(sets: list[set], n: int) -> list[set]:

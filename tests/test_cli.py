@@ -305,6 +305,17 @@ class TestConfigErrors:
           for v in (0.25, [], {})),
         *((pipeline, {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": v},
            "'n_schedule'") for pipeline in ("extend", "bap") for v in (3, [], {})),
+        # schedule and scale entries that are out of range or not numbers
+        *((pipeline, {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": [2, 0]},
+           "'n_schedule[1]'") for pipeline in ("extend", "bap")),
+        *((pipeline, {"space": grid_space_json([9], 1 / 8), "nu": v, "n_schedule": [2]},
+           "'nu'") for pipeline in ("extend", "bap") for v in (True, 0.0, "1")),
+        ("glue", {**GLUE_6X6_NO_CORE, "k": [i * 6 for i in range(6)], "n": 1, "nu": True},
+         "'nu'"),
+        ("glue", {**GLUE_LINE, "eps": False}, "'eps'"),
+        ("build-cover", {"space": grid_space_json([9], 1 / 8), "eps": "0.25"}, "'eps'"),
+        ("extend", {**EXTEND_LINE, "eps_schedule": [None]}, "'eps_schedule[0]'"),
+        ("extend", {**EXTEND_LINE, "eps_schedule": [0.25, True]}, "'eps_schedule[1]'"),
     ], ids=["no-eps", "no-k", "n-past-exhaustion", "no-n_schedule", "no-amplitude",
             "missing-config", "missing-report", "grid-no-dims", "grid-no-spacing",
             "random-no-n", "random-no-seed", "inline-no-points", "inline-no-metric",
@@ -316,7 +327,10 @@ class TestConfigErrors:
             "extend-eps-schedule-number", "extend-eps-schedule-empty",
             "extend-eps-schedule-dict", "extend-n-schedule-number", "extend-n-schedule-empty",
             "extend-n-schedule-dict", "bap-n-schedule-number", "bap-n-schedule-empty",
-            "bap-n-schedule-dict"])
+            "bap-n-schedule-dict", "extend-n-schedule-zero", "bap-n-schedule-zero",
+            "extend-nu-bool", "extend-nu-zero", "extend-nu-string", "bap-nu-bool",
+            "bap-nu-zero", "bap-nu-string", "glue-nu-bool", "glue-eps-bool",
+            "build-cover-eps-string", "extend-eps-schedule-null", "extend-eps-schedule-bool"])
     def test_exits_2_and_names_the_cause(self, tmp_path, capsys, command, config, named):
         if config is None:
             path = str(tmp_path / "missing.json")

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from conftest import (ONE_900, dense_rows, dual_norm, free_norm_by_vertices,
                       molecule_norm_matrix_dense, molecule_norms_by_pairs,
                       operator_norm_by_molecules, operator_norm_by_ratio_vector,
                       operator_norm_dense, solution_bytes, solve_serial, traced_peak,
-                      triage_dense)
+                      triage_dense, upper_pair)
 
 
 @st.composite
@@ -609,9 +610,9 @@ class TestMoleculeNormLayer:
     @pytest.mark.parametrize("n", [2, 3, 17, 130])
     def test_upper_pair_matches_triu_indices(self, n):
         xs, ys = np.triu_indices(n, k=1)
-        x, y = fn._upper_pair(n, np.arange(len(xs)))
+        x, y = upper_pair(n, np.arange(len(xs)))
         assert np.array_equal(x, xs) and np.array_equal(y, ys)
-        assert fn._upper_pair(n, len(xs) - 1) == (n - 2, n - 1)
+        assert upper_pair(n, len(xs) - 1) == (n - 2, n - 1)
 
     @given(st.integers(0, 10_000), st.booleans(), st.integers(1, 3))
     @settings(max_examples=100, deadline=None)
@@ -661,6 +662,19 @@ class TestMoleculeNormLayer:
         assert peak < ONE_900
         assert got == operator_norm_by_ratio_vector(op, space.dist)
 
+    def test_memory_budget_on_the_glue_collar(self):
+        # the collar operator of the glue workload's probe 0, on which the
+        # point-pair sweep of earlier versions peaked at 76,190 B
+        space = lf.make_grid_space([10, 10], 0.1)
+        cfg = lf.GluingConfig(space, tuple(range(0, 100, 10)), 1, (0.7, 0.5, 0.3, 0.2, 0.1))
+        bundle = lf.build_gluing_bundle(cfg, 1, 0.7)
+        v = list(bundle.v_indices)
+        e = lf.BoundedMetric(bundle.metric[np.ix_(v, v)], bundle.excess)
+        op = lf.build_perturbed_operator(bundle.v_bundle, e).pou
+        got, peak = traced_peak(lambda: lf.operator_norm(op, e.matrix))
+        assert peak <= 76_190
+        assert got == operator_norm_by_ratio_vector(op, e.matrix)
+
     def test_single_point_net(self):
         space = lf.random_metric_space(5, seed=30)
         b = space.base_index
@@ -674,6 +688,159 @@ class TestMoleculeNormLayer:
         norms = lf.molecule_norm_matrix(op, space.dist)
         assert np.array_equal(norms, space.dist)
         assert lf.operator_norm(op, space.dist) == (1.0, (0, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def grid_partition(dims: tuple, ground: str, eps: float, probe_seed):
+    """The partition of unity of a grid's net and cover at eps, on the grid
+    metric, or (probe_seed not None) rebuilt on a probe of the adapted metric
+    as the extend pipeline rebuilds it: operators with many equal rows."""
+    space = lf.make_grid_space(list(dims), 1.0 / max(dims), ground)
+    nc = lf.build_net_cover(space, eps)
+    if probe_seed is None:
+        return lf.partition_of_unity(space.dist, nc.sets, nc.net, space)
+    bundle = lf.build_extension_bundle(nc)
+    radius = lf.admission_radius(eps, nc.order_bound)
+    e = lf.perturb_metric(bundle.adapted, 0.9 * radius,
+                          np.random.default_rng(probe_seed)).matrix
+    return lf.partition_of_unity(e, nc.sets, nc.net, space)
+
+
+@st.composite
+def class_sweep_cases(draw):
+    """A weight operator with many equal rows and a metric with 1-ulp
+    distance ties.  The operator is a grid partition of unity (on the grid
+    metric or rebuilt on a probe), a `random_operator`, or one to five
+    random rows, most needing the norm LP, copied to 2-12 points in any
+    order.  The metric is the space's, scaled or not, with a random set of
+    entries moved one ulp up or down, in both orientations or in one."""
+    kind = draw(st.sampled_from(["grid", "random", "copies"]))
+    if kind == "grid":
+        op = grid_partition(draw(st.sampled_from([(5, 5), (6, 4), (9,), (4, 4, 2)])),
+                            draw(st.sampled_from(["linf", "l1"])),
+                            draw(st.sampled_from([0.3, 0.45])),
+                            draw(st.sampled_from([None, 1, 2])))
+    elif kind == "random":
+        op, _ = random_operator(draw(st.integers(0, 10_000)), draw(st.booleans()))
+    else:
+        n = draw(st.integers(2, 12))
+        space = lf.random_metric_space(n, seed=draw(st.integers(0, 2**16)))
+        others = draw(st.permutations([i for i in range(n) if i != space.base_index]))
+        domain = draw(st.permutations([space.base_index, *others[:draw(st.integers(0, 4))]]))
+        row = st.lists(st.sampled_from((0.0,) + WEIGHTS), min_size=len(domain),
+                       max_size=len(domain))
+        distinct = draw(st.lists(row, min_size=1, max_size=5))
+        classes = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+        op = lf.WeightOperator(space, tuple(domain), np.array([distinct[c] for c in classes]))
+    n = op.space.n
+    d = op.space.dist * draw(st.sampled_from([1.0, 1.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x, y = rng.integers(n, size=(2, draw(st.integers(0, 3 * n))))
+    x, y = x[x != y], y[x != y]
+    step = np.where(rng.random(len(x)) < 0.5, np.inf, 0.0)
+    d[x, y] = np.nextafter(d[x, y], step)
+    if draw(st.booleans()):
+        d[y, x] = d[x, y]
+    return op, d
+
+
+def ratio_max_by_pairs(norms: np.ndarray, d: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """The largest norms[x, y] / d[x, y] over all pairs x < y at once, and
+    its first maximiser in row-major order."""
+    xs, ys = np.triu_indices(len(d), k=1)
+    ratios = norms[xs, ys] / d[xs, ys]
+    top = int(np.argmax(ratios))
+    return float(ratios[top]), (int(xs[top]), int(ys[top]))
+
+
+class TestClassSweep:
+    """The sweeps over classes of equal weight rows against sweeps over
+    every point pair: operator norms, the bundle's molecule ratio, and the
+    Lipschitz constants of the weight columns."""
+
+    @given(class_sweep_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_operator_norm_equals_the_ratio_vector(self, case):
+        op, d = case
+        assert lf.operator_norm(op, d) == operator_norm_by_ratio_vector(op, d)
+
+    @given(class_sweep_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_ratio_max_equals_the_pair_sweep(self, case):
+        op, d = case
+        norms = lf.molecule_norm_matrix(op, op.space.dist)
+        assert fn.ClassPairs(op, d).ratio_max(norms) == ratio_max_by_pairs(norms, d)
+
+    @given(class_sweep_cases(), st.sampled_from(["metric", "quotient", "one-sided"]),
+           st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_lipschitz_constants_equal_the_dense_sweep(self, case, zeros, seed):
+        op, d = case
+        rng = np.random.default_rng(seed)
+        n = op.space.n
+        if zeros == "quotient":
+            d = lf.quotient_pseudometric(d, rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                                       replace=False))
+        elif zeros == "one-sided":
+            x, y = rng.choice(n, size=2, replace=False)
+            d[x, y] = 0.0
+        want = [lipschitz_constant_dense(op.matrix[:, i], d) for i in range(len(op.domain))]
+        got = fn.ClassPairs(op, d).lipschitz_constants()
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("cells", [fn._LIP_CELLS, 1, 97])
+    def test_lipschitz_constants_of_grid_partitions(self, grid_operators, cells):
+        # fractional weights: a column is nonzero on many classes, whose
+        # gaps are split across chunks of one nonzero and more
+        for op, d in grid_operators:
+            want = [lf.lipschitz_constant(op.matrix[:, i], d) for i in range(len(op.domain))]
+            with mock.patch.object(fn, "_LIP_CELLS", cells):
+                got = fn.ClassPairs(op, d).lipschitz_constants()
+                assert got.tobytes() == np.array(want).tobytes()
+
+    def test_witness_need_not_lie_at_the_least_distance(self):
+        # rows a, b, a, b, a: the class pair (a, b) holds (0, 1), (0, 3) and
+        # (2, 3); d(0, 1) is one ulp above the least, d(2, 3), and both
+        # round to the same ratio, so (0, 1) is the first maximiser
+        top = next(t for t in np.linspace(0.9, 0.99, 91)
+                   if 1.0 / t == 1.0 / np.nextafter(t, 2.0))
+        space = line_space([0.0, 2.0, 4.0, 6.0, 1.0])
+        d = space.dist.copy()
+        d[0, 1] = d[1, 0] = np.nextafter(top, 2.0)
+        d[2, 3] = d[3, 2] = top
+        a, b = [0.0, 1.0], [0.0, 0.0]
+        op = lf.WeightOperator(space, (0, 4), np.array([a, b, a, b, a]))
+        got = lf.operator_norm(op, d)
+        assert got == (1.0 / top, (0, 1)) == operator_norm_by_ratio_vector(op, d)
+        norms = lf.molecule_norm_matrix(op, d)
+        assert fn.ClassPairs(op, d).ratio_max(norms) == (1.0 / top, (0, 1))
+
+    def test_ratio_max_reads_each_orientation(self):
+        # on this space the norm LPs of a - b and b - a differ in the last
+        # bits, and the least distance lies at (1, 2), of the class pair (b, a)
+        space = lf.random_metric_space(6, seed=92)
+        a = np.array([0.0, 0.25, 0.0, 0.0, 1.0, 1.0])
+        b = np.array([0.0, 0.0, 0.0, 0.5, 0.0, 0.0])
+        op = lf.WeightOperator(space, tuple(range(6)), np.array([a, b, a, b, a, b]))
+        norms = lf.molecule_norm_matrix(op, space.dist)
+        assert norms[1, 2] != norms[0, 1]
+        d = np.ones((6, 6))
+        d[1, 2] = 0.5
+        assert fn.ClassPairs(op, d).ratio_max(norms) == (norms[1, 2] / 0.5, (1, 2))
+
+    def test_single_point(self):
+        space = lf.random_metric_space(1, seed=3)
+        op = lf.WeightOperator(space, (0,), np.ones((1, 1)), partition=True)
+        pairs = fn.ClassPairs(op, space.dist)
+        assert pairs.lipschitz_constants().tolist() == [0.0]
+        assert pairs.ratio_max(np.zeros((1, 1))) == (0.0, (0, 0))
+
+    def test_wrong_metric_shape_is_refused(self):
+        space = lf.random_metric_space(5, seed=15)
+        op = lf.WeightOperator(space, (space.base_index, 3), np.zeros((5, 2)))
+        wrong = lf.random_metric_space(7, seed=16).dist
+        with pytest.raises(ValueError, match="5 x 5"):
+            fn.ClassPairs(op, wrong)
 
 
 class TestMetricExtension:

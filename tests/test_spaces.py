@@ -296,6 +296,46 @@ class TestFirstEqualRows:
         assert spaces.first_equal_rows(mat).tolist() == [0, 1, 0, 3, 1]
 
 
+class TestLeastClassDistances:
+    @given(st.integers(1, 14), st.integers(1, 5), st.integers(0, 2**32 - 1),
+           st.integers(1, 4), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_pair_minima(self, n, k, seed, rows, transpose):
+        # few values with zeros and asymmetric entries, so minima tie, and
+        # blocks of 1-4 rows, which split the class runs
+        rng = np.random.default_rng(seed)
+        cls = np.unique(rng.integers(0, k, n), return_inverse=True)[1]
+        d = rng.integers(0, 4, (n, n)) * 0.5
+        m = d.T if transpose else d
+        # the table's blocks are a quarter of _BLOCK_CELLS
+        with mock.patch.object(spaces, "_BLOCK_CELLS", 4 * rows * n):
+            got = spaces.least_class_distances(m, cls)
+        want = np.full((cls.max() + 1,) * 2, np.inf)
+        for x in range(n):
+            for y in range(x + 1, n):
+                want[cls[x], cls[y]] = min(want[cls[x], cls[y]], m[x, y])
+        assert got.tobytes() == want.tobytes()
+
+
+class TestIsSymmetric:
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(1, 4),
+           st.sampled_from(["symmetric", "one ulp", "nan", "signed zero"]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_whole_transpose(self, n, seed, rows, change):
+        rng = np.random.default_rng(seed)
+        d = rng.random((n, n))
+        d = d + d.T
+        x, y = rng.integers(n, size=2)
+        if change == "one ulp":
+            d[x, y] = np.nextafter(d[x, y], np.inf)
+        elif change == "nan":
+            d[x, y] = np.nan
+        elif change == "signed zero":
+            d[x, y], d[y, x] = 0.0, -0.0
+        with mock.patch.object(spaces, "_BLOCK_CELLS", rows * n):
+            assert spaces.is_symmetric(d) == np.array_equal(d, d.T)
+
+
 class TestRepeatedRows:
     @given(repeated_row_matrices())
     @settings(max_examples=300, deadline=None)
@@ -1226,6 +1266,13 @@ class TestMemoryBudgets:
     def test_quotient_pseudometric(self, grid_900):
         out, peak = traced_peak(lambda: lf.quotient_pseudometric(grid_900.dist, range(450)))
         assert out.shape == (900, 900) and peak - out.nbytes < ONE_900
+
+    @pytest.mark.parametrize("size", [9, 1])
+    def test_least_class_distances(self, grid_900, size):
+        # classes of 9 points, or 900 classes and a 900 x 900 result
+        cls = np.arange(900) // size
+        out, peak = traced_peak(lambda: spaces.least_class_distances(grid_900.dist, cls))
+        assert out.shape == (900 // size,) * 2 and peak - out.nbytes < ONE_900
 
     def test_perturb_metric(self, grid_900):
         start = lf.BoundedMetric(grid_900.dist, grid_900.excess)
