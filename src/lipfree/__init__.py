@@ -4,9 +4,9 @@ from .spaces import (DEFAULT_TOL, BoundedMetric, DensityReport, FiniteMetricSpac
                      MetricError, ValidationReport, diameter, dist_to_set_all,
                      floyd_warshall, is_eps_dense, make_grid_space,
                      perturb_metric, quotient_pseudometric, random_metric_space,
-                     restrict_space, set_distance, space_from_json,
-                     sup_distance, truncate, validate_metric,
+                     restrict_space, set_distance, sup_distance, truncate, validate_metric,
                      validate_pseudometric)
+from .config import space_from_json
 from .lp import LinearProgram, LpError, LpSolution, ProgramStack, solve, solve_stack
 from .freenorm import (AdmissionError, MetricExtension, MetricExtensionError,
                        WeightOperator, free_norms, lipschitz_constant,

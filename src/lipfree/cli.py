@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -50,74 +49,17 @@ from . import certs as certsmod
 from . import covers as coversmod
 from . import extension as extmod
 from . import gluing as gluemod
-from .spaces import (BoundedMetric, bad_indices, perturb_metric, set_distance,
-                     space_from_json, sup_distance)
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _get(cfg: dict, key: str):
-    """cfg[key]; a missing key is a ConfigError that names it."""
-    if key not in cfg:
-        raise ConfigError(f"config needs a '{key}' entry")
-    return cfg[key]
-
-
-def _integer(value, name: str) -> int:
-    """value as an int; a ConfigError that names the entry when it is not an
-    integer (`bad_indices`), since int() would read 1.9 or true as 1."""
-    if bad_indices([value]):
-        raise ConfigError(f"config entry '{name}' must be an integer, got {value!r}")
-    return int(value)
-
-
-def _positive(value, name: str) -> float:
-    """value as a float; a ConfigError that names the entry when it is not a
-    finite number > 0, since float() would read true as 1.0 and "2" as 2.0."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or value <= 0):
-        raise ConfigError(f"config entry '{name}' must be a positive number, got {value!r}")
-    return float(value)
-
-
-def _schedule(cfg: dict, key: str) -> list:
-    """cfg[key], if it is a nonempty list (an empty one runs no stage)."""
-    value = _get(cfg, key)
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"config entry '{key}' must be a nonempty list, got {value!r}")
-    return value
-
-
-def _n_schedule(cfg: dict) -> list[int]:
-    """The stages of n_schedule, integers >= 1 (stage n has scale 1/(10 n))."""
-    stages = [_integer(n, f"n_schedule[{i}]") for i, n in enumerate(_schedule(cfg, "n_schedule"))]
-    for i, n in enumerate(stages):
-        if n < 1:
-            raise ConfigError(f"config entry 'n_schedule[{i}]' must be at least 1, got {n}")
-    return stages
+from .config import PIPELINES, ConfigError, read
+from .spaces import BoundedMetric, perturb_metric, set_distance, sup_distance
 
 
 def _load_config(args) -> dict:
+    """The config of args.command, read by its table (`config.read`)."""
     with open(args.config) as fh:
         cfg = json.load(fh)
-    if "tol" in cfg:
-        raise ConfigError("config key 'tol' is not supported: certificate "
-                          "tolerances are fixed")
-    if getattr(args, "seed_override", None) is not None:
+    if args.seed_override is not None and isinstance(cfg, dict):
         cfg["seed"] = args.seed_override
-    return cfg
-
-
-def _space_from_config(cfg: dict):
-    return space_from_json(_get(cfg, "space"))
-
-
-def _require_seed(cfg: dict) -> int:
-    if "seed" not in cfg:
-        raise ConfigError("config performs a randomized step and must carry a seed")
-    return _integer(cfg["seed"], "seed")
+    return read(cfg, PIPELINES[args.command])
 
 
 # One-shot encode() of an encoder without indent runs CPython's C encoder.
@@ -181,10 +123,6 @@ def _cert_list(certs) -> list[dict]:
     return [certsmod.certificate_to_json(c) for c in certs]
 
 
-def _matrix(m) -> np.ndarray:
-    return np.asarray(m, dtype=float)
-
-
 def _cover(nc) -> dict:
     return {"net": list(nc.net), "sets": [list(s) for s in nc.sets],
             "order_bound": nc.order_bound}
@@ -195,16 +133,11 @@ def _stage_eps(nu: float, n: int) -> float:
     return min(nu / 4.0, 1.0 / (10.0 * n))
 
 
-def _eps_schedule(cfg: dict) -> list[tuple[str, float]]:
-    """Either an explicit eps list, or (nu, n_schedule) mapped through
-    `_stage_eps`."""
-    if "eps_schedule" in cfg:
-        return [(str(e), _positive(e, f"eps_schedule[{i}]"))
-                for i, e in enumerate(_schedule(cfg, "eps_schedule"))]
-    if "nu" in cfg and "n_schedule" in cfg:
-        nu = _positive(cfg["nu"], "nu")
-        return [(str(n), _stage_eps(nu, n)) for n in _n_schedule(cfg)]
-    raise ConfigError("config needs eps_schedule or (nu, n_schedule)")
+def _seed(cfg: dict, randomized: int) -> int:
+    """cfg's seed, 0 if it has none and runs no randomized step."""
+    if cfg["seed"] is None and randomized:
+        raise ConfigError("config performs a randomized step and must carry a seed")
+    return cfg["seed"] or 0
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +146,13 @@ def _eps_schedule(cfg: dict) -> list[tuple[str, float]]:
 
 def cmd_build_cover(args) -> int:
     cfg = _load_config(args)
-    space = _space_from_config(cfg)
-    eps = _positive(_get(cfg, "eps"), "eps")
+    spec, space = cfg["space"]
+    eps = cfg["eps"]
     nc = coversmod.build_net_cover(space, eps)
     cert = coversmod.verify_net_cover(nc)
-    out = Path(args.out_dir) / f"cover-{cfg.get('seed', 0)}-{eps}.json"
-    _write_json(out, {
-        "space": cfg["space"],
-        "eps": eps,
-        "cover": _cover(nc),
-        "certificates": _cert_list([cert]),
-    })
+    out = Path(args.out_dir) / f"cover-{cfg['seed']}-{eps}.json"
+    _write_json(out, {"space": spec, "eps": eps, "cover": _cover(nc),
+                      "certificates": _cert_list([cert])})
     print(f"wrote {out}")
     print(cert)
     return 0 if cert.passed else 1
@@ -231,11 +160,15 @@ def cmd_build_cover(args) -> int:
 
 def cmd_extend(args) -> int:
     cfg = _load_config(args)
-    space = _space_from_config(cfg)
-    schedule = _eps_schedule(cfg)
-    perturb_cfg = cfg.get("perturbations", {})
-    count = _integer(perturb_cfg.get("count", 0), "perturbations.count")
-    seed = _require_seed(cfg) if count else _integer(cfg.get("seed", 0), "seed")
+    spec, space = cfg["space"]
+    if cfg["eps_schedule"] is not None:
+        schedule = [(str(eps), eps) for eps in cfg["eps_schedule"]]
+    elif cfg["nu"] is None or cfg["n_schedule"] is None:
+        raise ConfigError("config needs eps_schedule or (nu, n_schedule)")
+    else:
+        schedule = [(str(n), _stage_eps(cfg["nu"], n)) for n in cfg["n_schedule"]]
+    count = cfg["perturbations"]["count"]
+    seed = _seed(cfg, count)
     ok = True
     for label, eps in schedule:
         nc = coversmod.build_net_cover(space, eps)
@@ -258,12 +191,12 @@ def cmd_extend(args) -> int:
         bundle_certs = _cert_list(bundle.certificates)
         payload = {
             "pipeline": "extend",
-            "space": cfg["space"],
+            "space": spec,
             "eps": eps,
             "seed": seed,
             "bundle": {
                 "cover": _cover(bundle.nc),
-                "weights": _matrix(bundle.pou.matrix),
+                "weights": np.asarray(bundle.pou.matrix, dtype=float),
                 "operator_norm": bundle.enorm,
                 "certificates": bundle_certs,
             },
@@ -283,38 +216,35 @@ def cmd_extend(args) -> int:
 
 def cmd_glue(args) -> int:
     cfg = _load_config(args)
-    space = _space_from_config(cfg)
-    gcfg = gluemod.GluingConfig(space, tuple(_get(cfg, "k")), _get(cfg, "dim_k"),
-                                tuple(_get(cfg, "thresholds")))
-    n = _integer(cfg.get("n", 1), "n")
-    if "eps" in cfg:
-        eps = _positive(cfg["eps"], "eps")
-    else:
-        nu = _positive(_get(cfg, "nu"), "nu")
+    _, space = cfg["space"]
+    gcfg = gluemod.GluingConfig(space, tuple(cfg["k"]), cfg["dim_k"], tuple(cfg["thresholds"]))
+    n, eps, nu = cfg["n"], cfg["eps"], cfg["nu"]
+    if eps is None:
+        if nu is None:
+            raise ConfigError("config needs an 'eps' or a 'nu' entry")
         exh = gluemod.build_exhaustion(gcfg)
-        if not 1 <= n <= len(exh):
+        if n > len(exh):
             raise ConfigError(f"n = {n} must lie in 1..{len(exh)}, the exhaustion's levels")
         eps = min(nu / 5.0, set_distance(space.dist, gcfg.k, exh[n - 1]))
     bundle = gluemod.build_gluing_bundle(gcfg, n, eps)
-    probes = cfg.get("probes", {})
-    count = _integer(probes.get("count", 1), "probes.count")
-    seed = _require_seed(cfg) if count else _integer(cfg.get("seed", 0), "seed")
+    count = cfg["probes"]["count"]
+    seed = _seed(cfg, count)
     rng = np.random.default_rng(seed)
     radius = gluemod.probe_radius(eps, gcfg.dim_k)
+    amp = cfg["probes"]["amplitude"] * radius
     bound = gluemod.glued_norm_bound(gcfg.dim_k)
     ok = bundle.passed
     results = []
     glue = BoundedMetric(bundle.metric, bundle.excess)
     for i in range(count):
-        amp = float(probes.get("amplitude", 0.9)) * radius
         e = glue if i == 0 else perturb_metric(glue, amp, rng)
         cert = gluemod.certify_gluing(bundle, e, rng=rng)
         ok = ok and cert.passed
         results.append({
             "index": i,
             "norm": cert.measured_norm,
-            "probe_metric": _matrix(e.matrix),
-            "operator": None if cert.h_matrix is None else _matrix(cert.h_matrix),
+            "probe_metric": np.asarray(e.matrix, dtype=float),
+            "operator": None if cert.h_matrix is None else np.asarray(cert.h_matrix, dtype=float),
             "certificates": _cert_list(cert.certificates),
         })
         print(f"probe {i}: norm {cert.measured_norm:.4g} vs bound {bound:.6g} "
@@ -331,7 +261,7 @@ def cmd_glue(args) -> int:
         "net": list(bundle.net),
         "domain": list(gluemod.glue_domain(bundle)),
         "collar": list(bundle.v_indices),
-        "glue_metric": _matrix(bundle.metric),
+        "glue_metric": np.asarray(bundle.metric, dtype=float),
         "certificates": _cert_list(bundle.certificates),
         "probes": results,
     }
@@ -343,27 +273,21 @@ def cmd_glue(args) -> int:
 
 def cmd_bap(args) -> int:
     cfg = _load_config(args)
-    space = _space_from_config(cfg)
-    nu = _positive(cfg.get("nu", 1.0), "nu")
-    envelope = float(cfg.get("envelope", 4.0))
-    seed = _integer(cfg.get("seed", 0), "seed")
+    _, space = cfg["space"]
+    seed = cfg["seed"]
     stages = []
     bound = None
-    for n in _n_schedule(cfg):
-        eps = _stage_eps(nu, n)
+    for n in cfg["n_schedule"]:
+        eps = _stage_eps(cfg["nu"], n)
         nc = coversmod.build_net_cover(space, eps)
         bundle = extmod.build_extension_bundle(nc)
         bound = extmod.perturbed_norm_bound(nc.order_bound)
         stages.append(bapmod.BapStage(
             label=n, op=bundle.pou, metric=bundle.adapted, eps=1.0 / n))
-    report = bapmod.bap_certificate(stages, space.dist, bound, envelope=envelope)
+    report = bapmod.bap_certificate(stages, space.dist, bound, envelope=cfg["envelope"])
     path = Path(args.out_dir) / f"bap-{seed}.json"
-    _write_json(path, {
-        "pipeline": "bap",
-        "seed": seed,
-        "rows": list(report.rows),
-        "certificates": _cert_list(report.certificates),
-    })
+    _write_json(path, {"pipeline": "bap", "seed": seed, "rows": list(report.rows),
+                       "certificates": _cert_list(report.certificates)})
     for row in report.rows:
         print(f"n={row['n']}: |net|={row['net_size']} norm={row['norm']:.4g} "
               f"defect={row['defect']:.4g}")
@@ -373,17 +297,15 @@ def cmd_bap(args) -> int:
 
 def cmd_perturb(args) -> int:
     cfg = _load_config(args)
-    space = _space_from_config(cfg)
-    seed = _require_seed(cfg)
-    amplitude = float(_get(cfg, "amplitude"))
-    count = _integer(cfg.get("count", 1), "count")
+    _, space = cfg["space"]
+    seed = cfg["seed"]
     rng = np.random.default_rng(seed)
-    for i in range(count):
-        e = perturb_metric(space.dist, amplitude, rng).matrix
+    for i in range(cfg["count"]):
+        e = perturb_metric(space.dist, cfg["amplitude"], rng).matrix
         out = Path(args.out_dir) / f"perturb-{seed}-{i}.json"
         _write_json(out, {
             "points": list(space.points),
-            "metric": _matrix(e),
+            "metric": np.asarray(e, dtype=float),
             "base_point": space.base_index,
             "sup_distance": sup_distance(e, space.dist),
         })
@@ -405,15 +327,12 @@ def _iter_cert_dicts(obj):
 def cmd_verify(args) -> int:
     with open(args.path) as fh:
         payload = json.load(fh)
-    found = 0
-    bad = 0
+    found = bad = 0
     for cert_dict in _iter_cert_dicts(payload):
         found += 1
         cert = certsmod.certificate_from_json(cert_dict)
         consistent = certsmod.verify_certificate(cert)
-        status = "ok" if (consistent and cert.passed) else "FAIL"
-        if status == "FAIL":
-            bad += 1
+        bad += not (consistent and cert.passed)
         print(f"{cert.kind}: recorded {'pass' if cert.passed else 'fail'}, "
               f"re-evaluated {'consistent' if consistent else 'INCONSISTENT'}")
     if found == 0:
@@ -430,13 +349,8 @@ def main(argv=None) -> int:
                         help="override the config seed")
     parser.add_argument("--out-dir", default="out", help="report directory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, needs_config in (
-        ("build-cover", cmd_build_cover, True),
-        ("extend", cmd_extend, True),
-        ("glue", cmd_glue, True),
-        ("bap", cmd_bap, True),
-        ("perturb", cmd_perturb, True),
-    ):
+    for name, fn in (("build-cover", cmd_build_cover), ("extend", cmd_extend),
+                     ("glue", cmd_glue), ("bap", cmd_bap), ("perturb", cmd_perturb)):
         p = sub.add_parser(name)
         p.add_argument("config")
         p.set_defaults(func=fn)
@@ -447,7 +361,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, gluemod.GluingError) as err:
+    except (ValueError, OSError, gluemod.GluingError) as err:     # ConfigError among them
         print(f"error: {err}", file=sys.stderr)
         return 2
 

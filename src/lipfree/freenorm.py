@@ -470,11 +470,13 @@ class ClassPairs:
         self.classes = op._classes
         self.least = least_class_distances(self.d, self.classes.cls)
 
+    @np.errstate(divide="ignore", invalid="ignore")
     def first_maximiser(self, table: np.ndarray, best: float) -> tuple[int, int]:
         """The first pair x < y in row-major order with fl(table[a, b] /
         d(x, y)) == best, for the classes a of x and b of y, given best, the
         largest of the class ratios fl(table / least); NaN entries of table
-        were never computed and cannot tie.
+        were never computed and cannot tie, nor can a pair at distance 0
+        with N = 0, whose ratio 0/0 is NaN too.
 
         Only the class pairs whose ratio ties best can hold such a pair, and
         each holds one, at its least distance.  Their members are scanned in
@@ -496,6 +498,7 @@ class ClassPairs:
                 return int(x[keep[hit[0]]]), int(y[keep[hit[0]]])
         raise ValueError(f"no pair x < y attains the ratio {best!r}")
 
+    @np.errstate(divide="ignore", invalid="ignore")
     def operator_norm(self) -> tuple[float, tuple[int, int]]:
         """`operator_norm(op, d)`.
 
@@ -507,7 +510,8 @@ class ClassPairs:
         least distance, until a bound falls below the best ratio so far:
         every pair left lies strictly below the maximum.  So the value is
         the exhaustive sweep's, and the witness (`first_maximiser`) its
-        first maximiser.
+        first maximiser.  As in `lipschitz_constant`, a pair at distance 0 is
+        skipped when N = 0 (0/0 is NaN, which np.fmax passes over), else inf.
         """
         op, least = self.op, self.least
         d_a, base = self.d[np.ix_(op.domain, op.domain)], op.base_position
@@ -524,7 +528,7 @@ class ClassPairs:
             value, needs_lp = _triage(c, v, d_a, base)
             exact = ~needs_lp
             table[a[exact], b[exact]] = value[exact]
-            best = max(best, (value[exact] / least[a[exact], b[exact]]).max(initial=-np.inf))
+            best = np.fmax.reduce(value[exact] / least[a[exact], b[exact]], initial=best)
             lp_parts.append((a[needs_lp], b[needs_lp],
                              _ratio_upper_bounds(c[needs_lp], v[needs_lp], d_a, base,
                                                  least[a[needs_lp], b[needs_lp]])))
@@ -536,21 +540,22 @@ class ClassPairs:
             a, b = lp_a[i:i + 1], lp_b[i:i + 1]
             c, v = _difference(cols[a], vals[a], cols[b], vals[b], m)
             table[a, b] = _row_norms(c, v, d_a, base, memo)
-            best = max(best, table[a[0], b[0]] / least[a[0], b[0]])
+            best = np.fmax(best, table[a[0], b[0]] / least[a[0], b[0]])
         return float(best), self.first_maximiser(table, best)
 
+    @np.errstate(divide="ignore", invalid="ignore")
     def ratio_max(self, norms: np.ndarray) -> tuple[float, tuple[int, int]]:
         """Largest ratio norms[x, y] / d(x, y) over the pairs x < y and its
         first maximiser in row-major order, for norms =
         `molecule_norm_matrix(op, e)` under any metric e: its entries above
         the diagonal depend on x and y only through their weight rows, so
         norms is read once per oriented class pair (a, b), at the pair
-        (reps[a], last[b])."""
+        (reps[a], last[b]).  Pairs at distance 0 count as in `operator_norm`."""
         if self.op.space.n < 2:
             return 0.0, (0, 0)
         reps, last = self.classes.reps, self.classes.last
         table = np.where(reps[:, None] < last[None, :], norms[np.ix_(reps, last)], np.nan)
-        best = float(np.nanmax(table / self.least))
+        best = float(np.fmax.reduce(table / self.least, axis=None, initial=-np.inf))
         return best, self.first_maximiser(table, best)
 
     def lipschitz_constants(self) -> np.ndarray:

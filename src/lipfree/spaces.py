@@ -20,7 +20,6 @@ import contextlib
 import hashlib
 import itertools
 import json
-import reprlib
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -439,8 +438,8 @@ class FiniteMetricSpace:
         if bad_indices([self.base_index], len(pts)):
             raise ValueError("base point must be one of the points")
         object.__setattr__(self, "base_index", int(self.base_index))
-        if self.nominal_dim is not None and bad_indices([self.nominal_dim]):
-            raise ValueError(f"nominal_dim must be an integer, got {self.nominal_dim!r}")
+        if self.nominal_dim is not None and (bad_indices([self.nominal_dim]) or self.nominal_dim < 0):
+            raise ValueError(f"nominal_dim must be an integer >= 0, got {self.nominal_dim!r}")
         digest = hashlib.sha256()
         digest.update(json.dumps(pts).encode())
         digest.update(d)                 # C-contiguous: the bytes of d.tobytes()
@@ -883,65 +882,4 @@ def restrict_space(space: FiniteMetricSpace, members: Sequence[int],
         base_index=sub.index(base_point),
         coords=coords,
         nominal_dim=nominal,
-    )
-
-
-# ---------------------------------------------------------------------------
-# JSON space specs
-
-
-def _is_int(value) -> bool:
-    return not bad_indices([value])
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
-def _is_list(value) -> bool:
-    return isinstance(value, (list, tuple))
-
-
-def _is_int_rows(value) -> bool:
-    return (_is_list(value) and all(_is_list(row) and not bad_indices(row) for row in value)
-            and len({len(row) for row in value}) <= 1)
-
-
-def space_from_json(obj: dict) -> FiniteMetricSpace:
-    """Space from a config spec: a generator entry or an inline metric.  An
-    entry of the wrong type (`dims` a list of integers, `spacing` and
-    `scale` numbers, `n`, `seed`, `base_point` and `nominal_dim` integers,
-    `points` and `metric` lists, `coords` lists of integers of one length)
-    or a required entry that is missing is a ValueError that names it."""
-    def need(key, fits, what):
-        if key not in obj:
-            raise ValueError(f"space spec needs a '{key}' entry")
-        value = obj[key]
-        if not fits(value):
-            raise ValueError(f"space spec entry '{key}' must be {what}, "
-                             f"got {reprlib.repr(value)}")
-        return value
-
-    def optional(key, fits, what, default=None):
-        return need(key, fits, what) if key in obj else default
-
-    if "generator" in obj:
-        kind = obj["generator"]
-        if kind == "grid":
-            dims = need("dims", lambda v: _is_list(v) and not bad_indices(v),
-                        "a list of integers")
-            return make_grid_space(dims, need("spacing", _is_number, "a number"),
-                                   obj.get("ground", "linf"))
-        if kind == "random":
-            return random_metric_space(need("n", _is_int, "an integer"),
-                                       need("seed", _is_int, "an integer"),
-                                       optional("scale", _is_number, "a number", 1.0))
-        raise ValueError(f"unknown generator {kind!r}")
-    coords = optional("coords", _is_int_rows, "lists of integers of one length")
-    return FiniteMetricSpace(
-        tuple(need("points", _is_list, "a list")),
-        np.array(need("metric", _is_list, "a list"), dtype=float),
-        base_index=optional("base_point", _is_int, "an integer", 0),
-        coords=None if coords is None else np.array(coords, dtype=int),
-        nominal_dim=optional("nominal_dim", _is_int, "an integer"),
     )

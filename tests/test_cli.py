@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -198,6 +200,17 @@ class TestPerturbAndVerify:
             payload = json.loads(f.read_text())
             assert payload["sup_distance"] <= 0.05 + 1e-12
 
+    def test_perturb_report_serves_as_a_space(self, tmp_path):
+        # the inline spec table lists the report's sup_distance, so the
+        # report is a space spec as it stands
+        cfg = write_config(tmp_path, "c.json", PERTURB_LINE)
+        assert main(["--out-dir", str(tmp_path / "out"), "perturb", cfg]) == 0
+        report = json.loads(next((tmp_path / "out").glob("perturb-9-*.json")).read_text())
+        space = lf.space_from_json(report)
+        assert space.dist.tolist() == report["metric"]
+        cfg = write_config(tmp_path, "again.json", {**PERTURB_LINE, "space": report})
+        assert main(["--out-dir", str(tmp_path / "again"), "perturb", cfg]) == 0
+
     def test_verify_rejects_a_report_without_certificates(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
             "space": grid_space_json([5], 0.25), "amplitude": 0.05, "count": 1, "seed": 9,
@@ -255,6 +268,21 @@ INLINE_LINE = {"points": ["a", "b", "c"],
 GLUE_LINE = {"space": grid_space_json([5], 1 / 5), "k": [0, 1, 2, 3, 4], "dim_k": 1,
              "thresholds": [0.5], "n": 1, "eps": 0.5, "seed": 0, "probes": {"count": 1}}
 EXTEND_LINE = {"space": grid_space_json([9], 1 / 8), "eps_schedule": [0.25], "seed": 0}
+BAP_LINE = {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": [1, 2]}
+PERTURB_LINE = {"space": grid_space_json([5], 0.25), "seed": 9, "amplitude": 0.01}
+
+
+def exits_2_naming(tmp_path, capsys, command, config, named):
+    if config is None:
+        path = str(tmp_path / "missing.json")
+    else:
+        path = write_config(tmp_path, "c.json", config)
+    argv = ["verify", path] if command == "verify" else \
+        ["--out-dir", str(tmp_path / "out"), command, path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestConfigErrors:
@@ -285,8 +313,8 @@ class TestConfigErrors:
               ({**INLINE_LINE, "nominal_dim": "two"}, "nominal_dim"),
           ]),
         # integer entries that int() would truncate without a word
-        ("glue", {**GLUE_LINE, "dim_k": 1.9}, "dim_k must be an integer"),
-        ("glue", {**GLUE_LINE, "dim_k": True}, "dim_k must be an integer"),
+        ("glue", {**GLUE_LINE, "dim_k": 1.9}, "'dim_k' must be an integer"),
+        ("glue", {**GLUE_LINE, "dim_k": True}, "'dim_k' must be an integer"),
         ("glue", {**GLUE_LINE, "seed": 5.8}, "'seed'"),
         ("glue", {**GLUE_LINE, "probes": {"count": 1.7}}, "'probes.count'"),
         ("glue", {**GLUE_LINE, "n": 1.0}, "'n'"),
@@ -332,16 +360,121 @@ class TestConfigErrors:
             "bap-nu-zero", "bap-nu-string", "glue-nu-bool", "glue-eps-bool",
             "build-cover-eps-string", "extend-eps-schedule-null", "extend-eps-schedule-bool"])
     def test_exits_2_and_names_the_cause(self, tmp_path, capsys, command, config, named):
-        if config is None:
-            path = str(tmp_path / "missing.json")
-        else:
-            path = write_config(tmp_path, "c.json", config)
-        argv = ["verify", path] if command == "verify" else \
-            ["--out-dir", str(tmp_path / "out"), command, path]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and named in err
-        assert not (tmp_path / "out").exists()
+        exits_2_naming(tmp_path, capsys, command, config, named)
+
+    # values the pipelines once read without a word (a bool as a number, a
+    # negative count that runs nothing) or that ended in a traceback
+    @pytest.mark.parametrize("command, config, named", [
+        ("glue", {**GLUE_LINE, "thresholds": [True]}, "'thresholds[0]'"),
+        ("glue", {**GLUE_LINE, "probes": {"amplitude": True}}, "'probes.amplitude'"),
+        ("glue", {**GLUE_LINE, "probes": {"count": -1}}, "'probes.count'"),
+        ("bap", {**BAP_LINE, "envelope": True}, "'envelope'"),
+        ("bap", {**BAP_LINE, "seed": -1}, "'seed'"),
+        ("perturb", {**PERTURB_LINE, "amplitude": True}, "'amplitude'"),
+        ("perturb", {**PERTURB_LINE, "count": -1}, "'count'"),
+        ("build-cover", {"space": {**INLINE_LINE, "metric": [[0, True, 1], [True, 0, 0.5],
+                                                             [1, 0.5, 0]]}, "eps": 0.25},
+         "'metric[0][1]'"),
+        ("build-cover", {"space": {**INLINE_LINE, "nominal_dim": -1}, "eps": 0.25},
+         "'nominal_dim'"),
+        ("extend", {**EXTEND_LINE, "perturbations": {"count": -1}}, "'perturbations.count'"),
+        ("glue", {**GLUE_LINE, "probes": []}, "'probes'"),
+        ("extend", {**EXTEND_LINE, "perturbations": "x"}, "'perturbations'"),
+        ("glue", {**GLUE_LINE, "space": None}, "'space'"),
+        ("glue", {**GLUE_LINE, "k": 0}, "'k'"),
+        ("glue", {**GLUE_LINE, "thresholds": [None]}, "'thresholds[0]'"),
+        ("bap", {**BAP_LINE, "envelope": None}, "'envelope'"),
+        ("perturb", {**PERTURB_LINE, "amplitude": []}, "'amplitude'"),
+        ("build-cover", {"space": {**INLINE_LINE, "metric": [[0, 0.5, 1], {}, [1, 0.5, 0]]},
+                         "eps": 0.25}, "'metric[1]'"),
+        ("build-cover", {"space": {**INLINE_LINE, "points": ["a", None, "c"]}, "eps": 0.25},
+         "'points[1]'"),
+        ("build-cover", {"space": grid_space_json([9], 1 / 8), "eps": 0.25, "seed": "x"},
+         "'seed'"),
+        ("build-cover", {"space": {**grid_space_json([9], 1 / 8), "ground": []},
+                         "eps": 0.25}, "'ground'"),
+        ("build-cover", {"space": {"generator": "torus", "n": 3}, "eps": 0.25}, "'generator'"),
+        ("build-cover", [grid_space_json([9], 1 / 8)], "object"),
+        ("extend", {**EXTEND_LINE, "note": "unread"}, "'note'"),
+        ("glue", {**GLUE_LINE, "probes": {"count": 1, "amp": 0.5}}, "'probes.amp'"),
+    ], ids=["glue-threshold-bool", "glue-probe-amplitude-bool", "glue-probe-count-negative",
+            "bap-envelope-bool", "bap-seed-negative", "perturb-amplitude-bool",
+            "perturb-count-negative", "inline-metric-bool", "inline-nominal-dim-negative",
+            "extend-perturbation-count-negative", "glue-probes-list",
+            "extend-perturbations-string", "glue-space-null", "glue-k-number",
+            "glue-threshold-null", "bap-envelope-null", "perturb-amplitude-list",
+            "inline-metric-row-object", "inline-point-null", "build-cover-seed-string",
+            "grid-ground-list", "unknown-generator", "config-not-an-object",
+            "extend-unknown-key", "glue-unknown-probe-key"])
+    def test_values_once_read_or_crashed_exit_2(self, tmp_path, capsys, command, config,
+                                                named):
+        exits_2_naming(tmp_path, capsys, command, config, named)
+
+
+# small configs of the five commands that read one, at most 16 points each
+FUZZ_CONFIGS = {
+    "glue": ("glue", {"space": grid_space_json([4, 4], 0.25), "k": [0, 4, 8, 12], "dim_k": 1,
+                      "thresholds": [0.5, 0.25], "n": 1, "eps": 0.5, "seed": 0,
+                      "probes": {"count": 2, "amplitude": 0.9}}),
+    "extend": ("extend", {**EXTEND_LINE, "perturbations": {"count": 1}}),
+    "extend-nu": ("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0,
+                             "n_schedule": [2], "seed": 0}),
+    "bap": ("bap", {**BAP_LINE, "envelope": 4.0, "seed": 0}),
+    "build-cover": ("build-cover", {"space": {**INLINE_LINE, "base_point": 0,
+                                              "coords": [[0], [1], [2]], "nominal_dim": 1},
+                                    "eps": 0.25, "seed": 0}),
+    "perturb": ("perturb", {**PERTURB_LINE, "space": {"generator": "random", "n": 4,
+                                                      "seed": 1, "scale": 1.0}}),
+}
+BAD_VALUES = [None, True, "x", 1.5, [], {}, -1, 0]
+
+
+def entry_paths(value, path=()):
+    """The path of every entry of a config, nested lists and objects too."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield path + (key,)
+        yield from entry_paths(item, path + (key,))
+
+
+def replaced(config, path, value):
+    config = json.loads(json.dumps(config))
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return config
+
+
+class TestConfigFuzz:
+    """One entry of a small config replaced by a value of the wrong kind or
+    range: the run exits 2 with an error line, or runs (0, or 1 with a
+    failed certificate, as an amplitude of 1.5 admission radii gives), and
+    never ends in a traceback."""
+
+    def test_the_configs_run(self, tmp_path):
+        for name, (command, config) in FUZZ_CONFIGS.items():
+            path = write_config(tmp_path, f"{name}.json", config)
+            assert main(["--out-dir", str(tmp_path / name), command, path]) == 0, name
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_a_bad_entry_exits_cleanly(self, tmp_path_factory, data):
+        name = data.draw(st.sampled_from(sorted(FUZZ_CONFIGS)))
+        command, config = FUZZ_CONFIGS[name]
+        path = data.draw(st.sampled_from(list(entry_paths(config))))
+        config = replaced(config, path, data.draw(st.sampled_from(BAD_VALUES)))
+        root = tmp_path_factory.mktemp("fuzz")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["--out-dir", str(root / "out"), command,
+                       write_config(root, "c.json", config)])
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert err.getvalue().startswith("error: ")
+        if rc == 1:
+            assert "FAIL" in out.getvalue()
 
 
 class TestTriangleSweeps:

@@ -815,6 +815,29 @@ class TestClassSweep:
         norms = lf.molecule_norm_matrix(op, d)
         assert fn.ClassPairs(op, d).ratio_max(norms) == (1.0 / top, (0, 1))
 
+    def test_pseudometric_zero_distance_follows_lipschitz_constant(self):
+        # q(0, 1) = 0: under the identity operator N(0, 1) = q(0, 1) = 0, so
+        # the pair is skipped, as lipschitz_constant skips it, and every
+        # other ratio is 1.  No RuntimeWarning either: pytest makes it an error
+        space = lf.random_metric_space(5, seed=3)
+        q = lf.quotient_pseudometric(space.dist, [0, 1])
+        op = lf.WeightOperator(space, tuple(range(5)), np.eye(5))
+        assert lf.operator_norm(op, q) == (1.0, (0, 2))
+        norms = lf.molecule_norm_matrix(op, q)
+        assert fn.ClassPairs(op, q).ratio_max(norms) == (1.0, (0, 2))
+
+    def test_pseudometric_zero_distance_with_a_gap_is_inf(self):
+        # row 1 is the indicator of point 2, so N(0, 1) = q(0, 2) > 0 at q(0, 1) = 0
+        space = lf.random_metric_space(5, seed=3)
+        q = lf.quotient_pseudometric(space.dist, [0, 1])
+        w = np.zeros((5, 4))
+        w[[0, 1, 2, 3, 4], [0, 1, 1, 2, 3]] = 1.0
+        op = lf.WeightOperator(space, (0, 2, 3, 4), w)
+        assert lf.operator_norm(op, q) == (np.inf, (0, 1))
+        norms = lf.molecule_norm_matrix(op, q)
+        assert fn.ClassPairs(op, q).ratio_max(norms) == (np.inf, (0, 1))
+        assert lf.lipschitz_constant(w[:, 1], q) == np.inf
+
     def test_ratio_max_reads_each_orientation(self):
         # on this space the norm LPs of a - b and b - a differ in the last
         # bits, and the least distance lies at (1, 2), of the class pair (b, a)

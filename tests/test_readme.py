@@ -1,5 +1,6 @@
 """The README's library sketch and example configs run against the current
-code, and the report layout it documents is the one the CLI writes."""
+code, and the report layout and config tables it documents are the ones the
+CLI writes and reads."""
 
 import json
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from lipfree import config
 from lipfree.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -55,3 +57,25 @@ def test_extend_report_layout_is_the_documented_one(readme_runs):
     assert reports
     for report in reports:
         assert set(json.loads(report.read_text())["bundle"]) == documented
+
+
+def table_rows(name, table, prefix=""):
+    """(config, key, kind, default) rows of a reader table, as the README
+    shows them; a sub-table's keys follow its own row."""
+    for key, (kind, default) in table.items():
+        shown = ("required" if default is config.REQUIRED else "none" if default is None
+                 else f"`{json.dumps(default)}`")
+        yield name, f"`{prefix}{key}`", "an object" if isinstance(kind, dict) else kind.what, shown
+        if isinstance(kind, dict):
+            yield from table_rows(name, kind, f"{prefix}{key}.")
+
+
+def test_config_table_is_the_readers():
+    text = README.read_text()
+    lines = text[text.index("| config | key | kind | default |"):].splitlines()
+    documented = [tuple(cell.strip() for cell in line.strip("|").split("|"))
+                  for line in lines[2:lines.index("")]]
+    want = [row for name, table in config.PIPELINES.items() for row in table_rows(name, table)]
+    want += [row for form, table in config.SPACE_SPECS.items()
+             for row in table_rows(f"space: {form}", table)]
+    assert documented == want

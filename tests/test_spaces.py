@@ -906,6 +906,12 @@ class TestSpecEntries:
         with pytest.raises(ValueError, match=message):
             lf.FiniteMetricSpace(("a", "b", "c"), np.array(self.LINE["metric"]), **kwargs)
 
+    def test_constructor_rejects_a_negative_nominal_dim(self):
+        metric = np.array(self.LINE["metric"])
+        with pytest.raises(ValueError, match="nominal_dim must be an integer >= 0, got -1"):
+            lf.FiniteMetricSpace(("a", "b", "c"), metric, nominal_dim=-1)
+        assert lf.FiniteMetricSpace(("a", "b", "c"), metric, nominal_dim=0).nominal_dim == 0
+
 
 class TestMatrixOwnership:
     def test_caller_array_is_copied(self):
