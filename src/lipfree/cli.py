@@ -20,10 +20,11 @@ and leaves out what is a function of what it keeps:
                certificates}], and the bundle certificates again at the top
   glue         pipeline, seed, n, m, eps, dim_k, admission_radius, bound, net,
                domain, collar, glue_metric, certificates, probes [{index,
-               norm, probe_metric, operator, certificates}]
+               norm, metric_changes, operator, certificates}]
   bap          pipeline, seed, rows, certificates
-  perturb      an inline space spec {points, metric, base_point} and its
-               sup_distance from the source metric
+  perturb      an inline space spec {points, metric, base_point, and coords
+               if the source space has them} and its sup_distance from the
+               source metric
 
 `weights` has one column per point of `cover.net`.  The extend report stores
 neither the induced pseudometric nor the adapted metric.  With `space` read
@@ -32,6 +33,17 @@ back by `space_from_json`, both are recomputed bit for bit:
   induced = molecule_norm_matrix(WeightOperator(space, cover.net, weights,
                                                 partition=True), space.dist)
   adapted = induced + quotient_pseudometric(space.dist, cover.net)
+
+A glue probe is written as its changes: `metric_changes` lists [i, j, value]
+for each entry of the probe metric whose bits differ from `glue_metric`, and
+`operator` each entry of the glued operator whose bits are not +0.0, both in
+row-major order (`_changes`); `operator` is null when the probe was refused
+before the operator was built; its columns are `domain`.  Floats are written
+by repr, so both are rebuilt bit for bit:
+
+  probe_metric = glue_metric.copy(); probe_metric[i, j] = value, per change
+  operator = np.zeros((len(glue_metric), len(domain)))
+  operator[i, j] = value, per nonzero
 """
 
 from __future__ import annotations
@@ -126,6 +138,14 @@ def _cert_list(certs) -> list[dict]:
 def _cover(nc) -> dict:
     return {"net": list(nc.net), "sets": [list(s) for s in nc.sets],
             "order_bound": nc.order_bound}
+
+
+def _changes(a, base) -> list[list]:
+    """[i, j, a[i, j]] for each entry of a whose bits differ from base's (an
+    array of a's shape or a scalar), in row-major order; a signed zero differs."""
+    a = np.asarray(a, dtype=float)
+    i, j = np.nonzero(a.view(np.uint64) != np.asarray(base, dtype=float).view(np.uint64))
+    return [list(t) for t in zip(i.tolist(), j.tolist(), a[i, j].tolist())]
 
 
 def _stage_eps(nu: float, n: int) -> float:
@@ -243,8 +263,8 @@ def cmd_glue(args) -> int:
         results.append({
             "index": i,
             "norm": cert.measured_norm,
-            "probe_metric": np.asarray(e.matrix, dtype=float),
-            "operator": None if cert.h_matrix is None else np.asarray(cert.h_matrix, dtype=float),
+            "metric_changes": _changes(e.matrix, bundle.metric),
+            "operator": None if cert.h_matrix is None else _changes(cert.h_matrix, 0.0),
             "certificates": _cert_list(cert.certificates),
         })
         print(f"probe {i}: norm {cert.measured_norm:.4g} vs bound {bound:.6g} "
@@ -303,11 +323,14 @@ def cmd_perturb(args) -> int:
     for i in range(cfg["count"]):
         e = perturb_metric(space.dist, cfg["amplitude"], rng).matrix
         out = Path(args.out_dir) / f"perturb-{seed}-{i}.json"
+        # a probe keeps the points, so it keeps their lattice coordinates
+        coords = {} if space.coords is None else {"coords": space.coords}
         _write_json(out, {
             "points": list(space.points),
             "metric": np.asarray(e, dtype=float),
             "base_point": space.base_index,
             "sup_distance": sup_distance(e, space.dist),
+            **coords,
         })
         print(f"wrote {out}")
     return 0

@@ -38,7 +38,14 @@ def list_of(item: Kind, same_length: bool = False) -> Kind:
 
 
 def _number(v) -> bool:
-    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    """v is a number, not a bool, that a float can hold (10**400 is not)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
 
 
 INTEGER = Kind("an integer", "integers", lambda v: not bad_indices([v]), int)

@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 import lipfree as lf
 from conftest import (floyd_warshall_serial, json_dump_of_lists, min_plus_excess_by_via,
                       molecule_norms_by_pairs, sweeps_of)
-from lipfree import cli, extension, freenorm, spaces
+from lipfree import cli, extension, freenorm, gluing, spaces
 from lipfree.cli import _write_json, main
 
 
@@ -139,7 +139,7 @@ class TestGluePipeline:
         assert payload["m"] >= payload["n"]
         assert all(c["passed"] for p in payload["probes"] for c in p["certificates"])
         for probe in payload["probes"]:
-            assert set(probe) == {"index", "norm", "probe_metric", "operator",
+            assert set(probe) == {"index", "norm", "metric_changes", "operator",
                                   "certificates"}
         assert payload["bound"] == lf.glued_norm_bound(1)
         assert payload["net"][0] in payload["domain"]
@@ -210,6 +210,19 @@ class TestPerturbAndVerify:
         assert space.dist.tolist() == report["metric"]
         cfg = write_config(tmp_path, "again.json", {**PERTURB_LINE, "space": report})
         assert main(["--out-dir", str(tmp_path / "again"), "perturb", cfg]) == 0
+
+    def test_perturb_report_of_a_grid_is_covered(self, tmp_path):
+        # a probe keeps the grid's points, so its report keeps their lattice
+        # coordinates, which brick covers need
+        grid = grid_space_json([3, 3], 0.25)
+        cfg = write_config(tmp_path, "c.json", {**PERTURB_LINE, "space": grid})
+        assert main(["--out-dir", str(tmp_path / "out"), "perturb", cfg]) == 0
+        report = json.loads(next((tmp_path / "out").glob("perturb-9-*.json")).read_text())
+        assert report["coords"] == lf.space_from_json(grid).coords.tolist()
+        for command, entry in (("build-cover", {"eps": 0.5}),
+                               ("extend", {"eps_schedule": [0.5]})):
+            path = write_config(tmp_path, f"{command}.json", {"space": report, "seed": 0, **entry})
+            assert main(["--out-dir", str(tmp_path / command), command, path]) == 0, command
 
     def test_verify_rejects_a_report_without_certificates(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
@@ -397,6 +410,11 @@ class TestConfigErrors:
         ("build-cover", [grid_space_json([9], 1 / 8)], "object"),
         ("extend", {**EXTEND_LINE, "note": "unread"}, "'note'"),
         ("glue", {**GLUE_LINE, "probes": {"count": 1, "amp": 0.5}}, "'probes.amp'"),
+        # integers too large for a float, which the float cast overflowed on
+        ("build-cover", {"space": grid_space_json([9], 1 / 8), "eps": 10**400}, "'eps'"),
+        ("build-cover", {"space": {**INLINE_LINE, "metric": [[0, 10**400, 1], [0.5, 0, 0.5],
+                                                             [1, 0.5, 0]]}, "eps": 0.25},
+         "'metric[0][1]'"),
     ], ids=["glue-threshold-bool", "glue-probe-amplitude-bool", "glue-probe-count-negative",
             "bap-envelope-bool", "bap-seed-negative", "perturb-amplitude-bool",
             "perturb-count-negative", "inline-metric-bool", "inline-nominal-dim-negative",
@@ -405,7 +423,8 @@ class TestConfigErrors:
             "glue-threshold-null", "bap-envelope-null", "perturb-amplitude-list",
             "inline-metric-row-object", "inline-point-null", "build-cover-seed-string",
             "grid-ground-list", "unknown-generator", "config-not-an-object",
-            "extend-unknown-key", "glue-unknown-probe-key"])
+            "extend-unknown-key", "glue-unknown-probe-key", "build-cover-eps-too-large",
+            "inline-metric-too-large"])
     def test_values_once_read_or_crashed_exit_2(self, tmp_path, capsys, command, config,
                                                 named):
         exits_2_naming(tmp_path, capsys, command, config, named)
@@ -539,6 +558,53 @@ class TestReportLayout:
             assert lf.sup_distance(space.dist, adapted) == sup["measured"]
             xs, ys = np.triu_indices(space.n, k=1)
             assert (induced[xs, ys] / adapted[xs, ys]).max() == report["bundle"]["operator_norm"]
+
+    def test_changes_compare_bits(self):
+        # -0.0 == 0.0, but the bits differ, and a rebuild must keep the sign
+        a = np.array([[0.0, -0.0], [2.5, 0.0]])
+        changes = cli._changes(a, 0.0)
+        assert changes == [[0, 1, -0.0], [1, 0, 2.5]]
+        assert np.signbit(changes[0][2])
+        assert cli._changes(a, a) == [] and cli._changes(a, np.zeros((2, 2))) == changes
+
+    @pytest.mark.parametrize("amplitude, rc", [(0.9, 0), (40.0, 1)])
+    def test_glue_report_rebuilds_probe_metrics_and_operators(self, tmp_path, monkeypatch,
+                                                              amplitude, rc):
+        # at amplitude 40 the second probe is refused before its operator is built
+        seen = []
+        certify = gluing.certify_gluing
+
+        def spy(bundle, e, rng=None):
+            cert = certify(bundle, e, rng=rng)
+            seen.append((np.array(e.matrix, dtype=float), cert.h_matrix))
+            return cert
+
+        def rebuild(base, changes):
+            m = base.copy()
+            for i, j, v in changes:
+                m[i, j] = v
+            return m
+
+        monkeypatch.setattr(gluing, "certify_gluing", spy)
+        cfg = write_config(tmp_path, "c.json", {
+            **GLUE_6X6_NO_CORE, "k": [i * 6 for i in range(6)], "n": 1, "eps": 0.6,
+            "probes": {"count": 2, "amplitude": amplitude}})
+        assert main(["--out-dir", str(tmp_path / "out"), "glue", cfg]) == rc
+        report = json.loads(next((tmp_path / "out").glob("glue-*.json")).read_text())
+        glue = np.array(report["glue_metric"])
+        assert [p["index"] for p in report["probes"]] == [0, 1] and len(seen) == 2
+        assert report["probes"][0]["metric_changes"] == []
+        for probe, (metric, h) in zip(report["probes"], seen):
+            rebuilt = rebuild(glue, probe["metric_changes"])
+            assert rebuilt.tobytes() == metric.tobytes()
+            admission = next(c for c in probe["certificates"] if c["kind"] == "probe-admission")
+            assert admission["measured"] == lf.sup_distance(rebuilt, glue)
+            if h is None:
+                assert probe["operator"] is None
+            else:
+                op = rebuild(np.zeros((len(glue), len(report["domain"]))), probe["operator"])
+                assert op.tobytes() == h.tobytes()
+        assert (report["probes"][1]["operator"] is None) == (amplitude == 40.0)
 
     @pytest.mark.parametrize("pipeline, config", [
         ("build-cover", {"space": grid_space_json([9], 1 / 8), "eps": 0.25, "seed": 0}),

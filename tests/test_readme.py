@@ -59,6 +59,17 @@ def test_extend_report_layout_is_the_documented_one(readme_runs):
         assert set(json.loads(report.read_text())["bundle"]) == documented
 
 
+def test_glue_report_layout_is_the_documented_one(readme_runs):
+    text = README.read_text()
+    start = text.index("Each probe is")
+    documented = set(re.findall(r"`(\w+)`", text[start:text.index(".", start)]))
+    reports = [r for pipeline, _, paths in readme_runs if pipeline == "glue" for r in paths]
+    assert reports
+    for report in reports:
+        for entry in json.loads(report.read_text())["probes"]:
+            assert set(entry) == documented
+
+
 def table_rows(name, table, prefix=""):
     """(config, key, kind, default) rows of a reader table, as the README
     shows them; a sub-table's keys follow its own row."""
