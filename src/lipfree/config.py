@@ -48,7 +48,14 @@ def _number(v) -> bool:
     return True
 
 
-INTEGER = Kind("an integer", "integers", lambda v: not bad_indices([v]), int)
+def _integer(v) -> bool:
+    """v is an integer, not a bool, that an int64 can hold: coords become an
+    int64 array and a seed a report's file name, so 10**400 is refused here
+    and not by a traceback or after the run."""
+    return not bad_indices([v]) and -2**63 <= v < 2**63
+
+
+INTEGER = Kind("an integer", "integers", _integer, int)
 INT0 = Kind("an integer >= 0", "integers >= 0", lambda v: INTEGER.fits(v) and v >= 0, int)
 INT1 = Kind("an integer >= 1", "integers >= 1", lambda v: INTEGER.fits(v) and v >= 1, int)
 NUMBER = Kind("a number", "numbers", _number, float)

@@ -5,7 +5,7 @@ clauses for (d, eps) with order at most r, the bundle assembles:
 
   * the partition of unity  lam_i(x) = d(x, U_i^c) / sum_j d(x, U_j^c),
   * the induced pseudometric  (x, y) -> || sum_i (lam_i(x)-lam_i(y)) delta_{a_i} ||,
-    computed exactly per pair, by a norm identity or the free-norm LP,
+    computed exactly per pair, by a transport closed form or the free-norm LP,
   * its sum with the quotient pseudometric collapsing A, the adapted metric,
     which agrees with d on A x A exactly, stays uniformly within 4 eps of d,
     and makes f -> sum f(a_i) lam_i an extension operator of norm exactly one.

@@ -9,7 +9,8 @@ finite metric space is computed in the dual formulation:
 a finite LP whose value equals the norm by LP duality.  The norm only depends
 on the metric restricted to the support plus the base point, so the LP is
 solved on that subspace; the equivalence with the full LP is covered by the
-test suite.
+test suite.  Its dual is a transport problem, and the molecules with one
+point on a side or two on each take their closed forms instead (`_triage`).
 """
 
 from __future__ import annotations
@@ -147,34 +148,102 @@ def _difference(cols_a: np.ndarray, vals_a: np.ndarray, cols_b: np.ndarray,
 
 def _triage(cols: np.ndarray, vals: np.ndarray, d: np.ndarray,
             base: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shortcut norms of the sparse rows (cols, vals), and a mask of the rows
-    that need the LP.
+    """Transport norms of the sparse rows (cols, vals) that have one point
+    on a side or two on each, and a mask of the rows that need the LP.
 
-    Zeroes the base entries of vals in place.  Rows answered here, by the same
-    IEEE expressions as the scalar identities:
-      zero rows: 0;
-      single-point rows: |c_i| d(i, base), since ||w delta_i|| = |w| d(i, base);
-      exact molecules +-(delta_i - delta_j), i < j: d(i, j).
-    A row's real columns are distinct and ascending along its slots, so the
-    first and the last nonzero slot hold its least and its greatest support
-    point, as in the dense row.
+    Zeroes the base entries of vals in place, then balances each row c by a
+    base entry -sum c, summed slot by slot: the real columns are ascending
+    along a row's slots and the other slots hold 0, so the sum runs over the
+    support in column order, as over a dense row.  The balanced row mu has
+    total 0 and, mu(base) being free in the LP, the same norm.
+
+    **Transport.**  The LP's dual, min sum_ij y_ij d(i, j) over y >= 0 with
+    sum_j y_ij - sum_j y_ji = mu_i, is a flow on the support and the base:
+    y_ij runs i -> j at cost d(i, j), the orientation of the LP row
+    f_i - f_j <= d(i, j), and the positive entries of mu are its sources.
+    On a metric a path may be shortcut to its ends, so the norm is the least
+    cost of a transport plan from mu+ onto mu- (Kantorovich-Rubinstein;
+    Weaver, "Lipschitz Algebras", 1999).  Two shapes have it in closed form:
+      * one point on a side.  A lone source p sends |mu_j| to each target j,
+        the only plan: sum_j |mu_j| d(p, j); a lone target q receives
+        sum_i |mu_i| d(i, q).  A zero row takes the first form, 0.  When
+        both sides are lone, |mu_p| = |mu_q| exactly (fl(a + b) = 0 only for
+        b = -a) and both forms read |mu_p| d(p, q).
+      * two points on each side, masses a1, a2 at p1, p2 and b1, b2 at
+        q1, q2 in slot order.  A plan is fixed by x = y(p1, q1): then
+        y(p1, q2) = a1 - x, y(p2, q1) = b1 - x and y(p2, q2) = a2 - b1 + x
+        are >= 0 for x in [max(0, a1 - b2), min(a1, b1)].  The cost is
+        linear in x, so the norm is the smaller of its values at the two
+        ends, which may tie or coincide.
+    The sums run over the slots in order, the base entry last.  So a single
+    point, ||w delta_i|| = |w| d(i, base), and an exact molecule
+    +-(delta_i - delta_j), d(i, j), get one product, the IEEE expression of
+    their norm identities, bitwise when d is bitwise symmetric.
+
+    **Float matrices.**  Let T be the LP optimum, which ships through all k
+    points of the support and the base, and K the transport optimum.  A plan
+    is a flow, so T <= K.  An optimal flow splits into paths from sources
+    to targets and cycles, which cost >= 0; a path of l <= k - 1 edges
+    costs at least the distance between its ends less (l - 1) eta, for eta
+    the largest triangle excess d(i, k) - d(i, j) - d(j, k) of d, which a
+    pipeline metric's recorded `excess` bounds up to the rounding of one
+    sum.  So K <= T + (k - 2) eta ||mu+||_1: the forms answer the LP up to
+    that and their own rounding.
     """
     vals[cols == base] = 0.0
-    nz = vals != 0.0
-    count = nz.sum(axis=1)
-    value = np.zeros(len(vals))
-    needs_lp = count > 1
-    one = np.flatnonzero(count == 1)
-    s = nz[one].argmax(axis=1)
-    value[one] = np.abs(vals[one, s]) * d[cols[one, s], base]
-    two = np.flatnonzero(count == 2)
-    s = nz[two].argmax(axis=1)
-    t = vals.shape[1] - 1 - nz[two, ::-1].argmax(axis=1)
-    ci, cj = vals[two, s], vals[two, t]
-    unit = ((ci == 1.0) & (cj == -1.0)) | ((ci == -1.0) & (cj == 1.0))
-    value[two[unit]] = d[cols[two, s][unit], cols[two, t][unit]]
-    needs_lp[two[unit]] = False
-    return value, needs_lp
+    k, width = vals.shape
+    total = np.zeros(k)
+    for s in range(width):
+        total += vals[:, s]
+    # the base entry in a last slot; a padded slot holds 0 on a real column
+    cols = np.concatenate([np.minimum(cols, len(d) - 1), np.full((k, 1), base)], axis=1)
+    vals = np.concatenate([vals, -total[:, None]], axis=1)
+    pos, neg = vals > 0.0, vals < 0.0
+    n_pos, n_neg = np.count_nonzero(pos, axis=1), np.count_nonzero(neg, axis=1)
+    source = n_pos <= 1
+    one = source | (n_neg == 1)
+    value = np.where(one, _one_point(cols, vals, source, d), 0.0)
+    two = (n_pos == 2) & (n_neg == 2)
+    if two.any():
+        value[two] = _two_by_two(cols[two], vals[two], pos[two], neg[two], d)
+    return value, ~(one | two)
+
+
+def _one_point(cols: np.ndarray, vals: np.ndarray, source: np.ndarray,
+               d: np.ndarray) -> np.ndarray:
+    """The one-point form of `_triage` on balanced rows, for a lone source
+    where source holds, else for a lone target: with the row negated for a
+    target, the lone point is the one positive slot and the far side's
+    masses are the negated negative slots.  It runs on every row of a block,
+    one array operation for all, and a row with no lone point gets a value
+    its caller drops."""
+    signed = np.where(source[:, None], vals, -vals)
+    hub = cols[np.arange(len(cols)), signed.argmax(axis=1)][:, None]
+    np.negative(signed, out=signed)
+    np.maximum(signed, 0.0, out=signed)
+    signed *= np.where(source[:, None], d[hub, cols], d[cols, hub])
+    cost = np.zeros(len(cols))
+    for s in range(cols.shape[1]):
+        cost += signed[:, s]
+    return cost
+
+
+def _two_by_two(cols: np.ndarray, vals: np.ndarray, pos: np.ndarray, neg: np.ndarray,
+                d: np.ndarray) -> np.ndarray:
+    """The 2 x 2 form of `_triage` on balanced rows with two positive slots
+    (pos) and two negative ones (neg): the plan cost x d(p1, q1) + (a1 - x)
+    d(p1, q2) + (b1 - x) d(p2, q1) + (a2 - (b1 - x)) d(p2, q2), summed in
+    that order, at the two ends x of the interval."""
+    r = np.arange(len(cols))[:, None]
+    # np.nonzero lists each row's two slots of a side in slot order
+    ps, qs = np.nonzero(pos)[1].reshape(-1, 2), np.nonzero(neg)[1].reshape(-1, 2)
+    (a1, a2), (b1, b2) = vals[r, ps].T, -vals[r, qs].T
+    dist = d[cols[r, ps][:, :, None], cols[r, qs][:, None, :]]
+    x = np.stack([np.maximum(0.0, a1 - b2), np.minimum(a1, b1)])
+    y21 = b1 - x
+    cost = (x * dist[:, 0, 0] + (a1 - x) * dist[:, 0, 1] + y21 * dist[:, 1, 0]
+            + (a2 - y21) * dist[:, 1, 1])
+    return cost.min(axis=0)
 
 
 def _lp_norms(cols: np.ndarray, vals: np.ndarray, d: np.ndarray, base: int,
@@ -210,9 +279,9 @@ def _row_norms(cols: np.ndarray, vals: np.ndarray, d: np.ndarray, base: int,
     given base.
 
     The base entries never matter and are zeroed in place.  `_triage` answers
-    zero, single-point and exact two-point rows; every other row solves the
-    norm LP once per distinct (support, weights) in memo, all in one
-    `_lp_norms` call.
+    the rows with one point on a side or two on each by their transport
+    plans; every other row solves the norm LP once per distinct (support,
+    weights) in memo, all in one `_lp_norms` call.
     """
     value, needs_lp = _triage(cols, vals, d, base)
     value[needs_lp] = _lp_norms(cols[needs_lp], vals[needs_lp], d, base, memo)
@@ -416,8 +485,8 @@ def molecule_norm_matrix(op: WeightOperator, d: np.ndarray) -> np.ndarray:
     subordinate to a cover of order r has at most r + 1 nonzeros per row.
     The differences of a block of pairs (`_pair_blocks`) are merged from them
     by `_difference`, bitwise the dense differences on every column, and
-    triaged: zero, single-point and exact two-point molecules are answered
-    by their norm identities.  The rows every block leaves to the LP are
+    triaged: molecules with one point on a side or two on each are answered
+    by their transport plans.  The rows every block leaves to the LP are
     then passed to one `_lp_norms` call, which solves the norm LP once per
     distinct (support, weights) of the whole sweep, the same set of LPs as
     a sweep over all pairs, in stacks of programs that share a support

@@ -89,8 +89,8 @@ def dense_rows(cols: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
 
 def free_space_norm(space, weights) -> float:
     """Norm of the weight vector in the free space over space, always by the
-    LP: the reference the norm identities of `freenorm._triage` are tested
-    against.  The base weight is ignored."""
+    LP: the reference the closed transport forms of `freenorm._triage` are
+    tested against.  The base weight is ignored."""
     c = np.array(weights, dtype=float)
     c[space.base_index] = 0.0
     return lp_norm_dense(c, space.dist, space.base_index, {})
@@ -206,22 +206,18 @@ def operator_norm_by_vertices(op, d: np.ndarray) -> float:
 
 
 def molecule_norms_by_pairs(op, d_a: np.ndarray) -> np.ndarray:
-    """The per-pair molecule sweep: each row difference through the scalar
-    norm identities, or else its own norm LP, with no triage and no memo."""
+    """The per-pair molecule sweep: each row difference through the closed
+    transport forms (`transport_norm`), or else its own norm LP, with no
+    triage and no memo."""
     d_a = np.asarray(d_a, dtype=float)
     base = op.base_position
     n = op.space.n
     out = np.zeros((n, n))
     for x, y in itertools.combinations(range(n), 2):
         c = op.matrix[x] - op.matrix[y]
-        nz = [int(i) for i in np.flatnonzero(c) if i != base]
-        if not nz:
-            val = 0.0
-        elif len(nz) == 1:
-            val = abs(float(c[nz[0]])) * float(d_a[nz[0], base])
-        elif len(nz) == 2 and (c[nz[0]], c[nz[1]]) in ((1.0, -1.0), (-1.0, 1.0)):
-            val = float(d_a[nz[0], nz[1]])
-        else:
+        val = transport_norm(c, d_a, base)
+        if val is None:
+            nz = [int(i) for i in np.flatnonzero(c) if i != base]
             sub = nz + [base]
             val = dual_norm(c[nz], d_a[np.ix_(sub, sub)])
         out[x, y] = out[y, x] = val
@@ -240,25 +236,52 @@ def operator_norm_by_molecules(op, d: np.ndarray) -> tuple[float, tuple[int, int
     return float(ratios[best]), (int(xs[best]), int(ys[best]))
 
 
+def transport_norm(c: np.ndarray, d: np.ndarray, base: int):
+    """The norm of the dense weight row c, its base entry ignored, by the
+    closed transport forms of `freenorm._triage` written out point by point;
+    None when the balanced row has more than one point on each side and not
+    two on each.  The row is balanced by -sum c at the base, summed over the
+    support in column order; the plan costs are summed over the support in
+    column order, then the base."""
+    points = [i for i in range(len(c)) if i != base and c[i] != 0.0]
+    total = 0.0
+    for i in points:
+        total += c[i]
+    mu = [(i, c[i]) for i in points] + ([(base, -total)] if total != 0.0 else [])
+    sources = [(i, m) for i, m in mu if m > 0.0]
+    targets = [(j, -m) for j, m in mu if m < 0.0]
+    cost = 0.0
+    if len(sources) <= 1:
+        for j, m in targets:
+            cost += m * d[sources[0][0], j]
+        return cost
+    if len(targets) == 1:
+        for i, m in sources:
+            cost += m * d[i, targets[0][0]]
+        return cost
+    if len(sources) == len(targets) == 2:
+        (i1, a1), (i2, a2) = sources
+        (j1, b1), (j2, b2) = targets
+
+        def plan(x):
+            y21 = b1 - x
+            return x * d[i1, j1] + (a1 - x) * d[i1, j2] + y21 * d[i2, j1] + (a2 - y21) * d[i2, j2]
+
+        return min(plan(max(0.0, a1 - b2)), plan(min(a1, b1)))
+    return None
+
+
 def triage_dense(c: np.ndarray, d: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """The triage of earlier versions, on dense weight rows: shortcut norms of
-    the rows of c and a mask of the rows that need the LP.  Zeroes the base
-    column of c in place."""
+    """`freenorm._triage` on dense weight rows, row by row through
+    `transport_norm`: closed-form norms of the rows of c and a mask of the
+    rows that need the LP.  Zeroes the base column of c in place."""
     c[:, base] = 0.0
-    nz = c != 0.0
-    count = nz.sum(axis=1)
     value = np.zeros(len(c))
-    needs_lp = count > 1
-    one = np.flatnonzero(count == 1)
-    i = nz[one].argmax(axis=1)
-    value[one] = np.abs(c[one, i]) * d[i, base]
-    two = np.flatnonzero(count == 2)
-    i = nz[two].argmax(axis=1)
-    j = c.shape[1] - 1 - nz[two, ::-1].argmax(axis=1)
-    ci, cj = c[two, i], c[two, j]
-    unit = ((ci == 1.0) & (cj == -1.0)) | ((ci == -1.0) & (cj == 1.0))
-    value[two[unit]] = d[i[unit], j[unit]]
-    needs_lp[two[unit]] = False
+    needs_lp = np.zeros(len(c), dtype=bool)
+    for r, row in enumerate(c):
+        val = transport_norm(row, d, base)
+        needs_lp[r] = val is None
+        value[r] = 0.0 if val is None else val
     return value, needs_lp
 
 
@@ -738,6 +761,20 @@ def sweeps_of(monkeypatch):
         return sweep(d)
 
     monkeypatch.setattr(spaces, "_min_plus_excess", counted)
+    return calls
+
+
+def count_solves(monkeypatch):
+    """A list that gets a 1 for every program solved through
+    `lpmod.solve_stack` while the patch holds."""
+    calls = []
+    real = lpmod.solve_stack
+
+    def counted(stack):
+        calls.extend([1] * len(stack.objective))
+        return real(stack)
+
+    monkeypatch.setattr(lpmod, "solve_stack", counted)
     return calls
 
 

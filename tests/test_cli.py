@@ -14,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import lipfree as lf
-from conftest import (floyd_warshall_serial, json_dump_of_lists, min_plus_excess_by_via,
-                      molecule_norms_by_pairs, sweeps_of)
+from conftest import (count_solves, floyd_warshall_serial, json_dump_of_lists,
+                      min_plus_excess_by_via, molecule_norms_by_pairs, sweeps_of)
 from lipfree import cli, extension, freenorm, gluing, spaces
 from lipfree.cli import _write_json, main
 
@@ -415,6 +415,11 @@ class TestConfigErrors:
         ("build-cover", {"space": {**INLINE_LINE, "metric": [[0, 10**400, 1], [0.5, 0, 0.5],
                                                              [1, 0.5, 0]]}, "eps": 0.25},
          "'metric[0][1]'"),
+        # integers outside int64: a seed names the report file, coords become int64
+        ("glue", {**GLUE_LINE, "seed": 10**400}, "'seed'"),
+        ("extend", {**EXTEND_LINE, "seed": 2**63}, "'seed'"),
+        ("build-cover", {"space": {**INLINE_LINE, "coords": [[0], [10**400], [2]]},
+                         "eps": 0.25}, "'coords'"),
     ], ids=["glue-threshold-bool", "glue-probe-amplitude-bool", "glue-probe-count-negative",
             "bap-envelope-bool", "bap-seed-negative", "perturb-amplitude-bool",
             "perturb-count-negative", "inline-metric-bool", "inline-nominal-dim-negative",
@@ -424,10 +429,21 @@ class TestConfigErrors:
             "inline-metric-row-object", "inline-point-null", "build-cover-seed-string",
             "grid-ground-list", "unknown-generator", "config-not-an-object",
             "extend-unknown-key", "glue-unknown-probe-key", "build-cover-eps-too-large",
-            "inline-metric-too-large"])
+            "inline-metric-too-large", "glue-seed-too-large", "extend-seed-past-int64",
+            "inline-coords-too-large"])
     def test_values_once_read_or_crashed_exit_2(self, tmp_path, capsys, command, config,
                                                 named):
         exits_2_naming(tmp_path, capsys, command, config, named)
+
+    def test_seed_flag_outside_int64_exits_2(self, tmp_path, capsys, monkeypatch):
+        # refused while the config is read, before any pipeline work
+        path = write_config(tmp_path, "c.json", GLUE_LINE)
+        monkeypatch.setattr(gluing, "build_gluing_bundle", mock.Mock(side_effect=AssertionError))
+        argv = ["--seed", str(10**400), "--out-dir", str(tmp_path / "out"), "glue", path]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'seed'" in err
+        assert not (tmp_path / "out").exists()
 
 
 # small configs of the five commands that read one, at most 16 points each
@@ -527,10 +543,30 @@ class TestTriangleSweeps:
         assert closes == []
 
 
+class TestNormLps:
+    """The norm LPs each benchmark pipeline solves through `lp.solve_stack`,
+    at its config's seed.  Molecules with one point on a side or two on each
+    take their transport forms, so glue and the 900-point run solve none and
+    the 13 x 13 run 112, its molecules with three or more points on a side;
+    a shape that slips back to the LP adds programs here."""
+
+    @pytest.mark.parametrize("name, most", [
+        ("glue-10x10-line", 0),
+        ("extend-13x13-lp", 129),
+        ("extend-30x30-fine", 0),
+    ], ids=["glue-10x10-line", "extend-13x13-lp", "extend-30x30-fine"])
+    def test_programs_of_each_workload(self, tmp_path, monkeypatch, name, most):
+        workload = WORKLOADS[name]
+        path = write_config(tmp_path, "c.json", workload["config"])
+        calls = count_solves(monkeypatch)
+        assert main(["--out-dir", str(tmp_path / "out"), workload["pipeline"], path]) == 0
+        assert len(calls) <= most
+
+
 class TestReportLayout:
     def test_extend_report_recovers_adapted_metric(self, tmp_path):
-        # 5 x 5 at eps 1/2, and 9 x 9 at eps 1/4, whose molecules need LPs
-        for dims, spacing, eps, seed in (([5, 5], 1 / 8, 0.5, 1), ([9, 9], 0.02, 0.25, 3)):
+        # 5 x 5 at eps 1/2, and 13 x 13 at eps 1/4, whose molecules need LPs
+        for dims, spacing, eps, seed in (([5, 5], 1 / 8, 0.5, 1), ([13, 13], 0.02, 0.25, 3)):
             space_spec = grid_space_json(dims, spacing)
             cfg = write_config(tmp_path, f"c{dims[0]}.json", {
                 "space": space_spec, "eps_schedule": [eps], "seed": seed,
@@ -736,8 +772,8 @@ class TestEquivalence:
     are the bytes the reference sweeps and writer of tests/conftest.py give."""
 
     @pytest.mark.parametrize("pipeline, config", [
-        # 9 x 9 at eps 1/4: the bundle's molecules need 1,314 LPs
-        ("extend", {"space": grid_space_json([9, 9], 0.02), "eps_schedule": [0.25],
+        # 13 x 13 at eps 1/4: the bundle's molecules need 539 LPs, 112 distinct
+        ("extend", {"space": grid_space_json([13, 13], 0.02), "eps_schedule": [0.25],
                     "seed": 3, "perturbations": {"count": 1}}),
         ("glue", {"space": grid_space_json([6, 6], 1 / 6), "k": [i * 6 for i in range(6)],
                   "dim_k": 1, "thresholds": [4 / 6, 3 / 6, 2 / 6, 1 / 6],

@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
 from lipfree import freenorm as fn, gluing as gluemod, lp as lpmod
-from conftest import (ONE_900, dense_rows, dual_norm, free_norm_by_vertices,
-                      free_space_norm, lipschitz_constant_dense, line_space,
+from conftest import (ONE_900, count_solves, dense_rows, dual_norm, free_norm_by_vertices,
+                      free_space_norm, lipschitz_constant_dense, line_space, lp_norm_dense,
                       molecule_norm_matrix_dense, molecule_norms_by_pairs,
                       operator_norm_by_molecules, operator_norm_by_ratio_vector,
                       operator_norm_dense, solution_bytes, solve_serial, traced_peak,
@@ -326,6 +326,101 @@ class TestOperatorNorm:
         assert all(np.array_equal(r, serial) for r in results)
 
 
+@st.composite
+def transport_molecules(draw):
+    """A metric, a base and a weight row c whose row balanced at the base
+    has one point on a side ("source" or "target", the lone point returned
+    as hub) or two on each ("2x2").  The base lies outside the support, or
+    is a source (c sums below zero) or a target.  The metric is a random
+    closure, points on a line, or the discrete metric, on which every plan
+    costs the same and the two ends of a 2 x 2 interval tie.  Masses are
+    multiples of 1/8, so every sum is exact and the base takes the mass it
+    was drawn with."""
+    shape = draw(st.sampled_from(["source", "target", "2x2"]))
+    role = draw(st.sampled_from(["outside", "source", "target"]))
+    used = 4 if shape == "2x2" else draw(st.integers(2, 6))
+    n = draw(st.integers(used + (role == "outside"), 7))
+    metric = draw(st.sampled_from(["random", "line", "discrete"]))
+    if metric == "random":
+        d = lf.random_metric_space(n, seed=draw(st.integers(0, 2**16))).dist
+    elif metric == "line":
+        spots = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+        d = line_space(np.array(spots) / 8.0).dist
+    else:
+        d = 1.0 - np.eye(n)
+    points = draw(st.permutations(range(n)))
+    mass = st.integers(1, 32).map(lambda k: k / 8.0)
+    mu = np.zeros(n)
+    hub = points[0]
+    if shape == "2x2":
+        a1, a2 = draw(mass), draw(mass)
+        b1 = draw(st.integers(1, int(8 * (a1 + a2)) - 1)) / 8.0
+        mu[list(points[:4])] = a1, a2, -b1, -(a1 + a2 - b1)
+    else:
+        far = list(points[1:used])
+        mu[far] = [draw(mass) for _ in far]
+        mu[hub] = -mu.sum()
+        mu *= 1.0 if shape == "target" else -1.0
+    if role == "outside":
+        base = points[-1]
+    else:
+        side = np.flatnonzero(mu > 0.0 if role == "source" else mu < 0.0)
+        base = int(side[draw(st.integers(0, len(side) - 1))])
+    c = mu.copy()
+    c[base] = 0.0
+    return d, base, c, shape, hub
+
+
+class TestTransportForms:
+    """`freenorm._triage` answers a molecule with one point on a side, or two
+    on each, by its transport plan; the norm LP must agree to a few ulps of
+    mass times diameter."""
+
+    @staticmethod
+    def tolerance(c, d, base):
+        mu = c.copy()
+        mu[base] = -c.sum()
+        return 8 * np.finfo(float).eps * np.abs(mu).sum() * d.max()
+
+    @given(transport_molecules())
+    @settings(max_examples=400, deadline=None)
+    def test_closed_forms_equal_the_lp(self, case):
+        d, base, c, shape, hub = case
+        value, needs_lp = fn._triage(*fn._sparse_rows(c[None]), d, base)
+        assert not needs_lp[0]
+        tol = self.tolerance(c, d, base)
+        assert abs(value[0] - lp_norm_dense(c, d, base, {})) <= tol
+        if shape == "2x2":
+            return
+        # the lone source p's potential d(base, p) - d(., p), negated for a
+        # lone target, is 1-Lipschitz, 0 at the base and attains the value
+        f = d[base, hub] - d[:, hub]
+        f = f if shape == "source" else -f
+        assert f[base] == 0.0
+        assert np.all(np.abs(f[:, None] - f[None, :]) <= d + 4 * np.finfo(float).eps * d.max())
+        assert abs(c @ f - value[0]) <= tol
+
+    def test_two_by_two_ends_that_coincide(self):
+        # the base is the second target: its balance fl(1 + 2**-60 - 0.5)
+        # drops the second source's mass, so b2 = 0.5 and the interval
+        # [max(0, a1 - b2), min(a1, b1)] is the one point 0.5
+        d = lf.random_metric_space(5, seed=3).dist
+        c = np.array([0.0, 1.0, 2.0**-60, -0.5, 0.0])
+        a1, b1, b2 = 1.0, 0.5, 1.0 + 2.0**-60 - 0.5
+        assert max(0.0, a1 - b2) == min(a1, b1)
+        value, needs_lp = fn._triage(*fn._sparse_rows(c[None]), d, 0)
+        assert not needs_lp[0]
+        assert abs(value[0] - lp_norm_dense(c, d, 0, {})) <= self.tolerance(c, d, 0)
+
+    def test_larger_shapes_go_to_the_lp(self):
+        # two sources onto three targets, and three onto four with the base
+        d = lf.random_metric_space(7, seed=4).dist
+        rows = np.array([[0.0, 0.5, 0.25, -0.25, -0.25, -0.25, 0.0],
+                         [0.0, 0.5, 0.25, 0.25, -0.25, -0.25, -0.25]])
+        _, needs_lp = fn._triage(*fn._sparse_rows(rows), d, 0)
+        assert needs_lp.tolist() == [True, True]
+
+
 def random_operator(seed: int, partition: bool):
     """Weight operator on a random metric space whose rows mix random weights
     with the special shapes the triage answers: duplicated rows, rows that
@@ -434,9 +529,11 @@ def repeated_row_operators(draw):
 
 @pytest.fixture(scope="module")
 def grid_operators():
-    """A 9 x 9 grid bundle and two operators rebuilt on perturbed metrics, as
-    the extend pipeline makes them; the bundle's molecules need 1,314 LPs."""
-    space = lf.make_grid_space([9, 9], 0.02)
+    """A 13 x 13 grid bundle and two operators rebuilt on perturbed metrics,
+    as the extend pipeline makes them: 539, 436 and 429 of their molecules
+    have two points on one side and three or more on the other, which only
+    the norm LP answers."""
+    space = lf.make_grid_space([13, 13], 0.02)
     bundle = lf.build_extension_bundle(lf.build_net_cover(space, 0.25))
     rng = np.random.default_rng(3)
     radius = lf.admission_radius(0.25, bundle.nc.order_bound)
@@ -460,20 +557,6 @@ def lp_pair_rows(op, d_a):
     c, v = fn._difference(cols[xs], vals[xs], cols[ys], vals[ys], len(op.domain))
     _, needs_lp = fn._triage(c, v, d_a, op.base_position)
     return c[needs_lp], v[needs_lp]
-
-
-def count_solves(monkeypatch):
-    """A list that gets a 1 for every program solved through
-    `lpmod.solve_stack` while the patch holds."""
-    calls = []
-    real = lpmod.solve_stack
-
-    def counted(stack):
-        calls.extend([1] * len(stack.objective))
-        return real(stack)
-
-    monkeypatch.setattr(lpmod, "solve_stack", counted)
-    return calls
 
 
 class TestMoleculeNormLayer:
@@ -553,11 +636,12 @@ class TestMoleculeNormLayer:
 
     def test_repeated_rows_solve_each_distinct_lp_once(self, monkeypatch):
         # rows 0 and 2 are class a, rows 1 and 3 class b: pairs (0, 1) and
-        # (1, 2) take a - b and b - a, and (2, 3) takes a - b again
+        # (1, 2) take a - b and b - a, and (2, 3) takes a - b again; a - b
+        # moves 0.5 and 0.25 onto three points of 0.25, which needs the LP
         space = lf.random_metric_space(6, seed=8)
-        a, b = [0.5, 0.25, 0.0, 0.25], [0.0, 0.5, 0.25, 0.25]
-        rows = np.array([a, b, a, b, [0.0, 0.0, 0.0, 1.0], a])
-        op = lf.WeightOperator(space, (0, 2, 3, 5), rows)
+        a, b = [0.0, 0.5, 0.25, 0.0, 0.0, 0.25], [0.0, 0.0, 0.0, 0.25, 0.25, 0.5]
+        rows = np.array([a, b, a, b, [0.0, 0.0, 0.0, 0.0, 0.0, 1.0], a])
+        op = lf.WeightOperator(space, tuple(range(6)), rows)
         d_a = on_domain(op, space.dist)
         c = dense_rows(*lp_pair_rows(op, d_a), len(d_a))
         distinct = {(np.flatnonzero(r).tobytes(), r[r != 0].tobytes()) for r in c}
