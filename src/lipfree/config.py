@@ -25,7 +25,8 @@ class ConfigError(ValueError):
 
 class Kind:
     """A leaf that `fits` and is `cast`, or a nonempty list of `item`s.  what
-    reads "an integer >= 0", and many "integers >= 0" inside a list kind."""
+    reads "an integer in [0, 2**63)", and many "integers in [0, 2**63)"
+    inside a list kind."""
 
     def __init__(self, what, many, fits=None, cast=None, item=None, same_length=False):
         self.what, self.many, self.fits, self.cast = what, many, fits, cast
@@ -55,15 +56,18 @@ def _integer(v) -> bool:
     return not bad_indices([v]) and -2**63 <= v < 2**63
 
 
-INTEGER = Kind("an integer", "integers", _integer, int)
-INT0 = Kind("an integer >= 0", "integers >= 0", lambda v: INTEGER.fits(v) and v >= 0, int)
-INT1 = Kind("an integer >= 1", "integers >= 1", lambda v: INTEGER.fits(v) and v >= 1, int)
+# the kinds name the int64 range, so that 10**400 is refused in its terms
+INTEGER = Kind("an integer in [-2**63, 2**63)", "integers in [-2**63, 2**63)", _integer, int)
+INT0 = Kind("an integer in [0, 2**63)", "integers in [0, 2**63)",
+            lambda v: INTEGER.fits(v) and v >= 0, int)
+INT1 = Kind("an integer in [1, 2**63)", "integers in [1, 2**63)",
+            lambda v: INTEGER.fits(v) and v >= 1, int)
 NUMBER = Kind("a number", "numbers", _number, float)
 POSITIVE = Kind("a positive finite number", "positive finite numbers",
                 lambda v: _number(v) and 0 < v < math.inf, float)
 NONNEGATIVE = Kind("a nonnegative finite number", "nonnegative finite numbers",
                    lambda v: _number(v) and 0 <= v < math.inf, float)
-NAME = Kind("a string or an integer", "strings or integers",
+NAME = Kind("a string or an integer in [-2**63, 2**63)", "strings or integers in [-2**63, 2**63)",
             lambda v: isinstance(v, str) or INTEGER.fits(v), str)
 # read as (the spec as given, which reports embed, and its space)
 SPACE = Kind("a space spec", "space specs", lambda v: isinstance(v, dict),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certs import Certificate, make_certificate
-from .spaces import FiniteMetricSpace, as_indices, bad_indices, diameter
+from .spaces import FiniteMetricSpace, as_indices, bad_indices, row_spans
 
 
 class CoverError(ValueError):
@@ -42,11 +42,21 @@ class CoverFamily:
         return bool(_counts(self.sets, self.space.n).all())
 
 
+def flatten_sets(sets) -> tuple[np.ndarray, np.ndarray]:
+    """The members of the sets end to end, and the offsets: set i holds
+    members[starts[i]:starts[i + 1]], in its own order."""
+    sizes = [len(s) for s in sets]
+    starts = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=starts[1:])
+    members = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp,
+                          count=int(starts[-1]))
+    return members, starts
+
+
 def _counts(sets, n: int = 0) -> np.ndarray:
     """Entry p counts the sets containing point p, for p below max(n, largest
     member + 1); order, redundancy, private points and coverage read it."""
-    members = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp)
-    return np.bincount(members, minlength=n)
+    return np.bincount(flatten_sets(sets)[0], minlength=n)
 
 
 def order(sets) -> int:
@@ -60,66 +70,99 @@ def order(sets) -> int:
 # brick covers of lattice-backed spaces
 
 
-def _axis_windows(lo: int, hi: int, m: int, offset: int = 0, shared: bool = True):
-    """Closed coordinate windows [s, s+m-1] covering lo..hi.
+def _windows(v: np.ndarray, m: int, offset: int = 0,
+             shared: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The closed windows [s, s+m-1] of an axis holding the integer
+    coordinates v, as the index of the first and of the last window that
+    holds each coordinate.
 
-    Shared windows advance by m-1 so consecutive windows meet in one slot;
-    unshared windows advance by m and partition the range.
+    Window k starts at lo - offset % step + k step, lo = min v, for k = 0,
+    1, ... until a window starts beyond max v.  Shared windows advance by
+    step = m-1, so consecutive windows meet in one slot and a coordinate
+    there lies in two; unshared windows advance by m and partition the
+    range; width-1 windows (m = 1) hold one coordinate each.
     """
-    if m == 1:
-        return [(v, v) for v in range(lo, hi + 1)]
-    step = (m - 1) if shared else m
-    start = lo - (offset % step if step else 0)
-    out = []
-    s = start
-    while s <= hi:
-        out.append((s, s + m - 1))
-        s += step
-    return out
+    step = 1 if m == 1 else (m - 1 if shared else m)
+    start = int(v.min()) - offset % step
+    last = (v - start) // step
+    first = np.maximum(-((start + m - 1 - v) // step), 0)
+    return first, last
 
 
-def _build_bricks(coords: np.ndarray, active: list[int], m: int) -> list[tuple[int, ...]]:
-    """Staggered brick pattern with multiplicity at most 3 on the lattice points.
+def _bricks(coords: np.ndarray, active: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Staggered brick pattern with multiplicity at most 3 on the lattice
+    points, as (members, starts) of `flatten_sets`: the nonempty bricks in
+    pattern order, repeats kept, each brick's points ascending.
 
     The first two active axes form a running-bond pattern (windows share
     endpoints, odd rows shifted by half a brick); remaining axes are sliced
     into disjoint windows.  A point then lies in at most 2 x 2 bricks minus
     the staggered corner, so the order is at most min(#active axes, 3).
+
+    A brick is a window on each active axis: one on each later axis, in
+    axis order, and then one on the first axis, whose windows are shifted
+    by half a brick when the second axis's window has an odd index.
+    Pattern order is the lexicographic order of those window indices.
+    Each point lies in one or two windows per axis, so its bricks are the
+    choices of one window per axis, formed for all points at once by
+    broadcasting; a stable sort by brick then groups them in pattern order.
     """
-    npts = coords.shape[0]
+    n = coords.shape[0]
     if not active or m < 1:
-        return [tuple(range(npts))]
-    ranges = {a: (int(coords[:, a].min()), int(coords[:, a].max())) for a in active}
+        return np.arange(n), np.array([0, n])
+    points = np.arange(n)
+    key = np.zeros((n, 1), dtype=np.int64)        # the window choices so far
+    held = np.ones((n, 1), dtype=bool)            # ... that hold the point
+    odd = np.zeros((n, 1), dtype=bool)            # ... with an odd second-axis window
+
+    def choose(first, last, width):
+        nonlocal key, held, odd
+        key = (key[..., None] * width + np.stack([first, last], axis=-1)).reshape(n, -1)
+        # the first choice always holds the point, the second when it differs
+        held = (held[..., None] & ((last > first)[..., None] | [True, False])).reshape(n, -1)
+        odd = np.repeat(odd, 2, axis=1)
+
+    stagger = m >= 3
+    for pos, a in enumerate(active[1:]):
+        first, last = _windows(coords[:, a], m, shared=pos == 0 and stagger)
+        choose(first[:, None], last[:, None], int(last.max()) + 1)
+        if pos == 0 and stagger:
+            odd = (key % 2 == 1)
+    v = coords[:, active[0]]
     shift = max((m - 1) // 2, 1)
+    spans = [_windows(v, m, offset=k * shift) for k in (0, 1)]
+    width = max(int(last.max()) + 1 for _, last in spans)
+    first = np.where(odd, spans[1][0][:, None], spans[0][0][:, None])
+    last = np.where(odd, spans[1][1][:, None], spans[0][1][:, None])
+    choose(first, last, width)
+    keys = key[held]
+    order = np.argsort(keys, kind="stable")       # points stay ascending per brick
+    keys = keys[order]
+    members = np.broadcast_to(points[:, None], held.shape)[held][order]
+    bounds = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    return members, np.concatenate(([0], bounds, [len(keys)]))
 
-    first = active[0]
-    rest = active[1:]
-    bricks = []
-    slab_axes = []
-    slab_windows = []
-    for pos, a in enumerate(rest):
-        lo, hi = ranges[a]
-        shared = pos == 0 and m >= 3            # only the second axis staggers
-        slab_axes.append(a)
-        slab_windows.append(list(enumerate(_axis_windows(lo, hi, m, shared=shared))))
-    lo1, hi1 = ranges[first]
 
-    for combo in itertools.product(*slab_windows) if slab_windows else [()]:
-        parity = combo[0][0] % 2 if combo and m >= 3 else 0
-        mask = np.ones(npts, dtype=bool)
-        for (idx, (wlo, whi)), a in zip(combo, slab_axes):
-            mask &= (coords[:, a] >= wlo) & (coords[:, a] <= whi)
-        for wlo, whi in _axis_windows(lo1, hi1, m, offset=parity * shift, shared=True):
-            sub = mask & (coords[:, first] >= wlo) & (coords[:, first] <= whi)
-            if sub.any():
-                bricks.append(tuple(int(i) for i in np.flatnonzero(sub)))
-    # dedupe while preserving first occurrence
-    seen, out = set(), []
-    for b in bricks:
-        if b not in seen:
-            seen.add(b)
-            out.append(b)
-    return out
+def _build_bricks(coords: np.ndarray, active: list[int], m: int) -> list[tuple[int, ...]]:
+    """The bricks of `_bricks` as tuples, each once, in the order of their
+    first occurrence."""
+    members, starts = _bricks(coords, active, m)
+    flat, ends = members.tolist(), starts.tolist()
+    return list(dict.fromkeys(tuple(flat[a:b]) for a, b in zip(ends, ends[1:])))
+
+
+def _largest_diameter(d: np.ndarray, members: np.ndarray, starts: np.ndarray) -> float:
+    """Largest d(p, q) over p, q in one set, for nonempty sets given as
+    (members, starts) of `flatten_sets`.  Each set is padded to the longest by
+    repeating its last member, which adds no new pair, and gathered with its
+    pairwise distances by the row blocks of `row_spans`; a maximum is exact in
+    any order, so this is the largest of the sets' `diameter`s."""
+    sizes = np.diff(starts)
+    width = int(sizes.max())
+    slots = np.minimum(np.arange(width), sizes[:, None] - 1) + starts[:-1, None]
+    padded = members[slots]
+    blocks = (padded[lo:hi] for lo, hi in row_spans(len(padded), width * width))
+    return max(float(d[rows[:, :, None], rows[:, None, :]].max()) for rows in blocks)
 
 
 def brick_cover(space: FiniteMetricSpace, eps: float) -> CoverFamily:
@@ -138,7 +181,7 @@ def brick_cover(space: FiniteMetricSpace, eps: float) -> CoverFamily:
     bound = max(len(active), 0)
 
     def max_diam(m: int) -> float:
-        return max(diameter(space.dist, b) for b in _build_bricks(coords, active, m))
+        return _largest_diameter(space.dist, *_bricks(coords, active, m))
 
     limit = eps / 6.0
     cap = max((int(coords[:, a].max() - coords[:, a].min()) + 1 for a in active), default=1)
@@ -170,21 +213,28 @@ class NetAndCover:
     order_bound: int
 
 
-def _prune_irredundant(sets: list[set], n: int) -> list[set]:
+def _prune_irredundant(sets: list, n: int) -> list:
     """Drop sets, first index first, until no set of the cover of range(n)
     lies in the union of the others, i.e. until each has a member of count 1.
 
     One ordered pass suffices: dropping a set only lowers counts, so a set
     kept earlier keeps its count-1 member and never becomes redundant later.
+    For the same reason a set that holds a count-1 member at the start is
+    kept without a test; only the others are tested in turn.
     """
-    counts = _counts(sets, n)
+    members, starts = flatten_sets(sets)
+    counts = np.bincount(members, minlength=n)
+    owner = np.repeat(np.arange(len(sets)), np.diff(starts))
+    private = np.zeros(len(sets), dtype=bool)
+    private[owner[counts[members] == 1]] = True
     kept = []
-    for s in sets:
-        idx = list(s)
-        if (counts[idx] >= 2).all():
-            counts[idx] -= 1
-        else:
-            kept.append(s)
+    for i, s in enumerate(sets):
+        if not private[i]:
+            idx = members[starts[i]:starts[i + 1]]
+            if (counts[idx] >= 2).all():
+                counts[idx] -= 1
+                continue
+        kept.append(s)
     return kept
 
 
@@ -197,46 +247,55 @@ def build_net_cover(space: FiniteMetricSpace, eps: float,
     kept when its representative lies more than eps/3 from those of all kept
     sets before it; every other set joins the nearest kept representative,
     the first on ties, which lies within eps/3 of it.
+
+    The sets are held end to end as (member, owner) arrays.  The greedy pass
+    reads one column of d per kept set: the representatives within eps/3
+    of it can no longer be kept.
     """
     d = space.dist
     family = refiner(space, eps)
     if not family.covers():
         raise CoverError("refiner output does not cover the space")
-    worst = max(diameter(d, s) for s in family.sets if s)
+    worst = _largest_diameter(d, *flatten_sets([s for s in family.sets if s]))
     if worst >= eps / 6.0:
         raise CoverError(f"refiner sets have diameter {worst:.6g} >= eps/6")
     r = family.nominal_order_bound
     base = space.base_index
     n = space.n
 
-    sets = _prune_irredundant([set(s) for s in family.sets], n)
+    sets = _prune_irredundant(family.sets, n)
     # move one set containing the base point to the front, strip the base
     # point from all others (they still cover: each kept set has a private
     # point, which for the others cannot be the base point)
     first = next(i for i, s in enumerate(sets) if base in s)
     sets.insert(0, sets.pop(first))
-    for s in sets[1:]:
-        s.discard(base)
+    x, starts = flatten_sets(sets)
+    owner = np.repeat(np.arange(len(sets)), np.diff(starts))
+    stays = (x != base) | (owner == 0)
+    x, owner = x[stays], owner[stays]
 
-    # member[i] is set i as a mask; reps[i] its smallest count-1 member
-    member = np.zeros((len(sets), n), dtype=bool)
-    for i, s in enumerate(sets):
-        member[i, list(s)] = True
-    private = member & (_counts(sets, n) == 1)
-    if not private.any(axis=1).all():
+    # reps[i] is set i's smallest count-1 member
+    private = np.bincount(x, minlength=n)[x] == 1
+    reps = np.full(len(sets), n)
+    np.minimum.at(reps, owner[private], x[private])
+    if (reps == n).any():
         raise CoverError("pruning failed to leave a private point")
-    reps = private.argmax(axis=1)
     reps[0] = base
 
-    close = d[np.ix_(reps, reps)] <= eps / 3.0
-    kept = np.zeros(len(sets), dtype=bool)
+    blocked = np.zeros(len(sets), dtype=bool)
+    kept = []
     for i in range(len(sets)):
-        kept[i] = not (close[i] & kept).any()
-    assign = np.argmin(d[np.ix_(reps, reps[kept])], axis=1)
-    merged = np.zeros((int(kept.sum()), n), dtype=bool)
-    np.logical_or.at(merged, assign, member)
-    return NetAndCover(space, tuple(reps[kept].tolist()),
-                       tuple(tuple(np.flatnonzero(row).tolist()) for row in merged),
+        if not blocked[i]:
+            kept.append(i)
+            blocked |= d[reps, reps[i]] <= eps / 3.0
+    net = reps[kept]
+    assign = np.argmin(d[np.ix_(reps, net)], axis=1)
+    merged = np.zeros((len(kept), n), dtype=bool)
+    merged[assign[owner], x] = True
+    rows, cols = np.nonzero(merged)
+    cols, ends = cols.tolist(), np.cumsum(np.bincount(rows, minlength=len(kept))).tolist()
+    return NetAndCover(space, tuple(net.tolist()),
+                       tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends)),
                        float(eps), int(r))
 
 

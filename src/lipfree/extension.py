@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certs import Certificate, make_certificate, all_passed
-from .covers import NetAndCover, verify_net_cover
+from .covers import NetAndCover, flatten_sets, verify_net_cover
 from .freenorm import AdmissionError, WeightOperator, ClassPairs, molecule_norm_matrix
 from .spaces import (DEFAULT_TOL, BoundedMetric, FiniteMetricSpace, diameter,
-                     quotient_pseudometric, sup_distance, validate_metric,
+                     quotient_pseudometric, row_spans, sup_distance, validate_metric,
                      validate_pseudometric)
 
 
@@ -53,28 +53,31 @@ def complement_distances(d: np.ndarray, sets) -> np.ndarray:
     Row x's minimum low[x] is taken once, with the first column first[x]
     attaining it.  When first[x] lies outside U_i the complement holds it, so
     d(x, U_i^c) = low[x] exactly: a min is exact in any order and no entry of
-    the row is lower.  Only the rows whose first[x] lies in U_i take the
-    masked minimum over the complement's columns.  For a metric first[x] is
-    x itself, so those are the members of U_i.
+    the row is lower.  Only the (set, row) pairs whose first[x] lies in U_i
+    take the masked minimum over the complement's columns, all in one pass
+    by row blocks.  For a metric first[x] is x itself, so those are the
+    members of U_i.
 
-    first is taken row by row: numpy's argmin copies a read-only array, such
-    as a space's metric, whole.
+    first is taken by the row blocks of `row_spans`: numpy's argmin copies a
+    read-only array, such as a space's metric, whole.
     """
     d = np.asarray(d, dtype=float)
-    n = d.shape[0]
+    n, k = d.shape[0], len(sets)
     fallback = max(diameter(d), 1.0)
-    first = np.fromiter((np.argmin(row) for row in d), dtype=np.intp, count=n)
-    low = d[np.arange(n), first]
-    out = np.empty((n, len(sets)))
-    for i, s in enumerate(sets):
-        outside = np.ones(n, dtype=bool)
-        outside[list(s)] = False
-        if not outside.any():
-            out[:, i] = fallback
-            continue
-        out[:, i] = low
-        rows = np.flatnonzero(~outside[first])
-        out[rows, i] = np.min(d[rows], axis=1, where=outside, initial=np.inf)
+    first = np.zeros(n, dtype=np.intp)
+    for lo, hi in row_spans(n, n):
+        first[lo:hi] = d[lo:hi].argmin(axis=1)
+    members, starts = flatten_sets(sets)
+    inside = np.zeros((k, n), dtype=bool)
+    inside[np.repeat(np.arange(k), np.diff(starts)), members] = True
+    full = inside.all(axis=1)
+    out = np.empty((n, k))
+    out[:] = d[np.arange(n), first][:, None]
+    out[:, full] = fallback
+    owners, rows = np.nonzero(inside[:, first] & ~full[:, None])
+    for lo, hi in row_spans(len(rows), n):
+        r, i = rows[lo:hi], owners[lo:hi]
+        out[r, i] = np.min(d[r], axis=1, where=~inside[i], initial=np.inf)
     return out
 
 

@@ -188,7 +188,7 @@ def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float) -> GluingBundle:
     # point, and member[net] off the diagonal puts a foreign net point in a set.
     du = np.stack([d[:, list(s)].min(axis=1) for s in u_sets], axis=1)
     ball = d[:, list(net)] < eps / 2.0
-    for t in np.unique(du)[::-1]:
+    for t in _distinct(du)[::-1]:
         member = (du <= t) & ball
         foreign = member[list(net)]
         np.fill_diagonal(foreign, False)
@@ -246,7 +246,7 @@ def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float) -> GluingBundle:
         inputs=inputs))
 
     core_lo, core_hi = sandwich_sets(glue, cfg.k, eps, cfg.dim_k, "reference")
-    rest = np.setdiff1d(np.arange(space.n), core_lo)
+    rest = np.setdiff1d(np.arange(space.n), core_lo, assume_unique=True)
     m_found = next((m for m in range(n, len(exhaustion) + 1)
                     if np.isin(rest, exhaustion[m - 1]).all()), None)
     if m_found is None:
@@ -264,9 +264,19 @@ def build_gluing_bundle(cfg: GluingConfig, n: int, eps: float) -> GluingBundle:
     return bundle
 
 
+def _distinct(values) -> np.ndarray:
+    """The distinct entries of an array, ascending: `np.unique` by a sort and
+    a mask, so that numpy.ma, which np.unique imports, is never loaded."""
+    values = np.sort(values, axis=None)
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 def _union(a, b) -> np.ndarray:
     """Sorted union of two index sequences, as indices even when both are empty."""
-    return np.union1d(a, b).astype(np.intp)
+    return _distinct(np.concatenate([np.asarray(a, dtype=np.intp).ravel(),
+                                     np.asarray(b, dtype=np.intp).ravel()]))
 
 
 def glue_domain(bundle: GluingBundle) -> tuple[int, ...]:
@@ -365,7 +375,7 @@ def certify_gluing(bundle: GluingBundle, e, rng=None) -> GluingCertificate:
         ("inclusion-hi-collar", bundle.core_hi, bundle.v_indices),
     ]
     for kind, small, big in chain:
-        missing = np.setdiff1d(small, big)
+        missing = np.setdiff1d(small, big, assume_unique=True)
         certs.append(make_certificate(
             kind, 0.0, float(len(missing)), "le", 0.0,
             witnesses=missing[:4], inputs=inputs))

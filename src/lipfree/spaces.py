@@ -105,14 +105,14 @@ def first_equal_rows(mat: np.ndarray) -> np.ndarray:
 #
 # The one-scratch rule: no function here holds an n x n temporary beyond its
 # inputs and its result.  O(n^2) elementwise passes run in place on the
-# result or over the same row blocks (`_spans`): the scans of validate_metric
+# result or over the same row blocks (`row_spans`): the scans of validate_metric
 # and sup_distance, the symmetry test of is_symmetric, the grid metric, built
 # one axis at a time, perturb_metric's shortcuts, applied in place to its
 # output, and the class tables of least_class_distances.
 _BLOCK_CELLS = 2 ** 16
 
 
-def _spans(rows: int, width: int) -> list[tuple[int, int]]:
+def row_spans(rows: int, width: int) -> list[tuple[int, int]]:
     """Row ranges (lo, hi), in order, covering `rows` rows of `width` entries
     in blocks of about _BLOCK_CELLS entries (at least one row each)."""
     step = max(1, _BLOCK_CELLS // max(width, 1))
@@ -121,9 +121,9 @@ def _spans(rows: int, width: int) -> list[tuple[int, int]]:
 
 def is_symmetric(d: np.ndarray) -> bool:
     """Whether the square matrix d equals its transpose bitwise (NaN never
-    does), compared by the row blocks of `_spans`."""
+    does), compared by the row blocks of `row_spans`."""
     n = len(d)
-    return all(np.array_equal(d[lo:hi], d[:, lo:hi].T) for lo, hi in _spans(n, n))
+    return all(np.array_equal(d[lo:hi], d[:, lo:hi].T) for lo, hi in row_spans(n, n))
 
 
 def least_class_distances(d: np.ndarray, cls: np.ndarray) -> np.ndarray:
@@ -132,7 +132,7 @@ def least_class_distances(d: np.ndarray, cls: np.ndarray) -> np.ndarray:
     is the least d(x, y) over x < y with x in class a and y in class b; +inf
     where no such pair exists.  On d.T it gives the least d(y, x) instead.
 
-    The points are sorted by class once.  Each row block of `_spans` is
+    The points are sorted by class once.  Each row block of `row_spans` is
     gathered in that order, set to +inf at the pairs x >= y, gathered in
     that order along its columns too, and reduced over the class runs of its
     rows and then, by np.minimum.reduceat, of its columns.  A minimum is
@@ -149,7 +149,7 @@ def least_class_distances(d: np.ndarray, cls: np.ndarray) -> np.ndarray:
     # quarter-size blocks: the gather in class order and the reduced rows
     # hold up to three copies of a block, and the pipelines build these
     # tables while their n x n matrices are alive, near their peak of memory
-    for lo, hi in _spans(n, 4 * n):
+    for lo, hi in row_spans(n, 4 * n):
         rows = order[lo:hi]
         block = d[rows]
         for r, x in enumerate(rows):
@@ -176,7 +176,7 @@ def _first_max(rows: int, block) -> tuple[float, int, int]:
     a time.  Gives (-inf, 0, 0) when no entry exceeds -inf; NaN is never
     the maximum, so call it on finite values."""
     best = (-np.inf, 0, 0)
-    for lo, hi in _spans(rows, rows):
+    for lo, hi in row_spans(rows, rows):
         values = block(lo, hi)
         r, c = np.unravel_index(np.argmax(values), values.shape)
         # a later block's entry counts only when it beats every earlier one
@@ -186,10 +186,11 @@ def _first_max(rows: int, block) -> tuple[float, int, int]:
 
 
 @contextlib.contextmanager
-def _row_blocks(n: int, buffers: int):
-    """Yield (blocks, scratch) for n >= 1 rows of length n: the row blocks as
-    (lo, hi) pairs from `_spans`, and `buffers` arrays of one block's shape,
-    allocated once for the call; a block takes views of them.
+def _row_blocks(n: int, buffers: int, width: int | None = None):
+    """Yield (blocks, scratch) for n >= 1 rows of length `width` >= 1 (n when
+    None): the row blocks as (lo, hi) pairs from `row_spans`, and `buffers`
+    arrays of one block's shape, allocated once for the call; a block takes
+    views of them.
 
     Inside the scope numpy's ufunc buffer is sized to one row, rounded up to
     a multiple of 16.  The inner step of both sweeps is a broadcast add of a
@@ -202,9 +203,10 @@ def _row_blocks(n: int, buffers: int):
     rounding could depend on the buffer.  Elementwise adds, minima and argmax
     are exact whatever the buffer.
     """
-    blocks = _spans(n, n)
-    scratch = np.empty((buffers, blocks[0][1], n))
-    old = np.setbufsize(-(-n // 16) * 16)
+    width = n if width is None else width
+    blocks = row_spans(n, width)
+    scratch = np.empty((buffers, blocks[0][1], width))
+    old = np.setbufsize(-(-width // 16) * 16)
     try:
         yield blocks, scratch
     finally:
@@ -485,7 +487,7 @@ def sup_distance(d: np.ndarray, e: np.ndarray) -> float:
         raise ValueError(f"shape mismatch {d.shape} vs {e.shape}")
     # by row blocks; np.max keeps a NaN, as the whole-matrix maximum would
     worst = [np.abs(d[lo:hi] - e[lo:hi]).max(initial=0.0)
-             for lo, hi in _spans(len(d), d[:1].size)]
+             for lo, hi in row_spans(len(d), d[:1].size)]
     return float(np.max(worst, initial=0.0))
 
 
@@ -496,7 +498,7 @@ def dist_to_set_all(d: np.ndarray, members: Sequence[int]) -> np.ndarray:
         raise ValueError("set must be nonempty")
     d = np.asarray(d)
     out = np.empty(len(d), dtype=d.dtype)
-    for lo, hi in _spans(len(d), len(members)):
+    for lo, hi in row_spans(len(d), len(members)):
         out[lo:hi] = d[lo:hi, members].min(axis=1)
     return out
 
@@ -651,26 +653,44 @@ def _mirror_upper(a: np.ndarray) -> None:
         a[i, i] = 0.0
 
 
-def _edge_paths(e: np.ndarray, x: int, y: int):
-    """Yield (lo, hi, s) over the row blocks of _row_blocks: s(u, v) =
-    min(fl(a_u + b_v), fl(b_u + a_v)), a and b the columns x and y of e, in
-    a reused buffer.  Consume it whole, so that the scope closes."""
-    a, b = e[:, x].copy(), e[:, y].copy()
-    with _row_blocks(len(e), 2) as (blocks, (p, q)):
+def _edge_paths(a: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None,
+                cols: np.ndarray | None = None):
+    """Yield (cells, s) over the row blocks of _row_blocks: s(u, v) =
+    min(fl(a_u + b_v), fl(b_u + a_v)) over the cells rows x cols, index
+    arrays, or over every cell of the n x n array when both are None, with
+    a and b its columns x and y.  cells indexes the block in that array,
+    and s is a reused buffer.  Consume it whole, so that the scope closes."""
+    whole = rows is None
+    h, w = (len(a), len(a)) if whole else (len(rows), len(cols))
+    if not h or not w:
+        return
+    with _row_blocks(h, 2, w) as (blocks, (p, q)):
         for lo, hi in blocks:
+            r, c = (slice(lo, hi), slice(None)) if whole else (rows[lo:hi], cols)
             via, other = p[:hi - lo], q[:hi - lo]
-            np.add(a[lo:hi, None], b, out=via)
-            np.add(b[lo:hi, None], a, out=other)
-            yield lo, hi, np.minimum(via, other, out=via)
+            np.add(a[r, None], b[c], out=via)
+            np.add(b[r, None], a[c], out=other)
+            yield (r, c) if whole else np.ix_(r, c), np.minimum(via, other, out=via)
 
 
-def shorten_edge(e: np.ndarray, x: int, y: int, length: float) -> None:
+def shorten_edge(e: np.ndarray, x: int, y: int, length: float,
+                 excess: float | None = None) -> None:
     """Add an edge of length l > 0 between the points x and y to the square
     float64 array e, in place: the exact shortest-path update
         e'(u, v) = min(e(u, v), fl(fl(a_u + b_v) + l), fl(fl(b_u + a_v) + l))
-    with a, b copies of the columns x and y.  Each row block takes the
-    path sums of `_edge_paths` plus l, the same value since rounding is
-    monotone; the scratch is two columns and two block buffers.
+    with a, b copies of the columns x and y, computed as
+    min(e(u, v), fl(min(fl(a_u + b_v), fl(b_u + a_v)) + l)), the same value
+    since rounding is monotone.
+
+    excess is None or a proven bound eps on e's exact triangle excess, under
+    the lemma's preconditions below, which a caller passing it asserts.
+    With a bound, only the cells of U x V and V x U are rewritten, with
+        U = {p : fl(a_p + l) < fl(b_p + tau)},  V = {q : fl(b_q + l) < fl(a_q + tau)},
+    tau = eps (1 + 2^-50) + 8uS and S = max a + max b + l (`_lowerable`); no
+    other cell can fall (last point below), so e' is bitwise the full
+    update.  Without a bound, or when S lies outside [2^-900, 2^1000], U and
+    V hold every row.  Either way the cells go by the row blocks of
+    `_row_blocks`, and the scratch is two columns and two block buffers.
 
     Lemma, for e symmetric by value with entries >= 0; u = 2^-53, M = max e.
       * fl(a_v + b_u) is fl(b_u + a_v), so a bitwise symmetric e gives a
@@ -692,12 +712,40 @@ def shorten_edge(e: np.ndarray, x: int, y: int, length: float) -> None:
       * e(u, v) - G(u, v) <= (e(x, y) - l) + 2 eps, by triangles through x
         and y: no entry drops by more than the edge did plus 2 eps + 2uM,
         and none rises.
+      * Filter.  Let c = fl(fl(a_p + b_q) + l) < e(p, q).  A rounded sum of
+        terms >= 0 loses at most u of it, so c >= a_p + b_q + l - 2uS.
+        Through y, e(p, q) <= b_p + b_q + eps, so a_p + l < b_p + eps +
+        2uS; then fl(a_p + l) <= a_p + l + uS and fl(b_p + tau) >= b_p +
+        tau - u(S + tau), and tau >= (eps + 4uS)(1 + 2u) after its own
+        three roundings (2^-50 S is exact in that range), so p is in U.
+        Through x, e(p, q) <= a_p + a_q + eps gives q in V alike.  The
+        other candidate of (p, q) is this one of (q, p), so it puts (p, q)
+        in V x U.  A cell whose candidates are both >= e(p, q) keeps its
+        bits: they are >= l > 0, so an equal one has e(p, q)'s bits.
     """
     if not length > 0:
         raise ValueError(f"length must be positive, got {length}")
-    for lo, hi, via in _edge_paths(e, x, y):
-        via += length
-        np.minimum(e[lo:hi], via, out=e[lo:hi])
+    a, b = e[:, x].copy(), e[:, y].copy()
+    near_x, near_y = _lowerable(a, b, length, excess)
+    spans = [(near_x, near_y)]
+    if near_x is not None and not np.array_equal(near_x, near_y):
+        spans.append((near_y, near_x))
+    for rows, cols in spans:
+        for cells, via in _edge_paths(a, b, rows, cols):
+            via += length
+            e[cells] = np.minimum(e[cells], via, out=via)
+
+
+def _lowerable(a: np.ndarray, b: np.ndarray, length: float,
+               excess: float | None) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The rows U and V of `shorten_edge`'s filter for the columns a and b,
+    or (None, None) for every row when there is no bound or S is out of
+    range."""
+    total = float(a.max() + b.max() + length) if len(a) else 0.0
+    if excess is None or not 2.0 ** -900 <= total <= 2.0 ** 1000:
+        return None, None
+    tau = excess * (1.0 + 2.0 ** -50) + 2.0 ** -50 * total
+    return np.flatnonzero(a + length < b + tau), np.flatnonzero(b + length < a + tau)
 
 
 # Seeded single-edge shortcuts in one `perturb_metric` probe.
@@ -715,7 +763,7 @@ def perturb_metric(d, amplitude: float, rng: np.random.Generator) -> BoundedMetr
     i joins a uniform pair x != y and lowers e(x, y) by a fraction f_i,
     uniform in [0, 1), of the way to its floor: the larger of e(x, y) / 2
     and the least length the ball allows, m - amplitude + 16uM, with m the
-    largest fl(d - s) over the path sums s of `_edge_paths(e, x, y)`.  So a
+    largest fl(d - s) over the path sums s of `_edge_paths` on e.  So a
     shortcut may spend what is left of the ball where it lands.  No n x n
     array is held but d and the result.
 
@@ -738,6 +786,12 @@ def perturb_metric(d, amplitude: float, rng: np.random.Generator) -> BoundedMetr
         rounded difference is at most (1 + u) times the exact one: in all (1
         + u) (R0 / (1 - u) + (4.0001 K + 2.0001) uM), inside the bound with
         room for its three roundings.
+      * Filter.  Before shortcut i (from 0) the exact excess is at most
+        R0 / (1 - u) + uM + 4.0001 i uM, and R0 (1 + 2^-50) + (5i + 2) uM
+        stays above it after its roundings; `shorten_edge` takes that bound,
+        so it rewrites only the cells the shortcut can lower.  Symmetry is
+        tested before the loop, on d, and without the preconditions every
+        shortcut rewrites every cell.
     """
     start = None
     if isinstance(d, BoundedMetric):
@@ -749,23 +803,27 @@ def perturb_metric(d, amplitude: float, rng: np.random.Generator) -> BoundedMetr
     n, top = len(d), diameter(d)
     if top == 0 or amplitude == 0 or n < 2:
         return BoundedMetric(e, start)
+    proven = (start is not None and top <= 2.0 ** 1000 and d.min() >= 0
+              and sup_distance(d, d.T) == 0)
     xs = rng.integers(0, n, _SHORTCUTS)
     ys = rng.integers(0, n - 1, _SHORTCUTS)
     ys += ys >= xs                          # uniform over the pairs x != y
     fractions = rng.uniform(0.0, 1.0, _SHORTCUTS)
     slack = 16 * 2.0 ** -53 * top
-    for x, y, f in zip(xs, ys, fractions):
-        reach = max(float(np.subtract(d[lo:hi], via, out=via).max())
-                    for lo, hi, via in _edge_paths(e, x, y))
+    for i, (x, y, f) in enumerate(zip(xs, ys, fractions)):
+        reach = max(float(np.subtract(d[cells], via, out=via).max())
+                    for cells, via in _edge_paths(e[:, x].copy(), e[:, y].copy()))
         floor = max(reach - amplitude + slack, e[x, y] / 2)
         if floor < e[x, y]:
-            shorten_edge(e, x, y, max(e[x, y] - f * (e[x, y] - floor), floor))
+            # the lemma's bound on the exact excess before shortcut i
+            drift = (max(start, 0.0) * (1.0 + 2.0 ** -50) + (5 * i + 2) * 2.0 ** -53 * top
+                     if proven else None)
+            shorten_edge(e, x, y, max(e[x, y] - f * (e[x, y] - floor), floor), drift)
     achieved = sup_distance(e, d)
     if achieved > amplitude + 1e-12:
         raise RuntimeError(f"perturbation overshoot: {achieved} > {amplitude}")
     excess = None
-    if (start is not None and top <= 2.0 ** 1000 and d.min() >= 0
-            and sup_distance(d, d.T) == 0):
+    if proven:
         excess = max(start, 0.0) * (1.0 + 2.0 ** -50) + (5 * _SHORTCUTS + 4) * 2.0 ** -53 * top
     return BoundedMetric(e, excess)
 
@@ -819,7 +877,7 @@ def make_grid_space(dims: Sequence[int], spacing: float, ground: str = "linf") -
     n = len(coords)
     axes = coords.T.astype(float)
     d = np.empty((n, n))
-    for lo, hi in _spans(n, n):
+    for lo, hi in row_spans(n, n):
         _lattice_rows(axes, lo, hi, ground, spacing, d[lo:hi])
     excess = None
     if (len(dims) * (2 * (max(dims) - 1)) ** 2 < 2 ** 53

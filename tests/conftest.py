@@ -422,6 +422,70 @@ def prune_irredundant_by_unions(sets: list[set], n: int) -> list[set]:
     return sets
 
 
+def axis_windows(lo: int, hi: int, m: int, offset: int = 0, shared: bool = True):
+    """Closed coordinate windows [s, s+m-1] covering lo..hi, listed one by
+    one.  Shared windows advance by m-1 so consecutive windows meet in one
+    slot; unshared windows advance by m and partition the range."""
+    if m == 1:
+        return [(v, v) for v in range(lo, hi + 1)]
+    step = (m - 1) if shared else m
+    start = lo - (offset % step if step else 0)
+    out = []
+    s = start
+    while s <= hi:
+        out.append((s, s + m - 1))
+        s += step
+    return out
+
+
+def build_bricks_by_windows(coords: np.ndarray, active: list[int], m: int) -> list[tuple]:
+    """`covers._build_bricks` as earlier versions built it: one point mask
+    per combination of windows on the later active axes, in
+    itertools.product order, cut by each window of the first axis (shifted
+    by half a brick after an odd second-axis window), then deduplicated in
+    order of first occurrence."""
+    npts = coords.shape[0]
+    if not active or m < 1:
+        return [tuple(range(npts))]
+    ranges = {a: (int(coords[:, a].min()), int(coords[:, a].max())) for a in active}
+    shift = max((m - 1) // 2, 1)
+    first, rest = active[0], active[1:]
+    bricks = []
+    slab_windows = [list(enumerate(axis_windows(*ranges[a], m, shared=pos == 0 and m >= 3)))
+                    for pos, a in enumerate(rest)]
+    lo1, hi1 = ranges[first]
+    for combo in itertools.product(*slab_windows) if slab_windows else [()]:
+        parity = combo[0][0] % 2 if combo and m >= 3 else 0
+        mask = np.ones(npts, dtype=bool)
+        for (_, (wlo, whi)), a in zip(combo, rest):
+            mask &= (coords[:, a] >= wlo) & (coords[:, a] <= whi)
+        for wlo, whi in axis_windows(lo1, hi1, m, offset=parity * shift, shared=True):
+            sub = mask & (coords[:, first] >= wlo) & (coords[:, first] <= whi)
+            if sub.any():
+                bricks.append(tuple(int(i) for i in np.flatnonzero(sub)))
+    seen, out = set(), []
+    for b in bricks:
+        if b not in seen:
+            seen.add(b)
+            out.append(b)
+    return out
+
+
+def brick_cover_by_windows(space, eps: float) -> lf.CoverFamily:
+    """`covers.brick_cover` on the bricks of `build_bricks_by_windows`, each
+    trial size's largest diameter taken set by set with `lf.diameter`."""
+    coords = space.coords
+    active = np.flatnonzero(coords.min(axis=0) != coords.max(axis=0)).tolist()
+    cap = max((int(coords[:, a].max() - coords[:, a].min()) + 1 for a in active), default=1)
+    m = 1
+    while m < cap and max(lf.diameter(space.dist, b) for b in
+                          build_bricks_by_windows(coords, active, m + 1)) < eps / 6.0:
+        m += 1
+    if m == 2 and len(active) >= 2:
+        m = 1
+    return lf.CoverFamily(space, tuple(build_bricks_by_windows(coords, active, m)), len(active))
+
+
 def net_cover_by_loops(space, eps: float, family) -> tuple[tuple, tuple]:
     """Net and merged sets of `covers.build_net_cover` for a refiner output
     that passed its checks, by per-pair loops: private points by membership

@@ -442,8 +442,33 @@ class TestConfigErrors:
         argv = ["--seed", str(10**400), "--out-dir", str(tmp_path / "out"), "glue", path]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "'seed'" in err
+        assert err.startswith("error: ") and "'seed' must be an integer in [0, 2**63)" in err
         assert not (tmp_path / "out").exists()
+
+    # an integer outside int64 is refused in the terms of that range, not as
+    # a value of the wrong type
+    @pytest.mark.parametrize("command, config, named", [
+        ("glue", {**GLUE_LINE, "seed": 10**400}, "'seed' must be an integer in [0, 2**63)"),
+        ("extend", {**EXTEND_LINE, "seed": 2**63}, "'seed' must be an integer in [0, 2**63)"),
+        ("extend", {**EXTEND_LINE, "perturbations": {"count": 2**64}},
+         "'perturbations.count' must be an integer in [0, 2**63)"),
+        ("build-cover", {"space": {**INLINE_LINE, "coords": [[0], [10**400], [2]]},
+                         "eps": 0.25},
+         "'coords' must be a nonempty list of equal-length nonempty lists of integers in "
+         "[-2**63, 2**63), got"),
+        ("build-cover", {"space": {**INLINE_LINE, "coords": [[0], [-2**63 - 1], [2]]},
+                         "eps": 0.25}, "integers in [-2**63, 2**63)"),
+        ("build-cover", {"space": {"generator": "grid", "dims": [2**63], "spacing": 0.1},
+                         "eps": 0.25}, "'dims' must be a nonempty list of integers in [1, 2**63)"),
+    ], ids=["glue-seed-10**400", "extend-seed-2**63", "extend-count-2**64",
+            "inline-coords-10**400", "inline-coords-below-int64", "grid-dims-2**63"])
+    def test_outside_int64_names_the_range(self, tmp_path, capsys, command, config, named):
+        exits_2_naming(tmp_path, capsys, command, config, named)
+
+    def test_largest_int64_seed_is_read(self, tmp_path):
+        path = write_config(tmp_path, "c.json", {**EXTEND_LINE, "seed": 2**63 - 1})
+        assert main(["--out-dir", str(tmp_path / "out"), "extend", path]) == 0
+        assert [f.name for f in (tmp_path / "out").iterdir()] == [f"extend-{2**63 - 1}-0.25.json"]
 
 
 # small configs of the five commands that read one, at most 16 points each

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lipfree as lf
-from conftest import (net_cover_by_loops, prune_irredundant_by_unions,
-                      verify_net_cover_by_loops)
+from conftest import (brick_cover_by_windows, build_bricks_by_windows, net_cover_by_loops,
+                      prune_irredundant_by_unions, verify_net_cover_by_loops)
 from lipfree import covers
 from lipfree.covers import CoverError, CoverFamily, _prune_irredundant
 
@@ -118,8 +118,9 @@ class TestBrickCover:
         space = lf.restrict_space(lf.make_grid_space(dims, 0.1), members)
         coords = space.coords
         want = [a for a in range(coords.shape[1]) if len(np.unique(coords[:, a])) > 1]
-        with mock.patch.object(covers, "_build_bricks", wraps=covers._build_bricks) as build:
+        with mock.patch.object(covers, "_bricks", wraps=covers._bricks) as build:
             fam = lf.brick_cover(space, 0.9)
+        assert build.call_args_list
         assert all(call.args[1] == want for call in build.call_args_list)
         assert fam.nominal_order_bound == len(want) == space.nominal_dim
         assert fam.covers()
@@ -176,6 +177,49 @@ class TestBuildNetCover:
         a = lf.build_net_cover(space, 0.3)
         b = lf.build_net_cover(space, 0.3)
         assert a == b
+
+
+@st.composite
+def lattice_subsets(draw):
+    """A lattice of one to three axes (extents 1..7, some constant), each
+    ground, restricted to a drawn subset of its points half the time."""
+    dims = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
+    space = lf.make_grid_space(dims, draw(st.sampled_from([1 / 8, 1 / 16, 0.02])),
+                               draw(st.sampled_from(["linf", "l1", "l2"])))
+    if draw(st.booleans()):
+        members = draw(st.sets(st.integers(0, space.n - 1), min_size=1))
+        space = lf.restrict_space(space, members)
+    return space
+
+
+class TestBricksMatchWindows:
+    """The whole-array brick pattern is bitwise the window-by-window one:
+    brick order, members and first-occurrence dedupe, for any list of
+    axes, so also on constant and reordered ones."""
+
+    @given(lattice_subsets(), st.integers(0, 5), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bricks_match_the_window_loop(self, space, m, data):
+        coords = space.coords
+        axes = data.draw(st.permutations(range(coords.shape[1])))
+        active = axes[:data.draw(st.integers(0, len(axes)))]
+        assert covers._build_bricks(coords, active, m) == \
+            build_bricks_by_windows(coords, active, m)
+
+    @given(lattice_subsets(), st.sampled_from([1 / 8, 1 / 4, 1 / 3, 0.6, 0.9]))
+    @settings(max_examples=150, deadline=None)
+    def test_cover_and_net_match_the_window_loop(self, space, eps):
+        family = brick_cover_by_windows(space, eps)
+        assert lf.brick_cover(space, eps).sets == family.sets
+        nc = lf.build_net_cover(space, eps)
+        assert (nc.net, nc.sets) == net_cover_by_loops(space, eps, family)
+
+    def test_largest_diameter_is_the_largest_set_diameter(self):
+        space = lf.make_grid_space([6, 5], 0.1, "l2")
+        sets = [(0,), (1, 2, 9), (), (3, 29), tuple(range(7))]
+        members, starts = covers.flatten_sets([s for s in sets if s])
+        assert covers._largest_diameter(space.dist, members, starts) == \
+            max(lf.diameter(space.dist, s) for s in sets if s)
 
 
 class TestNetCoverMatchesLoops:

@@ -3,11 +3,15 @@ code, and the report layout and config tables it documents are the ones the
 CLI writes and reads."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lipfree
 from lipfree import config
 from lipfree.cli import main
 
@@ -90,3 +94,22 @@ def test_config_table_is_the_readers():
     want += [row for form, table in config.SPACE_SPECS.items()
              for row in table_rows(f"space: {form}", table)]
     assert documented == want
+
+
+def test_glue_config_never_loads_numpy_ma(tmp_path):
+    # np.unique and the set routines that call it import numpy.ma on first
+    # use, which costs time and memory inside the run; a fresh process shows
+    # whether any step of the README glue run still reaches them
+    text = README.read_text()
+    block = re.search(r"Example `glue` config[^\n]*\n\n```json\n(.*?)```", text, re.S).group(1)
+    (tmp_path / "glue.json").write_text(block)
+    script = ("import sys\n"
+              "from lipfree.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(lipfree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    run = subprocess.run([sys.executable, "-c", script, "--out-dir", str(tmp_path / "out"),
+                          "glue", str(tmp_path / "glue.json")],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert run.stdout.splitlines()[-1] == "False"

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
@@ -1183,6 +1183,95 @@ class TestShortenEdge:
         assert lf.perturb_metric(lf.BoundedMetric(skewed, 0.0), 0.01, rng).excess is None
         same = lf.perturb_metric(lf.BoundedMetric(space.dist, space.excess), 0.0, rng)
         assert same.excess == space.excess and np.array_equal(same.matrix, space.dist)
+
+    @given(bounded_metrics(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bounded_update_is_the_full_one(self, start, data):
+        # the bound on the exact excess that the sweep's measured bound gives
+        d, bound = start
+        n, top = len(d), float(d.max())
+        x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        length = max(d[x, y] * data.draw(st.floats(0.01, 1.5)), 1e-3 * top)
+        eps = bound * (1 + 2.0 ** -50) + 2 * U * top
+        e = d.copy()
+        with mock.patch.object(spaces, "_BLOCK_CELLS", data.draw(st.integers(1, 4)) * n):
+            spaces.shorten_edge(e, x, y, length, eps)
+        assert e.tobytes() == shorten_edge_by_outer(d, x, y, length).tobytes()
+
+    @given(bounded_metrics(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_row_at_the_filter_boundary(self, start, data):
+        # the largest bound that leaves row p out of U, and the next float,
+        # which takes it in: U grows with the bound, and every bound at or
+        # above the proven one gives the full update
+        d, bound = start
+        n, top = len(d), float(d.max())
+        x, y, p = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        length = max(d[x, y] * data.draw(st.floats(0.01, 1.0)), 1e-3 * top)
+        a, b = d[:, x].copy(), d[:, y].copy()
+
+        def near_x(bits):
+            return p in spaces._lowerable(a, b, length, float(bits.view(np.float64)))[0]
+
+        proven = bound * (1 + 2.0 ** -50) + 2 * U * top
+        lo, hi = np.float64(proven).view(np.int64), np.float64(4 * top).view(np.int64)
+        assume(not near_x(lo))
+        assert near_x(hi)
+        while hi - lo > 1:
+            mid = lo + (hi - lo) // 2
+            lo, hi = (lo, mid) if near_x(mid) else (mid, hi)
+        for bits in (lo, hi):
+            e = d.copy()
+            spaces.shorten_edge(e, x, y, length, float(bits.view(np.float64)))
+            assert e.tobytes() == shorten_edge_by_outer(d, x, y, length).tobytes()
+
+    def test_filter_needs_its_rounding_term(self):
+        # x, p, y, q on a line at exact float positions: every entry is an
+        # exact difference and every triangle sum is exact, so 0 bounds the
+        # exact excess.  The shortcut x-y of length B - A ties p's two
+        # routes to y, fl(A + l) = B, yet fl(fl(A + C) + l) rounds below
+        # e(p, q) = B + C: cell (p, q) falls, and only the rounding term of
+        # tau puts p in U
+        a_, b_, c_ = 0.21257659174954635, 0.2583950185640512, 0.8911505854161911
+        pos = np.array([0.0, a_, a_ + b_, a_ + b_ + c_])
+        d = np.abs(pos[:, None] - pos[None, :])
+        x, p, y, q, length = 0, 1, 2, 3, b_ - a_
+        want = shorten_edge_by_outer(d, x, y, length)
+        assert want[p, q] < d[p, q] and not d[p, x] + length < d[p, y]
+        assert p in spaces._lowerable(d[:, x], d[:, y], length, 0.0)[0]
+        e = d.copy()
+        spaces.shorten_edge(e, x, y, length, 0.0)
+        assert e.tobytes() == want.tobytes()
+
+    @given(bounded_metrics(), st.integers(0, 2 ** 32 - 1), st.sampled_from([1e-4, 0.01, 0.3]))
+    @settings(max_examples=100, deadline=None)
+    def test_filtered_probe_is_the_unfiltered_one(self, start, seed, fraction):
+        amplitude = fraction * start.matrix.max()
+        probe = lf.perturb_metric(start, amplitude, np.random.default_rng(seed))
+        bare = lf.perturb_metric(start.matrix, amplitude, np.random.default_rng(seed))
+        assert probe.matrix.tobytes() == bare.matrix.tobytes()
+        assert probe.excess is not None and bare.excess is None
+
+    def test_probe_rewrites_few_cells(self, monkeypatch):
+        # on a 30 x 30 grid the 16 shortcuts of a probe rewrite a small share
+        # of the 810,000 cells each, where the unfiltered update rewrites all
+        space = lf.make_grid_space([30, 30], 0.02)
+        cells = []
+        lowerable = spaces._lowerable
+
+        def counted(*args):
+            near_x, near_y = lowerable(*args)
+            cells.append(900 ** 2 if near_x is None else 2 * len(near_x) * len(near_y))
+            return near_x, near_y
+
+        monkeypatch.setattr(spaces, "_lowerable", counted)
+        start = lf.BoundedMetric(space.dist, space.excess)
+        probe = lf.perturb_metric(start, 0.01, np.random.default_rng(7))
+        assert len(cells) == 16 and sum(cells) < 0.05 * 16 * 900 ** 2
+        cells.clear()
+        bare = lf.perturb_metric(space.dist, 0.01, np.random.default_rng(7))
+        assert bare.matrix.tobytes() == probe.matrix.tobytes()
+        assert cells == [900 ** 2] * 16
 
     def test_length_must_be_positive(self):
         e = lf.make_grid_space([3], 0.1).dist.copy()
