@@ -26,29 +26,27 @@ and leaves out what is a function of what it keeps:
                if the source space has them} and its sup_distance from the
                source metric
 
-`weights` has one column per point of `cover.net`.  The extend report stores
-neither the induced pseudometric nor the adapted metric.  With `space` read
-back by `space_from_json`, both are recomputed bit for bit:
+A list of changes (`_changes`) holds [i, j, value] for each entry of a
+matrix whose bits differ from a base, in row-major order, floats by repr:
+`m = base.copy(); m[i, j] = value` per change rebuilds it bit for bit.  The
+extend `weights` are the partition weights against +0.0, from the base
+np.zeros((space.n, len(cover.net))), a column per net point.  The induced
+pseudometric and the adapted metric are left out; with `space` read back by
+`space_from_json`, they are rebuilt bit for bit:
 
   induced = molecule_norm_matrix(WeightOperator(space, cover.net, weights,
                                                 partition=True), space.dist)
   adapted = induced + quotient_pseudometric(space.dist, cover.net)
 
-A glue probe is written as its changes: `metric_changes` lists [i, j, value]
-for each entry of the probe metric whose bits differ from `glue_metric`, and
-`operator` each entry of the glued operator whose bits are not +0.0, both in
-row-major order (`_changes`); `operator` is null when the probe was refused
-before the operator was built; its columns are `domain`.  Floats are written
-by repr, so both are rebuilt bit for bit:
-
-  probe_metric = glue_metric.copy(); probe_metric[i, j] = value, per change
-  operator = np.zeros((len(glue_metric), len(domain)))
-  operator[i, j] = value, per nonzero
+A glue probe's `metric_changes` are against `glue_metric`, and its
+`operator`, null when the probe was refused before it was built, is against
++0.0 from the base np.zeros((len(glue_metric), len(domain))).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -76,19 +74,19 @@ def _load_config(args) -> dict:
 
 # One-shot encode() of an encoder without indent runs CPython's C encoder.
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
-_NESTED = (dict, list, tuple, np.ndarray)
+_SCALARS = (str, int, float, type(None))
 
 
 def _write_value(write, value) -> None:
     """Write `value` as compact JSON with sorted keys, arrays as their
     `.tolist()`, one leaf at a time.
 
-    Dicts are walked key by key in sorted order, and so are lists and tuples
-    that hold a nested value, and arrays of two or more dimensions row by row.
-    Every other value (a scalar, a flat list, a 1-D array or one row) is a
-    leaf: one call of `_ENCODE`, so no matrix is ever held as Python floats.
-    A dict key that is not a str raises TypeError, as does any leaf the
-    encoder refuses.
+    Dicts are walked key by key in sorted order, arrays of two or more
+    dimensions row by row, and lists and tuples item by item unless they
+    hold only scalars, or only lists and tuples of scalars (`_changes`).
+    Every other value is a leaf: one call of `_ENCODE`, so no matrix is ever
+    held as Python floats.  A dict key that is not a str raises TypeError,
+    as does any leaf the encoder refuses.
     """
     if isinstance(value, dict):
         bad = [key for key in value if not isinstance(key, str)]
@@ -100,7 +98,9 @@ def _write_value(write, value) -> None:
             _write_value(write, value[key])
         write("}")
     elif (isinstance(value, np.ndarray) and value.ndim > 1
-          or isinstance(value, (list, tuple)) and any(isinstance(v, _NESTED) for v in value)):
+          or isinstance(value, (list, tuple)) and not all(isinstance(x, _SCALARS) for x in (
+              itertools.chain.from_iterable(value)
+              if all(isinstance(v, (list, tuple)) for v in value) else value))):
         write("[")
         for i, item in enumerate(value):
             if i:
@@ -216,7 +216,7 @@ def cmd_extend(args) -> int:
             "seed": seed,
             "bundle": {
                 "cover": _cover(bundle.nc),
-                "weights": np.asarray(bundle.pou.matrix, dtype=float),
+                "weights": _changes(bundle.pou.matrix, 0.0),
                 "operator_norm": bundle.enorm,
                 "certificates": bundle_certs,
             },

@@ -36,7 +36,11 @@ class CoverFamily:
     nominal_order_bound: int
 
     def __post_init__(self):
-        object.__setattr__(self, "sets", tuple(as_indices(s, self.space) for s in self.sets))
+        sets = [list(s) for s in self.sets]     # one test of every entry; as_indices names one
+        if bad_indices(list(itertools.chain.from_iterable(sets)), self.space.n):
+            for s in sets:
+                as_indices(s, self.space)
+        object.__setattr__(self, "sets", tuple(tuple(sorted(set(map(int, s)))) for s in sets))
 
     def covers(self) -> bool:
         return bool(_counts(self.sets, self.space.n).all())
@@ -83,10 +87,8 @@ def _windows(v: np.ndarray, m: int, offset: int = 0,
     range; width-1 windows (m = 1) hold one coordinate each.
     """
     step = 1 if m == 1 else (m - 1 if shared else m)
-    start = int(v.min()) - offset % step
-    last = (v - start) // step
-    first = np.maximum(-((start + m - 1 - v) // step), 0)
-    return first, last
+    rel = v - v.min() + offset % step          # v less the first window's start
+    return np.maximum(-((m - 1 - rel) // step), 0), rel // step
 
 
 def _bricks(coords: np.ndarray, active: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -99,13 +101,11 @@ def _bricks(coords: np.ndarray, active: list[int], m: int) -> tuple[np.ndarray, 
     into disjoint windows.  A point then lies in at most 2 x 2 bricks minus
     the staggered corner, so the order is at most min(#active axes, 3).
 
-    A brick is a window on each active axis: one on each later axis, in
-    axis order, and then one on the first axis, whose windows are shifted
-    by half a brick when the second axis's window has an odd index.
-    Pattern order is the lexicographic order of those window indices.
-    Each point lies in one or two windows per axis, so its bricks are the
-    choices of one window per axis, formed for all points at once by
-    broadcasting; a stable sort by brick then groups them in pattern order.
+    A brick is a window on each later active axis, in axis order, then one
+    on the first axis, shifted by half a brick when the second axis's window
+    index is odd; pattern order is lexicographic in those indices.  A point
+    lies in one or two windows per axis, so its bricks, one window per axis,
+    are formed for all points by broadcasting and grouped by a stable sort.
     """
     n = coords.shape[0]
     if not active or m < 1:
@@ -170,7 +170,9 @@ def brick_cover(space: FiniteMetricSpace, eps: float) -> CoverFamily:
 
     The brick size is the largest window width whose diameter stays below
     eps/6 (singletons always qualify); the order never exceeds the number of
-    axes along which the points vary.
+    axes along which the points vary.  CoverError names the first active
+    axis where the product of spans + 1, a bound on `_bricks`' int64 keys,
+    passes 2^62.
     """
     if eps <= 0:
         raise CoverError("eps must be positive")
@@ -179,12 +181,17 @@ def brick_cover(space: FiniteMetricSpace, eps: float) -> CoverFamily:
     coords = space.coords
     active = np.flatnonzero(coords.min(axis=0) != coords.max(axis=0)).tolist()
     bound = max(len(active), 0)
+    spans, keys = [int(coords[:, a].max()) - int(coords[:, a].min()) for a in active], 1
+    for a, span in zip(active, spans):
+        keys *= span + 1
+        if keys > 2 ** 62:
+            raise CoverError(f"axis {a} spans {span} lattice steps: brick keys pass 2**62")
 
     def max_diam(m: int) -> float:
         return _largest_diameter(space.dist, *_bricks(coords, active, m))
 
     limit = eps / 6.0
-    cap = max((int(coords[:, a].max() - coords[:, a].min()) + 1 for a in active), default=1)
+    cap = max(spans, default=0) + 1
     m = 1
     while m < cap and max_diam(m + 1) < limit:
         m += 1

@@ -50,16 +50,12 @@ def complement_distances(d: np.ndarray, sets) -> np.ndarray:
     """Column i holds d(x, U_i^c); an empty complement contributes the
     constant max(diam, 1).
 
-    Row x's minimum low[x] is taken once, with the first column first[x]
-    attaining it.  When first[x] lies outside U_i the complement holds it, so
-    d(x, U_i^c) = low[x] exactly: a min is exact in any order and no entry of
-    the row is lower.  Only the (set, row) pairs whose first[x] lies in U_i
-    take the masked minimum over the complement's columns, all in one pass
-    by row blocks.  For a metric first[x] is x itself, so those are the
-    members of U_i.
-
-    first is taken by the row blocks of `row_spans`: numpy's argmin copies a
-    read-only array, such as a space's metric, whole.
+    Row x's minimum is attained first at the column first[x], taken by the
+    row blocks of `row_spans` (numpy's argmin copies a read-only array
+    whole).  When first[x] lies outside U_i, d(x, U_i^c) is that minimum
+    exactly.  Only the (set, row) pairs with first[x] in U_i take the masked
+    minimum over the complement, in one pass by row blocks; for a metric
+    first[x] = x, so those are the members of U_i.
     """
     d = np.asarray(d, dtype=float)
     n, k = d.shape[0], len(sets)
@@ -103,12 +99,13 @@ def partition_of_unity(d: np.ndarray, sets, domain,
 
 
 def _adapted_excess_bound(d: np.ndarray, d_excess: float, induced: np.ndarray,
-                          induced_excess: float, adapted: np.ndarray) -> float:
+                          induced_excess: float, adapted: np.ndarray, symmetric: bool) -> float:
     """A proven upper bound on the triangle excess `validate_metric` would
     measure on adapted = fl(q + induced), where q =
     `quotient_pseudometric(d, A)` for a nonempty net A, given bounds on the
     excesses it measures on d and on induced; +inf unless d is exactly
-    symmetric and neither d nor induced has a negative entry.
+    symmetric (symmetric, as d's validation found it) and neither d nor
+    induced has a negative entry.
 
     Lemma.  Let u = 2^-53 and M = max adapted.  Write a(x) = min over z in A
     of d(x, z), exact; p(x, y) = fl(a(x) + a(y)); q = min(d, p) off the
@@ -140,9 +137,9 @@ def _adapted_excess_bound(d: np.ndarray, d_excess: float, induced: np.ndarray,
     The terms add up to (1 + 2u) d_excess+ + (1 + u) induced_excess+ +
     12uM + O(u^2 M).  The bound's factors 1 + 8u and 32uM leave room for
     the O(u^2) terms and for the rounding of its own evaluation.  The
-    preconditions cost three O(n^2) passes.
+    preconditions cost two O(n^2) passes.
     """
-    if d.min() < 0 or induced.min() < 0 or sup_distance(d, d.T) > 0:
+    if not symmetric or d.min() < 0 or induced.min() < 0:
         return np.inf
     excess = max(d_excess, 0.0) + max(induced_excess, 0.0)
     return excess * (1.0 + 2.0 ** -50) + 2.0 ** -48 * float(adapted.max())
@@ -202,7 +199,7 @@ def build_extension_bundle(nc: NetAndCover) -> ExtensionBundle:
     adapted = quotient_pseudometric(d, a)
     adapted += induced                           # = induced + quotient, bitwise
     m_report = validate_metric(adapted, excess_bound=_adapted_excess_bound(
-        d, space.excess, induced, ps_report.excess, adapted))
+        d, space.excess, induced, ps_report.excess, adapted, space.symmetric))
     if not m_report.ok:
         raise BundleError(make_certificate(
             "adapted-metric", 0.0, 1.0, "le", 0.0,
@@ -217,7 +214,7 @@ def build_extension_bundle(nc: NetAndCover) -> ExtensionBundle:
     certs.append(make_certificate(
         "adapted-extends-net-metric", 0.0, agree, "le", 0.0, inputs=inputs))
 
-    pairs = ClassPairs(pou, adapted)            # the classes of pou against adapted
+    pairs = ClassPairs(pou, adapted, m_report.symmetric)   # pou's classes against adapted
     if len(a) >= 2:
         enorm, wit = pairs.ratio_max(induced)
         certs.append(make_certificate(
@@ -286,7 +283,7 @@ def build_perturbed_operator(bundle: ExtensionBundle, e) -> PerturbedBundle:
     inputs = {"space": nc.space.key, "eps": eps, "r": r, "excess_bound": excess}
     certs = [make_certificate("perturbation-admission", radius, measured, "le", 0.0,
                               inputs=inputs, details={"excess_bound": excess})]
-    pairs = ClassPairs(mu, e)                   # the classes of mu against e
+    pairs = ClassPairs(mu, e, report.symmetric)            # mu's classes against e
     lips = pairs.lipschitz_constants()
     certs.append(make_certificate(
         "perturbed-partition-lipschitz", 4.0 * (2 * r + 3) / eps, float(lips.max()),

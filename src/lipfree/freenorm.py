@@ -24,7 +24,7 @@ from . import lp as lpmod
 from .certs import Certificate, make_certificate
 from .spaces import (FiniteMetricSpace, as_indices, bad_indices, first_equal_rows,
                      floyd_warshall, is_symmetric, least_class_distances, require_metric,
-                     sup_distance, validate_metric)
+                     row_spans, sup_distance, validate_metric)
 
 
 class AdmissionError(ValueError):
@@ -473,25 +473,22 @@ def molecule_norm_matrix(op: WeightOperator, d: np.ndarray) -> np.ndarray:
 
     The entry depends on x and y only through their weight rows, so the
     norms are computed once per oriented pair (a, b) of bitwise-distinct
-    rows that some pair x < y takes, x in class a and y in class b: with the
-    classes numbered by first occurrence, those with first(a) < last(b).
-    Each is computed as the pair x < y would be, w[x] - w[y] from its
-    representatives, and never as w[y] - w[x]: the norm LP of -c is another
-    memo key, and its simplex path may differ from that of c in the last
-    bits.  Entry (x, y), x < y, is then read from the table for (class of x,
-    class of y) and mirrored to (y, x).
+    rows that some pair x < y takes, x in class a and y in class b (classes
+    numbered by first occurrence, with first(a) < last(b)), as w[x] - w[y]
+    from the representatives and never as w[y] - w[x]: the norm LP of -c
+    is another memo key, whose simplex path may differ in the last bits.
+    Entry (x, y), x < y, is read from the table for (class of x, class of
+    y) and mirrored to (y, x), by row blocks: from the table right of a
+    block's first row, else and below its diagonal from the transpose.
 
-    The weight rows are read once as sparse rows: a partition of unity
-    subordinate to a cover of order r has at most r + 1 nonzeros per row.
-    The differences of a block of pairs (`_pair_blocks`) are merged from them
-    by `_difference`, bitwise the dense differences on every column, and
-    triaged: molecules with one point on a side or two on each are answered
-    by their transport plans.  The rows every block leaves to the LP are
-    then passed to one `_lp_norms` call, which solves the norm LP once per
-    distinct (support, weights) of the whole sweep, the same set of LPs as
-    a sweep over all pairs, in stacks of programs that share a support
-    size.  A stacked solve is bitwise a solve alone, so every entry is the
-    one the dense per-pair sweep gives.
+    The weight rows are read once as sparse rows (at most r + 1 nonzeros
+    each for a cover of order r).  The differences of a block of pairs
+    (`_pair_blocks`) are merged from them by `_difference`, bitwise the
+    dense differences, and triaged: molecules with one point on a side or
+    two on each take their transport plans.  The rows left to the LP go to
+    one `_lp_norms` call, which solves the norm LP once per distinct
+    (support, weights) of the whole sweep, in stacks that share a support
+    size; a stacked solve is bitwise a solve alone.
     """
     _, d_a, base = _metrics(op, d)
     n, m = op.matrix.shape
@@ -508,9 +505,12 @@ def molecule_norm_matrix(op: WeightOperator, d: np.ndarray) -> np.ndarray:
         a, b, c, v = map(np.concatenate, zip(*lp_parts))
         table[a, b] = _lp_norms(c, v, d_a, base, {})
     out = np.empty((n, n))
-    for x in range(n):
-        out[x, x:] = table[cls[x], cls[x:]]
-        out[x, :x] = out[:x, x]
+    lower = np.ascontiguousarray(table.T)
+    for lo, hi in row_spans(n, n):
+        c = cls[lo:hi]
+        np.take(table[c], cls[lo:], axis=1, out=out[lo:hi, lo:], mode="clip")
+        np.take(lower[c], cls[:lo], axis=1, out=out[lo:hi, :lo], mode="clip")
+        np.copyto(out[lo:hi, lo:hi], lower[c[:, None], c], where=np.tri(hi - lo, k=-1, dtype=bool))
     return out
 
 
@@ -519,11 +519,11 @@ class ClassPairs:
     against one metric d on all points: least[a, b] is the least d(x, y)
     over the pairs x < y with x in class a and y in class b
     (`spaces.least_class_distances`), +inf where there is none.  The
-    extension pipeline builds one per (weights, metric) and runs both of its
-    sweeps on it: the bundle's extension-operator norm and partition
-    Lipschitz constants, and each perturbed operator's norm and Lipschitz
-    constants.  It is not exported from `lipfree`: `ratio_max` trusts its
-    argument to be a molecule-norm matrix of op.
+    extension pipeline runs both sweeps of a (weights, metric) pair on one:
+    an operator norm and the partition Lipschitz constants.  It is not
+    exported from `lipfree`: `ratio_max` trusts its argument to be a
+    molecule-norm matrix of op, and symmetric (if not None) to be d's
+    `is_symmetric`, as d's validation found it.
 
     A sweep's quantity N >= 0 of a pair (x, y), a molecule norm or the gap
     of a weight column, depends on x and y only through their weight rows,
@@ -533,9 +533,10 @@ class ClassPairs:
     bound on N / least d bounds every member.
     """
 
-    def __init__(self, op: WeightOperator, d):
+    def __init__(self, op: WeightOperator, d, symmetric: bool | None = None):
         self.op = op
         self.d = _metric(op, d)
+        self.symmetric = symmetric
         self.classes = op._classes
         self.least = least_class_distances(self.d, self.classes.cls)
 
@@ -544,15 +545,12 @@ class ClassPairs:
         """The first pair x < y in row-major order with fl(table[a, b] /
         d(x, y)) == best, for the classes a of x and b of y, given best, the
         largest of the class ratios fl(table / least); NaN entries of table
-        were never computed and cannot tie, nor can a pair at distance 0
-        with N = 0, whose ratio 0/0 is NaN too.
+        (never computed) cannot tie, nor can a pair at distance 0 with N = 0.
 
-        Only the class pairs whose ratio ties best can hold such a pair, and
-        each holds one, at its least distance.  Their members are scanned in
-        row-major order, in blocks of `_pair_blocks` over the rows and the
-        columns of the tied classes, until one reaches best: distinct
-        distances may round to the same ratio, so the first hit need not lie
-        at a least distance.
+        Only the class pairs whose ratio ties best hold such a pair, each at
+        its least distance.  Their members are scanned in row-major order, by
+        `_pair_blocks` over the tied classes' rows and columns, until one
+        reaches best: distinct distances may round to the same ratio.
         """
         cls = self.classes.cls
         tied = table / self.least == best
@@ -572,15 +570,13 @@ class ClassPairs:
         """`operator_norm(op, d)`.
 
         The sweep runs over the oriented class pairs (a, b), as in
-        `molecule_norm_matrix`, and each ratio is N(a, b) / least[a, b].
-        Shortcut pairs give exact ratios as they are triaged.  The pairs left
-        to the LP are solved one at a time in descending order of the proven
-        upper bound of `_ratio_upper_bounds` on their ratio, taken at the
-        least distance, until a bound falls below the best ratio so far:
-        every pair left lies strictly below the maximum.  So the value is
-        the exhaustive sweep's, and the witness (`first_maximiser`) its
-        first maximiser.  As in `lipschitz_constant`, a pair at distance 0 is
-        skipped when N = 0 (0/0 is NaN, which np.fmax passes over), else inf.
+        `molecule_norm_matrix`, each ratio N(a, b) / least[a, b]; triaged
+        pairs give exact ratios.  The pairs left to the LP are solved in
+        descending order of their `_ratio_upper_bounds` at the least distance
+        until a bound falls below the best ratio so far, below which every
+        pair left lies.  So value and witness (`first_maximiser`) are the
+        exhaustive sweep's.  As in `lipschitz_constant`, a pair at distance 0
+        is skipped when N = 0 (0/0 is NaN, which np.fmax passes over), else inf.
         """
         op, least = self.op, self.least
         d_a, base = self.d[np.ix_(op.domain, op.domain)], op.base_position
@@ -640,7 +636,7 @@ class ClassPairs:
         support are read: the others have gap 0.
         """
         least = np.minimum(self.least, self.least.T)
-        if not is_symmetric(self.d):
+        if not (is_symmetric(self.d) if self.symmetric is None else self.symmetric):
             lower = least_class_distances(self.d.T, self.classes.cls)
             np.minimum(least, np.minimum(lower, lower.T), out=least)
         w = self.op.matrix[self.classes.reps].T      # w[i, a]: column i on class a

@@ -6,8 +6,9 @@ triangle inequality; pseudometrics drop the positivity requirement.  Every
 operation here is a pure function of its inputs, and keeps the one-scratch
 rule of the row-block engine below.
 
-Validation scans every matrix in O(n^2) for the axioms other than the
-triangle inequality.  The triangle inequality costs an O(n^3) min-plus sweep,
+Validation reads every matrix in O(n^2) for the axioms other than the
+triangle inequality (one symmetry test and one pass, plus a witness scan
+per failed axiom).  The triangle inequality costs an O(n^3) min-plus sweep,
 unless the code that built the matrix hands over a proven upper bound on its
 triangle excess in a `BoundedMetric`, whose docstring lists the builders
 that do.  Every other matrix is swept: inline metrics, with or without
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -50,9 +50,10 @@ class Violation:
 class ValidationReport:
     shape: tuple
     violations: tuple[Violation, ...]
-    # the triangle excess the check used: the sweep's maximum or a derived
-    # bound; None when a nonfinite entry ended the check before it
+    # the triangle excess the check used (the sweep's or a derived bound) and
+    # `is_symmetric`; None when a nonfinite entry ended the check before them
     excess: float | None = None
+    symmetric: bool | None = None
 
     @property
     def ok(self) -> bool:
@@ -68,18 +69,12 @@ class ValidationReport:
 
 def first_equal_rows(mat: np.ndarray) -> np.ndarray:
     """For each row of the 2-D array mat, the index of the first row that is
-    bitwise equal to it (a row seen for the first time maps to itself).
-
-    Rows are bucketed by the hash of their bytes, and every hit is confirmed
-    by comparing the bytes, so the result is exact and does not depend on the
-    hash function or the interpreter's hash seed.  The buckets hold row
-    indices only: O(n) memory beyond one row's bytes at a time.  Bitwise
-    means 0.0 and -0.0 differ and so do NaNs of different payloads.
-
-    The triangle check runs it on every exactly symmetric matrix and the
-    molecule sweep on the weight rows; it costs one hash of each row's bytes,
-    about 3 ms on a 900-point matrix.
-    """
+    bitwise equal to it (0.0 and -0.0 differ, and so do NaN payloads); a row
+    seen for the first time maps to itself.  Rows are bucketed by the hash
+    of their bytes, and every hit is confirmed by comparing the bytes, so the
+    result does not depend on the hash function or seed.  The buckets hold
+    row indices only.  It costs a hash of each row's bytes, about 3 ms for
+    900 rows of 900 entries."""
     first = np.arange(len(mat))
     buckets: dict[int, list[int]] = {}
     for i, row in enumerate(mat):
@@ -95,20 +90,17 @@ def first_equal_rows(mat: np.ndarray) -> np.ndarray:
 
 
 # The row-block engine behind the two O(n^3) min-plus sweeps, the triangle
-# check and Floyd-Warshall, and the O(n^2) shortcut update `shorten_edge`,
-# all on the caller's thread.  _row_blocks cuts the rows into blocks of about
+# check and Floyd-Warshall, and the O(n^2) path sums of `_edge_paths`, all on
+# the caller's thread.  _row_blocks cuts the rows into blocks of about
 # _BLOCK_CELLS entries, so a block's candidate sums stay in cache while each
-# numpy call still does enough work to hide its overhead.  On an exactly
-# symmetric matrix the triangle check sweeps only the columns from each
-# block's first row on, about half the work, and only the first of each set
-# of bitwise-equal rows.
+# numpy call still does enough work to hide its overhead.
 #
 # The one-scratch rule: no function here holds an n x n temporary beyond its
 # inputs and its result.  O(n^2) elementwise passes run in place on the
 # result or over the same row blocks (`row_spans`): the scans of validate_metric
-# and sup_distance, the symmetry test of is_symmetric, the grid metric, built
-# one axis at a time, perturb_metric's shortcuts, applied in place to its
-# output, and the class tables of least_class_distances.
+# and sup_distance, the symmetry test of is_symmetric, the grid metric, folded
+# into its result from one k x k table per axis, perturb_metric's reach passes
+# and its shortcuts, in place, and the class tables of least_class_distances.
 _BLOCK_CELLS = 2 ** 16
 
 
@@ -120,10 +112,10 @@ def row_spans(rows: int, width: int) -> list[tuple[int, int]]:
 
 
 def is_symmetric(d: np.ndarray) -> bool:
-    """Whether the square matrix d equals its transpose bitwise (NaN never
-    does), compared by the row blocks of `row_spans`."""
+    """Whether the square matrix d equals its transpose by value (NaN never
+    does; 0.0 equals -0.0), each row block from its first row's column on."""
     n = len(d)
-    return all(np.array_equal(d[lo:hi], d[:, lo:hi].T) for lo, hi in row_spans(n, n))
+    return all(np.array_equal(d[lo:hi, lo:], d[lo:, lo:hi].T) for lo, hi in row_spans(n, n))
 
 
 def least_class_distances(d: np.ndarray, cls: np.ndarray) -> np.ndarray:
@@ -132,12 +124,10 @@ def least_class_distances(d: np.ndarray, cls: np.ndarray) -> np.ndarray:
     is the least d(x, y) over x < y with x in class a and y in class b; +inf
     where no such pair exists.  On d.T it gives the least d(y, x) instead.
 
-    The points are sorted by class once.  Each row block of `row_spans` is
-    gathered in that order, set to +inf at the pairs x >= y, gathered in
-    that order along its columns too, and reduced over the class runs of its
-    rows and then, by np.minimum.reduceat, of its columns.  A minimum is
-    exact in any order, so the table does not depend on the blocking; one
-    block is held at a time.
+    Each row block of `row_spans`, in class order, is set to +inf at the
+    pairs x >= y, gathered in class order along its columns, and reduced over
+    the class runs of its rows and then of its columns (np.minimum.reduceat).
+    A minimum is exact in any order, so the blocking does not show.
     """
     cls = np.asarray(cls)
     n = len(cls)
@@ -188,20 +178,18 @@ def _first_max(rows: int, block) -> tuple[float, int, int]:
 @contextlib.contextmanager
 def _row_blocks(n: int, buffers: int, width: int | None = None):
     """Yield (blocks, scratch) for n >= 1 rows of length `width` >= 1 (n when
-    None): the row blocks as (lo, hi) pairs from `row_spans`, and `buffers`
-    arrays of one block's shape, allocated once for the call; a block takes
-    views of them.
+    None): the row blocks of `row_spans` and `buffers` arrays of one block's
+    shape, allocated once; a block takes views of them.
 
-    Inside the scope numpy's ufunc buffer is sized to one row, rounded up to
-    a multiple of 16.  The inner step of both sweeps is a broadcast add of a
-    column slice to a row, and a buffer that spans several rows makes numpy
-    copy both broadcast operands on every call: at 900 points that step takes
-    about 4x longer with the default 8192 elements.  The setting is
-    context-local in numpy 2, so concurrent callers do not see each other's,
-    and the old value is put back on exit.  No sum or mean may run inside the
-    scope: numpy's pairwise summation splits at the inner-loop length, so its
-    rounding could depend on the buffer.  Elementwise adds, minima and argmax
-    are exact whatever the buffer.
+    Inside the scope numpy's ufunc buffer is one row, rounded up to a
+    multiple of 16: the sweeps' inner step is a broadcast add of a column
+    slice to a row, and a buffer of several rows makes numpy copy both
+    operands on every call (4x slower at 900 points with the default 8192).
+    The setting is context-local in numpy 2, so concurrent callers do not
+    see each other's, and it is restored on exit.  No sum or mean may run
+    inside the scope: pairwise summation splits at the inner-loop length, so
+    its rounding could depend on the buffer.  Elementwise adds, minima and
+    argmax are exact whatever the buffer.
     """
     width = n if width is None else width
     blocks = row_spans(n, width)
@@ -232,8 +220,9 @@ def _block_excess(d: np.ndarray, lo: int, hi: int, k0: int, best: np.ndarray,
     return float(best[r, k]), lo + int(r), k0 + int(k)
 
 
-def _min_plus_excess(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
-    """Largest triangle excess d(i,k) - min_j (d(i,j) + d(j,k)) and a witness.
+def _min_plus_excess(d: np.ndarray, symmetric: bool | None = None) -> tuple[float, tuple]:
+    """Largest triangle excess d(i,k) - min_j (d(i,j) + d(j,k)) and a witness
+    (i, j, k); symmetric is `is_symmetric(d)`, tested here when not given.
 
     (i, k) is the first worst pair in row-major order and j its first
     minimiser.  On an exactly symmetric matrix each row block sweeps only the
@@ -255,7 +244,7 @@ def _min_plus_excess(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     taken from the full rows.  A metric has no two equal rows (equal rows
     i != j would give d(i, j) = d(j, j) = 0), so it is swept whole.
     """
-    symmetric = is_symmetric(d)
+    symmetric = is_symmetric(d) if symmetric is None else symmetric
     reps = np.arange(len(d))
     if symmetric:
         reps = np.flatnonzero(first_equal_rows(d) == reps)
@@ -270,6 +259,22 @@ def _min_plus_excess(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     return excess, (i, int(j), k)
 
 
+def _axiom_scan(mat: np.ndarray) -> tuple[bool, float, float]:
+    """(all entries finite, least entry, least off-diagonal entry or +inf) of
+    the square mat, in one pass over its row blocks: a block's maximum is NaN
+    or +inf if it holds one, and its own square is read with an inf diagonal."""
+    tops, offs = [-np.inf], [np.inf]
+    for lo, hi in row_spans(len(mat), len(mat)):
+        block = mat[lo:hi]
+        square = block[:, lo:hi].copy()
+        np.fill_diagonal(square, np.inf)
+        tops.append(block.max())
+        offs += [part.min(initial=np.inf) for part in (block[:, :lo], square, block[:, hi:])]
+    off = float(np.min(offs))
+    least = min(off, float(np.diagonal(mat).min(initial=np.inf)))
+    return bool(np.max(tops) < np.inf and least > -np.inf), least, off
+
+
 def validate_metric(mat: np.ndarray, allow_zero: bool = False,
                     excess_bound: float | None = None) -> ValidationReport:
     """Check the metric axioms up to DEFAULT_TOL, reporting one witness per
@@ -278,13 +283,14 @@ def validate_metric(mat: np.ndarray, allow_zero: bool = False,
     With allow_zero=True the matrix is checked as a pseudometric (zero
     off-diagonal entries permitted).  Non-square input is rejected outright.
     A NaN or infinite entry is the one violation reported: every other check
-    is a comparison, which NaN would pass.  The scans of the other axioms are
-    O(n^2) and run on every matrix.
+    is a comparison, which NaN would pass.  The other axioms cost one pass
+    of `_axiom_scan` and one `is_symmetric` test, recorded on the report;
+    only an axiom that fails is scanned by `_first_max` for its witness, the
+    first worst entry in row-major order.
 
-    The triangle check is the O(n^3) min-plus sweep of _min_plus_excess on
-    the caller's thread, over the upper triangle only when the matrix is
-    exactly symmetric, and then only over its distinct rows.  It measures the
-    triangle excess, the largest d(i, k) - (d(i, j) + d(j, k)) in floats.
+    The triangle check is the O(n^3) min-plus sweep of `_min_plus_excess`.
+    It measures the triangle excess, the largest d(i, k) - (d(i, j) +
+    d(j, k)) in floats.
     excess_bound is a proven upper bound on that value, for a matrix whose
     construction gives one.  A bound of at most DEFAULT_TOL stands in for
     the sweep, since no triangle can then fail; a larger one is ignored and
@@ -296,8 +302,9 @@ def validate_metric(mat: np.ndarray, allow_zero: bool = False,
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {mat.shape}")
     n = mat.shape[0]
-    bad, i, j = _first_max(n, lambda lo, hi: ~np.isfinite(mat[lo:hi]))
-    if bad > 0:
+    finite, least, off = _axiom_scan(mat)
+    if not finite:
+        bad, i, j = _first_max(n, lambda lo, hi: ~np.isfinite(mat[lo:hi]))
         return ValidationReport(tuple(mat.shape),
                                 (Violation("nonfinite", (i, j), float(mat[i, j])),))
     violations = []
@@ -307,36 +314,31 @@ def validate_metric(mat: np.ndarray, allow_zero: bool = False,
         i = int(np.argmax(diag))
         violations.append(Violation("diagonal", (i,), float(diag[i])))
 
-    # The symmetry and zero scans go by row blocks, the first worst entry in
-    # row-major order as their witness, so no n x n temporary is made.
-    asym, i, j = _first_max(n, lambda lo, hi: np.abs(mat[lo:hi] - mat[:, lo:hi].T))
-    if asym > DEFAULT_TOL:
-        violations.append(Violation("symmetry", (i, j), asym))
+    symmetric = is_symmetric(mat)
+    if not symmetric:
+        asym, i, j = _first_max(n, lambda lo, hi: np.abs(mat[lo:hi] - mat[:, lo:hi].T))
+        if asym > DEFAULT_TOL:
+            violations.append(Violation("symmetry", (i, j), asym))
 
-    if n and -mat.min() > DEFAULT_TOL:
+    if -least > DEFAULT_TOL:
         i, j = np.unravel_index(np.argmin(mat), mat.shape)
         violations.append(Violation("negative", (int(i), int(j)), float(-mat[i, j])))
 
-    if not allow_zero and n > 1:
-        def negated_off_diagonal(lo, hi):
-            block = np.negative(mat[lo:hi])
-            block[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
-            return block
-
+    if not allow_zero and off <= DEFAULT_TOL:
         # the first largest -d(i, j) is the first smallest off-diagonal entry
-        gap, i, j = _first_max(n, negated_off_diagonal)
-        if -gap <= DEFAULT_TOL:
-            violations.append(Violation("zero_offdiag", (i, j), gap))
+        gap, i, j = _first_max(n, lambda lo, hi: np.where(
+            np.arange(n) == np.arange(lo, hi)[:, None], -np.inf, np.negative(mat[lo:hi])))
+        violations.append(Violation("zero_offdiag", (i, j), gap))
 
     excess = 0.0                            # an empty matrix has no triangle
     if excess_bound is not None and excess_bound <= DEFAULT_TOL:
         excess = float(excess_bound)
     elif n:
-        excess, witness = _min_plus_excess(mat)
+        excess, witness = _min_plus_excess(mat, symmetric)
         if excess > DEFAULT_TOL:
             violations.append(Violation("triangle", witness, excess))
 
-    return ValidationReport(tuple(mat.shape), tuple(violations), excess)
+    return ValidationReport(tuple(mat.shape), tuple(violations), excess, symmetric)
 
 
 def validate_pseudometric(mat: np.ndarray) -> ValidationReport:
@@ -357,41 +359,14 @@ def require_metric(mat: np.ndarray, what: str = "matrix",
 _GROUNDS = {"linf": 1, "l1": 1, "l2": 2}
 
 
-def _lattice_rows(axes: np.ndarray, lo: int, hi: int, ground: str, spacing: float,
-                  out: np.ndarray) -> np.ndarray:
-    """Rows lo..hi-1 of the lattice metric, written into out and returned.
-
-    axes holds one row of float coordinates per axis.  The ground norm is
-    built one axis at a time: integer coordinate differences are exact in
-    float64, and so are their squares and sums, so each entry is bitwise what
-    an n x n x len(axes) difference array would give.  The norm is then
-    square-rooted for l2 and multiplied by the spacing.
-    """
-    out.fill(0.0)
-    for axis in axes:
-        step = np.abs(np.subtract.outer(axis[lo:hi], axis))
-        if ground == "linf":
-            np.maximum(out, step, out=out)
-        else:
-            out += step * step if ground == "l2" else step
-    if ground == "l2":
-        np.sqrt(out, out=out)
-    out *= spacing
-    return out
-
-
 class BoundedMetric(NamedTuple):
     """A matrix with a proven upper bound on the triangle excess
-    `validate_metric` would measure on it, or None.
-
-    This module's builders hand one to FiniteMetricSpace: the lattice lemma
-    of `make_grid_space`, the closure lemma of `_close` for
-    `random_metric_space`, and the parent's `excess` for `restrict_space`
-    (a subset's triples are the parent's).  `perturb_metric` returns its
-    probe as one, with the shortcut lemma's bound, and
-    `build_perturbed_operator` and `certify_gluing` take it.  Whoever builds
-    one asserts its bound: nothing checks it, so the probe certificates
-    record the bound they took as `excess_bound`."""
+    `validate_metric` would measure on it, or None.  The builders here hand
+    one to FiniteMetricSpace (the lemmas of `make_grid_space` and `_close`,
+    and the parent's `excess` for `restrict_space`); `perturb_metric`
+    returns its probe as one, which `build_perturbed_operator` and
+    `certify_gluing` take.  Whoever builds one asserts its bound: nothing
+    checks it, so the probe certificates record it as `excess_bound`."""
     matrix: np.ndarray
     excess: float | None = None
 
@@ -400,11 +375,11 @@ class BoundedMetric(NamedTuple):
 class FiniteMetricSpace:
     """Finite set of named points with a validated metric and a base point.
 
-    Construction sets two attributes besides the fields: `key`, a digest of
-    the points, the metric bytes and the base point, and `excess`, the
-    triangle excess its validation used (`ValidationReport.excess`).  The
-    triangle inequality is certified by the bound of a `BoundedMetric`,
-    whose matrix is kept without a copy, else by the O(n^3) sweep of a copy.
+    Construction sets three attributes besides the fields: `key`, a digest
+    of the points, the metric bytes and the base point, and the `excess` and
+    `symmetric` of its `ValidationReport`.  The triangle inequality is
+    certified by the bound of a `BoundedMetric`, whose matrix is kept
+    without a copy, else by the O(n^3) sweep of a copy.
     """
 
     points: tuple[str, ...]
@@ -433,6 +408,7 @@ class FiniteMetricSpace:
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
         object.__setattr__(self, "excess", report.excess)
+        object.__setattr__(self, "symmetric", report.symmetric)
         if len(pts) != d.shape[0]:
             raise ValueError("point count does not match matrix size")
         if len(set(pts)) != len(pts):
@@ -654,12 +630,12 @@ def _mirror_upper(a: np.ndarray) -> None:
 
 
 def _edge_paths(a: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None,
-                cols: np.ndarray | None = None):
+                cols: np.ndarray | None = None, one_sided: bool = False):
     """Yield (cells, s) over the row blocks of _row_blocks: s(u, v) =
-    min(fl(a_u + b_v), fl(b_u + a_v)) over the cells rows x cols, index
-    arrays, or over every cell of the n x n array when both are None, with
-    a and b its columns x and y.  cells indexes the block in that array,
-    and s is a reused buffer.  Consume it whole, so that the scope closes."""
+    min(fl(a_u + b_v), fl(b_u + a_v)), or fl(a_u + b_v) when one_sided, on
+    the cells rows x cols, index arrays, or on every cell of the n x n array
+    when both are None, with a and b its columns x and y.  cells indexes the
+    block in that array, and s is a reused buffer.  Consume it whole."""
     whole = rows is None
     h, w = (len(a), len(a)) if whole else (len(rows), len(cols))
     if not h or not w:
@@ -669,8 +645,9 @@ def _edge_paths(a: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None,
             r, c = (slice(lo, hi), slice(None)) if whole else (rows[lo:hi], cols)
             via, other = p[:hi - lo], q[:hi - lo]
             np.add(a[r, None], b[c], out=via)
-            np.add(b[r, None], a[c], out=other)
-            yield (r, c) if whole else np.ix_(r, c), np.minimum(via, other, out=via)
+            if not one_sided:
+                np.minimum(via, np.add(b[r, None], a[c], out=other), out=via)
+            yield (r, c) if whole else np.ix_(r, c), via
 
 
 def shorten_edge(e: np.ndarray, x: int, y: int, length: float,
@@ -733,7 +710,17 @@ def shorten_edge(e: np.ndarray, x: int, y: int, length: float,
     for rows, cols in spans:
         for cells, via in _edge_paths(a, b, rows, cols):
             via += length
-            e[cells] = np.minimum(e[cells], via, out=via)
+            if rows is None:                 # a block of whole rows: a view of e
+                np.minimum(e[cells], via, out=e[cells])
+            else:
+                e[cells] = np.minimum(e[cells], via, out=via)
+
+
+def _reach(d: np.ndarray, a: np.ndarray, b: np.ndarray, symmetric: bool) -> float:
+    """`perturb_metric`'s m, max fl(d - s) over the path sums s of `_edge_paths`
+    on the columns a and b: one-sided when symmetric asserts its lemma's d."""
+    return max(float(np.subtract(d[cells], via, out=via).max())
+               for cells, via in _edge_paths(a, b, one_sided=symmetric))
 
 
 def _lowerable(a: np.ndarray, b: np.ndarray, length: float,
@@ -763,11 +750,18 @@ def perturb_metric(d, amplitude: float, rng: np.random.Generator) -> BoundedMetr
     i joins a uniform pair x != y and lowers e(x, y) by a fraction f_i,
     uniform in [0, 1), of the way to its floor: the larger of e(x, y) / 2
     and the least length the ball allows, m - amplitude + 16uM, with m the
-    largest fl(d - s) over the path sums s of `_edge_paths` on e.  So a
-    shortcut may spend what is left of the ball where it lands.  No n x n
-    array is held but d and the result.
+    largest fl(d - s) over the path sums s of `_edge_paths` on e (`_reach`).
+    So a shortcut may spend what is left of the ball where it lands.  No
+    n x n array is held but d and the result.
 
     Lemma.  Let u = 2^-53, M = max d and K = _SHORTCUTS.
+      * Reach with one add.  Let d be symmetric by value with entries in
+        [0, 2^1000], and A(u, v) = fl(a_u + b_v), B(u, v) = fl(b_u + a_v)
+        for the columns a, b of e.  Rounded subtraction is monotone, so
+        fl(d - min(A, B)) = max(fl(d - A), fl(d - B)); B(u, v) = A(v, u) as
+        fl commutes, and d(u, v) = d(v, u), so m is the largest A term, up to
+        the sign of a zero, which m - amplitude (amplitude > 0) drops.
+        Otherwise both sums are formed.
       * Ball.  As 0 <= s <= 2M(1 + u) and l <= M, d(u, v) - s <= m + u
         max(d(u, v), s) and a candidate fl(s + l) >= (s + l)(1 - u): a
         length at or above the float floor keeps every entry >= d -
@@ -803,29 +797,27 @@ def perturb_metric(d, amplitude: float, rng: np.random.Generator) -> BoundedMetr
     n, top = len(d), diameter(d)
     if top == 0 or amplitude == 0 or n < 2:
         return BoundedMetric(e, start)
-    proven = (start is not None and top <= 2.0 ** 1000 and d.min() >= 0
-              and sup_distance(d, d.T) == 0)
+    # the lemma's preconditions, of the one-add reach and the excess bound
+    symmetric = top <= 2.0 ** 1000 and d.min() >= 0 and is_symmetric(d)
+    proven = start is not None and symmetric
     xs = rng.integers(0, n, _SHORTCUTS)
     ys = rng.integers(0, n - 1, _SHORTCUTS)
     ys += ys >= xs                          # uniform over the pairs x != y
     fractions = rng.uniform(0.0, 1.0, _SHORTCUTS)
     slack = 16 * 2.0 ** -53 * top
+
+    def bound(k):           # the lemma's: k = 5i + 2 before shortcut i, 5K + 4 at the end
+        return max(start, 0.0) * (1.0 + 2.0 ** -50) + k * 2.0 ** -53 * top if proven else None
+
     for i, (x, y, f) in enumerate(zip(xs, ys, fractions)):
-        reach = max(float(np.subtract(d[cells], via, out=via).max())
-                    for cells, via in _edge_paths(e[:, x].copy(), e[:, y].copy()))
+        reach = _reach(d, e[:, x].copy(), e[:, y].copy(), symmetric)
         floor = max(reach - amplitude + slack, e[x, y] / 2)
         if floor < e[x, y]:
-            # the lemma's bound on the exact excess before shortcut i
-            drift = (max(start, 0.0) * (1.0 + 2.0 ** -50) + (5 * i + 2) * 2.0 ** -53 * top
-                     if proven else None)
-            shorten_edge(e, x, y, max(e[x, y] - f * (e[x, y] - floor), floor), drift)
+            shorten_edge(e, x, y, max(e[x, y] - f * (e[x, y] - floor), floor), bound(5 * i + 2))
     achieved = sup_distance(e, d)
     if achieved > amplitude + 1e-12:
         raise RuntimeError(f"perturbation overshoot: {achieved} > {amplitude}")
-    excess = None
-    if proven:
-        excess = max(start, 0.0) * (1.0 + 2.0 ** -50) + (5 * _SHORTCUTS + 4) * 2.0 ** -53 * top
-    return BoundedMetric(e, excess)
+    return BoundedMetric(e, bound(5 * _SHORTCUTS + 4))
 
 
 # ---------------------------------------------------------------------------
@@ -836,10 +828,12 @@ def make_grid_space(dims: Sequence[int], spacing: float, ground: str = "linf") -
     """Lattice of the given extents with an l-infinity (default) ground metric.
 
     The nominal dimension is len(dims); the base point is the origin.  The
-    metric is built by row blocks with `_lattice_rows`, and the space is
-    certified by the lemma's bound (2r + 2) u M below, not by a sweep.  When
-    its preconditions fail (coordinates too large, or a spacing below the
-    least normal float or not finite) the space is swept.
+    metric folds one k x k table of |i - j| per axis (squared for l2) into
+    the result, read as a (dims + dims) array, by broadcast maxima (linf)
+    or sums of exact integers, then takes the root (l2) and the product by
+    the spacing.  It is certified by the lemma's bound (2r + 2) u M below,
+    or swept when the preconditions fail (coordinates too large, or a
+    spacing below the least normal float or not finite).
 
     Lemma.  Let u = 2^-53, s the spacing, N(x, y) the exact ground norm of
     the integer difference c_x - c_y, and M the largest entry of d.  Every
@@ -873,17 +867,25 @@ def make_grid_space(dims: Sequence[int], spacing: float, ground: str = "linf") -
         raise ValueError("spacing must be positive")
     if ground not in _GROUNDS:
         raise ValueError(f"unknown ground metric {ground!r}")
-    coords = np.array(list(itertools.product(*(range(k) for k in dims))), dtype=int)
-    n = len(coords)
-    axes = coords.T.astype(float)
-    d = np.empty((n, n))
-    for lo, hi in row_spans(n, n):
-        _lattice_rows(axes, lo, hi, ground, spacing, d[lo:hi])
+    k = len(dims)
+    coords = np.indices(dims).reshape(k, -1).T       # row-major, the last axis fastest
+    tables = [(np.abs(np.subtract.outer(np.arange(m), np.arange(m))) ** (1 + (ground == "l2")))
+              .astype(float).reshape([m if b % k == a else 1 for b in range(2 * k)])
+              for a, m in enumerate(dims)]
+    d = np.empty((len(coords),) * 2)
+    grid, fold = d.reshape(dims + dims), (np.maximum if ground == "linf" else np.add)
+    fold(tables[0], tables[1] if k > 1 else 0.0, out=grid)
+    for table in tables[2:]:
+        fold(grid, table, out=grid)
+    if ground == "l2":
+        np.sqrt(d, out=d)
+    d *= spacing
     excess = None
     if (len(dims) * (2 * (max(dims) - 1)) ** 2 < 2 ** 53
             and np.finfo(float).tiny <= spacing < np.inf):
-        excess = (2 * _GROUNDS[ground] + 2) * 2.0 ** -53 * float(d.max())
-    names = tuple("-".join(map(str, c)) for c in coords)
+        # the far corner has the largest ground value, and an entry rises with it
+        excess = (2 * _GROUNDS[ground] + 2) * 2.0 ** -53 * float(d[0, -1])
+    names = tuple("-".join(map(str, c)) for c in coords.tolist())
     return FiniteMetricSpace(names, BoundedMetric(d, excess), base_index=0,
                              coords=coords, nominal_dim=len(dims))
 
@@ -910,14 +912,12 @@ def restrict_space(space: FiniteMetricSpace, members: Sequence[int],
 
     The subspace is certified by its parent's `excess`, not by a sweep.
     Lemma: that value bounds the triangle excess the sweep would measure on
-    the submatrix.  Its entries are bitwise the parent's, and every triple
-    (i, j, k) of the subset is a triple of the parent.  For a pair (i, k) of
-    the subset the minimum of fl(d(i, j) + d(j, k)) runs over fewer
-    candidates j than in the parent, so it is no lower, and the subset's
-    excess at (i, k) is at most the parent's.  So the measured excess of the
-    subset is at most the parent's, which `space.excess` bounds: it is that
-    measurement or a derived bound above it.  A constructed space always has
-    `excess` <= DEFAULT_TOL, so a restriction is never swept.
+    the submatrix.  Its entries are bitwise the parent's, and for a pair
+    (i, k) of the subset the minimum of fl(d(i, j) + d(j, k)) runs over
+    fewer candidates j than in the parent, so it is no lower: the subset's
+    excess at (i, k) is at most the parent's, which `space.excess` bounds
+    (it is that measurement or a derived bound above it).  A constructed
+    space has `excess` <= DEFAULT_TOL, so a restriction is never swept.
     """
     idx = as_indices(members, space)
     if not idx:

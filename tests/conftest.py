@@ -635,9 +635,11 @@ def lipschitz_constant_dense(values, d: np.ndarray) -> float:
     return best
 
 
-def min_plus_excess_by_via(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
+def min_plus_excess_by_via(d: np.ndarray, symmetric=None) -> tuple[float, tuple[int, int, int]]:
     """The min-plus triangle sweep that records, for every pair (i, k), the
-    first j attaining min_j d(i, j) + d(j, k) as it goes."""
+    first j attaining min_j d(i, j) + d(j, k) as it goes.  It sweeps every
+    matrix in full, so it takes the library's `symmetric` argument and
+    ignores it."""
     n = d.shape[0]
     best = np.full((n, n), np.inf)
     via = np.zeros((n, n), dtype=int)
@@ -699,7 +701,8 @@ def validate_metric_full(mat: np.ndarray, allow_zero: bool = False) -> spaces.Va
     check on the whole matrix, through n x n temporaries (|mat - mat.T| and a
     copy with an infinite diagonal), its witness the first worst entry of
     np.argmax or np.argmin.  The triangle check is `_min_plus_excess`, as in
-    the library, and the report records its excess."""
+    the library, and the report records its excess and whether mat equals
+    its transpose."""
     mat = np.asarray(mat, dtype=float)
     if not np.isfinite(mat).all():
         i, j = np.unravel_index(np.argmin(np.isfinite(mat)), mat.shape)
@@ -730,7 +733,112 @@ def validate_metric_full(mat: np.ndarray, allow_zero: bool = False) -> spaces.Va
         excess, witness = spaces._min_plus_excess(mat)
         if excess > tol:
             violations.append(spaces.Violation("triangle", witness, excess))
-    return spaces.ValidationReport(tuple(mat.shape), tuple(violations), excess)
+    return spaces.ValidationReport(tuple(mat.shape), tuple(violations), excess,
+                                   bool(np.array_equal(mat, mat.T)))
+
+
+def validate_metric_by_scans(mat: np.ndarray, allow_zero: bool = False,
+                             excess_bound=None) -> spaces.ValidationReport:
+    """`spaces.validate_metric` as earlier versions scanned it: every axiom
+    by its own `_first_max` row-block scan (a nonfinite scan, a |mat -
+    mat.T| scan, a whole-matrix minimum and a negated off-diagonal scan),
+    whether or not the axiom holds.  The report's `symmetric` is
+    np.array_equal(mat, mat.T)."""
+    mat = np.asarray(mat, dtype=float)
+    n = mat.shape[0]
+    tol = spaces.DEFAULT_TOL
+    bad, i, j = spaces._first_max(n, lambda lo, hi: ~np.isfinite(mat[lo:hi]))
+    if bad > 0:
+        return spaces.ValidationReport(tuple(mat.shape), (
+            spaces.Violation("nonfinite", (i, j), float(mat[i, j])),))
+    violations = []
+    diag = np.abs(np.diagonal(mat))
+    if diag.size and diag.max() > tol:
+        i = int(np.argmax(diag))
+        violations.append(spaces.Violation("diagonal", (i,), float(diag[i])))
+    asym, i, j = spaces._first_max(n, lambda lo, hi: np.abs(mat[lo:hi] - mat[:, lo:hi].T))
+    if asym > tol:
+        violations.append(spaces.Violation("symmetry", (i, j), asym))
+    if n and -mat.min() > tol:
+        i, j = np.unravel_index(np.argmin(mat), mat.shape)
+        violations.append(spaces.Violation("negative", (int(i), int(j)), float(-mat[i, j])))
+    if not allow_zero and n > 1:
+        def negated_off_diagonal(lo, hi):
+            block = np.negative(mat[lo:hi])
+            block[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
+            return block
+
+        gap, i, j = spaces._first_max(n, negated_off_diagonal)
+        if -gap <= tol:
+            violations.append(spaces.Violation("zero_offdiag", (i, j), gap))
+    excess = 0.0
+    if excess_bound is not None and excess_bound <= tol:
+        excess = float(excess_bound)
+    elif n:
+        excess, witness = spaces._min_plus_excess(mat)
+        if excess > tol:
+            violations.append(spaces.Violation("triangle", witness, excess))
+    return spaces.ValidationReport(tuple(mat.shape), tuple(violations), excess,
+                                   bool(np.array_equal(mat, mat.T)))
+
+
+def reach_by_two_adds(d: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """`spaces._reach` as earlier versions formed it on every matrix: the
+    largest fl(d(u, v) - min(fl(a_u + b_v), fl(b_u + a_v))), through two
+    n x n arrays of path sums."""
+    s = np.minimum(np.add.outer(a, b), np.add.outer(b, a))
+    return float((np.asarray(d, dtype=float) - s).max())
+
+
+def grid_metric_by_rows(dims, spacing: float, ground: str) -> np.ndarray:
+    """The grid metric of `spaces.make_grid_space` as earlier versions built
+    it, by row blocks (`_lattice_rows`): each block from zeros, one axis at a
+    time, the axis's |difference| folded in by a maximum (linf) or a sum
+    (l1, of squares for l2), then square-rooted for l2 and multiplied by the
+    spacing."""
+    coords = np.array(list(itertools.product(*(range(k) for k in dims))), dtype=int)
+    n = len(coords)
+    axes = coords.T.astype(float)
+    d = np.empty((n, n))
+    for lo, hi in spaces.row_spans(n, n):
+        out = d[lo:hi]
+        out.fill(0.0)
+        for axis in axes:
+            step = np.abs(np.subtract.outer(axis[lo:hi], axis))
+            if ground == "linf":
+                np.maximum(out, step, out=out)
+            else:
+                out += step * step if ground == "l2" else step
+        if ground == "l2":
+            np.sqrt(out, out=out)
+        out *= spacing
+    return d
+
+
+def molecule_norm_matrix_by_rows(op, d: np.ndarray) -> np.ndarray:
+    """`freenorm.molecule_norm_matrix` as earlier versions filled it: the
+    same class table, then one point x at a time, out[x, x:] from the table
+    and out[x, :x] mirrored from the rows above."""
+    d_a = np.asarray(d, dtype=float)[np.ix_(op.domain, op.domain)]
+    base = op.base_position
+    n, m = op.matrix.shape
+    classes = op._classes
+    reps, cls = classes.reps, classes.cls
+    cols, vals = fn._sparse_rows(op.matrix[reps])
+    table = np.zeros((len(reps), len(reps)))
+    lp_parts = []
+    for a, b in fn._pair_blocks(reps, classes.last):
+        c, v = fn._difference(cols[a], vals[a], cols[b], vals[b], m)
+        table[a, b], needs_lp = fn._triage(c, v, d_a, base)
+        lp_parts.append((a[needs_lp], b[needs_lp], c[needs_lp], v[needs_lp]))
+    if lp_parts:
+        a, b, c, v = map(np.concatenate, zip(*lp_parts))
+        table[a, b] = fn._lp_norms(c, v, d_a, base, {})
+    out = np.empty((n, n))
+    for x in range(n):
+        out[x, x:] = table[cls[x], cls[x:]]
+        out[x, :x] = out[:x, x]
+    return out
 
 
 def metric_extension_by_lp(d: np.ndarray, members, rho: np.ndarray) -> float:
@@ -820,9 +928,9 @@ def sweeps_of(monkeypatch):
     calls = []
     sweep = spaces._min_plus_excess
 
-    def counted(d):
+    def counted(d, *symmetric):
         calls.append(d.shape)
-        return sweep(d)
+        return sweep(d, *symmetric)
 
     monkeypatch.setattr(spaces, "_min_plus_excess", counted)
     return calls

@@ -608,10 +608,15 @@ class TestReportLayout:
 
             space = lf.space_from_json(report["space"])
             net = report["bundle"]["cover"]["net"]
-            op = lf.WeightOperator(space, net, report["bundle"]["weights"], partition=True)
+            weights = np.zeros((space.n, len(net)))
+            for i, j, value in report["bundle"]["weights"]:
+                weights[i, j] = value
+            op = lf.WeightOperator(space, net, weights, partition=True)
             induced = lf.molecule_norm_matrix(op, space.dist)
             adapted = induced + lf.quotient_pseudometric(space.dist, net)
             bundle = lf.build_extension_bundle(lf.build_net_cover(space, eps))
+            assert weights.tobytes() == bundle.pou.matrix.tobytes()
+            assert report["bundle"]["weights"] == cli._changes(bundle.pou.matrix, 0.0)
             rebuilt = lf.molecule_norm_matrix(bundle.pou, bundle.nc.space.dist)
             assert induced.tobytes() == rebuilt.tobytes()
             assert adapted.tobytes() == bundle.adapted.tobytes()
@@ -619,6 +624,17 @@ class TestReportLayout:
             assert lf.sup_distance(space.dist, adapted) == sup["measured"]
             xs, ys = np.triu_indices(space.n, k=1)
             assert (induced[xs, ys] / adapted[xs, ys]).max() == report["bundle"]["operator_norm"]
+
+    def test_extend_30x30_report_stays_small(self, tmp_path):
+        # the benchmark's 30 x 30 workload: 900 x 100 weights, 900 of them nonzero
+        cfg = write_config(tmp_path, "c.json", {
+            "space": grid_space_json([30, 30], 0.02), "eps_schedule": [0.125], "seed": 7,
+            "perturbations": {"count": 1},
+        })
+        assert main(["--out-dir", str(tmp_path / "out"), "extend", cfg]) == 0
+        report = next((tmp_path / "out").glob("extend-*.json"))
+        assert report.stat().st_size < 32 * 1024
+        assert len(json.loads(report.read_text())["bundle"]["weights"]) == 900
 
     def test_changes_compare_bits(self):
         # -0.0 == 0.0, but the bits differ, and a rebuild must keep the sign

@@ -136,6 +136,29 @@ class TestBrickCover:
             lf.brick_cover(space, 0.0)
 
 
+class TestBrickKeyRange:
+    """The window indices and brick keys of `covers._bricks` are int64; a
+    space whose active axes could wrap them is refused, naming the axis,
+    before any of them is computed."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_axis_spanning_past_int64_is_refused(self):
+        space = lf.FiniteMetricSpace(("a", "b", "c"), np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0.0]]),
+                                     coords=np.array([[-2 ** 63], [0], [2 ** 63 - 1]]))
+        with pytest.raises(CoverError, match=f"axis 0 spans {2 ** 64 - 1} lattice steps"):
+            lf.brick_cover(space, 0.25)
+        with pytest.raises(CoverError, match="axis 0 spans"):
+            lf.build_net_cover(space, 0.25)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_product_of_axis_spans_is_bounded(self):
+        # each axis alone fits, the keys of the two together would not
+        space = lf.FiniteMetricSpace(("a", "b"), np.array([[0, 1], [1, 0.0]]),
+                                     coords=np.array([[0, 0], [2 ** 31, 2 ** 31]]))
+        with pytest.raises(CoverError, match=f"axis 1 spans {2 ** 31} lattice steps"):
+            lf.brick_cover(space, 0.25)
+
+
 class TestBuildNetCover:
     def test_single_point_space(self):
         space = lf.make_grid_space([1], 1.0)

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
 from lipfree.extension import _adapted_excess_bound
-from lipfree.spaces import _min_plus_excess
+from lipfree.spaces import _min_plus_excess, is_symmetric
 from conftest import (complement_distances_by_sets, lip_ball_vertices, line_space,
                       operator_norm_by_vertices, sweeps_of)
 
@@ -202,7 +202,7 @@ def adapted_bound_and_sweep(d, net, b):
     adapted = lf.quotient_pseudometric(d, net)
     adapted += b
     bound = _adapted_excess_bound(d, _min_plus_excess(d)[0], b, _min_plus_excess(b)[0],
-                                  adapted)
+                                  adapted, is_symmetric(d))
     return bound, _min_plus_excess(adapted)[0]
 
 
@@ -265,7 +265,7 @@ class TestAdaptedExcessBound:
         else:
             b[1, 2] = b[2, 1] = -1e-12
         adapted = lf.quotient_pseudometric(d, [0]) + b
-        assert _adapted_excess_bound(d, 0.0, b, 0.0, adapted) == np.inf
+        assert _adapted_excess_bound(d, 0.0, b, 0.0, adapted, is_symmetric(d)) == np.inf
 
     def test_bundle_sweeps_only_the_induced_pseudometric(self, monkeypatch):
         nc = lf.build_net_cover(lf.make_grid_space([7, 7], 1 / 24), 0.3)

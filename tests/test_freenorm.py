@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
-from lipfree import freenorm as fn, gluing as gluemod, lp as lpmod
+from lipfree import freenorm as fn, gluing as gluemod, lp as lpmod, spaces
 from conftest import (ONE_900, count_solves, dense_rows, dual_norm, free_norm_by_vertices,
                       free_space_norm, lipschitz_constant_dense, line_space, lp_norm_dense,
-                      molecule_norm_matrix_dense, molecule_norms_by_pairs,
+                      molecule_norm_matrix_by_rows, molecule_norm_matrix_dense,
+                      molecule_norms_by_pairs,
                       operator_norm_by_molecules, operator_norm_by_ratio_vector,
                       operator_norm_dense, solution_bytes, solve_serial, traced_peak,
                       triage_dense, upper_pair)
@@ -560,6 +561,34 @@ def lp_pair_rows(op, d_a):
 
 
 class TestMoleculeNormLayer:
+    @given(st.integers(1, 14), st.integers(0, 2 ** 16), st.sampled_from(["indicator", "order 2"]),
+           st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_fill_equals_the_row_loop(self, n, seed, kind, rows):
+        # indicator rows (order 0) and rows of two nonzeros (order 1), many of
+        # them equal, filled by row blocks of `rows` rows against the point loop
+        rng = np.random.default_rng(seed)
+        space = lf.random_metric_space(n, seed=rng)
+        others = [i for i in range(n) if i != space.base_index]
+        domain = [space.base_index, *rng.permutation(others)[:rng.integers(0, n)].tolist()]
+        w = np.zeros((n, len(domain)))
+        first, second = rng.integers(0, len(domain), (2, n))
+        share = rng.choice([0.25, 0.5, 1.0], n) if kind == "order 2" else np.ones(n)
+        np.add.at(w, (np.arange(n), first), share)
+        np.add.at(w, (np.arange(n), second), 1.0 - share)
+        op = lf.WeightOperator(space, tuple(domain), w, partition=True)
+        with mock.patch.object(spaces, "_BLOCK_CELLS", rows * n):
+            got = lf.molecule_norm_matrix(op, space.dist)
+        assert got.tobytes() == molecule_norm_matrix_by_rows(op, space.dist).tobytes()
+
+    @pytest.mark.parametrize("dims, ground, eps, probe", [
+        ((13, 13), "linf", 0.25, None), ((13, 13), "linf", 0.25, 3), ((9, 7), "l1", 0.4, 1)])
+    def test_fill_equals_the_row_loop_on_pipeline_partitions(self, dims, ground, eps, probe):
+        op = grid_partition(dims, ground, eps, probe)
+        for d in (op.space.dist, lf.quotient_pseudometric(op.space.dist, op.domain)):
+            got = lf.molecule_norm_matrix(op, d)
+            assert got.tobytes() == molecule_norm_matrix_by_rows(op, d).tobytes()
+
     @given(st.integers(0, 10_000), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_matrix_equals_per_pair_sweep(self, seed, partition):

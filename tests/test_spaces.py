@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import sys
 import threading
@@ -11,9 +12,10 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
-from conftest import (ONE_900, floyd_warshall_serial, grid_metric_by_broadcast, line_space,
-                      min_plus_excess_by_via, random_metric_by_triu, shorten_edge_by_outer,
-                      sweeps_of, traced_peak, validate_metric_full)
+from conftest import (ONE_900, floyd_warshall_serial, grid_metric_by_broadcast,
+                      grid_metric_by_rows, line_space, min_plus_excess_by_via,
+                      random_metric_by_triu, reach_by_two_adds, shorten_edge_by_outer, sweeps_of,
+                      traced_peak, validate_metric_by_scans, validate_metric_full)
 from lipfree import spaces
 from lipfree.spaces import _min_plus_excess
 
@@ -448,8 +450,9 @@ class TestRowBlockScans:
         mat, rows = case
         with mock.patch.object(spaces, "_BLOCK_CELLS", rows * mat.shape[0]):
             got = lf.validate_metric(mat, allow_zero=allow_zero)
+            scans = validate_metric_by_scans(mat, allow_zero=allow_zero)
         # repr tells NaN from NaN and -0.0 from 0.0 apart, as the bits would
-        assert repr(got) == repr(validate_metric_full(mat, allow_zero=allow_zero))
+        assert repr(got) == repr(validate_metric_full(mat, allow_zero=allow_zero)) == repr(scans)
 
     def test_ties_across_blocks_go_to_the_first_row(self, monkeypatch):
         monkeypatch.setattr(spaces, "_BLOCK_CELLS", 6)         # one row per block
@@ -473,6 +476,66 @@ class TestRowBlockScans:
         rep = lf.validate_metric(d)
         assert [(v.kind, v.witness, v.amount) for v in rep.violations] == \
             [("nonfinite", (2, 4), -np.inf)]
+
+
+TOL = lf.DEFAULT_TOL
+
+
+def axiom_case(name):
+    """A matrix for one edge of the one-pass axiom check."""
+    d = np.ones((4, 4)) - np.eye(4)
+    if name in ("asymmetry at tol", "asymmetry one ulp above"):
+        # |2 tol - tol| is tol exactly; one ulp less on the lower side is one above
+        d[0, 1], d[1, 0] = 2 * TOL, TOL if name == "asymmetry at tol" else np.nextafter(TOL, 0.0)
+    elif name == "signed zero pair":
+        d[1, 2], d[2, 1] = 0.0, -0.0
+    elif name == "nan":
+        d[2, 3] = np.nan
+    elif name == "negative diagonal":
+        d[3, 3] = -2 * TOL
+    else:
+        d = {"n0": np.zeros((0, 0)), "n1": np.zeros((1, 1)), "n2": np.array([[0.0, 1.0], [1.0, 0.0]]),
+             "n2 zero": np.array([[0.0, -0.0], [0.0, 0.0]])}[name]
+    return d
+
+
+class TestAxiomPass:
+    """`validate_metric` decides finiteness, the minimum and the off-diagonal
+    minimum in one pass, tests symmetry once, and scans for a witness only
+    when an axiom fails: on the edges of each axiom, every report, witnesses
+    and amounts included, is bitwise what the scans of earlier versions give
+    (`validate_metric_by_scans`), as on the drawn matrices of
+    `TestRowBlockScans`."""
+
+    @pytest.mark.parametrize("name", ["asymmetry at tol", "asymmetry one ulp above",
+                                      "signed zero pair", "nan", "negative diagonal",
+                                      "n0", "n1", "n2", "n2 zero"])
+    @pytest.mark.parametrize("allow_zero", [False, True])
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    def test_edge_cases_equal_the_scans(self, name, allow_zero, rows, monkeypatch):
+        d = axiom_case(name)
+        monkeypatch.setattr(spaces, "_BLOCK_CELLS", rows * max(len(d), 1))
+        got = lf.validate_metric(d, allow_zero=allow_zero)
+        assert repr(got) == repr(validate_metric_by_scans(d, allow_zero=allow_zero))
+        kinds = {v.kind for v in got.violations}
+        if name.startswith("asymmetry"):
+            assert abs(d[0, 1] - d[1, 0]) == (TOL if name.endswith("tol")
+                                              else np.nextafter(TOL, 1.0))
+            assert ("symmetry" in kinds) == name.endswith("above")
+            assert got.symmetric is False
+        if name in ("signed zero pair", "n2 zero"):
+            assert got.symmetric is True and "symmetry" not in kinds
+            assert ("zero_offdiag" in kinds) != allow_zero
+        if name == "nan":
+            assert [v.kind for v in got.violations] == ["nonfinite"] and got.symmetric is None
+
+    def test_passing_matrix_is_not_scanned(self, monkeypatch):
+        # a valid metric costs no witness scan at all
+        scans = []
+        first_max = spaces._first_max
+        monkeypatch.setattr(spaces, "_first_max", lambda *a: scans.append(a) or first_max(*a))
+        assert lf.validate_metric(lf.make_grid_space([6, 5], 0.1).dist).ok
+        assert scans == []
 
 
 @st.composite
@@ -739,12 +802,23 @@ class TestGridSpace:
         space = lf.make_grid_space(np.array([3, 2]), 0.5)
         assert space.n == 6 and space.nominal_dim == 2
 
-    @given(st.lists(st.integers(1, 5), min_size=1, max_size=3),
-           st.sampled_from(["linf", "l1", "l2"]), st.sampled_from([1.0, 0.02, 0.1, 1 / 3, 7.5]))
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           st.sampled_from(["linf", "l1", "l2"]), st.sampled_from([1.0, 0.02, 0.1, 1 / 3, 7.5]),
+           st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
-    def test_matches_the_broadcast_formula(self, dims, ground, spacing):
-        got = lf.make_grid_space(dims, spacing, ground=ground).dist
-        assert got.tobytes() == grid_metric_by_broadcast(dims, spacing, ground).tobytes()
+    def test_matches_the_broadcast_formula(self, dims, ground, spacing, rows):
+        # the axis tables folded by broadcast, against the whole difference
+        # array and the row-block loop of earlier versions, with the points
+        # in itertools.product order
+        space = lf.make_grid_space(dims, spacing, ground=ground)
+        want = grid_metric_by_broadcast(dims, spacing, ground)
+        assert space.dist.tobytes() == want.tobytes()
+        with mock.patch.object(spaces, "_BLOCK_CELLS", rows * int(np.prod(dims))):
+            assert grid_metric_by_rows(dims, spacing, ground).tobytes() == want.tobytes()
+        coords = list(itertools.product(*(range(k) for k in dims)))
+        assert space.coords.tolist() == [list(c) for c in coords]
+        assert space.points == tuple("-".join(map(str, c)) for c in coords)
+        assert space.excess == (2 * (1 + (ground == "l2")) + 2) * U * want.max()
 
     @pytest.mark.parametrize("ground", ["linf", "l1", "l2"])
     def test_three_axes_match_the_broadcast_formula(self, ground):
@@ -1022,7 +1096,7 @@ class TestRestrictionExcess:
         calls = []
         sweep = spaces._min_plus_excess
         with mock.patch.object(spaces, "_min_plus_excess",
-                               lambda d: calls.append(d.shape) or sweep(d)):
+                               lambda d, *rest: calls.append(d.shape) or sweep(d, *rest)):
             sub = lf.restrict_space(parent, members)
             again = lf.restrict_space(sub, range(0, sub.n, 2))
         assert calls == []
@@ -1278,6 +1352,72 @@ class TestShortenEdge:
         for length in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="positive"):
                 spaces.shorten_edge(e, 0, 2, length)
+
+
+class TestReachOneAdd:
+    """On a start symmetric by value, `_reach` forms one path sum per cell,
+    and its value is the two-add pass of earlier versions
+    (`reach_by_two_adds`): on starts, on probes mid-way through their
+    shortcuts, and on a pseudometric with a signed zero pair.  An
+    asymmetric start takes the two-add pass."""
+
+    @given(bounded_metrics(), st.integers(0, 16), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_add_equals_two_adds(self, start, shortcuts, mid_probe_start, data):
+        d = start.matrix
+        n = len(d)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        e = d.copy()
+        for _ in range(shortcuts):
+            x, y = rng.choice(n, 2, replace=False)
+            spaces.shorten_edge(e, x, y, e[x, y] * rng.uniform(0.25, 1.0))
+        if mid_probe_start:              # a probe is bitwise symmetric too
+            d = e.copy()
+        x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        a, b = e[:, x].copy(), e[:, y].copy()
+        want = reach_by_two_adds(d, a, b)
+        assert spaces._reach(d, a, b, True) == want == spaces._reach(d, a, b, False)
+
+    @given(bounded_metrics(), st.integers(0, 2 ** 16), st.sampled_from([0.05, 0.3, 2.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_probes_equal_the_two_add_probes(self, start, seed, scale):
+        amplitude = scale * float(start.matrix.max())
+        got = lf.perturb_metric(start, amplitude, np.random.default_rng(seed))
+        with mock.patch.object(spaces, "_reach",
+                               lambda d, a, b, symmetric: reach_by_two_adds(d, a, b)):
+            want = lf.perturb_metric(start, amplitude, np.random.default_rng(seed))
+        assert got.matrix.tobytes() == want.matrix.tobytes() and got.excess == want.excess
+
+    def test_signed_zero_pair_keeps_the_probe(self):
+        d = lf.quotient_pseudometric(lf.random_metric_space(12, seed=4).dist, [2, 5, 7])
+        d[2, 5] = -0.0                   # symmetric by value, not bitwise
+        assert spaces.is_symmetric(d) and d.view(np.uint64)[2, 5] != d.view(np.uint64)[5, 2]
+        a, b = d[:, 2].copy(), d[:, 9].copy()
+        assert spaces._reach(d, a, b, True) == reach_by_two_adds(d, a, b)
+        got = lf.perturb_metric(d, 0.1, np.random.default_rng(1)).matrix
+        with mock.patch.object(spaces, "_reach",
+                               lambda d, a, b, symmetric: reach_by_two_adds(d, a, b)):
+            want = lf.perturb_metric(d, 0.1, np.random.default_rng(1)).matrix
+        assert got.tobytes() == want.tobytes()
+
+    def test_asymmetric_start_takes_two_adds(self):
+        d = np.array([[0.0, 1.0], [5.0, 0.0]])
+        a, b = d[:, 0].copy(), d[:, 1].copy()
+        # the B term of (1, 0) is 0 + 0 and holds the maximum; its mirror is 1 + 5
+        assert spaces._reach(d, a, b, False) == reach_by_two_adds(d, a, b) == 5.0
+        assert spaces._reach(d, a, b, True) == 1.0
+        start = lf.random_metric_space(9, seed=2).dist.copy()
+        start[3, 4] = np.nextafter(start[3, 4], 9.0)
+        calls = []
+        reach = spaces._reach
+        with mock.patch.object(spaces, "_reach",
+                               lambda *args: calls.append(args[3]) or reach(*args)):
+            got = lf.perturb_metric(start, 0.2, np.random.default_rng(5)).matrix
+        assert calls and not any(calls)
+        with mock.patch.object(spaces, "_reach",
+                               lambda d, a, b, symmetric: reach_by_two_adds(d, a, b)):
+            want = lf.perturb_metric(start, 0.2, np.random.default_rng(5)).matrix
+        assert got.tobytes() == want.tobytes()
 
 
 class TestExcessBoundArgument:
