@@ -7,7 +7,7 @@ from .spaces import (DEFAULT_TOL, BoundedMetric, DensityReport, FiniteMetricSpac
                      restrict_space, set_distance, sup_distance, truncate, validate_metric,
                      validate_pseudometric)
 from .config import space_from_json
-from .lp import LinearProgram, LpError, LpSolution, ProgramStack, solve, solve_stack
+from .lp import LpError
 from .freenorm import (AdmissionError, MetricExtension, MetricExtensionError,
                        WeightOperator, free_norms, lipschitz_constant,
                        metric_extension_lp, molecule_norm_matrix, operator_norm)

@@ -1,16 +1,17 @@
 """Lipschitz constants, free-space norms, extension operators, metric extension.
 
 The norm of a finitely supported functional mu = sum_i w_i delta_{x_i} over a
-finite metric space is computed in the dual formulation:
+finite metric space is the value of the Lipschitz LP
 
     max  sum_i w_i f(x_i)
     s.t. f(base) = 0 and |f(x) - f(y)| <= d(x, y) for all pairs,
 
-a finite LP whose value equals the norm by LP duality.  The norm only depends
-on the metric restricted to the support plus the base point, so the LP is
-solved on that subspace; the equivalence with the full LP is covered by the
-test suite.  Its dual is a transport problem, and the molecules with one
-point on a side or two on each take their closed forms instead (`_triage`).
+which depends only on the metric restricted to the support plus the base
+point (McShane).  Its dual is a transport problem: the least cost of a plan
+from mu+ onto mu-, once mu is balanced at the base.  The molecules with one
+point on a side or two on each take their closed forms (`_triage`); the rest
+go to the stacked transport solver `lp.transport`, whose plan and potential
+are checked to enclose the norm before its cost is taken (`_lp_norms`).
 """
 
 from __future__ import annotations
@@ -72,39 +73,6 @@ def lipschitz_constant(values, d: np.ndarray) -> float:
 # free-space norm
 
 
-def _dual_norms(weights: np.ndarray, d_subs: np.ndarray) -> np.ndarray:
-    """LP values for the rows of weights (k x q), row p over points 0..q-1
-    with the base at index q.
-
-    d_subs[p] is the (q+1) x (q+1) metric on support + base of row p, base
-    last.  The rows of every program are f_i - f_j <= d(i, j) for i != j in
-    row-major order, then f_i <= d(i, base) and -f_i <= d(base, i) for each
-    i; they depend on q alone, so they are built once and the k programs are
-    solved as one `lpmod.ProgramStack`.  Each program must end optimal within
-    its own residual limit.
-    """
-    k, q = weights.shape
-    if q == 0:
-        return np.zeros(k)
-    eye = np.eye(q)
-    i, j = np.nonzero(~np.eye(q, dtype=bool))
-    stack = lpmod.ProgramStack(
-        objective=weights,
-        rows=np.vstack([eye[i] - eye[j], np.stack([eye, -eye], axis=1).reshape(2 * q, q)]),
-        rhs=np.concatenate([d_subs[:, i, j], np.stack([d_subs[:, :q, q], d_subs[:, q, :q]],
-                                                      axis=2).reshape(k, 2 * q)], axis=1),
-    )
-    out = np.empty(k)
-    for p, sol in enumerate(lpmod.solve_stack(stack)):
-        if sol.status != "optimal":
-            raise lpmod.LpError(f"norm LP ended with status {sol.status}")
-        allowed = lpmod.SOLVER_TOL * max(1.0, float(np.abs(stack.rhs[p]).max()))
-        if sol.max_violation > allowed:
-            raise lpmod.LpError(f"norm LP residual {sol.max_violation:.3g} exceeds {allowed:.3g}")
-        out[p] = max(sol.value, 0.0)
-    return out
-
-
 def _sparse_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of w as (columns, values): each row's nonzero columns in
     ascending order and their entries, padded to the widest row (at least
@@ -149,7 +117,7 @@ def _difference(cols_a: np.ndarray, vals_a: np.ndarray, cols_b: np.ndarray,
 def _triage(cols: np.ndarray, vals: np.ndarray, d: np.ndarray,
             base: int) -> tuple[np.ndarray, np.ndarray]:
     """Transport norms of the sparse rows (cols, vals) that have one point
-    on a side or two on each, and a mask of the rows that need the LP.
+    on a side or two on each, and a mask of the rows that need the solver.
 
     Zeroes the base entries of vals in place, then balances each row c by a
     base entry -sum c, summed slot by slot: the real columns are ascending
@@ -248,14 +216,17 @@ def _two_by_two(cols: np.ndarray, vals: np.ndarray, pos: np.ndarray, neg: np.nda
 
 def _lp_norms(cols: np.ndarray, vals: np.ndarray, d: np.ndarray, base: int,
               memo: dict) -> np.ndarray:
-    """LP norms of the sparse rows (cols, vals), whose base entries are zero,
-    memoised in memo.
+    """Transport norms of the sparse rows (cols, vals), whose base entries
+    are zero, memoised in memo.
 
     A row's key is the exact bytes of its support and of its weights, in
     column order, as a dense row's `flatnonzero` would give them; with d
-    fixed per memo, equal keys pose the same LP, which the deterministic
-    simplex answers identically.  The keys missing from memo are solved
-    once each, grouped by support size, one `_dual_norms` call per group.
+    fixed per memo, equal keys pose the same program, which the
+    deterministic solver answers identically.  The keys missing from memo
+    are solved once each, one `lpmod.transport` stack per support size,
+    over the support in column order and the base last, balanced by
+    -sum c as in `_triage`.  A norm is its plan's cost, once
+    `_check_witnesses` has passed the plan and the potential.
     """
     keys = []
     groups: dict = {}           # support size -> {key: (support, weights)}
@@ -267,10 +238,61 @@ def _lp_norms(cols: np.ndarray, vals: np.ndarray, d: np.ndarray, base: int,
             groups.setdefault(len(support), {})[key] = (support, weights)
     for group in groups.values():
         subs = np.array([np.append(support, base) for support, _ in group.values()])
-        values = _dual_norms(np.array([weights for _, weights in group.values()]),
-                             d[subs[:, :, None], subs[:, None, :]])
-        memo.update(zip(group, values.tolist()))
+        weights = np.array([weights for _, weights in group.values()])
+        total = np.zeros(len(weights))
+        for s in range(weights.shape[1]):
+            total += weights[:, s]
+        mu = np.concatenate([weights, -total[:, None]], axis=1)
+        d_subs = d[subs[:, :, None], subs[:, None, :]]
+        sol = lpmod.transport(mu, d_subs)
+        _check_witnesses(mu, d_subs, sol)
+        memo.update(zip(group, sol.cost.tolist()))
     return np.array([memo[key] for key in keys], dtype=float)
+
+
+def _check_witnesses(mu: np.ndarray, d: np.ndarray, sol: lpmod.Transport) -> None:
+    """Raise `lpmod.LpError` unless each program of the stack (masses mu
+    over n points, metric D with a zero diagonal) has a plan and a
+    potential that enclose its norm T = max sum mu f over f with
+    f(x) - f(y) <= D(x, y).
+
+    Let m = ||mu||_1, eta = max(D(x, z) - D(x, y) - D(y, z)) the triangle
+    excess of D (0 on a metric) and tau = TOL * max D.  In exact arithmetic:
+      * a plan with marginals mu+ and mu- is a flow of T's dual, so its
+        cost is at least T;
+      * if the potential g has g(x) - g(y) <= D(x, y) + e, then
+        T >= sum mu g - (n - 1) e ||mu+||_1: an optimal dual flow splits
+        into paths of at most n - 1 arcs carrying ||mu+||_1 in all;
+      * the c-transform has e <= eta: with j the target attaining g(y),
+        g(x) - g(y) <= D(x, j) - D(y, j) <= D(x, y) + eta;
+      * the last labels leave every residual arc's reduced cost above -tau
+        and every plan entry's below tau, so g is within tau of -label at
+        a source and within eta + 2 tau below it at a target, and
+        |cost - sum mu g| <= (eta + 2 tau) ||mu+||_1.
+    Rounding adds a few ulps of m to the marginals and of n max D to g and
+    the labels.  So each program must have marginals within TOL * m,
+    e <= eta + tau and |cost - sum mu g| <= n (eta + tau) m.  One that
+    passes has T - 2 n tau m <= cost <= T + 2 n (eta + tau) m: its plan
+    misses at most 2 n TOL m of mu+, priced at most max D per unit by T.
+    """
+    n = mu.shape[1]
+    mass = np.abs(mu).sum(axis=1)
+    tau = lpmod.TOL * d.max(axis=(1, 2), initial=0.0)
+    eta = (d[:, :, None, :] - d[:, :, :, None] - d[:, None, :, :]).max(axis=(1, 2, 3),
+                                                                      initial=0.0)
+    g = sol.potential
+    moved = np.maximum(np.abs(sol.plan.sum(axis=2) - np.maximum(mu, 0.0)),
+                       np.abs(sol.plan.sum(axis=1) - np.maximum(-mu, 0.0))).max(axis=1)
+    excess = (g[:, :, None] - g[:, None, :] - d).max(axis=(1, 2), initial=0.0)
+    gap = np.abs(sol.cost - (mu * g).sum(axis=1))
+    for name, measured, allowed in (("marginal", moved, lpmod.TOL * mass),
+                                    ("potential excess", excess, eta + tau),
+                                    ("gap", gap, n * (eta + tau) * mass)):
+        bad = np.flatnonzero(~(measured <= allowed))
+        if bad.size:
+            p = bad[0]
+            raise lpmod.LpError(f"norm program {p}: {name} {measured[p]:.3g} "
+                                f"exceeds {allowed[p]:.3g}")
 
 
 def _row_norms(cols: np.ndarray, vals: np.ndarray, d: np.ndarray, base: int,
@@ -280,8 +302,8 @@ def _row_norms(cols: np.ndarray, vals: np.ndarray, d: np.ndarray, base: int,
 
     The base entries never matter and are zeroed in place.  `_triage` answers
     the rows with one point on a side or two on each by their transport
-    plans; every other row solves the norm LP once per distinct (support,
-    weights) in memo, all in one `_lp_norms` call.
+    plans; every other row is solved once per distinct (support, weights)
+    in memo, all in one `_lp_norms` call.
     """
     value, needs_lp = _triage(cols, vals, d, base)
     value[needs_lp] = _lp_norms(cols[needs_lp], vals[needs_lp], d, base, memo)
@@ -290,8 +312,8 @@ def _row_norms(cols: np.ndarray, vals: np.ndarray, d: np.ndarray, base: int,
 
 # Pairs per block of the class-pair sweeps, in rows of the pair matrix.  A
 # block's sparse differences are only twice the widest weight row wide, but
-# `_ratio_upper_bounds` fills an m-wide row of star bounds for each of its LP
-# pairs, and those transients grow with the block.  At 4 rows the glue
+# `_ratio_upper_bounds` fills an m-wide row of star bounds for each pair left
+# to the solver, and those transients grow with the block.  At 4 rows the glue
 # workload's peak RSS matches one x per block, and the sweeps over the 100
 # classes of the 900-point partitions take 14 blocks each.
 _BLOCK_ROWS = 4
@@ -304,7 +326,7 @@ def _pair_blocks(starts: np.ndarray, ends: np.ndarray):
     are the pairs x < y of n points.
 
     The blocking changes no molecule norm and no ratio: the merge, the
-    triage, the star bounds and the LP read each pair's two weight rows
+    triage, the star bounds and the solver read each pair's two weight rows
     alone.
     """
     counts = len(ends) - np.searchsorted(np.sort(ends), starts, side="right")
@@ -337,22 +359,25 @@ class _RowClasses:
 
 
 # Relative slack an upper bound on a molecule ratio must clear before its pair
-# is pruned.  It dwarfs the rounding in the bound and in the LP optimum, so a
-# pruned pair lies strictly below the maximum.
+# is pruned.  It dwarfs the rounding in the bound and the enclosure of the
+# transport cost (`_ratio_upper_bounds`), so a pruned pair lies strictly below
+# the maximum.
 PRUNE_MARGIN = 1e-6
 
 
 def _ratio_upper_bounds(cols: np.ndarray, vals: np.ndarray, d: np.ndarray,
                         base: int, d_t: np.ndarray) -> np.ndarray:
-    """Upper bounds on LP-norm / d_t for the sparse rows (cols, vals), with
-    the padding of `_sparse_rows` and zero base entries.
+    """Upper bounds on transport-norm / d_t for the sparse rows (cols, vals),
+    with the padding of `_sparse_rows` and zero base entries.
 
-    For f with f(base) = 0 and Lipschitz constant 1 and any point p,
-      sum_i c_i f(i) = sum_i c_i (f(i) - f(p)) + (sum_i c_i) f(p)
-                     <= sum_i |c_i| d(i, p) + |sum_i c_i| d(p, base),
-    so the minimum over p bounds the norm.  The LP may accept potentials that
-    break each constraint by its residual limit; that adds at most twice the
-    limit times ||c||_1.  PRUNE_MARGIN covers the rounding of all of it.
+    Balance a row c by mu(base) = -sum c.  For any point p, the flow that
+    sends each source's mass to p and each target's from p is a flow of the
+    norm LP's dual, so its cost star(p) = sum_x |mu_x| d(x, p) (d symmetric,
+    as every pipeline metric is) bounds the LP optimum T.  `_lp_norms`
+    returns at most T + 2 n (eta + tau) m (`_check_witnesses`).
+    PRUNE_MARGIN covers that and the rounding: star(p) >= (m / 2) d_min, for
+    d_min the least distance from p to another point with mass, and on a
+    pipeline metric d_min is far above 4e6 n (eta + TOL max d).
 
     The sums run over each row's slots in order, one elementwise add per
     slot, so a row's bound depends on that row alone and not on the other
@@ -365,17 +390,14 @@ def _ratio_upper_bounds(cols: np.ndarray, vals: np.ndarray, d: np.ndarray,
     star = np.zeros((len(cols), m))
     term = np.empty_like(star)
     total = np.zeros(len(cols))
-    mass = np.zeros(len(cols))
     for s in range(cols.shape[1]):
         np.take(d, cols[:, s], axis=0, mode="clip", out=term)
         term *= abs_v[:, s, None]
         star += term
         total += vals[:, s]
-        mass += abs_v[:, s]
     np.multiply(np.abs(total)[:, None], d[base][None, :], out=term)
     star += term
-    residual = 2.0 * lpmod.SOLVER_TOL * max(1.0, float(d.max())) * mass
-    return (star.min(axis=1) + residual) * (1.0 + PRUNE_MARGIN) / d_t
+    return star.min(axis=1) * (1.0 + PRUNE_MARGIN) / d_t
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +478,7 @@ def free_norms(op: WeightOperator, d: np.ndarray, rows) -> np.ndarray:
     """Free-space norms over (A, d|A) of the dense rows, each a weight vector
     over the domain A of op, for the n x n metric d on all points.  Rows are
     read by their nonzeros, as in `molecule_norm_matrix`, and each distinct
-    (support, weights) solves the norm LP at most once."""
+    (support, weights) goes to the transport solver at most once."""
     _, d_a, base = _metrics(op, d)
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != len(op.domain):
@@ -475,8 +497,8 @@ def molecule_norm_matrix(op: WeightOperator, d: np.ndarray) -> np.ndarray:
     norms are computed once per oriented pair (a, b) of bitwise-distinct
     rows that some pair x < y takes, x in class a and y in class b (classes
     numbered by first occurrence, with first(a) < last(b)), as w[x] - w[y]
-    from the representatives and never as w[y] - w[x]: the norm LP of -c
-    is another memo key, whose simplex path may differ in the last bits.
+    from the representatives and never as w[y] - w[x]: the program of -c
+    is another memo key, whose plan may differ in the last bits.
     Entry (x, y), x < y, is read from the table for (class of x, class of
     y) and mirrored to (y, x), by row blocks: from the table right of a
     block's first row, else and below its diagonal from the transpose.
@@ -485,10 +507,10 @@ def molecule_norm_matrix(op: WeightOperator, d: np.ndarray) -> np.ndarray:
     each for a cover of order r).  The differences of a block of pairs
     (`_pair_blocks`) are merged from them by `_difference`, bitwise the
     dense differences, and triaged: molecules with one point on a side or
-    two on each take their transport plans.  The rows left to the LP go to
-    one `_lp_norms` call, which solves the norm LP once per distinct
-    (support, weights) of the whole sweep, in stacks that share a support
-    size; a stacked solve is bitwise a solve alone.
+    two on each take their transport plans.  The rows left go to one
+    `_lp_norms` call, which solves each distinct (support, weights) of the
+    whole sweep once, in transport stacks that share a support size; a
+    stacked solve is bitwise a solve alone.
     """
     _, d_a, base = _metrics(op, d)
     n, m = op.matrix.shape
@@ -571,12 +593,17 @@ class ClassPairs:
 
         The sweep runs over the oriented class pairs (a, b), as in
         `molecule_norm_matrix`, each ratio N(a, b) / least[a, b]; triaged
-        pairs give exact ratios.  The pairs left to the LP are solved in
-        descending order of their `_ratio_upper_bounds` at the least distance
-        until a bound falls below the best ratio so far, below which every
-        pair left lies.  So value and witness (`first_maximiser`) are the
-        exhaustive sweep's.  As in `lipschitz_constant`, a pair at distance 0
-        is skipped when N = 0 (0/0 is NaN, which np.fmax passes over), else inf.
+        pairs give exact ratios.  The rest are solved in descending order of
+        their `_ratio_upper_bounds` at the least distance, in stacks of 1, 2,
+        4, ... pairs, until a stack's leading bound falls below the best
+        ratio so far.  For the final best B, a stack is skipped only when
+        every bound in it and after it lies below a best <= B, so every pair
+        whose bound is at least B is solved, whatever the stacking; a pair
+        whose ratio ties B has its bound at least B.  So value and witness
+        (`first_maximiser`) are the exhaustive sweep's, a pair's cost being
+        bitwise the same in any stack.  As in `lipschitz_constant`, a pair
+        at distance 0 is skipped when N = 0 (0/0 is NaN, which np.fmax
+        passes over), else inf.
         """
         op, least = self.op, self.least
         d_a, base = self.d[np.ix_(op.domain, op.domain)], op.base_position
@@ -598,14 +625,15 @@ class ClassPairs:
                              _ratio_upper_bounds(c[needs_lp], v[needs_lp], d_a, base,
                                                  least[a[needs_lp], b[needs_lp]])))
         lp_a, lp_b, bounds = map(np.concatenate, zip(*lp_parts))
+        order = np.argsort(-bounds, kind="stable")
         memo: dict = {}
-        for i in np.argsort(-bounds, kind="stable"):
-            if bounds[i] < best:
-                break
-            a, b = lp_a[i:i + 1], lp_b[i:i + 1]
+        lo, size = 0, 1
+        while lo < len(order) and not bounds[order[lo]] < best:
+            a, b = lp_a[order[lo:lo + size]], lp_b[order[lo:lo + size]]
             c, v = _difference(cols[a], vals[a], cols[b], vals[b], m)
             table[a, b] = _row_norms(c, v, d_a, base, memo)
-            best = np.fmax(best, table[a[0], b[0]] / least[a[0], b[0]])
+            best = np.fmax.reduce(table[a, b] / least[a, b], initial=best)
+            lo, size = lo + size, 2 * size
         return float(best), self.first_maximiser(table, best)
 
     @np.errstate(divide="ignore", invalid="ignore")

@@ -1,34 +1,30 @@
-"""Small dense simplex for the free-space norm LPs.
+"""Stacked transport solver for the free-space norms.
 
-Every program has the canonical form
+The norm of a balanced functional mu on a finite metric space is the least
+cost of a transport plan from mu+ onto mu- (Kantorovich-Rubinstein; Weaver,
+*Lipschitz Algebras*, 1999).  `transport` solves a stack of such problems,
+each over its own n points and cost matrix, by successive shortest paths:
+each round runs one Bellman-Ford over the residual graph of every unfinished
+program at once, then augments each program along its own path.
 
-    max c.x  subject to  A x <= b,  x free,  b >= 0,
+The residual graph has an arc i -> j at cost d(i, j) from every source i
+(mu_i > 0) to every target j (mu_j < 0), and an arc j -> i at cost -d(i, j)
+against every plan entry y_ij > 0.  A round labels the nodes with path costs
+from the sources that still hold mass, takes the wanting target of least
+label (the first on a tie) and moves as much as the path allows.  A program
+ends when no source holds mass or no target wants any.  Each round along
+shortest paths keeps the plan optimal for the mass it has moved.
 
-the dual Lipschitz LP of a free-space norm (Weaver, *Lipschitz Algebras*,
-ch. 3), whose rows bound differences of potentials by distances.  Because
-b >= 0 the origin is feasible, so the slack basis is a starting vertex and
-one simplex phase suffices.  Each free x_j is split into x_j+ - x_j- in
-adjacent columns.  Bland's anti-cycling rule makes every solve
-deterministic: identical inputs produce bitwise-identical outputs.  The
-programs have at most a few thousand rows, so a dense float64 tableau is
-adequate.  The tests compare the simplex against HiGHS on the same programs.
+Rounding can make a zero-cost residual cycle slightly negative, and a
+Bellman-Ford that chases it never ends.  So a label, and with it the
+predecessor, changes only when the new path is shorter by more than
+TOL * max d: the predecessors then form a tree, since a cycle among them
+would cost less than -TOL * max d per arc.  TOL is the solver's one
+tolerance, and `freenorm._check_witnesses` derives its margins from it.
 
-There is one engine, `solve_stack`, and it runs a `ProgramStack`, programs
-that share A; `solve` runs one `LinearProgram` as a stack of one.
-The tableaus are stacked in one array, and each round takes every
-unfinished program one Bland step: its own entering column, its own ratio
-test and tie-break, and its own finish, optimal or unbounded.  A program's
-result is bitwise the one it gets alone.  Every tableau entry goes through
-the same elementwise IEEE operations in the same order as on a tableau of
-its own (the one-program loop of earlier versions, kept in the tests as an
-oracle): the pivot row's division, tab - factors * row as a product and then
-a difference (the pivot row too, with factor 0), the ratio division, the
-ties at <= best + 0.0, the clip of the rhs column and the drift it removes.
-None of these reads another program's entries, and a min or a comparison
-is exact, so stacking changes no bit.  Each program's value and row
-residual are then computed on their own, as 1-D and 2-D products shaped as
-for one program.  Programs run in batches of at most _BATCH_CELLS tableau
-cells, so the engine's memory does not grow with the number of programs.
+Every operation is elementwise per program or a min, argmin or comparison
+along its own axes, and the cost is summed entry by entry in a fixed order,
+so a program's results are bitwise those of a stack of one.
 """
 
 from __future__ import annotations
@@ -37,169 +33,125 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PIVOT_TOL = 1e-11
-SOLVER_TOL = 1e-9
-
-# Tableau cells per batch of `solve_stack` (at least one program per batch):
-# 256 KB of tableau, 13 of the 43 x 55 tableaus of a six-point norm LP.
-_BATCH_CELLS = 1 << 15
+TOL = 1e-12
 
 
 class LpError(RuntimeError):
-    """Solver failure: iteration blow-up, or a norm LP that is not optimal or
-    breaks its residual limit."""
-
-
-def _check(c: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> None:
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(rows)) and np.all(np.isfinite(rhs))):
-        raise ValueError("coefficients must be finite")
-    if np.any(rhs < 0.0):
-        raise ValueError("rhs must be nonnegative, so that x = 0 is feasible")
+    """A norm program the solver did not finish, or whose plan or potential
+    fails its witness check."""
 
 
 @dataclass(frozen=True)
-class LinearProgram:
-    """max objective.x subject to rows @ x <= rhs, with x free and rhs >= 0."""
+class Transport:
+    """plan[p, i, j] is the mass program p moves from source i to target j,
+    cost[p] the plan's cost, and potential[p] the c-transform
+    g(x) = min_j (d(x, j) + phi_j) over the targets j of the duals
+    phi_j = -label(j) of the last round (0 with no target).  On a metric g
+    is 1-Lipschitz and sum_x mu_x g(x) is the cost up to rounding, so the
+    two enclose the norm (`freenorm._check_witnesses`)."""
 
-    objective: np.ndarray
-    rows: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        rows = np.asarray(self.rows, dtype=float)
-        rhs = np.atleast_1d(np.asarray(self.rhs, dtype=float))
-        if c.ndim != 1 or rhs.ndim != 1 or rows.shape != (rhs.shape[0], c.shape[0]):
-            raise ValueError("rows must be a len(rhs) x len(objective) matrix")
-        _check(c, rows, rhs)
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "rhs", rhs)
+    plan: np.ndarray            # k x n x n
+    cost: np.ndarray            # k
+    potential: np.ndarray       # k x n
 
 
-@dataclass(frozen=True)
-class ProgramStack:
-    """k programs sharing their rows: max objective[p].x subject to
-    rows @ x <= rhs[p], with x free and rhs[p] >= 0, for p < k."""
+def _labels(arcs: np.ndarray, start: np.ndarray, slack: np.ndarray):
+    """Bellman-Ford labels and predecessors over the arc costs arcs[p, u, v]
+    (inf where there is no arc), from the nodes of start at label 0.
 
-    objective: np.ndarray       # k x n
-    rows: np.ndarray            # m x n
-    rhs: np.ndarray             # k x m
-
-    def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float)
-        rows = np.asarray(self.rows, dtype=float)
-        rhs = np.asarray(self.rhs, dtype=float)
-        if (c.ndim != 2 or rhs.ndim != 2 or len(c) != len(rhs)
-                or rows.shape != (rhs.shape[1], c.shape[1])):
-            raise ValueError("need k x n objectives, k x m rhs and m x n rows")
-        _check(c, rows, rhs)
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "rhs", rhs)
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    status: str                # optimal | unbounded
-    value: float
-    assignment: np.ndarray
-    max_violation: float
-    iterations: int
+    Each sweep relaxes every node from the previous labels, via the first u
+    attaining the least label(u) + arcs(u, v), when that beats its label by
+    more than slack[p], until no label moves.  After n - 1 sweeps a label is
+    within n slack of its shortest path, and each later move lowers it by
+    more than slack, so n * n + n sweeps bound a run without a negative
+    cycle."""
+    k, n, _ = arcs.shape
+    label = np.where(start, 0.0, np.inf)
+    pred = np.full((k, n), -1)
+    for _ in range(n * n + n):
+        via = label[:, :, None] + arcs
+        best = via.min(axis=1)
+        better = best < label - slack[:, None]
+        if not better.any():
+            return label, pred
+        pred = np.where(better, via.argmin(axis=1), pred)
+        label = np.where(better, best, label)
+    raise LpError("transport labels did not settle: the costs hold a negative cycle")
 
 
-def _pivot(tab: np.ndarray, p: np.ndarray, r: np.ndarray, col: np.ndarray) -> None:
-    """Pivot each tableau tab[p] of the stack, p = arange(len(tab)), on its
-    row r[p] and column col[p]."""
-    row = tab[p, r] / tab[p, r, col][:, None]
-    tab[p, r] = row
-    factors = tab[p, :, col]
-    factors[p, r] = 0.0
-    tab -= factors[:, :, None] * row[:, None, :]
-    tab[p, :, col] = 0.0
-    tab[p, r, col] = 1.0
+def transport(mu, d) -> Transport:
+    """Optimal transport plans from mu+ onto mu- for the stack of balanced
+    masses mu (k x n) over the costs d (k x n x n), by successive shortest
+    paths; see the module docstring.  Entries of mu that are 0 are neither
+    sources nor targets, and masses that do not balance in floating point
+    leave their remainder unmoved."""
+    mu = np.asarray(mu, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if mu.ndim != 2 or d.shape != (*mu.shape, mu.shape[1]):
+        raise ValueError("need k x n masses and k x n x n costs")
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(d))):
+        raise ValueError("masses and costs must be finite")
+    if np.any(d < 0.0):
+        raise ValueError("costs must be nonnegative")
+    k, n = mu.shape
+    source, target = mu > 0.0, mu < 0.0
+    supply = np.where(source, mu, 0.0)
+    demand = np.where(target, -mu, 0.0)
+    plan = np.zeros((k, n, n))
+    forward = np.where(source[:, :, None] & target[:, None, :], d, np.inf)
+    backward = -d.transpose(0, 2, 1)
+    slack = TOL * d.max(axis=(1, 2), initial=0.0)
+    label = np.zeros((k, n))
+    live = np.flatnonzero((supply > 0.0).any(axis=1) & (demand > 0.0).any(axis=1))
+    for _ in range(n * n + 1):
+        if not live.size:
+            break
+        arcs = np.where(plan[live].transpose(0, 2, 1) > 0.0, backward[live], forward[live])
+        lab, pred = _labels(arcs, supply[live] > 0.0, slack[live])
+        label[live] = lab
+        _augment(plan, supply, demand, live, lab, pred, target[live])
+        live = live[(supply[live] > 0.0).any(axis=1) & (demand[live] > 0.0).any(axis=1)]
+    else:
+        raise LpError(f"transport took more than {n * n + 1} rounds")
+    cost = np.zeros(k)
+    terms = (plan * d).reshape(k, n * n)
+    for s in range(n * n):
+        cost += terms[:, s]
+    potential = np.where(target[:, None, :], d - label[:, None, :], np.inf).min(
+        axis=2, initial=np.inf)
+    potential[~target.any(axis=1)] = 0.0
+    return Transport(plan, cost, potential)
 
 
-def _solution(objective: np.ndarray, rows: np.ndarray, rhs: np.ndarray, status: str,
-              x: np.ndarray, iterations: int, clipped: float) -> LpSolution:
-    """The solution record of x for one program; max_violation is the larger
-    of the worst row residual and the drift `clipped` from the tableau's rhs."""
-    if status != "optimal":
-        return LpSolution(status, float("nan"), np.full(len(objective), np.nan),
-                          float("inf"), iterations)
-    worst = float((rows @ x - rhs).max()) if len(rhs) else 0.0
-    return LpSolution("optimal", float(objective @ x), x, max(0.0, worst, float(clipped)),
-                      iterations)
-
-
-def solve_stack(stack: ProgramStack) -> list[LpSolution]:
-    """Solve every program of the stack deterministically from the slack
-    basis by Bland's rule, batch by batch; entry p is bitwise `solve` of
-    program p alone.
-
-    In each round a program whose cost row has no entry below -PIVOT_TOL is
-    optimal, one whose entering column has no entry above PIVOT_TOL is
-    unbounded, and both leave the batch; the rest pivot once.  A round
-    clips the rhs column at 0 and keeps, per program, the largest amount
-    the clip removed.
-    """
-    objective, rows, rhs = stack.objective, stack.rows, stack.rhs
-    k, n = objective.shape
-    m = len(rows)
-    total = 2 * n + m
-    max_iter = 20000 + 200 * (m + total)
-    out: list = [None] * k
-    step = max(1, _BATCH_CELLS // ((m + 1) * (total + 1)))
-    for lo in range(0, k, step):
-        ids = np.arange(lo, min(k, lo + step))
-        tab = np.zeros((len(ids), m + 1, total + 1))
-        # x_j+ and x_j- columns; a zero coefficient is +0.0 in both
-        tab[:, :m, 0:2 * n:2] = rows + 0.0
-        tab[:, :m, 1:2 * n:2] = 0.0 - rows
-        tab[:, :m, 2 * n:total] = np.eye(m)
-        tab[:, :m, -1] = rhs[ids]
-        tab[:, -1, 0:2 * n:2] = -objective[ids]
-        tab[:, -1, 1:2 * n:2] = objective[ids]
-        basis = np.tile(np.arange(2 * n, total), (len(ids), 1))
-        clipped = np.zeros(len(ids))
-        p = np.arange(len(ids))
-        it = 0
-        while True:
-            eligible = tab[:, -1, :-1] < -PIVOT_TOL
-            col = eligible.argmax(axis=1)           # Bland: smallest eligible index
-            colvals = tab[p, :m, col]
-            pos = colvals > PIVOT_TOL
-            done = ~(eligible[p, col] & pos.any(axis=1))
-            if done.any():
-                for i in np.flatnonzero(done):
-                    z = np.zeros(total)
-                    z[basis[i]] = tab[i, :m, -1]
-                    out[ids[i]] = _solution(objective[ids[i]], rows, rhs[ids[i]],
-                                            "unbounded" if eligible[i, col[i]] else "optimal",
-                                            z[0:2 * n:2] - z[1:2 * n:2], it, clipped[i])
-                keep = ~done
-                if not keep.any():
-                    break
-                tab, basis, clipped, ids = tab[keep], basis[keep], clipped[keep], ids[keep]
-                col, colvals, pos = col[keep], colvals[keep], pos[keep]
-                p = np.arange(len(ids))
-            ratios = np.divide(tab[:, :m, -1], colvals, out=np.full(colvals.shape, np.inf),
-                               where=pos)
-            ties = pos & (ratios <= ratios.min(axis=1, keepdims=True) + 0.0)
-            r = np.where(ties, basis, total).argmin(axis=1)   # Bland: smallest basis index
-            _pivot(tab, p, r, col)
-            basis[p, r] = col
-            b = tab[:, :m, -1]
-            drift = -b.min(axis=1)
-            clipped = np.where(drift > clipped, drift, clipped)
-            np.maximum(b, 0.0, out=b)               # the clip: np.clip(b, 0.0, None)
-            it += 1
-            if it > max_iter:
-                raise LpError(f"simplex exceeded {max_iter} iterations")
-    return out
-
-
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve the program deterministically from the slack basis, as a stack
-    of one."""
-    return solve_stack(ProgramStack(lp.objective[None, :], lp.rows, lp.rhs[None, :]))[0]
+def _augment(plan, supply, demand, live, label, pred, target) -> None:
+    """Move each live program's mass along its path from a source to the
+    wanting target of least label, by the largest amount the path allows,
+    in place.  A path's arc u -> v runs along a plan entry (u, v) when u is
+    a source, and against the entry (v, u) when u is a target."""
+    k, n = label.shape
+    r = np.arange(k)
+    wants = demand[live]
+    end = np.where(wants > 0.0, label, np.inf).argmin(axis=1)
+    amount = wants[r, end]
+    v = end.copy()
+    steps = []
+    for _ in range(n):
+        u = pred[r, v]
+        on = np.flatnonzero(u >= 0)
+        if not on.size:
+            break
+        back = target[on, u[on]]
+        i = np.where(back, v[on], u[on])
+        j = np.where(back, u[on], v[on])
+        cancel = np.where(back, plan[live[on], i, j], np.inf)
+        amount[on] = np.minimum(amount[on], cancel)
+        steps.append((on, i, j, back))
+        v[on] = u[on]
+    else:
+        if (pred[r, v] >= 0).any():
+            raise LpError("transport predecessors form a cycle")
+    amount = np.minimum(amount, supply[live, v])
+    for on, i, j, back in steps:
+        plan[live[on], i, j] += np.where(back, -amount[on], amount[on])
+    supply[live, v] -= amount
+    demand[live, end] -= amount

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,11 +75,6 @@ def lp_norm_dense(c: np.ndarray, d: np.ndarray, base: int, memo: dict) -> float:
     return fn._lp_norms(support[None], c[support][None], d, base, memo)[0]
 
 
-def dual_norm(weights, d_sub: np.ndarray) -> float:
-    """`freenorm._dual_norms` of one weight vector, a stack of one program."""
-    return fn._dual_norms(np.asarray(weights, dtype=float)[None], d_sub[None])[0]
-
-
 def dense_rows(cols: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
     """The sparse rows (cols, vals) of `freenorm._sparse_rows` and
     `freenorm._difference` as an m-wide dense matrix."""
@@ -89,97 +85,87 @@ def dense_rows(cols: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
 
 def free_space_norm(space, weights) -> float:
     """Norm of the weight vector in the free space over space, always by the
-    LP: the reference the closed transport forms of `freenorm._triage` are
-    tested against.  The base weight is ignored."""
+    transport solver: the reference the closed transport forms of
+    `freenorm._triage` are tested against.  The base weight is ignored."""
     c = np.array(weights, dtype=float)
     c[space.base_index] = 0.0
     return lp_norm_dense(c, space.dist, space.base_index, {})
 
 
-def solve_with_scipy(prog):
-    """HiGHS solve of a lipfree LinearProgram, with the result contract of
-    `lipfree.lp.solve`: the reference the simplex is tested against."""
-    res = linprog(-prog.objective, A_ub=prog.rows, b_ub=prog.rhs,
-                  bounds=(None, None), method="highs")
-    status = {0: "optimal", 3: "unbounded"}.get(res.status)
-    if status is None:
-        raise lpmod.LpError(f"scipy backend failed: {res.message}")
-    return serial_solution(prog, status, np.asarray(res.x, dtype=float), int(res.nit), 0.0)
+def solve_with_scipy(mu, d: np.ndarray) -> float:
+    """HiGHS on the transport primal of the masses mu over the costs d: min
+    sum_ij y_ij d(i, j) over y >= 0 from the sources (mu > 0) onto the
+    targets (mu < 0), each source sending its mass and each target taking
+    its own.  An outside reference for `lipfree.lp.transport`."""
+    mu = np.asarray(mu, dtype=float)
+    src, dst = np.flatnonzero(mu > 0.0), np.flatnonzero(mu < 0.0)
+    if not (src.size and dst.size):
+        return 0.0
+    rows = np.kron(np.eye(len(src)), np.ones(len(dst)))
+    cols = np.kron(np.ones(len(src)), np.eye(len(dst)))
+    res = linprog(d[np.ix_(src, dst)].ravel(), A_eq=np.vstack([rows, cols]),
+                  b_eq=np.concatenate([mu[src], -mu[dst]]), bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"scipy backend failed: {res.message}")
+    return float(res.fun)
 
 
-# The one-program simplex of earlier versions, tableau by tableau: the oracle
-# the stacked engine of `lipfree.lp` must match bit for bit.
-
-def serial_pivot(tab: np.ndarray, r: int, col: int) -> None:
-    tab[r] /= tab[r, col]
-    factors = tab[:, col].copy()
-    factors[r] = 0.0
-    tab -= np.outer(factors, tab[r])
-    tab[:, col] = 0.0
-    tab[r, col] = 1.0
-
-
-def serial_bland_loop(tab: np.ndarray, basis: list, max_iter: int) -> tuple[str, int, float]:
-    """Simplex iterations on a tableau whose last row is the cost row: the
-    status, the iteration count and the largest drift the rhs clip removed."""
-    m = len(basis)
-    it = 0
-    clipped = 0.0
-    while True:
-        cost = tab[-1, :-1]
-        eligible = np.flatnonzero(cost < -lpmod.PIVOT_TOL)
-        if eligible.size == 0:
-            return "optimal", it, clipped
-        col = int(eligible[0])
-        colvals = tab[:m, col]
-        pos = np.flatnonzero(colvals > lpmod.PIVOT_TOL)
-        if pos.size == 0:
-            return "unbounded", it, clipped
-        ratios = tab[pos, -1] / colvals[pos]
-        best = ratios.min()
-        ties = pos[np.flatnonzero(ratios <= best + 0.0)]
-        r = int(min(ties, key=lambda i: basis[i]))
-        serial_pivot(tab, r, col)
-        basis[r] = col
-        clipped = max(clipped, -float(tab[:m, -1].min()))
-        np.clip(tab[:m, -1], 0.0, None, out=tab[:m, -1])
-        it += 1
-        if it > max_iter:
-            raise lpmod.LpError(f"simplex exceeded {max_iter} iterations")
+def lipschitz_lp_with_scipy(mu, d: np.ndarray, base: int) -> float:
+    """HiGHS on the Lipschitz LP max sum mu f over f with f(x) - f(y) <=
+    d(x, y), free but for f(base) = 0: the dual of the transport primal of
+    `solve_with_scipy`."""
+    n = len(mu)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    bounds = [(0, 0) if x == base else (None, None) for x in range(n)]
+    res = linprog(-np.asarray(mu, dtype=float), A_ub=np.eye(n)[i] - np.eye(n)[j],
+                  b_ub=d[i, j], bounds=bounds, method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"scipy backend failed: {res.message}")
+    return -float(res.fun)
 
 
-def serial_solution(prog, status: str, x: np.ndarray, iterations: int,
-                    clipped: float) -> lpmod.LpSolution:
-    if status != "optimal":
-        return lpmod.LpSolution(status, float("nan"), np.full(len(prog.objective), np.nan),
-                                float("inf"), iterations)
-    worst = float((prog.rows @ x - prog.rhs).max()) if len(prog.rhs) else 0.0
-    return lpmod.LpSolution("optimal", float(prog.objective @ x), x,
-                            max(0.0, worst, clipped), iterations)
-
-
-def solve_serial(prog) -> lpmod.LpSolution:
-    """The program alone on its own tableau, from the slack basis."""
-    m, n = prog.rows.shape
-    total = 2 * n + m
-    tab = np.zeros((m + 1, total + 1))
-    tab[:m, 0:2 * n:2] = prog.rows + 0.0
-    tab[:m, 1:2 * n:2] = 0.0 - prog.rows
-    tab[:m, 2 * n:total] = np.eye(m)
-    tab[:m, -1] = prog.rhs
-    tab[-1, 0:2 * n:2] = -prog.objective
-    tab[-1, 1:2 * n:2] = prog.objective
-    basis = list(range(2 * n, total))
-    status, iterations, clipped = serial_bland_loop(tab, basis, 20000 + 200 * (m + total))
-    z = np.zeros(total)
-    z[basis] = tab[:m, -1]
-    return serial_solution(prog, status, z[0:2 * n:2] - z[1:2 * n:2], iterations, clipped)
-
-
-def solution_bytes(sol: lpmod.LpSolution) -> tuple:
-    """Every field of an LpSolution, floats as their bytes."""
-    return (sol.status, np.float64(sol.value).tobytes(), sol.assignment.tobytes(),
-            np.float64(sol.max_violation).tobytes(), sol.iterations)
+def exact_transport(mu, d) -> tuple[Fraction, list]:
+    """The least transport cost from mu+ onto mu- over the costs d, and an
+    optimal plan, in exact rational arithmetic: successive shortest paths
+    with Bellman-Ford over `fractions.Fraction`, written for supports of up
+    to 8 points plus the base.  Float inputs convert exactly, and masses
+    that do not balance exactly leave their remainder unmoved, as in
+    `lipfree.lp.transport`.  It shares no code and no tolerance with the
+    library: an oracle for its plans, costs and potentials."""
+    n = len(mu)
+    assert n <= 9, "the exact oracle is for supports of up to 8 points plus the base"
+    mass = [Fraction(float(x)) for x in mu]
+    cost = [[Fraction(float(x)) for x in row] for row in d]
+    sources = [i for i in range(n) if mass[i] > 0]
+    targets = [j for j in range(n) if mass[j] < 0]
+    supply = {i: mass[i] for i in sources}
+    demand = {j: -mass[j] for j in targets}
+    plan = {(i, j): Fraction(0) for i in sources for j in targets}
+    while any(supply.values()) and any(demand.values()):
+        arcs = [(i, j, cost[i][j]) for i in sources for j in targets]
+        arcs += [(j, i, -cost[i][j]) for (i, j), y in plan.items() if y > 0]
+        dist = {i: Fraction(0) for i in sources if supply[i] > 0}
+        pred = {}
+        for _ in range(n):
+            for u, v, c in arcs:
+                if u in dist and (v not in dist or dist[u] + c < dist[v]):
+                    dist[v], pred[v] = dist[u] + c, u
+        end = min((j for j in targets if demand[j] > 0), key=lambda j: dist[j])
+        path, v = [], end
+        while v in pred:
+            path.append((pred[v], v))
+            v = pred[v]
+        amount = min(supply[v], demand[end],
+                     *(plan[(b, a)] for a, b in path if a in demand))
+        for a, b in path:
+            if a in demand:
+                plan[(b, a)] -= amount
+            else:
+                plan[(a, b)] += amount
+        supply[v] -= amount
+        demand[end] -= amount
+    value = sum((y * cost[i][j] for (i, j), y in plan.items()), Fraction(0))
+    return value, [[plan.get((i, j), Fraction(0)) for j in range(n)] for i in range(n)]
 
 
 def free_norm_by_vertices(weights: np.ndarray, d_a: np.ndarray, base_pos: int) -> float:
@@ -207,8 +193,8 @@ def operator_norm_by_vertices(op, d: np.ndarray) -> float:
 
 def molecule_norms_by_pairs(op, d_a: np.ndarray) -> np.ndarray:
     """The per-pair molecule sweep: each row difference through the closed
-    transport forms (`transport_norm`), or else its own norm LP, with no
-    triage and no memo."""
+    transport forms (`transport_norm`), or else its own transport solve, a
+    stack of one, with no triage and no memo."""
     d_a = np.asarray(d_a, dtype=float)
     base = op.base_position
     n = op.space.n
@@ -217,9 +203,8 @@ def molecule_norms_by_pairs(op, d_a: np.ndarray) -> np.ndarray:
         c = op.matrix[x] - op.matrix[y]
         val = transport_norm(c, d_a, base)
         if val is None:
-            nz = [int(i) for i in np.flatnonzero(c) if i != base]
-            sub = nz + [base]
-            val = dual_norm(c[nz], d_a[np.ix_(sub, sub)])
+            c[base] = 0.0
+            val = lp_norm_dense(c, d_a, base, {})
         out[x, y] = out[y, x] = val
     return out
 
@@ -938,16 +923,38 @@ def sweeps_of(monkeypatch):
 
 def count_solves(monkeypatch):
     """A list that gets a 1 for every program solved through
-    `lpmod.solve_stack` while the patch holds."""
+    `lpmod.transport` while the patch holds."""
     calls = []
-    real = lpmod.solve_stack
+    real = lpmod.transport
 
-    def counted(stack):
-        calls.extend([1] * len(stack.objective))
-        return real(stack)
+    def counted(mu, d):
+        calls.extend([1] * len(mu))
+        return real(mu, d)
 
-    monkeypatch.setattr(lpmod, "solve_stack", counted)
+    monkeypatch.setattr(lpmod, "transport", counted)
     return calls
+
+
+def tamper_transport(monkeypatch, index, field, share=1e-6):
+    """Make `lpmod.transport` move the largest plan entry of program index
+    by share of its mass, raise its reported cost by share of its mass
+    times its largest cost, or raise its potential at its heaviest source
+    by share of its largest cost."""
+    real = lpmod.transport
+
+    def tamper(mu, d):
+        sol = real(mu, d)
+        plan, cost, potential = sol.plan.copy(), sol.cost.copy(), sol.potential.copy()
+        mass, top = np.abs(mu[index]).sum(), d[index].max()
+        if field == "plan":
+            plan[index].ravel()[plan[index].argmax()] += share * mass
+        elif field == "cost":
+            cost[index] += share * mass * top
+        else:
+            potential[index, mu[index].argmax()] += share * top
+        return lpmod.Transport(plan, cost, potential)
+
+    monkeypatch.setattr(lpmod, "transport", tamper)
 
 
 # Bytes of one 900 x 900 float64 array, the memory budget of the 900-point

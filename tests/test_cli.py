@@ -569,11 +569,12 @@ class TestTriangleSweeps:
 
 
 class TestNormLps:
-    """The norm LPs each benchmark pipeline solves through `lp.solve_stack`,
-    at its config's seed.  Molecules with one point on a side or two on each
-    take their transport forms, so glue and the 900-point run solve none and
-    the 13 x 13 run 112, its molecules with three or more points on a side;
-    a shape that slips back to the LP adds programs here."""
+    """The norm programs each benchmark pipeline solves through
+    `lp.transport`, at its config's seed.  Molecules with one point on a
+    side or two on each take their closed transport forms, so glue and the
+    900-point run solve none and the 13 x 13 run 112, its molecules with
+    three or more points on a side; a shape that slips back to the solver
+    adds programs here."""
 
     @pytest.mark.parametrize("name, most", [
         ("glue-10x10-line", 0),

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 from unittest import mock
 
@@ -9,13 +8,13 @@ from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
 from lipfree import freenorm as fn, gluing as gluemod, lp as lpmod, spaces
-from conftest import (ONE_900, count_solves, dense_rows, dual_norm, free_norm_by_vertices,
-                      free_space_norm, lipschitz_constant_dense, line_space, lp_norm_dense,
+from conftest import (ONE_900, count_solves, dense_rows, exact_transport,
+                      free_norm_by_vertices, free_space_norm, lipschitz_constant_dense,
+                      line_space, lipschitz_lp_with_scipy, lp_norm_dense,
                       molecule_norm_matrix_by_rows, molecule_norm_matrix_dense,
-                      molecule_norms_by_pairs,
-                      operator_norm_by_molecules, operator_norm_by_ratio_vector,
-                      operator_norm_dense, solution_bytes, solve_serial, traced_peak,
-                      triage_dense, upper_pair)
+                      molecule_norms_by_pairs, operator_norm_by_molecules,
+                      operator_norm_by_ratio_vector, operator_norm_dense,
+                      tamper_transport, traced_peak, triage_dense, upper_pair)
 
 
 @st.composite
@@ -105,9 +104,8 @@ class TestFreeSpaceNorm:
             space = lf.random_metric_space(6, seed=seed)
             w = np.round(rng.normal(size=6), 3)
             fast = free_space_norm(space, w)
-            others = [i for i in range(space.n) if i != space.base_index]
-            sub = others + [space.base_index]
-            slow = dual_norm(w[others], space.dist[np.ix_(sub, sub)])
+            # the Lipschitz LP over all six points, by HiGHS
+            slow = lipschitz_lp_with_scipy(w, space.dist, space.base_index)
             assert fast == pytest.approx(slow, abs=1e-8)
 
     def test_agrees_with_vertex_enumeration(self):
@@ -147,58 +145,58 @@ class TestFreeSpaceNorm:
                              {})[0] == norm
         assert norm == pytest.approx(free_space_norm(space, w2), abs=1e-12)
 
+    def test_perturbed_plan_entry_is_rejected(self, monkeypatch):
+        space = line_space([0.0, 1.0, 3.0, 4.5])
+        assert free_space_norm(space, [0.0, 1.0, -0.5, 0.25]) > 0.0
+        tamper_transport(monkeypatch, 0, "plan")
+        with pytest.raises(lf.LpError, match="marginal"):
+            free_space_norm(space, [0.0, 1.0, -0.5, 0.25])
+
     def test_norm_lp_residual_rejected(self, monkeypatch):
-        real = lpmod.solve_stack
+        # a reported cost off the plan and potential it came with: the
+        # residual between cost and sum mu g is the gap
+        space = line_space([0.0, 1.0, 3.0, 4.5])
+        assert free_space_norm(space, [0.0, 1.0, -0.5, 0.25]) > 0.0
+        tamper_transport(monkeypatch, 0, "cost")
+        with pytest.raises(lf.LpError, match="program 0: gap"):
+            free_space_norm(space, [0.0, 1.0, -0.5, 0.25])
 
-        def sloppy(stack):
-            return [dataclasses.replace(sol, max_violation=1e-6) for sol in real(stack)]
-
-        monkeypatch.setattr(lpmod, "solve_stack", sloppy)
-        with pytest.raises(lf.LpError, match="residual"):
-            free_space_norm(line_space([0.0, 1.0, 3.0]), [0.0, 1.0, 1.0])
-
-    @pytest.mark.parametrize("sloppy_index", [0, 1, 4])
-    def test_each_program_of_a_stack_has_its_residual_checked(self, monkeypatch,
-                                                              sloppy_index):
-        real = lpmod.solve_stack
-
-        def sloppy(stack):
-            sols = real(stack)
-            sols[sloppy_index] = dataclasses.replace(sols[sloppy_index], max_violation=1e-6)
-            return sols
-
+    @pytest.mark.parametrize("index", [0, 1, 4])
+    def test_each_program_of_a_stack_has_its_potential_checked(self, monkeypatch, index):
+        # five programs over the same three points and the base, one stack
         d = line_space([0.0, 1.0, 3.0, 4.5]).dist
+        cols = np.tile([1, 2, 3], (5, 1))
         weights = np.array([[1.0, 0.5, 0.25], [0.5, -1.0, 2.0], [1.0, 1.0, 1.0],
-                            [0.0, 2.0, -0.5], [3.0, 0.0, 1.0]])
-        assert np.all(fn._dual_norms(weights, np.stack([d] * 5)) > 0.0)
-        monkeypatch.setattr(lpmod, "solve_stack", sloppy)
-        with pytest.raises(lf.LpError, match="residual"):
-            fn._dual_norms(weights, np.stack([d] * 5))
+                            [0.25, 2.0, -0.5], [3.0, 0.5, 1.0]])
+        calls = count_solves(monkeypatch)
+        assert np.all(fn._lp_norms(cols, weights, d, 0, {}) > 0.0)
+        assert len(calls) == 5
+        tamper_transport(monkeypatch, index, "potential")
+        with pytest.raises(lf.LpError, match=f"program {index}: (potential excess|gap)"):
+            fn._lp_norms(cols, weights, d, 0, {})
 
-    @given(st.integers(0, 2**16), st.integers(1, 5), st.integers(1, 12))
+    @given(st.integers(0, 2**16), st.integers(1, 8), st.integers(1, 6),
+           st.sampled_from(["random", "line"]))
     @settings(max_examples=60, deadline=None)
-    def test_stacked_norm_lps_are_the_serial_ones(self, seed, q, k):
-        # each program of a stack as earlier versions posed and solved it
-        # alone: its own LinearProgram on the one-program simplex
+    def test_stacked_norms_are_the_exact_transport_values(self, seed, q, k, metric):
+        # each program of a stack against the rational transport oracle, on
+        # random closures and on lines of dyadic spots, exact in floats
         rng = np.random.default_rng(seed)
-        d = lf.random_metric_space(q + 3, seed=seed).dist
-        subs = np.array([np.append(rng.choice(np.arange(1, q + 3), q, replace=False), 0)
+        if metric == "random":
+            d = lf.random_metric_space(q + 3, seed=seed).dist
+        else:
+            d = line_space(rng.integers(0, 6, q + 3) + np.arange(q + 3) / 64).dist
+        subs = np.array([np.sort(rng.choice(np.arange(1, q + 3), q, replace=False))
                          for _ in range(k)])
-        weights = np.where(rng.random((k, q)) < 0.5, rng.integers(-2, 3, (k, q)),
-                           np.round(rng.normal(size=(k, q)), 2)).astype(float)
-        d_subs = d[subs[:, :, None], subs[:, None, :]]
-        got = fn._dual_norms(weights, d_subs)
-        eye = np.eye(q)
-        i, j = np.nonzero(~np.eye(q, dtype=bool))
+        weights = np.where(rng.random((k, q)) < 0.5, rng.integers(1, 5, (k, q)) / 4.0,
+                           np.round(rng.uniform(0.01, 2.0, (k, q)), 2))
+        weights *= np.where(rng.random((k, q)) < 0.5, -1.0, 1.0)
+        got = fn._lp_norms(subs, weights, d, 0, {})
         for p in range(k):
-            prog = lf.LinearProgram(
-                objective=weights[p],
-                rows=np.vstack([eye[i] - eye[j], np.stack([eye, -eye], axis=1).reshape(2 * q, q)]),
-                rhs=np.concatenate([d_subs[p][i, j], np.stack([d_subs[p][:q, q], d_subs[p][q, :q]],
-                                                              axis=1).ravel()]))
-            sol = solve_serial(prog)
-            assert solution_bytes(lpmod.solve(prog)) == solution_bytes(sol)
-            assert got[p].tobytes() == np.float64(max(sol.value, 0.0)).tobytes()
+            mu = np.append(weights[p], -weights[p].sum())
+            sub = np.append(subs[p], 0)
+            want, _ = exact_transport(mu, d[np.ix_(sub, sub)])
+            assert abs(got[p] - float(want)) <= 1e-12 * d.max() * np.abs(mu).sum()
 
 
 class TestMcShane:
@@ -624,8 +622,22 @@ class TestMoleculeNormLayer:
         for op, d in grid_operators:
             assert lf.operator_norm(op, d) == operator_norm_by_molecules(op, d)
 
+    def test_chunked_solves_keep_value_and_witness(self, monkeypatch):
+        # the pairs left to the solver are taken by descending bound in
+        # chunks of 1, 2, 4, ...: here three chunks, solving 1, 2 and 2
+        # programs, against the one-pair-at-a-time loop of earlier versions
+        op, d = random_operator(153, False)
+        sizes = []
+        real = lpmod.transport
+        monkeypatch.setattr(lpmod, "transport",
+                            lambda mu, e: sizes.append(len(mu)) or real(mu, e))
+        got = lf.operator_norm(op, d)
+        assert sizes == [1, 2, 2]
+        assert got == operator_norm_dense(op, d)
+
     def test_bound_dominates_lp_norm(self, grid_operators, monkeypatch):
-        # without the margin, so the bound itself is shown to hold
+        # without the margin, so the bound itself is shown to hold up to the
+        # enclosure term 2 n (eta + TOL max d) m of `_ratio_upper_bounds`
         monkeypatch.setattr(fn, "PRUNE_MARGIN", 0.0)
         cases = list(grid_operators)
         cases += [random_operator(seed, seed % 2 == 0) for seed in range(40)]
@@ -636,7 +648,10 @@ class TestMoleculeNormLayer:
             base = op.base_position
             bounds = fn._ratio_upper_bounds(c, v, d_a, base, np.ones(len(c)))
             norms = fn._lp_norms(c, v, d_a, base, {})
-            assert np.all(bounds >= norms)
+            eta = max(0.0, (d_a[:, None, :] - d_a[:, :, None] - d_a[None, :, :]).max())
+            n = (v != 0.0).sum(axis=1) + 1
+            mass = np.abs(v).sum(axis=1) + np.abs(v.sum(axis=1))
+            assert np.all(bounds + 2 * n * (eta + lpmod.TOL * d_a.max()) * mass >= norms)
             checked += len(c)
         assert checked > 1000
 
@@ -681,8 +696,8 @@ class TestMoleculeNormLayer:
         assert got[0, 1] == got[2, 3] == got[0, 3] and got[1, 2] == got[1, 5]
 
     def test_each_orientation_keeps_its_own_lp(self):
-        # on this space the simplex answers c and -c a bit apart
-        space = lf.random_metric_space(6, seed=92)
+        # on this space the transport solver answers c and -c a bit apart
+        space = lf.random_metric_space(6, seed=4)
         a = np.array([0.0, 0.25, 0.0, 0.0, 1.0, 1.0])
         b = np.array([0.0, 0.0, 0.0, 0.5, 0.0, 0.0])
         op = lf.WeightOperator(space, tuple(range(6)), np.array([a, b, a, b, a, b]))
@@ -952,9 +967,10 @@ class TestClassSweep:
         assert lf.lipschitz_constant(w[:, 1], q) == np.inf
 
     def test_ratio_max_reads_each_orientation(self):
-        # on this space the norm LPs of a - b and b - a differ in the last
-        # bits, and the least distance lies at (1, 2), of the class pair (b, a)
-        space = lf.random_metric_space(6, seed=92)
+        # on this space the transport costs of a - b and b - a differ in the
+        # last bits, and the least distance lies at (1, 2), of the class pair
+        # (b, a)
+        space = lf.random_metric_space(6, seed=4)
         a = np.array([0.0, 0.25, 0.0, 0.0, 1.0, 1.0])
         b = np.array([0.0, 0.0, 0.0, 0.5, 0.0, 0.0])
         op = lf.WeightOperator(space, tuple(range(6)), np.array([a, b, a, b, a, b]))

@@ -1,237 +1,256 @@
-from unittest import mock
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dual_norm, solution_bytes, solve_serial, solve_with_scipy
-from lipfree import lp as lpmod
-from lipfree.lp import LinearProgram, LpError, solve
+import lipfree as lf
+
+from conftest import (exact_transport, line_space, lipschitz_lp_with_scipy, solve_with_scipy,
+                      tamper_transport)
+from lipfree import freenorm as fn, lp as lpmod
+from lipfree.lp import LpError, transport
+
+EPS = np.finfo(float).eps
+
+
+def balanced(weights: np.ndarray) -> np.ndarray:
+    """The rows of weights with a last entry -sum, as `freenorm._lp_norms`
+    balances a row at the base."""
+    total = np.zeros(len(weights))
+    for s in range(weights.shape[1]):
+        total += weights[:, s]
+    return np.concatenate([weights, -total[:, None]], axis=1)
+
+
+@st.composite
+def transport_stacks(draw):
+    """Stacks of k programs over n <= 9 points (a support of up to 8 and
+    the base), as (mu, d).  Metrics are random closures, integer spots on a
+    line, where many plans tie, or the discrete metric, where every plan
+    costs the same.  Masses are quarters, which sum exactly, or decimals,
+    whose float sums leave the base a remainder; some are zero."""
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    metric = draw(st.sampled_from(["random", "line", "discrete"]))
+    if metric == "random":
+        d = np.stack([lf.random_metric_space(n, seed=int(s)).dist
+                      for s in rng.integers(0, 2**16, k)])
+    elif metric == "line":
+        spots = rng.integers(0, 6, (k, n)).astype(float)
+        d = np.abs(spots[:, :, None] - spots[:, None, :])
+    else:
+        d = np.tile(1.0 - np.eye(n), (k, 1, 1))
+    if draw(st.booleans()):
+        weights = rng.integers(-8, 9, (k, n - 1)) / 4.0
+    else:
+        weights = np.round(rng.normal(size=(k, n - 1)), 2)
+    weights[rng.random((k, n - 1)) < 0.2] = 0.0
+    return balanced(weights), d
 
 
 class TestBasics:
-    def test_max_x_leq_one(self):
-        sol = solve(LinearProgram(objective=[1.0], rows=[[1.0]], rhs=[1.0]))
-        assert sol.status == "optimal"
-        assert sol.value == pytest.approx(1.0, abs=1e-9)
-        assert sol.max_violation <= 1e-9
+    def test_one_source_one_target(self):
+        d = np.array([[[0.0, 2.0], [2.0, 0.0]]])
+        sol = transport([[1.5, -1.5]], d)
+        assert sol.cost.tolist() == [3.0]
+        assert sol.plan.tolist() == [[[0.0, 1.5], [0.0, 0.0]]]
+        g = sol.potential[0]
+        assert g[0] - g[1] == 2.0
 
-    def test_unbounded(self):
-        prog = LinearProgram(objective=[1.0], rows=[[-1.0]], rhs=[1.0])
-        assert solve(prog).status == "unbounded"
+    def test_zero_masses_move_nothing(self):
+        sol = transport(np.zeros((2, 3)), np.tile(1.0 - np.eye(3), (2, 1, 1)))
+        assert sol.cost.tolist() == [0.0, 0.0]
+        assert not sol.plan.any() and not sol.potential.any()
 
     def test_malformed_dimensions(self):
-        with pytest.raises(ValueError):
-            LinearProgram(objective=[1.0], rows=[[1.0, 2.0]], rhs=[1.0])
+        with pytest.raises(ValueError, match="k x n"):
+            transport([1.0, -1.0], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="k x n"):
+            transport(np.ones((2, 3)), np.zeros((2, 3, 2)))
+        with pytest.raises(ValueError, match="k x n"):
+            transport(np.ones((2, 3)), np.zeros((1, 3, 3)))
 
-    def test_rhs_must_be_finite_and_nonnegative(self):
+    def test_costs_must_be_finite_and_nonnegative(self):
+        mu = [[1.0, -1.0]]
         for bad in (-1e-12, np.inf, np.nan):
             with pytest.raises(ValueError):
-                LinearProgram(objective=[1.0, 1.0], rows=np.eye(2), rhs=[1.0, bad])
+                transport(mu, [[[0.0, 1.0], [bad, 0.0]]])
+        with pytest.raises(ValueError, match="finite"):
+            transport([[np.nan, 1.0]], [[[0.0, 1.0], [1.0, 0.0]]])
+
+    def test_negative_cycle_is_refused(self):
+        # no residual graph of nonnegative costs holds one, so the labels
+        # are given arcs 0 -> 1 -> 0 of cost -1 directly
+        arcs = np.array([[[np.inf, -1.0], [-1.0, np.inf]]])
+        with pytest.raises(LpError, match="negative cycle"):
+            lpmod._labels(arcs, np.array([[True, False]]), np.zeros(1))
 
 
 class TestDeterminism:
     def test_identical_runs_bitwise_equal(self):
         rng = np.random.default_rng(0)
-        prog = LinearProgram(
-            objective=rng.normal(size=6),
-            rows=np.vstack([rng.normal(size=(10, 6)), np.eye(6), -np.eye(6)]),
-            rhs=np.concatenate([rng.uniform(1, 2, size=10), np.full(12, 5.0)]),
-        )
-        a = solve(prog)
-        b = solve(prog)
-        assert a.value == b.value
-        assert np.array_equal(a.assignment, b.assignment)
-        assert a.iterations == b.iterations
-
-
-def random_bounded_lp(seed):
-    """Random rows plus the box |x_j| <= 10, with b >= 0 so x = 0 is feasible."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 7))
-    m = int(rng.integers(1, 9))
-    rows = rng.normal(size=(m, n))
-    rhs = rng.uniform(0.0, 1.0, size=m)
-    return LinearProgram(
-        objective=rng.normal(size=n),
-        rows=np.vstack([rows, np.eye(n), -np.eye(n)]),
-        rhs=np.concatenate([rhs, np.full(2 * n, 10.0)]),
-    )
+        d = np.stack([lf.random_metric_space(7, seed=s).dist for s in range(20)])
+        mu = balanced(np.round(rng.normal(size=(20, 6)), 1))
+        a, b = transport(mu, d), transport(mu, d)
+        for field in ("plan", "cost", "potential"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
 class TestAgainstScipy:
-    @given(st.integers(0, 200))
-    @settings(max_examples=40, deadline=None)
-    def test_optimal_values_agree(self, seed):
-        prog = random_bounded_lp(seed)
-        ours = solve(prog)
-        ref = solve_with_scipy(prog)
-        assert ours.status == ref.status == "optimal"
-        assert ours.value == pytest.approx(ref.value, abs=1e-6)
-        assert ours.max_violation <= 1e-9
+    @given(transport_stacks())
+    @settings(max_examples=60, deadline=None)
+    def test_optimal_values_agree(self, stack):
+        mu, d = stack
+        sol = transport(mu, d)
+        for p in range(len(mu)):
+            want = solve_with_scipy(mu[p], d[p])
+            assert sol.cost[p] == pytest.approx(want, abs=1e-9 * max(1.0, d[p].max()))
 
-    def test_free_variables_agree(self):
-        prog = LinearProgram(
-            objective=[1.0, -2.0],
-            rows=[[1.0, 0.0], [0.0, -1.0], [1.0, -1.0]],
-            rhs=[3.0, 2.0, 6.0],
-        )
-        ours = solve(prog)
-        ref = solve_with_scipy(prog)
-        assert ours.status == ref.status == "optimal"
-        assert ours.value == pytest.approx(7.0, abs=1e-9)
-        assert ours.value == pytest.approx(ref.value, abs=1e-8)
+    @given(transport_stacks())
+    @settings(max_examples=40, deadline=None)
+    def test_free_variables_agree(self, stack):
+        # HiGHS on the dual, the Lipschitz LP over free f with the base
+        # pinned, against the plan's cost and the potential's pairing
+        mu, d = stack
+        sol = transport(mu, d)
+        for p in range(len(mu)):
+            want = lipschitz_lp_with_scipy(mu[p], d[p], mu.shape[1] - 1)
+            tol = 1e-9 * max(1.0, d[p].max()) * max(1.0, np.abs(mu[p]).sum())
+            assert sol.cost[p] == pytest.approx(want, abs=tol)
+            assert (mu[p] * sol.potential[p]).sum() == pytest.approx(want, abs=tol)
 
 
 class TestObjectiveConsistency:
-    @given(st.integers(0, 100))
-    @settings(max_examples=25, deadline=None)
-    def test_value_matches_assignment(self, seed):
-        prog = random_bounded_lp(seed)
-        sol = solve(prog)
-        assert sol.status == "optimal"
-        assert sol.value == pytest.approx(float(prog.objective @ sol.assignment), abs=1e-9)
+    @given(transport_stacks())
+    @settings(max_examples=40, deadline=None)
+    def test_value_matches_assignment(self, stack):
+        # the cost is the plan's, and the plan moves the masses
+        mu, d = stack
+        sol = transport(mu, d)
+        assert sol.cost == pytest.approx((sol.plan * d).sum(axis=(1, 2)), rel=1e-14, abs=0.0)
+        mass = np.abs(mu).sum(axis=1, keepdims=True)
+        assert np.all(np.abs(sol.plan.sum(axis=2) - np.maximum(mu, 0.0)) <= 9 * EPS * mass)
+        assert np.all(np.abs(sol.plan.sum(axis=1) - np.maximum(-mu, 0.0)) <= 9 * EPS * mass)
+        assert np.all(sol.plan >= 0.0)
+        # only sources send, only targets receive
+        assert not sol.plan[~((mu > 0.0)[:, :, None] & (mu < 0.0)[:, None, :])].any()
 
 
 class TestClippedDrift:
-    # the norm LP of 0.5 delta_1 - 0.25 delta_2 over 0, 1, 3 with base 0
-    WEIGHTS = np.array([0.5, -0.25])
-    D_SUB = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 3.0], [1.0, 3.0, 0.0]])
-
-    def drifting(self, monkeypatch, amount):
-        """Make every pivot leave the pivot row's rhs at -amount, as rounding
-        could; the clip then removes amount."""
-        real = lpmod._pivot
-
-        def pivot(tab, p, r, col):
-            real(tab, p, r, col)
-            tab[p, r, -1] = -amount
-
-        monkeypatch.setattr(lpmod, "_pivot", pivot)
-
-    def test_untouched_program_has_no_drift(self):
-        prog = LinearProgram(objective=[1.0, 1.0], rows=np.eye(2), rhs=[1.0, 2.0])
-        assert solve(prog).max_violation == 0.0
-        assert dual_norm(self.WEIGHTS, self.D_SUB) > 0.0
-
-    def test_clipped_drift_counts_as_violation(self, monkeypatch):
-        self.drifting(monkeypatch, 1e-6)
-        prog = LinearProgram(objective=[1.0, 1.0], rows=np.eye(2), rhs=[1.0, 2.0])
-        sol = solve(prog)
-        assert sol.status == "optimal" and sol.max_violation >= 1e-6
-
     def test_norm_lp_rejects_clipped_drift(self, monkeypatch):
-        self.drifting(monkeypatch, 1e-6)
-        with pytest.raises(LpError, match="residual"):
-            dual_norm(self.WEIGHTS, self.D_SUB)
+        # a plan entry that rounding, or a clip of it, left short by TOL / 2
+        # of the mass passes the witness check, one short by 1e-6 fails it;
+        # 0.5 delta_1 - 0.25 delta_2 on the line -1, 0, 2 (base 0) is 1.25
+        cols, weights = np.array([[1, 2]]), np.array([[0.5, -0.25]])
+        d = line_space([0.0, 2.0, -1.0]).dist
+        assert fn._lp_norms(cols, weights, d, 0, {}).tolist() == [1.25]
+        tamper_transport(monkeypatch, 0, "plan", -lpmod.TOL / 2)
+        assert fn._lp_norms(cols, weights, d, 0, {}).tolist() == [1.25]
+        tamper_transport(monkeypatch, 0, "plan", -1e-6)
+        with pytest.raises(LpError, match="program 0: marginal"):
+            fn._lp_norms(cols, weights, d, 0, {})
 
 
-@st.composite
-def program_stacks(draw):
-    """Stacks of programs sharing their rows, as (objectives, rows, rhs).
+class TestExactOracle:
+    """Plans, costs and potentials against the rational transport of
+    `conftest.exact_transport`, which shares no code and no tolerance with
+    the solver."""
 
-    Integer stacks have small integer coefficients and rhs with many zeros,
-    so ratio tests tie and pivots are degenerate, and members that differ
-    only in their objective reach different bases before they tie.  Decimal
-    stacks (multiples of 0.1) tie in exact arithmetic but not in floats, so
-    their pivots drift below 0 and get clipped; normal stacks leave rounding
-    residuals.  Without the box |x_j| <= 4 many members are unbounded, and a
-    member with a zero objective is optimal after 0 pivots."""
-    n = draw(st.integers(1, 5))
-    m = draw(st.integers(0, 10))
-    k = draw(st.integers(1, 9))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["integer", "decimal", "normal"]))
-    if kind == "normal":
-        rows = rng.normal(size=(m, n))
-        c = rng.normal(size=(k, n))
-        rhs = rng.uniform(0.0, 2.0, (k, m))
-    else:
-        unit = 1.0 if kind == "integer" else 0.1
-        rows = rng.integers(-3, 4, (m, n)) * unit
-        c = rng.integers(-2, 3, (k, n)) * unit
-        rhs = rng.integers(0, 4, (k, m)) * unit
-        rhs[rng.random((k, m)) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = 0.0
-    if draw(st.booleans()):
-        rows = np.vstack([rows, np.eye(n), -np.eye(n)])
-        rhs = np.hstack([rhs, np.full((k, 2 * n), 4.0)])
-    c[rng.random(k) < 0.2] = 0.0
-    return c, rows, rhs
+    @given(transport_stacks())
+    @settings(max_examples=150, deadline=None)
+    def test_plan_cost_and_potential_match_the_exact_transport(self, stack):
+        mu, d = stack
+        sol = transport(mu, d)
+        n = mu.shape[1]
+        for p in range(len(mu)):
+            want, _ = exact_transport(mu[p], d[p])
+            q = [Fraction(x) for x in mu[p]]
+            D = [[Fraction(x) for x in row] for row in d[p]]
+            y = [[Fraction(x) for x in row] for row in sol.plan[p]]
+            g = [Fraction(x) for x in sol.potential[p]]
+            mass = sum(abs(x) for x in q)
+            scale = Fraction(float(d[p].max())) * mass
+            # marginals, exactly, against the masses
+            for x in range(n):
+                sent, got = sum(y[x]), sum(y[i][x] for i in range(n))
+                assert abs(sent - max(q[x], 0)) <= 9 * Fraction(EPS) * mass
+                assert abs(got - max(-q[x], 0)) <= 9 * Fraction(EPS) * mass
+            # the plan's exact cost and the float cost against the optimum
+            exact_cost = sum(y[i][j] * D[i][j] for i in range(n) for j in range(n))
+            assert abs(exact_cost - want) <= 2 * n * Fraction(lpmod.TOL) * scale
+            assert abs(Fraction(float(sol.cost[p])) - exact_cost) <= n * n * Fraction(EPS) * scale
+            # the potential is 1-Lipschitz up to rounding, and its pairing
+            # with mu reaches the optimum
+            excess = max(g[x] - g[z] - D[x][z] for x in range(n) for z in range(n))
+            assert excess <= 4 * n * Fraction(EPS) * Fraction(float(d[p].max()))
+            pairing = sum(q[x] * g[x] for x in range(n))
+            assert abs(pairing - want) <= 2 * n * Fraction(lpmod.TOL) * scale
+
+    def test_oracle_on_a_known_plan(self):
+        # 1 at 0 and 1 at 1 onto 2 and 3 on the line 0, 1, 2, 3: 1 -> 2 and
+        # 0 -> 3 or 0 -> 2 and 1 -> 3 both cost 4
+        d = line_space([0.0, 1.0, 2.0, 3.0]).dist
+        value, plan = exact_transport([1.0, 1.0, -1.0, -1.0], d)
+        assert value == 4
+        assert sum(map(sum, plan)) == 2
+
+
+class TestStackedTransport:
+    """A program's plan, cost and potential are bitwise those it gets in a
+    stack of one."""
+
+    @given(transport_stacks())
+    @settings(max_examples=100, deadline=None)
+    def test_every_program_is_its_own_solve(self, stack):
+        mu, d = stack
+        sol = transport(mu, d)
+        for p in range(len(mu)):
+            alone = transport(mu[p:p + 1], d[p:p + 1])
+            for field in ("plan", "cost", "potential"):
+                assert getattr(alone, field).tobytes() == getattr(sol, field)[p:p + 1].tobytes()
+
+    def test_members_tie_break_on_their_own(self):
+        # on the discrete metric every plan ties: the first wanting target of
+        # least label takes the first source's mass, and the second source
+        # fills the next; the second member is the first mirrored
+        d = np.tile(1.0 - np.eye(4), (3, 1, 1))
+        mu = np.array([[1.0, 1.0, -1.0, -1.0], [-1.0, -1.0, 1.0, 1.0], [0.5, 1.5, -1.0, -1.0]])
+        sol = transport(mu, d)
+        assert sol.plan[0][[0, 1], [2, 3]].tolist() == [1.0, 1.0]
+        assert sol.plan[1][[2, 3], [0, 1]].tolist() == [1.0, 1.0]
+        assert sol.cost.tolist() == [2.0, 2.0, 2.0]
+        for p in range(3):
+            alone = transport(mu[p:p + 1], d[p:p + 1])
+            assert alone.plan.tobytes() == sol.plan[p:p + 1].tobytes()
+
+    def test_random_nine_point_programs_finish(self):
+        # decimal masses on random closures: rounding makes zero-cost
+        # residual cycles slightly negative, which labels that move on any
+        # decrease chase forever; with TOL = 0 every batch of these fails
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            d = np.stack([lf.random_metric_space(9, seed=int(s)).dist
+                          for s in rng.integers(0, 2**30, 100)])
+            mu = balanced(np.round(rng.normal(size=(100, 8)), 1))
+            sol = transport(mu, d)
+            fn._check_witnesses(mu, d, sol)
+            for p in range(0, 100, 25):
+                assert sol.cost[p] == pytest.approx(solve_with_scipy(mu[p], d[p]), rel=1e-9)
 
 
 class TestStackedSimplex:
-    """Every program of a stack, in any batch, is bitwise the one-program
-    simplex of `conftest.solve_serial` on that program alone."""
-
-    @given(program_stacks(), st.sampled_from([1, 40, 300, lpmod._BATCH_CELLS]))
-    @settings(max_examples=300, deadline=None)
-    def test_every_field_is_the_serial_ones(self, stack, cells):
-        c, rows, rhs = stack
-        with mock.patch.object(lpmod, "_BATCH_CELLS", cells):
-            got = lpmod.solve_stack(lpmod.ProgramStack(c, rows, rhs))
-        assert len(got) == len(c)
-        for p, sol in enumerate(got):
-            want = solve_serial(LinearProgram(c[p], rows, rhs[p]))
-            assert solution_bytes(sol) == solution_bytes(want)
-            assert solution_bytes(solve(LinearProgram(c[p], rows, rhs[p]))) == \
-                solution_bytes(want)
-
-    def test_members_tie_break_on_their_own(self):
-        # the same rows; each rhs makes the ratio tests tie on different rows,
-        # one member is optimal at once and one turns unbounded after a pivot
-        rows = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, -1.0], [0.0, 1.0]])
-        rhs = np.array([[1.0, 1.0, 2.0, 3.0], [2.0, 1.0, 1.0, 1.0], [1.0, 2.0, 1.0, 0.0],
-                        [0.0, 0.0, 0.0, 0.0], [3.0, 3.0, 3.0, 3.0], [1.0, 1.0, 1.0, 1.0]])
-        c = np.array([[1.0, 1.0], [1.0, 2.0], [2.0, -1.0], [1.0, 1.0], [0.0, 0.0],
-                      [0.0, -1.0]])
-        seen = set()
-        for stack in (lpmod.ProgramStack(c, rows, rhs),
-                      lpmod.ProgramStack(c, np.vstack([rows, [[-1.0, -1.0]]]),
-                                         np.hstack([rhs, np.ones((6, 1))]))):
-            for p, sol in enumerate(lpmod.solve_stack(stack)):
-                want = solve_serial(LinearProgram(stack.objective[p], stack.rows, stack.rhs[p]))
-                assert solution_bytes(sol) == solution_bytes(want)
-                seen.add((sol.status, sol.iterations == 0))
-        assert seen == {("optimal", True), ("optimal", False), ("unbounded", False)}
-
-    def test_members_keep_their_own_clipped_drift(self):
-        # the first member's pivots drift its rhs below 0 by a few ulps, and
-        # the clip's record of that is its max_violation; the others have none
-        n = 3
-        rows = np.vstack([np.array([[2, -1, 1], [3, 2, -2], [1, -1, 2]]) * 0.1,
-                          np.eye(n), -np.eye(n)])
-        rhs = np.concatenate([np.array([0, 2, 1]) * 0.1, np.full(2 * n, 4.0)])
-        c = np.array([[2, -2, -1], [0, 0, 0], [-2, 2, 1], [1, 2, 1]]) * 0.1
-        got = lpmod.solve_stack(lpmod.ProgramStack(c, rows, np.tile(rhs, (4, 1))))
-        for p, sol in enumerate(got):
-            want = solve_serial(LinearProgram(c[p], rows, rhs))
-            assert solution_bytes(sol) == solution_bytes(want)
-        assert got[0].max_violation > 0.0
-        assert float((rows @ got[0].assignment - rhs).max()) < got[0].max_violation
-        assert [sol.max_violation for sol in got[1:]] == [0.0, 0.0, 0.0]
-
-    def test_batches_are_capped(self, monkeypatch):
-        shapes = []
-        real = lpmod._pivot
-
-        def pivot(tab, p, r, col):
-            shapes.append(tab.shape)
-            real(tab, p, r, col)
-
-        monkeypatch.setattr(lpmod, "_pivot", pivot)
-        rng = np.random.default_rng(3)
-        n, m = 3, 10
-        rows = np.vstack([rng.normal(size=(m - 2 * n, n)), np.eye(n), -np.eye(n)])
-        stack = lpmod.ProgramStack(rng.normal(size=(500, n)), rows, rng.uniform(1, 2, (500, m)))
-        lpmod.solve_stack(stack)
-        cells = (m + 1) * (2 * n + m + 1)
-        assert max(s[0] for s in shapes) == lpmod._BATCH_CELLS // cells
-        assert all(s[1:] == (m + 1, 2 * n + m + 1) for s in shapes)
-
     def test_malformed_stacks(self):
+        # one malformed member refuses the whole stack
+        mu = np.array([[1.0, -1.0], [0.5, -0.5], [2.0, -2.0]])
+        d = np.tile(1.0 - np.eye(2), (3, 1, 1))
+        assert transport(mu, d).cost.tolist() == [1.0, 0.5, 2.0]
         with pytest.raises(ValueError, match="k x n"):
-            lpmod.ProgramStack(np.ones((2, 3)), np.ones((4, 3)), np.ones((3, 4)))
+            transport(mu, d[:2])
+        bad_mu, bad_d = mu.copy(), d.copy()
+        bad_mu[1, 0], bad_d[2, 0, 1] = np.inf, -1.0
         with pytest.raises(ValueError, match="finite"):
-            lpmod.ProgramStack(np.ones((1, 1)), [[np.inf]], np.ones((1, 1)))
+            transport(bad_mu, d)
         with pytest.raises(ValueError, match="nonnegative"):
-            lpmod.ProgramStack(np.ones((2, 1)), [[1.0]], [[1.0], [-1.0]])
+            transport(mu, bad_d)

@@ -95,6 +95,21 @@ def test_unused_import_is_reported():
 ALLOWED_IMPORTS = set(sys.stdlib_module_names) | {"numpy", "lipfree"}
 
 
+def test_lp_module_keeps_the_benchmark_contract():
+    # the benchmark's tracer imports `lipfree.lp` as a layer and reads a
+    # public `solve` or `solve_min_sparse` as a simplex, and its `setup_s`
+    # times `import lipfree`, which module-level imports would slow
+    import lipfree.lp as lp
+    assert not hasattr(lp, "solve") and not hasattr(lp, "solve_min_sparse")
+    tree = ast.parse((SRC / "lp.py").read_text())
+    names = [alias.name for node in tree.body if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module if not node.level else "." for node in tree.body
+              if isinstance(node, ast.ImportFrom)]
+    assert [name for name in names
+            if name.split(".")[0] not in set(sys.stdlib_module_names) | {"numpy"}] == []
+
+
 def foreign_imports(source: str) -> list[str]:
     """Modules an import statement names, at any depth of the source, whose
     top-level package is not in ALLOWED_IMPORTS; relative imports are the
