@@ -1,5 +1,5 @@
-"""Command-line pipelines: cover building, extension bundles, gluing, BAP
-tables, metric perturbation, and certificate re-verification.
+"""Command-line pipelines: cover building, extension bundles, gluing, metric
+perturbation, and certificate re-verification.
 
 Every run is driven by a JSON config, every randomized step takes its seed
 from the config, and reports are written as compact JSON with sorted keys, so
@@ -21,7 +21,6 @@ and leaves out what is a function of what it keeps:
   glue         pipeline, seed, n, m, eps, dim_k, admission_radius, bound, net,
                domain, collar, glue_metric, certificates, probes [{index,
                norm, metric_changes, operator, certificates}]
-  bap          pipeline, seed, rows, certificates
   perturb      an inline space spec {points, metric, base_point, and coords
                if the source space has them} and its sup_distance from the
                source metric
@@ -54,7 +53,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bap as bapmod
 from . import certs as certsmod
 from . import covers as coversmod
 from . import extension as extmod
@@ -291,30 +289,6 @@ def cmd_glue(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_bap(args) -> int:
-    cfg = _load_config(args)
-    _, space = cfg["space"]
-    seed = cfg["seed"]
-    stages = []
-    bound = None
-    for n in cfg["n_schedule"]:
-        eps = _stage_eps(cfg["nu"], n)
-        nc = coversmod.build_net_cover(space, eps)
-        bundle = extmod.build_extension_bundle(nc)
-        bound = extmod.perturbed_norm_bound(nc.order_bound)
-        stages.append(bapmod.BapStage(
-            label=n, op=bundle.pou, metric=bundle.adapted, eps=1.0 / n))
-    report = bapmod.bap_certificate(stages, space.dist, bound, envelope=cfg["envelope"])
-    path = Path(args.out_dir) / f"bap-{seed}.json"
-    _write_json(path, {"pipeline": "bap", "seed": seed, "rows": list(report.rows),
-                       "certificates": _cert_list(report.certificates)})
-    for row in report.rows:
-        print(f"n={row['n']}: |net|={row['net_size']} norm={row['norm']:.4g} "
-              f"defect={row['defect']:.4g}")
-    print(f"wrote {path}")
-    return 0 if report.passed else 1
-
-
 def cmd_perturb(args) -> int:
     cfg = _load_config(args)
     _, space = cfg["space"]
@@ -373,7 +347,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", default="out", help="report directory")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("build-cover", cmd_build_cover), ("extend", cmd_extend),
-                     ("glue", cmd_glue), ("bap", cmd_bap), ("perturb", cmd_perturb)):
+                     ("glue", cmd_glue), ("perturb", cmd_perturb)):
         p = sub.add_parser(name)
         p.add_argument("config")
         p.set_defaults(func=fn)

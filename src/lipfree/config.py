@@ -83,8 +83,6 @@ PIPELINES: dict[str, dict] = {
              "n": (INT1, 1), "eps": (POSITIVE, None), "nu": (POSITIVE, None),
              "seed": (INT0, None),
              "probes": ({"count": (INT0, 1), "amplitude": (NONNEGATIVE, 0.9)}, {})},
-    "bap": {"space": (SPACE, REQUIRED), "nu": (POSITIVE, 1.0), "envelope": (POSITIVE, 4.0),
-            "seed": (INT0, 0), "n_schedule": (list_of(INT1), REQUIRED)},
     "perturb": {"space": (SPACE, REQUIRED), "seed": (INT0, REQUIRED),
                 "amplitude": (NONNEGATIVE, REQUIRED), "count": (INT0, 1)},
 }

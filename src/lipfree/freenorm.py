@@ -474,18 +474,6 @@ def _metrics(op: WeightOperator, d) -> tuple[np.ndarray, np.ndarray, int]:
     return d, d[np.ix_(op.domain, op.domain)], op.base_position
 
 
-def free_norms(op: WeightOperator, d: np.ndarray, rows) -> np.ndarray:
-    """Free-space norms over (A, d|A) of the dense rows, each a weight vector
-    over the domain A of op, for the n x n metric d on all points.  Rows are
-    read by their nonzeros, as in `molecule_norm_matrix`, and each distinct
-    (support, weights) goes to the transport solver at most once."""
-    _, d_a, base = _metrics(op, d)
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != len(op.domain):
-        raise ValueError(f"rows must have {len(op.domain)} columns, one per domain point")
-    return _row_norms(*_sparse_rows(rows), d_a, base, {})
-
-
 def molecule_norm_matrix(op: WeightOperator, d: np.ndarray) -> np.ndarray:
     """Matrix of free-space norms of the row differences of op over (A, d|A).
 

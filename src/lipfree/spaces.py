@@ -497,19 +497,6 @@ def diameter(d: np.ndarray, members: Sequence[int] | None = None) -> float:
     return float(d.max()) if d.size else 0.0
 
 
-class DensityReport(NamedTuple):
-    dense: bool
-    witness: int       # point attaining the largest distance to the set
-    max_dist: float
-
-
-def is_eps_dense(d: np.ndarray, members: Sequence[int], eps: float) -> DensityReport:
-    """True iff every point lies within eps of the set; returns the worst point."""
-    vals = dist_to_set_all(d, members)
-    w = int(np.argmax(vals))
-    return DensityReport(bool(vals[w] <= eps), w, float(vals[w]))
-
-
 # ---------------------------------------------------------------------------
 # metric transforms
 

@@ -180,26 +180,6 @@ def test_gluing_certificates():
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
 
 
-def test_bap_harness(grid_1d):
-    with verdict("BAP harness: norms bounded, defects under 4/n"):
-        stages = []
-        bound = None
-        for n in (2, 4, 8):
-            eps = min(1.0 / 4.0, 1.0 / (10.0 * n))
-            nc = lf.build_net_cover(grid_1d, eps)
-            bundle = lf.build_extension_bundle(nc)
-            bound = lf.perturbed_norm_bound(bundle.nc.order_bound)
-            stages.append(lf.BapStage(label=n, op=bundle.pou, metric=bundle.adapted,
-                                      eps=1.0 / n))
-        assert bound == 880.0
-        report = lf.bap_certificate(stages, grid_1d.dist, bound)
-        assert report.passed
-        for row in report.rows:
-            assert row["defect"] <= 4.0 / row["n"]
-            assert row["defect"] <= 1e-9          # exact extension operators
-            assert row["norm"] <= bound + 1e-7
-
-
 def test_metric_extension_50_instances():
     with verdict("metric extension distortion within the interpolation bound"):
         rng = np.random.default_rng(7)

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from conftest import (count_solves, floyd_warshall_serial, json_dump_of_lists,
                       min_plus_excess_by_via, molecule_norms_by_pairs, sweeps_of)
 from lipfree import cli, extension, freenorm, gluing, spaces
 from lipfree.cli import _write_json, main
+from lipfree.config import PIPELINES
 
 
 WORKLOADS = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
@@ -103,6 +105,17 @@ class TestExtendPipeline:
         with pytest.raises(SystemExit):
             main(["--tol", "0.5", "--out-dir", str(tmp_path / "out"), "extend", cfg])
 
+    def test_bap_command_removed(self, tmp_path):
+        # its table was this pipeline staged by (nu, n_schedule)
+        cfg = write_config(tmp_path, "c.json", {
+            "space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": [1, 2],
+        })
+        with pytest.raises(SystemExit) as exc:
+            main(["--out-dir", str(tmp_path / "out"), "bap", cfg])
+        assert exc.value.code == 2
+        assert "bap" not in PIPELINES
+        assert importlib.util.find_spec("lipfree.bap") is None
+
     def test_nonfinite_inline_metric_rejected(self, tmp_path, capsys):
         nan = float("nan")
         cfg = write_config(tmp_path, "c.json", {
@@ -171,19 +184,6 @@ class TestGluePipeline:
         first, second = (p["certificates"] for p in payload["probes"])
         assert all(c["passed"] for c in first)       # the unperturbed probe
         assert not all(c["passed"] for c in second)
-
-
-class TestBapPipeline:
-    def test_defect_table(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json", {
-            "space": grid_space_json([17], 1 / 16),
-            "n_schedule": [2, 4], "nu": 1.0, "seed": 0,
-        })
-        rc = main(["--out-dir", str(tmp_path / "out"), "bap", cfg])
-        assert rc == 0
-        payload = json.loads((tmp_path / "out" / "bap-0.json").read_text())
-        assert [r["n"] for r in payload["rows"]] == [2, 4]
-        assert all(r["defect"] == 0.0 for r in payload["rows"])
 
 
 class TestPerturbAndVerify:
@@ -281,7 +281,6 @@ INLINE_LINE = {"points": ["a", "b", "c"],
 GLUE_LINE = {"space": grid_space_json([5], 1 / 5), "k": [0, 1, 2, 3, 4], "dim_k": 1,
              "thresholds": [0.5], "n": 1, "eps": 0.5, "seed": 0, "probes": {"count": 1}}
 EXTEND_LINE = {"space": grid_space_json([9], 1 / 8), "eps_schedule": [0.25], "seed": 0}
-BAP_LINE = {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": [1, 2]}
 PERTURB_LINE = {"space": grid_space_json([5], 0.25), "seed": 9, "amplitude": 0.01}
 
 
@@ -307,7 +306,7 @@ class TestConfigErrors:
         ("glue", {**GLUE_6X6_NO_CORE, "n": 1, "eps": 0.6}, "'k'"),
         ("glue", {**GLUE_6X6_NO_CORE, "k": [i * 6 for i in range(6)], "n": 9, "nu": 1.0},
          "n = 9"),
-        ("bap", {"space": grid_space_json([9], 1 / 8), "nu": 1.0}, "'n_schedule'"),
+        ("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0}, "(nu, n_schedule)"),
         ("perturb", {"space": grid_space_json([5], 0.25), "seed": 9}, "'amplitude'"),
         ("extend", None, "missing.json"),
         ("verify", None, "missing.json"),
@@ -335,22 +334,22 @@ class TestConfigErrors:
         ("extend", {**EXTEND_LINE, "seed": True}, "'seed'"),
         ("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": [2, 2.9]},
          "'n_schedule[1]'"),
-        ("bap", {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": [1.5, 2.9]},
+        ("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": [1.5, 2.9]},
          "'n_schedule[0]'"),
-        ("bap", {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": [2],
-                 "seed": "3"}, "'seed'"),
+        ("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": [2],
+                    "seed": "3"}, "'seed'"),
         ("perturb", {"space": grid_space_json([5], 0.25), "seed": 9, "amplitude": 0.01,
                      "count": 1.5}, "'count'"),
         # schedules that are not lists, or run no stage
         *(("extend", {**EXTEND_LINE, "eps_schedule": v}, "'eps_schedule'")
           for v in (0.25, [], {})),
-        *((pipeline, {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": v},
-           "'n_schedule'") for pipeline in ("extend", "bap") for v in (3, [], {})),
+        *(("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": v},
+           "'n_schedule'") for v in (3, [], {})),
         # schedule and scale entries that are out of range or not numbers
-        *((pipeline, {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": [2, 0]},
-           "'n_schedule[1]'") for pipeline in ("extend", "bap")),
-        *((pipeline, {"space": grid_space_json([9], 1 / 8), "nu": v, "n_schedule": [2]},
-           "'nu'") for pipeline in ("extend", "bap") for v in (True, 0.0, "1")),
+        ("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": [2, 0]},
+         "'n_schedule[1]'"),
+        *(("extend", {"space": grid_space_json([9], 1 / 8), "nu": v, "n_schedule": [2]},
+           "'nu'") for v in (True, 0.0, "1")),
         ("glue", {**GLUE_6X6_NO_CORE, "k": [i * 6 for i in range(6)], "n": 1, "nu": True},
          "'nu'"),
         ("glue", {**GLUE_LINE, "eps": False}, "'eps'"),
@@ -364,13 +363,11 @@ class TestConfigErrors:
             "inline-coords-float", "inline-nominal-dim-string", "glue-dim-k-float",
             "glue-dim-k-bool", "glue-seed-float", "glue-probe-count-float", "glue-n-float",
             "extend-perturbation-count-float", "extend-seed-bool", "extend-n-schedule-float",
-            "bap-n-schedule-float", "bap-seed-string", "perturb-count-float",
+            "extend-n-schedule-first-float", "extend-seed-string", "perturb-count-float",
             "extend-eps-schedule-number", "extend-eps-schedule-empty",
             "extend-eps-schedule-dict", "extend-n-schedule-number", "extend-n-schedule-empty",
-            "extend-n-schedule-dict", "bap-n-schedule-number", "bap-n-schedule-empty",
-            "bap-n-schedule-dict", "extend-n-schedule-zero", "bap-n-schedule-zero",
-            "extend-nu-bool", "extend-nu-zero", "extend-nu-string", "bap-nu-bool",
-            "bap-nu-zero", "bap-nu-string", "glue-nu-bool", "glue-eps-bool",
+            "extend-n-schedule-dict", "extend-n-schedule-zero", "extend-nu-bool",
+            "extend-nu-zero", "extend-nu-string", "glue-nu-bool", "glue-eps-bool",
             "build-cover-eps-string", "extend-eps-schedule-null", "extend-eps-schedule-bool"])
     def test_exits_2_and_names_the_cause(self, tmp_path, capsys, command, config, named):
         exits_2_naming(tmp_path, capsys, command, config, named)
@@ -381,8 +378,7 @@ class TestConfigErrors:
         ("glue", {**GLUE_LINE, "thresholds": [True]}, "'thresholds[0]'"),
         ("glue", {**GLUE_LINE, "probes": {"amplitude": True}}, "'probes.amplitude'"),
         ("glue", {**GLUE_LINE, "probes": {"count": -1}}, "'probes.count'"),
-        ("bap", {**BAP_LINE, "envelope": True}, "'envelope'"),
-        ("bap", {**BAP_LINE, "seed": -1}, "'seed'"),
+        ("extend", {**EXTEND_LINE, "seed": -1}, "'seed'"),
         ("perturb", {**PERTURB_LINE, "amplitude": True}, "'amplitude'"),
         ("perturb", {**PERTURB_LINE, "count": -1}, "'count'"),
         ("build-cover", {"space": {**INLINE_LINE, "metric": [[0, True, 1], [True, 0, 0.5],
@@ -396,7 +392,7 @@ class TestConfigErrors:
         ("glue", {**GLUE_LINE, "space": None}, "'space'"),
         ("glue", {**GLUE_LINE, "k": 0}, "'k'"),
         ("glue", {**GLUE_LINE, "thresholds": [None]}, "'thresholds[0]'"),
-        ("bap", {**BAP_LINE, "envelope": None}, "'envelope'"),
+        ("extend", {**EXTEND_LINE, "seed": None}, "'seed'"),
         ("perturb", {**PERTURB_LINE, "amplitude": []}, "'amplitude'"),
         ("build-cover", {"space": {**INLINE_LINE, "metric": [[0, 0.5, 1], {}, [1, 0.5, 0]]},
                          "eps": 0.25}, "'metric[1]'"),
@@ -421,11 +417,11 @@ class TestConfigErrors:
         ("build-cover", {"space": {**INLINE_LINE, "coords": [[0], [10**400], [2]]},
                          "eps": 0.25}, "'coords'"),
     ], ids=["glue-threshold-bool", "glue-probe-amplitude-bool", "glue-probe-count-negative",
-            "bap-envelope-bool", "bap-seed-negative", "perturb-amplitude-bool",
+            "extend-seed-negative", "perturb-amplitude-bool",
             "perturb-count-negative", "inline-metric-bool", "inline-nominal-dim-negative",
             "extend-perturbation-count-negative", "glue-probes-list",
             "extend-perturbations-string", "glue-space-null", "glue-k-number",
-            "glue-threshold-null", "bap-envelope-null", "perturb-amplitude-list",
+            "glue-threshold-null", "extend-seed-null", "perturb-amplitude-list",
             "inline-metric-row-object", "inline-point-null", "build-cover-seed-string",
             "grid-ground-list", "unknown-generator", "config-not-an-object",
             "extend-unknown-key", "glue-unknown-probe-key", "build-cover-eps-too-large",
@@ -471,7 +467,7 @@ class TestConfigErrors:
         assert [f.name for f in (tmp_path / "out").iterdir()] == [f"extend-{2**63 - 1}-0.25.json"]
 
 
-# small configs of the five commands that read one, at most 16 points each
+# small configs of the four commands that read one, at most 16 points each
 FUZZ_CONFIGS = {
     "glue": ("glue", {"space": grid_space_json([4, 4], 0.25), "k": [0, 4, 8, 12], "dim_k": 1,
                       "thresholds": [0.5, 0.25], "n": 1, "eps": 0.5, "seed": 0,
@@ -479,7 +475,6 @@ FUZZ_CONFIGS = {
     "extend": ("extend", {**EXTEND_LINE, "perturbations": {"count": 1}}),
     "extend-nu": ("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0,
                              "n_schedule": [2], "seed": 0}),
-    "bap": ("bap", {**BAP_LINE, "envelope": 4.0, "seed": 0}),
     "build-cover": ("build-cover", {"space": {**INLINE_LINE, "base_point": 0,
                                               "coords": [[0], [1], [2]], "nominal_dim": 1},
                                     "eps": 0.25, "seed": 0}),
@@ -691,7 +686,7 @@ class TestReportLayout:
         ("glue", {"space": grid_space_json([6, 6], 1 / 6), "k": [0, 6, 12, 18, 24, 30],
                   "dim_k": 1, "thresholds": [4 / 6, 3 / 6, 2 / 6, 1 / 6],
                   "n": 1, "eps": 0.6, "seed": 5, "probes": {"count": 2}}),
-        ("bap", {"space": grid_space_json([9], 1 / 8), "n_schedule": [2], "nu": 1.0}),
+        ("extend", {"space": grid_space_json([9], 1 / 8), "n_schedule": [2], "nu": 1.0}),
         ("perturb", {"space": grid_space_json([5], 0.25), "amplitude": 0.05, "seed": 9}),
     ])
     def test_reports_are_canonical_compact_json(self, tmp_path, pipeline, config):

@@ -182,7 +182,7 @@ class TestBuildNetCover:
     def test_net_is_half_eps_dense(self):
         space = lf.make_grid_space([9, 9], 1 / 32)
         nc = lf.build_net_cover(space, 0.25)
-        assert lf.is_eps_dense(space.dist, nc.net, 0.25 / 2).dense
+        assert lf.dist_to_set_all(space.dist, nc.net).max() <= 0.25 / 2
 
     def test_merge_never_increases_order(self):
         for seed in range(10):

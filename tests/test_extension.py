@@ -433,7 +433,7 @@ class TestWeightSparsity:
     @pytest.mark.parametrize("dims, spacing, eps", [
         ([13, 13], 0.02, 0.25),     # extend, 13 x 13
         ([30, 30], 0.02, 0.125),    # extend, 30 x 30
-        ([65], 1 / 64, 0.1),        # bap, the 65-point line at nu 1, n 1, 2, 4, 8
+        ([65], 1 / 64, 0.1),        # extend staged by nu 1, n 1, 2, 4, 8
         ([65], 1 / 64, 0.05),
         ([65], 1 / 64, 0.025),
         ([65], 1 / 64, 0.0125),

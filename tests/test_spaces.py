@@ -705,7 +705,7 @@ class TestQuotientPseudometric:
         space = lf.make_grid_space([9], 0.125)
         eps = 0.5
         members = [0, 2, 4, 6, 8]
-        assert lf.is_eps_dense(space.dist, members, eps / 2).dense
+        assert lf.dist_to_set_all(space.dist, members).max() <= eps / 2
         out = lf.quotient_pseudometric(space.dist, members)
         assert out.max() <= eps
 
@@ -753,19 +753,20 @@ class TestSetGeometry:
 class TestDensity:
     def test_full_set_always_dense(self):
         d = random_metric_matrix(9, 6)
-        assert lf.is_eps_dense(d, range(6), 0.0).dense
+        assert lf.dist_to_set_all(d, range(6)).max() <= 0.0
 
     @pytest.mark.parametrize("eps,expect", [(0.124, False), (0.125, True), (0.2, True)])
     def test_alternating_grid_points(self, eps, expect):
         space = lf.make_grid_space([9], 0.125)
-        assert lf.is_eps_dense(space.dist, [0, 2, 4, 6, 8], eps).dense is expect
+        assert bool(lf.dist_to_set_all(space.dist, [0, 2, 4, 6, 8]).max() <= eps) is expect
 
     def test_witness_attains_max(self):
         d = random_metric_matrix(10, 7)
-        rep = lf.is_eps_dense(d, [0, 1], 0.01)
+        dist = lf.dist_to_set_all(d, [0, 1])
+        witness = int(np.argmax(dist))
         vals = d[:, [0, 1]].min(axis=1)
-        assert rep.max_dist == vals.max()
-        assert vals[rep.witness] == rep.max_dist
+        assert dist[witness] == vals.max()
+        assert vals[witness] == dist[witness]
 
 
 class TestGridSpace:
