@@ -294,8 +294,9 @@ def cmd_perturb(args) -> int:
     _, space = cfg["space"]
     seed = cfg["seed"]
     rng = np.random.default_rng(seed)
+    start = BoundedMetric(space.dist, space.excess)
     for i in range(cfg["count"]):
-        e = perturb_metric(space.dist, cfg["amplitude"], rng).matrix
+        e = perturb_metric(start, cfg["amplitude"], rng).matrix
         out = Path(args.out_dir) / f"perturb-{seed}-{i}.json"
         # a probe keeps the points, so it keeps their lattice coordinates
         coords = {} if space.coords is None else {"coords": space.coords}

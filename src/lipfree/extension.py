@@ -50,27 +50,24 @@ def complement_distances(d: np.ndarray, sets) -> np.ndarray:
     """Column i holds d(x, U_i^c); an empty complement contributes the
     constant max(diam, 1).
 
-    Row x's minimum is attained first at the column first[x], taken by the
-    row blocks of `row_spans` (numpy's argmin copies a read-only array
-    whole).  When first[x] lies outside U_i, d(x, U_i^c) is that minimum
-    exactly.  Only the (set, row) pairs with first[x] in U_i take the masked
-    minimum over the complement, in one pass by row blocks; for a metric
-    first[x] = x, so those are the members of U_i.
+    d is a matrix `validate_metric` admitted, as every caller's is (a
+    space's metric, an adapted metric or a probe it validated): its zero
+    diagonal and no negative entry make d(x, x) a least entry of row x.  So
+    when x lies outside U_i, d(x, U_i^c) is d(x, x) exactly.  Only the
+    (set, row) pairs with x in U_i take the masked minimum over the
+    complement, in one pass by row blocks.
     """
     d = np.asarray(d, dtype=float)
     n, k = d.shape[0], len(sets)
     fallback = max(diameter(d), 1.0)
-    first = np.zeros(n, dtype=np.intp)
-    for lo, hi in row_spans(n, n):
-        first[lo:hi] = d[lo:hi].argmin(axis=1)
     members, starts = flatten_sets(sets)
     inside = np.zeros((k, n), dtype=bool)
     inside[np.repeat(np.arange(k), np.diff(starts)), members] = True
     full = inside.all(axis=1)
     out = np.empty((n, k))
-    out[:] = d[np.arange(n), first][:, None]
+    out[:] = np.diagonal(d)[:, None]
     out[:, full] = fallback
-    owners, rows = np.nonzero(inside[:, first] & ~full[:, None])
+    owners, rows = np.nonzero(inside & ~full[:, None])
     for lo, hi in row_spans(len(rows), n):
         r, i = rows[lo:hi], owners[lo:hi]
         out[r, i] = np.min(d[r], axis=1, where=~inside[i], initial=np.inf)
@@ -98,20 +95,19 @@ def partition_of_unity(d: np.ndarray, sets, domain,
     return WeightOperator(space, domain, weights, partition=True)
 
 
-def _adapted_excess_bound(d: np.ndarray, d_excess: float, induced: np.ndarray,
-                          induced_excess: float, adapted: np.ndarray, symmetric: bool) -> float:
+def _adapted_excess_bound(d_excess: float, induced_excess: float, adapted: np.ndarray) -> float:
     """A proven upper bound on the triangle excess `validate_metric` would
     measure on adapted = fl(q + induced), where q =
-    `quotient_pseudometric(d, A)` for a nonempty net A, given bounds on the
-    excesses it measures on d and on induced; +inf unless d is exactly
-    symmetric (symmetric, as d's validation found it) and neither d nor
-    induced has a negative entry.
+    `quotient_pseudometric(d, A)` for a space's metric d and a nonempty net
+    A, given bounds on the excesses it measures on d and on induced, which
+    `validate_pseudometric` admitted.
 
     Lemma.  Let u = 2^-53 and M = max adapted.  Write a(x) = min over z in A
     of d(x, z), exact; p(x, y) = fl(a(x) + a(y)); q = min(d, p) off the
-    diagonal and 0 on it; b = induced, so adapted = fl(q + b).  With d
-    symmetric and d, b >= 0, every q and b entry lies in [0, adapted], so
-    in [0, M], and every triangle excess
+    diagonal and 0 on it; b = induced, so adapted = fl(q + b).  The door
+    admitted d and b, so both are symmetric with no negative entry: every q
+    and b entry lies in [0, adapted], so in [0, M], and every triangle
+    excess
         adapted(i, k) - fl(adapted(i, j) + adapted(j, k))
     is at most (d_excess+ + induced_excess+) (1 + 2^-50) + 2^-48 M, where
     x+ = max(x, 0).  Proof, triple by triple; e(X) is the exact excess
@@ -136,11 +132,8 @@ def _adapted_excess_bound(d: np.ndarray, d_excess: float, induced: np.ndarray,
         sweep's rounded sum adds 2uM more.
     The terms add up to (1 + 2u) d_excess+ + (1 + u) induced_excess+ +
     12uM + O(u^2 M).  The bound's factors 1 + 8u and 32uM leave room for
-    the O(u^2) terms and for the rounding of its own evaluation.  The
-    preconditions cost two O(n^2) passes.
+    the O(u^2) terms and for the rounding of its own evaluation.
     """
-    if not symmetric or d.min() < 0 or induced.min() < 0:
-        return np.inf
     excess = max(d_excess, 0.0) + max(induced_excess, 0.0)
     return excess * (1.0 + 2.0 ** -50) + 2.0 ** -48 * float(adapted.max())
 
@@ -199,7 +192,7 @@ def build_extension_bundle(nc: NetAndCover) -> ExtensionBundle:
     adapted = quotient_pseudometric(d, a)
     adapted += induced                           # = induced + quotient, bitwise
     m_report = validate_metric(adapted, excess_bound=_adapted_excess_bound(
-        d, space.excess, induced, ps_report.excess, adapted, space.symmetric))
+        space.excess, ps_report.excess, adapted))
     if not m_report.ok:
         raise BundleError(make_certificate(
             "adapted-metric", 0.0, 1.0, "le", 0.0,
@@ -214,7 +207,7 @@ def build_extension_bundle(nc: NetAndCover) -> ExtensionBundle:
     certs.append(make_certificate(
         "adapted-extends-net-metric", 0.0, agree, "le", 0.0, inputs=inputs))
 
-    pairs = ClassPairs(pou, adapted, m_report.symmetric)   # pou's classes against adapted
+    pairs = ClassPairs(pou, adapted)             # pou's classes against adapted
     if len(a) >= 2:
         enorm, wit = pairs.ratio_max(induced)
         certs.append(make_certificate(
@@ -283,7 +276,7 @@ def build_perturbed_operator(bundle: ExtensionBundle, e) -> PerturbedBundle:
     inputs = {"space": nc.space.key, "eps": eps, "r": r, "excess_bound": excess}
     certs = [make_certificate("perturbation-admission", radius, measured, "le", 0.0,
                               inputs=inputs, details={"excess_bound": excess})]
-    pairs = ClassPairs(mu, e, report.symmetric)            # mu's classes against e
+    pairs = ClassPairs(mu, e)                    # mu's classes against e
     lips = pairs.lipschitz_constants()
     certs.append(make_certificate(
         "perturbed-partition-lipschitz", 4.0 * (2 * r + 3) / eps, float(lips.max()),

@@ -24,7 +24,7 @@ import numpy as np
 from . import lp as lpmod
 from .certs import Certificate, make_certificate
 from .spaces import (FiniteMetricSpace, as_indices, bad_indices, first_equal_rows,
-                     floyd_warshall, is_symmetric, least_class_distances, require_metric,
+                     floyd_warshall, least_class_distances, require_metric,
                      row_spans, sup_distance, validate_metric)
 
 
@@ -373,7 +373,7 @@ def _ratio_upper_bounds(cols: np.ndarray, vals: np.ndarray, d: np.ndarray,
     Balance a row c by mu(base) = -sum c.  For any point p, the flow that
     sends each source's mass to p and each target's from p is a flow of the
     norm LP's dual, so its cost star(p) = sum_x |mu_x| d(x, p) (d symmetric,
-    as every pipeline metric is) bounds the LP optimum T.  `_lp_norms`
+    as every metric the door admits is) bounds the LP optimum T.  `_lp_norms`
     returns at most T + 2 n (eta + tau) m (`_check_witnesses`).
     PRUNE_MARGIN covers that and the rounding: star(p) >= (m / 2) d_min, for
     d_min the least distance from p to another point with mass, and on a
@@ -532,8 +532,8 @@ class ClassPairs:
     extension pipeline runs both sweeps of a (weights, metric) pair on one:
     an operator norm and the partition Lipschitz constants.  It is not
     exported from `lipfree`: `ratio_max` trusts its argument to be a
-    molecule-norm matrix of op, and symmetric (if not None) to be d's
-    `is_symmetric`, as d's validation found it.
+    molecule-norm matrix of op, and every method trusts d to be a matrix
+    `validate_metric` admitted, so symmetric.
 
     A sweep's quantity N >= 0 of a pair (x, y), a molecule norm or the gap
     of a weight column, depends on x and y only through their weight rows,
@@ -543,10 +543,9 @@ class ClassPairs:
     bound on N / least d bounds every member.
     """
 
-    def __init__(self, op: WeightOperator, d, symmetric: bool | None = None):
+    def __init__(self, op: WeightOperator, d):
         self.op = op
         self.d = _metric(op, d)
-        self.symmetric = symmetric
         self.classes = op._classes
         self.least = least_class_distances(self.d, self.classes.cls)
 
@@ -645,16 +644,12 @@ class ClassPairs:
         pair at distance <= 0 carries different weights.
 
         A column's gap |w_i(x) - w_i(y)| is symmetric, so it is divided by
-        the least distance over a class pair's members in either orientation
-        and either order: min(least, least.T) when d is bitwise symmetric,
-        as every pipeline metric is, and that together with the table of
-        d.T otherwise.  Only the class pairs with an end in the column's
-        support are read: the others have gap 0.
+        the least distance over a class pair's members in either
+        orientation, min(least, least.T): d is symmetric, so that is the
+        least over both orders of each pair.  Only the class pairs with an
+        end in the column's support are read: the others have gap 0.
         """
         least = np.minimum(self.least, self.least.T)
-        if not (is_symmetric(self.d) if self.symmetric is None else self.symmetric):
-            lower = least_class_distances(self.d.T, self.classes.cls)
-            np.minimum(least, np.minimum(lower, lower.T), out=least)
         w = self.op.matrix[self.classes.reps].T      # w[i, a]: column i on class a
         nz_i, nz_a = np.nonzero(w)
         out = np.zeros(len(w))

@@ -8,7 +8,10 @@ rule of the row-block engine below.
 
 Validation reads every matrix in O(n^2) for the axioms other than the
 triangle inequality (one symmetry test and one pass, plus a witness scan
-per failed axiom).  The triangle inequality costs an O(n^3) min-plus sweep,
+per failed axiom).  Those axioms are exact: a matrix is admitted only when
+it equals its transpose by value, its diagonal is zero and no entry is
+negative, so every proof below may use them without testing them again.
+The triangle inequality costs an O(n^3) min-plus sweep,
 unless the code that built the matrix hands over a proven upper bound on its
 triangle excess in a `BoundedMetric`, whose docstring lists the builders
 that do.  Every other matrix is swept: inline metrics, with or without
@@ -26,8 +29,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 # Slack used when comparing floating-point quantities against exact bounds:
-# the metric axioms of validate_metric, and every certificate that does not
-# record a fixed tolerance of its own.  It is not configurable.
+# the triangle inequality and the positivity floor of validate_metric, and
+# every certificate that does not record a fixed tolerance of its own.  It is
+# not configurable.
 DEFAULT_TOL = 1e-7
 
 
@@ -50,10 +54,9 @@ class Violation:
 class ValidationReport:
     shape: tuple
     violations: tuple[Violation, ...]
-    # the triangle excess the check used (the sweep's or a derived bound) and
-    # `is_symmetric`; None when a nonfinite entry ended the check before them
+    # the triangle excess the check used (the sweep's or a derived bound);
+    # None when a nonfinite entry or an asymmetry ended the check before it
     excess: float | None = None
-    symmetric: bool | None = None
 
     @property
     def ok(self) -> bool:
@@ -220,20 +223,19 @@ def _block_excess(d: np.ndarray, lo: int, hi: int, k0: int, best: np.ndarray,
     return float(best[r, k]), lo + int(r), k0 + int(k)
 
 
-def _min_plus_excess(d: np.ndarray, symmetric: bool | None = None) -> tuple[float, tuple]:
+def _min_plus_excess(d: np.ndarray) -> tuple[float, tuple]:
     """Largest triangle excess d(i,k) - min_j (d(i,j) + d(j,k)) and a witness
-    (i, j, k); symmetric is `is_symmetric(d)`, tested here when not given.
+    (i, j, k), for d symmetric by value (`validate_metric` sweeps no other).
 
     (i, k) is the first worst pair in row-major order and j its first
-    minimiser.  On an exactly symmetric matrix each row block sweeps only the
-    columns k from its first row on, about half the work.  The result is the
-    full sweep's: excess(i, k) and excess(k, i) are then minima of the same
-    IEEE sums d(i,j) + d(j,k) = d(k,j) + d(j,i), so the first worst pair lies
-    on or above the diagonal, and each swept cell is computed as in the full
-    sweep.  Any other matrix is swept in full.
+    minimiser.  Each row block sweeps only the columns k from its first row
+    on, about half the work.  The result is the full sweep's: excess(i, k)
+    and excess(k, i) are minima of the same IEEE sums d(i,j) + d(j,k) =
+    d(k,j) + d(j,i), so the first worst pair lies on or above the diagonal,
+    and each swept cell is computed as in the full sweep.
 
-    A symmetric matrix with repeated rows (a pseudometric pulled back through
-    a partition of unity has many) is swept only over the first occurrences
+    A matrix with repeated rows (a pseudometric pulled back through a
+    partition of unity has many) is swept only over the first occurrences
     R of its bitwise-distinct rows, in ascending order.  Row i equal to row r
     makes column i equal to column r, so excess(i, k) = excess(r, s) for the
     first occurrences r of i and s of k, and a j in the class of j' adds the
@@ -244,14 +246,10 @@ def _min_plus_excess(d: np.ndarray, symmetric: bool | None = None) -> tuple[floa
     taken from the full rows.  A metric has no two equal rows (equal rows
     i != j would give d(i, j) = d(j, j) = 0), so it is swept whole.
     """
-    symmetric = is_symmetric(d) if symmetric is None else symmetric
-    reps = np.arange(len(d))
-    if symmetric:
-        reps = np.flatnonzero(first_equal_rows(d) == reps)
+    reps = np.flatnonzero(first_equal_rows(d) == np.arange(len(d)))
     swept = d if len(reps) == len(d) else d[np.ix_(reps, reps)]
     with _row_blocks(len(swept), 2) as (blocks, scratch):
-        worst = [_block_excess(swept, lo, hi, lo if symmetric else 0, *scratch)
-                 for lo, hi in blocks]
+        worst = [_block_excess(swept, lo, hi, lo, *scratch) for lo, hi in blocks]
     # max keeps the first of equal excesses, so ties go to the first block
     excess, i, k = max(worst, key=lambda t: t[0])
     i, k = int(reps[i]), int(reps[k])
@@ -277,16 +275,19 @@ def _axiom_scan(mat: np.ndarray) -> tuple[bool, float, float]:
 
 def validate_metric(mat: np.ndarray, allow_zero: bool = False,
                     excess_bound: float | None = None) -> ValidationReport:
-    """Check the metric axioms up to DEFAULT_TOL, reporting one witness per
-    violated axiom.
+    """Check the metric axioms, reporting one witness per violated axiom.
 
-    With allow_zero=True the matrix is checked as a pseudometric (zero
-    off-diagonal entries permitted).  Non-square input is rejected outright.
-    A NaN or infinite entry is the one violation reported: every other check
-    is a comparison, which NaN would pass.  The other axioms cost one pass
-    of `_axiom_scan` and one `is_symmetric` test, recorded on the report;
-    only an axiom that fails is scanned by `_first_max` for its witness, the
-    first worst entry in row-major order.
+    The diagonal must be zero (either sign), the matrix must equal its
+    transpose by value (0.0 against -0.0 passes) and no entry may be
+    negative (-0.0 is not), all exactly; an off-diagonal entry must exceed
+    DEFAULT_TOL, or be >= 0 with allow_zero=True (a pseudometric), and the
+    triangle excess may reach DEFAULT_TOL.  Non-square input is rejected
+    outright.  A NaN or infinite entry is the one violation reported: every
+    other check is a comparison, which NaN would pass.  The other axioms
+    cost one pass of `_axiom_scan` and one `is_symmetric` test; only an
+    axiom that fails is scanned by `_first_max` for its witness, the first
+    worst entry in row-major order.  An asymmetric matrix ends the check
+    there, with no triangle sweep and `excess` None.
 
     The triangle check is the O(n^3) min-plus sweep of `_min_plus_excess`.
     It measures the triangle excess, the largest d(i, k) - (d(i, j) +
@@ -310,17 +311,16 @@ def validate_metric(mat: np.ndarray, allow_zero: bool = False,
     violations = []
 
     diag = np.abs(np.diagonal(mat))
-    if diag.size and diag.max() > DEFAULT_TOL:
+    if diag.size and diag.max() > 0:
         i = int(np.argmax(diag))
         violations.append(Violation("diagonal", (i,), float(diag[i])))
 
     symmetric = is_symmetric(mat)
     if not symmetric:
         asym, i, j = _first_max(n, lambda lo, hi: np.abs(mat[lo:hi] - mat[:, lo:hi].T))
-        if asym > DEFAULT_TOL:
-            violations.append(Violation("symmetry", (i, j), asym))
+        violations.append(Violation("symmetry", (i, j), asym))
 
-    if -least > DEFAULT_TOL:
+    if least < 0:
         i, j = np.unravel_index(np.argmin(mat), mat.shape)
         violations.append(Violation("negative", (int(i), int(j)), float(-mat[i, j])))
 
@@ -330,15 +330,17 @@ def validate_metric(mat: np.ndarray, allow_zero: bool = False,
             np.arange(n) == np.arange(lo, hi)[:, None], -np.inf, np.negative(mat[lo:hi])))
         violations.append(Violation("zero_offdiag", (i, j), gap))
 
+    if not symmetric:
+        return ValidationReport(tuple(mat.shape), tuple(violations))
     excess = 0.0                            # an empty matrix has no triangle
     if excess_bound is not None and excess_bound <= DEFAULT_TOL:
         excess = float(excess_bound)
     elif n:
-        excess, witness = _min_plus_excess(mat, symmetric)
+        excess, witness = _min_plus_excess(mat)
         if excess > DEFAULT_TOL:
             violations.append(Violation("triangle", witness, excess))
 
-    return ValidationReport(tuple(mat.shape), tuple(violations), excess, symmetric)
+    return ValidationReport(tuple(mat.shape), tuple(violations), excess)
 
 
 def validate_pseudometric(mat: np.ndarray) -> ValidationReport:
@@ -375,9 +377,9 @@ class BoundedMetric(NamedTuple):
 class FiniteMetricSpace:
     """Finite set of named points with a validated metric and a base point.
 
-    Construction sets three attributes besides the fields: `key`, a digest
-    of the points, the metric bytes and the base point, and the `excess` and
-    `symmetric` of its `ValidationReport`.  The triangle inequality is
+    Construction sets two attributes besides the fields: `key`, a digest of
+    the points, the metric bytes and the base point, and the `excess` of its
+    `ValidationReport`.  The triangle inequality is
     certified by the bound of a `BoundedMetric`, whose matrix is kept
     without a copy, else by the O(n^3) sweep of a copy.
     """
@@ -408,7 +410,6 @@ class FiniteMetricSpace:
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
         object.__setattr__(self, "excess", report.excess)
-        object.__setattr__(self, "symmetric", report.symmetric)
         if len(pts) != d.shape[0]:
             raise ValueError("point count does not match matrix size")
         if len(set(pts)) != len(pts):
@@ -703,11 +704,11 @@ def shorten_edge(e: np.ndarray, x: int, y: int, length: float,
                 e[cells] = np.minimum(e[cells], via, out=via)
 
 
-def _reach(d: np.ndarray, a: np.ndarray, b: np.ndarray, symmetric: bool) -> float:
+def _reach(d: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """`perturb_metric`'s m, max fl(d - s) over the path sums s of `_edge_paths`
-    on the columns a and b: one-sided when symmetric asserts its lemma's d."""
+    on the columns a and b, one-sided by its lemma: d is symmetric."""
     return max(float(np.subtract(d[cells], via, out=via).max())
-               for cells, via in _edge_paths(a, b, one_sided=symmetric))
+               for cells, via in _edge_paths(a, b, one_sided=True))
 
 
 def _lowerable(a: np.ndarray, b: np.ndarray, length: float,
@@ -730,25 +731,29 @@ def perturb_metric(d, amplitude: float, rng: np.random.Generator) -> BoundedMetr
     """Random metric within sup-distance `amplitude` of d, returned with a
     proven bound on its triangle excess as `BoundedMetric(matrix, excess)`.
 
-    d is a matrix, or a `BoundedMetric` whose excess bounds the excess
-    `validate_metric` measures on it.  The probe e is a copy of d after
-    _SHORTCUTS seeded shortcuts (`shorten_edge`): the shortest-path metric
-    of d with those edges added, so e <= d.  All draws come first: shortcut
-    i joins a uniform pair x != y and lowers e(x, y) by a fraction f_i,
-    uniform in [0, 1), of the way to its floor: the larger of e(x, y) / 2
-    and the least length the ball allows, m - amplitude + 16uM, with m the
-    largest fl(d - s) over the path sums s of `_edge_paths` on e (`_reach`).
-    So a shortcut may spend what is left of the ball where it lands.  No
-    n x n array is held but d and the result.
+    d is a matrix `validate_metric` admitted, so symmetric by value with a
+    zero diagonal and no negative entry, as the lemma needs, or a
+    `BoundedMetric` of one whose excess bounds the excess `validate_metric`
+    measures on it.  Every caller passes one: a space's metric, an adapted
+    metric or a glue metric.  The lemma says nothing of another start; its
+    probe may keep the asymmetry, which the door refuses wherever the probe
+    is validated, and the bound returned with it is not proven.  The probe
+    e is a copy of d after _SHORTCUTS seeded shortcuts (`shorten_edge`):
+    the shortest-path metric of d with those edges added, so e <= d.  All
+    draws come first: shortcut i joins a uniform pair x != y and lowers
+    e(x, y) by a fraction f_i, uniform in [0, 1), of the way to its floor:
+    the larger of e(x, y) / 2 and the least length the ball allows, m -
+    amplitude + 16uM, with m the largest fl(d - s) over the path sums s of
+    `_edge_paths` on e (`_reach`).  So a shortcut may spend what is left of
+    the ball where it lands.  No n x n array is held but d and the result.
 
     Lemma.  Let u = 2^-53, M = max d and K = _SHORTCUTS.
-      * Reach with one add.  Let d be symmetric by value with entries in
-        [0, 2^1000], and A(u, v) = fl(a_u + b_v), B(u, v) = fl(b_u + a_v)
-        for the columns a, b of e.  Rounded subtraction is monotone, so
-        fl(d - min(A, B)) = max(fl(d - A), fl(d - B)); B(u, v) = A(v, u) as
-        fl commutes, and d(u, v) = d(v, u), so m is the largest A term, up to
-        the sign of a zero, which m - amplitude (amplitude > 0) drops.
-        Otherwise both sums are formed.
+      * Reach with one add.  Let A(u, v) = fl(a_u + b_v), B(u, v) =
+        fl(b_u + a_v) for the columns a, b of e.  Rounded subtraction is
+        monotone, so fl(d - min(A, B)) = max(fl(d - A), fl(d - B)); B(u, v)
+        = A(v, u) as fl commutes, and d(u, v) = d(v, u), so m is the largest
+        A term, up to the sign of a zero, which m - amplitude (amplitude > 0)
+        drops.
       * Ball.  As 0 <= s <= 2M(1 + u) and l <= M, d(u, v) - s <= m + u
         max(d(u, v), s) and a candidate fl(s + l) >= (s + l)(1 - u): a
         length at or above the float floor keeps every entry >= d -
@@ -756,9 +761,9 @@ def perturb_metric(d, amplitude: float, rng: np.random.Generator) -> BoundedMetr
         every candidate is >= 0).  A final `sup_distance` check raises
         RuntimeError otherwise.
       * Excess.  Let R0 >= 0 bound the excess d(i, k) - fl(d(i, j) + d(j,
-        k)) the sweep measures on d.  If d is symmetric by value with
-        entries >= 0 and M <= 2^1000, the probe's is at most R0 (1 + 2^-50)
-        + (5K + 4) uM; the excess returned is None otherwise, or with no R0.
+        k)) the sweep measures on d.  If M <= 2^1000, the probe's is at
+        most R0 (1 + 2^-50) + (5K + 4) uM; the excess returned is None
+        otherwise, or with no R0.
         A triple of d whose exact excess d(i, k) - s is positive has s < M,
         and the sweep's rounded sum is at most (1 + u) s, so that excess is
         at most R0 / (1 - u) + uM.  Each shortcut keeps the matrix symmetric
@@ -770,9 +775,8 @@ def perturb_metric(d, amplitude: float, rng: np.random.Generator) -> BoundedMetr
       * Filter.  Before shortcut i (from 0) the exact excess is at most
         R0 / (1 - u) + uM + 4.0001 i uM, and R0 (1 + 2^-50) + (5i + 2) uM
         stays above it after its roundings; `shorten_edge` takes that bound,
-        so it rewrites only the cells the shortcut can lower.  Symmetry is
-        tested before the loop, on d, and without the preconditions every
-        shortcut rewrites every cell.
+        so it rewrites only the cells the shortcut can lower.  Without a
+        bound every shortcut rewrites every cell.
     """
     start = None
     if isinstance(d, BoundedMetric):
@@ -784,9 +788,7 @@ def perturb_metric(d, amplitude: float, rng: np.random.Generator) -> BoundedMetr
     n, top = len(d), diameter(d)
     if top == 0 or amplitude == 0 or n < 2:
         return BoundedMetric(e, start)
-    # the lemma's preconditions, of the one-add reach and the excess bound
-    symmetric = top <= 2.0 ** 1000 and d.min() >= 0 and is_symmetric(d)
-    proven = start is not None and symmetric
+    proven = start is not None and top <= 2.0 ** 1000
     xs = rng.integers(0, n, _SHORTCUTS)
     ys = rng.integers(0, n - 1, _SHORTCUTS)
     ys += ys >= xs                          # uniform over the pairs x != y
@@ -797,7 +799,7 @@ def perturb_metric(d, amplitude: float, rng: np.random.Generator) -> BoundedMetr
         return max(start, 0.0) * (1.0 + 2.0 ** -50) + k * 2.0 ** -53 * top if proven else None
 
     for i, (x, y, f) in enumerate(zip(xs, ys, fractions)):
-        reach = _reach(d, e[:, x].copy(), e[:, y].copy(), symmetric)
+        reach = _reach(d, e[:, x].copy(), e[:, y].copy())
         floor = max(reach - amplitude + slack, e[x, y] / 2)
         if floor < e[x, y]:
             shorten_edge(e, x, y, max(e[x, y] - f * (e[x, y] - floor), floor), bound(5 * i + 2))

@@ -620,11 +620,10 @@ def lipschitz_constant_dense(values, d: np.ndarray) -> float:
     return best
 
 
-def min_plus_excess_by_via(d: np.ndarray, symmetric=None) -> tuple[float, tuple[int, int, int]]:
+def min_plus_excess_by_via(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     """The min-plus triangle sweep that records, for every pair (i, k), the
-    first j attaining min_j d(i, j) + d(j, k) as it goes.  It sweeps every
-    matrix in full, so it takes the library's `symmetric` argument and
-    ignores it."""
+    first j attaining min_j d(i, j) + d(j, k) as it goes, over the whole
+    matrix."""
     n = d.shape[0]
     best = np.full((n, n), np.inf)
     via = np.zeros((n, n), dtype=int)
@@ -685,9 +684,10 @@ def validate_metric_full(mat: np.ndarray, allow_zero: bool = False) -> spaces.Va
     """`spaces.validate_metric` with the scans of earlier versions: each
     check on the whole matrix, through n x n temporaries (|mat - mat.T| and a
     copy with an infinite diagonal), its witness the first worst entry of
-    np.argmax or np.argmin.  The triangle check is `_min_plus_excess`, as in
-    the library, and the report records its excess and whether mat equals
-    its transpose."""
+    np.argmax or np.argmin.  The diagonal, symmetry and sign axioms are
+    exact; an asymmetric matrix gets no triangle check and no excess.  The
+    triangle check is `_min_plus_excess`, as in the library, and the report
+    records its excess."""
     mat = np.asarray(mat, dtype=float)
     if not np.isfinite(mat).all():
         i, j = np.unravel_index(np.argmin(np.isfinite(mat)), mat.shape)
@@ -697,14 +697,14 @@ def validate_metric_full(mat: np.ndarray, allow_zero: bool = False) -> spaces.Va
     tol = spaces.DEFAULT_TOL
     violations = []
     diag = np.abs(np.diagonal(mat))
-    if diag.size and diag.max() > tol:
+    if diag.size and diag.max() > 0:
         i = int(np.argmax(diag))
         violations.append(spaces.Violation("diagonal", (i,), float(diag[i])))
     asym = np.abs(mat - mat.T)
-    if asym.size and asym.max() > tol:
+    if asym.size and asym.max() > 0:
         i, j = np.unravel_index(np.argmax(asym), asym.shape)
         violations.append(spaces.Violation("symmetry", (int(i), int(j)), float(asym[i, j])))
-    if n and -mat.min() > tol:
+    if n and mat.min() < 0:
         i, j = np.unravel_index(np.argmin(mat), mat.shape)
         violations.append(spaces.Violation("negative", (int(i), int(j)), float(-mat[i, j])))
     if not allow_zero and n > 1:
@@ -713,13 +713,14 @@ def validate_metric_full(mat: np.ndarray, allow_zero: bool = False) -> spaces.Va
         i, j = np.unravel_index(np.argmin(off), off.shape)
         if off[i, j] <= tol:
             violations.append(spaces.Violation("zero_offdiag", (int(i), int(j)), float(-off[i, j])))
+    if not np.array_equal(mat, mat.T):
+        return spaces.ValidationReport(tuple(mat.shape), tuple(violations))
     excess = 0.0
     if n:
         excess, witness = spaces._min_plus_excess(mat)
         if excess > tol:
             violations.append(spaces.Violation("triangle", witness, excess))
-    return spaces.ValidationReport(tuple(mat.shape), tuple(violations), excess,
-                                   bool(np.array_equal(mat, mat.T)))
+    return spaces.ValidationReport(tuple(mat.shape), tuple(violations), excess)
 
 
 def validate_metric_by_scans(mat: np.ndarray, allow_zero: bool = False,
@@ -727,8 +728,8 @@ def validate_metric_by_scans(mat: np.ndarray, allow_zero: bool = False,
     """`spaces.validate_metric` as earlier versions scanned it: every axiom
     by its own `_first_max` row-block scan (a nonfinite scan, a |mat -
     mat.T| scan, a whole-matrix minimum and a negated off-diagonal scan),
-    whether or not the axiom holds.  The report's `symmetric` is
-    np.array_equal(mat, mat.T)."""
+    whether or not the axiom holds, under the exact diagonal, symmetry and
+    sign axioms of `validate_metric`."""
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
     tol = spaces.DEFAULT_TOL
@@ -738,13 +739,13 @@ def validate_metric_by_scans(mat: np.ndarray, allow_zero: bool = False,
             spaces.Violation("nonfinite", (i, j), float(mat[i, j])),))
     violations = []
     diag = np.abs(np.diagonal(mat))
-    if diag.size and diag.max() > tol:
+    if diag.size and diag.max() > 0:
         i = int(np.argmax(diag))
         violations.append(spaces.Violation("diagonal", (i,), float(diag[i])))
     asym, i, j = spaces._first_max(n, lambda lo, hi: np.abs(mat[lo:hi] - mat[:, lo:hi].T))
-    if asym > tol:
+    if asym > 0:
         violations.append(spaces.Violation("symmetry", (i, j), asym))
-    if n and -mat.min() > tol:
+    if n and mat.min() < 0:
         i, j = np.unravel_index(np.argmin(mat), mat.shape)
         violations.append(spaces.Violation("negative", (int(i), int(j)), float(-mat[i, j])))
     if not allow_zero and n > 1:
@@ -756,6 +757,8 @@ def validate_metric_by_scans(mat: np.ndarray, allow_zero: bool = False,
         gap, i, j = spaces._first_max(n, negated_off_diagonal)
         if -gap <= tol:
             violations.append(spaces.Violation("zero_offdiag", (i, j), gap))
+    if asym > 0:
+        return spaces.ValidationReport(tuple(mat.shape), tuple(violations))
     excess = 0.0
     if excess_bound is not None and excess_bound <= tol:
         excess = float(excess_bound)
@@ -763,8 +766,7 @@ def validate_metric_by_scans(mat: np.ndarray, allow_zero: bool = False,
         excess, witness = spaces._min_plus_excess(mat)
         if excess > tol:
             violations.append(spaces.Violation("triangle", witness, excess))
-    return spaces.ValidationReport(tuple(mat.shape), tuple(violations), excess,
-                                   bool(np.array_equal(mat, mat.T)))
+    return spaces.ValidationReport(tuple(mat.shape), tuple(violations), excess)
 
 
 def reach_by_two_adds(d: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -913,9 +915,9 @@ def sweeps_of(monkeypatch):
     calls = []
     sweep = spaces._min_plus_excess
 
-    def counted(d, *symmetric):
+    def counted(d):
         calls.append(d.shape)
-        return sweep(d, *symmetric)
+        return sweep(d)
 
     monkeypatch.setattr(spaces, "_min_plus_excess", counted)
     return calls

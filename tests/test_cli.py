@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -126,6 +127,14 @@ class TestExtendPipeline:
         assert "NaN" in open(cfg).read()
         assert main(["--out-dir", str(tmp_path / "out"), "extend", cfg]) == 2
         assert "nonfinite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra", [("build-cover", {"eps": 0.25}),
+                                                ("extend", {"eps_schedule": [0.25], "seed": 0})])
+    def test_one_ulp_asymmetric_inline_metric_exits_2(self, tmp_path, capsys, command, extra):
+        # the door admits only a metric equal to its transpose, to the last bit
+        metric = [[0.0, 0.5, 1.0], [0.5, 0.0, 0.5], [np.nextafter(1.0, 2.0), 0.5, 0.0]]
+        space = {**INLINE_LINE, "metric": metric, "coords": [[0], [1], [2]]}
+        exits_2_naming(tmp_path, capsys, command, {"space": space, **extra}, "symmetry at (0, 2)")
 
     def test_missing_seed_for_random_step(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -302,131 +311,150 @@ class TestConfigErrors:
     that names it; exit 1 is left to failed certificates."""
 
     @pytest.mark.parametrize("command, config, named", [
-        ("build-cover", {"space": grid_space_json([9], 1 / 8), "seed": 0}, "'eps'"),
-        ("glue", {**GLUE_6X6_NO_CORE, "n": 1, "eps": 0.6}, "'k'"),
-        ("glue", {**GLUE_6X6_NO_CORE, "k": [i * 6 for i in range(6)], "n": 9, "nu": 1.0},
-         "n = 9"),
-        ("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0}, "(nu, n_schedule)"),
-        ("perturb", {"space": grid_space_json([5], 0.25), "seed": 9}, "'amplitude'"),
-        ("extend", None, "missing.json"),
-        ("verify", None, "missing.json"),
-        *(("build-cover", {"space": spec, "eps": 0.25, "seed": 0}, f"'{key}'")
-          for spec, key in [
-              ({"generator": "grid", "spacing": 0.1}, "dims"),
-              ({"generator": "grid", "dims": [5]}, "spacing"),
-              ({"generator": "random", "seed": 1}, "n"),
-              ({"generator": "random", "n": 5}, "seed"),
-              ({"metric": [[0.0, 1.0], [1.0, 0.0]]}, "points"),
-              ({"points": [0, 1]}, "metric"),
-              ({"generator": "grid", "dims": 5, "spacing": 0.1}, "dims"),
-              ({"generator": "random", "n": 2.5, "seed": 1}, "n"),
-              ({**INLINE_LINE, "base_point": 1.7}, "base_point"),
-              ({**INLINE_LINE, "coords": [[0.6], [1.2], [2.9]]}, "coords"),
-              ({**INLINE_LINE, "nominal_dim": "two"}, "nominal_dim"),
+        pytest.param("build-cover", {"space": grid_space_json([9], 1 / 8), "seed": 0}, "'eps'",
+                     id="no-eps"),
+        pytest.param("glue", {**GLUE_6X6_NO_CORE, "n": 1, "eps": 0.6}, "'k'", id="no-k"),
+        pytest.param("glue", {**GLUE_6X6_NO_CORE, "k": [i * 6 for i in range(6)], "n": 9,
+                              "nu": 1.0}, "n = 9", id="n-past-exhaustion"),
+        pytest.param("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0},
+                     "(nu, n_schedule)", id="no-n_schedule"),
+        pytest.param("perturb", {"space": grid_space_json([5], 0.25), "seed": 9}, "'amplitude'",
+                     id="no-amplitude"),
+        pytest.param("extend", None, "missing.json", id="missing-config"),
+        pytest.param("verify", None, "missing.json", id="missing-report"),
+        *(pytest.param("build-cover", {"space": spec, "eps": 0.25, "seed": 0}, f"'{key}'",
+                       id=case)
+          for case, spec, key in [
+              ("grid-no-dims", {"generator": "grid", "spacing": 0.1}, "dims"),
+              ("grid-no-spacing", {"generator": "grid", "dims": [5]}, "spacing"),
+              ("random-no-n", {"generator": "random", "seed": 1}, "n"),
+              ("random-no-seed", {"generator": "random", "n": 5}, "seed"),
+              ("inline-no-points", {"metric": [[0.0, 1.0], [1.0, 0.0]]}, "points"),
+              ("inline-no-metric", {"points": [0, 1]}, "metric"),
+              ("grid-dims-not-a-list", {"generator": "grid", "dims": 5, "spacing": 0.1}, "dims"),
+              ("random-n-not-an-integer", {"generator": "random", "n": 2.5, "seed": 1}, "n"),
+              ("inline-base-point-float", {**INLINE_LINE, "base_point": 1.7}, "base_point"),
+              ("inline-coords-float", {**INLINE_LINE, "coords": [[0.6], [1.2], [2.9]]},
+               "coords"),
+              ("inline-nominal-dim-string", {**INLINE_LINE, "nominal_dim": "two"},
+               "nominal_dim"),
           ]),
         # integer entries that int() would truncate without a word
-        ("glue", {**GLUE_LINE, "dim_k": 1.9}, "'dim_k' must be an integer"),
-        ("glue", {**GLUE_LINE, "dim_k": True}, "'dim_k' must be an integer"),
-        ("glue", {**GLUE_LINE, "seed": 5.8}, "'seed'"),
-        ("glue", {**GLUE_LINE, "probes": {"count": 1.7}}, "'probes.count'"),
-        ("glue", {**GLUE_LINE, "n": 1.0}, "'n'"),
-        ("extend", {**EXTEND_LINE, "perturbations": {"count": 2.5}}, "'perturbations.count'"),
-        ("extend", {**EXTEND_LINE, "seed": True}, "'seed'"),
-        ("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": [2, 2.9]},
-         "'n_schedule[1]'"),
-        ("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": [1.5, 2.9]},
-         "'n_schedule[0]'"),
-        ("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": [2],
-                    "seed": "3"}, "'seed'"),
-        ("perturb", {"space": grid_space_json([5], 0.25), "seed": 9, "amplitude": 0.01,
-                     "count": 1.5}, "'count'"),
+        pytest.param("glue", {**GLUE_LINE, "dim_k": 1.9}, "'dim_k' must be an integer",
+                     id="glue-dim-k-float"),
+        pytest.param("glue", {**GLUE_LINE, "dim_k": True}, "'dim_k' must be an integer",
+                     id="glue-dim-k-bool"),
+        pytest.param("glue", {**GLUE_LINE, "seed": 5.8}, "'seed'", id="glue-seed-float"),
+        pytest.param("glue", {**GLUE_LINE, "probes": {"count": 1.7}}, "'probes.count'",
+                     id="glue-probe-count-float"),
+        pytest.param("glue", {**GLUE_LINE, "n": 1.0}, "'n'", id="glue-n-float"),
+        pytest.param("extend", {**EXTEND_LINE, "perturbations": {"count": 2.5}},
+                     "'perturbations.count'", id="extend-perturbation-count-float"),
+        pytest.param("extend", {**EXTEND_LINE, "seed": True}, "'seed'", id="extend-seed-bool"),
+        pytest.param("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0,
+                                "n_schedule": [2, 2.9]}, "'n_schedule[1]'",
+                     id="extend-n-schedule-float"),
+        pytest.param("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0,
+                                "n_schedule": [1.5, 2.9]}, "'n_schedule[0]'",
+                     id="extend-n-schedule-first-float"),
+        pytest.param("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0,
+                                "n_schedule": [2], "seed": "3"}, "'seed'",
+                     id="extend-seed-string"),
+        pytest.param("perturb", {"space": grid_space_json([5], 0.25), "seed": 9,
+                                 "amplitude": 0.01, "count": 1.5}, "'count'",
+                     id="perturb-count-float"),
         # schedules that are not lists, or run no stage
-        *(("extend", {**EXTEND_LINE, "eps_schedule": v}, "'eps_schedule'")
-          for v in (0.25, [], {})),
-        *(("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": v},
-           "'n_schedule'") for v in (3, [], {})),
+        *(pytest.param("extend", {**EXTEND_LINE, "eps_schedule": v}, "'eps_schedule'",
+                       id=f"extend-eps-schedule-{case}")
+          for case, v in [("number", 0.25), ("empty", []), ("dict", {})]),
+        *(pytest.param("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0,
+                                  "n_schedule": v}, "'n_schedule'",
+                       id=f"extend-n-schedule-{case}")
+          for case, v in [("number", 3), ("empty", []), ("dict", {})]),
         # schedule and scale entries that are out of range or not numbers
-        ("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0, "n_schedule": [2, 0]},
-         "'n_schedule[1]'"),
-        *(("extend", {"space": grid_space_json([9], 1 / 8), "nu": v, "n_schedule": [2]},
-           "'nu'") for v in (True, 0.0, "1")),
-        ("glue", {**GLUE_6X6_NO_CORE, "k": [i * 6 for i in range(6)], "n": 1, "nu": True},
-         "'nu'"),
-        ("glue", {**GLUE_LINE, "eps": False}, "'eps'"),
-        ("build-cover", {"space": grid_space_json([9], 1 / 8), "eps": "0.25"}, "'eps'"),
-        ("extend", {**EXTEND_LINE, "eps_schedule": [None]}, "'eps_schedule[0]'"),
-        ("extend", {**EXTEND_LINE, "eps_schedule": [0.25, True]}, "'eps_schedule[1]'"),
-    ], ids=["no-eps", "no-k", "n-past-exhaustion", "no-n_schedule", "no-amplitude",
-            "missing-config", "missing-report", "grid-no-dims", "grid-no-spacing",
-            "random-no-n", "random-no-seed", "inline-no-points", "inline-no-metric",
-            "grid-dims-not-a-list", "random-n-not-an-integer", "inline-base-point-float",
-            "inline-coords-float", "inline-nominal-dim-string", "glue-dim-k-float",
-            "glue-dim-k-bool", "glue-seed-float", "glue-probe-count-float", "glue-n-float",
-            "extend-perturbation-count-float", "extend-seed-bool", "extend-n-schedule-float",
-            "extend-n-schedule-first-float", "extend-seed-string", "perturb-count-float",
-            "extend-eps-schedule-number", "extend-eps-schedule-empty",
-            "extend-eps-schedule-dict", "extend-n-schedule-number", "extend-n-schedule-empty",
-            "extend-n-schedule-dict", "extend-n-schedule-zero", "extend-nu-bool",
-            "extend-nu-zero", "extend-nu-string", "glue-nu-bool", "glue-eps-bool",
-            "build-cover-eps-string", "extend-eps-schedule-null", "extend-eps-schedule-bool"])
+        pytest.param("extend", {"space": grid_space_json([9], 1 / 8), "nu": 1.0,
+                                "n_schedule": [2, 0]}, "'n_schedule[1]'",
+                     id="extend-n-schedule-zero"),
+        *(pytest.param("extend", {"space": grid_space_json([9], 1 / 8), "nu": v,
+                                  "n_schedule": [2]}, "'nu'", id=f"extend-nu-{case}")
+          for case, v in [("bool", True), ("zero", 0.0), ("string", "1")]),
+        pytest.param("glue", {**GLUE_6X6_NO_CORE, "k": [i * 6 for i in range(6)], "n": 1,
+                              "nu": True}, "'nu'", id="glue-nu-bool"),
+        pytest.param("glue", {**GLUE_LINE, "eps": False}, "'eps'", id="glue-eps-bool"),
+        pytest.param("build-cover", {"space": grid_space_json([9], 1 / 8), "eps": "0.25"},
+                     "'eps'", id="build-cover-eps-string"),
+        pytest.param("extend", {**EXTEND_LINE, "eps_schedule": [None]}, "'eps_schedule[0]'",
+                     id="extend-eps-schedule-null"),
+        pytest.param("extend", {**EXTEND_LINE, "eps_schedule": [0.25, True]},
+                     "'eps_schedule[1]'", id="extend-eps-schedule-bool"),
+    ])
     def test_exits_2_and_names_the_cause(self, tmp_path, capsys, command, config, named):
         exits_2_naming(tmp_path, capsys, command, config, named)
 
     # values the pipelines once read without a word (a bool as a number, a
     # negative count that runs nothing) or that ended in a traceback
     @pytest.mark.parametrize("command, config, named", [
-        ("glue", {**GLUE_LINE, "thresholds": [True]}, "'thresholds[0]'"),
-        ("glue", {**GLUE_LINE, "probes": {"amplitude": True}}, "'probes.amplitude'"),
-        ("glue", {**GLUE_LINE, "probes": {"count": -1}}, "'probes.count'"),
-        ("extend", {**EXTEND_LINE, "seed": -1}, "'seed'"),
-        ("perturb", {**PERTURB_LINE, "amplitude": True}, "'amplitude'"),
-        ("perturb", {**PERTURB_LINE, "count": -1}, "'count'"),
-        ("build-cover", {"space": {**INLINE_LINE, "metric": [[0, True, 1], [True, 0, 0.5],
-                                                             [1, 0.5, 0]]}, "eps": 0.25},
-         "'metric[0][1]'"),
-        ("build-cover", {"space": {**INLINE_LINE, "nominal_dim": -1}, "eps": 0.25},
-         "'nominal_dim'"),
-        ("extend", {**EXTEND_LINE, "perturbations": {"count": -1}}, "'perturbations.count'"),
-        ("glue", {**GLUE_LINE, "probes": []}, "'probes'"),
-        ("extend", {**EXTEND_LINE, "perturbations": "x"}, "'perturbations'"),
-        ("glue", {**GLUE_LINE, "space": None}, "'space'"),
-        ("glue", {**GLUE_LINE, "k": 0}, "'k'"),
-        ("glue", {**GLUE_LINE, "thresholds": [None]}, "'thresholds[0]'"),
-        ("extend", {**EXTEND_LINE, "seed": None}, "'seed'"),
-        ("perturb", {**PERTURB_LINE, "amplitude": []}, "'amplitude'"),
-        ("build-cover", {"space": {**INLINE_LINE, "metric": [[0, 0.5, 1], {}, [1, 0.5, 0]]},
-                         "eps": 0.25}, "'metric[1]'"),
-        ("build-cover", {"space": {**INLINE_LINE, "points": ["a", None, "c"]}, "eps": 0.25},
-         "'points[1]'"),
-        ("build-cover", {"space": grid_space_json([9], 1 / 8), "eps": 0.25, "seed": "x"},
-         "'seed'"),
-        ("build-cover", {"space": {**grid_space_json([9], 1 / 8), "ground": []},
-                         "eps": 0.25}, "'ground'"),
-        ("build-cover", {"space": {"generator": "torus", "n": 3}, "eps": 0.25}, "'generator'"),
-        ("build-cover", [grid_space_json([9], 1 / 8)], "object"),
-        ("extend", {**EXTEND_LINE, "note": "unread"}, "'note'"),
-        ("glue", {**GLUE_LINE, "probes": {"count": 1, "amp": 0.5}}, "'probes.amp'"),
+        pytest.param("glue", {**GLUE_LINE, "thresholds": [True]}, "'thresholds[0]'",
+                     id="glue-threshold-bool"),
+        pytest.param("glue", {**GLUE_LINE, "probes": {"amplitude": True}},
+                     "'probes.amplitude'", id="glue-probe-amplitude-bool"),
+        pytest.param("glue", {**GLUE_LINE, "probes": {"count": -1}}, "'probes.count'",
+                     id="glue-probe-count-negative"),
+        pytest.param("extend", {**EXTEND_LINE, "seed": -1}, "'seed'", id="extend-seed-negative"),
+        pytest.param("perturb", {**PERTURB_LINE, "amplitude": True}, "'amplitude'",
+                     id="perturb-amplitude-bool"),
+        pytest.param("perturb", {**PERTURB_LINE, "count": -1}, "'count'",
+                     id="perturb-count-negative"),
+        pytest.param("build-cover", {"space": {**INLINE_LINE, "metric": [[0, True, 1],
+                                                                         [True, 0, 0.5],
+                                                                         [1, 0.5, 0]]},
+                                     "eps": 0.25}, "'metric[0][1]'", id="inline-metric-bool"),
+        pytest.param("build-cover", {"space": {**INLINE_LINE, "nominal_dim": -1}, "eps": 0.25},
+                     "'nominal_dim'", id="inline-nominal-dim-negative"),
+        pytest.param("extend", {**EXTEND_LINE, "perturbations": {"count": -1}},
+                     "'perturbations.count'", id="extend-perturbation-count-negative"),
+        pytest.param("glue", {**GLUE_LINE, "probes": []}, "'probes'", id="glue-probes-list"),
+        pytest.param("extend", {**EXTEND_LINE, "perturbations": "x"}, "'perturbations'",
+                     id="extend-perturbations-string"),
+        pytest.param("glue", {**GLUE_LINE, "space": None}, "'space'", id="glue-space-null"),
+        pytest.param("glue", {**GLUE_LINE, "k": 0}, "'k'", id="glue-k-number"),
+        pytest.param("glue", {**GLUE_LINE, "thresholds": [None]}, "'thresholds[0]'",
+                     id="glue-threshold-null"),
+        pytest.param("extend", {**EXTEND_LINE, "seed": None}, "'seed'", id="extend-seed-null"),
+        pytest.param("perturb", {**PERTURB_LINE, "amplitude": []}, "'amplitude'",
+                     id="perturb-amplitude-list"),
+        pytest.param("build-cover", {"space": {**INLINE_LINE, "metric": [[0, 0.5, 1], {},
+                                                                         [1, 0.5, 0]]},
+                                     "eps": 0.25}, "'metric[1]'", id="inline-metric-row-object"),
+        pytest.param("build-cover", {"space": {**INLINE_LINE, "points": ["a", None, "c"]},
+                                     "eps": 0.25}, "'points[1]'", id="inline-point-null"),
+        pytest.param("build-cover", {"space": grid_space_json([9], 1 / 8), "eps": 0.25,
+                                     "seed": "x"}, "'seed'", id="build-cover-seed-string"),
+        pytest.param("build-cover", {"space": {**grid_space_json([9], 1 / 8), "ground": []},
+                                     "eps": 0.25}, "'ground'", id="grid-ground-list"),
+        pytest.param("build-cover", {"space": {"generator": "torus", "n": 3}, "eps": 0.25},
+                     "'generator'", id="unknown-generator"),
+        pytest.param("build-cover", [grid_space_json([9], 1 / 8)], "object",
+                     id="config-not-an-object"),
+        pytest.param("extend", {**EXTEND_LINE, "note": "unread"}, "'note'",
+                     id="extend-unknown-key"),
+        pytest.param("glue", {**GLUE_LINE, "probes": {"count": 1, "amp": 0.5}}, "'probes.amp'",
+                     id="glue-unknown-probe-key"),
         # integers too large for a float, which the float cast overflowed on
-        ("build-cover", {"space": grid_space_json([9], 1 / 8), "eps": 10**400}, "'eps'"),
-        ("build-cover", {"space": {**INLINE_LINE, "metric": [[0, 10**400, 1], [0.5, 0, 0.5],
-                                                             [1, 0.5, 0]]}, "eps": 0.25},
-         "'metric[0][1]'"),
+        pytest.param("build-cover", {"space": grid_space_json([9], 1 / 8), "eps": 10**400},
+                     "'eps'", id="build-cover-eps-too-large"),
+        pytest.param("build-cover", {"space": {**INLINE_LINE, "metric": [[0, 10**400, 1],
+                                                                         [0.5, 0, 0.5],
+                                                                         [1, 0.5, 0]]},
+                                     "eps": 0.25}, "'metric[0][1]'",
+                     id="inline-metric-too-large"),
         # integers outside int64: a seed names the report file, coords become int64
-        ("glue", {**GLUE_LINE, "seed": 10**400}, "'seed'"),
-        ("extend", {**EXTEND_LINE, "seed": 2**63}, "'seed'"),
-        ("build-cover", {"space": {**INLINE_LINE, "coords": [[0], [10**400], [2]]},
-                         "eps": 0.25}, "'coords'"),
-    ], ids=["glue-threshold-bool", "glue-probe-amplitude-bool", "glue-probe-count-negative",
-            "extend-seed-negative", "perturb-amplitude-bool",
-            "perturb-count-negative", "inline-metric-bool", "inline-nominal-dim-negative",
-            "extend-perturbation-count-negative", "glue-probes-list",
-            "extend-perturbations-string", "glue-space-null", "glue-k-number",
-            "glue-threshold-null", "extend-seed-null", "perturb-amplitude-list",
-            "inline-metric-row-object", "inline-point-null", "build-cover-seed-string",
-            "grid-ground-list", "unknown-generator", "config-not-an-object",
-            "extend-unknown-key", "glue-unknown-probe-key", "build-cover-eps-too-large",
-            "inline-metric-too-large", "glue-seed-too-large", "extend-seed-past-int64",
-            "inline-coords-too-large"])
+        pytest.param("glue", {**GLUE_LINE, "seed": 10**400}, "'seed'", id="glue-seed-too-large"),
+        pytest.param("extend", {**EXTEND_LINE, "seed": 2**63}, "'seed'",
+                     id="extend-seed-past-int64"),
+        pytest.param("build-cover", {"space": {**INLINE_LINE, "coords": [[0], [10**400], [2]]},
+                                     "eps": 0.25}, "'coords'", id="inline-coords-too-large"),
+    ])
     def test_values_once_read_or_crashed_exit_2(self, tmp_path, capsys, command, config,
                                                 named):
         exits_2_naming(tmp_path, capsys, command, config, named)
@@ -561,6 +589,39 @@ class TestTriangleSweeps:
         monkeypatch.setattr(spaces, "_close", lambda d: closes.append(d.shape) or close(d))
         assert main(["--out-dir", str(tmp_path / "out"), "extend", path]) == 0
         assert closes == []
+
+
+def readme_config(heading):
+    """The JSON block under the README's "Example `...` config" heading
+    that starts with `heading`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(re.search(heading + r"[^\n]*\n\n```json\n(.*?)```", text, re.S).group(1))
+
+
+class TestDerivedMatrices:
+    """Every matrix a pipeline derives and validates is symmetric by
+    construction, to the last bit, with a +0.0 diagonal and no entry below
+    zero: the grid fold, the molecule fill, the quotient, the glue metric
+    and the shortcut probes.  The door's exact axioms never refuse a
+    pipeline's own matrix."""
+
+    @pytest.mark.parametrize("pipeline, config, count", [
+        ("glue", lambda: readme_config("Example `glue` config"), 12),
+        ("extend", lambda: WORKLOADS["extend-13x13-lp"]["config"], 7),
+        ("extend", lambda: readme_config("Example `extend` config, staged"), 9),
+    ], ids=["readme-glue", "extend-13x13-seed-7", "readme-staged-extend"])
+    def test_validated_matrices_are_bitwise_symmetric(self, tmp_path, monkeypatch, pipeline,
+                                                      config, count):
+        seen = []
+        scan = spaces._axiom_scan
+        monkeypatch.setattr(spaces, "_axiom_scan", lambda mat: seen.append(mat.copy()) or scan(mat))
+        path = write_config(tmp_path, "c.json", config())
+        assert main(["--out-dir", str(tmp_path / "out"), pipeline, path]) == 0
+        assert len(seen) == count
+        for mat in seen:
+            bits = mat.view(np.uint64)
+            assert np.array_equal(bits, bits.T)
+            assert not np.diagonal(bits).any() and mat.min() >= 0
 
 
 class TestNormLps:

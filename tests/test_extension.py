@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
@@ -8,23 +7,25 @@ from hypothesis.extra.numpy import arrays
 
 import lipfree as lf
 from lipfree.extension import _adapted_excess_bound
-from lipfree.spaces import _min_plus_excess, is_symmetric
+from lipfree.spaces import _min_plus_excess
 from conftest import (complement_distances_by_sets, lip_ball_vertices, line_space,
                       operator_norm_by_vertices, sweeps_of)
 
-# Entries within DEFAULT_TOL of zero, either side, next to ordinary distances.
-NEAR_ZERO = [0.0, 5e-324, 1e-12, -1e-12, 0.5 * lf.DEFAULT_TOL, -0.5 * lf.DEFAULT_TOL]
+# Zeros of both signs and entries within DEFAULT_TOL above zero, next to
+# ordinary distances.
+NEAR_ZERO = [0.0, -0.0, 5e-324, 1e-12, 0.5 * lf.DEFAULT_TOL]
 
 
 @st.composite
 def complement_inputs(draw):
-    """A square matrix whose diagonal and entries may sit within DEFAULT_TOL
-    of zero, and a family with empty, full and repeated sets."""
+    """A square matrix with no negative entry, whose entries may sit within
+    DEFAULT_TOL of zero, with zeros of either sign on its diagonal (the
+    precondition of `complement_distances`), and a family with empty, full
+    and repeated sets."""
     n = draw(st.integers(1, 7))
     d = draw(arrays(np.float64, (n, n), elements=st.one_of(
         st.sampled_from(NEAR_ZERO), st.floats(0.0, 3.0))))
-    if draw(st.booleans()):
-        np.fill_diagonal(d, draw(st.sampled_from(NEAR_ZERO)))
+    d[np.diag_indices(n)] = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, -0.0])))
     point_sets = st.sets(st.integers(0, n - 1))
     sets = draw(st.lists(st.one_of(point_sets, st.just(set(range(n)))),
                          min_size=1, max_size=5))
@@ -158,25 +159,27 @@ class TestExtensionBundle:
     @given(complement_inputs())
     @settings(max_examples=300, deadline=None)
     def test_complement_distances_match_the_index_lists(self, inputs):
+        # bitwise but for the sign of a zero, which may come from any zero
+        # of the row
         d, sets = inputs
         got = lf.extension.complement_distances(d, sets)
         want = complement_distances_by_sets(d, sets)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.shape == want.shape and (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
     def test_complement_distances_where_the_diagonal_is_not_the_row_minimum(self):
         # points 0 and 3 coincide, and so do 2 and 4; one entry below zero and
-        # one diagonal entry above it, each by DEFAULT_TOL, still validate
+        # one diagonal entry above it, each by DEFAULT_TOL: the door refuses
+        # the matrix, so `complement_distances` never reads it
         pos = np.array([0.0, 1.0, 2.5, 0.0, 2.5, 3.5])
         d = np.abs(pos[:, None] - pos[None, :])
         d[0, 3] = -lf.DEFAULT_TOL
         d[2, 2] = lf.DEFAULT_TOL
-        # every subset of the points, the empty and the full one included
-        sets = [s for k in range(7) for s in itertools.combinations(range(6), k)]
         for mat in (d, d.T):
-            assert lf.validate_metric(mat, allow_zero=True).ok
             assert not np.array_equal(mat.argmin(axis=1), np.arange(6))
-            got = lf.extension.complement_distances(mat, sets)
-            assert np.array_equal(got, complement_distances_by_sets(mat, sets))
+            report = lf.validate_metric(mat, allow_zero=True)
+            assert [(v.kind, v.amount) for v in report.violations] == \
+                [("diagonal", lf.DEFAULT_TOL), ("symmetry", lf.DEFAULT_TOL),
+                 ("negative", lf.DEFAULT_TOL)]
 
     def test_eps_outside_unit_interval_rejected(self):
         space = lf.make_grid_space([5], 0.1)
@@ -201,8 +204,7 @@ def adapted_bound_and_sweep(d, net, b):
     from the swept excesses of d and b, and the excess the sweep measures."""
     adapted = lf.quotient_pseudometric(d, net)
     adapted += b
-    bound = _adapted_excess_bound(d, _min_plus_excess(d)[0], b, _min_plus_excess(b)[0],
-                                  adapted, is_symmetric(d))
+    bound = _adapted_excess_bound(_min_plus_excess(d)[0], _min_plus_excess(b)[0], adapted)
     return bound, _min_plus_excess(adapted)[0]
 
 
@@ -256,6 +258,8 @@ class TestAdaptedExcessBound:
 
     @pytest.mark.parametrize("where", ["asymmetric d", "negative d", "negative b"])
     def test_inexact_inputs_get_no_bound(self, where):
+        # the lemma needs d and b symmetric with no negative entry; the door
+        # refuses any other d as a space's metric and any other b as induced
         d = lf.random_metric_space(5, seed=1).dist.copy()
         b = lf.quotient_pseudometric(lf.random_metric_space(5, seed=2).dist, [0])
         if where == "asymmetric d":
@@ -264,8 +268,12 @@ class TestAdaptedExcessBound:
             d[1, 2] = d[2, 1] = -1e-12
         else:
             b[1, 2] = b[2, 1] = -1e-12
-        adapted = lf.quotient_pseudometric(d, [0]) + b
-        assert _adapted_excess_bound(d, 0.0, b, 0.0, adapted, is_symmetric(d)) == np.inf
+        kind = {"asymmetric d": "symmetry"}.get(where, "negative")
+        if where.endswith("d"):
+            with pytest.raises(lf.MetricError, match=kind):
+                lf.FiniteMetricSpace([f"p{i}" for i in range(5)], d)
+        else:
+            assert kind in [v.kind for v in lf.validate_pseudometric(b).violations]
 
     def test_bundle_sweeps_only_the_induced_pseudometric(self, monkeypatch):
         nc = lf.build_net_cover(lf.make_grid_space([7, 7], 1 / 24), 0.3)
@@ -273,15 +281,14 @@ class TestAdaptedExcessBound:
         assert lf.build_extension_bundle(nc).passed
         assert swept == [(49, 49)]
 
-    def test_asymmetric_space_metric_takes_the_adapted_sweep(self, monkeypatch):
+    def test_asymmetric_space_metric_is_refused(self, monkeypatch):
         grid = lf.make_grid_space([7, 7], 1 / 24)
         d = grid.dist.copy()
         d[3, 4] = np.nextafter(d[3, 4], 1.0)
-        space = lf.FiniteMetricSpace(grid.points, d, coords=grid.coords)
-        nc = lf.build_net_cover(space, 0.3)
         swept = sweeps_of(monkeypatch)
-        assert lf.build_extension_bundle(nc).passed
-        assert swept == [(49, 49), (49, 49)]
+        with pytest.raises(lf.MetricError, match="symmetry") as err:
+            lf.FiniteMetricSpace(grid.points, d, coords=grid.coords)
+        assert err.value.report.violations[0].witness == (3, 4) and swept == []
 
 
 class TestPerturbedOperator:

@@ -887,19 +887,22 @@ class TestClassSweep:
         norms = lf.molecule_norm_matrix(op, op.space.dist)
         assert fn.ClassPairs(op, d).ratio_max(norms) == ratio_max_by_pairs(norms, d)
 
-    @given(class_sweep_cases(), st.sampled_from(["metric", "quotient", "one-sided"]),
+    @given(class_sweep_cases(), st.sampled_from(["metric", "quotient", "zero pair"]),
            st.integers(0, 2**16))
     @settings(max_examples=150, deadline=None)
     def test_lipschitz_constants_equal_the_dense_sweep(self, case, zeros, seed):
         op, d = case
         rng = np.random.default_rng(seed)
         n = op.space.n
+        lower = np.tril_indices(n, -1)           # symmetric, as the door admits d
+        d[lower] = d.T[lower]
         if zeros == "quotient":
             d = lf.quotient_pseudometric(d, rng.choice(n, size=int(rng.integers(1, n + 1)),
                                                        replace=False))
-        elif zeros == "one-sided":
+        elif zeros == "zero pair":
+            # symmetric by value, the mirrored zero of either sign
             x, y = rng.choice(n, size=2, replace=False)
-            d[x, y] = 0.0
+            d[x, y], d[y, x] = 0.0, rng.choice([0.0, -0.0])
         want = [lipschitz_constant_dense(op.matrix[:, i], d) for i in range(len(op.domain))]
         got = fn.ClassPairs(op, d).lipschitz_constants()
         assert got.tobytes() == np.array(want).tobytes()

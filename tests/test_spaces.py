@@ -60,6 +60,25 @@ class TestValidateMetric:
         rep = lf.validate_metric(np.zeros((0, 0)))
         assert rep.ok and rep.shape == (0, 0)
 
+    @pytest.mark.parametrize("kind, cell, value, witness, amount", [
+        ("symmetry", (1, 2), np.nextafter(1.0, 2.0), (1, 2), 2.0 ** -52),
+        ("diagonal", (1, 1), 5e-324, (1,), 5e-324),
+        ("negative", (0, 2), -5e-324, (0, 2), 5e-324),
+    ])
+    def test_space_refuses_the_least_defect(self, kind, cell, value, witness, amount):
+        # one ulp of asymmetry, the least subnormal on the diagonal and the
+        # least subnormal below zero (on both sides of the diagonal)
+        d = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float)
+        d[cell] = value
+        if kind == "negative":
+            d[cell[::-1]] = value
+        with pytest.raises(lf.MetricError, match=kind) as err:
+            lf.FiniteMetricSpace(["a", "b", "c"], d)
+        found = {v.kind: v for v in err.value.report.violations}[kind]
+        assert (found.witness, found.amount) == (witness, amount)
+        # an asymmetric matrix is not swept for triangles
+        assert (err.value.report.excess is None) == (kind == "symmetry")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_entry_is_the_one_violation(self, bad):
         # NaN passes every comparison-based check, so the finiteness check
@@ -76,23 +95,31 @@ class TestValidateMetric:
 def _report_with_defect(kind, amount):
     """Validation of a matrix whose only defect is `kind`, of exactly `amount`.
 
-    Exact measurement needs the defect next to zeros, so the symmetry and
-    triangle cases are pseudometrics.
+    Exact measurement needs the defect next to zeros, so the symmetry,
+    negative and triangle cases are pseudometrics.
     """
     if kind == "diagonal":
         return lf.validate_metric(np.array([[amount, 1.0], [1.0, 0.0]]))
     if kind == "symmetry":
         return lf.validate_pseudometric(np.array([[0.0, 0.0], [amount, 0.0]]))
+    if kind == "negative":
+        return lf.validate_pseudometric(np.array([[0.0, -amount], [-amount, 0.0]]))
     d = np.zeros((3, 3))
     d[0, 2] = d[2, 0] = amount        # d(0, 2) - (d(0, 1) + d(1, 2)) = amount
     return lf.validate_pseudometric(d)
 
 
+# The largest defect each axiom admits: the diagonal, symmetry and sign
+# axioms are exact, and the triangle inequality has DEFAULT_TOL.
+ADMITTED = {"diagonal": 0.0, "symmetry": 0.0, "negative": 0.0, "triangle": lf.DEFAULT_TOL}
+
+
 class TestExactlyAtTolerance:
-    @pytest.mark.parametrize("kind", ["diagonal", "symmetry", "triangle"])
+    @pytest.mark.parametrize("kind", ["diagonal", "symmetry", "negative", "triangle"])
     def test_tolerance_is_inclusive(self, kind):
-        at = lf.DEFAULT_TOL                      # the largest float <= DEFAULT_TOL
-        above = np.nextafter(at, np.inf)         # the next float up
+        at = ADMITTED[kind]                      # negative at 0 puts -0.0 entries
+        above = np.nextafter(at, np.inf)         # the next float up: 5e-324 above 0
+        assert above == 5e-324 or kind == "triangle"
         assert _report_with_defect(kind, at).ok
         rep = _report_with_defect(kind, above)
         assert [(v.kind, v.amount) for v in rep.violations] == [(kind, above)]
@@ -100,19 +127,25 @@ class TestExactlyAtTolerance:
 
 @st.composite
 def square_matrices(draw):
+    """Matrices equal to their transpose, the only ones `_min_plus_excess`
+    sweeps, with any diagonal: the upper triangle of the draw, mirrored."""
     n = draw(st.integers(1, 12))
     kind = draw(st.sampled_from(["integers", "floats", "near-metric"]))
     if kind == "near-metric":
         # a metric with every entry scaled by up to 20%: small excesses
         seed = draw(st.integers(0, 2**16))
         rng = np.random.default_rng(seed)
-        return lf.random_metric_space(n, seed=seed).dist * rng.uniform(0.8, 1.2, (n, n))
-    if kind == "integers":
-        # many ties among the candidate midpoints j
-        elements = st.integers(0, 3).map(float)
+        d = lf.random_metric_space(n, seed=seed).dist * rng.uniform(0.8, 1.2, (n, n))
     else:
-        elements = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
-    return draw(arrays(np.float64, (n, n), elements=elements))
+        if kind == "integers":
+            # many ties among the candidate midpoints j
+            elements = st.integers(0, 3).map(float)
+        else:
+            elements = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
+        d = draw(arrays(np.float64, (n, n), elements=elements))
+    lower = np.tril_indices(n, -1)
+    d[lower] = d.T[lower]
+    return d
 
 
 @st.composite
@@ -160,11 +193,11 @@ class TestMinPlusExcess:
         i = min(n - 1, 64 + 5)                          # in block 1 once n > 64
         k = (i + 1) % n
         if i != k:
-            d[i, k] = 5.0                               # one-sided: excess 3 in row i only
+            d[i, k] = d[k, i] = 5.0                     # excess 3 at (i, k) and (k, i)
         got = _min_plus_excess(d)
         assert got == min_plus_excess_by_via(d)
         if i != k:
-            assert got[0] == 3.0 and (got[1][0], got[1][2]) == (i, k)
+            assert got[0] == 3.0 and (got[1][0], got[1][2]) == (min(i, k), max(i, k))
 
     def test_symmetric_matrix_sweeps_the_upper_triangle(self, monkeypatch):
         monkeypatch.setattr(spaces, "_BLOCK_CELLS", 64 * 130)
@@ -179,10 +212,6 @@ class TestMinPlusExcess:
         d = symmetric_ties(130, 0)
         _min_plus_excess(d)
         assert starts == [(0, 0), (64, 64), (128, 128)]
-        starts.clear()
-        d[100, 3] += 1.0
-        _min_plus_excess(d)
-        assert starts == [(0, 0), (64, 0), (128, 0)]
 
     def test_worst_pair_across_a_block_boundary(self, monkeypatch):
         # the worst pair (60, 70) has its row in block 0 and its mirror image
@@ -195,28 +224,31 @@ class TestMinPlusExcess:
         assert got[0] == 2.0 and (got[1][0], got[1][2]) == (60, 70)
 
     def test_one_sided_violation_below_the_diagonal(self, monkeypatch):
+        # the door refuses the asymmetry before any triangle is swept
         monkeypatch.setattr(spaces, "_BLOCK_CELLS", 64 * 130)
         d = symmetric_ties(130, 2)
         d[100, 3] = 5.0                                 # excess 3 in row 100 only
-        got = _min_plus_excess(d)
-        assert got == min_plus_excess_by_via(d)
-        assert got[0] == 3.0 and (got[1][0], got[1][2]) == (100, 3)
-        kinds = {v.kind: v for v in lf.validate_metric(d).violations}
-        assert kinds["triangle"].witness == got[1] and kinds["triangle"].amount == 3.0
+        calls = sweeps_of(monkeypatch)
+        rep = lf.validate_metric(d)
+        assert [(v.kind, v.witness) for v in rep.violations] == [("symmetry", (3, 100))]
+        assert rep.excess is None and calls == []
 
-    def test_last_bit_asymmetry_takes_the_full_sweep(self, monkeypatch):
+    def test_last_bit_asymmetry_is_refused_before_the_sweep(self, monkeypatch):
         monkeypatch.setattr(spaces, "_BLOCK_CELLS", 64 * 130)
         d = symmetric_ties(130, 3)
         d[100, 3] = d[3, 100] = 4.0                     # excess 2 at both pairs
+        assert lf.validate_metric(d).excess == 2.0
         d[100, 3] = np.nextafter(4.0, np.inf)           # one ulp more below the diagonal
-        assert not np.array_equal(d, d.T)
-        got = _min_plus_excess(d)
-        assert got == min_plus_excess_by_via(d)
-        assert got[0] > 2.0 and (got[1][0], got[1][2]) == (100, 3)
+        calls = sweeps_of(monkeypatch)
+        rep = lf.validate_metric(d)
+        assert [(v.kind, v.witness, v.amount) for v in rep.violations] == \
+            [("symmetry", (3, 100), np.nextafter(4.0, np.inf) - 4.0)]
+        assert rep.excess is None and calls == []
 
     def test_concurrent_callers_get_their_serial_reports(self, monkeypatch):
         mats = [random_metric_matrix(seed, 130).copy() for seed in (1, 2)]
-        mats[1][100, 3] += 1.0                          # triangle and symmetry violations
+        mats[1][100, 3] += 1.0                          # a triangle violation
+        mats[1][3, 100] = mats[1][100, 3]
         serial = [lf.validate_metric(m) for m in mats]
         assert serial[0].ok and not serial[1].ok
         monkeypatch.setattr(spaces, "_BLOCK_CELLS", 64 * 130)
@@ -349,11 +381,12 @@ class TestRepeatedRows:
 
     @given(repeated_row_matrices(), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_one_ulp_of_asymmetry_matches_the_via_sweep(self, case, data):
+    def test_one_ulp_on_a_symmetric_pair_matches_the_via_sweep(self, case, data):
+        # the pair's rows and columns leave their classes
         d, rows = case
         n = d.shape[0]
         i, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-        d[i, k] = np.nextafter(d[i, k], np.inf)
+        d[i, k] = d[k, i] = np.nextafter(d[i, k], np.inf)
         with mock.patch.object(spaces, "_BLOCK_CELLS", rows * n):
             assert _min_plus_excess(d) == min_plus_excess_by_via(d)
 
@@ -370,11 +403,11 @@ class TestRepeatedRows:
         assert got == min_plus_excess_by_via(d) == (3.0, (3, 0, 8))
         assert seen == [(4, 0)]
         seen.clear()
-        d[9, 3] = np.nextafter(5.0, np.inf)     # one ulp: no longer symmetric
+        d[9, 3] = d[3, 9] = np.nextafter(5.0, np.inf)   # one ulp: rows 3 and 9 leave their classes
         got = _min_plus_excess(d)
         assert got == min_plus_excess_by_via(d)
-        assert got[0] > 3.0 and (got[1][0], got[1][2]) == (9, 3)
-        assert seen == [(11, 0)]
+        assert got[0] > 3.0 and (got[1][0], got[1][2]) == (3, 9)
+        assert seen == [(6, 0)]
 
     def test_quotient_pseudometric_sweeps_its_distinct_rows(self, monkeypatch):
         # collapsing 10 of 40 points leaves 31 distinct rows
@@ -504,8 +537,9 @@ class TestAxiomPass:
     minimum in one pass, tests symmetry once, and scans for a witness only
     when an axiom fails: on the edges of each axiom, every report, witnesses
     and amounts included, is bitwise what the scans of earlier versions give
-    (`validate_metric_by_scans`), as on the drawn matrices of
-    `TestRowBlockScans`."""
+    under the exact axioms (`validate_metric_by_scans`), as on the drawn
+    matrices of `TestRowBlockScans`.  Any asymmetry, even at DEFAULT_TOL,
+    is refused before the triangle sweep; a signed zero pair is not one."""
 
     @pytest.mark.parametrize("name", ["asymmetry at tol", "asymmetry one ulp above",
                                       "signed zero pair", "nan", "negative diagonal",
@@ -521,13 +555,12 @@ class TestAxiomPass:
         if name.startswith("asymmetry"):
             assert abs(d[0, 1] - d[1, 0]) == (TOL if name.endswith("tol")
                                               else np.nextafter(TOL, 1.0))
-            assert ("symmetry" in kinds) == name.endswith("above")
-            assert got.symmetric is False
+            assert "symmetry" in kinds and got.excess is None
         if name in ("signed zero pair", "n2 zero"):
-            assert got.symmetric is True and "symmetry" not in kinds
-            assert ("zero_offdiag" in kinds) != allow_zero
+            assert got.excess == 0.0 and "symmetry" not in kinds
+            assert ("zero_offdiag" in kinds) != allow_zero and got.ok == allow_zero
         if name == "nan":
-            assert [v.kind for v in got.violations] == ["nonfinite"] and got.symmetric is None
+            assert [v.kind for v in got.violations] == ["nonfinite"] and got.excess is None
 
     def test_passing_matrix_is_not_scanned(self, monkeypatch):
         # a valid metric costs no witness scan at all
@@ -1253,9 +1286,13 @@ class TestShortenEdge:
         calls = sweeps_of(monkeypatch)
         assert lf.FiniteMetricSpace(space.points, bare).excess == _min_plus_excess(bare.matrix)[0]
         assert calls == [(16, 16)]
+        # a start outside the lemma's precondition gives a probe the door refuses
         skewed = space.dist.copy()
         skewed[0, 1] = np.nextafter(skewed[0, 1], 1.0)      # symmetric only up to one ulp
-        assert lf.perturb_metric(lf.BoundedMetric(skewed, 0.0), 0.01, rng).excess is None
+        probe = lf.perturb_metric(lf.BoundedMetric(skewed, 0.0), 0.01, rng)
+        with pytest.raises(lf.MetricError, match="symmetry") as err:
+            lf.FiniteMetricSpace(space.points, probe)
+        assert err.value.report.violations[0].witness == (0, 1)
         same = lf.perturb_metric(lf.BoundedMetric(space.dist, space.excess), 0.0, rng)
         assert same.excess == space.excess and np.array_equal(same.matrix, space.dist)
 
@@ -1359,8 +1396,8 @@ class TestReachOneAdd:
     """On a start symmetric by value, `_reach` forms one path sum per cell,
     and its value is the two-add pass of earlier versions
     (`reach_by_two_adds`): on starts, on probes mid-way through their
-    shortcuts, and on a pseudometric with a signed zero pair.  An
-    asymmetric start takes the two-add pass."""
+    shortcuts, and on a pseudometric with a signed zero pair.  One add
+    would misread an asymmetric start, which the door refuses."""
 
     @given(bounded_metrics(), st.integers(0, 16), st.booleans(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -1377,7 +1414,7 @@ class TestReachOneAdd:
         x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         a, b = e[:, x].copy(), e[:, y].copy()
         want = reach_by_two_adds(d, a, b)
-        assert spaces._reach(d, a, b, True) == want == spaces._reach(d, a, b, False)
+        assert spaces._reach(d, a, b) == want
 
     @given(bounded_metrics(), st.integers(0, 2 ** 16), st.sampled_from([0.05, 0.3, 2.0]))
     @settings(max_examples=80, deadline=None)
@@ -1385,7 +1422,7 @@ class TestReachOneAdd:
         amplitude = scale * float(start.matrix.max())
         got = lf.perturb_metric(start, amplitude, np.random.default_rng(seed))
         with mock.patch.object(spaces, "_reach",
-                               lambda d, a, b, symmetric: reach_by_two_adds(d, a, b)):
+                               lambda d, a, b: reach_by_two_adds(d, a, b)):
             want = lf.perturb_metric(start, amplitude, np.random.default_rng(seed))
         assert got.matrix.tobytes() == want.matrix.tobytes() and got.excess == want.excess
 
@@ -1394,31 +1431,27 @@ class TestReachOneAdd:
         d[2, 5] = -0.0                   # symmetric by value, not bitwise
         assert spaces.is_symmetric(d) and d.view(np.uint64)[2, 5] != d.view(np.uint64)[5, 2]
         a, b = d[:, 2].copy(), d[:, 9].copy()
-        assert spaces._reach(d, a, b, True) == reach_by_two_adds(d, a, b)
+        assert spaces._reach(d, a, b) == reach_by_two_adds(d, a, b)
         got = lf.perturb_metric(d, 0.1, np.random.default_rng(1)).matrix
         with mock.patch.object(spaces, "_reach",
-                               lambda d, a, b, symmetric: reach_by_two_adds(d, a, b)):
+                               lambda d, a, b: reach_by_two_adds(d, a, b)):
             want = lf.perturb_metric(d, 0.1, np.random.default_rng(1)).matrix
         assert got.tobytes() == want.tobytes()
 
-    def test_asymmetric_start_takes_two_adds(self):
+    def test_asymmetric_start_is_refused(self):
         d = np.array([[0.0, 1.0], [5.0, 0.0]])
         a, b = d[:, 0].copy(), d[:, 1].copy()
         # the B term of (1, 0) is 0 + 0 and holds the maximum; its mirror is 1 + 5
-        assert spaces._reach(d, a, b, False) == reach_by_two_adds(d, a, b) == 5.0
-        assert spaces._reach(d, a, b, True) == 1.0
+        assert reach_by_two_adds(d, a, b) == 5.0 and spaces._reach(d, a, b) == 1.0
+        with pytest.raises(lf.MetricError, match="symmetry"):
+            lf.FiniteMetricSpace(["a", "b"], d)
+        # one ulp of asymmetry: refused as a start, and its probe refused too
         start = lf.random_metric_space(9, seed=2).dist.copy()
         start[3, 4] = np.nextafter(start[3, 4], 9.0)
-        calls = []
-        reach = spaces._reach
-        with mock.patch.object(spaces, "_reach",
-                               lambda *args: calls.append(args[3]) or reach(*args)):
-            got = lf.perturb_metric(start, 0.2, np.random.default_rng(5)).matrix
-        assert calls and not any(calls)
-        with mock.patch.object(spaces, "_reach",
-                               lambda d, a, b, symmetric: reach_by_two_adds(d, a, b)):
-            want = lf.perturb_metric(start, 0.2, np.random.default_rng(5)).matrix
-        assert got.tobytes() == want.tobytes()
+        assert [v.kind for v in lf.validate_metric(start).violations] == ["symmetry"]
+        probe = lf.perturb_metric(start, 0.2, np.random.default_rng(5)).matrix
+        assert [(v.kind, v.witness) for v in lf.validate_metric(probe).violations] == \
+            [("symmetry", (3, 4))]
 
 
 class TestExcessBoundArgument:
@@ -1489,9 +1522,18 @@ class TestMemoryBudgets:
 
     def test_validate_metric_with_violations(self, grid_900):
         d = grid_900.dist.copy()
-        d[700, 3] = 0.0                                     # asymmetric, zero, triangle
+        d[700, 3] = 0.0                                     # asymmetric, zero: not swept
         report, peak = traced_peak(lambda: lf.validate_metric(d))
-        assert [v.kind for v in report.violations] == ["symmetry", "zero_offdiag", "triangle"]
+        assert [v.kind for v in report.violations] == ["symmetry", "zero_offdiag"]
+        assert peak < ONE_900
+
+    def test_symmetric_metric_with_violations(self, grid_900):
+        d = grid_900.dist.copy()
+        d[700, 3] = d[3, 700] = 0.0                         # zero, triangle
+        report, peak = traced_peak(lambda: lf.validate_metric(d))
+        kinds = {v.kind: v for v in report.violations}
+        assert list(kinds) == ["zero_offdiag", "triangle"]
+        assert kinds["triangle"] == validate_metric_full(d).violations[1]
         assert peak < ONE_900
 
     def test_sup_distance(self, grid_900):
