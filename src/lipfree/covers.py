@@ -169,10 +169,12 @@ def brick_cover(space: FiniteMetricSpace, eps: float) -> CoverFamily:
     """Cover a lattice-backed space by bricks of diameter below eps/6.
 
     The brick size is the largest window width whose diameter stays below
-    eps/6 (singletons always qualify); the order never exceeds the number of
-    axes along which the points vary.  CoverError names the first active
-    axis where the product of spans + 1, a bound on `_bricks`' int64 keys,
-    passes 2^62.
+    eps/6 (singletons always qualify), searched one width at a time from the
+    least nonzero coordinate gap g of an active axis: the widths up to g all
+    give the bricks of width 1, in the same order.  The order never exceeds
+    the number of axes along which the points vary.  CoverError names the
+    first active axis where the product of spans + 1, a bound on `_bricks`'
+    int64 keys, passes 2^62.
     """
     if eps <= 0:
         raise CoverError("eps must be positive")
@@ -192,7 +194,11 @@ def brick_cover(space: FiniteMetricSpace, eps: float) -> CoverFamily:
 
     limit = eps / 6.0
     cap = max(spans, default=0) + 1
-    m = 1
+    # a window of width m <= g, the least gap between distinct coordinates
+    # of an active axis, holds one coordinate per axis, so every such width
+    # gives the bricks of width 1, in the same order: start the search at g
+    steps = np.diff(np.sort(coords[:, active], axis=0), axis=0)
+    m = int(steps[steps > 0].min()) if (steps > 0).any() else 1
     while m < cap and max_diam(m + 1) < limit:
         m += 1
     if m == 2 and len(active) >= 2:

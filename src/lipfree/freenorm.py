@@ -9,9 +9,11 @@ finite metric space is the value of the Lipschitz LP
 which depends only on the metric restricted to the support plus the base
 point (McShane).  Its dual is a transport problem: the least cost of a plan
 from mu+ onto mu-, once mu is balanced at the base.  The molecules with one
-point on a side or two on each take their closed forms (`_triage`); the rest
-go to the stacked transport solver `lp.transport`, whose plan and potential
-are checked to enclose the norm before its cost is taken (`_lp_norms`).
+point on a side or two on each take their closed forms (`_triage`), and the
+difference delta_p - delta_q of two unit rows takes d(p, q) by one gather
+(`_class_pairs`); the rest go to the stacked transport solver
+`lp.transport`, whose plan and potential are checked to enclose the norm
+before its cost is taken (`_lp_norms`).
 """
 
 from __future__ import annotations
@@ -310,12 +312,15 @@ def _row_norms(cols: np.ndarray, vals: np.ndarray, d: np.ndarray, base: int,
     return value
 
 
-# Pairs per block of the class-pair sweeps, in rows of the pair matrix.  A
-# block's sparse differences are only twice the widest weight row wide, but
-# `_ratio_upper_bounds` fills an m-wide row of star bounds for each pair left
-# to the solver, and those transients grow with the block.  At 4 rows the glue
-# workload's peak RSS matches one x per block, and the sweeps over the 100
-# classes of the 900-point partitions take 14 blocks each.
+# Pairs per block of the class-pair sweeps, in rows of the pair matrix, and
+# per chunk of the pairs left to `_triage` (`_class_pairs`), in multiples of
+# the class count.  A chunk's sparse differences are only twice the widest
+# weight row wide, but `_ratio_upper_bounds` fills an m-wide row of star
+# bounds for each pair left to the solver, and those transients grow with the
+# chunk.  At 4 rows the glue workload's peak RSS matches one x per block.  Its
+# glued operators' 4,861 class pairs take 12 blocks and leave 573 pairs, 2
+# chunks, to the triage; the 100 classes of the 900-point partitions, all
+# unit rows, take 14 blocks and leave none.
 _BLOCK_ROWS = 4
 
 
@@ -325,9 +330,9 @@ def _pair_blocks(starts: np.ndarray, ends: np.ndarray):
     _BLOCK_ROWS * len(ends) pairs each.  With starts = ends = arange(n) these
     are the pairs x < y of n points.
 
-    The blocking changes no molecule norm and no ratio: the merge, the
-    triage, the star bounds and the solver read each pair's two weight rows
-    alone.
+    The blocking changes no molecule norm and no ratio: the gather, the
+    merge, the triage, the star bounds and the solver read each pair's two
+    weight rows alone, so `_class_pairs` may regroup the pairs into chunks.
     """
     counts = len(ends) - np.searchsorted(np.sort(ends), starts, side="right")
     lo = 0
@@ -356,6 +361,60 @@ class _RowClasses:
         self.cls = np.searchsorted(self.reps, first)
         self.last = np.zeros(len(self.reps), dtype=np.intp)
         np.maximum.at(self.last, self.cls, np.arange(n))
+
+
+def _unit_columns(cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """For the sparse rows (cols, vals) of `_sparse_rows`, the column p of
+    each unit row, one nonzero entry and that entry exactly 1.0, else -1.
+    A row's nonzeros fill its first slots, and the padding holds 0."""
+    unit = (vals[:, 0] == 1.0) & (np.count_nonzero(vals, axis=1) == 1)
+    return np.where(unit, cols[:, 0], -1)
+
+
+def _class_pairs(classes: _RowClasses, cols: np.ndarray, vals: np.ndarray, d: np.ndarray):
+    """The oriented class pairs (a, b) with reps[a] < last[b] (`_pair_blocks`)
+    as triples (a, b, norm) of arrays, for (cols, vals) the classes' rows as
+    `_sparse_rows`: the pairs of two unit classes, with columns p = unit[a]
+    and q = unit[b] (`_unit_columns`), with their molecule norms
+    fl(d(p, q) + 0.0), gathered block by block, and the other pairs with
+    norm None, left to `_difference` and `_triage`, in chunks of
+    _BLOCK_ROWS * k pairs for k classes.  Each stream is in row-major
+    order, and memory holds one block and one chunk of pairs.
+
+    The gather is bitwise `_triage`'s norm, for d finite with a zero
+    diagonal.  For p != q, `_difference` gives the row +1 at p and -1 at q,
+    padded with zeros, and `_triage` balances it by a last base slot:
+      * p and q off the base: the slot sums run 0 + 1 - 1 or 0 - 1 + 1 with
+        zeros between, exactly +0.0, so the base slot holds -0.0, neither
+        positive nor negative;
+      * p the base: its entry is zeroed, the total is -1 and the base slot
+        holds +1 at column p;
+      * q the base: its entry is zeroed, the total is +1 and the base slot
+        holds -1 at column q.
+    So the row has one positive slot, +1 at column p, its argmax, and one
+    negative slot, -1 at column q: `_one_point` takes p as the lone source.
+    Its terms are 1 * d(p, q) = d(p, q) at the q slot and 0 * d(p, c),
+    zeros, at every other, summed in slot order from +0.0.  Adding zeros to
+    +0.0 gives +0.0, and adding a zero to x != 0 gives x, so the norm is
+    d(p, q), or +0.0 when d(p, q) is a zero of either sign: fl(d(p, q) +
+    0.0).  For p = q (a class against itself, or two rows that differ in
+    the sign of a zero entry) the difference is the zero row, whose terms
+    are all zeros, so `_triage` gives +0.0, and so does d(p, p) + 0.0.
+    """
+    unit, size = _unit_columns(cols, vals), _BLOCK_ROWS * len(classes.reps)
+    rest_a = rest_b = np.empty(0, dtype=np.intp)
+    for a, b in _pair_blocks(classes.reps, classes.last):
+        p, q = unit[a], unit[b]
+        gather = np.minimum(p, q) >= 0
+        if gather.any():
+            yield a[gather], b[gather], d[p[gather], q[gather]] + 0.0
+        rest_a = np.concatenate([rest_a, a[~gather]])
+        rest_b = np.concatenate([rest_b, b[~gather]])
+        while len(rest_a) >= size:
+            yield rest_a[:size], rest_b[:size], None
+            rest_a, rest_b = rest_a[size:], rest_b[size:]
+    if len(rest_a):
+        yield rest_a, rest_b, None
 
 
 # Relative slack an upper bound on a molecule ratio must clear before its pair
@@ -492,13 +551,15 @@ def molecule_norm_matrix(op: WeightOperator, d: np.ndarray) -> np.ndarray:
     block's first row, else and below its diagonal from the transpose.
 
     The weight rows are read once as sparse rows (at most r + 1 nonzeros
-    each for a cover of order r).  The differences of a block of pairs
-    (`_pair_blocks`) are merged from them by `_difference`, bitwise the
-    dense differences, and triaged: molecules with one point on a side or
-    two on each take their transport plans.  The rows left go to one
-    `_lp_norms` call, which solves each distinct (support, weights) of the
-    whole sweep once, in transport stacks that share a support size; a
-    stacked solve is bitwise a solve alone.
+    each for a cover of order r).  A pair of two unit rows, at columns p
+    and q, takes d(p, q) + 0.0 by one gather (`_class_pairs`), bitwise the
+    triage's norm of delta_p - delta_q.  The differences of each chunk of
+    other pairs are merged by `_difference`, bitwise the dense differences,
+    and triaged: molecules with one point on a side or two on each take
+    their transport plans.  The rows left go to one `_lp_norms` call, which
+    solves each distinct (support, weights) of the whole sweep once, in
+    transport stacks that share a support size; a stacked solve is bitwise
+    a solve alone.
     """
     _, d_a, base = _metrics(op, d)
     n, m = op.matrix.shape
@@ -507,10 +568,12 @@ def molecule_norm_matrix(op: WeightOperator, d: np.ndarray) -> np.ndarray:
     cols, vals = _sparse_rows(op.matrix[reps])
     table = np.zeros((len(reps), len(reps)))
     lp_parts = []
-    for a, b in _pair_blocks(reps, classes.last):
-        c, v = _difference(cols[a], vals[a], cols[b], vals[b], m)
-        table[a, b], needs_lp = _triage(c, v, d_a, base)
-        lp_parts.append((a[needs_lp], b[needs_lp], c[needs_lp], v[needs_lp]))
+    for a, b, norm in _class_pairs(classes, cols, vals, d_a):
+        if norm is None:
+            c, v = _difference(cols[a], vals[a], cols[b], vals[b], m)
+            norm, needs_lp = _triage(c, v, d_a, base)
+            lp_parts.append((a[needs_lp], b[needs_lp], c[needs_lp], v[needs_lp]))
+        table[a, b] = norm
     if lp_parts:
         a, b, c, v = map(np.concatenate, zip(*lp_parts))
         table[a, b] = _lp_norms(c, v, d_a, base, {})
@@ -579,48 +642,50 @@ class ClassPairs:
         """`operator_norm(op, d)`.
 
         The sweep runs over the oriented class pairs (a, b), as in
-        `molecule_norm_matrix`, each ratio N(a, b) / least[a, b]; triaged
-        pairs give exact ratios.  The rest are solved in descending order of
-        their `_ratio_upper_bounds` at the least distance, in stacks of 1, 2,
-        4, ... pairs, until a stack's leading bound falls below the best
-        ratio so far.  For the final best B, a stack is skipped only when
-        every bound in it and after it lies below a best <= B, so every pair
-        whose bound is at least B is solved, whatever the stacking; a pair
-        whose ratio ties B has its bound at least B.  So value and witness
-        (`first_maximiser`) are the exhaustive sweep's, a pair's cost being
-        bitwise the same in any stack.  As in `lipschitz_constant`, a pair
-        at distance 0 is skipped when N = 0 (0/0 is NaN, which np.fmax
-        passes over), else inf.
+        `molecule_norm_matrix`, each ratio N(a, b) / least[a, b]; the pairs
+        of two unit rows, gathered (`_class_pairs`), and the triaged pairs
+        give exact ratios, and best starts from them.  The rest are solved
+        in descending order of their `_ratio_upper_bounds` at the least
+        distance, in stacks of 1, 2, 4, ... pairs, until a stack's leading
+        bound falls below the best ratio so far.  For the final best B, a
+        stack is skipped only when every bound in it and after it lies below
+        a best <= B, so every pair whose bound is at least B is solved,
+        whatever the stacking; a pair whose ratio ties B has its bound at
+        least B.  So value and witness (`first_maximiser`) are the
+        exhaustive sweep's, a pair's cost being bitwise the same in any
+        stack.  As in `lipschitz_constant`, a pair at distance 0 is skipped
+        when N = 0 (0/0 is NaN, which np.fmax passes over), else inf.
         """
         op, least = self.op, self.least
         d_a, base = self.d[np.ix_(op.domain, op.domain)], op.base_position
         n, m = op.matrix.shape
         if n < 2:
             return 0.0, (0, 0)
-        reps, last = self.classes.reps, self.classes.last
-        cols, vals = _sparse_rows(op.matrix[reps])
+        cols, vals = _sparse_rows(op.matrix[self.classes.reps])
         table = np.full(least.shape, np.nan)
         best = -np.inf
         lp_parts = []
-        for a, b in _pair_blocks(reps, last):
-            c, v = _difference(cols[a], vals[a], cols[b], vals[b], m)
-            value, needs_lp = _triage(c, v, d_a, base)
-            exact = ~needs_lp
-            table[a[exact], b[exact]] = value[exact]
-            best = np.fmax.reduce(value[exact] / least[a[exact], b[exact]], initial=best)
-            lp_parts.append((a[needs_lp], b[needs_lp],
-                             _ratio_upper_bounds(c[needs_lp], v[needs_lp], d_a, base,
-                                                 least[a[needs_lp], b[needs_lp]])))
-        lp_a, lp_b, bounds = map(np.concatenate, zip(*lp_parts))
-        order = np.argsort(-bounds, kind="stable")
-        memo: dict = {}
-        lo, size = 0, 1
-        while lo < len(order) and not bounds[order[lo]] < best:
-            a, b = lp_a[order[lo:lo + size]], lp_b[order[lo:lo + size]]
-            c, v = _difference(cols[a], vals[a], cols[b], vals[b], m)
-            table[a, b] = _row_norms(c, v, d_a, base, memo)
-            best = np.fmax.reduce(table[a, b] / least[a, b], initial=best)
-            lo, size = lo + size, 2 * size
+        for a, b, norm in _class_pairs(self.classes, cols, vals, d_a):
+            if norm is None:
+                c, v = _difference(cols[a], vals[a], cols[b], vals[b], m)
+                norm, needs_lp = _triage(c, v, d_a, base)
+                lp_parts.append((a[needs_lp], b[needs_lp],
+                                 _ratio_upper_bounds(c[needs_lp], v[needs_lp], d_a, base,
+                                                     least[a[needs_lp], b[needs_lp]])))
+                a, b, norm = a[~needs_lp], b[~needs_lp], norm[~needs_lp]
+            table[a, b] = norm
+            best = np.fmax.reduce(norm / least[a, b], initial=best)
+        if lp_parts:
+            lp_a, lp_b, bounds = map(np.concatenate, zip(*lp_parts))
+            order = np.argsort(-bounds, kind="stable")
+            memo: dict = {}
+            lo, size = 0, 1
+            while lo < len(order) and not bounds[order[lo]] < best:
+                a, b = lp_a[order[lo:lo + size]], lp_b[order[lo:lo + size]]
+                c, v = _difference(cols[a], vals[a], cols[b], vals[b], m)
+                table[a, b] = _row_norms(c, v, d_a, base, memo)
+                best = np.fmax.reduce(table[a, b] / least[a, b], initial=best)
+                lo, size = lo + size, 2 * size
         return float(best), self.first_maximiser(table, best)
 
     @np.errstate(divide="ignore", invalid="ignore")

@@ -1,3 +1,4 @@
+import time
 from unittest import mock
 
 import numpy as np
@@ -125,6 +126,23 @@ class TestBrickCover:
         assert fam.nominal_order_bound == len(want) == space.nominal_dim
         assert fam.covers()
 
+    @pytest.mark.parametrize("far", [10 ** 4, 2 ** 40])
+    @pytest.mark.parametrize("eps, sets, wider", [(0.5, ((0,), (1,)), 0),
+                                                  (100.0, ((0, 1), (1,)), 1)])
+    def test_sparse_line_starts_at_the_coordinate_gap(self, far, eps, sets, wider):
+        # every width below the gap gives singletons, so the search starts at
+        # the gap: from 1 it would step 10^4 or 2^40 times
+        space = lf.FiniteMetricSpace(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                     coords=np.array([[0], [far]]))
+        with mock.patch.object(covers, "_bricks", wraps=covers._bricks) as build:
+            start = time.perf_counter()
+            fam = lf.brick_cover(space, eps)
+            elapsed = time.perf_counter() - start
+        assert fam.sets == sets
+        # the trial width far + 1, then the cover's
+        assert [call.args[2] for call in build.call_args_list] == [far + 1, far + wider]
+        assert elapsed < 0.1
+
     def test_requires_coordinates(self):
         space = lf.random_metric_space(5, seed=0)
         with pytest.raises(CoverError):
@@ -215,6 +233,26 @@ def lattice_subsets(draw):
     return space
 
 
+@st.composite
+def sparse_lattices(draw):
+    """Two to seven points on one or two axes at multiples of a step of 1 to
+    6 lattice units, one of them sometimes moved a unit off (a close pair
+    next to far points), some sometimes repeated, and an eps.  The metric is
+    0.02 (l1 + s) off the diagonal: s = 1 keeps repeated points apart, and
+    adding a constant off the diagonal keeps the triangle inequality."""
+    axes = draw(st.integers(1, 2))
+    pts = draw(st.lists(st.tuples(*[st.integers(0, 8)] * axes), min_size=2, max_size=7))
+    coords = np.array(pts) * draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        coords[draw(st.integers(0, len(pts) - 1)), 0] += 1
+    repeated = len(np.unique(coords, axis=0)) < len(coords)
+    shift = 1.0 if repeated or draw(st.booleans()) else 0.0
+    off = 1.0 - np.eye(len(coords))
+    d = 0.02 * (np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2) + shift * off)
+    space = lf.FiniteMetricSpace(tuple(map(str, range(len(coords)))), d, coords=coords)
+    return space, draw(st.sampled_from([0.05, 0.2, 0.5, 1.0, 3.0]))
+
+
 class TestBricksMatchWindows:
     """The whole-array brick pattern is bitwise the window-by-window one:
     brick order, members and first-occurrence dedupe, for any list of
@@ -236,6 +274,19 @@ class TestBricksMatchWindows:
         assert lf.brick_cover(space, eps).sets == family.sets
         nc = lf.build_net_cover(space, eps)
         assert (nc.net, nc.sets) == net_cover_by_loops(space, eps, family)
+
+    @given(sparse_lattices())
+    @settings(max_examples=200, deadline=None)
+    def test_width_search_from_the_gap_matches_the_window_loop(self, case):
+        space, eps = case
+        assert lf.brick_cover(space, eps).sets == brick_cover_by_windows(space, eps).sets
+        # every width up to the least coordinate gap gives the bricks of width 1
+        coords = space.coords
+        active = np.flatnonzero(coords.min(axis=0) != coords.max(axis=0)).tolist()
+        gaps = [np.diff(np.unique(coords[:, a])).min() for a in active]
+        singles = covers._build_bricks(coords, active, 1)
+        for m in range(2, min(gaps, default=1) + 1):
+            assert covers._build_bricks(coords, active, m) == singles
 
     def test_largest_diameter_is_the_largest_set_diameter(self):
         space = lf.make_grid_space([6, 5], 0.1, "l2")

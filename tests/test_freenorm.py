@@ -848,8 +848,14 @@ def class_sweep_cases(draw):
         distinct = draw(st.lists(row, min_size=1, max_size=5))
         classes = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
         op = lf.WeightOperator(space, tuple(domain), np.array([distinct[c] for c in classes]))
-    n = op.space.n
-    d = op.space.dist * draw(st.sampled_from([1.0, 1.5]))
+    return op, ulp_metric(draw, op.space)
+
+
+def ulp_metric(draw, space) -> np.ndarray:
+    """The metric of space, scaled or not, with a random set of off-diagonal
+    entries moved one ulp up or down, in both orientations or in one."""
+    n = space.n
+    d = space.dist * draw(st.sampled_from([1.0, 1.5]))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     x, y = rng.integers(n, size=(2, draw(st.integers(0, 3 * n))))
     x, y = x[x != y], y[x != y]
@@ -857,7 +863,42 @@ def class_sweep_cases(draw):
     d[x, y] = np.nextafter(d[x, y], step)
     if draw(st.booleans()):
         d[y, x] = d[x, y]
-    return op, d
+    return d
+
+
+@st.composite
+def unit_row_operators(draw):
+    """A weight operator on 3 to 12 points whose rows are copies of one to
+    six distinct rows, and a metric of `ulp_metric`.  The rows are unit rows
+    (one entry 1.0, often at the base column, sometimes beside a -0.0, so
+    that two unit classes may share a column), rows of two or three
+    nonzeros, or a single entry other than 1.0; mixed, or all unit rows, or
+    none.  With up to 12 points on at most six rows, most classes have
+    several members."""
+    n = draw(st.integers(3, 12))
+    space = lf.random_metric_space(n, seed=draw(st.integers(0, 2**16)))
+    others = draw(st.permutations([i for i in range(n) if i != space.base_index]))
+    domain = draw(st.permutations([space.base_index, *others[:draw(st.integers(2, n - 1))]]))
+    m, base = len(domain), domain.index(space.base_index)
+    mix = draw(st.sampled_from(["mixed", "all unit", "no unit"]))
+    nonzero = [w for w in WEIGHTS if w != 0.0]
+    distinct = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = np.zeros(m)
+        if mix == "all unit" or (mix == "mixed" and draw(st.booleans())):
+            p = draw(st.sampled_from([base, *range(m)]))
+            row[p] = 1.0
+            if draw(st.booleans()):
+                row[(p + draw(st.integers(1, m - 1))) % m] = -0.0
+        else:
+            k = draw(st.integers(1, 3))
+            cols = draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k, unique=True))
+            weights = nonzero[1:] if k == 1 else nonzero
+            row[cols] = draw(st.lists(st.sampled_from(weights), min_size=k, max_size=k))
+        distinct.append(row)
+    classes = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    op = lf.WeightOperator(space, tuple(domain), np.array([distinct[c] for c in classes]))
+    return op, ulp_metric(draw, space)
 
 
 def ratio_max_by_pairs(norms: np.ndarray, d: np.ndarray) -> tuple[float, tuple[int, int]]:
@@ -984,6 +1025,107 @@ class TestClassSweep:
         wrong = lf.random_metric_space(7, seed=16).dist
         with pytest.raises(ValueError, match="5 x 5"):
             fn.ClassPairs(op, wrong)
+
+
+def glued_operator():
+    """The glued operator H of the glue workload's probe 0 (the README glue
+    config, on the glue metric itself) and that metric, as `certify_gluing`
+    passes them to `operator_norm`."""
+    space = lf.make_grid_space([10, 10], 0.1)
+    cfg = lf.GluingConfig(space, tuple(range(0, 100, 10)), 1, (0.7, 0.5, 0.3, 0.2, 0.1))
+    bundle = lf.build_gluing_bundle(cfg, 1, 0.7)
+    glue = lf.BoundedMetric(bundle.metric, bundle.excess)
+    with mock.patch.object(gluemod, "operator_norm", wraps=gluemod.operator_norm) as norm:
+        assert gluemod.certify_gluing(bundle, glue, rng=np.random.default_rng(5)).passed
+    return norm.call_args.args
+
+
+def triaged_rows(monkeypatch):
+    """A list that gets the row count of every `freenorm._triage` call made
+    while the patch holds."""
+    rows = []
+    triage = fn._triage
+
+    def counted(cols, vals, d, base):
+        rows.append(len(cols))
+        return triage(cols, vals, d, base)
+
+    monkeypatch.setattr(fn, "_triage", counted)
+    return rows
+
+
+class TestUnitRows:
+    """Class pairs of two unit rows take their norm d(p, q) by one gather;
+    only the other pairs reach `_difference` and `_triage`."""
+
+    @given(unit_row_operators(), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_gather_equals_the_kernel(self, case, rows):
+        op, d = case
+        weights = op.matrix[op._classes.reps]
+        got = fn._unit_columns(*fn._sparse_rows(weights))
+        for p, row in zip(got, weights):
+            nz = np.flatnonzero(row)
+            assert p == (nz[0] if len(nz) == 1 and row[nz[0]] == 1.0 else -1)
+        with mock.patch.object(fn, "_BLOCK_ROWS", rows):
+            for metric in (d, op.space.dist):
+                got = lf.molecule_norm_matrix(op, metric)
+                assert got.tobytes() == molecule_norm_matrix_by_rows(op, metric).tobytes()
+                assert lf.operator_norm(op, metric) == operator_norm_by_ratio_vector(op, metric)
+
+    def test_zero_molecules_and_signed_zero_distances(self):
+        # rows 0 and 1 differ only in the sign of a zero and row 2 is row 0
+        # again: their molecules are zero; rows 4 and 5 are not unit rows.
+        # Under a pseudometric with d(0, 1) = -0.0 the molecule of rows 0
+        # and 3 has the norm +0.0
+        space = lf.random_metric_space(6, seed=2)
+        rows = np.array([[1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [1.0, 0.0, 0.0],
+                         [0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.5, 0.0, 0.5]])
+        op = lf.WeightOperator(space, (0, 1, 2), rows)
+        distinct = rows[op._classes.reps]
+        assert fn._unit_columns(*fn._sparse_rows(distinct)).tolist() == [0, 0, 1, -1, -1]
+        signed = space.dist.copy()
+        signed[0, 1] = signed[1, 0] = -0.0
+        for d in (space.dist, signed):
+            got = lf.molecule_norm_matrix(op, d)
+            assert got.tobytes() == molecule_norm_matrix_by_rows(op, d).tobytes()
+            assert got[0, 1] == got[0, 2] == got[1, 2] == 0.0
+        assert not np.signbit(got[0, 3])
+        assert lf.operator_norm(op, space.dist) == operator_norm_by_ratio_vector(op, space.dist)
+
+    def test_900_point_partition_triages_no_pair(self, monkeypatch):
+        # every class of the extend-30x30-fine partition is a unit row
+        space = lf.make_grid_space([30, 30], 0.02)
+        nc = lf.build_net_cover(space, 0.125)
+        op = lf.partition_of_unity(space.dist, nc.sets, nc.net, space)
+        distinct = op.matrix[op._classes.reps]
+        assert len(distinct) == 100 and (fn._unit_columns(*fn._sparse_rows(distinct)) >= 0).all()
+        rows = triaged_rows(monkeypatch)
+        lf.molecule_norm_matrix(op, space.dist)
+        lf.operator_norm(op, space.dist)
+        assert rows == []
+
+    def test_glued_operator_triages_only_the_other_pairs(self, monkeypatch):
+        op, e = glued_operator()
+        classes = op._classes
+        pairs = [(a, b) for xs, ys in fn._pair_blocks(classes.reps, classes.last)
+                 for a, b in zip(xs, ys)]
+        unit_rows = [len(np.flatnonzero(r)) == 1 and r.max() == 1.0
+                     for r in op.matrix[classes.reps]]
+        others = sum(not (unit_rows[a] and unit_rows[b]) for a, b in pairs)
+        assert len(pairs) == 4861 and others <= 600
+        rows = triaged_rows(monkeypatch)
+        got = lf.operator_norm(op, e)
+        assert sum(rows) == others
+        monkeypatch.undo()
+        assert got == operator_norm_by_ratio_vector(op, e)
+
+    def test_memory_budget_on_the_glued_operator(self):
+        # the kernel sweep of earlier versions peaked at 416,704 B here
+        op, e = glued_operator()
+        got, peak = traced_peak(lambda: lf.operator_norm(op, e))
+        assert peak <= 416_704
+        assert got == operator_norm_by_ratio_vector(op, e)
 
 
 class TestMetricExtension:
